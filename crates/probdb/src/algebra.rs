@@ -411,6 +411,18 @@ impl Flattened {
         }
         h.finish()
     }
+
+    /// Structural equality over exactly what [`Flattened::shape_hash`]
+    /// fingerprints: equal hashes are only a hint, this is the proof.
+    pub(crate) fn same_shape(&self, other: &Flattened) -> bool {
+        self.joins == other.joins
+            && self.terms.len() == other.terms.len()
+            && self
+                .terms
+                .iter()
+                .zip(&other.terms)
+                .all(|(a, b)| a.name == b.name && a.relation == b.relation && a.pred == b.pred)
+    }
 }
 
 /// The conjunctive form of a query tree (internal planner currency).

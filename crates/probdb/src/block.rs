@@ -122,12 +122,11 @@ impl Block {
         Self::new(key, kept)
     }
 
-    /// Replaces the alternative probabilities in place, keeping the tuples.
-    ///
-    /// Validates like [`Block::new`]: every probability positive and
-    /// finite, the sum within tolerance of 1, and exactly one probability
-    /// per alternative. The block is untouched on error.
-    pub(crate) fn set_probs(&mut self, probs: &[f64]) -> Result<(), BlockError> {
+    /// Checks that `probs` may replace this block's alternative
+    /// probabilities: validates like [`Block::new`] — every probability
+    /// positive and finite, the sum within tolerance of 1 — and requires
+    /// exactly one probability per alternative.
+    pub(crate) fn check_probs(&self, probs: &[f64]) -> Result<(), BlockError> {
         if probs.len() != self.alternatives.len() {
             return Err(BlockError::AlternativeCountMismatch {
                 expected: self.alternatives.len(),
@@ -144,10 +143,15 @@ impl Block {
         if (sum - 1.0).abs() > Self::NORM_TOL {
             return Err(BlockError::NotNormalized(sum));
         }
+        Ok(())
+    }
+
+    /// Overwrites the alternative probabilities in place, keeping the
+    /// tuples; no validation (see [`Block::check_probs`]).
+    pub(crate) fn overwrite_probs(&mut self, probs: &[f64]) {
         for (a, &p) in self.alternatives.iter_mut().zip(probs) {
             a.prob = p;
         }
-        Ok(())
     }
 
     /// The source incomplete-tuple key.
@@ -158,13 +162,6 @@ impl Block {
     /// The alternatives.
     pub fn alternatives(&self) -> &[Alternative] {
         &self.alternatives
-    }
-
-    /// Test-only raw access for the gradient tests' finite-difference
-    /// oracle, which perturbs a single mass off the simplex.
-    #[cfg(test)]
-    pub(crate) fn alternatives_mut(&mut self) -> &mut [Alternative] {
-        &mut self.alternatives
     }
 
     /// Number of alternatives.

@@ -60,8 +60,11 @@ pub(crate) fn same_dictionary(left: &Attribute, right: &Attribute) -> bool {
 ///
 /// Relations are held behind [`Arc`], which makes `Catalog::clone`
 /// copy-on-write: the clone shares every relation's storage with the
-/// original, and [`Catalog::get_mut`] deep-copies only the relation it is
-/// about to mutate. The serving layer ([`crate::serve`]) leans on this to
+/// original, and [`Catalog::get_mut`] copies only the relation it is
+/// about to mutate — and that at segment granularity: a relation's rows
+/// live in [`Segmented`](crate::Segmented) stores, so the copy shares
+/// every row segment with the original and a later write copies only the
+/// segment it lands in. The serving layer ([`crate::serve`]) leans on this to
 /// build the next catalog generation behind live readers without copying
 /// untouched relations — and because an unmodified shared relation keeps
 /// its [`ProbDb::version`] and shard stamps, plan-cache register memos
@@ -118,7 +121,10 @@ impl Catalog {
     ///
     /// When the relation is shared with another catalog generation (see
     /// [`Catalog::get_shared`]) this copies it first, so mutation never
-    /// reaches behind a published snapshot.
+    /// reaches behind a published snapshot. The copy is shallow at segment
+    /// granularity: one pointer per row segment plus the columnar mirror;
+    /// a push then copies only the tail segment it appends to, and a mass
+    /// update only the segment holding its block.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut ProbDb> {
         self.by_name
             .get(name)

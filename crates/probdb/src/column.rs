@@ -228,9 +228,23 @@ impl Bitmap {
         self.mask_tail();
     }
 
-    /// Iterates the indices of set bits.
+    /// Iterates the indices of set bits, in increasing order.
+    ///
+    /// Walks whole `u64` words and peels set bits off with
+    /// `trailing_zeros`, so all-zero words cost one test each instead of
+    /// 64 (bits past `len` are always clear, so no tail masking is
+    /// needed).
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(|&i| self.get(i))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -467,6 +481,34 @@ mod tests {
         assert!(!sparse.any_in(64..130));
         assert!(!sparse.any_in(131..300));
         assert_eq!(sparse.count_ones_in(0..300), 1);
+    }
+
+    #[test]
+    fn iter_ones_matches_the_naive_scan_at_word_edges() {
+        let naive = |bm: &Bitmap| (0..bm.len()).filter(|&i| bm.get(i)).collect::<Vec<_>>();
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 200] {
+            let mut patterns = vec![Bitmap::zeros(len), Bitmap::ones(len)];
+            // Single bits on every word edge, then a mixed pattern.
+            for bit in [0usize, 62, 63, 64, 65, 127, 128, len.wrapping_sub(1)] {
+                if bit < len {
+                    let mut bm = Bitmap::zeros(len);
+                    bm.set(bit);
+                    patterns.push(bm);
+                }
+            }
+            let mut mixed = Bitmap::zeros(len);
+            for i in (0..len).filter(|i| i % 7 == 0 || i % 64 == 63) {
+                mixed.set(i);
+            }
+            patterns.push(mixed.clone());
+            mixed.not_assign();
+            patterns.push(mixed);
+            for bm in &patterns {
+                let got: Vec<usize> = bm.iter_ones().collect();
+                assert_eq!(got, naive(bm), "len {len}");
+                assert_eq!(got.len(), bm.count_ones(), "len {len}");
+            }
+        }
     }
 
     #[test]

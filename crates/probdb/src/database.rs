@@ -2,6 +2,7 @@
 
 use crate::block::{Block, BlockError};
 use crate::column::{ColumnStore, ShardMap, SHARD_COUNT};
+use crate::segmented::Segmented;
 use mrsl_relation::{CompleteTuple, RelationError, Schema};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -19,14 +20,17 @@ fn next_stamp() -> u64 {
 /// (probability 1) plus independent blocks of mutually exclusive
 /// alternatives.
 ///
-/// Next to the row-oriented tuples the database maintains a columnar
-/// mirror ([`ProbDb::columns`]), kept in sync by the push paths and
-/// rebuilt on deserialization; the exact query evaluators run on it.
+/// The row-oriented tuples live in [`Segmented`] stores, so a clone shares
+/// every row segment and a write after a clone copies only the segment it
+/// lands in.
+/// Next to them the database maintains a columnar mirror
+/// ([`ProbDb::columns`]), kept in sync by the push paths and rebuilt on
+/// deserialization; the exact query evaluators run on it.
 #[derive(Debug, Clone, Serialize)]
 pub struct ProbDb {
     schema: Arc<Schema>,
-    certain: Vec<CompleteTuple>,
-    blocks: Vec<Block>,
+    certain: Segmented<CompleteTuple>,
+    blocks: Segmented<Block>,
     #[serde(skip)]
     columns: ColumnStore,
     #[serde(skip)]
@@ -54,8 +58,8 @@ impl ProbDb {
         let version = next_stamp();
         Self {
             schema,
-            certain: Vec::new(),
-            blocks: Vec::new(),
+            certain: Segmented::new(),
+            blocks: Segmented::new(),
             columns: ColumnStore::new(arity),
             version,
             shard_versions: vec![version; SHARD_COUNT],
@@ -169,7 +173,13 @@ impl ProbDb {
         for a in self.blocks[block].alternatives() {
             touched[map.shard_of(a.tuple.raw().first().copied().unwrap_or(0))] = true;
         }
-        self.blocks[block].set_probs(probs)?;
+        // Validate before `get_mut`: a rejected update must not copy the
+        // block's segment away from the clones that share it.
+        self.blocks[block].check_probs(probs)?;
+        self.blocks
+            .get_mut(block)
+            .expect("block index checked above")
+            .overwrite_probs(probs);
         self.columns.set_block_probs(block, probs);
         self.version = next_stamp();
         for (s, hit) in touched.into_iter().enumerate() {
@@ -186,9 +196,10 @@ impl ProbDb {
     /// public API rightly rejects.
     #[cfg(test)]
     pub(crate) fn set_block_masses_unchecked(&mut self, block: usize, probs: &[f64]) {
-        for (a, &p) in self.blocks[block].alternatives_mut().iter_mut().zip(probs) {
-            a.prob = p;
-        }
+        self.blocks
+            .get_mut(block)
+            .expect("block index in range")
+            .overwrite_probs(probs);
         self.columns.set_block_probs(block, probs);
     }
 
@@ -204,12 +215,12 @@ impl ProbDb {
     }
 
     /// The certain tuples.
-    pub fn certain(&self) -> &[CompleteTuple] {
+    pub fn certain(&self) -> &Segmented<CompleteTuple> {
         &self.certain
     }
 
     /// The blocks.
-    pub fn blocks(&self) -> &[Block] {
+    pub fn blocks(&self) -> &Segmented<Block> {
         &self.blocks
     }
 

@@ -10,6 +10,8 @@
 //! * [`block`] — blocks of mutually exclusive alternatives.
 //! * [`database`] — [`ProbDb`]: certain tuples + blocks over one schema,
 //!   with a columnar mirror kept in sync by the push paths.
+//! * [`segmented`] — [`Segmented`]: the copy-on-write segmented row store
+//!   behind [`ProbDb`], so a clone shares every row segment.
 //! * [`mod@column`] — the columnar storage layer: dictionary-encoded `u16`
 //!   columns and row bitmaps for vectorized predicate evaluation.
 //! * [`predicate`] — the composable predicate algebra ([`Predicate`]:
@@ -52,6 +54,7 @@ pub mod montecarlo;
 pub mod plan;
 pub mod predicate;
 pub mod query;
+pub mod segmented;
 pub mod serve;
 pub mod testutil;
 pub mod world;
@@ -67,6 +70,7 @@ pub use plan::{
     RelationStats, SafePlan,
 };
 pub use predicate::Predicate;
+pub use segmented::Segmented;
 pub use serve::{ProbDbServer, ServeConfig, Served, ServerHandle, ServerStats, Snapshot, Ticket};
 pub use world::PossibleWorld;
 

@@ -19,12 +19,15 @@
 //! * **Copy-on-write ingestion.** A single writer builds the next
 //!   generation from the current one: [`Catalog`] clones share every
 //!   relation behind an `Arc`, and only relations the writer actually
-//!   touches are deep-copied ([`Catalog::get_mut`]). Publishing swaps the
-//!   snapshot pointer and bumps the epoch — atomic, and invisible to
-//!   in-flight readers until their next request. A writer that dies
-//!   mid-build ([`GenerationBuilder`] dropped, or the closure passed to
-//!   [`ProbDbServer::update`] panics) leaves the published snapshot
-//!   untouched.
+//!   touches are copied ([`Catalog::get_mut`]) — at segment granularity:
+//!   the copy shares every row segment ([`crate::Segmented`]) with the
+//!   published one, and a push then copies only the tail segment it lands
+//!   in (the contiguous columnar mirror is still copied whole). Publishing
+//!   swaps the snapshot pointer and bumps the epoch — atomic, and
+//!   invisible to in-flight readers until their next request. A writer
+//!   that dies mid-build ([`GenerationBuilder`] dropped, or the closure
+//!   passed to [`ProbDbServer::update`] panics) leaves the published
+//!   snapshot untouched.
 //! * **Warm plans across generations.** All workers share one concurrent
 //!   [`PlanCache`]. Untouched relations keep their
 //!   [`crate::ProbDb::version`] and per-shard stamps through a publish
@@ -56,7 +59,10 @@
 //!   evaluation: the first worker to pick one up registers it in-flight,
 //!   later workers attach their reply channels and move on, and the
 //!   single answer fans out to every waiter bit-identically
-//!   ([`ServerStats::coalesced`]). The plan cache dedupes *planning*;
+//!   ([`ServerStats::coalesced`]). The in-flight table is probed by a
+//!   64-bit shape hash, but a request attaches only after its flattened
+//!   shape compares equal to the in-flight one; a colliding different
+//!   query evaluates on its own. The plan cache dedupes *planning*;
 //!   coalescing dedupes *execution*.
 //! * **Hot-shape promotion.** Shapes that keep hitting the striped plan
 //!   cache are promoted into a small lock-free hot table probed before
@@ -103,7 +109,7 @@ mod stats;
 
 pub use stats::ServerStats;
 
-use crate::algebra::{Query, Statistic};
+use crate::algebra::{Flattened, Query, Statistic};
 use crate::catalog::Catalog;
 use crate::plan::{
     CatalogEngine, EvalReport, PlanCache, PlanRoute, ProbabilityBounds, QueryAnswer,
@@ -111,7 +117,7 @@ use crate::plan::{
 };
 use crate::ProbDbError;
 use stats::ServerCounters;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -248,18 +254,44 @@ impl Drop for DepthGuard {
 struct QueryJob {
     query: Query,
     stat: Statistic,
-    reply: mpsc::Sender<Result<Served, ProbDbError>>,
+    reply: Reply,
     /// Set by [`Ticket::drop`]; checked at pickup so dead requests never
     /// pay for evaluation.
     abandoned: Arc<AtomicBool>,
     /// Requests past this instant at pickup are dropped unevaluated.
     deadline: Option<Instant>,
-    /// `(statistic tag, query shape hash)` when this request is eligible
-    /// for coalescing with identical concurrent ones.
-    shape: Option<(u8, u64)>,
+    /// Set when this request is eligible for coalescing with identical
+    /// concurrent ones.
+    shape: Option<CoalesceShape>,
     /// Dropped first thing at pickup (and automatically if the job dies
     /// in the channel).
     depth: DepthGuard,
+}
+
+/// What identifies a coalescable request: the statistic's cache tag and
+/// the flattened query shape, with the shape's 64-bit hash as the probe
+/// key of the in-flight table.
+struct CoalesceShape {
+    tag: u8,
+    hash: u64,
+    flat: Flattened,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: while set, every request submitted from this thread
+    /// probes the in-flight table under one shape hash, so any two
+    /// coalescable requests collide.
+    static COLLIDE_SHAPES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The in-flight probe hash of a flattened shape.
+fn coalesce_hash(flat: &Flattened) -> u64 {
+    #[cfg(test)]
+    if COLLIDE_SHAPES.with(std::cell::Cell::get) {
+        return 0;
+    }
+    flat.shape_hash()
 }
 
 enum Job {
@@ -289,12 +321,22 @@ struct Shared {
     coalesce: bool,
     /// In-flight evaluations, keyed by `(statistic tag, shape hash,
     /// generation)`. The evaluating worker owns the entry; workers that
-    /// pick up an identical request while it exists park their reply
-    /// sender here and move on.
+    /// pick up a request with an equal flattened shape while it exists
+    /// park their reply sender here and move on.
     inflight: Mutex<InflightTable>,
 }
 
-type InflightTable = HashMap<(u8, u64, u64), Vec<mpsc::Sender<Result<Served, ProbDbError>>>>;
+type Reply = mpsc::Sender<Result<Served, ProbDbError>>;
+
+/// One in-flight evaluation: the shape being evaluated (compared on every
+/// probe hit, since hashes can collide) and the parked waiters.
+#[derive(Debug)]
+struct Inflight {
+    flat: Flattened,
+    waiters: Vec<Reply>,
+}
+
+type InflightTable = HashMap<(u8, u64, u64), Inflight>;
 
 impl Shared {
     fn lock_current(&self) -> MutexGuard<'_, Arc<Snapshot>> {
@@ -393,31 +435,39 @@ impl Shared {
         }
         let snap = self.pin(local);
         let key = match shape {
-            Some((tag, hash)) if self.coalesce => (tag, hash, snap.generation),
-            _ => {
-                let outcome = self.evaluate_on(&snap, &query, stat);
-                self.record_outcome(&outcome);
-                let _ = reply.send(outcome);
-                return;
+            Some(CoalesceShape { tag, hash, flat }) if self.coalesce => {
+                let key = (tag, hash, snap.generation);
+                match self.lock_inflight().entry(key) {
+                    Entry::Occupied(mut entry) if entry.get().flat.same_shape(&flat) => {
+                        // An identical request is already evaluating against
+                        // this very generation: park the reply and free this
+                        // worker.
+                        entry.get_mut().waiters.push(reply);
+                        return;
+                    }
+                    // A different shape collided on the hash and holds the
+                    // entry: evaluate on our own.
+                    Entry::Occupied(_) => None,
+                    Entry::Vacant(slot) => {
+                        slot.insert(Inflight {
+                            flat,
+                            waiters: Vec::new(),
+                        });
+                        Some(key)
+                    }
+                }
             }
+            _ => None,
         };
-        {
-            let mut inflight = self.lock_inflight();
-            if let Some(waiters) = inflight.get_mut(&key) {
-                // An identical request is already evaluating against this
-                // very generation: park the reply and free this worker.
-                waiters.push(reply);
-                return;
-            }
-            inflight.insert(key, Vec::new());
-        }
-        // This worker owns the entry; evaluate outside any lock.
+        // Evaluate outside any lock; an owned entry fans the answer out.
         let outcome = self.evaluate_on(&snap, &query, stat);
-        let waiters = self.lock_inflight().remove(&key).unwrap_or_default();
-        for waiter in waiters {
-            self.counters.coalesced();
-            self.record_outcome(&outcome);
-            let _ = waiter.send(outcome.clone());
+        if let Some(key) = key {
+            let entry = self.lock_inflight().remove(&key);
+            for waiter in entry.map_or_else(Vec::new, |e| e.waiters) {
+                self.counters.coalesced();
+                self.record_outcome(&outcome);
+                let _ = waiter.send(outcome.clone());
+            }
         }
         self.record_outcome(&outcome);
         let _ = reply.send(outcome);
@@ -504,8 +554,14 @@ impl ServerHandle {
             // `guard` drops here and unwinds the provisional count.
             return Err(ProbDbError::Overloaded);
         }
-        let shape = crate::plan::statistic_cache_tag(stat)
-            .and_then(|tag| query.flatten().ok().map(|flat| (tag, flat.shape_hash())));
+        let shape = crate::plan::statistic_cache_tag(stat).and_then(|tag| {
+            let flat = query.flatten().ok()?;
+            Some(CoalesceShape {
+                tag,
+                hash: coalesce_hash(&flat),
+                flat,
+            })
+        });
         let (reply, rx) = mpsc::channel();
         let abandoned = Arc::new(AtomicBool::new(false));
         let job = QueryJob {
@@ -611,7 +667,8 @@ pub struct GenerationBuilder<'a> {
 impl GenerationBuilder<'_> {
     /// The next generation's catalog, mutable. Relations untouched so
     /// far still share storage with the published snapshot;
-    /// [`Catalog::get_mut`] copies one on first touch.
+    /// [`Catalog::get_mut`] copies one on first touch, sharing its row
+    /// segments until a write lands in them.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
@@ -902,6 +959,82 @@ mod tests {
         // Re-publishing the same provenance is digest-stable.
         server.update(|_| ());
         assert_eq!(server.stats().catalog_provenance, stamped);
+        server.shutdown();
+    }
+
+    /// The in-flight table is probed by a 64-bit shape hash, and a hash
+    /// match alone must never hand one query's answer to a different
+    /// query. With every shape forced onto one hash, a different
+    /// concurrent query evaluates on its own, while an equal one
+    /// still attaches to the in-flight evaluation.
+    #[test]
+    fn colliding_shape_hashes_never_share_answers() {
+        use crate::{CatalogEngine, Predicate, QueryAnswer};
+        use mrsl_relation::{AttrId, ValueId};
+
+        COLLIDE_SHAPES.with(|c| c.set(true));
+        let coins = |blocks: usize, p: f64| {
+            let mut db = one_block_catalog(p).get("r").unwrap().clone();
+            for key in 1..blocks {
+                let block = db.blocks()[0].clone();
+                db.push_block(Block::new(key, block.alternatives().to_vec()).unwrap())
+                    .unwrap();
+            }
+            db
+        };
+        let mut catalog = Catalog::new();
+        catalog.add("big", coins(400, 0.3)).unwrap();
+        catalog.add("small", coins(1, 0.3)).unwrap();
+        let config = ServeConfig {
+            workers: 3,
+            engine: QueryEngineConfig {
+                force_monte_carlo: true,
+                mc_samples: 20_000,
+                ..QueryEngineConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let direct = CatalogEngine::with_config(&catalog, config.engine);
+        let bits = |answer: &QueryAnswer| match answer {
+            QueryAnswer::Probability { p, .. } => p.to_bits(),
+            other => panic!("unexpected answer {other:?}"),
+        };
+        let want = |q: &Query| bits(&direct.evaluate(q, Statistic::Probability).unwrap().0);
+        let slow = Query::scan("big").filter(Predicate::eq(AttrId(0), ValueId(0)));
+        let fast = Query::scan("small").filter(Predicate::eq(AttrId(0), ValueId(1)));
+        let (slow_bits, fast_bits) = (want(&slow), want(&fast));
+        assert_ne!(slow_bits, fast_bits);
+        let server = ProbDbServer::with_config(catalog.clone(), config);
+        let handle = server.handle();
+        let until = |done: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !done() && start.elapsed() < Duration::from_secs(60) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            done()
+        };
+        let waiters = || -> Option<usize> {
+            let inflight = server.shared.lock_inflight();
+            inflight.values().next().map(|e| e.waiters.len())
+        };
+
+        // A slow query claims the in-flight entry...
+        let slow_ticket = handle.submit(slow.clone(), Statistic::Probability).unwrap();
+        assert!(
+            until(&|| waiters() == Some(0)),
+            "slow query never went in flight"
+        );
+        // ...a different query colliding on its hash answers on its own...
+        let fast_served = handle.evaluate(&fast, Statistic::Probability).unwrap();
+        assert_eq!(bits(&fast_served.answer), fast_bits);
+        // ...and an equal query still attaches to the slow evaluation.
+        let twin_ticket = handle.submit(slow.clone(), Statistic::Probability).unwrap();
+        assert!(until(&|| waiters() == Some(1)), "twin never attached");
+        let (slow_served, twin_served) = (slow_ticket.wait().unwrap(), twin_ticket.wait().unwrap());
+        assert_eq!(bits(&slow_served.answer), slow_bits);
+        assert_eq!(bits(&twin_served.answer), slow_bits);
+        let stats = server.stats();
+        assert_eq!((stats.queries, stats.coalesced), (3, 1), "{stats:?}");
         server.shutdown();
     }
 

@@ -31,7 +31,7 @@ pub fn enumerate_worlds(db: &ProbDb, limit: u128) -> Vec<PossibleWorld> {
         "database has {count} worlds, exceeding the limit {limit}"
     );
     let mut worlds = vec![PossibleWorld {
-        tuples: db.certain().to_vec(),
+        tuples: db.certain().iter().cloned().collect(),
         prob: 1.0,
     }];
     for block in db.blocks() {
@@ -77,7 +77,7 @@ where
 
 /// Samples one possible world.
 pub fn sample_world<R: Rng + ?Sized>(db: &ProbDb, rng: &mut R) -> PossibleWorld {
-    let mut tuples = db.certain().to_vec();
+    let mut tuples: Vec<_> = db.certain().iter().cloned().collect();
     let mut prob = 1.0;
     for block in db.blocks() {
         let chosen = choose_weighted(block.alternatives().iter().map(|a| a.prob), rng);

@@ -10,6 +10,7 @@
 //! across a generation swap answer exactly like a cold bind, and a
 //! writer that dies mid-build changes nothing.
 
+use mrsl_repro::probdb::segmented::SEGMENT_LEN;
 use mrsl_repro::probdb::serve::{ProbDbServer, ServeConfig, ServerHandle};
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, PlanRoute, Predicate, ProbDb, ProbDbError, Query,
@@ -421,6 +422,86 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
         Statistic::Probability,
     );
     assert_eq!(warm, interp);
+    server.shutdown();
+}
+
+/// A one-block publish costs O(delta) storage: generation g + 1's copy of
+/// the touched relation shares every row segment with generation g except
+/// the tail the block was appended to (pointer-equal `Arc`s, counted, so
+/// this holds on any host), and generation g still answers bit-identically.
+#[test]
+fn one_block_publish_copies_only_the_tail_segment() {
+    let rows = 3 * SEGMENT_LEN + 7;
+    let blocks: Vec<(u16, f64)> = (0..rows)
+        .map(|i| ((i % 3) as u16, 0.1 + 0.8 * (i % 7) as f64 / 7.0))
+        .collect();
+    let certain: Vec<u16> = (0..SEGMENT_LEN as u16 + 1).map(|i| i % 3).collect();
+    let mut catalog = Catalog::new();
+    catalog
+        .add("sensors", keyed_relation(&blocks, &certain))
+        .unwrap();
+    catalog
+        .add("readings", keyed_relation(&[(0, 0.5), (2, 0.7)], &[]))
+        .unwrap();
+    let q = Query::scan("sensors").filter(ok()).join_on(
+        Query::scan("readings").filter(ok()),
+        [(AttrId(0), AttrId(0))],
+    );
+    let answers = |catalog: &Catalog| -> Vec<Vec<u64>> {
+        let engine = CatalogEngine::with_config(catalog, vm_config(0));
+        STATS
+            .iter()
+            .map(|&stat| direct_bits(&engine, &q, stat))
+            .collect()
+    };
+    let server = ProbDbServer::with_config(catalog, serve_config(2, 0));
+    let handle = server.handle();
+    served_bits(&handle, &q, Statistic::ExpectedCount);
+
+    let g = server.snapshot();
+    let g_answers = answers(g.catalog());
+    let (next, ()) = server.update(|catalog| {
+        catalog
+            .get_mut("sensors")
+            .unwrap()
+            .push_block(
+                Block::new(rows, vec![alt(vec![2, 0], 0.45), alt(vec![2, 1], 0.55)]).unwrap(),
+            )
+            .unwrap();
+    });
+    let g1 = server.snapshot();
+    assert_eq!(next, g.generation() + 1);
+    assert_eq!(g1.generation(), next);
+
+    let (old, new) = (
+        g.catalog().get("sensors").unwrap(),
+        g1.catalog().get("sensors").unwrap(),
+    );
+    assert_eq!(new.blocks().len(), old.blocks().len() + 1);
+    assert_eq!(old.blocks().segment_count(), 4);
+    assert_eq!(new.blocks().segment_count(), 4);
+    assert_eq!(
+        new.blocks().shared_segment_count(old.blocks()),
+        3,
+        "only the tail block segment may be copied"
+    );
+    assert_eq!(
+        new.certain().shared_segment_count(old.certain()),
+        old.certain().segment_count(),
+        "certain tuples were not touched"
+    );
+    // The untouched relation is the very same object.
+    assert!(Arc::ptr_eq(
+        &g.catalog().get_shared("readings").unwrap(),
+        &g1.catalog().get_shared("readings").unwrap()
+    ));
+
+    // Serve the new generation (patching warm registers), then check that
+    // the old generation's answers did not move a bit.
+    let (served, _) = served_bits(&handle, &q, Statistic::ExpectedCount);
+    assert_eq!(served, answers(g1.catalog())[2]);
+    assert_ne!(served, g_answers[2], "the publish changed the answer");
+    assert_eq!(answers(g.catalog()), g_answers);
     server.shutdown();
 }
 
