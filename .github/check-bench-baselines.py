@@ -49,8 +49,9 @@ def main():
         baselines["join_probability_warm_qps_min"],
     )
 
-    # The compiled VM's memoized mass tables must keep expected_count
-    # ahead of the interpreter (the join_2k_blocks 0.98x regression).
+    # Warm expected_count hits reuse memoized mass tables and must stay
+    # ahead of a cold call that builds them from scratch (the
+    # join_2k_blocks 0.98x regression).
     check(
         "expected_count.speedup",
         shard["expected_count"]["speedup"],

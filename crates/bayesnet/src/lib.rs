@@ -18,6 +18,8 @@
 //! * [`factor`] / [`infer`] — factors, variable elimination and full-joint
 //!   enumeration for exact conditional queries `P(targets | evidence)`.
 
+#![forbid(unsafe_code)]
+
 pub mod builders;
 pub mod catalog;
 pub mod factor;

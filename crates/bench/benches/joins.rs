@@ -15,22 +15,17 @@
 //! `mc_probability` is the joint-world sampler the same query takes for
 //! the point statistic. The bracket should be exact-path fast while the
 //! sampler pays per-world join costs.
+//!
+//! The `cold_*` rows clear the plan cache before every call, so each one
+//! plans, compiles and binds from scratch; their warm counterparts reuse
+//! the cached program and its memoized registers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrsl_bench::{synthetic_chain_catalog, synthetic_join_catalog};
-use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
+use mrsl_probdb::{CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_relation::{AttrId, ValueId};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Interpreter reference configuration: compiled plans off.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
-    }
-}
 
 /// VM configuration: compiled plans on (the default), brackets never
 /// refined so the bounds rows measure the pure deterministic path.
@@ -69,11 +64,14 @@ fn bench_joins(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("interp_probability", size),
+            BenchmarkId::new("cold_probability", size),
             &catalog,
             |b, catalog| {
-                let engine = CatalogEngine::with_config(catalog, interp_config());
-                b.iter(|| std::hint::black_box(engine.probability(&query).expect("interp")))
+                let engine = CatalogEngine::new(catalog);
+                b.iter(|| {
+                    engine.plan_cache().clear();
+                    std::hint::black_box(engine.probability(&query).expect("cold"))
+                })
             },
         );
         group.bench_with_input(
@@ -136,11 +134,14 @@ fn bench_dissociation(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("interp_bounds_probability", size),
+            BenchmarkId::new("cold_bounds_probability", size),
             &catalog,
             |b, catalog| {
-                let engine = CatalogEngine::with_config(catalog, interp_config());
-                b.iter(|| std::hint::black_box(engine.probability_bounds(&query).expect("bounds")))
+                let engine = CatalogEngine::with_config(catalog, vm_config());
+                b.iter(|| {
+                    engine.plan_cache().clear();
+                    std::hint::black_box(engine.probability_bounds(&query).expect("bounds"))
+                })
             },
         );
         group.bench_with_input(
@@ -176,108 +177,87 @@ fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// One interpreter-vs-VM comparison row for the JSON report.
+/// One cold-vs-warm comparison row for the JSON report.
 struct PlanRow {
     name: &'static str,
-    interp_ns: f64,
-    vm_ns: f64,
+    cold_ns: f64,
+    warm_ns: f64,
 }
 
-fn plan_rows(catalog: &Catalog, query: &Query, stat: Statistic, iters: u32) -> PlanRow {
+/// Times `stat` cold (cache cleared before every call: plan, compile,
+/// bind, fold) and warm (cached program, memoized registers) on one
+/// engine, whose cache counters the report sums.
+fn plan_row(engine: &CatalogEngine, query: &Query, stat: Statistic, iters: u32) -> PlanRow {
     let name = match stat {
         Statistic::Probability => "probability",
         Statistic::ExpectedCount => "expected_count",
         Statistic::ProbabilityBounds => "bounds_probability",
         _ => "other",
     };
-    let interp = CatalogEngine::with_config(catalog, interp_config());
-    let interp_ns = time_ns(iters, || {
-        std::hint::black_box(interp.evaluate(query, stat).expect("interp"));
+    let cold_ns = time_ns(iters, || {
+        engine.plan_cache().clear();
+        std::hint::black_box(engine.evaluate(query, stat).expect("cold"));
     });
-    let vm = CatalogEngine::with_config(catalog, vm_config());
-    let vm_ns = time_ns(iters, || {
-        std::hint::black_box(vm.evaluate(query, stat).expect("vm"));
+    let warm_ns = time_ns(iters, || {
+        std::hint::black_box(engine.evaluate(query, stat).expect("warm"));
     });
     PlanRow {
         name,
-        interp_ns,
-        vm_ns,
+        cold_ns,
+        warm_ns,
     }
 }
 
-fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow], cold_ns: f64, warm_ns: f64) {
+fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow]) {
     let _ = writeln!(out, "  \"{fixture}\": {{");
-    for row in rows {
+    for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    \"{}\": {{\"interpreter_ns\": {:.0}, \"vm_ns\": {:.0}, \"speedup\": {:.2}}},",
+            "    \"{}\": {{\"cold_ns\": {:.0}, \"warm_ns\": {:.0}, \"speedup\": {:.2}}}{}",
             row.name,
-            row.interp_ns,
-            row.vm_ns,
-            row.interp_ns / row.vm_ns
+            row.cold_ns,
+            row.warm_ns,
+            row.cold_ns / row.warm_ns,
+            if i + 1 == rows.len() { "" } else { "," }
         );
     }
-    let _ = writeln!(
-        out,
-        "    \"plan_ns\": {{\"cold\": {cold_ns:.0}, \"warm\": {warm_ns:.0}}}"
-    );
     let _ = writeln!(out, "  }},");
 }
 
-/// Self-timed interpreter-vs-VM report, written to `BENCH_plan.json` at
-/// the repo root. The vendored criterion shim has no programmatic timing
-/// hooks, so this measures with [`Instant`] directly: per-statistic
-/// interpreter vs warm-VM nanoseconds, the cold-vs-warm planning gap
-/// (fresh engine per call vs shared [`PlanCache`] hits), and the cache
-/// hit/miss counters from the warm engine.
+/// Self-timed cold-vs-warm report, written to `BENCH_plan.json` at the
+/// repo root. The vendored criterion shim has no programmatic timing
+/// hooks, so this measures with [`Instant`] directly: per-statistic cold
+/// (plan + compile + bind + fold) vs warm-hit nanoseconds, and the cache
+/// hit/miss counters of the engines that ran them.
 fn emit_plan_report(_c: &mut Criterion) {
     let mut out = String::from("{\n");
 
     // Join fixture at ≥2k uncertain blocks: hierarchical, exact path.
     let join_catalog = synthetic_join_catalog(256, 10_000, 5_000, 3, 42);
     let join = join_query();
+    let engine = CatalogEngine::new(&join_catalog);
     let rows = [
-        plan_rows(&join_catalog, &join, Statistic::Probability, 12),
-        plan_rows(&join_catalog, &join, Statistic::ExpectedCount, 12),
+        plan_row(&engine, &join, Statistic::Probability, 12),
+        plan_row(&engine, &join, Statistic::ExpectedCount, 12),
     ];
-    // The warm VM reuses memoized mass tables; falling behind the
-    // interpreter here is a regression, not noise.
+    // Warm hits reuse memoized mass tables; falling behind a cold call
+    // here is a regression, not noise.
     assert!(
-        rows[1].vm_ns < rows[1].interp_ns,
-        "expected_count VM regressed vs interpreter: {:.0}ns vs {:.0}ns",
-        rows[1].vm_ns,
-        rows[1].interp_ns
+        rows[1].warm_ns < rows[1].cold_ns,
+        "warm expected_count regressed vs cold: {:.0}ns vs {:.0}ns",
+        rows[1].warm_ns,
+        rows[1].cold_ns
     );
-    let warm_engine = CatalogEngine::new(&join_catalog);
-    let warm_ns = time_ns(12, || {
-        std::hint::black_box(warm_engine.probability(&join).expect("warm"));
-    });
-    let cold_ns = time_ns(12, || {
-        let engine = CatalogEngine::new(&join_catalog);
-        std::hint::black_box(engine.probability(&join).expect("cold"));
-    });
-    write_rows(&mut out, "join_2k_blocks", &rows, cold_ns, warm_ns);
-    let stats = warm_engine.plan_cache().stats();
+    write_rows(&mut out, "join_2k_blocks", &rows);
+    let stats = engine.plan_cache().stats();
 
     // Dissociable chain: both bounds are compiled programs.
     let chain_catalog = synthetic_chain_catalog(64, 2_500, 42);
     let chain = chain_query();
-    let rows = [plan_rows(
-        &chain_catalog,
-        &chain,
-        Statistic::ProbabilityBounds,
-        12,
-    )];
-    let warm_engine = CatalogEngine::with_config(&chain_catalog, vm_config());
-    let warm_ns = time_ns(12, || {
-        std::hint::black_box(warm_engine.probability_bounds(&chain).expect("warm"));
-    });
-    let cold_ns = time_ns(12, || {
-        let engine = CatalogEngine::with_config(&chain_catalog, vm_config());
-        std::hint::black_box(engine.probability_bounds(&chain).expect("cold"));
-    });
-    write_rows(&mut out, "chain_2500_blocks", &rows, cold_ns, warm_ns);
-    let chain_stats = warm_engine.plan_cache().stats();
+    let engine = CatalogEngine::with_config(&chain_catalog, vm_config());
+    let rows = [plan_row(&engine, &chain, Statistic::ProbabilityBounds, 12)];
+    write_rows(&mut out, "chain_2500_blocks", &rows);
+    let chain_stats = engine.plan_cache().stats();
 
     let _ = writeln!(
         out,

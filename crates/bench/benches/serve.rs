@@ -468,14 +468,13 @@ fn emit_serve_report(_c: &mut Criterion) {
     let ingest = ingest_stats.expect("at least one ingest section ran");
     let _ = writeln!(
         out,
-        "  \"totals\": {{\"warm_queries\": {}, \"warm_cache_hits\": {}, \"warm_hot_hits\": {}, \
+        "  \"totals\": {{\"warm_queries\": {}, \"warm_cache_hits\": {}, \
          \"warm_coalesced\": {}, \"warm_max_queue_depth\": {}, \"ingest_queries\": {}, \
          \"ingest_cache_hits\": {}, \
          \"ingest_lagged_reads\": {}, \"ingest_max_lag\": {}, \"ingest_reg_patches\": {}, \
          \"ingest_reg_rebinds\": {}, \"errors\": {}}}\n}}",
         warm_stats.queries,
         warm_stats.cache_hits,
-        warm_stats.hot_hits,
         warm_stats.coalesced,
         warm_stats.max_queue_depth,
         ingest.queries,

@@ -4,6 +4,8 @@
 //! (see DESIGN.md §3); these helpers build the datasets and models they
 //! share so the benches measure only the operation under test.
 
+#![forbid(unsafe_code)]
+
 use mrsl_bayesnet::catalog::by_name;
 use mrsl_bayesnet::BayesianNetwork;
 use mrsl_core::{LearnConfig, MrslModel};

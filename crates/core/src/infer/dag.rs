@@ -436,26 +436,6 @@ fn make_estimate(state: &NodeState) -> JointEstimate {
     }
 }
 
-/// Samples a workload of incomplete tuples (§V, Algorithm 3 when
-/// `strategy == TupleDag`).
-///
-/// Returns one [`JointEstimate`] per workload entry; duplicate tuples share
-/// their estimate. Deterministic per `seed`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `infer_batch` with a `GibbsSampler` or `TupleDagWorkload` engine"
-)]
-pub fn sample_workload(
-    model: &MrslModel,
-    workload: &[PartialTuple],
-    config: &GibbsConfig,
-    strategy: WorkloadStrategy,
-    seed: u64,
-) -> WorkloadResult {
-    let engine = workload_engine(strategy, config);
-    engine.estimate_batch(model, config.voting, workload, seed)
-}
-
 /// The engine implementing a [`WorkloadStrategy`] with a
 /// [`GibbsConfig`]'s chain parameters.
 pub fn workload_engine(
@@ -652,33 +632,6 @@ mod tests {
             for (pa, pb) in ea.probs.iter().zip(&eb.probs) {
                 assert!((pa - pb).abs() < 0.06, "{pa} vs {pb}");
             }
-        }
-    }
-
-    /// NOT a historic-parity check — `sample_workload` delegates to the
-    /// engines, so this guards only the strategy dispatch and argument
-    /// wiring. Behavioral preservation is covered by the exact cost
-    /// assertions above and the batch-vs-per-tuple reference in
-    /// `infer::batch`'s tests.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_dispatches_strategy_and_wires_arguments() {
-        let m = model();
-        let workload = fig3_workload();
-        let config = GibbsConfig {
-            burn_in: 30,
-            samples: 120,
-            voting: VotingConfig::best_averaged(),
-        };
-        for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-            let legacy = sample_workload(&m, &workload, &config, strategy, 17);
-            let engine = workload_engine(strategy, &config);
-            let modern = infer_batch(&m, &workload, engine.as_ref(), config.voting, 17);
-            for (a, b) in legacy.estimates.iter().zip(&modern.estimates) {
-                assert_eq!(a.probs, b.probs, "{strategy:?}");
-            }
-            assert_eq!(legacy.cost.total_draws, modern.cost.total_draws);
-            assert_eq!(legacy.cost.shared_samples, modern.cost.shared_samples);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! serves. The engine wrapper for this module is
 //! [`crate::infer::engine::GibbsSampler`].
 
-use crate::infer::engine::{GibbsSampler, InferContext, InferenceEngine};
+use crate::infer::engine::InferContext;
 use crate::model::MrslModel;
 use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple};
 use mrsl_util::{derive_seed, seeded_rng};
@@ -136,31 +136,11 @@ fn sample_categorical<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> u16 {
         .expect("smoothed CPDs are strictly positive") as u16
 }
 
-/// §V-A "tuple-at-a-time" inference: estimates the joint distribution over
-/// the missing attributes of `t` with one dedicated Gibbs chain (burn-in
-/// `B`, then `N` recorded sweeps).
-///
-/// A complete tuple yields the trivial single-combination estimate.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a `GibbsSampler` engine and call `estimate` on an `InferContext` \
-            (or `infer_batch` for many tuples)"
-)]
-pub fn infer_joint(
-    model: &MrslModel,
-    t: &PartialTuple,
-    config: &crate::config::GibbsConfig,
-    seed: u64,
-) -> JointEstimate {
-    let mut ctx = InferContext::new(model, config.voting, seed);
-    GibbsSampler::from_config(config).estimate(&mut ctx, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GibbsConfig, LearnConfig, VotingConfig};
-    use crate::infer::engine::InferenceEngine;
+    use crate::config::{LearnConfig, VotingConfig};
+    use crate::infer::engine::{GibbsSampler, InferenceEngine};
     use mrsl_relation::relation::fig1_relation;
     use mrsl_relation::ValueId;
 
@@ -291,26 +271,5 @@ mod tests {
             .map(|i| est.probs[i])
             .sum();
         assert!(p_inc50 > 0.55, "P(inc=50K) = {p_inc50}");
-    }
-
-    /// NOT a historic-parity check (the shim delegates to the engine, so
-    /// that comparison would be vacuous — the genuine reference lives in
-    /// `tests/engine_parity.rs`): this guards the shim's *argument
-    /// wiring*, i.e. that `config.voting` and `seed` reach the context
-    /// unchanged.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_wires_voting_and_seed_through_to_the_engine() {
-        let m = model();
-        let t = PartialTuple::from_options(&[Some(1), Some(2), None, None]);
-        let config = GibbsConfig {
-            burn_in: 40,
-            samples: 400,
-            voting: VotingConfig::best_averaged(),
-        };
-        let legacy = infer_joint(&m, &t, &config, 13);
-        let engine = GibbsSampler::from_config(&config).estimate(&mut ctx(&m, 13), &t);
-        assert_eq!(legacy.probs, engine.probs);
-        assert_eq!(legacy.sample_count, engine.sample_count);
     }
 }

@@ -37,6 +37,8 @@
 //!   probabilistic database ([`mrsl_probdb::ProbDb`]).
 //! * [`lazy`] — query-targeted partial derivation (§VIII future work).
 
+#![forbid(unsafe_code)]
+
 pub mod assoc;
 pub mod config;
 pub mod derive;
@@ -65,8 +67,3 @@ pub use lazy::{
 };
 pub use meta_rule::MetaRule;
 pub use model::{LearnStats, MrslModel};
-#[allow(deprecated)]
-pub use {
-    infer::dag::sample_workload, infer::gibbs::infer_joint,
-    infer::independent::infer_joint_independent, infer::single::infer_single,
-};

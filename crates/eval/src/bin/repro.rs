@@ -10,6 +10,8 @@
 //! paper-scale settings (CPU-hours). `--json` emits machine-readable
 //! output for EXPERIMENTS.md tooling.
 
+#![forbid(unsafe_code)]
+
 use mrsl_eval::experiments::{
     ablation, fig10, fig11, fig4, fig5, fig6, fig8, fig9, joins, learn, queries, table1, table2,
     ExpOptions,

@@ -18,6 +18,8 @@
 //! * [`report`] — paper-style tables with JSON export.
 //! * [`experiments`] — one module per reproduced table / figure.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod framework;
 pub mod metrics;

@@ -14,6 +14,8 @@
 //! * [`apriori`] — the level-wise miner and the [`FrequentItemsets`]
 //!   collection it produces.
 
+#![forbid(unsafe_code)]
+
 pub mod apriori;
 pub mod item;
 pub mod tidset;

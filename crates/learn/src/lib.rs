@@ -20,6 +20,8 @@
 //!   with an Adam step projected back onto each block's probability
 //!   simplex, and reports per-epoch train/validation loss.
 
+#![forbid(unsafe_code)]
+
 pub mod ensemble;
 pub mod optimize;
 

@@ -43,7 +43,11 @@
 //!   writer publish the next generation copy-on-write behind live
 //!   readers.
 //! * [`testutil`] — brute-force joint-world oracles every evaluator is
-//!   tested against (shared by unit, integration and property suites).
+//!   tested against (shared by unit, integration and property suites),
+//!   plus the recursive reference interpreter the bytecode VM must match
+//!   bit for bit.
+
+#![forbid(unsafe_code)]
 
 pub mod algebra;
 pub mod block;

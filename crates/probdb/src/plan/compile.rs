@@ -10,20 +10,24 @@
 //!    structural equality ([`CachedPlan::matches`]) so fingerprint
 //!    collisions cannot reuse a wrong plan.
 //! 2. **Lowering** — [`compile_boolean`] / [`compile_bound`] walk the
-//!    same component/covering-root recursion as the interpreter
-//!    (`exact::component_probability`, `dissociate::component_bound`)
-//!    but emit flat [`vm::Op`]s instead of recursing over row maps;
-//!    [`compile_count`] captures the deterministic mass-join schedule.
+//!    same component/covering-root recursion as the reference
+//!    interpreter (`exact::component_probability`,
+//!    `dissociate::component_bound`, reachable only through
+//!    [`crate::testutil::interpreted`]) but emit flat [`vm::Op`]s
+//!    instead of recursing over row maps; [`compile_count`] captures the
+//!    deterministic mass-join schedule.
 //! 3. **Peephole** — [`peephole`] fuses all-leaf partition bodies into
 //!    inline leaf lists; the lowering itself already hoists
 //!    loop-invariant (copied-only) subtrees and records per-term sort
 //!    paths so partition keys are sorted once at bind time instead of
 //!    hashed per recursion level.
-//! 4. **Cache** — [`PlanCache`] stores the owned shape, the compiled
-//!    program, the schemas, data-version stamps and the data-dependent
-//!    guard verdicts. A warm hit skips flatten-resolve-classify-
-//!    dissociate entirely: it re-binds the owned shape against current
-//!    column data and executes the cached program.
+//! 4. **Cache** — [`PlanCache`], one striped LRU table, stores the owned
+//!    shape, the compiled program, the schemas, data-version stamps and
+//!    the data-dependent guard verdicts. A cold miss captures the entry
+//!    and runs it through the same executor as a warm hit, memoizing its
+//!    registers; a warm hit skips flatten-resolve-classify-dissociate
+//!    entirely: it re-binds the owned shape against current column data
+//!    and executes the cached program.
 //!
 //! **Invalidation.** Classification is partly data-dependent (the
 //! key-straddle and alias-live-set guards), so a cached verdict is only
@@ -50,7 +54,7 @@ use crate::database::ProbDb;
 use crate::predicate::Predicate;
 use mrsl_relation::{AttrId, Schema};
 use std::ops::Range;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cache tag of a statistic, for statistics whose planning verdict and
@@ -313,38 +317,6 @@ pub(crate) fn compile_bounds(
         .collect()
 }
 
-/// Binds registers for every bounds candidate: candidate-major, upper
-/// program first then lower (their sort paths differ, so each program
-/// gets its own register set).
-pub(crate) fn bind_bounds(
-    programs: &[BoundsProgram],
-    compiled: &[CompiledTerm],
-) -> Vec<Vec<vm::TermRegs>> {
-    programs
-        .iter()
-        .flat_map(|bp| {
-            [
-                vm::bind_program(&bp.upper, compiled),
-                vm::bind_program(&bp.lower, compiled),
-            ]
-        })
-        .collect()
-}
-
-/// Executes compiled bounds candidates and intersects the brackets — the
-/// VM counterpart of `dissociate::evaluate_bounds`, sharing its selection
-/// and report-rendering logic so both paths pick identical winners.
-pub(crate) fn run_bounds(
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-    candidates: &[Dissociation],
-    programs: &[BoundsProgram],
-    shards: usize,
-) -> DissociatedBounds {
-    let regs = bind_bounds(programs, compiled);
-    run_bounds_prebound(resolved, candidates, programs, &regs, shards, None)
-}
-
 /// Memo of the bounds report rendering, keyed by the winning
 /// `(upper_at, lower_at)` candidate pair. `describe_bounds` re-derives
 /// the winner's dissociated decomposition — pure shape work, identical
@@ -352,8 +324,12 @@ pub(crate) fn run_bounds(
 /// it instead of re-walking the component recursion.
 pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<String>))>>;
 
-/// [`run_bounds`] over registers bound earlier (the layout produced by
-/// [`bind_bounds`]).
+/// Executes compiled bounds candidates over bound registers and
+/// intersects the brackets — the VM counterpart of
+/// `dissociate::evaluate_bounds`, sharing its selection and
+/// report-rendering logic so both pick identical winners. `regs` is
+/// candidate-major, upper program first then lower (their sort paths
+/// differ, so each program gets its own register set).
 ///
 /// The candidate brackets are independent of each other, so on a
 /// multi-threaded rayon pool they evaluate concurrently — the shim
@@ -425,9 +401,9 @@ pub(crate) enum CompiledProgram {
     /// Expected count.
     Count(CountProgram),
     /// The verdict was Monte Carlo — no bytecode, but caching it still
-    /// skips replanning. For `ProbabilityBounds` the planner's sampling
-    /// reason is kept for the report's `Unsafe` node.
-    Sampled { bounds_reason: Option<String> },
+    /// skips replanning (for `ProbabilityBounds`, the entry's
+    /// decomposition records why dissociation refused).
+    Sampled,
 }
 
 /// Bound registers memoized inside a cache entry: the gathered, pre-
@@ -446,7 +422,7 @@ pub(crate) struct BoundRegs {
     /// the untouched runs over from the memo.
     pub shard_versions: Vec<Vec<u64>>,
     /// Register sets per program: `[regs]` for a boolean program, the
-    /// [`bind_bounds`] layout for a bounds ensemble, empty for a count
+    /// [`run_bounds_prebound`] layout for a bounds ensemble, empty for a count
     /// program (whose memo is [`BoundRegs::count`]).
     pub per_program: Vec<Vec<vm::TermRegs>>,
     /// Memoized grouped mass tables of an expected-count program, step
@@ -492,7 +468,8 @@ pub(crate) struct CachedPlan {
     pub decomposition: Option<SafePlan>,
     pub program: CompiledProgram,
     /// Version-guarded register memo (see [`BoundRegs`]); `None` until
-    /// the first warm execution binds it.
+    /// the cold execution that captured the entry binds it, and for
+    /// sampling verdicts, which bind nothing.
     pub regs: Mutex<Option<BoundRegs>>,
     /// Bounds report-rendering memo (see [`DescribeMemo`]).
     pub describe: DescribeMemo,
@@ -505,9 +482,7 @@ impl CachedPlan {
         flat: &Flattened,
         resolved: &Resolved,
         compiled: &[CompiledTerm],
-        path: EvalPath,
-        plan_class: PlanClass,
-        decomposition: Option<SafePlan>,
+        (path, plan_class, decomposition): (EvalPath, PlanClass, Option<SafePlan>),
         program: CompiledProgram,
     ) -> (Self, Vec<u64>) {
         let versions = resolved.terms.iter().map(|t| t.db.version()).collect();
@@ -678,10 +653,11 @@ pub(crate) struct RegsMaintenance {
 /// move over untouched, terms whose data moved in only some shards are
 /// range-patched ([`vm::patch_term`]), and everything else is re-bound.
 /// Count programs refresh per-step mass tables the same way (reuse per
-/// unchanged term, rebuild otherwise). With no usable memo, every
-/// program binds fresh — fanned out over the rayon pool when it has
-/// more than one thread (per-program binds are independent and collect
-/// in program order, so the result is identical either way).
+/// unchanged term, rebuild otherwise). With no usable memo (a cold
+/// miss's first execution), every program binds fresh — fanned out over
+/// the rayon pool when it has more than one thread (per-program binds
+/// are independent and collect in program order, so the result is
+/// identical either way).
 pub(crate) fn rebind_or_patch(
     plan: &CachedPlan,
     resolved: &Resolved,
@@ -804,13 +780,14 @@ pub struct PlanCacheStats {
     /// ranges were re-gathered, the rest spliced over from the memo.
     pub reg_patches: u64,
     /// Memoized term register sets (or count mass tables) rebuilt from
-    /// scratch because the mutation was not range-patchable.
+    /// scratch because the mutation was not range-patchable. The first
+    /// bind of a cold miss is not a rebuild and is not counted.
     pub reg_rebinds: u64,
-    /// Warm hits answered from the lock-free hot tier without touching a
-    /// cache stripe (a subset of [`PlanCacheStats::hits`]).
+    /// Always 0: the lock-free hot tier these hits counted was removed,
+    /// and every lookup now goes through the striped table. Kept only
+    /// because the end-to-end benchmark still reads it; drop it when the
+    /// benchmark does.
     pub hot_hits: u64,
-    /// Shapes promoted into (or re-promoted within) the hot tier.
-    pub hot_promotions: u64,
     /// Current number of cached plans.
     pub len: usize,
     /// Maximum number of cached plans.
@@ -824,8 +801,6 @@ struct Entry {
     plan: Arc<CachedPlan>,
     versions: Vec<u64>,
     last_used: u64,
-    /// Striped-probe hits since insertion; drives hot-tier promotion.
-    hits: u64,
 }
 
 /// Upper bound on the number of independently locked stripes of a
@@ -833,52 +808,19 @@ struct Entry {
 /// one stripe so their LRU order stays globally exact.
 const CACHE_STRIPES: usize = 8;
 
-/// Slots in the lock-free hot tier probed before the striped table.
-const HOT_SLOTS: usize = 8;
-
-/// Striped-probe hits after which a shape is promoted into the hot tier
-/// (and re-promoted at every further multiple, so a shape evicted from
-/// its hot slot by a collision can win it back while it stays hot).
-const HOT_PROMOTE_HITS: u64 = 3;
-
-/// Hot entries inline their per-term version stamps as atomics so
-/// readers never lock; shapes with more terms than this stay striped.
-const HOT_MAX_TERMS: usize = 8;
-
-/// Replaced hot entries cannot be freed while lock-free readers may
-/// still hold a pointer, so they are retired into a graveyard freed when
-/// the cache drops. The cap bounds the graveyard: once it fills, no
-/// further promotions replace a live entry (the hot set has churned
-/// enough; the striped tier still serves everything correctly).
-const HOT_RETIRED_CAP: usize = 256;
-
 #[derive(Debug)]
 struct CacheStripe {
     entries: Vec<Entry>,
     capacity: usize,
 }
 
-/// One resident of the hot tier. Immutable except for the version
-/// stamps, which are refreshed in place with atomic stores — a reader
-/// racing a refresh can observe a torn stamp vector, which at worst
-/// sends that one execution through the guard-revalidation path (the
-/// executor always compares against the *actual* current data versions).
-#[derive(Debug)]
-struct HotEntry {
-    tag: u8,
-    hash: u64,
-    plan: Arc<CachedPlan>,
-    nterms: usize,
-    versions: [AtomicU64; HOT_MAX_TERMS],
+impl CacheStripe {
+    fn find(&mut self, tag: u8, hash: u64) -> Option<&mut Entry> {
+        self.entries
+            .iter_mut()
+            .find(|e| e.tag == tag && e.hash == hash)
+    }
 }
-
-/// Retired hot entries await deallocation at cache drop. Raw pointers
-/// are not `Send`; the graveyard is only ever touched under its mutex
-/// and freed once no reader can exist, so the transfer is sound.
-#[derive(Debug, Default)]
-struct Graveyard(Vec<*mut HotEntry>);
-
-unsafe impl Send for Graveyard {}
 
 /// A shape-keyed cache of compiled plans, shared across engines — and,
 /// under the serving layer, across worker threads.
@@ -893,7 +835,9 @@ unsafe impl Send for Graveyard {}
 /// [`PlanCache::with_capacity`]) the entry with the smallest tick is
 /// dropped and counted in [`PlanCacheStats::evictions`]. Entries whose
 /// guarded data properties change are removed eagerly and counted in
-/// [`PlanCacheStats::invalidations`].
+/// [`PlanCacheStats::invalidations`]. An evicted, invalidated or cleared
+/// plan is released as soon as the last in-flight evaluation using it
+/// finishes: the cache keeps no other reference.
 ///
 /// **Concurrency.** The table is striped: entries hash to one of up to
 /// eight independently locked stripes, counters are atomics,
@@ -908,12 +852,6 @@ unsafe impl Send for Graveyard {}
 #[derive(Debug)]
 pub struct PlanCache {
     stripes: Vec<Mutex<CacheStripe>>,
-    /// The hot tier: one `AtomicPtr<HotEntry>` per slot (null = empty),
-    /// probed before any stripe lock. Entries are only written under the
-    /// graveyard mutex and never freed while the cache lives, so readers
-    /// dereference the loaded pointer without any synchronization.
-    hot: [AtomicPtr<HotEntry>; HOT_SLOTS],
-    retired: Mutex<Graveyard>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -921,8 +859,6 @@ pub struct PlanCache {
     invalidations: AtomicU64,
     reg_patches: AtomicU64,
     reg_rebinds: AtomicU64,
-    hot_hits: AtomicU64,
-    hot_promotions: AtomicU64,
 }
 
 impl Default for PlanCache {
@@ -955,8 +891,6 @@ impl PlanCache {
                     })
                 })
                 .collect(),
-            hot: [const { AtomicPtr::new(std::ptr::null_mut()) }; HOT_SLOTS],
-            retired: Mutex::new(Graveyard::default()),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -964,8 +898,6 @@ impl PlanCache {
             invalidations: AtomicU64::new(0),
             reg_patches: AtomicU64::new(0),
             reg_rebinds: AtomicU64::new(0),
-            hot_hits: AtomicU64::new(0),
-            hot_promotions: AtomicU64::new(0),
         }
     }
 
@@ -978,8 +910,7 @@ impl PlanCache {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             reg_patches: self.reg_patches.load(Ordering::Relaxed),
             reg_rebinds: self.reg_rebinds.load(Ordering::Relaxed),
-            hot_hits: self.hot_hits.load(Ordering::Relaxed),
-            hot_promotions: self.hot_promotions.load(Ordering::Relaxed),
+            hot_hits: 0,
             len: self.len(),
             capacity: self.stripes.iter().map(|s| self.lock(s).capacity).sum(),
         }
@@ -998,111 +929,15 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drops every entry, hot tier included (counters are kept).
+    /// Drops every entry (counters are kept).
     pub fn clear(&self) {
         for stripe in &self.stripes {
             self.lock(stripe).entries.clear();
-        }
-        let mut retired = self.lock_retired();
-        for slot in &self.hot {
-            let old = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !old.is_null() {
-                retired.0.push(old);
-            }
         }
     }
 
     fn lock<'a>(&self, stripe: &'a Mutex<CacheStripe>) -> std::sync::MutexGuard<'a, CacheStripe> {
         stripe.lock().expect("plan cache stripe lock")
-    }
-
-    fn lock_retired(&self) -> std::sync::MutexGuard<'_, Graveyard> {
-        self.retired.lock().expect("hot graveyard lock")
-    }
-
-    /// The hot slot `(tag, hash)` maps to (same folding as the stripes).
-    fn hot_slot(&self, tag: u8, hash: u64) -> &AtomicPtr<HotEntry> {
-        let mix = hash ^ (hash >> 32) ^ u64::from(tag);
-        &self.hot[(mix as usize) % HOT_SLOTS]
-    }
-
-    /// Probes the lock-free hot tier: one atomic load, a key compare,
-    /// and per-term atomic version loads — no stripe lock. Callers
-    /// verify the shape and route stale entries through
-    /// [`PlanCache::invalidate`] exactly like a striped hit.
-    pub(crate) fn probe_hot(&self, tag: u8, hash: u64) -> Option<(Arc<CachedPlan>, Vec<u64>)> {
-        let ptr = self.hot_slot(tag, hash).load(Ordering::Acquire);
-        if ptr.is_null() {
-            return None;
-        }
-        // Safety: hot entries are never deallocated while the cache is
-        // alive (replaced ones go to the graveyard, freed only in
-        // `Drop`), and every caller borrows the cache.
-        let entry = unsafe { &*ptr };
-        if entry.tag != tag || entry.hash != hash {
-            return None;
-        }
-        let versions = entry.versions[..entry.nterms]
-            .iter()
-            .map(|v| v.load(Ordering::Acquire))
-            .collect();
-        Some((entry.plan.clone(), versions))
-    }
-
-    /// Counts one answer served from the hot tier (also counted as a
-    /// regular [`PlanCacheStats::hits`] so warm-ratio math is unchanged).
-    pub(crate) fn record_hot_hit(&self) {
-        self.hot_hits.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Installs (or refreshes) `(tag, hash)` in its hot slot. The old
-    /// resident is retired, never freed in place — a reader may still
-    /// hold it. Promotion is skipped when the graveyard is full.
-    fn promote(&self, tag: u8, hash: u64, plan: &Arc<CachedPlan>, versions: &[u64]) {
-        if versions.len() > HOT_MAX_TERMS {
-            return;
-        }
-        let slot = self.hot_slot(tag, hash);
-        let mut retired = self.lock_retired();
-        let incumbent = slot.load(Ordering::Acquire);
-        if !incumbent.is_null() && retired.0.len() >= HOT_RETIRED_CAP {
-            return;
-        }
-        let entry = Box::new(HotEntry {
-            tag,
-            hash,
-            plan: plan.clone(),
-            nterms: versions.len(),
-            versions: [const { AtomicU64::new(0) }; HOT_MAX_TERMS],
-        });
-        for (cell, &v) in entry.versions.iter().zip(versions) {
-            cell.store(v, Ordering::Release);
-        }
-        let old = slot.swap(Box::into_raw(entry), Ordering::AcqRel);
-        if !old.is_null() {
-            retired.0.push(old);
-        }
-        self.hot_promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drops `(tag, hash)` from the hot tier if resident (stale guards,
-    /// or an explicit invalidation).
-    fn demote(&self, tag: u8, hash: u64) {
-        let slot = self.hot_slot(tag, hash);
-        let mut retired = self.lock_retired();
-        let ptr = slot.load(Ordering::Acquire);
-        if ptr.is_null() {
-            return;
-        }
-        // Safety: see `probe_hot` — live until cache drop.
-        let entry = unsafe { &*ptr };
-        if entry.tag == tag && entry.hash == hash {
-            let old = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !old.is_null() {
-                retired.0.push(old);
-            }
-        }
     }
 
     /// The stripe `(tag, hash)` lives in: the fingerprint's high bits
@@ -1119,25 +954,12 @@ impl PlanCache {
 
     /// The entry under `(tag, hash)`, LRU-bumped, with its recorded data
     /// versions. Callers verify the shape and count the hit or miss.
-    /// Every [`HOT_PROMOTE_HITS`]th striped hit promotes the shape into
-    /// the hot tier (after the stripe lock is released).
     pub(crate) fn probe(&self, tag: u8, hash: u64) -> Option<(Arc<CachedPlan>, Vec<u64>)> {
         let tick = self.next_tick();
-        let (plan, versions, promote) = {
-            let mut stripe = self.lock(self.stripe_of(tag, hash));
-            let entry = stripe
-                .entries
-                .iter_mut()
-                .find(|e| e.tag == tag && e.hash == hash)?;
-            entry.last_used = tick;
-            entry.hits += 1;
-            let promote = entry.hits % HOT_PROMOTE_HITS == 0;
-            (entry.plan.clone(), entry.versions.clone(), promote)
-        };
-        if promote {
-            self.promote(tag, hash, &plan, &versions);
-        }
-        Some((plan, versions))
+        let mut stripe = self.lock(self.stripe_of(tag, hash));
+        let entry = stripe.find(tag, hash)?;
+        entry.last_used = tick;
+        Some((entry.plan.clone(), entry.versions.clone()))
     }
 
     pub(crate) fn record_hit(&self) {
@@ -1159,45 +981,23 @@ impl PlanCache {
         }
     }
 
-    /// Removes a stale entry (guards or schema changed), hot tier
-    /// included.
+    /// Removes a stale entry (guards or schema changed).
     pub(crate) fn invalidate(&self, tag: u8, hash: u64) {
-        let removed = {
-            let mut stripe = self.lock(self.stripe_of(tag, hash));
-            let before = stripe.entries.len();
-            stripe.entries.retain(|e| !(e.tag == tag && e.hash == hash));
-            stripe.entries.len() < before
-        };
-        if removed {
+        let mut stripe = self.lock(self.stripe_of(tag, hash));
+        let before = stripe.entries.len();
+        stripe.entries.retain(|e| !(e.tag == tag && e.hash == hash));
+        if stripe.entries.len() < before {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
-        self.demote(tag, hash);
     }
 
     /// Updates the recorded data versions after the guards re-validated,
-    /// so the next unchanged-data hit skips them again. A hot-tier
-    /// resident has its inline stamps refreshed in place.
+    /// so the next unchanged-data hit skips them again.
     pub(crate) fn refresh_versions(&self, tag: u8, hash: u64, versions: &[u64]) {
-        {
-            let mut stripe = self.lock(self.stripe_of(tag, hash));
-            if let Some(e) = stripe
-                .entries
-                .iter_mut()
-                .find(|e| e.tag == tag && e.hash == hash)
-            {
-                e.versions.clear();
-                e.versions.extend_from_slice(versions);
-            }
-        }
-        let ptr = self.hot_slot(tag, hash).load(Ordering::Acquire);
-        if !ptr.is_null() {
-            // Safety: see `probe_hot` — live until cache drop.
-            let entry = unsafe { &*ptr };
-            if entry.tag == tag && entry.hash == hash && entry.nterms == versions.len() {
-                for (cell, &v) in entry.versions.iter().zip(versions) {
-                    cell.store(v, Ordering::Release);
-                }
-            }
+        let mut stripe = self.lock(self.stripe_of(tag, hash));
+        if let Some(e) = stripe.find(tag, hash) {
+            e.versions.clear();
+            e.versions.extend_from_slice(versions);
         }
     }
 
@@ -1206,11 +1006,7 @@ impl PlanCache {
     pub(crate) fn insert(&self, tag: u8, hash: u64, plan: Arc<CachedPlan>, versions: Vec<u64>) {
         let tick = self.next_tick();
         let mut stripe = self.lock(self.stripe_of(tag, hash));
-        if let Some(e) = stripe
-            .entries
-            .iter_mut()
-            .find(|e| e.tag == tag && e.hash == hash)
-        {
+        if let Some(e) = stripe.find(tag, hash) {
             e.plan = plan;
             e.versions = versions;
             e.last_used = tick;
@@ -1234,28 +1030,6 @@ impl PlanCache {
             plan,
             versions,
             last_used: tick,
-            hits: 0,
         });
-    }
-}
-
-impl Drop for PlanCache {
-    fn drop(&mut self) {
-        // Exclusive access: no reader can hold a hot pointer anymore, so
-        // the slots and the graveyard can finally be freed.
-        for slot in &self.hot {
-            let ptr = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !ptr.is_null() {
-                // Safety: created by `Box::into_raw` in `promote`,
-                // removed from the slot above, never freed before.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-        }
-        let mut retired = self.lock_retired();
-        for ptr in retired.0.drain(..) {
-            // Safety: retired pointers left every slot when they were
-            // replaced and are owned solely by the graveyard.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
     }
 }

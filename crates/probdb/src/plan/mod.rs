@@ -69,11 +69,17 @@ use classify::{
     alias_groups, alias_live_mismatch, classify, key_straddle, resolve, CompiledTerm, Resolved,
 };
 use compile::{cache_tag, CachedPlan, CompiledProgram};
-use dissociate::BoundsPlan;
+use dissociate::{BoundsPlan, DissociatedBounds};
 use mrsl_relation::AttrId;
 use std::sync::Arc;
 
 /// Tunables of the query engines.
+///
+/// [`Statistic::Probability`], [`Statistic::ProbabilityBounds`] and
+/// [`Statistic::ExpectedCount`] always lower to bytecode and reuse it
+/// through the shape-keyed [`PlanCache`] ([`PlanRoute::Compiled`] on a
+/// miss, [`PlanRoute::CacheHit`] after), unless Monte Carlo is forced;
+/// every other statistic plans fresh ([`PlanRoute::Uncached`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryEngineConfig {
     /// Worlds sampled on the Monte-Carlo path.
@@ -85,7 +91,7 @@ pub struct QueryEngineConfig {
     pub max_exact_dp_blocks: usize,
     /// Route every estimable query through Monte Carlo regardless of
     /// liftability (ranking and value marginals have no sampling
-    /// estimator and stay exact).
+    /// estimator and stay exact). Forced answers bypass the plan cache.
     pub force_monte_carlo: bool,
     /// Widest dissociation bracket [`Statistic::ProbabilityBounds`]
     /// accepts without refinement. Brackets wider than this trigger a
@@ -93,13 +99,6 @@ pub struct QueryEngineConfig {
     /// ([`EvalPath::Hybrid`]); set it to `1.0` to never sample, `0.0` to
     /// always refine non-collapsed brackets.
     pub bounds_tolerance: f64,
-    /// Compile [`Statistic::Probability`], [`Statistic::ProbabilityBounds`]
-    /// and [`Statistic::ExpectedCount`] plans to bytecode executed by the
-    /// vectorized VM, and reuse them through the shape-keyed [`PlanCache`]
-    /// ([`PlanRoute::Compiled`] / [`PlanRoute::CacheHit`]). Off, every
-    /// answer comes from the reference interpreter
-    /// ([`PlanRoute::Interpreted`]).
-    pub compile_plans: bool,
     /// Capacity (in plans) of the [`PlanCache`] new engines construct;
     /// ignored by [`CatalogEngine::with_plan_cache`], which brings its
     /// own.
@@ -124,7 +123,6 @@ impl Default for QueryEngineConfig {
             max_exact_dp_blocks: 4_096,
             force_monte_carlo: false,
             bounds_tolerance: 0.05,
-            compile_plans: true,
             plan_cache_capacity: 128,
             shards: 0,
         }
@@ -354,8 +352,9 @@ impl<'a> CatalogEngine<'a> {
     /// product/complement tree *is* the computational graph. Shapes that
     /// would route to Monte Carlo (non-hierarchical, key-correlated,
     /// aliased) return [`ProbDbError::NotDifferentiable`] with the
-    /// classifier's reason. The probability matches
-    /// [`CatalogEngine::probability`]'s interpreter path bit for bit; the
+    /// classifier's reason. The probability comes from the reference
+    /// interpreter's recursion, which [`CatalogEngine::probability`]'s
+    /// bytecode reproduces bit for bit; the
     /// gradients feed the tuple-probability optimizer in `mrsl_learn`,
     /// which projects updates back onto each block's simplex and writes
     /// them through [`crate::ProbDb::set_block_masses`].
@@ -365,12 +364,7 @@ impl<'a> CatalogEngine<'a> {
     ) -> Result<(f64, MassGradients), ProbDbError> {
         let flat = q.flatten()?;
         let resolved = resolve(&flat, |name| self.catalog.get(name))?;
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
+        let compiled = compile_terms(&resolved);
         if resolved.terms.len() > 1 {
             let c = classify(&resolved, &compiled);
             if c.class != PlanClass::Liftable {
@@ -423,14 +417,9 @@ fn prepare<'a>(
             statistic: stat.name(),
         });
     }
-    let compiled: Vec<CompiledTerm<'a>> = resolved
-        .terms
-        .iter()
-        .enumerate()
-        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-        .collect();
+    let compiled = compile_terms(&resolved);
     let classification = (!single).then(|| classify(&resolved, &compiled));
-    let decomposition = classification.as_ref().map(|c| c.decomposition.clone());
+    let mut decomposition = classification.as_ref().map(|c| c.decomposition.clone());
     let forced = config.force_monte_carlo;
     // Aliased scans of one relation share their block choices: no
     // independent-product evaluator (exact probability, mass-table
@@ -453,7 +442,12 @@ fn prepare<'a>(
                     // Refinement may upgrade the path to Hybrid at
                     // evaluation time, once the bracket width is known.
                     BoundsPlan::Dissociate(_) => (EvalPath::ExactColumnar, PlanClass::Dissociable),
-                    BoundsPlan::Sample(_) => (EvalPath::MonteCarlo, c.class),
+                    // No sound dissociation: the report records why.
+                    BoundsPlan::Sample(reason) => {
+                        let reason = reason.clone();
+                        decomposition = Some(SafePlan::Unsafe { reason });
+                        (EvalPath::MonteCarlo, c.class)
+                    }
                 };
                 bounds_plan = Some(plan);
                 route
@@ -524,58 +518,40 @@ fn evaluate_with<'a>(
     let flat = q.flatten()?;
     // Forced Monte Carlo overrides every planning verdict, so its answers
     // are neither produced from nor stored into the cache.
-    let slot = (config.compile_plans && !config.force_monte_carlo)
-        .then(|| cache_tag(stat))
-        .flatten()
-        .map(|tag| (tag, flat.shape_hash()));
-    if let Some((tag, hash)) = slot {
-        // Hot tier first: repeatedly-hit shapes are served without
-        // touching a stripe lock. A stale or colliding hot entry falls
-        // through to the striped probe exactly like a cold shape.
-        if let Some((plan, versions)) = cache.probe_hot(tag, hash) {
-            if plan.matches(&flat) {
-                match execute_cached(&lookup, &plan, &versions, tag, hash, stat, config, cache)? {
-                    Some(result) => {
-                        cache.record_hot_hit();
-                        return Ok(result);
-                    }
-                    // Stale: schema or guarded data property changed.
-                    None => cache.invalidate(tag, hash),
+    let Some(tag) = cache_tag(stat).filter(|_| !config.force_monte_carlo) else {
+        return evaluate_uncached(prepare(&lookup, &flat, stat, config)?, stat, config);
+    };
+    let hash = flat.shape_hash();
+    if let Some((plan, versions)) = cache.probe(tag, hash) {
+        if plan.matches(&flat) {
+            match execute_cached(&lookup, &plan, &versions, (tag, hash), stat, config, cache)? {
+                Some(result) => {
+                    cache.record_hit();
+                    return Ok(result);
                 }
+                // Stale: schema or guarded data property changed.
+                None => cache.invalidate(tag, hash),
             }
         }
-        if let Some((plan, versions)) = cache.probe(tag, hash) {
-            if plan.matches(&flat) {
-                match execute_cached(&lookup, &plan, &versions, tag, hash, stat, config, cache)? {
-                    Some(result) => {
-                        cache.record_hit();
-                        return Ok(result);
-                    }
-                    // Stale: schema or guarded data property changed.
-                    None => cache.invalidate(tag, hash),
-                }
-            }
-        }
-        cache.record_miss();
     }
-    evaluate_cold(&lookup, &flat, stat, config, slot, cache)
+    cache.record_miss();
+    evaluate_cold(&lookup, &flat, (tag, hash), stat, config, cache)
 }
 
-/// Executes a shape-verified cache entry against current column data, or
-/// reports it stale (`Ok(None)`) for invalidation and a cold replan.
+/// The warm preamble of a shape-verified cache hit: re-binds the entry
+/// against current column data and hands it to [`execute`], or reports it
+/// stale (`Ok(None)`) for invalidation and a cold replan.
 ///
 /// Classification is skipped entirely. Its only data-dependent inputs are
 /// the key-straddle and alias-live-mismatch guards: when any relation's
 /// data version moved, both are recomputed (linear scans) and compared to
 /// the recorded verdicts — unchanged verdicts revalidate the entry,
 /// flipped ones condemn it.
-#[allow(clippy::too_many_arguments)]
 fn execute_cached<'a, F>(
     lookup: &F,
     plan: &CachedPlan,
     recorded_versions: &[u64],
-    tag: u8,
-    hash: u64,
+    (tag, hash): (u8, u64),
     stat: Statistic,
     config: &QueryEngineConfig,
     cache: &PlanCache,
@@ -594,12 +570,7 @@ where
             return Ok(Some(result));
         }
     }
-    let compiled: Vec<CompiledTerm> = resolved
-        .terms
-        .iter()
-        .enumerate()
-        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-        .collect();
+    let compiled = compile_terms(&resolved);
     if versions.as_slice() != recorded_versions {
         let straddle = key_straddle(&resolved, &compiled).is_some();
         let mismatch = alias_live_mismatch(&resolved, &compiled).is_some();
@@ -608,45 +579,164 @@ where
         }
         cache.refresh_versions(tag, hash, &versions);
     }
-    let samples = config.mc_samples;
+    execute(
+        plan,
+        &resolved,
+        &compiled,
+        &versions,
+        stat,
+        config,
+        Some(cache),
+    )
+}
+
+/// A cache miss: plan, lower the verdict to a program, capture it, and
+/// run it through the same [`execute`] a warm hit uses — so the cold
+/// answer memoizes its registers and the next hit goes straight to the
+/// fold. The entry is cached only once it has answered.
+fn evaluate_cold<'a>(
+    lookup: &impl Fn(&str) -> Option<&'a ProbDb>,
+    flat: &Flattened,
+    (tag, hash): (u8, u64),
+    stat: Statistic,
+    config: &QueryEngineConfig,
+    cache: &PlanCache,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
+    let p = prepare(lookup, flat, stat, config)?;
+    let (resolved, compiled) = (&p.resolved, &p.compiled);
+    let program = match p.bounds_plan {
+        _ if p.path == EvalPath::MonteCarlo => CompiledProgram::Sampled,
+        Some(BoundsPlan::Dissociate(candidates)) => CompiledProgram::Bounds {
+            programs: compile::compile_bounds(resolved, &candidates),
+            candidates,
+        },
+        _ if stat == Statistic::ExpectedCount => {
+            CompiledProgram::Count(compile::compile_count(resolved))
+        }
+        _ => CompiledProgram::Boolean(compile::compile_boolean(resolved)),
+    };
+    // The entry stores the planning-time verdicts: the pre-hybrid path and
+    // the planner's decomposition (bounds answers re-derive the winning
+    // candidate's decomposition at evaluation time).
+    let verdict = (p.path, p.plan, p.decomposition);
+    let (entry, versions) = CachedPlan::capture(flat, resolved, compiled, verdict, program);
+    let entry = Arc::new(entry);
+    let result = execute(&entry, resolved, compiled, &versions, stat, config, None)?
+        .expect("a freshly lowered program answers its own statistic");
+    cache.insert(tag, hash, entry, versions);
+    Ok(result)
+}
+
+/// The one executor of cached plans, cold and warm: refreshes the
+/// register memo (binding it from scratch on a cold miss, patching or
+/// rebinding what moved on a warm hit), runs the program, refines wide
+/// brackets by sampling, and memoizes the registers for the next hit.
+/// `warm` is the cache a hit was served from ([`PlanRoute::CacheHit`]),
+/// charged with the maintenance in [`PlanCacheStats::reg_patches`] /
+/// [`PlanCacheStats::reg_rebinds`]; `None` on a cold miss
+/// ([`PlanRoute::Compiled`]), whose first bind is not a rebuild.
+/// `Ok(None)` when the program does not answer `stat` (impossible while
+/// the statistic tag is part of the cache key; the caller replans
+/// defensively instead of asserting).
+fn execute(
+    plan: &CachedPlan,
+    resolved: &Resolved,
+    compiled: &[CompiledTerm],
+    versions: &[u64],
+    stat: Statistic,
+    config: &QueryEngineConfig,
+    warm: Option<&PlanCache>,
+) -> Result<Option<(QueryAnswer, EvalReport)>, ProbDbError> {
     let mut path = plan.path;
-    if path == EvalPath::MonteCarlo && samples == 0 {
+    if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
     let classes = resolved.classes.len();
+    let relations = relation_stats(compiled);
     let mut decomposition = plan.decomposition.clone();
     let mut dissociated: Vec<String> = Vec::new();
-    let shards = config.shards;
+    let answer = if let CompiledProgram::Sampled = plan.program {
+        sample(compiled, classes, stat, config)
+    } else {
+        let maint = compile::rebind_or_patch(plan, resolved, compiled, versions);
+        if let Some(cache) = warm {
+            cache.record_reg_maintenance(maint.patched, maint.rebound);
+        }
+        let regs = (maint.per_program.as_slice(), maint.count.as_deref());
+        let Some(folded) = fold(plan, resolved, stat, regs, Some(compiled), config.shards) else {
+            return Ok(None);
+        };
+        memoize_regs(plan, versions, resolved, relations.clone(), maint);
+        match folded {
+            Folded::Answer(answer) => answer,
+            Folded::Bracket(eval) => {
+                decomposition = Some(eval.plan);
+                dissociated = eval.dissociated;
+                let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
+                let (bounds, refined) = refine(bracket, compiled, classes, config);
+                if refined {
+                    path = EvalPath::Hybrid;
+                }
+                QueryAnswer::Bounds(bounds)
+            }
+        }
+    };
+    let route = match warm {
+        Some(_) => PlanRoute::CacheHit,
+        None => PlanRoute::Compiled,
+    };
+    let report = EvalReport::new(
+        path,
+        route,
+        plan.plan_class,
+        relations,
+        config.mc_samples,
+        decomposition,
+        dissociated,
+    );
+    Ok(Some((answer, report)))
+}
+
+/// What folding a deterministic program produced.
+enum Folded {
+    /// The final answer.
+    Answer(QueryAnswer),
+    /// A dissociation bracket, with the winning candidate's decomposition,
+    /// that a wide width may still refine by sampling.
+    Bracket(DissociatedBounds),
+}
+
+/// Folds a deterministic cached program over bound registers: `regs` is
+/// the register sets per program and the count program's mass tables
+/// (the [`compile::BoundRegs`] layout). `None` for sampling verdicts, for
+/// a program that does not answer `stat`, and for a single-relation
+/// count without its compiled terms.
+fn fold(
+    plan: &CachedPlan,
+    resolved: &Resolved,
+    stat: Statistic,
+    (regs, tables): (&[Vec<vm::TermRegs>], Option<&[exact::MassTable]>),
+    compiled: Option<&[CompiledTerm]>,
+    shards: usize,
+) -> Option<Folded> {
     let answer = match (&plan.program, stat) {
-        (CompiledProgram::Boolean(prog), Statistic::Probability) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let p = vm::run_prebound_sharded(prog, &maint.per_program[0], shards);
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                None,
-                &compiled,
-            );
-            QueryAnswer::Probability { p, std_error: None }
-        }
+        (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
+            p: vm::run_prebound_sharded(prog, &regs[0], shards),
+            std_error: None,
+        },
         // Safe shapes collapse the bracket to the exact probability.
-        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let p = vm::run_prebound_sharded(prog, &maint.per_program[0], shards);
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                None,
-                &compiled,
-            );
-            QueryAnswer::Bounds(ProbabilityBounds::exact(p))
-        }
+        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => QueryAnswer::Bounds(
+            ProbabilityBounds::exact(vm::run_prebound_sharded(prog, &regs[0], shards)),
+        ),
+        (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
+            mean: match (&prog.steps, tables) {
+                (Some(steps), Some(tables)) => {
+                    exact::run_mass_join_tables(steps, tables, prog.classes, shards)
+                }
+                _ => exact::single_expected_count(&compiled?[0]),
+            },
+            std_error: None,
+        },
         (
             CompiledProgram::Bounds {
                 candidates,
@@ -654,405 +744,26 @@ where
             },
             Statistic::ProbabilityBounds,
         ) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let eval = compile::run_bounds_prebound(
-                &resolved,
+            return Some(Folded::Bracket(compile::run_bounds_prebound(
+                resolved,
                 candidates,
                 programs,
-                &maint.per_program,
+                regs,
                 shards,
                 Some(&plan.describe),
-            );
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                None,
-                &compiled,
-            );
-            decomposition = Some(eval.plan);
-            dissociated = eval.dissociated;
-            let mut bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-            // The hybrid upgrade is re-decided per answer with the
-            // current config, never cached.
-            if bounds.width() > config.bounds_tolerance && samples > 0 {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                let (p, se) = mc::probability_estimate(&counts);
-                bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
-                bounds.std_error = Some(se);
-                path = EvalPath::Hybrid;
-            }
-            QueryAnswer::Bounds(bounds)
+            )))
         }
-        (CompiledProgram::Count(prog), Statistic::ExpectedCount) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let mean = match (&prog.steps, &maint.count) {
-                (Some(steps), Some(tables)) => {
-                    exact::run_mass_join_tables(steps, tables, prog.classes, shards)
-                }
-                _ => vm::run_count(prog, &compiled),
-            };
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                maint.count,
-                &compiled,
-            );
-            QueryAnswer::Count {
-                mean,
-                std_error: None,
-            }
-        }
-        (CompiledProgram::Sampled { bounds_reason }, _) => match stat {
-            Statistic::Probability => {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                let (p, se) = mc::probability_estimate(&counts);
-                QueryAnswer::Probability {
-                    p,
-                    std_error: Some(se),
-                }
-            }
-            Statistic::ProbabilityBounds => {
-                if let Some(reason) = bounds_reason {
-                    decomposition = Some(SafePlan::Unsafe {
-                        reason: reason.clone(),
-                    });
-                }
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                let (p, se) = mc::probability_estimate(&counts);
-                QueryAnswer::Bounds(ProbabilityBounds {
-                    lower: 0.0,
-                    upper: 1.0,
-                    estimate: Some(p),
-                    std_error: Some(se),
-                })
-            }
-            Statistic::ExpectedCount => {
-                let (mean, se) = if classes == 0 && compiled.len() == 1 {
-                    let ct = &compiled[0];
-                    let sel = CompiledSelection {
-                        certain_count: ct.live_certain.count_ones(),
-                        alt_matches: ct.live_alts.clone(),
-                    };
-                    mc_expected_count_compiled(ct.db, &sel, samples, config.mc_seed)
-                } else {
-                    let counts =
-                        mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                    mc::count_estimate(&counts)
-                };
-                QueryAnswer::Count {
-                    mean,
-                    std_error: Some(se),
-                }
-            }
-            _ => return Ok(None),
-        },
-        // Program/statistic mismatch cannot happen (the statistic tag is
-        // part of the cache key); replan defensively instead of asserting.
-        _ => return Ok(None),
+        _ => return None,
     };
-    let relations = relation_stats(&compiled);
-    let mc_samples = match path {
-        EvalPath::ExactColumnar => 0,
-        EvalPath::MonteCarlo | EvalPath::Hybrid => samples,
-    };
-    let report = EvalReport::new(
-        path,
-        PlanRoute::CacheHit,
-        plan.plan_class,
-        relations,
-        mc_samples,
-        decomposition,
-        dissociated,
-    );
-    Ok(Some((answer, report)))
+    Some(Folded::Answer(answer))
 }
 
-fn evaluate_cold<'a>(
-    lookup: &impl Fn(&str) -> Option<&'a ProbDb>,
-    flat: &Flattened,
-    stat: Statistic,
-    config: &QueryEngineConfig,
-    slot: Option<(u8, u64)>,
-    cache: &PlanCache,
-) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
-    let prepared = prepare(lookup, flat, stat, config)?;
-    let Prepared {
-        resolved,
-        compiled,
-        mut path,
-        plan,
-        mut decomposition,
-        bounds_plan,
-    } = prepared;
-    // The cache stores the planning-time verdicts: the pre-hybrid path and
-    // the classifier's decomposition (bounds answers re-derive the winning
-    // candidate's decomposition at evaluation time).
-    let planned_path = path;
-    let stored_decomposition = decomposition.clone();
-    let use_vm = slot.is_some();
-    let mut route = PlanRoute::Interpreted;
-    let mut built: Option<CompiledProgram> = None;
-    let mut dissociated: Vec<String> = Vec::new();
-    let classes = resolved.classes.len();
-    let samples = config.mc_samples;
-    if path == EvalPath::MonteCarlo && samples == 0 {
-        return Err(ProbDbError::NoSamples);
-    }
-    let single_selection = |ct: &CompiledTerm| CompiledSelection {
-        certain_count: ct.live_certain.count_ones(),
-        alt_matches: ct.live_alts.clone(),
-    };
-    let shards = config.shards;
-    let answer = match (stat, path) {
-        (Statistic::Probability, EvalPath::ExactColumnar) => {
-            let p = if use_vm {
-                let prog = compile::compile_boolean(&resolved);
-                let regs = vm::bind_program(&prog, &compiled);
-                let p = vm::run_prebound_sharded(&prog, &regs, shards);
-                built = Some(CompiledProgram::Boolean(prog));
-                route = PlanRoute::Compiled;
-                p
-            } else {
-                exact::boolean_probability(&resolved, &compiled)
-            };
-            QueryAnswer::Probability { p, std_error: None }
-        }
-        (Statistic::Probability, EvalPath::MonteCarlo) => {
-            built = use_vm.then_some(CompiledProgram::Sampled {
-                bounds_reason: None,
-            });
-            let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-            let (p, se) = mc::probability_estimate(&counts);
-            QueryAnswer::Probability {
-                p,
-                std_error: Some(se),
-            }
-        }
-        (Statistic::ProbabilityBounds, EvalPath::ExactColumnar) => {
-            let bounds = match &bounds_plan {
-                Some(BoundsPlan::Dissociate(candidates)) => {
-                    let eval = if use_vm {
-                        let programs = compile::compile_bounds(&resolved, candidates);
-                        let eval = compile::run_bounds(
-                            &resolved, &compiled, candidates, &programs, shards,
-                        );
-                        built = Some(CompiledProgram::Bounds {
-                            candidates: candidates.clone(),
-                            programs,
-                        });
-                        route = PlanRoute::Compiled;
-                        eval
-                    } else {
-                        dissociate::evaluate_bounds(&resolved, &compiled, candidates)
-                    };
-                    decomposition = Some(eval.plan);
-                    dissociated = eval.dissociated;
-                    let mut bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                    // Bracket-gated refinement: sample only when the
-                    // deterministic bounds are too loose to act on.
-                    if bounds.width() > config.bounds_tolerance && samples > 0 {
-                        let counts =
-                            mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                        let (p, se) = mc::probability_estimate(&counts);
-                        bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
-                        bounds.std_error = Some(se);
-                        path = EvalPath::Hybrid;
-                    }
-                    bounds
-                }
-                // Safe queries (or single scans): the bracket collapses
-                // to the exact probability.
-                _ => {
-                    let p = if use_vm {
-                        let prog = compile::compile_boolean(&resolved);
-                        let regs = vm::bind_program(&prog, &compiled);
-                        let p = vm::run_prebound_sharded(&prog, &regs, shards);
-                        built = Some(CompiledProgram::Boolean(prog));
-                        route = PlanRoute::Compiled;
-                        p
-                    } else {
-                        exact::boolean_probability(&resolved, &compiled)
-                    };
-                    ProbabilityBounds::exact(p)
-                }
-            };
-            QueryAnswer::Bounds(bounds)
-        }
-        (Statistic::ProbabilityBounds, EvalPath::MonteCarlo) => {
-            // No sound dissociation (or sampling was forced): the only
-            // guaranteed bracket is the trivial one, refined by the
-            // estimate. The report records why dissociation refused.
-            let reason = match &bounds_plan {
-                Some(BoundsPlan::Sample(reason)) => Some(reason.clone()),
-                _ => None,
-            };
-            if let Some(r) = &reason {
-                decomposition = Some(SafePlan::Unsafe { reason: r.clone() });
-            }
-            built = use_vm.then_some(CompiledProgram::Sampled {
-                bounds_reason: reason,
-            });
-            let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-            let (p, se) = mc::probability_estimate(&counts);
-            QueryAnswer::Bounds(ProbabilityBounds {
-                lower: 0.0,
-                upper: 1.0,
-                estimate: Some(p),
-                std_error: Some(se),
-            })
-        }
-        (Statistic::ExpectedCount, EvalPath::ExactColumnar) => {
-            let mean = if use_vm {
-                let prog = compile::compile_count(&resolved);
-                let mean = match &prog.steps {
-                    Some(steps) => {
-                        let tables =
-                            exact::mass_tables(steps, &compiled, rayon::current_num_threads() > 1);
-                        exact::run_mass_join_tables(steps, &tables, prog.classes, shards)
-                    }
-                    None => vm::run_count(&prog, &compiled),
-                };
-                built = Some(CompiledProgram::Count(prog));
-                route = PlanRoute::Compiled;
-                mean
-            } else if classes == 0 && compiled.len() == 1 {
-                // Single relations keep the legacy arithmetic (certain
-                // matches plus per-block marginals) so answers stay
-                // bit-identical with the historical single-table path.
-                exact::single_expected_count(&compiled[0])
-            } else {
-                exact::expected_join_count(&resolved, &compiled)
-            };
-            QueryAnswer::Count {
-                mean,
-                std_error: None,
-            }
-        }
-        (Statistic::ExpectedCount, EvalPath::MonteCarlo) => {
-            built = use_vm.then_some(CompiledProgram::Sampled {
-                bounds_reason: None,
-            });
-            let (mean, se) = if classes == 0 && compiled.len() == 1 {
-                let ct = &compiled[0];
-                mc_expected_count_compiled(ct.db, &single_selection(ct), samples, config.mc_seed)
-            } else {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                mc::count_estimate(&counts)
-            };
-            QueryAnswer::Count {
-                mean,
-                std_error: Some(se),
-            }
-        }
-        (Statistic::CountDistribution, EvalPath::ExactColumnar) => {
-            let ct = &compiled[0];
-            QueryAnswer::Distribution(query::poisson_binomial(
-                ct.live_certain.count_ones(),
-                &ct.db.columns().block_probs(&ct.live_alts),
-            ))
-        }
-        (Statistic::CountDistribution, EvalPath::MonteCarlo) => {
-            let dist = if classes == 0 && compiled.len() == 1 {
-                let ct = &compiled[0];
-                mc_count_distribution_compiled(
-                    ct.db,
-                    &single_selection(ct),
-                    samples,
-                    config.mc_seed,
-                )
-            } else {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                mc::count_histogram(&counts)
-            };
-            QueryAnswer::Distribution(dist)
-        }
-        (Statistic::Marginals, EvalPath::ExactColumnar) => {
-            let ct = &compiled[0];
-            QueryAnswer::Marginals(ct.db.columns().block_probs(&ct.live_alts))
-        }
-        (Statistic::Marginals, EvalPath::MonteCarlo) => QueryAnswer::Marginals(
-            mc::mc_selection_marginals(&compiled[0], samples, config.mc_seed),
-        ),
-        (Statistic::TopK(k), _) => {
-            let ct = &compiled[0];
-            QueryAnswer::Ranked(query::top_k_from_bitmaps(
-                ct.db,
-                k,
-                &ct.live_certain,
-                &ct.live_alts,
-            ))
-        }
-        (Statistic::ValueMarginal(attr), _) => {
-            QueryAnswer::Distribution(exact::value_marginal(&compiled[0], attr))
-        }
-        (_, EvalPath::Hybrid) => {
-            unreachable!("the hybrid path is only assigned during bounds evaluation")
-        }
-    };
-    if let (Some((tag, hash)), Some(program)) = (slot, built) {
-        let (entry, versions) = CachedPlan::capture(
-            flat,
-            &resolved,
-            &compiled,
-            planned_path,
-            plan,
-            stored_decomposition,
-            program,
-        );
-        cache.insert(tag, hash, Arc::new(entry), versions);
-    }
-    let relations = relation_stats(&compiled);
-    let mc_samples = match path {
-        EvalPath::ExactColumnar => 0,
-        EvalPath::MonteCarlo | EvalPath::Hybrid => samples,
-    };
-    let report = EvalReport::new(
-        path,
-        route,
-        plan,
-        relations,
-        mc_samples,
-        decomposition,
-        dissociated,
-    );
-    Ok((answer, report))
-}
-
-/// Stores the registers a warm execution just bound into the cache
-/// entry's version-guarded memo, together with the scan statistics the
-/// next report would otherwise recompute.
-fn memoize_regs(
-    plan: &CachedPlan,
-    versions: &[u64],
-    resolved: &Resolved,
-    per_program: Vec<Vec<vm::TermRegs>>,
-    count: Option<Vec<exact::MassTable>>,
-    compiled: &[CompiledTerm],
-) {
-    *plan.regs.lock().expect("register memo lock") = Some(compile::BoundRegs {
-        versions: versions.to_vec(),
-        shard_versions: resolved
-            .terms
-            .iter()
-            .map(|t| t.db.shard_versions().to_vec())
-            .collect(),
-        per_program,
-        count,
-        stats: relation_stats(compiled),
-    });
-}
-
-/// The unchanged-data fast path of a warm hit: run the memoized registers
-/// without compiling terms or binding anything. `None` falls through to
-/// the full warm path — no memo yet, a memo bound under other versions, a
-/// program that needs compiled terms (counts, samplers), or a bracket
-/// wide enough to need a Monte-Carlo refinement.
+/// The unchanged-data fast path of a warm hit: fold the memoized
+/// registers without compiling terms or binding anything, holding the
+/// memo lock. `None` falls through to the full warm path — no memo, a
+/// memo bound under other versions, a program that needs compiled terms
+/// (single-relation counts, samplers), or a bracket wide enough to need a
+/// Monte-Carlo refinement.
 fn run_prebound_fast(
     plan: &CachedPlan,
     resolved: &Resolved,
@@ -1061,65 +772,251 @@ fn run_prebound_fast(
     config: &QueryEngineConfig,
 ) -> Option<(QueryAnswer, EvalReport)> {
     let memo = plan.regs.lock().expect("register memo lock");
-    let memo = memo.as_ref()?;
-    if memo.versions != versions {
-        return None;
-    }
-    let mut decomposition = plan.decomposition.clone();
-    let mut dissociated: Vec<String> = Vec::new();
-    let shards = config.shards;
-    let answer = match (&plan.program, stat) {
-        (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
-            p: vm::run_prebound_sharded(prog, &memo.per_program[0], shards),
-            std_error: None,
-        },
-        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => QueryAnswer::Bounds(
-            ProbabilityBounds::exact(vm::run_prebound_sharded(prog, &memo.per_program[0], shards)),
-        ),
-        (CompiledProgram::Count(prog), Statistic::ExpectedCount) => {
-            let steps = prog.steps.as_ref()?;
-            let tables = memo.count.as_ref()?;
-            QueryAnswer::Count {
-                mean: exact::run_mass_join_tables(steps, tables, prog.classes, shards),
-                std_error: None,
+    let memo = memo.as_ref().filter(|m| m.versions == versions)?;
+    let regs = (memo.per_program.as_slice(), memo.count.as_deref());
+    let (answer, decomposition, dissociated) =
+        match fold(plan, resolved, stat, regs, None, config.shards)? {
+            Folded::Answer(answer) => (answer, plan.decomposition.clone(), Vec::new()),
+            Folded::Bracket(eval) => {
+                let bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
+                if too_wide(&bounds, config) {
+                    return None;
+                }
+                (
+                    QueryAnswer::Bounds(bounds),
+                    Some(eval.plan),
+                    eval.dissociated,
+                )
             }
-        }
-        (
-            CompiledProgram::Bounds {
-                candidates,
-                programs,
-            },
-            Statistic::ProbabilityBounds,
-        ) => {
-            let eval = compile::run_bounds_prebound(
-                resolved,
-                candidates,
-                programs,
-                &memo.per_program,
-                shards,
-                Some(&plan.describe),
-            );
-            let bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-            if bounds.width() > config.bounds_tolerance && config.mc_samples > 0 {
-                // The hybrid refinement samples worlds — full warm path.
-                return None;
-            }
-            decomposition = Some(eval.plan);
-            dissociated = eval.dissociated;
-            QueryAnswer::Bounds(bounds)
-        }
-        _ => return None,
-    };
+        };
     let report = EvalReport::new(
         plan.path,
         PlanRoute::CacheHit,
         plan.plan_class,
         memo.stats.clone(),
-        0,
+        config.mc_samples,
         decomposition,
         dissociated,
     );
     Some((answer, report))
+}
+
+/// Answers a prepared query without the plan cache: forced Monte Carlo
+/// and the statistics no program is compiled for (count distributions,
+/// marginals, ranking, value marginals). The exact arms of the three
+/// compiled statistics are the recursive reference interpreter, which
+/// only [`evaluate_interpreted`] reaches — the engine compiles those.
+fn evaluate_uncached(
+    prepared: Prepared,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
+    let Prepared {
+        resolved,
+        compiled,
+        mut path,
+        plan,
+        mut decomposition,
+        bounds_plan,
+    } = prepared;
+    if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
+        return Err(ProbDbError::NoSamples);
+    }
+    let classes = resolved.classes.len();
+    let mut dissociated: Vec<String> = Vec::new();
+    let ct = &compiled[0];
+    let answer = match (stat, path, bounds_plan) {
+        (_, EvalPath::MonteCarlo, _) => sample(&compiled, classes, stat, config),
+        (Statistic::Probability, ..) => QueryAnswer::Probability {
+            p: exact::boolean_probability(&resolved, &compiled),
+            std_error: None,
+        },
+        (Statistic::ProbabilityBounds, _, Some(BoundsPlan::Dissociate(candidates))) => {
+            let eval = dissociate::evaluate_bounds(&resolved, &compiled, &candidates);
+            decomposition = Some(eval.plan);
+            dissociated = eval.dissociated;
+            let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
+            let (bounds, refined) = refine(bracket, &compiled, classes, config);
+            if refined {
+                path = EvalPath::Hybrid;
+            }
+            QueryAnswer::Bounds(bounds)
+        }
+        (Statistic::ProbabilityBounds, ..) => QueryAnswer::Bounds(ProbabilityBounds::exact(
+            exact::boolean_probability(&resolved, &compiled),
+        )),
+        // Single relations keep the legacy arithmetic (certain matches
+        // plus per-block marginals), which the count program reproduces.
+        (Statistic::ExpectedCount, ..) => QueryAnswer::Count {
+            mean: if classes == 0 && compiled.len() == 1 {
+                exact::single_expected_count(ct)
+            } else {
+                exact::expected_join_count(&resolved, &compiled)
+            },
+            std_error: None,
+        },
+        (Statistic::CountDistribution, ..) => QueryAnswer::Distribution(query::poisson_binomial(
+            ct.live_certain.count_ones(),
+            &ct.db.columns().block_probs(&ct.live_alts),
+        )),
+        (Statistic::Marginals, ..) => {
+            QueryAnswer::Marginals(ct.db.columns().block_probs(&ct.live_alts))
+        }
+        (Statistic::TopK(k), ..) => QueryAnswer::Ranked(query::top_k_from_bitmaps(
+            ct.db,
+            k,
+            &ct.live_certain,
+            &ct.live_alts,
+        )),
+        (Statistic::ValueMarginal(attr), ..) => {
+            QueryAnswer::Distribution(exact::value_marginal(ct, attr))
+        }
+    };
+    let report = EvalReport::new(
+        path,
+        PlanRoute::Uncached,
+        plan,
+        relation_stats(&compiled),
+        config.mc_samples,
+        decomposition,
+        dissociated,
+    );
+    Ok((answer, report))
+}
+
+/// The recursive reference interpreter behind
+/// [`crate::testutil::interpreted`]: the engine's planning verdicts and
+/// samplers, but the exact `Probability`, `ProbabilityBounds` and
+/// `ExpectedCount` paths recurse over row maps
+/// (`exact::boolean_probability`, `dissociate::evaluate_bounds`, the
+/// per-call mass join) instead of running bytecode. No plan cache.
+pub(crate) fn evaluate_interpreted(
+    catalog: &Catalog,
+    q: &Query,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
+    let flat = q.flatten()?;
+    let prepared = prepare(|name| catalog.get(name), &flat, stat, config)?;
+    evaluate_uncached(prepared, stat, config)
+}
+
+/// The Monte-Carlo answer to `stat`: joint-world sampling over the
+/// compiled terms. Single relations use the per-table samplers for
+/// counts, so answers stay bit-identical with the historical single-table
+/// path.
+fn sample(
+    compiled: &[CompiledTerm],
+    classes: usize,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> QueryAnswer {
+    let (samples, seed) = (config.mc_samples, config.mc_seed);
+    let single = (classes == 0 && compiled.len() == 1).then(|| &compiled[0]);
+    let selection = |ct: &CompiledTerm| CompiledSelection {
+        certain_count: ct.live_certain.count_ones(),
+        alt_matches: ct.live_alts.clone(),
+    };
+    let join_counts = || mc::sample_join_counts(compiled, classes, samples, seed);
+    match stat {
+        Statistic::Probability => {
+            let (p, se) = mc::probability_estimate(&join_counts());
+            QueryAnswer::Probability {
+                p,
+                std_error: Some(se),
+            }
+        }
+        // The only guaranteed bracket is the trivial one, refined by the
+        // estimate.
+        Statistic::ProbabilityBounds => {
+            let (p, se) = mc::probability_estimate(&join_counts());
+            QueryAnswer::Bounds(ProbabilityBounds {
+                lower: 0.0,
+                upper: 1.0,
+                estimate: Some(p),
+                std_error: Some(se),
+            })
+        }
+        Statistic::ExpectedCount => {
+            let (mean, se) = match single {
+                Some(ct) => mc_expected_count_compiled(ct.db, &selection(ct), samples, seed),
+                None => mc::count_estimate(&join_counts()),
+            };
+            QueryAnswer::Count {
+                mean,
+                std_error: Some(se),
+            }
+        }
+        Statistic::CountDistribution => QueryAnswer::Distribution(match single {
+            Some(ct) => mc_count_distribution_compiled(ct.db, &selection(ct), samples, seed),
+            None => mc::count_histogram(&join_counts()),
+        }),
+        Statistic::Marginals => {
+            QueryAnswer::Marginals(mc::mc_selection_marginals(&compiled[0], samples, seed))
+        }
+        Statistic::TopK(_) | Statistic::ValueMarginal(_) => {
+            unreachable!("{stat:?} has no sampling estimator and always plans exact")
+        }
+    }
+}
+
+/// Whether a dissociation bracket is wider than
+/// [`QueryEngineConfig::bounds_tolerance`] with a sample budget to refine
+/// it. Decided per answer with the current config, never cached.
+fn too_wide(bounds: &ProbabilityBounds, config: &QueryEngineConfig) -> bool {
+    bounds.width() > config.bounds_tolerance && config.mc_samples > 0
+}
+
+/// Bracket-gated refinement: a [`too_wide`] bracket gains a clamped
+/// Monte-Carlo point estimate (`true`: the path becomes
+/// [`EvalPath::Hybrid`]).
+fn refine(
+    mut bounds: ProbabilityBounds,
+    compiled: &[CompiledTerm],
+    classes: usize,
+    config: &QueryEngineConfig,
+) -> (ProbabilityBounds, bool) {
+    if !too_wide(&bounds, config) {
+        return (bounds, false);
+    }
+    let counts = mc::sample_join_counts(compiled, classes, config.mc_samples, config.mc_seed);
+    let (p, se) = mc::probability_estimate(&counts);
+    bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
+    bounds.std_error = Some(se);
+    (bounds, true)
+}
+
+/// Stores the registers an execution just bound into the cache entry's
+/// version-guarded memo, together with the scan statistics the next
+/// report would otherwise recompute.
+fn memoize_regs(
+    plan: &CachedPlan,
+    versions: &[u64],
+    resolved: &Resolved,
+    stats: Vec<RelationStats>,
+    maint: compile::RegsMaintenance,
+) {
+    *plan.regs.lock().expect("register memo lock") = Some(compile::BoundRegs {
+        versions: versions.to_vec(),
+        shard_versions: resolved
+            .terms
+            .iter()
+            .map(|t| t.db.shard_versions().to_vec())
+            .collect(),
+        per_program: maint.per_program,
+        count: maint.count,
+        stats,
+    });
+}
+
+/// Compiles every resolved term's predicate into its live-row bitmaps.
+fn compile_terms<'a>(resolved: &Resolved<'a>) -> Vec<CompiledTerm<'a>> {
+    resolved
+        .terms
+        .iter()
+        .enumerate()
+        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
+        .collect()
 }
 
 fn relation_stats(compiled: &[CompiledTerm]) -> Vec<RelationStats> {
@@ -1628,6 +1525,59 @@ mod tests {
         assert_eq!((bounds.lower, bounds.upper), (0.0, 1.0));
         let est = bounds.estimate.expect("sampled estimate");
         assert!((est - brute_p).abs() < 0.02, "{est} vs {brute_p}");
+    }
+
+    // ---------------------------------------------------------------
+    // Plan-cache memory: nothing but the table keeps a plan alive.
+    // ---------------------------------------------------------------
+
+    fn station_join() -> Query {
+        Query::scan("sensors").join_on("readings", [(AttrId(0), AttrId(0))])
+    }
+
+    /// Warms the join's probability plan (one miss, three hits) in a cache
+    /// of `capacity` plans, holds the entry a warm probe hands out, lets
+    /// `retire` drop it from the cache, and asserts the held handle is the
+    /// last reference: no second tier or graveyard pins retired plans.
+    fn assert_retired_plan_is_released(
+        capacity: usize,
+        retire: impl FnOnce(&CatalogEngine, (u8, u64)),
+    ) {
+        let catalog = sensors_catalog();
+        let config = QueryEngineConfig {
+            plan_cache_capacity: capacity,
+            ..QueryEngineConfig::default()
+        };
+        let engine = CatalogEngine::with_config(&catalog, config);
+        for _ in 0..4 {
+            engine.probability(&station_join()).unwrap();
+        }
+        assert_eq!(engine.plan_cache().stats().hits, 3);
+        let tag = cache_tag(Statistic::Probability).unwrap();
+        let hash = station_join().flatten().unwrap().shape_hash();
+        let (plan, _) = engine.plan_cache().probe(tag, hash).expect("cached");
+        retire(&engine, (tag, hash));
+        assert_eq!(Arc::strong_count(&plan), 1);
+    }
+
+    #[test]
+    fn invalidated_plans_are_released() {
+        assert_retired_plan_is_released(128, |engine, (tag, hash)| {
+            engine.plan_cache().invalidate(tag, hash);
+        });
+    }
+
+    #[test]
+    fn cleared_plans_are_released() {
+        assert_retired_plan_is_released(128, |engine, _| engine.plan_cache().clear());
+    }
+
+    #[test]
+    fn evicted_plans_are_released() {
+        assert_retired_plan_is_released(1, |engine, _| {
+            engine.expected_count(&station_join()).unwrap();
+            assert_eq!(engine.plan_cache().stats().evictions, 1);
+        });
     }
 
     #[test]

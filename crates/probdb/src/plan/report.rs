@@ -21,8 +21,8 @@ pub enum EvalPath {
     Hybrid,
 }
 
-/// Which machinery produced the answer: the reference interpreter, a
-/// freshly compiled bytecode program, or a cached one.
+/// Which machinery produced the answer: a freshly compiled bytecode
+/// program, a cached one, or an evaluation that bypassed the plan cache.
 ///
 /// Orthogonal to [`EvalPath`]: the path says *what* ran (exact columnar
 /// arithmetic, sampling, hybrid), the route says *how it was planned and
@@ -30,11 +30,14 @@ pub enum EvalPath {
 /// because the [`crate::PlanCache`] already knew this query shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanRoute {
-    /// The recursive reference interpreter (compilation disabled, or a
-    /// statistic outside the compiler's scope).
-    Interpreted,
-    /// Cold: the shape was planned, compiled to bytecode, executed by the
-    /// VM and inserted into the plan cache.
+    /// Evaluated without the plan cache: a statistic with no compiled
+    /// program (count distributions, marginals, ranking, value
+    /// marginals), forced Monte Carlo, or the test-only reference
+    /// interpreter ([`crate::testutil::interpreted`]).
+    Uncached,
+    /// Cold: the shape was planned, lowered to a program (bytecode, or a
+    /// sampling verdict), inserted into the plan cache and run by the
+    /// same executor a warm hit uses.
     Compiled,
     /// Warm: a [`crate::PlanCache`] hit — resolve/classify/dissociate
     /// were skipped and the cached program ran against current data.
@@ -287,10 +290,15 @@ impl EvalReport {
         route: PlanRoute,
         plan: PlanClass,
         relations: Vec<RelationStats>,
-        mc_samples: usize,
+        samples: usize,
         decomposition: Option<SafePlan>,
         dissociated: Vec<String>,
     ) -> Self {
+        // The configured budget counts only where the path sampled.
+        let mc_samples = match path {
+            EvalPath::ExactColumnar => 0,
+            EvalPath::MonteCarlo | EvalPath::Hybrid => samples,
+        };
         let sum = |f: fn(&RelationStats) -> usize| relations.iter().map(f).sum();
         Self {
             path,
@@ -326,7 +334,7 @@ mod tests {
         };
         let report = EvalReport::new(
             EvalPath::ExactColumnar,
-            PlanRoute::Interpreted,
+            PlanRoute::Uncached,
             PlanClass::Liftable,
             vec![rel("a", 5, 2), rel("b", 3, 0)],
             0,

@@ -25,8 +25,9 @@
 //!   inline `(term, transform)` list with no op dispatch per branch.
 //! * The expected-count mass join ([`CountProgram`]) — set-at-a-time
 //!   already; it executes through the same deterministic
-//!   [`exact::run_mass_join`] kernel as the interpreter, which is what
-//!   makes the two paths bit-identical by construction.
+//!   [`super::exact::run_mass_join_tables`] kernel as the interpreter's
+//!   [`super::exact::run_mass_join`], which is what makes the two paths
+//!   bit-identical by construction.
 //!
 //! **Registers.** [`bind_program`] is the per-data half of compilation:
 //! it gathers each term's live rows into columnar registers — key
@@ -72,7 +73,7 @@
 //! fresh [`bind_program`] bit for bit.
 
 use super::classify::CompiledTerm;
-use super::exact::{self, MassStep};
+use super::exact::MassStep;
 use mrsl_util::FxHashMap;
 
 /// Per-block mass transform applied by [`Op::Leaf`].
@@ -162,7 +163,7 @@ pub(crate) struct BoundsProgram {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CountProgram {
     /// `None`: one relation, no join classes — the closed form
-    /// [`exact::single_expected_count`] applies.
+    /// [`super::exact::single_expected_count`] applies.
     pub steps: Option<Vec<MassStep>>,
     /// Number of join classes (the mass-join assignment width).
     pub classes: usize,
@@ -604,15 +605,6 @@ fn shard_exec<'p>(
 /// (`bound` ranges over `0..=65536`, one past the `u16` domain).
 fn seek(keys: &[u16], bound: u32) -> u32 {
     keys.partition_point(|&k| (k as u32) < bound) as u32
-}
-
-/// Runs an expected-count program through the shared deterministic
-/// kernels.
-pub(crate) fn run_count(program: &CountProgram, compiled: &[CompiledTerm]) -> f64 {
-    match &program.steps {
-        None => exact::single_expected_count(&compiled[0]),
-        Some(steps) => exact::run_mass_join(steps, compiled, program.classes),
-    }
 }
 
 /// First position in `[cur, end)` whose key is `>= v` (keys are sorted).

@@ -64,10 +64,10 @@
 //!   shape compares equal to the in-flight one; a colliding different
 //!   query evaluates on its own. The plan cache dedupes *planning*;
 //!   coalescing dedupes *execution*.
-//! * **Hot-shape promotion.** Shapes that keep hitting the striped plan
-//!   cache are promoted into a small lock-free hot table probed before
-//!   any stripe lock ([`ServerStats::hot_hits`]), so the steady-state
-//!   hot path runs without taking a single lock on the planning side.
+//! * **One plan tier.** Every lookup goes through the striped plan cache,
+//!   and nothing outlives its entry: an evicted or invalidated plan (with
+//!   its memoized registers) is freed once the last in-flight evaluation
+//!   drops it, so memory stays bounded across any number of publishes.
 //!
 //! ```
 //! use mrsl_probdb::serve::ProbDbServer;

@@ -125,7 +125,6 @@ impl ServerCounters {
             expired: load(&self.expired),
             coalesced: load(&self.coalesced),
             abandoned: load(&self.abandoned),
-            hot_hits: plan_cache.hot_hits,
             plan_cache,
             catalog_provenance,
         }
@@ -213,10 +212,6 @@ pub struct ServerStats {
     /// Jobs skipped unevaluated because their [`super::Ticket`] was
     /// dropped before a worker picked them up.
     pub abandoned: u64,
-    /// Answers planned from the plan cache's lock-free hot tier
-    /// (mirrors [`crate::plan::PlanCacheStats::hot_hits`]; a subset of
-    /// [`ServerStats::cache_hits`]).
-    pub hot_hits: u64,
     /// The shared concurrent plan cache's counters.
     pub plan_cache: PlanCacheStats,
     /// FNV-1a digest of the published catalog's per-relation provenance

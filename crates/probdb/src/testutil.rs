@@ -12,6 +12,9 @@
 //!
 //! Exponential in the total number of blocks — strictly a test utility.
 //!
+//! [`interpreted`] is the second reference: the planner's recursive
+//! interpreter, which the compiled bytecode must match bit for bit.
+//!
 //! ```
 //! use mrsl_probdb::testutil::oracle_probability;
 //! use mrsl_probdb::{Catalog, ProbDb, Query};
@@ -27,9 +30,10 @@
 //! assert_eq!(p, 0.0); // empty relation: no world has a result
 //! ```
 
-use crate::algebra::Query;
+use crate::algebra::{Query, Statistic};
 use crate::catalog::Catalog;
 use crate::plan::classify::{resolve, Resolved};
+use crate::plan::{EvalReport, QueryAnswer, QueryEngineConfig};
 use crate::world::{enumerate_worlds, PossibleWorld};
 use crate::ProbDbError;
 use mrsl_relation::CompleteTuple;
@@ -77,6 +81,22 @@ pub fn oracle_count_distribution(
     query: &Query,
 ) -> Result<Vec<f64>, ProbDbError> {
     Ok(oracle(catalog, query, DEFAULT_WORLD_LIMIT)?.count_distribution)
+}
+
+/// Evaluates `query` with the recursive reference interpreter instead of
+/// the bytecode VM: the same planning verdict, the same samplers, no plan
+/// cache ([`crate::PlanRoute::Uncached`]). The compiled programs — cold,
+/// warm, patched, at any thread or shard count — must reproduce its
+/// `Probability`, `ProbabilityBounds` and `ExpectedCount` answers bit for
+/// bit, which is what the bit-identity suites check against. Linear in
+/// the data, unlike the world-enumerating [`oracle`].
+pub fn interpreted(
+    catalog: &Catalog,
+    query: &Query,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
+    crate::plan::evaluate_interpreted(catalog, query, stat, config)
 }
 
 /// The full oracle: enumerates every joint world of the relations `query`

@@ -16,6 +16,8 @@
 //! * [`loader`] — a small CSV-style parser used by examples and tests.
 //! * [`display`] — human-readable rendering of tuples and relations.
 
+#![forbid(unsafe_code)]
+
 pub mod display;
 pub mod error;
 pub mod join;

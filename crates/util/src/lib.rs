@@ -15,6 +15,8 @@
 //! * [`table`] — a minimal ASCII table renderer for paper-style output.
 //! * [`timer`] — a tiny wall-clock stopwatch.
 
+#![forbid(unsafe_code)]
+
 pub mod dirichlet;
 pub mod hash;
 pub mod rng;

@@ -219,9 +219,9 @@ fn main() {
         stats.plan_cache.reg_rebinds,
     );
     println!(
-        "overload counters: {} coalesced answers, {} hot-tier plan hits, \
+        "overload counters: {} coalesced answers, {} plan-cache hits, \
          {} rejected / {} expired / {} abandoned",
-        stats.coalesced, stats.hot_hits, stats.rejected, stats.expired, stats.abandoned,
+        stats.coalesced, stats.cache_hits, stats.rejected, stats.expired, stats.abandoned,
     );
 
     // Graceful shutdown drains the queue; handles outlive the server but

@@ -5,6 +5,8 @@
 //! for a tour, the crate map, and how to run the examples, benches and the
 //! `repro` experiment binary.
 
+#![forbid(unsafe_code)]
+
 pub use mrsl_bayesnet as bayesnet;
 pub use mrsl_core as core;
 pub use mrsl_eval as eval;

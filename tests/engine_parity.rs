@@ -1,8 +1,8 @@
 //! Engine-layer guarantees across the refactored inference stack:
 //!
-//! * the `GibbsSampler` engine reproduces the legacy `infer_joint` free
-//!   function bit-for-bit under a fixed seed (the refactor changed the
-//!   plumbing, not the chain);
+//! * the `GibbsSampler` engine reproduces an independent reimplementation
+//!   of the pre-refactor Gibbs sampler bit-for-bit under a fixed seed (the
+//!   refactor changed the plumbing, not the chain);
 //! * the `IndependentBaseline` measurably diverges from Gibbs on a
 //!   correlated two-attribute tuple (the paper's §V ablation claim);
 //! * `infer_batch` and `derive_probabilistic_db` yield bit-identical
@@ -38,13 +38,12 @@ fn gibbs_config(burn_in: usize, samples: usize) -> GibbsConfig {
     }
 }
 
-/// An independent reimplementation of the pre-refactor `infer_joint`
-/// sampler, built only from public primitives (per-attribute voting, no
-/// CPD cache, no engine plumbing). Comparing the engine against *this* —
-/// rather than against the shim, which now delegates to the engine —
-/// makes the parity check non-vacuous: it proves the refactor preserved
-/// the chain (seed expansion, uniform init, ordered sweeps, categorical
-/// draws) and that the context's CPD cache is value-transparent.
+/// An independent reimplementation of the pre-refactor tuple-at-a-time
+/// Gibbs sampler, built only from public primitives (per-attribute
+/// voting, no CPD cache, no engine plumbing). It proves the engine
+/// preserved the chain (seed expansion, uniform init, ordered sweeps,
+/// categorical draws) and that the context's CPD cache is
+/// value-transparent.
 fn reference_infer_joint(
     m: &MrslModel,
     t: &PartialTuple,
@@ -105,7 +104,6 @@ fn reference_infer_joint(
 }
 
 #[test]
-#[allow(deprecated)]
 fn gibbs_engine_reproduces_legacy_sampler_exactly() {
     let m = model();
     let config = gibbs_config(60, 800);
@@ -124,10 +122,7 @@ fn gibbs_engine_reproduces_legacy_sampler_exactly() {
             let mut ctx = InferContext::new(&m, config.voting, seed);
             let engine = GibbsSampler::from_config(&config).estimate(&mut ctx, t);
             assert_eq!(reference, engine.probs, "tuple {i}, seed {seed}");
-            // The deprecated shim must ride the same path.
-            let shim = mrsl_repro::core::infer_joint(&m, t, &config, seed);
-            assert_eq!(shim.probs, engine.probs, "tuple {i}, seed {seed}");
-            assert_eq!(shim.sample_count, engine.sample_count);
+            assert_eq!(engine.sample_count, config.samples);
         }
     }
 }

@@ -1,16 +1,18 @@
 //! Bytecode-VM / plan-cache suite.
 //!
 //! The compiled route must be **bit-identical** to the reference
-//! interpreter — not epsilon-close — for `Probability`,
-//! `ProbabilityBounds` and `ExpectedCount`, on hierarchical shapes,
-//! dissociable chains (branch-replica `Copy` nodes, both mass
-//! transforms) and aliased self-joins. Warm cache hits must skip
-//! classification, stay bit-identical after catalog data changes, and
-//! invalidate themselves when a guarded data property flips.
+//! interpreter (`testutil::interpreted`) — not epsilon-close — for
+//! `Probability`, `ProbabilityBounds` and `ExpectedCount`, on
+//! hierarchical shapes, dissociable chains (branch-replica `Copy` nodes,
+//! both mass transforms) and aliased self-joins. A cold miss memoizes its
+//! registers, so the first warm hit rebinds nothing. Warm cache hits must
+//! skip classification, stay bit-identical after catalog data changes,
+//! and invalidate themselves when a guarded data property flips.
 
+use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, EvalPath, PlanClass, PlanRoute, Predicate, ProbDb,
-    ProbDbError, Query, QueryEngineConfig, Statistic,
+    ProbDbError, Query, QueryAnswer, QueryEngineConfig, Statistic,
 };
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema, ValueId};
 use proptest::prelude::*;
@@ -22,17 +24,8 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     }
 }
 
-/// Interpreter reference: compiled plans off, brackets never refined.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
-    }
-}
-
-/// VM under test: compiled plans on (the default), brackets never
-/// refined so bounds stay deterministic.
+/// The configuration under test: brackets never refined so bounds stay
+/// deterministic.
 fn vm_config() -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
@@ -40,16 +33,10 @@ fn vm_config() -> QueryEngineConfig {
     }
 }
 
-/// Evaluates one statistic and returns the answer's float payload as raw
-/// bits plus the report, so comparisons are exact by construction.
-fn eval_bits(
-    engine: &CatalogEngine,
-    q: &Query,
-    stat: Statistic,
-) -> (Vec<u64>, PlanRoute, EvalPath, PlanClass) {
-    use mrsl_repro::probdb::QueryAnswer;
-    let (answer, report) = engine.evaluate(q, stat).expect("evaluates");
-    let bits = match answer {
+/// An answer's float payload as raw bits, so comparisons are exact by
+/// construction.
+fn answer_bits(answer: QueryAnswer) -> Vec<u64> {
+    match answer {
         QueryAnswer::Probability { p, std_error } => {
             let mut v = vec![p.to_bits()];
             v.extend(std_error.map(f64::to_bits));
@@ -67,8 +54,28 @@ fn eval_bits(
             v
         }
         other => panic!("unexpected answer shape: {other:?}"),
-    };
-    (bits, report.route, report.path, report.plan)
+    }
+}
+
+/// Evaluates one statistic on the engine and returns the answer bits plus
+/// the report's route, path and plan class.
+fn eval_bits(
+    engine: &CatalogEngine,
+    q: &Query,
+    stat: Statistic,
+) -> (Vec<u64>, PlanRoute, EvalPath, PlanClass) {
+    let (answer, report) = engine.evaluate(q, stat).expect("evaluates");
+    (answer_bits(answer), report.route, report.path, report.plan)
+}
+
+/// The same, from the reference interpreter under [`vm_config`].
+fn interp_bits(
+    catalog: &Catalog,
+    q: &Query,
+    stat: Statistic,
+) -> (Vec<u64>, PlanRoute, EvalPath, PlanClass) {
+    let (answer, report) = interpreted(catalog, q, stat, &vm_config()).expect("interprets");
+    (answer_bits(answer), report.route, report.path, report.plan)
 }
 
 const STATS: [Statistic; 3] = [
@@ -79,21 +86,17 @@ const STATS: [Statistic; 3] = [
 
 /// Asserts interpreter/VM bit-identity for all three cacheable statistics
 /// and that re-evaluating on the VM engine is a bit-identical cache hit.
+/// The cold miss memoizes its registers, so that first hit neither
+/// patches nor rebinds anything.
 fn assert_vm_matches_interpreter(catalog: &Catalog, q: &Query) {
-    let interp = CatalogEngine::with_config(catalog, interp_config());
     let vm = CatalogEngine::with_config(catalog, vm_config());
     for stat in STATS {
-        let (ibits, iroute, ipath, iplan) = eval_bits(&interp, q, stat);
-        assert_eq!(iroute, PlanRoute::Interpreted, "{stat:?}");
+        let (ibits, iroute, ipath, iplan) = interp_bits(catalog, q, stat);
+        assert_eq!(iroute, PlanRoute::Uncached, "{stat:?}");
         let (vbits, vroute, vpath, vplan) = eval_bits(&vm, q, stat);
-        let expected = if vpath == EvalPath::ExactColumnar || vpath == EvalPath::Hybrid {
-            PlanRoute::Compiled
-        } else {
-            // Monte-Carlo verdicts run the interpreter's sampler; the
-            // cache still stores the verdict.
-            PlanRoute::Interpreted
-        };
-        assert_eq!(vroute, expected, "{stat:?}");
+        // Every cacheable cold miss, sampling verdicts included, reports
+        // the compiled route.
+        assert_eq!(vroute, PlanRoute::Compiled, "{stat:?}");
         assert_eq!(ibits, vbits, "cold VM diverges on {stat:?}");
         assert_eq!((ipath, iplan), (vpath, vplan), "{stat:?}");
         let (wbits, wroute, wpath, wplan) = eval_bits(&vm, q, stat);
@@ -104,6 +107,7 @@ fn assert_vm_matches_interpreter(catalog: &Catalog, q: &Query) {
     let stats = vm.plan_cache().stats();
     assert_eq!(stats.hits, 3, "{stats:?}");
     assert_eq!(stats.misses, 3, "{stats:?}");
+    assert_eq!((stats.reg_rebinds, stats.reg_patches), (0, 0), "{stats:?}");
 }
 
 /// `r(k, ok)`: every block sits at one key, present when `ok = yes`.
@@ -244,10 +248,9 @@ proptest! {
             Query::scan_as("r", "r2").filter(ok()),
             [(AttrId(0), AttrId(0))],
         );
-        let interp = CatalogEngine::with_config(&catalog, interp_config());
         let vm = CatalogEngine::with_config(&catalog, vm_config());
         for stat in [Statistic::Probability, Statistic::ProbabilityBounds] {
-            let (ibits, ..) = eval_bits(&interp, &q, stat);
+            let (ibits, ..) = interp_bits(&catalog, &q, stat);
             let (vbits, ..) = eval_bits(&vm, &q, stat);
             prop_assert_eq!(&ibits, &vbits, "cold {:?}", stat);
             let (wbits, wroute, ..) = eval_bits(&vm, &q, stat);
@@ -284,9 +287,8 @@ proptest! {
             ]).unwrap())
             .unwrap();
         let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(), cache.clone());
-        let interp = CatalogEngine::with_config(&catalog, interp_config());
         for stat in STATS {
-            let (ibits, ..) = eval_bits(&interp, &q, stat);
+            let (ibits, ..) = interp_bits(&catalog, &q, stat);
             let (wbits, wroute, ..) = eval_bits(&warm, &q, stat);
             prop_assert_eq!(wroute, PlanRoute::CacheHit, "{:?}", stat);
             prop_assert_eq!(ibits, wbits, "post-mutation warm hit diverges on {:?}", stat);
@@ -405,7 +407,7 @@ fn forced_monte_carlo_bypasses_the_cache() {
     let q = Query::scan("r").filter(ok());
     for _ in 0..2 {
         let (_, report) = engine.probability(&q).unwrap();
-        assert_eq!(report.route, PlanRoute::Interpreted);
+        assert_eq!(report.route, PlanRoute::Uncached);
         assert_eq!(report.plan, PlanClass::ForcedMonteCarlo);
     }
     let stats = engine.plan_cache().stats();
@@ -413,17 +415,27 @@ fn forced_monte_carlo_bypasses_the_cache() {
 }
 
 #[test]
-fn interpreter_only_engines_never_touch_the_cache() {
+fn uncacheable_statistics_never_touch_the_cache() {
     let mut catalog = Catalog::new();
     catalog.add("r", keyed_relation(&[(0, 0.5)], &[])).unwrap();
-    let engine = CatalogEngine::with_config(&catalog, interp_config());
+    let engine = CatalogEngine::with_config(&catalog, vm_config());
     let q = Query::scan("r").filter(ok());
-    for _ in 0..2 {
-        let (_, report) = engine.probability(&q).unwrap();
-        assert_eq!(report.route, PlanRoute::Interpreted);
+    for stat in [
+        Statistic::CountDistribution,
+        Statistic::Marginals,
+        Statistic::TopK(1),
+        Statistic::ValueMarginal(AttrId(0)),
+    ] {
+        for _ in 0..2 {
+            let (_, report) = engine.evaluate(&q, stat).unwrap();
+            assert_eq!(report.route, PlanRoute::Uncached, "{stat:?}");
+        }
     }
     let stats = engine.plan_cache().stats();
     assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
+    // The reference interpreter has no cache to touch either.
+    let (_, report) = interpreted(&catalog, &q, Statistic::Probability, &vm_config()).unwrap();
+    assert_eq!(report.route, PlanRoute::Uncached);
 }
 
 #[test]
@@ -467,7 +479,7 @@ fn flipped_straddle_guard_invalidates_the_entry() {
         .unwrap();
     let engine = CatalogEngine::with_plan_cache(&catalog, config, cache.clone());
     let (_, report) = engine.probability(&q).unwrap();
-    assert_eq!(report.route, PlanRoute::Interpreted);
+    assert_eq!(report.route, PlanRoute::Compiled);
     assert_eq!(report.path, EvalPath::MonteCarlo);
     assert_eq!(report.plan, PlanClass::KeyCorrelated);
     assert_eq!(cache.stats().invalidations, 1);

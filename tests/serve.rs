@@ -12,6 +12,7 @@
 
 use mrsl_repro::probdb::segmented::SEGMENT_LEN;
 use mrsl_repro::probdb::serve::{ProbDbServer, ServeConfig, ServerHandle};
+use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, PlanRoute, Predicate, ProbDb, ProbDbError, Query,
     QueryAnswer, QueryEngineConfig, Statistic,
@@ -25,15 +26,6 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     Alternative {
         tuple: CompleteTuple::from_values(values),
         prob,
-    }
-}
-
-/// Interpreter reference: compiled plans off, brackets never refined.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
     }
 }
 
@@ -110,6 +102,12 @@ fn answer_bits(answer: &QueryAnswer) -> Vec<u64> {
 
 fn direct_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> Vec<u64> {
     let (answer, _) = engine.evaluate(q, stat).expect("direct evaluation");
+    answer_bits(&answer)
+}
+
+/// The reference interpreter's answer bits (brackets never refined).
+fn interp_bits(catalog: &Catalog, q: &Query, stat: Statistic) -> Vec<u64> {
+    let (answer, _) = interpreted(catalog, q, stat, &vm_config(0)).expect("interprets");
     answer_bits(&answer)
 }
 
@@ -210,14 +208,13 @@ fn chain_query() -> Query {
         .join_on_rel("s", Query::scan("t").filter(ok()), [(AttrId(1), AttrId(0))])
 }
 
-/// Asserts the served path reproduces the direct interpreter bits for
+/// Asserts the served path reproduces the reference interpreter bits for
 /// every statistic, cold and warm, across pool sizes and shard
 /// configurations (including auto).
 fn assert_served_matches_direct(catalog: &Catalog, q: &Query) {
-    let interp = CatalogEngine::with_config(catalog, interp_config());
     let reference: Vec<Vec<u64>> = STATS
         .iter()
-        .map(|&stat| direct_bits(&interp, q, stat))
+        .map(|&stat| interp_bits(catalog, q, stat))
         .collect();
     for workers in [1, 4] {
         for shards in [0, 1, 16] {
@@ -366,7 +363,7 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
     let q = join_query();
     let server = ProbDbServer::with_config(catalog, serve_config(2, 4));
     let handle = server.handle();
-    // Cold compile, then a warm hit so the registers are memoized.
+    // Cold compile (which memoizes the registers), then a warm hit.
     let (_, route) = served_bits(&handle, &q, Statistic::Probability);
     assert_eq!(route, PlanRoute::Compiled);
     let (_, route) = served_bits(&handle, &q, Statistic::Probability);
@@ -416,11 +413,7 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
         Statistic::Probability,
     );
     assert_eq!(warm, cold, "patched warm serve diverges from a cold bind");
-    let interp = direct_bits(
-        &CatalogEngine::with_config(generation_1, interp_config()),
-        &q,
-        Statistic::Probability,
-    );
+    let interp = interp_bits(generation_1, &q, Statistic::Probability);
     assert_eq!(warm, interp);
     server.shutdown();
 }
@@ -565,11 +558,7 @@ fn concurrent_clients_share_the_plan_cache() {
     const ROUNDS: usize = 10;
     let catalog = chain_catalog([0.3, 0.7], [0.2, 0.5, 0.8], [0.6, 0.4]);
     let q = chain_query();
-    let reference = direct_bits(
-        &CatalogEngine::with_config(&catalog, interp_config()),
-        &q,
-        Statistic::ProbabilityBounds,
-    );
+    let reference = interp_bits(&catalog, &q, Statistic::ProbabilityBounds);
     let server = ProbDbServer::with_config(catalog, serve_config(4, 0));
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
