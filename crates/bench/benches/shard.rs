@@ -1,12 +1,16 @@
-//! Bench: sharded parallel plan execution.
+//! Bench: plan execution across rayon pool sizes, and incremental
+//! register maintenance.
 //!
 //! Self-timed reporter (the vendored criterion shim has no programmatic
-//! timing hooks) written to `BENCH_shard.json` at the repo root:
+//! timing hooks) written to `BENCH_shard.json` at the repo root. Every
+//! row runs the default engine config (brackets never refined); each plan
+//! fold is sequential, so the pool size only governs the fan-outs that
+//! remain (bracket candidates, cold binds, mass tables):
 //!
 //! - warm/cold p50/p99 latency and warm queries/sec for the hierarchical
 //!   join probability at 1/2/4/8 rayon threads on a 100k-block catalog,
-//!   plus a pure-sequential row (`shards = 1`, no pool) so the
-//!   sequential-vs-1-thread-rayon sharding overhead is visible;
+//!   plus a `sequential` row with no installed pool (the ambient width a
+//!   plain caller sees);
 //! - the dissociation bracket on a 100k-block chain at the same thread
 //!   counts;
 //! - warm expected_count versus a cold call that plans and builds the
@@ -35,10 +39,10 @@ fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--list")
 }
 
-fn vm_config(shards: usize) -> QueryEngineConfig {
+/// The default engine config with brackets never refined.
+fn vm_config() -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
-        shards,
         ..QueryEngineConfig::default()
     }
 }
@@ -141,8 +145,8 @@ fn in_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
         .install(f)
 }
 
-/// Per-thread-count latency section: a pure-sequential baseline
-/// (`shards = 1`, no pool) and the sharded fold at each pool size.
+/// Per-thread-count latency section: a baseline with no installed pool,
+/// then the same query at each pool size.
 fn thread_section(
     out: &mut String,
     name: &str,
@@ -153,11 +157,11 @@ fn thread_section(
     cold_iters: usize,
 ) {
     let _ = writeln!(out, "  \"{name}\": {{");
-    let seq = latency_row(catalog, query, stat, vm_config(1), warm_iters, cold_iters);
+    let seq = latency_row(catalog, query, stat, vm_config(), warm_iters, cold_iters);
     write_row(out, "sequential", &seq, false);
     for (i, &threads) in THREADS.iter().enumerate() {
         let row = in_pool(threads, || {
-            latency_row(catalog, query, stat, vm_config(16), warm_iters, cold_iters)
+            latency_row(catalog, query, stat, vm_config(), warm_iters, cold_iters)
         });
         write_row(
             out,
@@ -219,7 +223,7 @@ fn emit_shard_report(_c: &mut Criterion) {
     // call, which plans and builds them from scratch (the join_2k_blocks
     // regression). Both legs share one engine; the cold leg clears its
     // cache before every sample.
-    let engine = CatalogEngine::with_config(&join_catalog, vm_config(0));
+    let engine = CatalogEngine::with_config(&join_catalog, vm_config());
     let cold_ec = sample_ns(warm_iters, || {
         engine.plan_cache().clear();
         std::hint::black_box(
@@ -250,62 +254,10 @@ fn emit_shard_report(_c: &mut Criterion) {
         );
     }
 
-    // Auto-shard heuristic on a sub-threshold binding: `shards = 0` must
-    // stay sequential inside a wide pool instead of paying the fan-out
-    // (the 1.4µs → 393µs regression this section guards). Measured on a
-    // dedicated small catalog so the binding sits under the auto-shard
-    // row threshold.
-    let (small_stations, small_certain, small_blocks) =
-        if smoke { (8, 50, 60) } else { (64, 500, 1_000) };
-    let small_catalog = synthetic_join_catalog(small_stations, small_certain, small_blocks, 3, 42);
-    let small_seq = latency_row(
-        &small_catalog,
-        &join,
-        Statistic::Probability,
-        vm_config(1),
-        warm_iters,
-        cold_iters,
-    );
-    let (small_auto, small_forced) = in_pool(8, || {
-        (
-            latency_row(
-                &small_catalog,
-                &join,
-                Statistic::Probability,
-                vm_config(0),
-                warm_iters,
-                cold_iters,
-            ),
-            latency_row(
-                &small_catalog,
-                &join,
-                Statistic::Probability,
-                vm_config(16),
-                warm_iters,
-                cold_iters,
-            ),
-        )
-    });
-    let _ = writeln!(out, "  \"auto_small_binding\": {{");
-    write_row(&mut out, "sequential", &small_seq, false);
-    write_row(&mut out, "auto_8_threads", &small_auto, false);
-    write_row(&mut out, "forced_16_shards_8_threads", &small_forced, true);
-    let _ = writeln!(out, "  }},");
-    if !smoke {
-        // Generous margin: auto must track the sequential fold, not the
-        // forced fan-out (historically ~300x slower here).
-        assert!(
-            small_auto.warm_p50_ns <= small_seq.warm_p50_ns * 20.0,
-            "auto sharding regressed on a small binding: auto {:.0}ns vs sequential {:.0}ns",
-            small_auto.warm_p50_ns,
-            small_seq.warm_p50_ns
-        );
-    }
-
     // Incremental maintenance: a one-block upsert patches one shard of
     // one term; a cold engine re-binds everything from scratch.
     let mut patched_catalog = synthetic_join_catalog(stations, certain, blocks, 3, 42);
-    let engine = CatalogEngine::with_config(&patched_catalog, vm_config(16));
+    let engine = CatalogEngine::with_config(&patched_catalog, vm_config());
     // The cold call memoizes the registers the upserts below patch.
     engine.probability(&join).expect("cold");
     let cache = engine.plan_cache().clone();
@@ -335,11 +287,11 @@ fn emit_shard_report(_c: &mut Criterion) {
             .expect("sensors")
             .push_block(block)
             .expect("arity ok");
-        let warm = CatalogEngine::with_plan_cache(&patched_catalog, vm_config(16), cache.clone());
+        let warm = CatalogEngine::with_plan_cache(&patched_catalog, vm_config(), cache.clone());
         std::hint::black_box(warm.probability(&join).expect("patched warm"));
     });
     let cold_bind = sample_ns(warm_iters.min(10), || {
-        let engine = CatalogEngine::with_config(&patched_catalog, vm_config(16));
+        let engine = CatalogEngine::with_config(&patched_catalog, vm_config());
         std::hint::black_box(engine.probability(&join).expect("cold bind"));
     });
     let stats = cache.stats();

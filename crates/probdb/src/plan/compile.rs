@@ -333,22 +333,21 @@ pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<Stri
 ///
 /// The candidate brackets are independent of each other, so on a
 /// multi-threaded rayon pool they evaluate concurrently — the shim
-/// collects in candidate order and each bracket's fold is itself
-/// deterministic ([`vm::run_prebound_sharded`]), so the evals vector,
-/// the intersection, and the winning candidate are bit-identical to the
-/// sequential loop at every thread count.
+/// collects in candidate order and each bracket's fold is sequential
+/// ([`vm::run_prebound`]), so the evals vector, the intersection, and the
+/// winning candidate are bit-identical to the sequential loop at every
+/// thread count.
 pub(crate) fn run_bounds_prebound(
     resolved: &Resolved,
     candidates: &[Dissociation],
     programs: &[BoundsProgram],
     regs: &[Vec<vm::TermRegs>],
-    shards: usize,
     describe: Option<&DescribeMemo>,
 ) -> DissociatedBounds {
     let eval_one = |(i, bp): (usize, &BoundsProgram)| {
         (
-            vm::run_prebound_sharded(&bp.upper, &regs[2 * i], shards).clamp(0.0, 1.0),
-            vm::run_prebound_sharded(&bp.lower, &regs[2 * i + 1], shards).clamp(0.0, 1.0),
+            vm::run_prebound(&bp.upper, &regs[2 * i]).clamp(0.0, 1.0),
+            vm::run_prebound(&bp.lower, &regs[2 * i + 1]).clamp(0.0, 1.0),
         )
     };
     let evals: Vec<(f64, f64)> = if rayon::current_num_threads() > 1 && programs.len() > 1 {

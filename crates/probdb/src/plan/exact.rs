@@ -254,46 +254,35 @@ pub(crate) fn mass_tables(
 /// interpreter and the bytecode VM both call this kernel, which makes
 /// their expected counts bit-identical by construction.
 pub(crate) fn run_mass_join(steps: &[MassStep], compiled: &[CompiledTerm], classes: usize) -> f64 {
-    run_mass_join_tables(steps, &mass_tables(steps, compiled, false), classes, 1)
+    run_mass_join_tables(steps, &mass_tables(steps, compiled, false), classes)
 }
 
-/// [`run_mass_join`] over prebuilt (possibly memoized) mass tables, with
-/// the probe loop sharded across the rayon pool. `shards` is the raw
-/// configured count: `0` lets each step decide per its accumulator size
-/// via [`super::vm::effective_shards`], so small probe loops stay
-/// sequential in auto mode.
-///
-/// Sharding is bit-identical to the sequential fold: the accumulator is
-/// split into contiguous chunks, each chunk probes the (shared,
-/// read-only) table independently, and the chunk outputs are
-/// concatenated in chunk order — exactly the sequential push sequence.
-/// The stable sort and run merge that follow therefore see the identical
-/// input, and every weight flows through the identical additions and
-/// multiplications.
+/// [`run_mass_join`] over prebuilt (possibly memoized) mass tables.
 pub(crate) fn run_mass_join_tables(
     steps: &[MassStep],
     tables: &[MassTable],
     classes: usize,
-    shards: usize,
 ) -> f64 {
     // Seed: the empty assignment (one per class, u16::MAX = unbound).
     let mut acc: Vec<(Vec<u16>, f64)> = vec![(vec![u16::MAX; classes], 1.0)];
     for (step, grouped) in steps.iter().zip(tables) {
-        let rows = u32::try_from(acc.len()).unwrap_or(u32::MAX);
-        let shards = super::vm::effective_shards(shards, rows);
-        let mut next = if shards > 1 && acc.len() >= shards.max(2) {
-            use rayon::prelude::*;
-            let size = acc.len().div_ceil(shards);
-            let parts: Vec<Vec<(Vec<u16>, f64)>> = acc
-                .chunks(size)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|chunk| probe_step(step, grouped, chunk))
-                .collect();
-            parts.into_iter().flatten().collect()
-        } else {
-            probe_step(step, grouped, &acc)
-        };
+        let nb = step.bound.len();
+        let mut next: Vec<(Vec<u16>, f64)> = Vec::new();
+        let mut probe = vec![0u16; nb];
+        for (assign, w) in &acc {
+            for (i, &(_, ci)) in step.bound.iter().enumerate() {
+                probe[i] = assign[ci];
+            }
+            let lo = grouped.partition_point(|(k, _)| k[..nb] < probe[..]);
+            let hi = lo + grouped[lo..].partition_point(|(k, _)| k[..nb] == probe[..]);
+            for (key, m) in &grouped[lo..hi] {
+                let mut merged = assign.clone();
+                for (i, &(_, ci)) in step.fresh.iter().enumerate() {
+                    merged[ci] = key[nb + i];
+                }
+                next.push((merged, w * m));
+            }
+        }
         if next.is_empty() {
             return 0.0;
         }
@@ -301,34 +290,6 @@ pub(crate) fn run_mass_join_tables(
         acc = merge_runs(next);
     }
     acc.iter().map(|&(_, w)| w).sum()
-}
-
-/// Probes one step's grouped table with a slice of accumulated
-/// assignments, in order — the sequential fold's inner loop, factored
-/// out so the sharded fold can run it per chunk.
-fn probe_step(
-    step: &MassStep,
-    grouped: &MassTable,
-    acc: &[(Vec<u16>, f64)],
-) -> Vec<(Vec<u16>, f64)> {
-    let nb = step.bound.len();
-    let mut next: Vec<(Vec<u16>, f64)> = Vec::new();
-    let mut probe = vec![0u16; nb];
-    for (assign, w) in acc {
-        for (i, &(_, ci)) in step.bound.iter().enumerate() {
-            probe[i] = assign[ci];
-        }
-        let lo = grouped.partition_point(|(k, _)| k[..nb] < probe[..]);
-        let hi = lo + grouped[lo..].partition_point(|(k, _)| k[..nb] == probe[..]);
-        for (key, m) in &grouped[lo..hi] {
-            let mut merged = assign.clone();
-            for (i, &(_, ci)) in step.fresh.iter().enumerate() {
-                merged[ci] = key[nb + i];
-            }
-            next.push((merged, w * m));
-        }
-    }
-    next
 }
 
 /// Expected mass of one step's term keyed by `bound ++ fresh` positions

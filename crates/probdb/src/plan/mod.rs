@@ -80,6 +80,9 @@ use std::sync::Arc;
 /// through the shape-keyed [`PlanCache`] ([`PlanRoute::Compiled`] on a
 /// miss, [`PlanRoute::CacheHit`] after), unless Monte Carlo is forced;
 /// every other statistic plans fresh ([`PlanRoute::Uncached`]).
+///
+/// No tunable affects parallelism: each plan fold runs sequentially, and
+/// answers are bit-identical at every rayon pool size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryEngineConfig {
     /// Worlds sampled on the Monte-Carlo path.
@@ -103,16 +106,6 @@ pub struct QueryEngineConfig {
     /// ignored by [`CatalogEngine::with_plan_cache`], which brings its
     /// own.
     pub plan_cache_capacity: usize,
-    /// Key-range shard count for parallel plan execution. `0` (the
-    /// default) auto-configures per fold: a fold shards 16 ways only
-    /// when it spans at least a few thousand rows *and* both the ambient
-    /// rayon pool and the host have more than one thread — small folds
-    /// stay sequential regardless of pool size, because the fan-out
-    /// overhead dwarfs them. Any nonzero value forces that many shards
-    /// even on one thread (useful for tests and overhead measurements).
-    /// Answers are **bit-identical at every setting** — sharding fixes
-    /// the multiplication order to the sequential fold's.
-    pub shards: usize,
 }
 
 impl Default for QueryEngineConfig {
@@ -124,7 +117,6 @@ impl Default for QueryEngineConfig {
             force_monte_carlo: false,
             bounds_tolerance: 0.05,
             plan_cache_capacity: 128,
-            shards: 0,
         }
     }
 }
@@ -663,7 +655,7 @@ fn execute(
             cache.record_reg_maintenance(maint.patched, maint.rebound);
         }
         let regs = (maint.per_program.as_slice(), maint.count.as_deref());
-        let Some(folded) = fold(plan, resolved, stat, regs, Some(compiled), config.shards) else {
+        let Some(folded) = fold(plan, resolved, stat, regs, Some(compiled)) else {
             return Ok(None);
         };
         memoize_regs(plan, versions, resolved, relations.clone(), maint);
@@ -717,21 +709,20 @@ fn fold(
     stat: Statistic,
     (regs, tables): (&[Vec<vm::TermRegs>], Option<&[exact::MassTable]>),
     compiled: Option<&[CompiledTerm]>,
-    shards: usize,
 ) -> Option<Folded> {
     let answer = match (&plan.program, stat) {
         (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
-            p: vm::run_prebound_sharded(prog, &regs[0], shards),
+            p: vm::run_prebound(prog, &regs[0]),
             std_error: None,
         },
         // Safe shapes collapse the bracket to the exact probability.
-        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => QueryAnswer::Bounds(
-            ProbabilityBounds::exact(vm::run_prebound_sharded(prog, &regs[0], shards)),
-        ),
+        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => {
+            QueryAnswer::Bounds(ProbabilityBounds::exact(vm::run_prebound(prog, &regs[0])))
+        }
         (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
             mean: match (&prog.steps, tables) {
                 (Some(steps), Some(tables)) => {
-                    exact::run_mass_join_tables(steps, tables, prog.classes, shards)
+                    exact::run_mass_join_tables(steps, tables, prog.classes)
                 }
                 _ => exact::single_expected_count(&compiled?[0]),
             },
@@ -749,7 +740,6 @@ fn fold(
                 candidates,
                 programs,
                 regs,
-                shards,
                 Some(&plan.describe),
             )))
         }
@@ -774,21 +764,20 @@ fn run_prebound_fast(
     let memo = plan.regs.lock().expect("register memo lock");
     let memo = memo.as_ref().filter(|m| m.versions == versions)?;
     let regs = (memo.per_program.as_slice(), memo.count.as_deref());
-    let (answer, decomposition, dissociated) =
-        match fold(plan, resolved, stat, regs, None, config.shards)? {
-            Folded::Answer(answer) => (answer, plan.decomposition.clone(), Vec::new()),
-            Folded::Bracket(eval) => {
-                let bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                if too_wide(&bounds, config) {
-                    return None;
-                }
-                (
-                    QueryAnswer::Bounds(bounds),
-                    Some(eval.plan),
-                    eval.dissociated,
-                )
+    let (answer, decomposition, dissociated) = match fold(plan, resolved, stat, regs, None)? {
+        Folded::Answer(answer) => (answer, plan.decomposition.clone(), Vec::new()),
+        Folded::Bracket(eval) => {
+            let bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
+            if too_wide(&bounds, config) {
+                return None;
             }
-        };
+            (
+                QueryAnswer::Bounds(bounds),
+                Some(eval.plan),
+                eval.dissociated,
+            )
+        }
+    };
     let report = EvalReport::new(
         plan.path,
         PlanRoute::CacheHit,

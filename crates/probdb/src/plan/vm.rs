@@ -47,22 +47,6 @@
 //! cache memoizes them next to version stamps — an unchanged-data warm
 //! hit skips the gather entirely.
 //!
-//! **Sharded execution.** The root partition fold is independent across
-//! key values, so [`run_prebound_sharded`] splits the sorted key domain
-//! into contiguous value ranges ([`shard_ranges`]), evaluates each range
-//! on the rayon pool, and merges in range order. Each shard returns its
-//! per-value *complement factors* `1 - p_v` in ascending value order —
-//! not a partial product — and the merge multiplies the concatenated
-//! factor sequence left to right. That sequence is exactly the sequence
-//! the sequential fold multiplies, so the result is **bit-identical to
-//! the sequential VM (and therefore the interpreter) at every thread
-//! and shard count**: floating-point non-associativity never enters,
-//! because the multiplication order never changes. Dissociated folds
-//! need one extra pass — the branch count `d` feeding the lower bound's
-//! replication registers is counted per shard and summed in shard order
-//! (exact: counts are small integers) before any factor is computed, so
-//! every shard sees the same global `d` the sequential fold would.
-//!
 //! **Incremental maintenance.** [`patch_term`] rebuilds only the dirty
 //! key ranges of a memoized register set after an upsert: the store's
 //! per-shard version stamps ([`crate::ProbDb::shard_versions`]) prove
@@ -408,199 +392,6 @@ pub(crate) fn run_prebound(program: &Program, regs: &[TermRegs]) -> f64 {
     p
 }
 
-/// Default shard count when the engine auto-configures sharding
-/// (`QueryEngineConfig::shards == 0` on a multi-threaded pool). Matches
-/// [`crate::column::SHARD_COUNT`] so register patching and parallel
-/// execution partition the key domain the same way, but the two are
-/// independent knobs: any shard count produces bit-identical answers.
-pub(crate) const DEFAULT_SHARDS: usize = 16;
-
-/// Minimum binding rows before an *auto-configured* fold bothers
-/// sharding; explicitly requested shard counts ignore it. Purely an
-/// overhead threshold — results are identical either way.
-const AUTO_SHARD_MIN_ROWS: u32 = 4096;
-
-/// Resolves a configured shard count for a fold over `rows` rows. `0`
-/// means "auto": stay sequential unless the fold is at least
-/// [`AUTO_SHARD_MIN_ROWS`] rows, the current rayon pool has more than
-/// one thread, *and* the host actually has more than one core —
-/// otherwise shard to [`DEFAULT_SHARDS`]. The size gate applies
-/// regardless of pool size: below the threshold the fan-out/merge
-/// overhead dwarfs the fold itself (sub-threshold warm folds measured
-/// ~300× slower when force-sharded onto an 8-thread pool of a 1-core
-/// host), so auto mode never pays it. A nonzero count is honored as-is
-/// (even on one thread), which is what lets tests and benches force the
-/// sharded path deterministically. Purely a scheduling decision —
-/// results are bit-identical at every shard count.
-pub(crate) fn effective_shards(requested: usize, rows: u32) -> usize {
-    match requested {
-        0 => {
-            let host = std::thread::available_parallelism().map_or(1, usize::from);
-            if rows < AUTO_SHARD_MIN_ROWS || rayon::current_num_threads() <= 1 || host <= 1 {
-                1
-            } else {
-                DEFAULT_SHARDS
-            }
-        }
-        n => n,
-    }
-}
-
-/// [`run_prebound`], with each root partition fold sharded across the
-/// rayon pool. Bit-identical to the sequential path at every thread and
-/// shard count — see the module docs for the argument — because shards
-/// return per-value complement factors that are merged in value order,
-/// reproducing the sequential multiplication sequence exactly.
-///
-/// `shards` is the raw configured count: `0` lets each root fold decide
-/// per its own size via [`effective_shards`], `1` forces the sequential
-/// path outright.
-pub(crate) fn run_prebound_sharded(program: &Program, regs: &[TermRegs], shards: usize) -> f64 {
-    if shards == 1 {
-        return run_prebound(program, regs);
-    }
-    let mut p = 1.0;
-    for &root in &program.roots {
-        // A fresh `Exec` per root is bit-identical to the shared one in
-        // `run_prebound`: windows, replication registers and memos carry
-        // no state across root components.
-        p *= eval_root_sharded(program, regs, root, shards);
-    }
-    p
-}
-
-/// Evaluates one root component, sharding its partition fold by key
-/// range when the fold is large enough to split.
-fn eval_root_sharded(program: &Program, regs: &[TermRegs], root: u32, requested: usize) -> f64 {
-    let Op::Partition {
-        binding,
-        copied,
-        body,
-        fused,
-    } = &program.ops[root as usize]
-    else {
-        return Exec::new(program, regs).eval(root);
-    };
-    let rows: u32 = binding
-        .iter()
-        .map(|&(t, _)| {
-            let r = &regs[t as usize];
-            r.clen + r.alen
-        })
-        .sum();
-    let ranges = shard_ranges(binding, regs, effective_shards(requested, rows));
-    if ranges.len() <= 1 {
-        return Exec::new(program, regs).eval(root);
-    }
-    use rayon::prelude::*;
-    // Dissociated folds replicate the global branch count d into every
-    // copied term, so it must be known before any shard computes a
-    // factor: count per shard, sum in shard order (exact — counts are
-    // small integers, so the sum order cannot matter anyway).
-    let d = if copied.is_empty() {
-        0.0
-    } else {
-        ranges
-            .par_iter()
-            .map(|range| shard_exec(program, regs, binding, range).count_values(binding))
-            .collect::<Vec<f64>>()
-            .into_iter()
-            .sum()
-    };
-    let chunks: Vec<Vec<f64>> = ranges
-        .par_iter()
-        .map(|range| {
-            let mut ex = shard_exec(program, regs, binding, range);
-            ex.partition_factors(root, binding, copied, body, fused.as_deref(), d)
-        })
-        .collect();
-    // Merge: multiply the concatenated factor sequence left to right —
-    // the exact sequence (and early exit) of the sequential fold.
-    let mut none = 1.0;
-    'merge: for chunk in &chunks {
-        for &f in chunk {
-            none *= f;
-            if none == 0.0 {
-                break 'merge;
-            }
-        }
-    }
-    1.0 - none
-}
-
-/// Splits the root fold's key domain into up to `shards` contiguous
-/// value ranges with roughly balanced row counts, cutting at values
-/// drawn from the largest binding term's sorted key register. The ranges
-/// tile `[0, 65536)` in ascending order, so concatenating the per-range
-/// value sequences reproduces the sequential fold's value order exactly.
-#[allow(clippy::single_range_in_vec_init)] // ranges are shard intervals, not element sets
-fn shard_ranges(
-    binding: &[(u32, u32)],
-    regs: &[TermRegs],
-    shards: usize,
-) -> Vec<std::ops::Range<u32>> {
-    const DOMAIN_END: u32 = u16::MAX as u32 + 1;
-    if shards <= 1 || binding.is_empty() {
-        return vec![0..DOMAIN_END];
-    }
-    let &(t, lvl) = binding
-        .iter()
-        .max_by_key(|&&(t, _)| {
-            let r = &regs[t as usize];
-            r.clen + r.alen
-        })
-        .expect("binding is non-empty");
-    let r = &regs[t as usize];
-    let keys: &[u16] = if r.alen >= r.clen {
-        &r.akeys[lvl as usize]
-    } else {
-        &r.ckeys[lvl as usize]
-    };
-    if keys.is_empty() {
-        return vec![0..DOMAIN_END];
-    }
-    // Equidistant positions in the sorted key register give balanced
-    // *rows* per range (not balanced value counts); duplicate cut values
-    // collapse, so skewed keys degrade shard count, never correctness.
-    let mut bounds: Vec<u32> = vec![0];
-    for i in 1..shards {
-        let v = keys[i * keys.len() / shards] as u32;
-        if v > *bounds.last().expect("bounds start non-empty") {
-            bounds.push(v);
-        }
-    }
-    bounds.push(DOMAIN_END);
-    bounds.windows(2).map(|w| w[0]..w[1]).collect()
-}
-
-/// An `Exec` whose binding-term windows are narrowed to `range` of the
-/// level-0 key domain. All other terms (copied terms, separate subtrees)
-/// keep their full windows, exactly as in the sequential fold.
-fn shard_exec<'p>(
-    program: &'p Program,
-    regs: &'p [TermRegs],
-    binding: &[(u32, u32)],
-    range: &std::ops::Range<u32>,
-) -> Exec<'p> {
-    let mut ex = Exec::new(program, regs);
-    for &(t, lvl) in binding {
-        // Root partitions always bind at the first path level: compile
-        // pushes the root class onto every bound term's path before
-        // recursing into the body.
-        debug_assert_eq!(lvl, 0, "root partitions bind at the first path level");
-        let r = &regs[t as usize];
-        let ck = &r.ckeys[lvl as usize];
-        let ak = &r.akeys[lvl as usize];
-        ex.win[t as usize] = [
-            seek(ck, range.start),
-            seek(ck, range.end),
-            seek(ak, range.start),
-            seek(ak, range.end),
-        ];
-    }
-    ex
-}
-
 /// First position in the sorted key register whose key is `>= bound`
 /// (`bound` ranges over `0..=65536`, one past the `u16` domain).
 fn seek(keys: &[u16], bound: u32) -> u32 {
@@ -716,9 +507,22 @@ impl<'p> Exec<'p> {
         let mut first = true;
         let mut none = 1.0;
         while let Some(v) = self.next_value(binding, &outer, &mut cur) {
-            self.narrow_to_run(binding, &outer, &mut cur, v);
+            // Narrow every binding term's window to its `v` run and
+            // advance the merge cursors past it.
+            for (i, &(t, lvl)) in binding.iter().enumerate() {
+                let (ce, ae) = self.run_end(t, lvl, &outer[i], &cur[i], v);
+                self.win[t as usize] = [cur[i][0], ce, cur[i][1], ae];
+                cur[i] = [ce, ae];
+            }
             if first {
-                self.hoist_body(body, &mut hoist_vals);
+                // Loop-invariant (hoisted) steps, once, in body order:
+                // copied-only subtrees see the same un-narrowed windows in
+                // every branch.
+                for step in body {
+                    if let BodyStep::Hoisted(op) = step {
+                        hoist_vals.push(self.eval(*op));
+                    }
+                }
                 first = false;
             }
             let p_v = self.branch_product(op, body, fused, &hoist_vals, v);
@@ -737,47 +541,6 @@ impl<'p> Exec<'p> {
         1.0 - none
     }
 
-    /// The partition fold's value loop, returning the per-value
-    /// complement factors `1 - p_v` in ascending value order instead of
-    /// folding them — the sharded executor's per-shard kernel. `d` is the
-    /// *global* branch count (across all shards), precomputed by the
-    /// caller. Windows and replication registers are not restored: the
-    /// shard `Exec` is discarded after this call.
-    fn partition_factors(
-        &mut self,
-        op: u32,
-        binding: &[(u32, u32)],
-        copied: &[u32],
-        body: &[BodyStep],
-        fused: Option<&[(u32, Transform, bool)]>,
-        d: f64,
-    ) -> Vec<f64> {
-        let outer: Vec<[u32; 4]> = binding.iter().map(|&(t, _)| self.win[t as usize]).collect();
-        let mut cur: Vec<[u32; 2]> = outer.iter().map(|w| [w[0], w[2]]).collect();
-        for &t in copied {
-            self.repl[t as usize] *= d;
-        }
-        let mut hoist_vals: Vec<f64> = Vec::new();
-        let mut first = true;
-        let mut out = Vec::new();
-        while let Some(v) = self.next_value(binding, &outer, &mut cur) {
-            self.narrow_to_run(binding, &outer, &mut cur, v);
-            if first {
-                self.hoist_body(body, &mut hoist_vals);
-                first = false;
-            }
-            let p_v = self.branch_product(op, body, fused, &hoist_vals, v);
-            out.push(1.0 - p_v);
-            if p_v == 1.0 {
-                // This factor is exactly 0.0, so the merged product is
-                // 0.0 no matter what follows — the same early exit the
-                // sequential fold takes when `none` first hits zero.
-                break;
-            }
-        }
-        out
-    }
-
     /// Counts the distinct key values of the fold over the *current*
     /// windows (the branch count `d` of a dissociated fold). Read-only:
     /// iterates private cursors, windows stay untouched.
@@ -793,33 +556,6 @@ impl<'p> Exec<'p> {
             }
         }
         d
-    }
-
-    /// Narrows every binding term's window to its `v` run and advances
-    /// the merge cursors past it.
-    fn narrow_to_run(
-        &mut self,
-        binding: &[(u32, u32)],
-        outer: &[[u32; 4]],
-        cur: &mut [[u32; 2]],
-        v: u16,
-    ) {
-        for (i, &(t, lvl)) in binding.iter().enumerate() {
-            let (ce, ae) = self.run_end(t, lvl, &outer[i], &cur[i], v);
-            self.win[t as usize] = [cur[i][0], ce, cur[i][1], ae];
-            cur[i] = [ce, ae];
-        }
-    }
-
-    /// Evaluates the loop-invariant (hoisted) body steps once, in body
-    /// order: copied-only subtrees see the same un-narrowed windows in
-    /// every branch.
-    fn hoist_body(&mut self, body: &[BodyStep], hoist_vals: &mut Vec<f64>) {
-        for step in body {
-            if let BodyStep::Hoisted(op) = step {
-                hoist_vals.push(self.eval(*op));
-            }
-        }
     }
 
     /// One branch's subcomponent product `∏ p`, left to right with the
@@ -930,50 +666,5 @@ impl<'p> Exec<'p> {
             past_run(ck, cur[0], outer[1], v),
             past_run(ak, cur[1], outer[3], v),
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("test pool")
-            .install(f)
-    }
-
-    #[test]
-    fn auto_mode_keeps_small_folds_sequential_even_in_wide_pools() {
-        // The regression this guards: auto mode used to shard any fold 16
-        // ways as soon as the pool had >1 thread, which made warm
-        // microsecond folds hundreds of times slower. The size gate must
-        // hold at every pool width.
-        for threads in [1, 2, 4, 8] {
-            let eff = in_pool(threads, || effective_shards(0, AUTO_SHARD_MIN_ROWS - 1));
-            assert_eq!(eff, 1, "small fold sharded in a {threads}-thread pool");
-        }
-    }
-
-    #[test]
-    fn forced_counts_are_honored_verbatim() {
-        for threads in [1, 8] {
-            assert_eq!(in_pool(threads, || effective_shards(1, 1_000_000)), 1);
-            assert_eq!(in_pool(threads, || effective_shards(5, 10)), 5);
-            assert_eq!(in_pool(threads, || effective_shards(16, 0)), 16);
-        }
-    }
-
-    #[test]
-    fn auto_mode_follows_pool_and_host_width_for_large_folds() {
-        let host = std::thread::available_parallelism().map_or(1, usize::from);
-        // A single-thread pool never shards, whatever the host has.
-        assert_eq!(in_pool(1, || effective_shards(0, u32::MAX)), 1);
-        // A wide pool shards large folds only when the host can actually
-        // run the shards in parallel.
-        let expected = if host > 1 { DEFAULT_SHARDS } else { 1 };
-        assert_eq!(in_pool(8, || effective_shards(0, u32::MAX)), expected);
     }
 }

@@ -37,11 +37,13 @@
 //!   across generations.
 //!
 //! Requests flow through an `std::sync::mpsc` queue to the pool (the
-//! build environment is offline: no async runtime, just std threads and
-//! the vendored rayon shim inside the evaluators). [`ServerHandle`] is a
-//! cheap clone per client thread; [`ServerStats`] exposes per-path
-//! counts, cache warmth, generation lag and queue depth for the serve
-//! bench reporter.
+//! build environment is offline: no async runtime, just std threads).
+//! The pool is the only query-level parallelism: each plan fold runs
+//! sequentially on the worker that picked the query up (within a query
+//! only the bracket candidates, cold binds and mass tables fan out over
+//! the vendored rayon shim). [`ServerHandle`] is a cheap clone per client
+//! thread; [`ServerStats`] exposes per-path counts, cache warmth,
+//! generation lag and queue depth for the serve bench reporter.
 //!
 //! **Overload & degradation.** The queue does not grow without bound:
 //!

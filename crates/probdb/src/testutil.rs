@@ -86,7 +86,7 @@ pub fn oracle_count_distribution(
 /// Evaluates `query` with the recursive reference interpreter instead of
 /// the bytecode VM: the same planning verdict, the same samplers, no plan
 /// cache ([`crate::PlanRoute::Uncached`]). The compiled programs — cold,
-/// warm, patched, at any thread or shard count — must reproduce its
+/// warm, patched, served, at any thread count — must reproduce its
 /// `Probability`, `ProbabilityBounds` and `ExpectedCount` answers bit for
 /// bit, which is what the bit-identity suites check against. Linear in
 /// the data, unlike the world-enumerating [`oracle`].

@@ -4,11 +4,11 @@
 //! The server adds scheduling — a queue, a pool, snapshot pinning — but
 //! must add **no numerics**: an answer served through [`ProbDbServer`]
 //! has to reproduce, bit for bit, what a direct [`CatalogEngine`] over
-//! the same catalog generation produces (which the sharded-VM suite in
-//! turn pins to the reference interpreter). Publication must be atomic:
-//! readers never observe a torn catalog, warm register memos patched
-//! across a generation swap answer exactly like a cold bind, and a
-//! writer that dies mid-build changes nothing.
+//! the same catalog generation produces (which the VM suites in turn pin
+//! to the reference interpreter). Publication must be atomic: readers
+//! never observe a torn catalog, warm register memos patched across a
+//! generation swap answer exactly like a cold bind, and a writer that
+//! dies mid-build changes nothing.
 
 use mrsl_repro::probdb::segmented::SEGMENT_LEN;
 use mrsl_repro::probdb::serve::{ProbDbServer, ServeConfig, ServerHandle};
@@ -29,19 +29,19 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     }
 }
 
-/// VM configuration at an explicit shard count (`0` = auto).
-fn vm_config(shards: usize) -> QueryEngineConfig {
+/// VM configuration: brackets are never refined, so bounds stay
+/// deterministic.
+fn vm_config() -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
-        shards,
         ..QueryEngineConfig::default()
     }
 }
 
-fn serve_config(workers: usize, shards: usize) -> ServeConfig {
+fn serve_config(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
-        engine: vm_config(shards),
+        engine: vm_config(),
         ..ServeConfig::default()
     }
 }
@@ -107,7 +107,7 @@ fn direct_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> Vec<u64> {
 
 /// The reference interpreter's answer bits (brackets never refined).
 fn interp_bits(catalog: &Catalog, q: &Query, stat: Statistic) -> Vec<u64> {
-    let (answer, _) = interpreted(catalog, q, stat, &vm_config(0)).expect("interprets");
+    let (answer, _) = interpreted(catalog, q, stat, &vm_config()).expect("interprets");
     answer_bits(&answer)
 }
 
@@ -209,32 +209,29 @@ fn chain_query() -> Query {
 }
 
 /// Asserts the served path reproduces the reference interpreter bits for
-/// every statistic, cold and warm, across pool sizes and shard
-/// configurations (including auto).
+/// every statistic, cold and warm, across pool sizes.
 fn assert_served_matches_direct(catalog: &Catalog, q: &Query) {
     let reference: Vec<Vec<u64>> = STATS
         .iter()
         .map(|&stat| interp_bits(catalog, q, stat))
         .collect();
     for workers in [1, 4] {
-        for shards in [0, 1, 16] {
-            let server = ProbDbServer::with_config(catalog.clone(), serve_config(workers, shards));
-            let handle = server.handle();
-            for (i, &stat) in STATS.iter().enumerate() {
-                let (cold, _) = served_bits(&handle, q, stat);
-                assert_eq!(
-                    reference[i], cold,
-                    "served cold diverges on {stat:?} at {workers} workers x {shards} shards"
-                );
-                let (warm, route) = served_bits(&handle, q, stat);
-                assert_eq!(route, PlanRoute::CacheHit, "{stat:?}");
-                assert_eq!(
-                    reference[i], warm,
-                    "served warm diverges on {stat:?} at {workers} workers x {shards} shards"
-                );
-            }
-            server.shutdown();
+        let server = ProbDbServer::with_config(catalog.clone(), serve_config(workers));
+        let handle = server.handle();
+        for (i, &stat) in STATS.iter().enumerate() {
+            let (cold, _) = served_bits(&handle, q, stat);
+            assert_eq!(
+                reference[i], cold,
+                "served cold diverges on {stat:?} at {workers} workers"
+            );
+            let (warm, route) = served_bits(&handle, q, stat);
+            assert_eq!(route, PlanRoute::CacheHit, "{stat:?}");
+            assert_eq!(
+                reference[i], warm,
+                "served warm diverges on {stat:?} at {workers} workers"
+            );
         }
+        server.shutdown();
     }
 }
 
@@ -299,7 +296,7 @@ fn concurrent_readers_never_see_a_torn_catalog() {
             .unwrap();
         catalog.add(name, db).unwrap();
     }
-    let server = ProbDbServer::with_config(catalog, serve_config(READERS, 0));
+    let server = ProbDbServer::with_config(catalog, serve_config(READERS));
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for i in 0..PUBLISHES {
@@ -361,7 +358,7 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
         &[(0, 0.5), (2, 0.7)],
     );
     let q = join_query();
-    let server = ProbDbServer::with_config(catalog, serve_config(2, 4));
+    let server = ProbDbServer::with_config(catalog, serve_config(2));
     let handle = server.handle();
     // Cold compile (which memoizes the registers), then a warm hit.
     let (_, route) = served_bits(&handle, &q, Statistic::Probability);
@@ -408,7 +405,7 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
     // the published generation-1 catalog.
     let generation_1 = after.catalog();
     let cold = direct_bits(
-        &CatalogEngine::with_config(generation_1, vm_config(4)),
+        &CatalogEngine::with_config(generation_1, vm_config()),
         &q,
         Statistic::Probability,
     );
@@ -441,13 +438,13 @@ fn one_block_publish_copies_only_the_tail_segment() {
         [(AttrId(0), AttrId(0))],
     );
     let answers = |catalog: &Catalog| -> Vec<Vec<u64>> {
-        let engine = CatalogEngine::with_config(catalog, vm_config(0));
+        let engine = CatalogEngine::with_config(catalog, vm_config());
         STATS
             .iter()
             .map(|&stat| direct_bits(&engine, &q, stat))
             .collect()
     };
-    let server = ProbDbServer::with_config(catalog, serve_config(2, 0));
+    let server = ProbDbServer::with_config(catalog, serve_config(2));
     let handle = server.handle();
     served_bits(&handle, &q, Statistic::ExpectedCount);
 
@@ -505,7 +502,7 @@ fn one_block_publish_copies_only_the_tail_segment() {
 fn writer_crash_mid_build_leaves_the_published_snapshot_untouched() {
     let catalog = join_catalog(&[(0, 0.3), (1, 0.6)], &[(0, 0.5)]);
     let q = join_query();
-    let server = ProbDbServer::with_config(catalog, serve_config(2, 0));
+    let server = ProbDbServer::with_config(catalog, serve_config(2));
     let handle = server.handle();
     let (reference, _) = served_bits(&handle, &q, Statistic::Probability);
     let rows_before = server
@@ -559,7 +556,7 @@ fn concurrent_clients_share_the_plan_cache() {
     let catalog = chain_catalog([0.3, 0.7], [0.2, 0.5, 0.8], [0.6, 0.4]);
     let q = chain_query();
     let reference = interp_bits(&catalog, &q, Statistic::ProbabilityBounds);
-    let server = ProbDbServer::with_config(catalog, serve_config(4, 0));
+    let server = ProbDbServer::with_config(catalog, serve_config(4));
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
             let handle = server.handle();
@@ -596,7 +593,7 @@ fn concurrent_clients_share_the_plan_cache() {
 fn shutdown_drains_queued_work_then_rejects() {
     let catalog = join_catalog(&[(0, 0.5), (1, 0.5)], &[(0, 0.5), (1, 0.25)]);
     let q = join_query();
-    let server = ProbDbServer::with_config(catalog, serve_config(1, 0));
+    let server = ProbDbServer::with_config(catalog, serve_config(1));
     let handle = server.handle();
     let tickets: Vec<_> = (0..16)
         .map(|_| {
@@ -825,7 +822,7 @@ fn coalescing_can_be_disabled() {
     let q = join_query();
     let config = ServeConfig {
         coalesce_requests: false,
-        ..serve_config(2, 0)
+        ..serve_config(2)
     };
     let server = ProbDbServer::with_config(catalog, config);
     let handle = server.handle();
@@ -884,7 +881,7 @@ proptest! {
         let q = join_query();
         let server = ProbDbServer::with_config(
             catalog,
-            ServeConfig { max_queue_depth: 2, ..serve_config(2, 0) },
+            ServeConfig { max_queue_depth: 2, ..serve_config(2) },
         );
         let handle = server.handle();
         std::thread::scope(|scope| {

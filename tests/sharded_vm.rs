@@ -1,11 +1,15 @@
-//! Sharded parallel-execution suite.
+//! Thread-count and register-patching suite.
 //!
-//! The sharded fold must be **bit-identical** — not epsilon-close — to
-//! the sequential VM and to the reference interpreter at every thread
-//! count and every shard count, for `Probability`, `ProbabilityBounds`
-//! and `ExpectedCount`. Incremental register maintenance must patch only
-//! the shards an upsert touched, leave the cache entry valid, and still
-//! produce the exact bits a fresh bind would.
+//! The VM must be **bit-identical** — not epsilon-close — to the
+//! reference interpreter at every rayon pool size, cold and warm, for
+//! `Probability`, `ProbabilityBounds` and `ExpectedCount`: each plan fold
+//! runs sequentially, and the fan-outs that remain (bracket candidates,
+//! cold binds, mass tables) collect in input order. Incremental register
+//! maintenance must patch only the key-range shards an upsert touched
+//! (the store's change-tracking [`ShardMap`] partition), leave the cache
+//! entry valid, and still produce the exact bits a fresh bind would.
+//!
+//! [`ShardMap`]: mrsl_repro::probdb::ShardMap
 
 use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
@@ -22,12 +26,11 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     }
 }
 
-/// VM under test at an explicit shard count (`0` = auto). Brackets are
-/// never refined so bounds stay deterministic.
-fn vm_config(shards: usize) -> QueryEngineConfig {
+/// VM under test. Brackets are never refined so bounds stay
+/// deterministic.
+fn vm_config() -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
-        shards,
         ..QueryEngineConfig::default()
     }
 }
@@ -62,9 +65,14 @@ fn eval_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> (Vec<u64>, P
     (answer_bits(answer), report.route)
 }
 
-/// The reference interpreter's answer bits (brackets never refined).
-fn interp_bits(catalog: &Catalog, q: &Query, stat: Statistic) -> Vec<u64> {
-    let (answer, _) = interpreted(catalog, q, stat, &vm_config(0)).expect("interprets");
+/// The reference interpreter's answer bits under `config`.
+fn interp_bits(
+    catalog: &Catalog,
+    q: &Query,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> Vec<u64> {
+    let (answer, _) = interpreted(catalog, q, stat, config).expect("interprets");
     answer_bits(answer)
 }
 
@@ -75,7 +83,6 @@ const STATS: [Statistic; 3] = [
 ];
 
 const THREADS: [usize; 3] = [1, 2, 8];
-const SHARDS: [usize; 3] = [1, 4, 16];
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     rayon::ThreadPoolBuilder::new()
@@ -85,32 +92,31 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
         .install(f)
 }
 
-/// Asserts that every (threads × shards) combination reproduces the
-/// interpreter's bits exactly, cold and warm.
-fn assert_sharded_matches_interpreter(catalog: &Catalog, q: &Query) {
+/// Asserts that every pool size reproduces the interpreter's bits
+/// exactly under `config`, cold and warm.
+fn assert_matches_interpreter(catalog: &Catalog, q: &Query, config: QueryEngineConfig) {
     let reference: Vec<Vec<u64>> = STATS
         .iter()
-        .map(|&stat| interp_bits(catalog, q, stat))
+        .map(|&stat| interp_bits(catalog, q, stat, &config))
         .collect();
     for threads in THREADS {
-        for shards in SHARDS {
-            with_threads(threads, || {
-                let vm = CatalogEngine::with_config(catalog, vm_config(shards));
-                for (i, &stat) in STATS.iter().enumerate() {
-                    let (cold, _) = eval_bits(&vm, q, stat);
-                    assert_eq!(
-                        reference[i], cold,
-                        "cold diverges on {stat:?} at {threads} threads x {shards} shards"
-                    );
-                    let (warm, route) = eval_bits(&vm, q, stat);
-                    assert_eq!(route, PlanRoute::CacheHit, "{stat:?}");
-                    assert_eq!(
-                        reference[i], warm,
-                        "warm diverges on {stat:?} at {threads} threads x {shards} shards"
-                    );
-                }
-            });
-        }
+        with_threads(threads, || {
+            let vm = CatalogEngine::with_config(catalog, config);
+            for (i, &stat) in STATS.iter().enumerate() {
+                let (cold, route) = eval_bits(&vm, q, stat);
+                assert_eq!(route, PlanRoute::Compiled, "{stat:?}");
+                assert_eq!(
+                    reference[i], cold,
+                    "cold diverges on {stat:?} at {threads} threads"
+                );
+                let (warm, route) = eval_bits(&vm, q, stat);
+                assert_eq!(route, PlanRoute::CacheHit, "{stat:?}");
+                assert_eq!(
+                    reference[i], warm,
+                    "warm diverges on {stat:?} at {threads} threads"
+                );
+            }
+        });
     }
 }
 
@@ -207,9 +213,8 @@ fn arb_probs3() -> impl Strategy<Value = [f64; 3]> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Hierarchical keyed joins: the partition fold is the sharded root,
-    /// so every thread/shard combination must reproduce the sequential
-    /// bits on all three statistics.
+    /// Hierarchical keyed joins: the root partition fold must reproduce
+    /// the interpreter's bits at every pool size on all three statistics.
     #[test]
     fn sharded_hierarchical_joins_are_bit_identical(
         ((lb, rb), (lc, rc)) in (
@@ -227,19 +232,71 @@ proptest! {
             Query::scan("right").filter(ok()),
             [(AttrId(0), AttrId(0))],
         );
-        assert_sharded_matches_interpreter(&catalog, &q);
+        assert_matches_interpreter(&catalog, &q, vm_config());
     }
 
-    /// Dissociable chains: the sharded bracket (both candidate programs,
-    /// replicated-branch counting split across shards) and the chunked
+    /// Dissociable chains: the bracket (both candidate programs, fanned
+    /// out over the pool, with replicated-branch counting) and the
     /// mass-table join must reproduce the interpreter bits exactly.
     #[test]
     fn sharded_dissociation_brackets_are_bit_identical(
         (rp, sp, tp) in (arb_probs2(), arb_probs3(), arb_probs2())
     ) {
         let catalog = chain_catalog(rp, sp, tp);
-        assert_sharded_matches_interpreter(&catalog, &chain_query());
+        assert_matches_interpreter(&catalog, &chain_query(), vm_config());
     }
+}
+
+/// `r(k, ok)` over a 256-value key domain: `blocks` blocks spread
+/// round-robin over the keys with small, varied presence probabilities
+/// (so the join probability stays far from 1), plus a few certain rows.
+fn wide_keyed_relation(blocks: usize, salt: usize) -> ProbDb {
+    const KEYS: usize = 256;
+    let schema = Schema::builder()
+        .attribute("k", (0..KEYS).map(|k| format!("k{k}")))
+        .attribute("ok", ["no", "yes"])
+        .build()
+        .unwrap();
+    let mut db = ProbDb::new(schema);
+    for i in 0..3 {
+        let k = ((salt + 97 * i) % KEYS) as u16;
+        db.push_certain(CompleteTuple::from_values(vec![k, 1]))
+            .unwrap();
+    }
+    for i in 0..blocks {
+        let k = ((i * 7 + salt) % KEYS) as u16;
+        let p = (1 + (i * 37 + salt) % 19) as f64 / 10_000.0;
+        db.push_block(Block::new(i, vec![alt(vec![k, 0], 1.0 - p), alt(vec![k, 1], p)]).unwrap())
+            .unwrap();
+    }
+    db
+}
+
+/// A keyed join whose root binding spans more than 4,096 rows per term,
+/// on the default config: the proptests' catalogs are tiny, so this is
+/// the one fold large enough for any size-gated parallel split to kick
+/// in. Every pool size must reproduce the interpreter's bits, cold and
+/// warm.
+#[test]
+fn large_default_config_joins_are_bit_identical() {
+    let mut catalog = Catalog::new();
+    catalog.add("left", wide_keyed_relation(4_500, 1)).unwrap();
+    catalog.add("right", wide_keyed_relation(4_500, 5)).unwrap();
+    let q = Query::scan("left")
+        .filter(ok())
+        .join_on(Query::scan("right").filter(ok()), [(AttrId(0), AttrId(0))]);
+    let (answer, _) = interpreted(
+        &catalog,
+        &q,
+        Statistic::Probability,
+        &QueryEngineConfig::default(),
+    )
+    .expect("interprets");
+    let QueryAnswer::Probability { p, .. } = answer else {
+        panic!("unexpected answer: {answer:?}");
+    };
+    assert!(p > 0.01 && p < 0.99, "fixture saturates: p = {p}");
+    assert_matches_interpreter(&catalog, &q, QueryEngineConfig::default());
 }
 
 /// An upsert into one key range patches that shard's register columns in
@@ -262,7 +319,7 @@ fn upserts_patch_only_the_touched_shard() {
         .filter(ok())
         .join_on(Query::scan("right").filter(ok()), [(AttrId(0), AttrId(0))]);
     let cache = {
-        let engine = CatalogEngine::with_config(&catalog, vm_config(4));
+        let engine = CatalogEngine::with_config(&catalog, vm_config());
         let (_, route) = eval_bits(&engine, &q, Statistic::Probability);
         assert_eq!(route, PlanRoute::Compiled);
         // The cold miss memoized the registers the upsert below patches;
@@ -279,15 +336,15 @@ fn upserts_patch_only_the_touched_shard() {
         .unwrap()
         .push_block(Block::new(4, vec![alt(vec![2, 0], 0.45), alt(vec![2, 1], 0.55)]).unwrap())
         .unwrap();
-    let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(4), cache.clone());
+    let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(), cache.clone());
     let (wbits, wroute) = eval_bits(&warm, &q, Statistic::Probability);
     assert_eq!(wroute, PlanRoute::CacheHit);
     // Fresh bind over the mutated catalog — the patched registers must
     // reproduce it bit-for-bit.
-    let fresh = CatalogEngine::with_config(&catalog, vm_config(4));
+    let fresh = CatalogEngine::with_config(&catalog, vm_config());
     let (fbits, _) = eval_bits(&fresh, &q, Statistic::Probability);
     assert_eq!(wbits, fbits, "patched registers diverge from a fresh bind");
-    let ibits = interp_bits(&catalog, &q, Statistic::Probability);
+    let ibits = interp_bits(&catalog, &q, Statistic::Probability, &vm_config());
     assert_eq!(
         wbits, ibits,
         "patched registers diverge from the interpreter"
@@ -324,7 +381,7 @@ fn whole_domain_mutations_fall_back_to_rebind() {
         .filter(ok())
         .join_on(Query::scan("right").filter(ok()), [(AttrId(0), AttrId(0))]);
     let cache = {
-        let engine = CatalogEngine::with_config(&catalog, vm_config(4));
+        let engine = CatalogEngine::with_config(&catalog, vm_config());
         eval_bits(&engine, &q, Statistic::Probability);
         eval_bits(&engine, &q, Statistic::Probability);
         engine.plan_cache().clone()
@@ -336,10 +393,10 @@ fn whole_domain_mutations_fall_back_to_rebind() {
         left.push_block(Block::new(i, vec![alt(vec![k, 0], 0.5), alt(vec![k, 1], 0.5)]).unwrap())
             .unwrap();
     }
-    let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(4), cache.clone());
+    let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(), cache.clone());
     let (wbits, wroute) = eval_bits(&warm, &q, Statistic::Probability);
     assert_eq!(wroute, PlanRoute::CacheHit);
-    let ibits = interp_bits(&catalog, &q, Statistic::Probability);
+    let ibits = interp_bits(&catalog, &q, Statistic::Probability, &vm_config());
     assert_eq!(wbits, ibits);
     let stats = cache.stats();
     assert_eq!(stats.invalidations, 0, "{stats:?}");
