@@ -9,12 +9,32 @@
 //! samples after all their parents complete are promoted to roots and top
 //! up with their own chains.
 //!
+//! **Counter round-robin.** The paper's schedule visits the active roots
+//! in turn and draws one sweep per visit. Here a visit only counts the
+//! draw it owes; when a node's recorded plus owed samples reach `N`, its
+//! chain is created (seed `derive_seed(seed, [global node])`), burnt in
+//! and run for all owed sweeps in one tight loop, and the node completes.
+//! That is exactly the per-visit schedule, draw for draw, because:
+//!
+//! * each chain has its own RNG, so when its sweeps run does not change
+//!   them;
+//! * voted CPDs are pure functions of (attribute, evidence), so the shared
+//!   CPD cache only decides *when* a value is computed, never what it is;
+//! * an active node completes only through its own draws: a root has no
+//!   parents, and a promoted node is promoted after its last parent has
+//!   shared, so no share can arrive while it owes draws.
+//!
+//! Completions therefore happen in the same order, with the same recorded
+//! points and the same shares. Each node keeps its points in one flat
+//! `u16` arena, only if it has children, and only until its children have
+//! been served: a node completes once and shares in that one pass.
+//!
 //! Sample sharing only ever crosses cover edges, so the *connected
 //! components* of the DAG are independent sampling problems. The workload
 //! runner exploits that: components fan out over the shared rayon executor
-//! while the round-robin schedule inside each component stays sequential.
-//! Chain seeds derive from global node indices, making results
-//! bit-identical for any thread count. The engine wrapper is
+//! while the schedule inside each component stays sequential. Chain seeds
+//! derive from global node indices, making results bit-identical for any
+//! thread count. The engine wrapper is
 //! [`crate::infer::engine::TupleDagWorkload`].
 
 use crate::config::{GibbsConfig, VotingConfig};
@@ -200,35 +220,36 @@ impl TupleDag {
     }
 }
 
-/// Per-node sampling state.
+/// Per-node sampling state of one component, indexed by the node's
+/// position in the component.
 struct NodeState {
     indexer: JointIndexer,
     counts: Vec<u32>,
-    /// Recorded full-arity points (kept for sharing with children).
-    points: Vec<Box<[u16]>>,
+    /// Recorded samples, own draws and shared ones alike.
+    samples: usize,
+    /// Recorded full-arity points, one row after another. Kept only for a
+    /// node with children, and only until it has shared them.
+    points: Vec<u16>,
+    keeps_points: bool,
     completed: bool,
     pending_parents: usize,
+    /// Round-robin visits not yet drawn: one sweep each.
+    owed: usize,
 }
 
 impl NodeState {
-    fn samples(&self) -> usize {
-        self.points.len()
-    }
-
     fn record(&mut self, point: &[u16]) {
-        let combo: Vec<mrsl_relation::ValueId> = self
-            .indexer
-            .attrs()
-            .iter()
-            .map(|a| mrsl_relation::ValueId(point[a.index()]))
-            .collect();
-        self.counts[self.indexer.index_of(&combo)] += 1;
-        self.points.push(point.into());
+        self.counts[self.indexer.index_of_state(point)] += 1;
+        self.samples += 1;
+        if self.keeps_points {
+            self.points.extend_from_slice(point);
+        }
     }
 }
 
 /// Runs Algorithm 3 over a workload: builds the tuple DAG once, then
-/// samples its connected components in parallel on the shared executor.
+/// samples its connected components in parallel on the shared executor,
+/// one [`InferContext`] per component.
 ///
 /// Deterministic for a given `seed` regardless of thread count: chain
 /// seeds derive from global node indices and components are independent.
@@ -246,7 +267,10 @@ pub(crate) fn run_workload_dag(
 
     let per_component: Vec<(Vec<(usize, JointEstimate)>, SamplingCost)> = components
         .into_par_iter()
-        .map(|nodes| sample_component(model, voting, burn_in, samples, &dag, &nodes, seed))
+        .map(|nodes| {
+            let mut ctx = InferContext::new(model, voting, seed);
+            sample_component(&mut ctx, burn_in, samples, &dag, &nodes)
+        })
         .collect();
 
     let mut node_estimates: Vec<Option<JointEstimate>> = vec![None; dag.len()];
@@ -271,50 +295,52 @@ pub(crate) fn run_workload_dag(
 }
 
 /// The round-robin root schedule of Algorithm 3, restricted to one
-/// connected component (`nodes`, ascending). Returns the estimates of the
-/// component's nodes and the component's sampling cost.
-fn sample_component(
-    model: &MrslModel,
-    voting: VotingConfig,
+/// connected component (`nodes`, ascending), on `ctx`'s model, voting and
+/// warm CPD cache. Chain seeds derive from `ctx.seed()` and each node's
+/// global index. Returns the estimates of the component's nodes and the
+/// component's sampling cost.
+///
+/// The round-robin runs on counters: a visit owes the node one draw. When
+/// a node's samples plus owed draws reach `N`, its chain is created,
+/// burnt in and run for all owed sweeps in one loop, and the node then
+/// completes and shares exactly as if each visit had drawn in turn (see
+/// the module documentation for why the two are the same).
+pub(crate) fn sample_component(
+    ctx: &mut InferContext<'_>,
     burn_in: usize,
     samples: usize,
     dag: &TupleDag,
     nodes: &[usize],
-    seed: u64,
 ) -> (Vec<(usize, JointEstimate)>, SamplingCost) {
-    let mut ctx = InferContext::new(model, voting, seed);
+    let schema = ctx.model().schema();
     let mut cost = SamplingCost::default();
-    let mut states: FxHashMap<usize, NodeState> = nodes
+    let mut states: Vec<NodeState> = nodes
         .iter()
         .map(|&i| {
             let tuple = &dag.nodes()[i];
-            let indexer = JointIndexer::new(model.schema(), tuple.missing_mask());
-            let state = NodeState {
+            let indexer = JointIndexer::new(schema, tuple.missing_mask());
+            NodeState {
                 counts: vec![0u32; indexer.size()],
                 indexer,
+                samples: 0,
                 points: Vec::new(),
+                keeps_points: !dag.children(i).is_empty(),
                 completed: tuple.is_complete(),
                 pending_parents: dag.parents(i).len(),
-            };
-            (i, state)
+                owed: 0,
+            }
         })
         .collect();
 
     // Roots first (ascending, matching the global schedule's visit order);
     // trivially-completed nodes propagate before any sampling happens.
-    let mut active: VecDeque<usize> = nodes
-        .iter()
-        .copied()
-        .filter(|&i| dag.parents(i).is_empty() && !states[&i].completed)
+    let mut active: VecDeque<usize> = (0..nodes.len())
+        .filter(|&k| dag.parents(nodes[k]).is_empty() && !states[k].completed)
         .collect();
-    let mut chains: FxHashMap<usize, GibbsChain> = FxHashMap::default();
-    let mut done_queue: Vec<usize> = nodes
-        .iter()
-        .copied()
-        .filter(|&i| states[&i].completed)
-        .collect();
+    let mut done_queue: Vec<usize> = (0..nodes.len()).filter(|&k| states[k].completed).collect();
     propagate_completions(
         dag,
+        nodes,
         &mut states,
         samples,
         &mut cost,
@@ -323,88 +349,104 @@ fn sample_component(
     );
 
     while let Some(r) = active.pop_front() {
-        if states[&r].completed {
+        let state = &mut states[r];
+        debug_assert!(
+            !state.completed,
+            "only its own draws complete an active node"
+        );
+        // Line 9: this visit owes one recorded sample.
+        state.owed += 1;
+        if state.samples + state.owed < samples {
+            active.push_back(r);
             continue;
         }
-        let chain = chains.entry(r).or_insert_with(|| {
-            cost.chains += 1;
-            let mut chain = GibbsChain::new(model, &dag.nodes()[r], derive_seed(seed, &[r as u64]));
-            // Lines 6–8: burn-in on first visit, samples discarded.
-            for _ in 0..burn_in {
-                chain.sweep(&mut ctx);
-            }
-            cost.burn_in_draws += burn_in;
-            cost.total_draws += burn_in;
-            chain
-        });
-        // Line 9: one recorded sample per visit.
-        let point = chain.sweep(&mut ctx).to_vec().into_boxed_slice();
-        cost.total_draws += 1;
-        let state = states.get_mut(&r).expect("active node is in the component");
-        state.record(&point);
-        if state.samples() >= samples {
-            // Lines 10–21: completion and sample sharing.
-            state.completed = true;
-            chains.remove(&r);
-            done_queue.push(r);
-            propagate_completions(
-                dag,
-                &mut states,
-                samples,
-                &mut cost,
-                &mut active,
-                &mut done_queue,
-            );
-        } else {
-            active.push_back(r);
+        // Lines 6–9 for every visit at once: burn-in, then the owed draws.
+        let node = nodes[r];
+        let mut chain = GibbsChain::new(
+            ctx.model(),
+            &dag.nodes()[node],
+            derive_seed(ctx.seed(), &[node as u64]),
+        );
+        for _ in 0..burn_in {
+            chain.sweep(ctx);
         }
+        let owed = std::mem::take(&mut state.owed);
+        for _ in 0..owed {
+            state.record(chain.sweep(ctx));
+        }
+        cost.chains += 1;
+        cost.burn_in_draws += burn_in;
+        cost.total_draws += burn_in + owed;
+        // Lines 10–21: completion and sample sharing.
+        state.completed = true;
+        done_queue.push(r);
+        propagate_completions(
+            dag,
+            nodes,
+            &mut states,
+            samples,
+            &mut cost,
+            &mut active,
+            &mut done_queue,
+        );
     }
 
     let estimates = nodes
         .iter()
-        .map(|&i| (i, make_estimate(&states[&i])))
+        .zip(states)
+        .map(|(&i, state)| (i, make_estimate(state.indexer, &state.counts)))
         .collect();
     (estimates, cost)
 }
 
 /// `ShareSamples` + root promotion: drains the completion worklist,
-/// sharing each completed node's points with its children.
+/// sharing each completed node's points with its children. A node
+/// completes once, so this is the only pass that reads its points; the
+/// arena is dropped at the end of it.
 fn propagate_completions(
     dag: &TupleDag,
-    states: &mut FxHashMap<usize, NodeState>,
+    nodes: &[usize],
+    states: &mut [NodeState],
     samples: usize,
     cost: &mut SamplingCost,
     active: &mut VecDeque<usize>,
     done_queue: &mut Vec<usize>,
 ) {
     while let Some(r) = done_queue.pop() {
-        for &s in dag.children(r) {
-            if states[&s].completed {
+        let points = std::mem::take(&mut states[r].points);
+        let parent_tuple = &dag.nodes()[nodes[r]];
+        for &child in dag.children(nodes[r]) {
+            let s = nodes
+                .binary_search(&child)
+                .expect("child is in the component");
+            let state = &mut states[s];
+            if state.completed {
                 continue;
             }
-            // Share matching samples (only as many as still needed).
-            let child_tuple = &dag.nodes()[s];
-            let needed = samples.saturating_sub(states[&s].samples());
-            if needed > 0 {
-                let parent_points: Vec<Box<[u16]>> = states[&r]
-                    .points
-                    .iter()
-                    .filter(|p| point_matches(p, child_tuple))
-                    .take(needed)
-                    .cloned()
-                    .collect();
-                let child = states.get_mut(&s).expect("child is in the component");
-                for p in parent_points {
-                    child.record(&p);
-                    cost.shared_samples += 1;
-                }
+            // Share matching samples (only as many as still needed). Every
+            // point agrees with the parent's assignments, which the child
+            // shares, so only the child's further assignments are checked.
+            let child_tuple = &dag.nodes()[child];
+            let further: Vec<(usize, u16)> = child_tuple
+                .mask()
+                .difference(parent_tuple.mask())
+                .iter()
+                .map(|a| (a.index(), child_tuple.value_unchecked(a).0))
+                .collect();
+            let needed = samples.saturating_sub(state.samples);
+            for point in points
+                .chunks_exact(parent_tuple.arity())
+                .filter(|p| further.iter().all(|&(a, v)| p[a] == v))
+                .take(needed)
+            {
+                state.record(point);
+                cost.shared_samples += 1;
             }
-            let child = states.get_mut(&s).expect("child is in the component");
-            child.pending_parents = child.pending_parents.saturating_sub(1);
-            if child.samples() >= samples {
-                child.completed = true;
+            state.pending_parents = state.pending_parents.saturating_sub(1);
+            if state.samples >= samples {
+                state.completed = true;
                 done_queue.push(s);
-            } else if child.pending_parents == 0 {
+            } else if state.pending_parents == 0 {
                 // Promotion to root: tops up with its own chain.
                 active.push_back(s);
             }
@@ -412,25 +454,18 @@ fn propagate_completions(
     }
 }
 
-/// Does the full point agree with the tuple's assignments?
-#[inline]
-fn point_matches(point: &[u16], t: &PartialTuple) -> bool {
-    t.assignments()
-        .all(|asg| point[asg.attr.index()] == asg.value.0)
-}
-
-fn make_estimate(state: &NodeState) -> JointEstimate {
-    let n: u32 = state.counts.iter().sum();
-    let probs = if state.indexer.size() == 1 {
+fn make_estimate(indexer: JointIndexer, counts: &[u32]) -> JointEstimate {
+    let n: u32 = counts.iter().sum();
+    let probs = if indexer.size() == 1 {
         vec![1.0]
     } else if n == 0 {
         // Unreachable through the public API; keep a sane fallback.
-        vec![1.0 / state.counts.len() as f64; state.counts.len()]
+        vec![1.0 / counts.len() as f64; counts.len()]
     } else {
-        state.counts.iter().map(|&c| c as f64 / n as f64).collect()
+        counts.iter().map(|&c| c as f64 / n as f64).collect()
     };
     JointEstimate {
-        indexer: state.indexer.clone(),
+        indexer,
         probs,
         sample_count: n as usize,
     }
@@ -445,6 +480,209 @@ pub fn workload_engine(
     match strategy {
         WorkloadStrategy::TupleAtATime => Box::new(GibbsSampler::from_config(config)),
         WorkloadStrategy::TupleDag => Box::new(TupleDagWorkload::from_config(config)),
+    }
+}
+
+/// The per-visit round-robin of Algorithm 3 exactly as the paper states
+/// it: one sweep per visit, every chain kept alive between visits, every
+/// point boxed and kept. The tests hold the counter scheduler to it bit
+/// for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    struct NodeState {
+        indexer: JointIndexer,
+        counts: Vec<u32>,
+        points: Vec<Box<[u16]>>,
+        completed: bool,
+        pending_parents: usize,
+    }
+
+    impl NodeState {
+        fn samples(&self) -> usize {
+            self.points.len()
+        }
+
+        fn record(&mut self, point: &[u16]) {
+            let combo: Vec<mrsl_relation::ValueId> = self
+                .indexer
+                .attrs()
+                .iter()
+                .map(|a| mrsl_relation::ValueId(point[a.index()]))
+                .collect();
+            self.counts[self.indexer.index_of(&combo)] += 1;
+            self.points.push(point.into());
+        }
+    }
+
+    /// Does the full point agree with the tuple's assignments?
+    fn point_matches(point: &[u16], t: &PartialTuple) -> bool {
+        t.assignments()
+            .all(|asg| point[asg.attr.index()] == asg.value.0)
+    }
+
+    /// Algorithm 3 over a workload, one component after another.
+    pub(crate) fn run_workload_dag(
+        model: &MrslModel,
+        voting: VotingConfig,
+        burn_in: usize,
+        samples: usize,
+        workload: &[PartialTuple],
+        seed: u64,
+    ) -> WorkloadResult {
+        let dag = TupleDag::build(workload);
+        let mut node_estimates: Vec<Option<JointEstimate>> = vec![None; dag.len()];
+        let mut cost = SamplingCost::default();
+        for nodes in dag.components() {
+            let (estimates, component_cost) =
+                sample_component(model, voting, burn_in, samples, &dag, &nodes, seed);
+            cost.absorb(&component_cost);
+            for (node, est) in estimates {
+                node_estimates[node] = Some(est);
+            }
+        }
+        let estimates = dag
+            .workload_nodes()
+            .iter()
+            .map(|&node| node_estimates[node].clone().expect("sampled"))
+            .collect();
+        WorkloadResult { estimates, cost }
+    }
+
+    fn sample_component(
+        model: &MrslModel,
+        voting: VotingConfig,
+        burn_in: usize,
+        samples: usize,
+        dag: &TupleDag,
+        nodes: &[usize],
+        seed: u64,
+    ) -> (Vec<(usize, JointEstimate)>, SamplingCost) {
+        let mut ctx = InferContext::new(model, voting, seed);
+        let mut cost = SamplingCost::default();
+        let mut states: FxHashMap<usize, NodeState> = nodes
+            .iter()
+            .map(|&i| {
+                let tuple = &dag.nodes()[i];
+                let indexer = JointIndexer::new(model.schema(), tuple.missing_mask());
+                let state = NodeState {
+                    counts: vec![0u32; indexer.size()],
+                    indexer,
+                    points: Vec::new(),
+                    completed: tuple.is_complete(),
+                    pending_parents: dag.parents(i).len(),
+                };
+                (i, state)
+            })
+            .collect();
+        let mut active: VecDeque<usize> = nodes
+            .iter()
+            .copied()
+            .filter(|&i| dag.parents(i).is_empty() && !states[&i].completed)
+            .collect();
+        let mut chains: FxHashMap<usize, GibbsChain> = FxHashMap::default();
+        let mut done_queue: Vec<usize> = nodes
+            .iter()
+            .copied()
+            .filter(|&i| states[&i].completed)
+            .collect();
+        propagate_completions(
+            dag,
+            &mut states,
+            samples,
+            &mut cost,
+            &mut active,
+            &mut done_queue,
+        );
+
+        while let Some(r) = active.pop_front() {
+            if states[&r].completed {
+                continue;
+            }
+            let chain = chains.entry(r).or_insert_with(|| {
+                cost.chains += 1;
+                let mut chain =
+                    GibbsChain::new(model, &dag.nodes()[r], derive_seed(seed, &[r as u64]));
+                for _ in 0..burn_in {
+                    chain.sweep(&mut ctx);
+                }
+                cost.burn_in_draws += burn_in;
+                cost.total_draws += burn_in;
+                chain
+            });
+            let point = chain.sweep(&mut ctx).to_vec().into_boxed_slice();
+            cost.total_draws += 1;
+            let state = states.get_mut(&r).expect("active node is in the component");
+            state.record(&point);
+            if state.samples() >= samples {
+                state.completed = true;
+                chains.remove(&r);
+                done_queue.push(r);
+                propagate_completions(
+                    dag,
+                    &mut states,
+                    samples,
+                    &mut cost,
+                    &mut active,
+                    &mut done_queue,
+                );
+            } else {
+                active.push_back(r);
+            }
+        }
+
+        let estimates = nodes
+            .iter()
+            .map(|&i| {
+                (
+                    i,
+                    make_estimate(states[&i].indexer.clone(), &states[&i].counts),
+                )
+            })
+            .collect();
+        (estimates, cost)
+    }
+
+    fn propagate_completions(
+        dag: &TupleDag,
+        states: &mut FxHashMap<usize, NodeState>,
+        samples: usize,
+        cost: &mut SamplingCost,
+        active: &mut VecDeque<usize>,
+        done_queue: &mut Vec<usize>,
+    ) {
+        while let Some(r) = done_queue.pop() {
+            for &s in dag.children(r) {
+                if states[&s].completed {
+                    continue;
+                }
+                let child_tuple = &dag.nodes()[s];
+                let needed = samples.saturating_sub(states[&s].samples());
+                if needed > 0 {
+                    let parent_points: Vec<Box<[u16]>> = states[&r]
+                        .points
+                        .iter()
+                        .filter(|p| point_matches(p, child_tuple))
+                        .take(needed)
+                        .cloned()
+                        .collect();
+                    let child = states.get_mut(&s).expect("child is in the component");
+                    for p in parent_points {
+                        child.record(&p);
+                        cost.shared_samples += 1;
+                    }
+                }
+                let child = states.get_mut(&s).expect("child is in the component");
+                child.pending_parents = child.pending_parents.saturating_sub(1);
+                if child.samples() >= samples {
+                    child.completed = true;
+                    done_queue.push(s);
+                } else if child.pending_parents == 0 {
+                    active.push_back(s);
+                }
+            }
+        }
     }
 }
 
@@ -631,6 +869,141 @@ mod tests {
         for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
             for (pa, pb) in ea.probs.iter().zip(&eb.probs) {
                 assert!((pa - pb).abs() < 0.06, "{pa} vs {pb}");
+            }
+        }
+    }
+
+    /// Every estimate's bits and sample count, then every cost counter
+    /// except the wall-clock time.
+    type Fingerprint = (Vec<(Vec<u64>, usize)>, [usize; 4]);
+
+    fn fingerprint(result: &WorkloadResult) -> Fingerprint {
+        let estimates = result
+            .estimates
+            .iter()
+            .map(|e| {
+                (
+                    e.probs.iter().map(|p| p.to_bits()).collect(),
+                    e.sample_count,
+                )
+            })
+            .collect();
+        let c = &result.cost;
+        let counters = [c.total_draws, c.burn_in_draws, c.shared_samples, c.chains];
+        (estimates, counters)
+    }
+
+    /// The counter scheduler against the per-visit reference, on one
+    /// thread and on four.
+    fn assert_matches_reference(
+        m: &MrslModel,
+        workload: &[PartialTuple],
+        burn: usize,
+        n: usize,
+        seed: u64,
+    ) {
+        let voting = VotingConfig::best_averaged();
+        let expected = fingerprint(&reference::run_workload_dag(
+            m, voting, burn, n, workload, seed,
+        ));
+        for threads in [1, 4] {
+            let got = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| run_workload_dag(m, voting, burn, n, workload, seed));
+            assert_eq!(fingerprint(&got), expected, "{threads} threads");
+        }
+    }
+
+    /// BN8 at the scale of the Fig. 11 unit test: 3,000 training points,
+    /// 150 tuples with one to three hidden attributes.
+    #[test]
+    fn bn8_workload_matches_reference() {
+        use mrsl_bayesnet::{catalog, sampler, BayesianNetwork};
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
+        let topology = catalog::by_name("BN8").expect("BN8").topology;
+        let bn = BayesianNetwork::instantiate(&topology, 0.5, 8);
+        let train = sampler::sample_dataset(&bn, 3_000, 1);
+        let m = MrslModel::learn(
+            bn.schema(),
+            &train,
+            &LearnConfig {
+                support_threshold: 0.005,
+                max_itemsets: 1000,
+            },
+        );
+        let arity = bn.schema().attr_count();
+        let mut rng = mrsl_util::seeded_rng(5);
+        let workload: Vec<PartialTuple> = sampler::sample_dataset(&bn, 150, 2)
+            .iter()
+            .map(|p| {
+                let mut attrs: Vec<u16> = (0..arity as u16).collect();
+                attrs.shuffle(&mut rng);
+                let hidden = rng.gen_range(1..=3);
+                attrs[..hidden].iter().fold(p.to_partial(), |t, &a| {
+                    t.without_attr(mrsl_relation::AttrId(a))
+                })
+            })
+            .collect();
+        let res = run(&m, &workload, 50, 200, WorkloadStrategy::TupleDag, 1);
+        assert!(res.cost.shared_samples > 0, "the workload shares samples");
+        assert_matches_reference(&m, &workload, 50, 200, 1);
+    }
+
+    mod properties {
+        use super::*;
+        use mrsl_relation::{CompleteTuple, Schema, SchemaBuilder};
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        /// A random small schema (2–4 attributes of cardinality 2–3), 10–30
+        /// complete points to learn from, and a workload of up to 12
+        /// partial tuples over it.
+        fn arb_case() -> impl Strategy<Value = (Arc<Schema>, Vec<CompleteTuple>, Vec<PartialTuple>)>
+        {
+            prop::collection::vec(2u16..=3, 2..=4).prop_flat_map(|cards| {
+                let mut b = SchemaBuilder::default();
+                for (i, &card) in cards.iter().enumerate() {
+                    b = b.attribute(format!("a{i}"), (0..card).map(|v| format!("v{v}")));
+                }
+                let schema = b.build().expect("valid schema");
+                let point = cards.iter().map(|&c| 0..c).collect::<Vec<_>>();
+                let partial = cards
+                    .iter()
+                    .map(|&c| prop::option::of(0..c))
+                    .collect::<Vec<_>>();
+                (
+                    Just(schema),
+                    prop::collection::vec(point.prop_map(CompleteTuple::from_values), 10..30),
+                    prop::collection::vec(
+                        partial.prop_map(|opts| PartialTuple::from_options(&opts)),
+                        0..12,
+                    ),
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The counter scheduler reproduces the per-visit reference
+            /// bit for bit on random workloads, burn-ins and sample sizes.
+            #[test]
+            fn counter_schedule_matches_reference(
+                (schema, points, workload) in arb_case(),
+                burn in 0usize..20,
+                n in 0usize..60,
+                seed in 0u64..1_000,
+            ) {
+                let m = MrslModel::learn(
+                    &schema,
+                    &points,
+                    &LearnConfig { support_threshold: 0.05, max_itemsets: 200 },
+                );
+                assert_matches_reference(&m, &workload, burn, n, seed);
             }
         }
     }

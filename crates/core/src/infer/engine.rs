@@ -23,11 +23,13 @@
 
 use crate::config::{GibbsConfig, VotingConfig};
 use crate::infer::batch;
-use crate::infer::dag::{run_workload_dag, SamplingCost, WorkloadResult};
+use crate::infer::dag::{
+    run_workload_dag, sample_component, SamplingCost, TupleDag, WorkloadResult,
+};
 use crate::infer::gibbs::{GibbsChain, JointEstimate};
 use crate::infer::single::vote;
 use crate::model::MrslModel;
-use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple, ValueId};
+use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple};
 use mrsl_util::{derive_seed, FxHashMap};
 use std::rc::Rc;
 
@@ -274,14 +276,8 @@ impl InferenceEngine for GibbsSampler {
             chain.sweep(ctx);
         }
         let mut counts = vec![0u32; indexer.size()];
-        let mut combo = vec![ValueId(0); chain.missing().len()];
         for _ in 0..self.samples {
-            chain.sweep(ctx);
-            let state = chain.state();
-            for (slot, &a) in combo.iter_mut().zip(chain.missing()) {
-                *slot = ValueId(state[a.index()]);
-            }
-            counts[indexer.index_of(&combo)] += 1;
+            counts[indexer.index_of_state(chain.sweep(ctx))] += 1;
         }
         let probs = if self.samples == 0 {
             // Degenerate configuration: no recorded sweeps. Fall back to
@@ -380,20 +376,15 @@ impl InferenceEngine for TupleDagWorkload {
         "tuple-dag"
     }
 
-    /// A single tuple is a singleton workload: one chain, no sharing.
+    /// A single tuple is a singleton workload: one chain, no sharing, run
+    /// on the caller's context and its warm CPD cache.
     fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
-        let mut result = run_workload_dag(
-            ctx.model(),
-            ctx.voting(),
-            self.burn_in,
-            self.samples,
-            std::slice::from_ref(t),
-            ctx.seed(),
-        );
-        result
-            .estimates
+        let dag = TupleDag::build(std::slice::from_ref(t));
+        let (mut estimates, _) = sample_component(ctx, self.burn_in, self.samples, &dag, &[0]);
+        estimates
             .pop()
             .expect("singleton workload yields one estimate")
+            .1
     }
 
     /// Algorithm 3 proper. Independent DAG components run in parallel on

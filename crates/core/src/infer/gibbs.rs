@@ -97,16 +97,6 @@ impl GibbsChain {
         }
     }
 
-    /// The missing attributes, ascending.
-    pub fn missing(&self) -> &[AttrId] {
-        &self.missing
-    }
-
-    /// The current full assignment.
-    pub fn state(&self) -> &[u16] {
-        &self.state
-    }
-
     /// Performs one ordered sweep (resamples every missing attribute once)
     /// and returns the updated full state.
     pub fn sweep(&mut self, ctx: &mut InferContext<'_>) -> &[u16] {

@@ -8,7 +8,8 @@
 //!
 //! Defaults run scaled-down parameters (minutes); `--full` restores the
 //! paper-scale settings (CPU-hours). `--json` emits machine-readable
-//! output for EXPERIMENTS.md tooling.
+//! output for EXPERIMENTS.md tooling; each report records the host's core
+//! count and the command line that produced it.
 
 #![forbid(unsafe_code)]
 
@@ -102,6 +103,11 @@ fn main() {
             .collect()
     };
 
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let command = std::iter::once("repro")
+        .chain(args.iter().map(String::as_str))
+        .collect::<Vec<_>>()
+        .join(" ");
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut json_reports = Vec::new();
@@ -113,6 +119,8 @@ fn main() {
             let mut value = report.to_json();
             value["elapsed_secs"] = serde_json::json!(secs);
             value["full_scale"] = serde_json::json!(opts.full);
+            value["host_cores"] = serde_json::json!(host_cores);
+            value["command"] = serde_json::json!(command);
             json_reports.push(value);
         } else {
             writeln!(out, "{report}").expect("stdout");

@@ -123,9 +123,14 @@ pub fn run(opts: &ExpOptions) -> Report {
 mod tests {
     use super::*;
     use crate::framework::CellSpec;
+    use mrsl_core::{MrslModel, WorkloadResult};
+    use mrsl_relation::PartialTuple;
+    use mrsl_util::FxHasher;
+    use std::hash::Hasher;
 
-    #[test]
-    fn dag_beats_baseline_on_sample_size() {
+    /// The BN8 workload both tests sample: 150 test tuples with up to
+    /// three hidden attributes, B = 50, N = 200.
+    fn bn8_fixture() -> (MrslModel, Vec<PartialTuple>, GibbsConfig) {
         let net = mrsl_bayesnet::catalog::by_name("BN8").unwrap().topology;
         let mut spec = CellSpec::new(net, 3_000, 150);
         spec.support = 0.005;
@@ -136,20 +141,41 @@ mod tests {
             samples: 200,
             voting: VotingConfig::best_averaged(),
         };
-        let base = infer_batch(
-            &ctx.model,
-            &workload,
-            workload_engine(WorkloadStrategy::TupleAtATime, &gibbs).as_ref(),
-            gibbs.voting,
-            1,
-        );
-        let dag = infer_batch(
-            &ctx.model,
-            &workload,
-            workload_engine(WorkloadStrategy::TupleDag, &gibbs).as_ref(),
-            gibbs.voting,
-            1,
-        );
+        (ctx.model, workload, gibbs)
+    }
+
+    fn run_strategy(
+        model: &MrslModel,
+        workload: &[PartialTuple],
+        gibbs: &GibbsConfig,
+        strategy: WorkloadStrategy,
+    ) -> WorkloadResult {
+        let engine = workload_engine(strategy, gibbs);
+        infer_batch(model, workload, engine.as_ref(), gibbs.voting, 1)
+    }
+
+    /// Every estimate's bits and sample count, then every cost counter
+    /// except the wall-clock time.
+    fn digest(result: &WorkloadResult) -> u64 {
+        let mut h = FxHasher::default();
+        for est in &result.estimates {
+            h.write_usize(est.sample_count);
+            for p in &est.probs {
+                h.write_u64(p.to_bits());
+            }
+        }
+        let c = &result.cost;
+        for n in [c.total_draws, c.burn_in_draws, c.shared_samples, c.chains] {
+            h.write_usize(n);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn dag_beats_baseline_on_sample_size() {
+        let (model, workload, gibbs) = bn8_fixture();
+        let base = run_strategy(&model, &workload, &gibbs, WorkloadStrategy::TupleAtATime);
+        let dag = run_strategy(&model, &workload, &gibbs, WorkloadStrategy::TupleDag);
         assert!(
             dag.cost.total_draws < base.cost.total_draws,
             "dag {} vs baseline {}",
@@ -157,5 +183,22 @@ mod tests {
             base.cost.total_draws
         );
         assert!(dag.cost.shared_samples > 0);
+    }
+
+    /// The tuple-DAG estimates and cost counters on the BN8 workload are
+    /// pinned: any change to the schedule, the seeds or the sharing order
+    /// shows up here, at every thread count.
+    #[test]
+    fn dag_estimates_match_pinned_digest_at_any_thread_count() {
+        const PINNED: u64 = 14_484_859_554_181_150_682;
+        let (model, workload, gibbs) = bn8_fixture();
+        for threads in [1, 2, 8] {
+            let result = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| run_strategy(&model, &workload, &gibbs, WorkloadStrategy::TupleDag));
+            assert_eq!(digest(&result), PINNED, "{threads} threads");
+        }
     }
 }

@@ -80,11 +80,19 @@ impl JointIndexer {
     /// Index of the combination a complete tuple takes on these attributes.
     #[inline]
     pub fn index_of_point(&self, t: &CompleteTuple) -> usize {
-        let mut idx = 0;
-        for (i, &a) in self.attrs.iter().enumerate() {
-            idx += t.value(a).index() * self.strides[i];
-        }
-        idx
+        self.index_of_state(t.raw())
+    }
+
+    /// Index of the combination a full-arity state takes on these
+    /// attributes: `state` holds one value per schema attribute, indexed by
+    /// attribute id (a Gibbs chain's state, a sampled point).
+    #[inline]
+    pub fn index_of_state(&self, state: &[u16]) -> usize {
+        self.attrs
+            .iter()
+            .zip(&self.strides)
+            .map(|(a, &stride)| state[a.index()] as usize * stride)
+            .sum()
     }
 
     /// Index of the combination a partial tuple takes; `None` when the
@@ -160,6 +168,26 @@ mod tests {
         // A tuple missing an indexed attribute yields None.
         let missing = PartialTuple::from_options(&[Some(2), None, Some(0), Some(1)]);
         assert_eq!(ix.index_of_partial(&missing), None);
+    }
+
+    #[test]
+    fn state_index_agrees_with_index_of() {
+        let s = fig1_schema();
+        let ix = JointIndexer::new(&s, AttrMask::from_attrs([AttrId(0), AttrId(1), AttrId(3)]));
+        assert_eq!(ix.size(), 18);
+        for idx in 0..ix.size() {
+            let combo = ix.decode(idx);
+            let values: Vec<ValueId> = combo.iter().map(|&(_, v)| v).collect();
+            // The unindexed attribute's value must not matter.
+            for unindexed in 0..2 {
+                let mut state = vec![0u16, 0, unindexed, 0];
+                for &(a, v) in &combo {
+                    state[a.index()] = v.0;
+                }
+                assert_eq!(ix.index_of_state(&state), ix.index_of(&values));
+                assert_eq!(ix.index_of_state(&state), idx);
+            }
+        }
     }
 
     #[test]

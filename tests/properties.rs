@@ -1,7 +1,9 @@
 //! Property-based tests (proptest) over cross-crate invariants.
 
 use mrsl_repro::bayesnet::{conditional, conditional_brute_force, BayesianNetwork};
-use mrsl_repro::core::{InferContext, LearnConfig, MrslModel, TupleDag, VotingConfig};
+use mrsl_repro::core::{
+    infer_batch, InferContext, LearnConfig, MrslModel, TupleDag, TupleDagWorkload, VotingConfig,
+};
 use mrsl_repro::itemset::{AprioriConfig, FrequentItemsets, Itemset};
 use mrsl_repro::relation::{AttrId, AttrMask, CompleteTuple, PartialTuple, Schema, SchemaBuilder};
 use proptest::prelude::*;
@@ -195,6 +197,44 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Tuple-DAG accounting: every distinct incomplete tuple ends with
+    /// exactly `N` samples, so own draws plus shares add up to `N` per
+    /// distinct incomplete tuple, and every chain burns in exactly once.
+    /// A lost or double-recorded share breaks the sum.
+    #[test]
+    fn tuple_dag_accounts_every_sample(
+        (schema, points, workload) in arb_schema().prop_flat_map(|s| {
+            (
+                Just(s.clone()),
+                arb_points(s.clone(), 10..30),
+                prop::collection::vec(arb_partial(s), 0..16),
+            )
+        }),
+        burn_in in 0usize..20,
+        samples in 1usize..80,
+        seed in 0u64..1_000,
+    ) {
+        let model = MrslModel::learn(
+            &schema,
+            &points,
+            &LearnConfig { support_threshold: 0.05, max_itemsets: 200 },
+        );
+        let engine = TupleDagWorkload { burn_in, samples };
+        let res = infer_batch(&model, &workload, &engine, VotingConfig::best_averaged(), seed);
+        for (t, est) in workload.iter().zip(&res.estimates) {
+            let expected = if t.is_complete() { 0 } else { samples };
+            prop_assert_eq!(est.sample_count, expected);
+        }
+        let incomplete = TupleDag::build(&workload)
+            .nodes()
+            .iter()
+            .filter(|t| !t.is_complete())
+            .count();
+        let c = res.cost;
+        prop_assert_eq!(c.total_draws - c.burn_in_draws + c.shared_samples, samples * incomplete);
+        prop_assert_eq!(c.burn_in_draws, burn_in * c.chains);
     }
 
     /// Variable elimination equals brute-force joint enumeration on random
