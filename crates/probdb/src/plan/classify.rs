@@ -309,18 +309,7 @@ pub(crate) fn shape_violation(
     resolved: &Resolved,
     extra: &[(usize, usize)],
 ) -> Option<(String, String)> {
-    let sgs: Vec<Vec<usize>> = resolved
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| {
-            let mut t = c.terms();
-            t.extend(extra.iter().filter(|&&(ec, _)| ec == ci).map(|&(_, et)| et));
-            t.sort_unstable();
-            t.dedup();
-            t
-        })
-        .collect();
+    let sgs = super::dissociate::extended_class_terms(resolved, extra);
     for i in 0..sgs.len() {
         for j in i + 1..sgs.len() {
             let inter = sgs[i].iter().filter(|t| sgs[j].contains(t)).count();
@@ -437,49 +426,21 @@ pub(crate) fn classify(resolved: &Resolved, compiled: &[CompiledTerm]) -> Classi
             decomposition: SafePlan::Unsafe { reason },
         };
     }
-    let all: Vec<usize> = (0..resolved.terms.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
+    // A hierarchical shape is its own empty dissociation: every
+    // connected component has a covering root class.
+    let decomposition =
+        super::dissociate::decompose(resolved, &[]).expect("hierarchical shapes decompose");
     // 3. Aliases: scanning one relation twice shares its block choices
     // across the scans, so the independent-product safe plan is a
     // *dissociation* of the query, not its exact value.
-    if !alias_groups(resolved).is_empty() {
-        return Classification {
-            class: PlanClass::Dissociable,
-            decomposition: decompose(resolved, &all, &active),
-        };
-    }
-    Classification {
-        class: PlanClass::Liftable,
-        decomposition: decompose(resolved, &all, &active),
-    }
-}
-
-/// Builds the safe-plan decomposition of a hierarchical component.
-fn decompose(resolved: &Resolved, comp: &[usize], active: &[usize]) -> SafePlan {
-    if comp.len() == 1 {
-        return SafePlan::Scan {
-            relation: resolved.terms[comp[0]].name.clone(),
-        };
-    }
-    // The root class covers every term of a connected hierarchical
-    // component (laminar family with a unique maximal element).
-    let Some(&root) = active.iter().find(|&&c| {
-        let terms = resolved.classes[c].terms();
-        comp.iter().all(|t| terms.contains(t))
-    }) else {
-        return SafePlan::Unsafe {
-            reason: "disconnected join components".into(),
-        };
+    let class = if alias_groups(resolved).is_empty() {
+        PlanClass::Liftable
+    } else {
+        PlanClass::Dissociable
     };
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let class_terms: Vec<Vec<usize>> = resolved.classes.iter().map(Class::terms).collect();
-    let inputs = components(&class_terms, comp, &remaining)
-        .into_iter()
-        .map(|sub| decompose(resolved, &sub, &remaining))
-        .collect();
-    SafePlan::KeyPartition {
-        key: resolved.classes[root].label.clone(),
-        inputs,
+    Classification {
+        class,
+        decomposition,
     }
 }
 

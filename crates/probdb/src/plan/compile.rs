@@ -9,12 +9,13 @@
 //!    tag joins it in the cache key, and every hit re-verifies full
 //!    structural equality ([`CachedPlan::matches`]) so fingerprint
 //!    collisions cannot reuse a wrong plan.
-//! 2. **Lowering** — [`compile_boolean`] / [`compile_bound`] walk the
-//!    same component/covering-root recursion as the reference
-//!    interpreter (`exact::component_probability`,
-//!    `dissociate::component_bound`, reachable only through
-//!    [`crate::testutil::interpreted`]) but emit flat [`vm::Op`]s
-//!    instead of recursing over row maps; [`compile_count`] captures the
+//! 2. **Lowering** — [`lower`] walks the same component/covering-root
+//!    recursion as the reference tape (`grad::record`, reachable only
+//!    through [`crate::testutil::interpreted`] and the gradient) but
+//!    emits flat [`vm::Op`]s instead of recursing over row maps. It
+//!    lowers one dissociation: the empty one is the exact safe plan, and
+//!    a bounds candidate is one program that [`vm::run_prebound`] runs
+//!    once per bracket side. [`compile_count`] captures the
 //!    deterministic mass-join schedule.
 //! 3. **Peephole** — [`peephole`] fuses all-leaf partition bodies into
 //!    inline leaf lists; the lowering itself already hoists
@@ -47,7 +48,7 @@ use super::dissociate::{
 };
 use super::exact;
 use super::report::{EvalPath, PlanClass, SafePlan};
-use super::vm::{self, BodyStep, BoundsProgram, CountProgram, Op, Program, Transform};
+use super::vm::{self, BodyStep, CountProgram, Op, Program};
 use crate::algebra::{Flattened, ResolvedPair, Statistic};
 use crate::column::SHARD_COUNT;
 use crate::database::ProbDb;
@@ -69,179 +70,91 @@ pub(crate) fn cache_tag(stat: Statistic) -> Option<u8> {
     }
 }
 
-/// Lowers a liftable (hierarchical) shape to a boolean-probability
-/// program, mirroring `exact::component_probability`'s recursion order
-/// exactly.
-pub(crate) fn compile_boolean(resolved: &Resolved) -> Program {
-    let class_terms: Vec<Vec<usize>> = resolved.classes.iter().map(Class::terms).collect();
+/// Lowers one dissociation — the query with the `ext` class memberships
+/// added — to a program, mirroring the reference tape's recursion
+/// (`grad::record`) exactly: terms binding the root partition as usual,
+/// dissociated copies replicated with their replication registers
+/// accumulating the branch count, and every leaf carrying its alias
+/// multiplicity for the run's [`Mode`]. `lower(resolved, &[])` is the
+/// exact safe plan of a liftable shape.
+pub(crate) fn lower(resolved: &Resolved, ext: &[(usize, usize)]) -> Program {
+    let mut lowering = Lowering {
+        resolved,
+        class_terms: extended_class_terms(resolved, ext),
+        alias_k: alias_multiplicities(resolved),
+        paths: vec![Vec::new(); resolved.terms.len()],
+        ops: Vec::new(),
+    };
     let all: Vec<usize> = (0..resolved.terms.len()).collect();
     let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let mut ops = Vec::new();
-    let mut paths = vec![Vec::new(); resolved.terms.len()];
-    let roots = components(&class_terms, &all, &active)
-        .into_iter()
-        .map(|comp| lower_exact(resolved, &class_terms, &comp, &active, &mut paths, &mut ops))
+    let roots = components(&lowering.class_terms, &all, &active)
+        .iter()
+        .map(|comp| lowering.component(comp, &active))
         .collect();
-    peephole(Program { ops, roots, paths })
+    peephole(Program {
+        ops: lowering.ops,
+        roots,
+        paths: lowering.paths,
+    })
 }
 
-fn lower_exact(
-    resolved: &Resolved,
-    class_terms: &[Vec<usize>],
-    comp: &[usize],
-    active: &[usize],
-    paths: &mut [Vec<usize>],
-    ops: &mut Vec<Op>,
-) -> u32 {
-    if comp.len() == 1 {
-        ops.push(Op::Leaf {
-            term: comp[0] as u32,
-            transform: Transform::Identity,
-        });
-        return (ops.len() - 1) as u32;
-    }
-    let root = *active
-        .iter()
-        .find(|&&c| {
-            let terms = resolved.classes[c].terms();
-            comp.iter().all(|t| terms.contains(t))
-        })
-        .expect("hierarchical connected component has a covering class");
-    let binding: Vec<(u32, u32)> = comp
-        .iter()
-        .map(|&t| {
-            paths[t].push(root);
-            (t as u32, (paths[t].len() - 1) as u32)
-        })
-        .collect();
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let body: Vec<BodyStep> = components(class_terms, comp, &remaining)
-        .iter()
-        .map(|sub| {
-            BodyStep::Eval(lower_exact(
-                resolved,
-                class_terms,
-                sub,
-                &remaining,
-                paths,
-                ops,
-            ))
-        })
-        .collect();
-    ops.push(Op::Partition {
-        binding,
-        copied: Vec::new(),
-        body,
-        fused: None,
-    });
-    (ops.len() - 1) as u32
+/// The lowering's shape context and the program it emits.
+struct Lowering<'a, 'b> {
+    resolved: &'a Resolved<'b>,
+    class_terms: Vec<Vec<usize>>,
+    alias_k: Vec<f64>,
+    paths: Vec<Vec<usize>>,
+    ops: Vec<Op>,
 }
 
-/// Lowers one dissociation candidate to a single-bound program, mirroring
-/// `dissociate::component_bound`: terms binding the root partition as
-/// usual, dissociated copies replicated with their replication registers
-/// accumulating the branch count, and the mode's mass transform at the
-/// leaves.
-pub(crate) fn compile_bound(resolved: &Resolved, ext: &[(usize, usize)], mode: Mode) -> Program {
-    let class_terms = extended_class_terms(resolved, ext);
-    let alias_k = alias_multiplicities(resolved);
-    let all: Vec<usize> = (0..resolved.terms.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let mut ops = Vec::new();
-    let mut paths = vec![Vec::new(); resolved.terms.len()];
-    let roots = components(&class_terms, &all, &active)
-        .into_iter()
-        .map(|comp| {
-            lower_bound(
-                resolved,
-                &class_terms,
-                &alias_k,
-                mode,
-                &comp,
-                &active,
-                &mut paths,
-                &mut ops,
-            )
-        })
-        .collect();
-    peephole(Program { ops, roots, paths })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn lower_bound(
-    resolved: &Resolved,
-    class_terms: &[Vec<usize>],
-    alias_k: &[f64],
-    mode: Mode,
-    comp: &[usize],
-    active: &[usize],
-    paths: &mut [Vec<usize>],
-    ops: &mut Vec<Op>,
-) -> u32 {
-    if comp.len() == 1 {
-        let t = comp[0];
-        let transform = match mode {
-            Mode::Upper => {
-                if alias_k[t] > 1.0 {
-                    Transform::ConjRoot { k: alias_k[t] }
+impl Lowering<'_, '_> {
+    fn component(&mut self, comp: &[usize], active: &[usize]) -> u32 {
+        if comp.len() == 1 {
+            let t = comp[0];
+            return self.emit(Op::Leaf {
+                term: t as u32,
+                k: self.alias_k[t],
+            });
+        }
+        let root = covering_root(self.resolved, &self.class_terms, comp, active)
+            .expect("admissible dissociations decompose");
+        let root_terms = self.resolved.classes[root].terms();
+        let (binding, copied): (Vec<usize>, Vec<usize>) =
+            comp.iter().partition(|t| root_terms.contains(t));
+        let binding = binding
+            .into_iter()
+            .map(|t| {
+                self.paths[t].push(root);
+                (t as u32, (self.paths[t].len() - 1) as u32)
+            })
+            .collect();
+        let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
+        let body = components(&self.class_terms, comp, &remaining)
+            .iter()
+            .map(|sub| {
+                let op = self.component(sub, &remaining);
+                // Copied-only subtrees see the same windows and
+                // replication registers in every branch — loop-invariant,
+                // hoist.
+                if sub.iter().all(|t| copied.contains(t)) {
+                    BodyStep::Hoisted(op)
                 } else {
-                    Transform::Identity
+                    BodyStep::Eval(op)
                 }
-            }
-            Mode::Lower => Transform::DisjRoot,
-        };
-        ops.push(Op::Leaf {
-            term: t as u32,
-            transform,
-        });
-        return (ops.len() - 1) as u32;
+            })
+            .collect();
+        self.emit(Op::Partition {
+            binding,
+            copied: copied.iter().map(|&t| t as u32).collect(),
+            body,
+            fused: None,
+        })
     }
-    let root = covering_root(resolved, class_terms, comp, active)
-        .expect("admissible dissociations decompose");
-    let root_terms = resolved.classes[root].terms();
-    let binding: Vec<(u32, u32)> = comp
-        .iter()
-        .filter(|t| root_terms.contains(t))
-        .map(|&t| {
-            paths[t].push(root);
-            (t as u32, (paths[t].len() - 1) as u32)
-        })
-        .collect();
-    let copied: Vec<usize> = comp
-        .iter()
-        .copied()
-        .filter(|t| !root_terms.contains(t))
-        .collect();
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let body: Vec<BodyStep> = components(class_terms, comp, &remaining)
-        .iter()
-        .map(|sub| {
-            let op = lower_bound(
-                resolved,
-                class_terms,
-                alias_k,
-                mode,
-                sub,
-                &remaining,
-                paths,
-                ops,
-            );
-            // Copied-only subtrees see the same windows and replication
-            // registers in every branch — loop-invariant, hoist.
-            if sub.iter().all(|t| copied.contains(t)) {
-                BodyStep::Hoisted(op)
-            } else {
-                BodyStep::Eval(op)
-            }
-        })
-        .collect();
-    ops.push(Op::Partition {
-        binding,
-        copied: copied.iter().map(|&t| t as u32).collect(),
-        body,
-        fused: None,
-    });
-    (ops.len() - 1) as u32
+
+    fn emit(&mut self, op: Op) -> u32 {
+        self.ops.push(op);
+        (self.ops.len() - 1) as u32
+    }
 }
 
 /// Lowers the expected-count statistic: the single-relation closed form
@@ -282,9 +195,9 @@ fn peephole(mut prog: Program) -> Program {
                         // Memoizable iff this partition is the term's
                         // first binding level (outer window = the full
                         // register for the whole fold).
-                        Op::Leaf { term, transform } => Some((
+                        Op::Leaf { term, k } => Some((
                             *term,
-                            *transform,
+                            *k,
                             binding.iter().any(|&(t, lvl)| t == *term && lvl == 0),
                         )),
                         _ => None,
@@ -303,20 +216,6 @@ fn peephole(mut prog: Program) -> Program {
     prog
 }
 
-/// Compiles every bounds candidate into its upper/lower program pair.
-pub(crate) fn compile_bounds(
-    resolved: &Resolved,
-    candidates: &[Dissociation],
-) -> Vec<BoundsProgram> {
-    candidates
-        .iter()
-        .map(|cand| BoundsProgram {
-            upper: compile_bound(resolved, &cand.extensions, Mode::Upper),
-            lower: compile_bound(resolved, &cand.extensions, Mode::Lower),
-        })
-        .collect()
-}
-
 /// Memo of the bounds report rendering, keyed by the winning
 /// `(upper_at, lower_at)` candidate pair. `describe_bounds` re-derives
 /// the winner's dissociated decomposition — pure shape work, identical
@@ -327,9 +226,10 @@ pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<Stri
 /// Executes compiled bounds candidates over bound registers and
 /// intersects the brackets — the VM counterpart of
 /// `dissociate::evaluate_bounds`, sharing its selection and
-/// report-rendering logic so both pick identical winners. `regs` is
-/// candidate-major, upper program first then lower (their sort paths
-/// differ, so each program gets its own register set).
+/// report-rendering logic so both pick identical winners. `regs[i]` is
+/// candidate `i`'s one register set: its upper and lower bound are the
+/// same program run in the two modes, and a program's sort paths depend
+/// only on its dissociation, so both runs read the same registers.
 ///
 /// The candidate brackets are independent of each other, so on a
 /// multi-threaded rayon pool they evaluate concurrently — the shim
@@ -340,27 +240,27 @@ pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<Stri
 pub(crate) fn run_bounds_prebound(
     resolved: &Resolved,
     candidates: &[Dissociation],
-    programs: &[BoundsProgram],
+    programs: &[Program],
     regs: &[Vec<vm::TermRegs>],
     describe: Option<&DescribeMemo>,
 ) -> DissociatedBounds {
-    let eval_one = |(i, bp): (usize, &BoundsProgram)| {
+    let eval_one = |(prog, regs): (&Program, &Vec<vm::TermRegs>)| {
         (
-            vm::run_prebound(&bp.upper, &regs[2 * i]).clamp(0.0, 1.0),
-            vm::run_prebound(&bp.lower, &regs[2 * i + 1]).clamp(0.0, 1.0),
+            vm::run_prebound(prog, regs, Mode::Upper).clamp(0.0, 1.0),
+            vm::run_prebound(prog, regs, Mode::Lower).clamp(0.0, 1.0),
         )
     };
     let evals: Vec<(f64, f64)> = if rayon::current_num_threads() > 1 && programs.len() > 1 {
         use rayon::prelude::*;
         programs
             .iter()
-            .enumerate()
+            .zip(regs)
             .collect::<Vec<_>>()
             .into_par_iter()
             .map(eval_one)
             .collect()
     } else {
-        programs.iter().enumerate().map(eval_one).collect()
+        programs.iter().zip(regs).map(eval_one).collect()
     };
     let choice = intersect_candidates(&evals);
     let key = (choice.upper_at, choice.lower_at);
@@ -390,12 +290,14 @@ pub(crate) fn run_bounds_prebound(
 #[derive(Debug)]
 pub(crate) enum CompiledProgram {
     /// Exact boolean probability (also the collapsed-bracket case of
-    /// `ProbabilityBounds` on safe shapes).
+    /// `ProbabilityBounds` on safe shapes): the empty dissociation, run
+    /// in [`Mode::Upper`].
     Boolean(Program),
-    /// Dissociation ensemble: per-candidate upper/lower program pairs.
+    /// Dissociation ensemble: one program per candidate, run once per
+    /// bracket side.
     Bounds {
         candidates: Vec<Dissociation>,
-        programs: Vec<BoundsProgram>,
+        programs: Vec<Program>,
     },
     /// Expected count.
     Count(CountProgram),
@@ -420,9 +322,10 @@ pub(crate) struct BoundRegs {
     /// just those leading-key ranges ([`vm::patch_term`]) and splices
     /// the untouched runs over from the memo.
     pub shard_versions: Vec<Vec<u64>>,
-    /// Register sets per program: `[regs]` for a boolean program, the
-    /// [`run_bounds_prebound`] layout for a bounds ensemble, empty for a count
-    /// program (whose memo is [`BoundRegs::count`]).
+    /// One register set per program: `[regs]` for a boolean program, one
+    /// per candidate (in candidate order, shared by both bracket sides)
+    /// for a bounds ensemble, empty for a count program (whose memo is
+    /// [`BoundRegs::count`]).
     pub per_program: Vec<Vec<vm::TermRegs>>,
     /// Memoized grouped mass tables of an expected-count program, step
     /// order; reused per step while that step's term data is unchanged.
@@ -665,10 +568,7 @@ pub(crate) fn rebind_or_patch(
 ) -> RegsMaintenance {
     let programs: Vec<&Program> = match &plan.program {
         CompiledProgram::Boolean(p) => vec![p],
-        CompiledProgram::Bounds { programs, .. } => programs
-            .iter()
-            .flat_map(|bp| [&bp.upper, &bp.lower])
-            .collect(),
+        CompiledProgram::Bounds { programs, .. } => programs.iter().collect(),
         _ => Vec::new(),
     };
     let steps = match &plan.program {

@@ -41,7 +41,7 @@ use super::classify::{
     alias_groups, alias_live_mismatch, components, key_straddle, shape_violation, CompiledTerm,
     Resolved,
 };
-use super::exact::{leaf_probability_with, Rows};
+use super::grad;
 use super::report::SafePlan;
 
 /// One way to make the query hierarchical: class memberships to add
@@ -182,8 +182,9 @@ pub(crate) struct DissociatedBounds {
 }
 
 /// Evaluates every candidate dissociation on both bound modes and
-/// intersects the brackets (reference interpreter; the bytecode VM runs
-/// compiled candidate programs through the same [`intersect_candidates`] /
+/// intersects the brackets (reference recursion: one [`grad::record`]ed
+/// tape per candidate and mode; the bytecode VM runs each candidate's
+/// program twice through the same [`intersect_candidates`] /
 /// [`describe_bounds`] pair, so the two paths pick identical winners).
 pub(crate) fn evaluate_bounds(
     resolved: &Resolved,
@@ -193,10 +194,12 @@ pub(crate) fn evaluate_bounds(
     let evals: Vec<(f64, f64)> = candidates
         .iter()
         .map(|cand| {
-            (
-                bound_probability(resolved, compiled, &cand.extensions, Mode::Upper),
-                bound_probability(resolved, compiled, &cand.extensions, Mode::Lower),
-            )
+            let side = |mode| {
+                grad::record(resolved, compiled, &cand.extensions, mode)
+                    .value()
+                    .clamp(0.0, 1.0)
+            };
+            (side(Mode::Upper), side(Mode::Lower))
         })
         .collect();
     let choice = intersect_candidates(&evals);
@@ -286,11 +289,38 @@ pub(crate) fn describe_bounds(
     (plan, dissociated)
 }
 
-/// Which side of the bracket a recursion computes.
+/// Which side of the bracket a recursion computes. Exact evaluation is
+/// the upper side of the empty dissociation: with no copies every leaf
+/// has `k = d = 1`, and both sides reduce to the plain mass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
     Upper,
     Lower,
+}
+
+impl Mode {
+    /// The Bernoulli mass a leaf block of (clamped) mass `m` contributes
+    /// on this side, for a term with alias multiplicity `k` replicated
+    /// into `d` branches.
+    ///
+    /// * Upper: alias copies are a conjunctive dissociation — `m^(1/k)`
+    ///   per copy multiplies back to `m`; branch replicas keep `m`
+    ///   (disjunctive copies at the original probability only
+    ///   over-count).
+    /// * Lower: branch replicas take the propagation mass
+    ///   `1 - (1-m)^(1/d)` — their `d`-fold disjunction reproduces `m`;
+    ///   alias copies keep `m` (conjunctive copies at the original
+    ///   probability only under-count).
+    ///
+    /// The VM's leaf op and the reference tape both call this, so their
+    /// leaf arithmetic is one definition.
+    pub(crate) fn mass(self, m: f64, k: f64, d: f64) -> f64 {
+        match self {
+            Mode::Upper if k > 1.0 => m.powf(1.0 / k),
+            Mode::Lower if d > 1.0 => 1.0 - (1.0 - m).powf(1.0 / d),
+            _ => m,
+        }
+    }
 }
 
 /// Extended per-class term sets: resolved memberships plus dissociated
@@ -325,38 +355,6 @@ pub(crate) fn covering_root(
     })
 }
 
-/// One bound of the dissociated query, by the generalized safe-plan
-/// recursion: terms that bind the partition key partition as usual; terms
-/// dissociated on it are replicated into every branch, accumulating the
-/// branch count into their replication multiplicity for the lower bound's
-/// mass transform.
-fn bound_probability(
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-    ext: &[(usize, usize)],
-    mode: Mode,
-) -> f64 {
-    let class_terms = extended_class_terms(resolved, ext);
-    let alias_k = alias_multiplicities(resolved);
-    let all: Vec<usize> = (0..compiled.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let live = Rows::live(compiled);
-    let rows: Vec<&Rows> = live.iter().collect();
-    let mut repl = vec![1.0f64; compiled.len()];
-    let cx = BoundCx {
-        resolved,
-        compiled,
-        class_terms: &class_terms,
-        alias_k: &alias_k,
-        mode,
-    };
-    let mut p = 1.0;
-    for comp in components(&class_terms, &all, &active) {
-        p *= component_bound(&cx, &comp, &active, &rows, &mut repl);
-    }
-    p.clamp(0.0, 1.0)
-}
-
 /// Alias multiplicity per term: how many scans share its relation.
 pub(crate) fn alias_multiplicities(resolved: &Resolved) -> Vec<f64> {
     resolved
@@ -372,132 +370,12 @@ pub(crate) fn alias_multiplicities(resolved: &Resolved) -> Vec<f64> {
         .collect()
 }
 
-struct BoundCx<'a, 'b> {
-    resolved: &'a Resolved<'b>,
-    compiled: &'a [CompiledTerm<'b>],
-    class_terms: &'a [Vec<usize>],
-    alias_k: &'a [f64],
-    mode: Mode,
-}
-
-fn component_bound(
-    cx: &BoundCx,
-    comp: &[usize],
-    active: &[usize],
-    rows: &[&Rows],
-    repl: &mut [f64],
-) -> f64 {
-    if comp.len() == 1 {
-        let t = comp[0];
-        return leaf_bound(cx, t, rows[t], repl[t]);
-    }
-    let root = covering_root(cx.resolved, cx.class_terms, comp, active)
-        .expect("admissible dissociations decompose");
-    let binding: Vec<usize> = comp
-        .iter()
-        .copied()
-        .filter(|t| cx.resolved.classes[root].terms().contains(t))
-        .collect();
-    let copied: Vec<usize> = comp
-        .iter()
-        .copied()
-        .filter(|t| !binding.contains(t))
-        .collect();
-
-    // Partition each binding term's live rows by the root-class key.
-    let mut parts: Vec<mrsl_util::FxHashMap<u16, Rows>> = Vec::with_capacity(binding.len());
-    for &t in &binding {
-        let (ckey, akey) = cx.compiled[t]
-            .class_key(root)
-            .expect("binding term has key");
-        let mut map: mrsl_util::FxHashMap<u16, Rows> = mrsl_util::FxHashMap::default();
-        for &r in &rows[t].certain {
-            map.entry(ckey[r as usize]).or_default().certain.push(r);
-        }
-        for &r in &rows[t].alts {
-            map.entry(akey[r as usize]).or_default().alts.push(r);
-        }
-        parts.push(map);
-    }
-    let mut values: Vec<u16> = parts
-        .iter()
-        .min_by_key(|m| m.len())
-        .map(|m| m.keys().copied().collect())
-        .unwrap_or_default();
-    values.sort_unstable();
-    values.retain(|v| parts.iter().all(|m| m.contains_key(v)));
-
-    let d = values.len() as f64;
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let subcomps = components(cx.class_terms, comp, &remaining);
-    // The replication multiplier is identical in every branch (the branch
-    // count `d`), so it is applied once before the value loop and undone
-    // after — no per-branch `repl` clone. Likewise the branch views start
-    // as the outer rows (copied terms replicate unchanged) and only the
-    // binding entries are retargeted per key value.
-    let saved_repl: Vec<f64> = copied.iter().map(|&t| repl[t]).collect();
-    for &t in &copied {
-        repl[t] *= d;
-    }
-    let mut branch_rows: Vec<&Rows> = rows.to_vec();
-    let mut none = 1.0; // P(no key value produces a result)
-    for v in values {
-        for (pi, &t) in binding.iter().enumerate() {
-            branch_rows[t] = parts[pi]
-                .get(&v)
-                .expect("value present in every binding term");
-        }
-        let mut p_v = 1.0;
-        for sub in &subcomps {
-            p_v *= component_bound(cx, sub, &remaining, &branch_rows, repl);
-            if p_v == 0.0 {
-                break;
-            }
-        }
-        none *= 1.0 - p_v;
-        if none == 0.0 {
-            break;
-        }
-    }
-    for (i, &t) in copied.iter().enumerate() {
-        repl[t] = saved_repl[i];
-    }
-    1.0 - none
-}
-
-/// A dissociated leaf: the exact leaf with the mode's mass transform.
-///
-/// * Upper: alias copies are a conjunctive dissociation — `m^(1/k)` per
-///   copy multiplies back to `m`; branch replicas keep `m` (disjunctive
-///   copies at the original probability only over-count).
-/// * Lower: branch replicas take the propagation mass `1 - (1-m)^(1/d)`
-///   — their `d`-fold disjunction reproduces `m`; alias copies keep `m`
-///   (conjunctive copies at the original probability only under-count).
-fn leaf_bound(cx: &BoundCx, t: usize, rows: &Rows, repl: f64) -> f64 {
-    let k = cx.alias_k[t];
-    match cx.mode {
-        Mode::Upper => leaf_probability_with(&cx.compiled[t], rows, |m| {
-            if k > 1.0 {
-                m.powf(1.0 / k)
-            } else {
-                m
-            }
-        }),
-        Mode::Lower => leaf_probability_with(&cx.compiled[t], rows, |m| {
-            if repl > 1.0 {
-                1.0 - (1.0 - m).powf(1.0 / repl)
-            } else {
-                m
-            }
-        }),
-    }
-}
-
-/// The dissociated decomposition: like the classifier's, but the root
-/// class only needs to cover the component under the *extended*
-/// memberships, and terms it does not bind render as [`SafePlan::Copy`].
-/// Returns `None` when some component has no admissible root — such
-/// extension sets are rejected during the candidate search.
+/// The dissociated decomposition: the root class only needs to cover
+/// the component under the *extended* memberships, and terms it does not
+/// bind render as [`SafePlan::Copy`]. With no extensions this is the safe
+/// plan itself, which the classifier reports. Returns `None` when some
+/// component has no admissible root — such extension sets are rejected
+/// during the candidate search.
 pub(crate) fn decompose(resolved: &Resolved, ext: &[(usize, usize)]) -> Option<SafePlan> {
     let class_terms = extended_class_terms(resolved, ext);
     let all: Vec<usize> = (0..resolved.terms.len()).collect();
@@ -688,6 +566,59 @@ mod tests {
             "{}",
             bounds.plan.render()
         );
+    }
+
+    /// A bounds candidate is one program over one register set, run once
+    /// per bracket side; on a liftable join (no copies, no aliases) the
+    /// two sides read the same registers and agree bit for bit.
+    #[test]
+    fn bounds_candidates_bind_one_register_set_each() {
+        use crate::algebra::Statistic;
+        use crate::plan::compile::{cache_tag, lower, CompiledProgram};
+        use crate::plan::{vm, CatalogEngine};
+
+        let catalog = chain_catalog();
+        let engine = CatalogEngine::new(&catalog);
+        let q = chain_query();
+        engine.probability_bounds(&q).unwrap();
+        let tag = cache_tag(Statistic::ProbabilityBounds).unwrap();
+        let (plan, _) = engine
+            .plan_cache()
+            .probe(tag, q.flatten().unwrap().shape_hash())
+            .expect("the bounds plan is cached");
+        let CompiledProgram::Bounds {
+            candidates,
+            programs,
+        } = &plan.program
+        else {
+            panic!("the chain compiles to a bounds ensemble");
+        };
+        assert!(candidates.len() > 1, "{candidates:?}");
+        assert_eq!(programs.len(), candidates.len());
+        let memo = plan.regs.lock().unwrap();
+        let regs = memo.as_ref().expect("the cold run memoizes registers");
+        assert_eq!(regs.per_program.len(), candidates.len());
+
+        let ok = |attr| crate::predicate::Predicate::eq(AttrId(attr), mrsl_relation::ValueId(1));
+        let join = Query::scan("r")
+            .filter(ok(1))
+            .join_on(Query::scan("s").filter(ok(2)), [(AttrId(0), AttrId(0))]);
+        let flat = join.flatten().unwrap();
+        let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
+        let compiled: Vec<CompiledTerm> = resolved
+            .terms
+            .iter()
+            .enumerate()
+            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
+            .collect();
+        let program = lower(&resolved, &[]);
+        let regs = vm::bind_program(&program, &compiled);
+        let upper = vm::run_prebound(&program, &regs, Mode::Upper);
+        let lower_side = vm::run_prebound(&program, &regs, Mode::Lower);
+        assert_eq!(upper.to_bits(), lower_side.to_bits());
+        let (p, _) = engine.probability(&join).unwrap();
+        assert_eq!(upper.to_bits(), p.to_bits());
+        assert!(0.0 < p && p < 1.0, "{p}");
     }
 
     #[test]

@@ -1,15 +1,11 @@
-//! Exact extensional evaluation of safe (hierarchical) query plans.
+//! Exact extensional statistics that need no safe-plan recursion.
 //!
-//! Three evaluators, all running on the columnar stores through the
-//! compiled live-row bitmaps:
+//! The boolean probability is not here: it is the empty dissociation,
+//! lowered to bytecode by [`super::compile::lower`] and recorded as the
+//! reference tape by [`super::grad::record`]. What stays are the two
+//! statistics that are exact for every shape they accept, both running
+//! on the columnar stores through the compiled live-row bitmaps:
 //!
-//! * [`boolean_probability`] — `P(result non-empty)` by the safe-plan
-//!   recursion: partition every relation of a connected component by the
-//!   shared join key, treat key values as independent (sound because the
-//!   classifier verified no block straddles keys — each block's mass lands
-//!   in exactly one partition), recurse into the subcomponents the removed
-//!   key leaves behind, and bottom out at single relations where
-//!   `P(∃ match) = 1 - ∏_blocks (1 - p_block)`.
 //! * [`expected_join_count`] — `E[|result|]` by linearity of expectation:
 //!   every combination of one row per relation that satisfies the join
 //!   contributes the product of its row probabilities (rows of different
@@ -18,155 +14,8 @@
 //! * [`value_marginal`] — the selection-weighted histogram of one
 //!   attribute over a single relation.
 
-use super::classify::{components, Class, CompiledTerm, Resolved};
+use super::classify::{CompiledTerm, Resolved};
 use mrsl_relation::AttrId;
-use mrsl_util::FxHashMap;
-
-/// Live rows of one term inside the recursion: indices into the certain
-/// and alternative column sets.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Rows {
-    pub(crate) certain: Vec<u32>,
-    pub(crate) alts: Vec<u32>,
-}
-
-impl Rows {
-    /// The initial live rows of every compiled term.
-    pub(crate) fn live(compiled: &[CompiledTerm]) -> Vec<Rows> {
-        compiled
-            .iter()
-            .map(|ct| Rows {
-                certain: ct.live_certain.iter_ones().map(|i| i as u32).collect(),
-                alts: ct.live_alts.iter_ones().map(|i| i as u32).collect(),
-            })
-            .collect()
-    }
-}
-
-/// `P(query result is non-empty)` of a classified-safe query.
-pub(crate) fn boolean_probability(resolved: &Resolved, compiled: &[CompiledTerm]) -> f64 {
-    let all: Vec<usize> = (0..compiled.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let class_terms: Vec<Vec<usize>> = resolved.classes.iter().map(Class::terms).collect();
-    let live = Rows::live(compiled);
-    let rows: Vec<&Rows> = live.iter().collect();
-    let mut p = 1.0;
-    for comp in components(&class_terms, &all, &active) {
-        p *= component_probability(resolved, compiled, &comp, &active, &rows);
-    }
-    p
-}
-
-fn component_probability(
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-    comp: &[usize],
-    active: &[usize],
-    rows: &[&Rows],
-) -> f64 {
-    if comp.len() == 1 {
-        return leaf_probability(&compiled[comp[0]], rows[comp[0]]);
-    }
-    // Root class: covers every term of a connected hierarchical component
-    // (guaranteed by classification).
-    let root = *active
-        .iter()
-        .find(|&&c| {
-            let terms = resolved.classes[c].terms();
-            comp.iter().all(|t| terms.contains(t))
-        })
-        .expect("hierarchical connected component has a covering class");
-
-    // Partition each term's live rows by the root-class key value.
-    let mut parts: Vec<FxHashMap<u16, Rows>> = Vec::with_capacity(comp.len());
-    for &t in comp {
-        let (ckey, akey) = compiled[t].class_key(root).expect("root covers the term");
-        let mut map: FxHashMap<u16, Rows> = FxHashMap::default();
-        for &r in &rows[t].certain {
-            map.entry(ckey[r as usize]).or_default().certain.push(r);
-        }
-        for &r in &rows[t].alts {
-            map.entry(akey[r as usize]).or_default().alts.push(r);
-        }
-        parts.push(map);
-    }
-
-    // Candidate key values: present in every term of the component (a
-    // value missing anywhere zeroes that branch). Iterate the smallest map
-    // in sorted order for determinism.
-    let probe = parts
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, m)| m.len())
-        .map(|(i, _)| i)
-        .expect("component is non-empty");
-    let mut values: Vec<u16> = parts[probe].keys().copied().collect();
-    values.sort_unstable();
-    values.retain(|v| parts.iter().all(|m| m.contains_key(v)));
-
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let class_terms: Vec<Vec<usize>> = resolved.classes.iter().map(Class::terms).collect();
-    let subcomps = components(&class_terms, comp, &remaining);
-    let mut none = 1.0; // P(no key value produces a result)
-                        // One scratch view per recursion level, retargeted per key value —
-                        // no per-branch `Rows` clones. Entries outside `comp` are never read
-                        // by the subcomponent recursion.
-    let mut branch_rows: Vec<&Rows> = rows.to_vec();
-    for v in values {
-        // Rows of this branch: the v-partitions. Branches over different
-        // values touch disjoint blocks (no block straddles keys), so they
-        // are independent.
-        for (pi, &t) in comp.iter().enumerate() {
-            branch_rows[t] = parts[pi].get(&v).expect("value present everywhere");
-        }
-        let mut p_v = 1.0;
-        for sub in &subcomps {
-            p_v *= component_probability(resolved, compiled, sub, &remaining, &branch_rows);
-            if p_v == 0.0 {
-                break;
-            }
-        }
-        none *= 1.0 - p_v;
-        if none == 0.0 {
-            break;
-        }
-    }
-    1.0 - none
-}
-
-/// `P(∃ live row)` of one relation: certain rows decide it; otherwise the
-/// per-block masses are independent Bernoulli trials.
-fn leaf_probability(ct: &CompiledTerm, rows: &Rows) -> f64 {
-    leaf_probability_with(ct, rows, |mass| mass)
-}
-
-/// [`leaf_probability`] with a parameterized per-block mass: dissociation
-/// evaluates the same leaves with transformed Bernoulli masses (e.g.
-/// `m^(1/k)` for the conjunctive upper bound of `k` aliased copies,
-/// `1 - (1-m)^(1/d)` for the disjunctive lower bound of `d` replicated
-/// copies), so both bounds share the exact path's arithmetic.
-pub(crate) fn leaf_probability_with(
-    ct: &CompiledTerm,
-    rows: &Rows,
-    transform: impl Fn(f64) -> f64,
-) -> f64 {
-    if !rows.certain.is_empty() {
-        return 1.0;
-    }
-    let probs = ct.db.columns().alt_probs();
-    let mut none = 1.0;
-    let mut i = 0;
-    while i < rows.alts.len() {
-        let block = ct.alt_block[rows.alts[i] as usize];
-        let mut mass = 0.0;
-        while i < rows.alts.len() && ct.alt_block[rows.alts[i] as usize] == block {
-            mass += probs[rows.alts[i] as usize];
-            i += 1;
-        }
-        none *= (1.0 - transform(mass.min(1.0))).max(0.0);
-    }
-    1.0 - none
-}
 
 /// `E[|result|]` of any conjunctive query shape, by joining per-relation
 /// expected-mass tables over the join-class assignments.

@@ -1,28 +1,35 @@
-//! Reverse-mode differentiation of the safe plan.
+//! The reference recursion: the safe plan and its dissociations as a
+//! differentiable tape.
 //!
-//! A liftable boolean plan is a pure product/complement tree over the
-//! block-alternative masses: the recursion of
-//! [`exact::boolean_probability`](super::exact) multiplies component
-//! probabilities, each key partition computes `1 - Π_v (1 - p_v)` over
-//! its candidate key values, each branch multiplies its subcomponents,
-//! and each leaf computes `1 - Π_b (1 - mass_b)` over its live blocks.
-//! That makes `P(Q)` differentiable in every alternative mass `m_{b,a}`
-//! — the quantity "Learning Tuple Probabilities" (Dylla & Theobald)
-//! gradient-descends on to fit labeled query answers.
+//! Exact evaluation is the dissociation with no copies (Gatterbauer &
+//! Suciu's "Dissociation and Propagation"), so one recursion serves both:
+//! [`record`] walks the component/covering-root recursion over row maps
+//! for an extension set and a bracket [`Mode`] — `(&[], Mode::Upper)` is
+//! the exact plan — and [`Tape::value`] is the answer the bytecode VM
+//! must reproduce bit for bit. Each connected component multiplies in;
+//! each key partition computes `1 - Π_v (1 - p_v)` over its candidate key
+//! values, replicating terms it does not bind into every branch (their
+//! replication count `d` grows by the branch count); each branch
+//! multiplies its subcomponents; and each leaf computes
+//! `1 - Π_b (1 - t(mass_b))` over its live blocks, where `t` is
+//! [`Mode::mass`] for the term's alias multiplicity `k` and its current
+//! `d`.
 //!
-//! The forward pass mirrors the interpreter recursion but records a
-//! *tape*: one node per leaf, branch product, and key-partition
-//! complement, in evaluation order, each holding its children and its
-//! value. Crucially it does **not** copy the interpreter's early-exit
-//! breaks (`p_v == 0` / `none == 0`): those skip multiplications whose
-//! *values* are absorbed by zero but whose *adjoints* are not — a branch
-//! with probability 0 still has nonzero `∂P/∂m` through its own masses.
-//! Zero-products are exact in floating point (`0.0 * x == 0.0`), so the
-//! forward value still matches the interpreter bit for bit.
+//! The tape holds one node per leaf, branch product, and key-partition
+//! complement, in evaluation order, each with its children and its
+//! value. It has no early exits (`p_v == 0` / `none == 0`): those would
+//! skip multiplications whose *values* are absorbed by zero but whose
+//! *adjoints* are not — a branch with probability 0 still has nonzero
+//! `∂P/∂m` through its own masses. Zero-products are exact in floating
+//! point (`0.0 * x == 0.0`), so dropping them changes no value.
 //!
-//! The backward sweep walks the tape in reverse, distributing each
-//! node's adjoint to its children with prefix/suffix products (never
-//! dividing, so zero factors are handled exactly):
+//! The exact plan is a pure product/complement tree over the
+//! block-alternative masses, which makes `P(Q)` differentiable in every
+//! alternative mass `m_{b,a}` — the quantity "Learning Tuple
+//! Probabilities" (Dylla & Theobald) gradient-descends on to fit labeled
+//! query answers. [`Tape::gradient`] walks the tape in reverse,
+//! distributing each node's adjoint to its children with prefix/suffix
+//! products (never dividing, so zero factors are handled exactly):
 //!
 //! * product node `v = Π_i c_i`: `∂v/∂c_i = Π_{j≠i} c_j`;
 //! * complement node `v = 1 - Π_i (1 - c_i)`: `∂v/∂c_i = Π_{j≠i} (1 - c_j)`;
@@ -32,8 +39,8 @@
 //!
 //! Leaves decided by a live certain row have value 1 and zero gradient.
 
-use super::classify::{components, Class, CompiledTerm, Resolved};
-use super::exact::Rows;
+use super::classify::{components, CompiledTerm, Resolved};
+use super::dissociate::{alias_multiplicities, covering_root, extended_class_terms, Mode};
 use mrsl_util::FxHashMap;
 
 /// `d P(Q) / d m` for every alternative mass of every scanned relation —
@@ -57,17 +64,27 @@ impl MassGradients {
     }
 }
 
-/// One recorded block of a leaf node: its (clamped-input) mass and the
+/// Live rows of one term inside the recursion: indices into the certain
+/// and alternative column sets.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    certain: Vec<u32>,
+    alts: Vec<u32>,
+}
+
+/// One recorded block of a leaf node: its summed live mass, the
+/// Bernoulli probability the leaf's side of the bracket gives it, and the
 /// live alternative rows the mass sums over.
 struct LeafBlock {
     mass: f64,
+    p: f64,
     rows: Vec<u32>,
 }
 
 enum TapeNode {
     /// A leaf decided by a live certain row: value 1, zero gradient.
     One,
-    /// A single-relation leaf: `1 - Π_b (1 - min(mass_b, 1))`.
+    /// A single-relation leaf: `1 - Π_b (1 - p_b)`.
     Leaf { term: usize, blocks: Vec<LeafBlock> },
     /// `Π_i value(child_i)` — the top-level component product and every
     /// key-value branch.
@@ -77,8 +94,10 @@ enum TapeNode {
     Complement { children: Vec<usize> },
 }
 
+/// A recorded forward pass: nodes in evaluation order (children before
+/// parents), their values, and the root.
 #[derive(Default)]
-struct Tape {
+pub(crate) struct Tape {
     nodes: Vec<TapeNode>,
     values: Vec<f64>,
 }
@@ -91,7 +110,7 @@ impl Tape {
             TapeNode::Leaf { blocks, .. } => {
                 let mut none = 1.0;
                 for b in blocks {
-                    none *= (1.0 - b.mass.min(1.0)).max(0.0);
+                    none *= (1.0 - b.p).max(0.0);
                 }
                 1.0 - none
             }
@@ -107,6 +126,60 @@ impl Tape {
         self.nodes.push(node);
         self.values.push(value);
         self.nodes.len() - 1
+    }
+
+    /// The recorded probability: the root, which is the last node.
+    pub(crate) fn value(&self) -> f64 {
+        *self.values.last().expect("a recorded tape has a root")
+    }
+
+    /// `∂P/∂m` per term, aligned with each relation's flattened
+    /// alternative rows. Differentiates the exact tape (`record(resolved,
+    /// compiled, &[], Mode::Upper)` over an alias-free query), whose leaf
+    /// transforms are all the identity.
+    pub(crate) fn gradient(&self, compiled: &[CompiledTerm]) -> Vec<Vec<f64>> {
+        // Children always precede parents on the tape, so a reverse walk
+        // sees every node's full adjoint before distributing it.
+        let mut grads: Vec<Vec<f64>> = compiled
+            .iter()
+            .map(|ct| vec![0.0; ct.db.columns().alt_probs().len()])
+            .collect();
+        let mut adj = vec![0.0; self.nodes.len()];
+        *adj.last_mut().expect("a recorded tape has a root") = 1.0;
+        for i in (0..self.nodes.len()).rev() {
+            let a = adj[i];
+            if a == 0.0 {
+                continue;
+            }
+            match &self.nodes[i] {
+                TapeNode::One => {}
+                TapeNode::Leaf { term, blocks } => {
+                    let factors: Vec<f64> = blocks.iter().map(|b| (1.0 - b.p).max(0.0)).collect();
+                    // value = 1 - Π (1 - t_b): ∂value/∂t_b = Π_{b'≠b} (1 - t_{b'}).
+                    for (b, d) in blocks.iter().zip(distribute(a, &factors)) {
+                        if b.mass < 1.0 {
+                            for &r in &b.rows {
+                                grads[*term][r as usize] += d;
+                            }
+                        }
+                    }
+                }
+                TapeNode::Product { children } => {
+                    let factors: Vec<f64> = children.iter().map(|&c| self.values[c]).collect();
+                    for (&c, d) in children.iter().zip(distribute(a, &factors)) {
+                        adj[c] += d;
+                    }
+                }
+                TapeNode::Complement { children } => {
+                    let factors: Vec<f64> =
+                        children.iter().map(|&c| 1.0 - self.values[c]).collect();
+                    for (&c, d) in children.iter().zip(distribute(a, &factors)) {
+                        adj[c] += d;
+                    }
+                }
+            }
+        }
+        grads
     }
 }
 
@@ -129,159 +202,151 @@ fn distribute(adjoint: f64, factors: &[f64]) -> Vec<f64> {
     out
 }
 
-/// `P(Q)` and `∂P/∂m` per term, for a classified-liftable query. The
-/// probability matches [`super::exact::boolean_probability`] bit for bit;
-/// the per-term vectors are aligned with each relation's flattened
-/// alternative rows.
-pub(crate) fn boolean_gradient(
+/// Records one side of one dissociation: the query with the `ext` class
+/// memberships added, evaluated in `mode`. `record(resolved, compiled,
+/// &[], Mode::Upper)` is the exact safe plan of a liftable query.
+pub(crate) fn record(
     resolved: &Resolved,
     compiled: &[CompiledTerm],
-) -> (f64, Vec<Vec<f64>>) {
+    ext: &[(usize, usize)],
+    mode: Mode,
+) -> Tape {
+    let mut rec = Recorder {
+        resolved,
+        compiled,
+        class_terms: extended_class_terms(resolved, ext),
+        alias_k: alias_multiplicities(resolved),
+        mode,
+        repl: vec![1.0; compiled.len()],
+        tape: Tape::default(),
+    };
+    let live: Vec<Rows> = compiled
+        .iter()
+        .map(|ct| Rows {
+            certain: ct.live_certain.iter_ones().map(|i| i as u32).collect(),
+            alts: ct.live_alts.iter_ones().map(|i| i as u32).collect(),
+        })
+        .collect();
+    let rows: Vec<&Rows> = live.iter().collect();
     let all: Vec<usize> = (0..compiled.len()).collect();
     let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let class_terms: Vec<Vec<usize>> = resolved.classes.iter().map(Class::terms).collect();
-    let live = Rows::live(compiled);
-    let rows: Vec<&Rows> = live.iter().collect();
-
-    let mut tape = Tape::default();
-    let children: Vec<usize> = components(&class_terms, &all, &active)
+    let children = components(&rec.class_terms, &all, &active)
         .iter()
-        .map(|comp| build_component(resolved, compiled, comp, &active, &rows, &mut tape))
+        .map(|comp| rec.component(comp, &active, &rows))
         .collect();
-    let root = tape.push(TapeNode::Product { children });
-    let p = tape.values[root];
-
-    // Backward sweep: children always precede parents on the tape, so a
-    // reverse walk sees every node's full adjoint before distributing it.
-    let mut grads: Vec<Vec<f64>> = compiled
-        .iter()
-        .map(|ct| vec![0.0; ct.db.columns().alt_probs().len()])
-        .collect();
-    let mut adj = vec![0.0; tape.nodes.len()];
-    adj[root] = 1.0;
-    for i in (0..tape.nodes.len()).rev() {
-        let a = adj[i];
-        if a == 0.0 {
-            continue;
-        }
-        match &tape.nodes[i] {
-            TapeNode::One => {}
-            TapeNode::Leaf { term, blocks } => {
-                let factors: Vec<f64> = blocks
-                    .iter()
-                    .map(|b| (1.0 - b.mass.min(1.0)).max(0.0))
-                    .collect();
-                // value = 1 - Π (1 - t_b): ∂value/∂t_b = Π_{b'≠b} (1 - t_{b'}).
-                for (b, d) in blocks.iter().zip(distribute(a, &factors)) {
-                    if b.mass < 1.0 {
-                        for &r in &b.rows {
-                            grads[*term][r as usize] += d;
-                        }
-                    }
-                }
-            }
-            TapeNode::Product { children } => {
-                let factors: Vec<f64> = children.iter().map(|&c| tape.values[c]).collect();
-                for (&c, d) in children.iter().zip(distribute(a, &factors)) {
-                    adj[c] += d;
-                }
-            }
-            TapeNode::Complement { children } => {
-                let factors: Vec<f64> = children.iter().map(|&c| 1.0 - tape.values[c]).collect();
-                for (&c, d) in children.iter().zip(distribute(a, &factors)) {
-                    adj[c] += d;
-                }
-            }
-        }
-    }
-    (p, grads)
+    rec.tape.push(TapeNode::Product { children });
+    rec.tape
 }
 
-/// The tape-building mirror of the interpreter's `component_probability`:
-/// identical partitioning and candidate-value order, no early exits.
-fn build_component(
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-    comp: &[usize],
-    active: &[usize],
-    rows: &[&Rows],
-    tape: &mut Tape,
-) -> usize {
-    if comp.len() == 1 {
-        return build_leaf(&compiled[comp[0]], comp[0], rows[comp[0]], tape);
-    }
-    let root = *active
-        .iter()
-        .find(|&&c| {
-            let terms = resolved.classes[c].terms();
-            comp.iter().all(|t| terms.contains(t))
-        })
-        .expect("hierarchical connected component has a covering class");
+/// The recursion's shape context and its one piece of mutable state, the
+/// per-term replication counts.
+struct Recorder<'a, 'b> {
+    resolved: &'a Resolved<'b>,
+    compiled: &'a [CompiledTerm<'b>],
+    class_terms: Vec<Vec<usize>>,
+    alias_k: Vec<f64>,
+    mode: Mode,
+    /// Replication count per term: the product of the branch counts of
+    /// the enclosing partitions that copy it.
+    repl: Vec<f64>,
+    tape: Tape,
+}
 
-    let mut parts: Vec<FxHashMap<u16, Rows>> = Vec::with_capacity(comp.len());
-    for &t in comp {
-        let (ckey, akey) = compiled[t].class_key(root).expect("root covers the term");
-        let mut map: FxHashMap<u16, Rows> = FxHashMap::default();
-        for &r in &rows[t].certain {
-            map.entry(ckey[r as usize]).or_default().certain.push(r);
+impl Recorder<'_, '_> {
+    fn component(&mut self, comp: &[usize], active: &[usize], rows: &[&Rows]) -> usize {
+        if comp.len() == 1 {
+            return self.leaf(comp[0], rows[comp[0]]);
         }
-        for &r in &rows[t].alts {
-            map.entry(akey[r as usize]).or_default().alts.push(r);
-        }
-        parts.push(map);
-    }
+        let root = covering_root(self.resolved, &self.class_terms, comp, active)
+            .expect("admissible dissociations decompose");
+        let root_terms = self.resolved.classes[root].terms();
+        let (binding, copied): (Vec<usize>, Vec<usize>) =
+            comp.iter().partition(|t| root_terms.contains(t));
 
-    let probe = parts
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, m)| m.len())
-        .map(|(i, _)| i)
-        .expect("component is non-empty");
-    let mut values: Vec<u16> = parts[probe].keys().copied().collect();
-    values.sort_unstable();
-    values.retain(|v| parts.iter().all(|m| m.contains_key(v)));
-
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let class_terms: Vec<Vec<usize>> = resolved.classes.iter().map(Class::terms).collect();
-    let subcomps = components(&class_terms, comp, &remaining);
-    let mut branch_rows: Vec<&Rows> = rows.to_vec();
-    let mut branches = Vec::with_capacity(values.len());
-    for v in values {
-        for (pi, &t) in comp.iter().enumerate() {
-            branch_rows[t] = parts[pi].get(&v).expect("value present everywhere");
-        }
-        let children: Vec<usize> = subcomps
+        // Partition each binding term's live rows by the root-class key.
+        let parts: Vec<FxHashMap<u16, Rows>> = binding
             .iter()
-            .map(|sub| build_component(resolved, compiled, sub, &remaining, &branch_rows, tape))
+            .map(|&t| {
+                let (ckey, akey) = self.compiled[t]
+                    .class_key(root)
+                    .expect("binding term has key");
+                let mut map: FxHashMap<u16, Rows> = FxHashMap::default();
+                for &r in &rows[t].certain {
+                    map.entry(ckey[r as usize]).or_default().certain.push(r);
+                }
+                for &r in &rows[t].alts {
+                    map.entry(akey[r as usize]).or_default().alts.push(r);
+                }
+                map
+            })
             .collect();
-        branches.push(tape.push(TapeNode::Product { children }));
-    }
-    tape.push(TapeNode::Complement { children: branches })
-}
+        // Candidate key values: present in every binding term (a value
+        // missing anywhere zeroes that branch), ascending.
+        let mut values: Vec<u16> = parts
+            .iter()
+            .min_by_key(|m| m.len())
+            .map(|m| m.keys().copied().collect())
+            .expect("a covering root binds a term");
+        values.sort_unstable();
+        values.retain(|v| parts.iter().all(|m| m.contains_key(v)));
 
-/// The tape-building mirror of the interpreter's leaf: per consecutive
-/// block run, sum the live masses and record the contributing rows.
-fn build_leaf(ct: &CompiledTerm, term: usize, rows: &Rows, tape: &mut Tape) -> usize {
-    if !rows.certain.is_empty() {
-        return tape.push(TapeNode::One);
-    }
-    let probs = ct.db.columns().alt_probs();
-    let mut blocks = Vec::new();
-    let mut i = 0;
-    while i < rows.alts.len() {
-        let block = ct.alt_block[rows.alts[i] as usize];
-        let start = i;
-        let mut mass = 0.0;
-        while i < rows.alts.len() && ct.alt_block[rows.alts[i] as usize] == block {
-            mass += probs[rows.alts[i] as usize];
-            i += 1;
+        let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
+        let subcomps = components(&self.class_terms, comp, &remaining);
+        // Copied terms see their outer rows in every branch, and the
+        // branch count multiplies their replication count for the whole
+        // fold. Only the binding entries of the branch view are
+        // retargeted per key value.
+        let saved_repl: Vec<f64> = copied.iter().map(|&t| self.repl[t]).collect();
+        for &t in &copied {
+            self.repl[t] *= values.len() as f64;
         }
-        blocks.push(LeafBlock {
-            mass,
-            rows: rows.alts[start..i].to_vec(),
-        });
+        let mut branch_rows: Vec<&Rows> = rows.to_vec();
+        let mut branches = Vec::with_capacity(values.len());
+        for v in values {
+            for (pi, &t) in binding.iter().enumerate() {
+                branch_rows[t] = parts[pi]
+                    .get(&v)
+                    .expect("value present in every binding term");
+            }
+            let children = subcomps
+                .iter()
+                .map(|sub| self.component(sub, &remaining, &branch_rows))
+                .collect();
+            branches.push(self.tape.push(TapeNode::Product { children }));
+        }
+        for (&t, &r) in copied.iter().zip(&saved_repl) {
+            self.repl[t] = r;
+        }
+        self.tape.push(TapeNode::Complement { children: branches })
     }
-    tape.push(TapeNode::Leaf { term, blocks })
+
+    /// Per consecutive block run, sum the live masses, transform them for
+    /// this side of the bracket and record the contributing rows.
+    fn leaf(&mut self, t: usize, rows: &Rows) -> usize {
+        if !rows.certain.is_empty() {
+            return self.tape.push(TapeNode::One);
+        }
+        let ct = &self.compiled[t];
+        let probs = ct.db.columns().alt_probs();
+        let (k, d) = (self.alias_k[t], self.repl[t]);
+        let mut blocks = Vec::new();
+        let mut i = 0;
+        while i < rows.alts.len() {
+            let block = ct.alt_block[rows.alts[i] as usize];
+            let start = i;
+            let mut mass = 0.0;
+            while i < rows.alts.len() && ct.alt_block[rows.alts[i] as usize] == block {
+                mass += probs[rows.alts[i] as usize];
+                i += 1;
+            }
+            blocks.push(LeafBlock {
+                mass,
+                p: self.mode.mass(mass.min(1.0), k, d),
+                rows: rows.alts[start..i].to_vec(),
+            });
+        }
+        self.tape.push(TapeNode::Leaf { term: t, blocks })
+    }
 }
 
 #[cfg(test)]
@@ -290,10 +355,10 @@ fn build_leaf(ct: &CompiledTerm, term: usize, rows: &Rows, tape: &mut Tape) -> u
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::super::classify::{classify, resolve, CompiledTerm};
-    use super::super::exact::boolean_probability;
-    use super::super::PlanClass;
+    use super::super::{CatalogEngine, PlanClass, QueryAnswer, QueryEngineConfig};
     use super::*;
     use crate::algebra::Query;
+    use crate::algebra::Statistic;
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
     use crate::database::ProbDb;
@@ -358,19 +423,23 @@ mod tests {
         if resolved.terms.len() > 1 {
             assert_eq!(classify(&resolved, &compiled).class, PlanClass::Liftable);
         }
-        boolean_gradient(&resolved, &compiled)
+        let tape = record(&resolved, &compiled, &[], Mode::Upper);
+        (tape.value(), tape.gradient(&compiled))
     }
 
+    /// `P(Q)` from the engine's compiled bytecode — independent of the
+    /// tape under test.
     fn forward_probability(catalog: &Catalog, q: &Query) -> f64 {
-        let flat = q.flatten().unwrap();
-        let resolved = resolve(&flat, |name| catalog.get(name)).unwrap();
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
-        boolean_probability(&resolved, &compiled)
+        CatalogEngine::new(catalog).probability(q).unwrap().0
+    }
+
+    /// `P(Q)` from the reference recursion's public entry point.
+    fn interpreted_probability(catalog: &Catalog, q: &Query) -> f64 {
+        let config = QueryEngineConfig::default();
+        match crate::testutil::interpreted(catalog, q, Statistic::Probability, &config) {
+            Ok((QueryAnswer::Probability { p, .. }, _)) => p,
+            other => panic!("unexpected interpreted answer: {other:?}"),
+        }
     }
 
     /// Central difference of `P(Q)` in one alternative row's mass.
@@ -400,6 +469,7 @@ mod tests {
         let catalog = catalog();
         let q = join_query();
         let (p, _) = gradient_of(&catalog, &q);
+        assert_eq!(p.to_bits(), interpreted_probability(&catalog, &q).to_bits());
         assert_eq!(p.to_bits(), forward_probability(&catalog, &q).to_bits());
     }
 
@@ -460,9 +530,9 @@ mod tests {
     fn zero_probability_branch_still_has_gradient() {
         // An unselective predicate leaves whole blocks live with mass 1 —
         // but a *selection* that kills every alternative of one relation's
-        // s1 block makes branch s1 contribute p_v = 0. The interpreter
-        // breaks out early; the gradient must still flow to the other
-        // relation's s1 rows. Build that shape explicitly.
+        // s1 block makes branch s1 contribute p_v = 0. The VM breaks out
+        // early; the tape must not, so the gradient still flows to the
+        // other relation's s1 rows. Build that shape explicitly.
         let station = |extra: &str| {
             Schema::builder()
                 .attribute("station", ["s0", "s1"])
@@ -494,6 +564,7 @@ mod tests {
                 [(AttrId(0), AttrId(0))],
             );
         let (p, grads) = gradient_of(&catalog, &q);
+        assert_eq!(p.to_bits(), interpreted_probability(&catalog, &q).to_bits());
         assert_eq!(p.to_bits(), forward_probability(&catalog, &q).to_bits());
         for (t, relation) in ["left", "right"].iter().enumerate() {
             for row in 0..grads[t].len() {
@@ -509,8 +580,6 @@ mod tests {
 
     #[test]
     fn public_entry_point_gates_on_liftability() {
-        use super::super::CatalogEngine;
-
         let catalog = catalog();
         let engine = CatalogEngine::new(&catalog);
         let q = join_query();

@@ -33,12 +33,21 @@
 //! per-relation scan statistics, and — for joins — the [`SafePlan`]
 //! decomposition that justified (or failed) the exact route.
 //!
+//! Exact evaluation is the dissociation with no copies, so the
+//! covering-root recursion lives in three places only: the
+//! decomposition (`dissociate::decompose`, which the classifier reports
+//! with no extensions), the lowering to bytecode (`compile::lower`, one
+//! program per dissociation, run in either bracket mode by the VM), and
+//! the reference tape (`grad::record`). The tape is what
+//! [`crate::testutil::interpreted`] evaluates, and the VM reproduces its
+//! values bit for bit.
+//!
 //! Liftable plans are additionally *differentiable*: the safe plan is a
 //! pure product/complement tree over the block-alternative masses, and
 //! [`CatalogEngine::probability_with_gradient`] runs a reverse-mode
-//! backward sweep over the interpreter recursion to return `∂P(Q)/∂m`
-//! for every alternative mass — the machinery tuple-probability
-//! learning (`mrsl_learn`) descends on.
+//! backward sweep over the reference tape to return `∂P(Q)/∂m` for
+//! every alternative mass — the machinery tuple-probability learning
+//! (`mrsl_learn`) descends on.
 
 pub(crate) mod classify;
 mod compile;
@@ -69,7 +78,7 @@ use classify::{
     alias_groups, alias_live_mismatch, classify, key_straddle, resolve, CompiledTerm, Resolved,
 };
 use compile::{cache_tag, CachedPlan, CompiledProgram};
-use dissociate::{BoundsPlan, DissociatedBounds};
+use dissociate::{BoundsPlan, DissociatedBounds, Mode};
 use mrsl_relation::AttrId;
 use std::sync::Arc;
 
@@ -338,15 +347,16 @@ impl<'a> CatalogEngine<'a> {
 
     /// `P(result non-empty)` together with its gradient in every
     /// block-alternative mass, by a reverse-mode backward sweep over the
-    /// safe-plan recursion.
+    /// reference tape of the safe plan (the empty dissociation, upper
+    /// mode).
     ///
     /// Only classified-liftable queries are differentiable — the exact
     /// product/complement tree *is* the computational graph. Shapes that
     /// would route to Monte Carlo (non-hierarchical, key-correlated,
     /// aliased) return [`ProbDbError::NotDifferentiable`] with the
-    /// classifier's reason. The probability comes from the reference
-    /// interpreter's recursion, which [`CatalogEngine::probability`]'s
-    /// bytecode reproduces bit for bit; the
+    /// classifier's reason. The probability is the tape's root value,
+    /// which [`CatalogEngine::probability`]'s bytecode reproduces bit for
+    /// bit; the
     /// gradients feed the tuple-probability optimizer in `mrsl_learn`,
     /// which projects updates back onto each block's simplex and writes
     /// them through [`crate::ProbDb::set_block_masses`].
@@ -367,14 +377,14 @@ impl<'a> CatalogEngine<'a> {
                 return Err(ProbDbError::NotDifferentiable { reason });
             }
         }
-        let (p, grads) = grad::boolean_gradient(&resolved, &compiled);
+        let tape = grad::record(&resolved, &compiled, &[], Mode::Upper);
         let relations = resolved
             .terms
             .iter()
-            .zip(grads)
+            .zip(tape.gradient(&compiled))
             .map(|(t, g)| (t.relation.clone(), g))
             .collect();
-        Ok((p, MassGradients { relations }))
+        Ok((tape.value(), MassGradients { relations }))
     }
 }
 
@@ -599,13 +609,16 @@ fn evaluate_cold<'a>(
     let program = match p.bounds_plan {
         _ if p.path == EvalPath::MonteCarlo => CompiledProgram::Sampled,
         Some(BoundsPlan::Dissociate(candidates)) => CompiledProgram::Bounds {
-            programs: compile::compile_bounds(resolved, &candidates),
+            programs: candidates
+                .iter()
+                .map(|cand| compile::lower(resolved, &cand.extensions))
+                .collect(),
             candidates,
         },
         _ if stat == Statistic::ExpectedCount => {
             CompiledProgram::Count(compile::compile_count(resolved))
         }
-        _ => CompiledProgram::Boolean(compile::compile_boolean(resolved)),
+        _ => CompiledProgram::Boolean(compile::lower(resolved, &[])),
     };
     // The entry stores the planning-time verdicts: the pre-hybrid path and
     // the planner's decomposition (bounds answers re-derive the winning
@@ -712,13 +725,13 @@ fn fold(
 ) -> Option<Folded> {
     let answer = match (&plan.program, stat) {
         (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
-            p: vm::run_prebound(prog, &regs[0]),
+            p: vm::run_prebound(prog, &regs[0], Mode::Upper),
             std_error: None,
         },
         // Safe shapes collapse the bracket to the exact probability.
-        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => {
-            QueryAnswer::Bounds(ProbabilityBounds::exact(vm::run_prebound(prog, &regs[0])))
-        }
+        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => QueryAnswer::Bounds(
+            ProbabilityBounds::exact(vm::run_prebound(prog, &regs[0], Mode::Upper)),
+        ),
         (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
             mean: match (&prog.steps, tables) {
                 (Some(steps), Some(tables)) => {
@@ -793,8 +806,9 @@ fn run_prebound_fast(
 /// Answers a prepared query without the plan cache: forced Monte Carlo
 /// and the statistics no program is compiled for (count distributions,
 /// marginals, ranking, value marginals). The exact arms of the three
-/// compiled statistics are the recursive reference interpreter, which
-/// only [`evaluate_interpreted`] reaches — the engine compiles those.
+/// compiled statistics are the reference tape and the per-call mass
+/// join, which only [`evaluate_interpreted`] reaches — the engine
+/// compiles those.
 fn evaluate_uncached(
     prepared: Prepared,
     stat: Statistic,
@@ -817,7 +831,7 @@ fn evaluate_uncached(
     let answer = match (stat, path, bounds_plan) {
         (_, EvalPath::MonteCarlo, _) => sample(&compiled, classes, stat, config),
         (Statistic::Probability, ..) => QueryAnswer::Probability {
-            p: exact::boolean_probability(&resolved, &compiled),
+            p: grad::record(&resolved, &compiled, &[], Mode::Upper).value(),
             std_error: None,
         },
         (Statistic::ProbabilityBounds, _, Some(BoundsPlan::Dissociate(candidates))) => {
@@ -832,7 +846,7 @@ fn evaluate_uncached(
             QueryAnswer::Bounds(bounds)
         }
         (Statistic::ProbabilityBounds, ..) => QueryAnswer::Bounds(ProbabilityBounds::exact(
-            exact::boolean_probability(&resolved, &compiled),
+            grad::record(&resolved, &compiled, &[], Mode::Upper).value(),
         )),
         // Single relations keep the legacy arithmetic (certain matches
         // plus per-block marginals), which the count program reproduces.
@@ -876,9 +890,9 @@ fn evaluate_uncached(
 /// The recursive reference interpreter behind
 /// [`crate::testutil::interpreted`]: the engine's planning verdicts and
 /// samplers, but the exact `Probability`, `ProbabilityBounds` and
-/// `ExpectedCount` paths recurse over row maps
-/// (`exact::boolean_probability`, `dissociate::evaluate_bounds`, the
-/// per-call mass join) instead of running bytecode. No plan cache.
+/// `ExpectedCount` paths recurse over row maps (the root value of a
+/// `grad::record`ed tape per dissociation and mode, the per-call mass
+/// join) instead of running bytecode. No plan cache.
 pub(crate) fn evaluate_interpreted(
     catalog: &Catalog,
     q: &Query,

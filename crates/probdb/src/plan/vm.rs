@@ -1,17 +1,21 @@
 //! The safe-plan bytecode VM: flat programs over columnar registers.
 //!
-//! [`super::compile`] lowers a classified safe plan (including
-//! dissociation `Copy` nodes and the transformed-mass leaves of both
-//! oblivious bounds) into a [`Program`] — a flat `Vec` of ops — that this
-//! module executes directly against the current column data. The op set:
+//! [`super::compile::lower`] lowers one dissociation of a query —
+//! including dissociation `Copy` nodes, and the empty dissociation that
+//! is the exact safe plan — into a [`Program`], a flat `Vec` of ops that
+//! this module executes directly against the current column data. A
+//! program is bracket-side agnostic: [`run_prebound`] takes the [`Mode`],
+//! so a bounds candidate is one program over one register set, run once
+//! per side, and an exact plan is run in [`Mode::Upper`], where every
+//! leaf's mass is unchanged. The op set:
 //!
 //! * [`Op::Leaf`] — the per-block complement product
 //!   `1 - ∏_blocks (1 - t(mass))` over one term's current register
-//!   window, where `t` is the leaf's [`Transform`]: identity for exact
-//!   plans, `m^(1/k)` ([`Transform::ConjRoot`]) for the conjunctive
-//!   alias upper bound, `1 - (1-m)^(1/d)` ([`Transform::DisjRoot`], `d`
-//!   read from the term's runtime replication register) for the
-//!   disjunctive lower bound.
+//!   window, where `t` is [`Mode::mass`] for the leaf's alias
+//!   multiplicity `k` (a compile-time constant of the shape) and the
+//!   term's runtime replication register `d`: `m^(1/k)` for the
+//!   conjunctive alias upper bound, `1 - (1-m)^(1/d)` for the disjunctive
+//!   lower bound, the mass itself when `k` (upper) or `d` (lower) is 1.
 //! * [`Op::Partition`] — the key-partition fold
 //!   `1 - ∏_values (1 - ∏_subcomponents p)`: a k-way sorted-run merge
 //!   over the binding terms' pre-sorted key registers that narrows each
@@ -22,10 +26,10 @@
 //!   peephole results: loop-invariant steps ([`BodyStep::Hoisted`],
 //!   subcomponents containing only copied terms) are evaluated once per
 //!   fold instead of per branch, and an all-leaf body is fused into an
-//!   inline `(term, transform)` list with no op dispatch per branch.
+//!   inline `(term, k)` list with no op dispatch per branch.
 //! * The expected-count mass join ([`CountProgram`]) — set-at-a-time
 //!   already; it executes through the same deterministic
-//!   [`super::exact::run_mass_join_tables`] kernel as the interpreter's
+//!   [`super::exact::run_mass_join_tables`] kernel as the reference's
 //!   [`super::exact::run_mass_join`], which is what makes the two paths
 //!   bit-identical by construction.
 //!
@@ -36,52 +40,41 @@
 //! root-to-leaf key path with original row order breaking ties, then
 //! collapsed to block granularity (every live row of a block shares its
 //! path keys, so blocks are contiguous after the sort). That single
-//! pre-sort replaces the interpreter's per-recursion-level hash
-//! partitioning: every partition branch becomes a contiguous window
-//! `[c0, c1) × [a0, a1)` and the recursion only moves window bounds.
-//! Because ties keep original row order, block masses accumulate in the
-//! interpreter's exact addition sequence, and the interpreter iterates
-//! key values in ascending order, the VM performs *exactly* the
-//! interpreter's floating-point operations and reproduces its results
-//! bit for bit. Registers are owned and data-addressed, so the plan
-//! cache memoizes them next to version stamps — an unchanged-data warm
-//! hit skips the gather entirely.
+//! pre-sort replaces the reference tape's per-recursion-level hash
+//! partitioning ([`super::grad::record`]): every partition branch becomes
+//! a contiguous window `[c0, c1) × [a0, a1)` and the recursion only moves
+//! window bounds. Because ties keep original row order, block masses
+//! accumulate in the tape's exact addition sequence, and the tape
+//! iterates key values in ascending order, the VM performs *exactly* the
+//! tape's value arithmetic (skipping only multiplications that a zero
+//! has already decided) and reproduces its results bit for bit. The sort
+//! paths depend on the dissociation alone, never on the mode, so both
+//! sides of a bracket read the same registers. Registers are owned and
+//! data-addressed, so the plan cache memoizes them next to version
+//! stamps — an unchanged-data warm hit skips the gather entirely.
 //!
 //! **Incremental maintenance.** [`patch_term`] rebuilds only the dirty
 //! key ranges of a memoized register set after an upsert: the store's
 //! per-shard version stamps ([`crate::ProbDb::shard_versions`]) prove
 //! which leading-key ranges changed, the stale runs are re-gathered and
-//! re-sorted, and the clean runs are spliced over from the old registers
+//! re-sorted by the same [`gather`] that [`bind_term`] runs over every
+//! live row, and the clean runs are spliced over from the old registers
 //! unchanged. Because the level-0 key is the pre-sort's primary key and
 //! equal stamps imply identical shard contents, the splice reproduces a
 //! fresh [`bind_program`] bit for bit.
 
 use super::classify::CompiledTerm;
+use super::dissociate::Mode;
 use super::exact::MassStep;
+use crate::column::Bitmap;
 use mrsl_util::FxHashMap;
-
-/// Per-block mass transform applied by [`Op::Leaf`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Transform {
-    /// The exact mass (safe plans, and the un-transformed side of each
-    /// bound).
-    Identity,
-    /// `m^(1/k)` — the conjunctive upper bound for `k > 1` aliased
-    /// copies; `k` is a compile-time constant of the shape.
-    ConjRoot {
-        /// Alias multiplicity of the term's relation.
-        k: f64,
-    },
-    /// `1 - (1-m)^(1/d)` — the disjunctive lower bound for branch
-    /// replicas; `d` is the term's runtime replication register (the
-    /// transform is the identity while it stays at 1).
-    DisjRoot,
-}
+use std::ops::Range;
 
 /// One factor of a partition body, in subcomponent order. The order is
-/// load-bearing: the interpreter multiplies subcomponents left to right
-/// with a zero early-exit, and the VM must reproduce that exact sequence
-/// of floating-point multiplications.
+/// load-bearing: the reference tape multiplies subcomponents left to
+/// right, and the VM must reproduce that exact sequence of floating-point
+/// multiplications (its zero early-exit only skips factors that cannot
+/// change a zero product).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum BodyStep {
     /// Evaluate the op per branch.
@@ -94,12 +87,13 @@ pub(crate) enum BodyStep {
 /// One bytecode op. See the module docs for semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
-    /// `1 - ∏_blocks (1 - transform(mass))` over the term's window.
+    /// `1 - ∏_blocks (1 - t(mass))` over the term's window, `t` being
+    /// the run's [`Mode::mass`].
     Leaf {
         /// Term register set the leaf reads.
         term: u32,
-        /// Per-block mass transform.
-        transform: Transform,
+        /// Alias multiplicity of the term's relation (1 without aliases).
+        k: f64,
     },
     /// Key-partition fold over the binding terms' sorted key registers.
     Partition {
@@ -112,34 +106,28 @@ pub(crate) enum Op {
         /// Per-branch factors in subcomponent order.
         body: Vec<BodyStep>,
         /// Peephole: when every body step is an un-hoisted leaf, the
-        /// inlined `(term, transform, memoizable)` list evaluated without
+        /// inlined `(term, k, memoizable)` list evaluated without
         /// dispatch. A leaf is memoizable when this partition is the
         /// term's *first* binding level: its outer window is then the
         /// full register for the whole fold, so the leaf value depends
         /// only on the key value (and the term's current replication
         /// register) and can be reused across enclosing branches.
-        fused: Option<Vec<(u32, Transform, bool)>>,
+        fused: Option<Vec<(u32, f64, bool)>>,
     },
 }
 
-/// A compiled boolean-probability (or single-bound) program.
+/// One lowered dissociation (the empty one for an exact plan), runnable
+/// on either side of the bracket.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Program {
     /// Flat op pool; ops reference each other by index.
     pub ops: Vec<Op>,
     /// Top-level connected components, multiplied without early exit
-    /// (matching the interpreter's top loop).
+    /// (matching the tape's root product).
     pub roots: Vec<u32>,
     /// Per-term sort path: the partition classes that narrow this term,
     /// root to leaf. Drives the bind-time pre-sort.
     pub paths: Vec<Vec<usize>>,
-}
-
-/// Upper/lower program pair of one dissociation candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BoundsProgram {
-    pub upper: Program,
-    pub lower: Program,
 }
 
 /// The expected-count program: either the single-relation closed form or
@@ -168,7 +156,7 @@ pub(crate) struct TermRegs {
     akeys: Vec<Vec<u16>>,
     /// Per-block probability mass, accumulated over the block's live
     /// alternatives in sorted-row order — the exact addition sequence the
-    /// interpreter's leaf would perform, so downstream arithmetic stays
+    /// tape's leaf performs, so downstream arithmetic stays
     /// bit-identical.
     amass: Vec<f64>,
     /// Number of live certain rows.
@@ -177,12 +165,22 @@ pub(crate) struct TermRegs {
     alen: u32,
 }
 
-/// Gathers and pre-sorts every term's live rows into columnar registers
-/// (the per-execution half of compilation — the program itself is
-/// data-free and cacheable).
-pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm) -> TermRegs {
-    let mut cert: Vec<u32> = ct.live_certain.iter_ones().map(|i| i as u32).collect();
-    let mut alts: Vec<u32> = ct.live_alts.iter_ones().map(|i| i as u32).collect();
+/// Live rows of one term gathered for its sort path: the path's key
+/// columns, the live certain rows in sorted order, and one head row plus
+/// one accumulated mass per block run.
+struct Gathered<'a> {
+    ccols: Vec<&'a [u16]>,
+    acols: Vec<&'a [u16]>,
+    cert: Vec<u32>,
+    heads: Vec<u32>,
+    amass: Vec<f64>,
+}
+
+/// Gathers a term's live rows — only those whose level-0 key falls in
+/// `dirty`, when given — sorts them by the sort path and collapses the
+/// alternatives to block runs. [`bind_term`] and [`patch_term`] share it,
+/// so a patched range is gathered exactly as a fresh bind gathers it.
+fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]>) -> Gathered<'a> {
     let ccols: Vec<&[u16]> = path
         .iter()
         .map(|&c| ct.class_key(c).expect("sort path classes key the term").0)
@@ -191,11 +189,25 @@ pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm) -> TermRegs {
         .iter()
         .map(|&c| ct.class_key(c).expect("sort path classes key the term").1)
         .collect();
+    let live = |bits: &Bitmap, cols: &[&[u16]]| -> Vec<u32> {
+        let rows = bits.iter_ones().map(|i| i as u32);
+        match dirty {
+            None => rows.collect(),
+            Some(dirty) => rows
+                .filter(|&r| {
+                    let v = cols[0][r as usize] as u32;
+                    dirty.iter().any(|range| range.contains(&v))
+                })
+                .collect(),
+        }
+    };
+    let mut cert = live(&ct.live_certain, &ccols);
+    let mut alts = live(&ct.live_alts, &acols);
     // LSD radix over the path levels: each pass is a stable counting sort,
     // so the final order is lexicographic by root-to-leaf key with the
     // initial ascending row order breaking ties. That tie-break is what
     // keeps blocks contiguous inside the deepest windows and the row
-    // visit order identical to the interpreter's partition iteration.
+    // visit order identical to the tape's partition iteration.
     sort_by_path(&mut cert, &ccols);
     sort_by_path(&mut alts, &acols);
     let probs = ct.db.columns().alt_probs();
@@ -215,18 +227,34 @@ pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm) -> TermRegs {
         }
         amass.push(mass);
     }
-    TermRegs {
-        ckeys: ccols
-            .iter()
-            .map(|col| cert.iter().map(|&r| col[r as usize]).collect())
-            .collect(),
-        akeys: acols
-            .iter()
-            .map(|col| heads.iter().map(|&r| col[r as usize]).collect())
-            .collect(),
-        alen: amass.len() as u32,
+    Gathered {
+        ccols,
+        acols,
+        cert,
+        heads,
         amass,
-        clen: cert.len() as u32,
+    }
+}
+
+/// Gathers and pre-sorts every term's live rows into columnar registers
+/// (the per-execution half of compilation — the program itself is
+/// data-free and cacheable).
+pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm) -> TermRegs {
+    let g = gather(path, ct, None);
+    TermRegs {
+        ckeys: g
+            .ccols
+            .iter()
+            .map(|col| g.cert.iter().map(|&r| col[r as usize]).collect())
+            .collect(),
+        akeys: g
+            .acols
+            .iter()
+            .map(|col| g.heads.iter().map(|&r| col[r as usize]).collect())
+            .collect(),
+        alen: g.amass.len() as u32,
+        amass: g.amass,
+        clen: g.cert.len() as u32,
     }
 }
 
@@ -248,47 +276,15 @@ pub(crate) fn patch_term(
     old: &TermRegs,
     path: &[usize],
     ct: &CompiledTerm,
-    dirty: &[std::ops::Range<u32>],
+    dirty: &[Range<u32>],
 ) -> TermRegs {
-    let ccols: Vec<&[u16]> = path
-        .iter()
-        .map(|&c| ct.class_key(c).expect("sort path classes key the term").0)
-        .collect();
-    let acols: Vec<&[u16]> = path
-        .iter()
-        .map(|&c| ct.class_key(c).expect("sort path classes key the term").1)
-        .collect();
-    let in_dirty = |v: u16| dirty.iter().any(|r| r.contains(&(v as u32)));
-    // Re-gather only the live rows whose leading key landed in a dirty
-    // range; the sort and block collapse mirror `bind_term` exactly.
-    let mut cert: Vec<u32> = ct
-        .live_certain
-        .iter_ones()
-        .map(|i| i as u32)
-        .filter(|&r| in_dirty(ccols[0][r as usize]))
-        .collect();
-    let mut alts: Vec<u32> = ct
-        .live_alts
-        .iter_ones()
-        .map(|i| i as u32)
-        .filter(|&r| in_dirty(acols[0][r as usize]))
-        .collect();
-    sort_by_path(&mut cert, &ccols);
-    sort_by_path(&mut alts, &acols);
-    let probs = ct.db.columns().alt_probs();
-    let mut heads: Vec<u32> = Vec::new();
-    let mut hmass: Vec<f64> = Vec::new();
-    let mut i = 0;
-    while i < alts.len() {
-        let block = ct.alt_block[alts[i] as usize];
-        heads.push(alts[i]);
-        let mut mass = 0.0;
-        while i < alts.len() && ct.alt_block[alts[i] as usize] == block {
-            mass += probs[alts[i] as usize];
-            i += 1;
-        }
-        hmass.push(mass);
-    }
+    let Gathered {
+        ccols,
+        acols,
+        cert,
+        heads,
+        amass: hmass,
+    } = gather(path, ct, Some(dirty));
     // Splice: for each dirty range, copy the preceding clean segment
     // from the old registers, then append the re-gathered runs of the
     // range; finish with the clean tail.
@@ -381,10 +377,11 @@ pub(crate) fn bind_program(program: &Program, compiled: &[CompiledTerm]) -> Vec<
         .collect()
 }
 
-/// Runs a boolean program against registers bound earlier (and still
-/// valid for the current data).
-pub(crate) fn run_prebound(program: &Program, regs: &[TermRegs]) -> f64 {
-    let mut ex = Exec::new(program, regs);
+/// Runs a program on one side of the bracket against registers bound
+/// earlier (and still valid for the current data). Both sides of a
+/// candidate read the same registers.
+pub(crate) fn run_prebound(program: &Program, regs: &[TermRegs], mode: Mode) -> f64 {
+    let mut ex = Exec::new(program, regs, mode);
     let mut p = 1.0;
     for &root in &program.roots {
         p *= ex.eval(root);
@@ -415,9 +412,12 @@ fn past_run(keys: &[u16], cur: u32, end: u32, v: u16) -> u32 {
 struct Exec<'p> {
     prog: &'p Program,
     regs: &'p [TermRegs],
+    /// The bracket side every leaf transforms its masses for.
+    mode: Mode,
     /// `[c0, c1, a0, a1)` — current certain/alternative window per term.
     win: Vec<[u32; 4]>,
-    /// Replication multiplicity per term (the lower bound's runtime `d`).
+    /// Replication multiplicity per term (the lower bound's runtime `d`;
+    /// it stays 1 in [`Mode::Upper`], whose leaves never read it).
     repl: Vec<f64>,
     /// Per-partition-op memo of fused invariant-window leaf values,
     /// keyed by `(term, key value, replication register bits)`. Reuses
@@ -428,9 +428,10 @@ struct Exec<'p> {
 
 impl<'p> Exec<'p> {
     /// Fresh execution state: full windows, unit replication, empty memos.
-    fn new(prog: &'p Program, regs: &'p [TermRegs]) -> Self {
+    fn new(prog: &'p Program, regs: &'p [TermRegs], mode: Mode) -> Self {
         Exec {
             prog,
+            mode,
             win: regs.iter().map(|r| [0, r.clen, 0, r.alen]).collect(),
             repl: vec![1.0; regs.len()],
             memo: vec![FxHashMap::default(); prog.ops.len()],
@@ -441,7 +442,7 @@ impl<'p> Exec<'p> {
     fn eval(&mut self, op: u32) -> f64 {
         let prog = self.prog;
         match &prog.ops[op as usize] {
-            Op::Leaf { term, transform } => self.leaf(*term, *transform),
+            Op::Leaf { term, k } => self.leaf(*term, *k),
             Op::Partition {
                 binding,
                 copied,
@@ -453,7 +454,7 @@ impl<'p> Exec<'p> {
 
     /// `1 - ∏_blocks (1 - t(mass))` over the term's current window; a
     /// certain row in the window decides it.
-    fn leaf(&self, t: u32, tr: Transform) -> f64 {
+    fn leaf(&self, t: u32, k: f64) -> f64 {
         let r = &self.regs[t as usize];
         let [c0, c1, a0, a1] = self.win[t as usize];
         if c1 > c0 {
@@ -462,19 +463,7 @@ impl<'p> Exec<'p> {
         let repl = self.repl[t as usize];
         let mut none = 1.0;
         for &mass in &r.amass[a0 as usize..a1 as usize] {
-            let m = mass.min(1.0);
-            let tm = match tr {
-                Transform::Identity => m,
-                Transform::ConjRoot { k } => m.powf(1.0 / k),
-                Transform::DisjRoot => {
-                    if repl > 1.0 {
-                        1.0 - (1.0 - m).powf(1.0 / repl)
-                    } else {
-                        m
-                    }
-                }
-            };
-            none *= (1.0 - tm).max(0.0);
+            none *= (1.0 - self.mode.mass(mass.min(1.0), k, repl)).max(0.0);
         }
         1.0 - none
     }
@@ -485,7 +474,7 @@ impl<'p> Exec<'p> {
         binding: &[(u32, u32)],
         copied: &[u32],
         body: &[BodyStep],
-        fused: Option<&[(u32, Transform, bool)]>,
+        fused: Option<&[(u32, f64, bool)]>,
     ) -> f64 {
         // Outer windows of the binding terms (restored on exit; the value
         // loop overwrites them with per-value runs).
@@ -493,10 +482,11 @@ impl<'p> Exec<'p> {
         let mut cur: Vec<[u32; 2]> = outer.iter().map(|w| [w[0], w[2]]).collect();
 
         let saved_repl: Vec<f64> = copied.iter().map(|&t| self.repl[t as usize]).collect();
-        if !copied.is_empty() {
+        if self.mode == Mode::Lower && !copied.is_empty() {
             // The branch count d multiplies every copied term's
             // replication register, identically in all branches — so it
-            // is applied once, before the value loop.
+            // is applied once, before the value loop. Only lower-bound
+            // leaves read it.
             let d = self.count_values(binding);
             for &t in copied {
                 self.repl[t as usize] *= d;
@@ -558,32 +548,32 @@ impl<'p> Exec<'p> {
         d
     }
 
-    /// One branch's subcomponent product `∏ p`, left to right with the
-    /// interpreter's zero early-exit, through either the fused leaf list
-    /// or the general body.
+    /// One branch's subcomponent product `∏ p`, left to right, stopping
+    /// at a zero (exact: a zero product stays zero), through either the
+    /// fused leaf list or the general body.
     fn branch_product(
         &mut self,
         op: u32,
         body: &[BodyStep],
-        fused: Option<&[(u32, Transform, bool)]>,
+        fused: Option<&[(u32, f64, bool)]>,
         hoist_vals: &[f64],
         v: u16,
     ) -> f64 {
         let mut p_v = 1.0;
         if let Some(leaves) = fused {
-            for &(t, tr, memoizable) in leaves {
+            for &(t, k, memoizable) in leaves {
                 let p = if memoizable {
                     let key = (t, v, self.repl[t as usize].to_bits());
                     match self.memo[op as usize].get(&key) {
                         Some(&p) => p,
                         None => {
-                            let p = self.leaf(t, tr);
+                            let p = self.leaf(t, k);
                             self.memo[op as usize].insert(key, p);
                             p
                         }
                     }
                 } else {
-                    self.leaf(t, tr)
+                    self.leaf(t, k)
                 };
                 p_v *= p;
                 if p_v == 0.0 {
@@ -612,7 +602,7 @@ impl<'p> Exec<'p> {
     /// Advances the merge to the next key value present in *every*
     /// binding term (certain or alternative side), or `None` when any
     /// term is exhausted. Cursors are left at the start of each term's
-    /// value run. Equivalent to the interpreter's sorted intersection of
+    /// value run. Equivalent to the tape's sorted intersection of
     /// the per-term partition key sets.
     fn next_value(
         &self,

@@ -13,7 +13,9 @@
 //! Exponential in the total number of blocks — strictly a test utility.
 //!
 //! [`interpreted`] is the second reference: the planner's recursive
-//! interpreter, which the compiled bytecode must match bit for bit.
+//! interpreter — one reference tape per dissociation and bracket side,
+//! the exact plan being the dissociation with no copies — which the
+//! compiled bytecode must match bit for bit.
 //!
 //! ```
 //! use mrsl_probdb::testutil::oracle_probability;

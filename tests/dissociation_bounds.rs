@@ -136,6 +136,67 @@ fn chain_bounds_bracket_oracle_without_sampling() {
     assert_eq!(plan, PlanClass::NonHierarchical);
 }
 
+/// The aliased chain `r1(x) ⋈ s(x,y) ⋈ r2(y)`, both ends scans of `r`:
+/// its candidates dissociate the self-join (alias copies, `m^(1/k)` on
+/// the upper side) *and* the chain (branch replicas, propagation masses
+/// on the lower side), and the bracket still contains the oracle.
+#[test]
+fn aliased_chain_bounds_bracket_oracle() {
+    let catalog = chain_catalog(
+        &[(0, 0.6), (1, 0.5), (2, 0.9)],
+        &[((0, 1), 0.7), ((1, 0), 0.4), ((2, 2), 0.8), ((0, 0), 0.3)],
+        &[(0, 0.8)],
+    );
+    let query = Query::scan_as("r", "r1")
+        .filter(ok_pred(2))
+        .join_on(
+            Query::scan("s").filter(ok_pred(3)),
+            [(AttrId(0), AttrId(0))],
+        )
+        .join_on_rel(
+            "s",
+            Query::scan_as("r", "r2").filter(ok_pred(2)),
+            [(AttrId(1), AttrId(0))],
+        );
+    let engine = CatalogEngine::with_config(
+        &catalog,
+        QueryEngineConfig {
+            bounds_tolerance: 1.0,
+            ..QueryEngineConfig::default()
+        },
+    );
+    let (path, plan) = engine.plan(&query, Statistic::ProbabilityBounds).unwrap();
+    assert_eq!(
+        (path, plan),
+        (EvalPath::ExactColumnar, PlanClass::Dissociable)
+    );
+    let (bounds, report) = engine.probability_bounds(&query).unwrap();
+    assert_eq!(report.mc_samples, 0, "deterministic bounds must not sample");
+    let brute = oracle_probability(&catalog, &query).unwrap();
+    assert!(
+        bounds.lower - 1e-12 <= brute && brute <= bounds.upper + 1e-12,
+        "bracket [{}, {}] misses oracle {brute}",
+        bounds.lower,
+        bounds.upper
+    );
+    assert!(bounds.width() < 0.5, "bracket uselessly wide: {bounds:?}");
+    // Both kinds of dissociation are named: the alias group and a
+    // replicated scan.
+    assert!(
+        report
+            .dissociated
+            .iter()
+            .any(|d| d.contains("independent copies of `r`")),
+        "{:?}",
+        report.dissociated
+    );
+    assert!(
+        report.dissociated.iter().any(|d| d.contains('⇢')),
+        "{:?}",
+        report.dissociated
+    );
+}
+
 /// Bracket-gated refinement: with a zero tolerance the same query samples
 /// and reports the hybrid path, with the estimate clamped into the
 /// bracket.

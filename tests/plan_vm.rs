@@ -183,6 +183,22 @@ fn chain_query() -> Query {
         .join_on_rel("s", Query::scan("t").filter(ok()), [(AttrId(1), AttrId(0))])
 }
 
+/// The aliased chain `r1(x) ⋈ s(x,y) ⋈ r2(y)`, both ends scans of `r`:
+/// non-hierarchical *and* self-joined, so its candidates mix alias
+/// copies (`m^(1/k)` upper) with branch replicas (propagation-mass
+/// lower) — the one shape whose programs use both leaf transforms.
+fn aliased_chain_query() -> Query {
+    let ok3 = Predicate::eq(AttrId(2), ValueId(1));
+    Query::scan_as("r", "r1")
+        .filter(ok())
+        .join_on(Query::scan("s").filter(ok3), [(AttrId(0), AttrId(0))])
+        .join_on_rel(
+            "s",
+            Query::scan_as("r", "r2").filter(ok()),
+            [(AttrId(1), AttrId(0))],
+        )
+}
+
 fn arb_prob() -> impl Strategy<Value = f64> {
     (1u32..=19).prop_map(|w| w as f64 / 20.0)
 }
@@ -234,6 +250,20 @@ proptest! {
     ) {
         let catalog = chain_catalog(rp, sp, tp);
         assert_vm_matches_interpreter(&catalog, &chain_query());
+    }
+
+    /// Aliased chains: candidates that both copy aliases and replicate
+    /// branches stay bit-identical to the interpreter, cold and warm.
+    #[test]
+    fn vm_matches_interpreter_on_aliased_chains(
+        (rp, sp, tp) in (arb_probs2(), arb_probs3(), arb_probs2())
+    ) {
+        let catalog = chain_catalog(rp, sp, tp);
+        let q = aliased_chain_query();
+        let engine = CatalogEngine::with_config(&catalog, vm_config());
+        let planned = engine.plan(&q, Statistic::ProbabilityBounds).expect("plans");
+        prop_assert_eq!(planned, (EvalPath::ExactColumnar, PlanClass::Dissociable));
+        assert_vm_matches_interpreter(&catalog, &q);
     }
 
     /// Aliased self-joins: the conjunctive `m^(1/k)` upper transform and
