@@ -1,18 +1,16 @@
-//! Bench: plan execution across rayon pool sizes, and incremental
-//! register maintenance.
+//! Bench: warm and cold plan execution, and incremental register
+//! maintenance.
 //!
 //! Self-timed reporter (the vendored criterion shim has no programmatic
 //! timing hooks) written to `BENCH_shard.json` at the repo root. Every
-//! row runs the default engine config (brackets never refined); each plan
-//! fold is sequential, so the pool size only governs the fan-outs that
-//! remain (bracket candidates, cold binds, mass tables):
+//! row runs the default engine config (brackets never refined) on the
+//! caller's thread: every plan fold, bracket candidate, register bind and
+//! mass table is sequential, so one ambient `sequential` row per fixture
+//! times all of it:
 //!
 //! - warm/cold p50/p99 latency and warm queries/sec for the hierarchical
-//!   join probability at 1/2/4/8 rayon threads on a 100k-block catalog,
-//!   plus a `sequential` row with no installed pool (the ambient width a
-//!   plain caller sees);
-//! - the dissociation bracket on a 100k-block chain at the same thread
-//!   counts;
+//!   join probability on a 100k-block catalog;
+//! - the dissociation bracket on a 100k-block chain;
 //! - warm expected_count versus a cold call that plans and builds the
 //!   mass tables from scratch (the memoized mass tables must keep warm
 //!   hits ahead — asserted, satellite of the `join_2k_blocks` 0.98x
@@ -21,10 +19,9 @@
 //!   (register patch) versus a cold bind, with the cache's
 //!   `reg_patches`/`reg_rebinds` counters.
 //!
-//! `host_cores` records the machine's parallelism: thread counts above it
-//! time the scheduling overhead honestly rather than projecting speedups.
-//! Under `--test` (CI smoke) the fixtures shrink to seconds of work and
-//! the JSON is not rewritten.
+//! `host_cores` records the machine the report came from. Under `--test`
+//! (CI smoke) the fixtures shrink to seconds of work and the JSON is not
+//! rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrsl_bench::{synthetic_chain_catalog, synthetic_join_catalog};
@@ -32,8 +29,6 @@ use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query, QueryEngineConfig, S
 use mrsl_relation::{AttrId, ValueId};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--list")
@@ -87,90 +82,34 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-struct LatencyRow {
-    cold_p50_ns: f64,
-    cold_p99_ns: f64,
-    warm_p50_ns: f64,
-    warm_p99_ns: f64,
-    warm_qps: f64,
-}
-
-/// Times one (catalog, query, statistic) pair: cold = fresh engine per
-/// call (plan + bind + fold), warm = shared engine cache hits.
-fn latency_row(
-    catalog: &Catalog,
-    query: &Query,
-    stat: Statistic,
-    config: QueryEngineConfig,
+/// Times one (catalog, query, statistic) fixture — cold = fresh engine
+/// per call (plan + bind + fold), warm = shared engine cache hits — and
+/// writes its section: the single ambient row, keyed `sequential`.
+fn latency_section(
+    out: &mut String,
+    name: &str,
+    (catalog, query, stat): (&Catalog, &Query, Statistic),
     warm_iters: usize,
     cold_iters: usize,
-) -> LatencyRow {
-    let warm_engine = CatalogEngine::with_config(catalog, config);
+) {
+    let warm_engine = CatalogEngine::with_config(catalog, vm_config());
     let warm = sample_ns(warm_iters, || {
         std::hint::black_box(warm_engine.evaluate(query, stat).expect("warm"));
     });
     let cold = sample_ns(cold_iters, || {
-        let engine = CatalogEngine::with_config(catalog, config);
+        let engine = CatalogEngine::with_config(catalog, vm_config());
         std::hint::black_box(engine.evaluate(query, stat).expect("cold"));
     });
-    let warm_mean = warm.iter().sum::<f64>() / warm.len() as f64;
-    LatencyRow {
-        cold_p50_ns: percentile(&cold, 0.5),
-        cold_p99_ns: percentile(&cold, 0.99),
-        warm_p50_ns: percentile(&warm, 0.5),
-        warm_p99_ns: percentile(&warm, 0.99),
-        warm_qps: 1e9 / warm_mean,
-    }
-}
-
-fn write_row(out: &mut String, key: &str, row: &LatencyRow, last: bool) {
+    let warm_qps = 1e9 * warm.len() as f64 / warm.iter().sum::<f64>();
     let _ = writeln!(
         out,
-        "    \"{key}\": {{\"cold_p50_ns\": {:.0}, \"cold_p99_ns\": {:.0}, \
-         \"warm_p50_ns\": {:.0}, \"warm_p99_ns\": {:.0}, \"warm_qps\": {:.1}}}{}",
-        row.cold_p50_ns,
-        row.cold_p99_ns,
-        row.warm_p50_ns,
-        row.warm_p99_ns,
-        row.warm_qps,
-        if last { "" } else { "," }
+        "  \"{name}\": {{\"sequential\": {{\"cold_p50_ns\": {:.0}, \"cold_p99_ns\": {:.0}, \
+         \"warm_p50_ns\": {:.0}, \"warm_p99_ns\": {:.0}, \"warm_qps\": {warm_qps:.1}}}}},",
+        percentile(&cold, 0.5),
+        percentile(&cold, 0.99),
+        percentile(&warm, 0.5),
+        percentile(&warm, 0.99),
     );
-}
-
-fn in_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool builds")
-        .install(f)
-}
-
-/// Per-thread-count latency section: a baseline with no installed pool,
-/// then the same query at each pool size.
-fn thread_section(
-    out: &mut String,
-    name: &str,
-    catalog: &Catalog,
-    query: &Query,
-    stat: Statistic,
-    warm_iters: usize,
-    cold_iters: usize,
-) {
-    let _ = writeln!(out, "  \"{name}\": {{");
-    let seq = latency_row(catalog, query, stat, vm_config(), warm_iters, cold_iters);
-    write_row(out, "sequential", &seq, false);
-    for (i, &threads) in THREADS.iter().enumerate() {
-        let row = in_pool(threads, || {
-            latency_row(catalog, query, stat, vm_config(), warm_iters, cold_iters)
-        });
-        write_row(
-            out,
-            &format!("threads_{threads}"),
-            &row,
-            i + 1 == THREADS.len(),
-        );
-    }
-    let _ = writeln!(out, "  }},");
 }
 
 fn emit_shard_report(_c: &mut Criterion) {
@@ -200,21 +139,19 @@ fn emit_shard_report(_c: &mut Criterion) {
         4 * chain_blocks
     );
 
-    thread_section(
+    let join_fixture = (&join_catalog, &join, Statistic::Probability);
+    latency_section(
         &mut out,
         "join_probability",
-        &join_catalog,
-        &join,
-        Statistic::Probability,
+        join_fixture,
         warm_iters,
         cold_iters,
     );
-    thread_section(
+    let chain_fixture = (&chain_catalog, &chain, Statistic::ProbabilityBounds);
+    latency_section(
         &mut out,
         "chain_bounds",
-        &chain_catalog,
-        &chain,
-        Statistic::ProbabilityBounds,
+        chain_fixture,
         warm_iters,
         cold_iters,
     );

@@ -230,13 +230,6 @@ pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<Stri
 /// candidate `i`'s one register set: its upper and lower bound are the
 /// same program run in the two modes, and a program's sort paths depend
 /// only on its dissociation, so both runs read the same registers.
-///
-/// The candidate brackets are independent of each other, so on a
-/// multi-threaded rayon pool they evaluate concurrently — the shim
-/// collects in candidate order and each bracket's fold is sequential
-/// ([`vm::run_prebound`]), so the evals vector, the intersection, and the
-/// winning candidate are bit-identical to the sequential loop at every
-/// thread count.
 pub(crate) fn run_bounds_prebound(
     resolved: &Resolved,
     candidates: &[Dissociation],
@@ -244,24 +237,16 @@ pub(crate) fn run_bounds_prebound(
     regs: &[Vec<vm::TermRegs>],
     describe: Option<&DescribeMemo>,
 ) -> DissociatedBounds {
-    let eval_one = |(prog, regs): (&Program, &Vec<vm::TermRegs>)| {
-        (
-            vm::run_prebound(prog, regs, Mode::Upper).clamp(0.0, 1.0),
-            vm::run_prebound(prog, regs, Mode::Lower).clamp(0.0, 1.0),
-        )
-    };
-    let evals: Vec<(f64, f64)> = if rayon::current_num_threads() > 1 && programs.len() > 1 {
-        use rayon::prelude::*;
-        programs
-            .iter()
-            .zip(regs)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(eval_one)
-            .collect()
-    } else {
-        programs.iter().zip(regs).map(eval_one).collect()
-    };
+    let evals: Vec<(f64, f64)> = programs
+        .iter()
+        .zip(regs)
+        .map(|(prog, regs)| {
+            (
+                vm::run_prebound(prog, regs, Mode::Upper).clamp(0.0, 1.0),
+                vm::run_prebound(prog, regs, Mode::Lower).clamp(0.0, 1.0),
+            )
+        })
+        .collect();
     let choice = intersect_candidates(&evals);
     let key = (choice.upper_at, choice.lower_at);
     let (plan, dissociated) = match describe {
@@ -537,128 +522,84 @@ fn patchable(resolved: &Resolved, path: &[usize], t: usize) -> bool {
     })
 }
 
-/// Result of [`rebind_or_patch`]: the refreshed register sets in the
-/// memo layout, plus how they were obtained (for the cache counters).
-pub(crate) struct RegsMaintenance {
-    /// Register sets per program, [`BoundRegs::per_program`] layout.
-    pub per_program: Vec<Vec<vm::TermRegs>>,
-    /// Refreshed mass tables of a count program.
-    pub count: Option<Vec<exact::MassTable>>,
-    /// Term register sets refreshed by range patching.
-    pub patched: u64,
-    /// Term register sets (or mass tables) rebuilt from scratch.
-    pub rebound: u64,
-}
-
-/// Refreshes a cached plan's register memo against current column data,
-/// consuming the old memo: terms whose shard stamps are all unchanged
-/// move over untouched, terms whose data moved in only some shards are
-/// range-patched ([`vm::patch_term`]), and everything else is re-bound.
-/// Count programs refresh per-step mass tables the same way (reuse per
-/// unchanged term, rebuild otherwise). With no usable memo (a cold
-/// miss's first execution), every program binds fresh — fanned out over
-/// the rayon pool when it has more than one thread (per-program binds
-/// are independent and collect in program order, so the result is
-/// identical either way).
+/// Refreshes a cached plan's register memo in place against current
+/// column data, under the caller's memo lock. Returns `(patched,
+/// rebound)`: the term register sets it range-patched, and the register
+/// sets or mass tables it rebuilt. Terms whose shard stamps are all
+/// unchanged keep their registers, terms whose data moved in only some
+/// shards are range-patched ([`vm::patch_term`]), and everything else is
+/// re-bound. Count programs refresh per-step mass tables the same way
+/// (reuse per unchanged term, rebuild otherwise). With no memo yet (a
+/// cold miss's first execution), every program binds fresh; only this
+/// function writes the memo, so an existing one always has the plan's
+/// layout. Because the refresh never empties the memo, a concurrent hit
+/// on the same entry waits for the lock and finds the registers.
 pub(crate) fn rebind_or_patch(
-    plan: &CachedPlan,
+    memo: &mut Option<BoundRegs>,
+    program: &CompiledProgram,
     resolved: &Resolved,
     compiled: &[CompiledTerm],
     versions: &[u64],
-) -> RegsMaintenance {
-    let programs: Vec<&Program> = match &plan.program {
+    stats: Vec<crate::plan::RelationStats>,
+) -> (u64, u64) {
+    let programs: Vec<&Program> = match program {
         CompiledProgram::Boolean(p) => vec![p],
         CompiledProgram::Bounds { programs, .. } => programs.iter().collect(),
         _ => Vec::new(),
     };
-    let steps = match &plan.program {
+    let steps = match program {
         CompiledProgram::Count(cp) => cp.steps.as_deref(),
         _ => None,
     };
-    let old = plan.regs.lock().expect("register memo lock").take();
-    let mut patched = 0u64;
-    let mut rebound = 0u64;
-    if let Some(memo) = old {
-        if memo.per_program.len() == programs.len()
-            && memo.shard_versions.len() == resolved.terms.len()
-        {
-            let deltas = term_deltas(resolved, &memo.shard_versions);
-            let per_program: Vec<Vec<vm::TermRegs>> = programs
+    let shard_versions = resolved
+        .terms
+        .iter()
+        .map(|t| t.db.shard_versions().to_vec())
+        .collect();
+    let (mut patched, mut rebound) = (0u64, 0u64);
+    let Some(m) = memo.as_mut() else {
+        rebound += (programs.len() * resolved.terms.len()) as u64;
+        rebound += steps.map_or(0, |st| st.len() as u64);
+        *memo = Some(BoundRegs {
+            versions: versions.to_vec(),
+            shard_versions,
+            per_program: programs
                 .iter()
-                .zip(memo.per_program)
-                .map(|(prog, old_regs)| {
-                    old_regs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(t, old_t)| match &deltas[t] {
-                            TermDelta::Clean => old_t,
-                            TermDelta::Dirty(ranges) if patchable(resolved, &prog.paths[t], t) => {
-                                patched += 1;
-                                vm::patch_term(&old_t, &prog.paths[t], &compiled[t], ranges)
-                            }
-                            _ => {
-                                rebound += 1;
-                                vm::bind_term(&prog.paths[t], &compiled[t])
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let count = steps.map(|st| {
-                let reusable = memo.count.filter(|tables| {
-                    tables.len() == st.len() && memo.versions.len() == versions.len()
-                });
-                match reusable {
-                    Some(tables) => st
-                        .iter()
-                        .zip(tables)
-                        .map(|(step, table)| {
-                            if memo.versions[step.term] == versions[step.term] {
-                                table
-                            } else {
-                                rebound += 1;
-                                exact::grouped_term_mass(&compiled[step.term], step)
-                            }
-                        })
-                        .collect(),
-                    None => {
-                        rebound += st.len() as u64;
-                        exact::mass_tables(st, compiled, rayon::current_num_threads() > 1)
-                    }
+                .map(|prog| vm::bind_program(prog, compiled))
+                .collect(),
+            count: steps.map(|st| exact::mass_tables(st, compiled)),
+            stats,
+        });
+        return (patched, rebound);
+    };
+    let deltas = term_deltas(resolved, &m.shard_versions);
+    for (prog, regs) in programs.iter().zip(&mut m.per_program) {
+        for (t, regs_t) in regs.iter_mut().enumerate() {
+            match &deltas[t] {
+                TermDelta::Clean => {}
+                TermDelta::Dirty(ranges) if patchable(resolved, &prog.paths[t], t) => {
+                    patched += 1;
+                    *regs_t = vm::patch_term(regs_t, &prog.paths[t], &compiled[t], ranges);
                 }
-            });
-            return RegsMaintenance {
-                per_program,
-                count,
-                patched,
-                rebound,
-            };
+                _ => {
+                    rebound += 1;
+                    *regs_t = vm::bind_term(&prog.paths[t], &compiled[t]);
+                }
+            }
         }
     }
-    let parallel = rayon::current_num_threads() > 1;
-    rebound += (programs.len() * resolved.terms.len()) as u64;
-    let per_program: Vec<Vec<vm::TermRegs>> = if parallel && programs.len() > 1 {
-        use rayon::prelude::*;
-        programs
-            .into_par_iter()
-            .map(|prog| vm::bind_program(prog, compiled))
-            .collect()
-    } else {
-        programs
-            .iter()
-            .map(|prog| vm::bind_program(prog, compiled))
-            .collect()
-    };
-    let count = steps.map(|st| {
-        rebound += st.len() as u64;
-        exact::mass_tables(st, compiled, parallel)
-    });
-    RegsMaintenance {
-        per_program,
-        count,
-        patched,
-        rebound,
+    if let (Some(st), Some(tables)) = (steps, m.count.as_mut()) {
+        for (step, table) in st.iter().zip(tables) {
+            if m.versions[step.term] != versions[step.term] {
+                rebound += 1;
+                *table = exact::grouped_term_mass(&compiled[step.term], step);
+            }
+        }
     }
+    m.versions = versions.to_vec();
+    m.shard_versions = shard_versions;
+    m.stats = stats;
+    (patched, rebound)
 }
 
 /// Cumulative cache counters plus the current size.

@@ -15,12 +15,18 @@
 //!   attribute over a single relation.
 
 use super::classify::{CompiledTerm, Resolved};
+use super::vm;
 use mrsl_relation::AttrId;
 
 /// `E[|result|]` of any conjunctive query shape, by joining per-relation
 /// expected-mass tables over the join-class assignments.
 pub(crate) fn expected_join_count(resolved: &Resolved, compiled: &[CompiledTerm]) -> f64 {
-    run_mass_join(&count_steps(resolved), compiled, resolved.classes.len())
+    let steps = count_steps(resolved);
+    run_mass_join(
+        &steps,
+        &mass_tables(&steps, compiled),
+        resolved.classes.len(),
+    )
 }
 
 /// One fold step of the expected-count mass join ([`run_mass_join`]):
@@ -71,47 +77,24 @@ pub(crate) fn count_steps(resolved: &Resolved) -> Vec<MassStep> {
 /// memoizes them next to the boolean registers.
 pub(crate) type MassTable = Vec<(Vec<u16>, f64)>;
 
-/// Builds every step's grouped mass table, fanning the per-step group
-/// sorts out over the rayon pool when `parallel` (tables are
-/// independent; the shim collects in step order, so the output is
-/// identical either way).
-pub(crate) fn mass_tables(
-    steps: &[MassStep],
-    compiled: &[CompiledTerm],
-    parallel: bool,
-) -> Vec<MassTable> {
-    if parallel && steps.len() > 1 {
-        use rayon::prelude::*;
-        steps
-            .par_iter()
-            .map(|step| grouped_term_mass(&compiled[step.term], step))
-            .collect()
-    } else {
-        steps
-            .iter()
-            .map(|step| grouped_term_mass(&compiled[step.term], step))
-            .collect()
-    }
+/// Builds every step's grouped mass table, in step order.
+pub(crate) fn mass_tables(steps: &[MassStep], compiled: &[CompiledTerm]) -> Vec<MassTable> {
+    steps
+        .iter()
+        .map(|step| grouped_term_mass(&compiled[step.term], step))
+        .collect()
 }
 
-/// Deterministic expected-count fold: each step joins the accumulated
-/// class assignments against its term's grouped mass table, probing only
-/// the keys compatible with the already-bound classes (binary search on
-/// the bound-key prefix) instead of the old `assign × key` cross product.
+/// Deterministic expected-count fold over prebuilt (possibly memoized)
+/// mass tables: each step joins the accumulated class assignments
+/// against its term's grouped mass table, probing only the keys
+/// compatible with the already-bound classes (binary search on the
+/// bound-key prefix) instead of the old `assign × key` cross product.
 /// Assignments and mass tables are kept sorted with equal keys merge-
 /// summed, so the result is independent of hash iteration order; the
 /// interpreter and the bytecode VM both call this kernel, which makes
 /// their expected counts bit-identical by construction.
-pub(crate) fn run_mass_join(steps: &[MassStep], compiled: &[CompiledTerm], classes: usize) -> f64 {
-    run_mass_join_tables(steps, &mass_tables(steps, compiled, false), classes)
-}
-
-/// [`run_mass_join`] over prebuilt (possibly memoized) mass tables.
-pub(crate) fn run_mass_join_tables(
-    steps: &[MassStep],
-    tables: &[MassTable],
-    classes: usize,
-) -> f64 {
+pub(crate) fn run_mass_join(steps: &[MassStep], tables: &[MassTable], classes: usize) -> f64 {
     // Seed: the empty assignment (one per class, u16::MAX = unbound).
     let mut acc: Vec<(Vec<u16>, f64)> = vec![(vec![u16::MAX; classes], 1.0)];
     for (step, grouped) in steps.iter().zip(tables) {
@@ -143,28 +126,46 @@ pub(crate) fn run_mass_join_tables(
 
 /// Expected mass of one step's term keyed by `bound ++ fresh` positions
 /// (certain rows weigh 1, alternatives their probability), sorted
-/// lexicographically with equal keys merge-summed in row order — so the
-/// probe side is a binary search on the bound prefix.
-pub(crate) fn grouped_term_mass(ct: &CompiledTerm, step: &MassStep) -> Vec<(Vec<u16>, f64)> {
+/// lexicographically with equal keys summed in row order — so the probe
+/// side is a binary search on the bound prefix. The key positions are
+/// gathered into dense columns (live certain rows, then live
+/// alternatives, each in row order) and ordered by [`vm::sort_by_path`],
+/// the stable radix sort the register binder uses, so tied rows keep
+/// that certain-then-alternative order and every sum its addition
+/// sequence.
+pub(crate) fn grouped_term_mass(ct: &CompiledTerm, step: &MassStep) -> MassTable {
     let probs = ct.db.columns().alt_probs();
-    let nk = step.bound.len() + step.fresh.len();
-    let mut rows: Vec<(Vec<u16>, f64)> = Vec::new();
-    for r in ct.live_certain.iter_ones() {
-        let mut key = Vec::with_capacity(nk);
-        for &(pos, _) in step.bound.iter().chain(&step.fresh) {
-            key.push(ct.keys[pos].1[r]);
+    let cert: Vec<usize> = ct.live_certain.iter_ones().collect();
+    let alts: Vec<usize> = ct.live_alts.iter_ones().collect();
+    let cols: Vec<Vec<u16>> = step
+        .bound
+        .iter()
+        .chain(&step.fresh)
+        .map(|&(pos, _)| {
+            let (_, ccol, acol) = ct.keys[pos];
+            let cert_keys = cert.iter().map(|&r| ccol[r]);
+            cert_keys.chain(alts.iter().map(|&r| acol[r])).collect()
+        })
+        .collect();
+    let weight = |i: usize| match i.checked_sub(cert.len()) {
+        None => 1.0,
+        Some(a) => probs[alts[a]],
+    };
+    let mut order: Vec<u32> = (0..(cert.len() + alts.len()) as u32).collect();
+    vm::sort_by_path(
+        &mut order,
+        &cols.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+    );
+    let mut table: MassTable = Vec::new();
+    for i in order.into_iter().map(|i| i as usize) {
+        match table.last_mut() {
+            Some((key, acc)) if key.iter().zip(&cols).all(|(&k, col)| k == col[i]) => {
+                *acc += weight(i)
+            }
+            _ => table.push((cols.iter().map(|col| col[i]).collect(), weight(i))),
         }
-        rows.push((key, 1.0));
     }
-    for r in ct.live_alts.iter_ones() {
-        let mut key = Vec::with_capacity(nk);
-        for &(pos, _) in step.bound.iter().chain(&step.fresh) {
-            key.push(ct.keys[pos].2[r]);
-        }
-        rows.push((key, probs[r]));
-    }
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    merge_runs(rows)
+    table
 }
 
 /// Sums runs of equal keys in an already-sorted `(key, weight)` list,
@@ -215,4 +216,96 @@ pub(crate) fn value_marginal(ct: &CompiledTerm, attr: AttrId) -> Vec<f64> {
         hist.iter_mut().for_each(|h| *h /= total);
     }
     hist
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{Alternative, Block};
+    use crate::column::Bitmap;
+    use crate::database::ProbDb;
+    use mrsl_relation::{CompleteTuple, Schema};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+
+    /// The comparator-sort builder [`grouped_term_mass`] replaced: one
+    /// key vector per live row, stable-sorted, runs summed.
+    fn reference_term_mass(ct: &CompiledTerm, step: &MassStep) -> MassTable {
+        let probs = ct.db.columns().alt_probs();
+        let positions: Vec<usize> = step.bound.iter().chain(&step.fresh).map(|p| p.0).collect();
+        let mut rows: Vec<(Vec<u16>, f64)> = Vec::new();
+        for r in ct.live_certain.iter_ones() {
+            rows.push((positions.iter().map(|&p| ct.keys[p].1[r]).collect(), 1.0));
+        }
+        for r in ct.live_alts.iter_ones() {
+            let key = positions.iter().map(|&p| ct.keys[p].2[r]).collect();
+            rows.push((key, probs[r]));
+        }
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        merge_runs(rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// The radix-sorted mass table equals the comparator-sorted one
+        /// bit for bit: random certain rows and blocks (whose
+        /// alternatives straddle key groups), random live sets (empty
+        /// ones included), and random bound/fresh splits of the keys.
+        #[test]
+        fn grouped_term_mass_matches_comparator_sort(
+            seed in 0u64..100_000,
+            (certain, blocks) in (0usize..12, 0usize..10),
+            live_pct in 0u32..=100,
+            (nk, nbound) in (0usize..=3, 0usize..=3),
+        ) {
+            let mut rng = mrsl_util::seeded_rng(seed);
+            let v = ["v0", "v1", "v2"];
+            let schema = Schema::builder().attribute("a", v).attribute("b", v).attribute("c", v);
+            let mut db = ProbDb::new(schema.build().unwrap());
+            let draw = |rng: &mut StdRng| {
+                CompleteTuple::from_values((0..3).map(|_| rng.gen_range(0..3u16)).collect())
+            };
+            for _ in 0..certain {
+                db.push_certain(draw(&mut rng)).unwrap();
+            }
+            for key in 0..blocks {
+                let mut alts: Vec<Alternative> = Vec::new();
+                for _ in 0..rng.gen_range(1..5usize) {
+                    let (tuple, prob) = (draw(&mut rng), rng.gen_range(1..100u32) as f64);
+                    if alts.iter().all(|a| a.tuple != tuple) {
+                        alts.push(Alternative { tuple, prob });
+                    }
+                }
+                db.push_block(Block::normalized(key, alts).unwrap()).unwrap();
+            }
+            let live = |rng: &mut StdRng, len: usize| {
+                let mut bits = Bitmap::zeros(len);
+                (0..len).filter(|_| rng.gen_range(0..100u32) < live_pct).for_each(|i| bits.set(i));
+                bits
+            };
+            let (cert, alt) = (db.columns().certain(), db.columns().alternatives());
+            let ct = CompiledTerm {
+                name: "r".into(),
+                relation: "r".into(),
+                db: &db,
+                live_certain: live(&mut rng, cert.rows()),
+                live_alts: live(&mut rng, alt.rows()),
+                alt_block: Vec::new(),
+                keys: (0..3u16).map(|a| (a as usize, cert.col(AttrId(a)), alt.col(AttrId(a)))).collect(),
+            };
+            let mut bound: Vec<(usize, usize)> = (0..3).map(|p| (p, p)).collect();
+            bound.shuffle(&mut rng);
+            bound.truncate(nk);
+            let fresh = bound.split_off(nbound.min(nk));
+            let step = MassStep { term: 0, bound, fresh };
+            let bits = |table: MassTable| -> Vec<(Vec<u16>, u64)> {
+                table.into_iter().map(|(k, m)| (k, m.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(
+                bits(grouped_term_mass(&ct, &step)),
+                bits(reference_term_mass(&ct, &step))
+            );
+        }
+    }
 }

@@ -90,8 +90,8 @@ use std::sync::Arc;
 /// miss, [`PlanRoute::CacheHit`] after), unless Monte Carlo is forced;
 /// every other statistic plans fresh ([`PlanRoute::Uncached`]).
 ///
-/// No tunable affects parallelism: each plan fold runs sequentially, and
-/// answers are bit-identical at every rayon pool size.
+/// No tunable affects parallelism: each query runs on its caller's thread
+/// with no fan-out, so answers do not depend on any thread pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryEngineConfig {
     /// Worlds sampled on the Monte-Carlo path.
@@ -564,27 +564,24 @@ where
     let Some((resolved, versions)) = plan.bind(lookup) else {
         return Ok(None);
     };
-    // Register fast path: with every data stamp unchanged the guards
-    // still hold and the memoized registers are still the data — skip
-    // predicate compilation and register binding, run the fold alone.
+    // With every data stamp unchanged the guards still hold: leave
+    // predicate compilation to `execute`, which skips it when the
+    // memoized registers are still the data.
     if versions.as_slice() == recorded_versions {
-        if let Some(result) = run_prebound_fast(plan, &resolved, &versions, stat, config) {
-            return Ok(Some(result));
-        }
+        return execute(plan, &resolved, None, &versions, stat, config, Some(cache));
     }
     let compiled = compile_terms(&resolved);
-    if versions.as_slice() != recorded_versions {
-        let straddle = key_straddle(&resolved, &compiled).is_some();
-        let mismatch = alias_live_mismatch(&resolved, &compiled).is_some();
-        if straddle != plan.straddle || mismatch != plan.alias_mismatch {
-            return Ok(None);
-        }
-        cache.refresh_versions(tag, hash, &versions);
+    let straddle = key_straddle(&resolved, &compiled).is_some();
+    let mismatch = alias_live_mismatch(&resolved, &compiled).is_some();
+    if straddle != plan.straddle || mismatch != plan.alias_mismatch {
+        return Ok(None);
     }
+    cache.refresh_versions(tag, hash, &versions);
+    let compiled = Some(compiled.as_slice());
     execute(
         plan,
         &resolved,
-        &compiled,
+        compiled,
         &versions,
         stat,
         config,
@@ -626,16 +623,28 @@ fn evaluate_cold<'a>(
     let verdict = (p.path, p.plan, p.decomposition);
     let (entry, versions) = CachedPlan::capture(flat, resolved, compiled, verdict, program);
     let entry = Arc::new(entry);
-    let result = execute(&entry, resolved, compiled, &versions, stat, config, None)?
-        .expect("a freshly lowered program answers its own statistic");
+    let result = execute(
+        &entry,
+        resolved,
+        Some(compiled),
+        &versions,
+        stat,
+        config,
+        None,
+    )?
+    .expect("a freshly lowered program answers its own statistic");
     cache.insert(tag, hash, entry, versions);
     Ok(result)
 }
 
 /// The one executor of cached plans, cold and warm: refreshes the
-/// register memo (binding it from scratch on a cold miss, patching or
-/// rebinding what moved on a warm hit), runs the program, refines wide
-/// brackets by sampling, and memoizes the registers for the next hit.
+/// register memo in place unless it is still the data (binding it from
+/// scratch on a cold miss, patching or rebinding what moved on a warm
+/// hit), runs the program over it under the memo lock, and refines wide
+/// brackets by sampling once the lock is released. `compiled` is `None`
+/// on a hit whose data stamps all match the entry's: predicate
+/// compilation then runs only if something needs the compiled terms
+/// (a stale memo, a sampler, a single-relation count, a refinement).
 /// `warm` is the cache a hit was served from ([`PlanRoute::CacheHit`]),
 /// charged with the maintenance in [`PlanCacheStats::reg_patches`] /
 /// [`PlanCacheStats::reg_rebinds`]; `None` on a cold miss
@@ -643,10 +652,10 @@ fn evaluate_cold<'a>(
 /// `Ok(None)` when the program does not answer `stat` (impossible while
 /// the statistic tag is part of the cache key; the caller replans
 /// defensively instead of asserting).
-fn execute(
+fn execute<'a>(
     plan: &CachedPlan,
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
+    resolved: &Resolved<'a>,
+    compiled: Option<&[CompiledTerm<'a>]>,
     versions: &[u64],
     stat: Statistic,
     config: &QueryEngineConfig,
@@ -656,35 +665,54 @@ fn execute(
     if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
+    let lazy = std::cell::OnceCell::new();
+    let compiled = || compiled.unwrap_or_else(|| lazy.get_or_init(|| compile_terms(resolved)));
     let classes = resolved.classes.len();
-    let relations = relation_stats(compiled);
     let mut decomposition = plan.decomposition.clone();
     let mut dissociated: Vec<String> = Vec::new();
-    let answer = if let CompiledProgram::Sampled = plan.program {
-        sample(compiled, classes, stat, config)
+    let (answer, relations) = if let CompiledProgram::Sampled = plan.program {
+        let answer = sample(compiled(), classes, stat, config);
+        (answer, relation_stats(compiled()))
     } else {
-        let maint = compile::rebind_or_patch(plan, resolved, compiled, versions);
-        if let Some(cache) = warm {
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
+        // The memo lock is held from the refresh through the fold, so a
+        // concurrent hit on this entry waits for the registers instead of
+        // finding the memo gone and binding its own.
+        let mut memo = plan.regs.lock().expect("register memo lock");
+        if memo.as_ref().is_none_or(|m| m.versions != versions) {
+            let stats = relation_stats(compiled());
+            let (patched, rebound) = compile::rebind_or_patch(
+                &mut memo,
+                &plan.program,
+                resolved,
+                compiled(),
+                versions,
+                stats,
+            );
+            if let Some(cache) = warm {
+                cache.record_reg_maintenance(patched, rebound);
+            }
         }
-        let regs = (maint.per_program.as_slice(), maint.count.as_deref());
-        let Some(folded) = fold(plan, resolved, stat, regs, Some(compiled)) else {
+        let regs = memo.as_ref().expect("refreshed register memo");
+        let relations = regs.stats.clone();
+        let regs = (regs.per_program.as_slice(), regs.count.as_deref());
+        let Some(folded) = fold(plan, resolved, stat, regs, compiled) else {
             return Ok(None);
         };
-        memoize_regs(plan, versions, resolved, relations.clone(), maint);
-        match folded {
+        drop(memo);
+        let answer = match folded {
             Folded::Answer(answer) => answer,
             Folded::Bracket(eval) => {
                 decomposition = Some(eval.plan);
                 dissociated = eval.dissociated;
                 let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                let (bounds, refined) = refine(bracket, compiled, classes, config);
+                let (bounds, refined) = refine(bracket, compiled(), classes, config);
                 if refined {
                     path = EvalPath::Hybrid;
                 }
                 QueryAnswer::Bounds(bounds)
             }
-        }
+        };
+        (answer, relations)
     };
     let route = match warm {
         Some(_) => PlanRoute::CacheHit,
@@ -713,15 +741,15 @@ enum Folded {
 
 /// Folds a deterministic cached program over bound registers: `regs` is
 /// the register sets per program and the count program's mass tables
-/// (the [`compile::BoundRegs`] layout). `None` for sampling verdicts, for
-/// a program that does not answer `stat`, and for a single-relation
-/// count without its compiled terms.
-fn fold(
+/// (the [`compile::BoundRegs`] layout); `compiled` yields the compiled
+/// terms a single-relation count reads. `None` for sampling verdicts and
+/// for a program that does not answer `stat`.
+fn fold<'c, 'a: 'c>(
     plan: &CachedPlan,
     resolved: &Resolved,
     stat: Statistic,
     (regs, tables): (&[Vec<vm::TermRegs>], Option<&[exact::MassTable]>),
-    compiled: Option<&[CompiledTerm]>,
+    compiled: impl FnOnce() -> &'c [CompiledTerm<'a>],
 ) -> Option<Folded> {
     let answer = match (&plan.program, stat) {
         (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
@@ -734,10 +762,8 @@ fn fold(
         ),
         (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
             mean: match (&prog.steps, tables) {
-                (Some(steps), Some(tables)) => {
-                    exact::run_mass_join_tables(steps, tables, prog.classes)
-                }
-                _ => exact::single_expected_count(&compiled?[0]),
+                (Some(steps), Some(tables)) => exact::run_mass_join(steps, tables, prog.classes),
+                _ => exact::single_expected_count(&compiled()[0]),
             },
             std_error: None,
         },
@@ -759,48 +785,6 @@ fn fold(
         _ => return None,
     };
     Some(Folded::Answer(answer))
-}
-
-/// The unchanged-data fast path of a warm hit: fold the memoized
-/// registers without compiling terms or binding anything, holding the
-/// memo lock. `None` falls through to the full warm path — no memo, a
-/// memo bound under other versions, a program that needs compiled terms
-/// (single-relation counts, samplers), or a bracket wide enough to need a
-/// Monte-Carlo refinement.
-fn run_prebound_fast(
-    plan: &CachedPlan,
-    resolved: &Resolved,
-    versions: &[u64],
-    stat: Statistic,
-    config: &QueryEngineConfig,
-) -> Option<(QueryAnswer, EvalReport)> {
-    let memo = plan.regs.lock().expect("register memo lock");
-    let memo = memo.as_ref().filter(|m| m.versions == versions)?;
-    let regs = (memo.per_program.as_slice(), memo.count.as_deref());
-    let (answer, decomposition, dissociated) = match fold(plan, resolved, stat, regs, None)? {
-        Folded::Answer(answer) => (answer, plan.decomposition.clone(), Vec::new()),
-        Folded::Bracket(eval) => {
-            let bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-            if too_wide(&bounds, config) {
-                return None;
-            }
-            (
-                QueryAnswer::Bounds(bounds),
-                Some(eval.plan),
-                eval.dissociated,
-            )
-        }
-    };
-    let report = EvalReport::new(
-        plan.path,
-        PlanRoute::CacheHit,
-        plan.plan_class,
-        memo.stats.clone(),
-        config.mc_samples,
-        decomposition,
-        dissociated,
-    );
-    Some((answer, report))
 }
 
 /// Answers a prepared query without the plan cache: forced Monte Carlo
@@ -963,23 +947,19 @@ fn sample(
     }
 }
 
-/// Whether a dissociation bracket is wider than
-/// [`QueryEngineConfig::bounds_tolerance`] with a sample budget to refine
-/// it. Decided per answer with the current config, never cached.
-fn too_wide(bounds: &ProbabilityBounds, config: &QueryEngineConfig) -> bool {
-    bounds.width() > config.bounds_tolerance && config.mc_samples > 0
-}
-
-/// Bracket-gated refinement: a [`too_wide`] bracket gains a clamped
-/// Monte-Carlo point estimate (`true`: the path becomes
-/// [`EvalPath::Hybrid`]).
+/// Bracket-gated refinement: a bracket wider than
+/// [`QueryEngineConfig::bounds_tolerance`], with a sample budget to
+/// refine it, gains a clamped Monte-Carlo point estimate (`true`: the
+/// path becomes [`EvalPath::Hybrid`]). Decided per answer with the
+/// current config, never cached.
 fn refine(
     mut bounds: ProbabilityBounds,
     compiled: &[CompiledTerm],
     classes: usize,
     config: &QueryEngineConfig,
 ) -> (ProbabilityBounds, bool) {
-    if !too_wide(&bounds, config) {
+    let too_wide = bounds.width() > config.bounds_tolerance && config.mc_samples > 0;
+    if !too_wide {
         return (bounds, false);
     }
     let counts = mc::sample_join_counts(compiled, classes, config.mc_samples, config.mc_seed);
@@ -987,29 +967,6 @@ fn refine(
     bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
     bounds.std_error = Some(se);
     (bounds, true)
-}
-
-/// Stores the registers an execution just bound into the cache entry's
-/// version-guarded memo, together with the scan statistics the next
-/// report would otherwise recompute.
-fn memoize_regs(
-    plan: &CachedPlan,
-    versions: &[u64],
-    resolved: &Resolved,
-    stats: Vec<RelationStats>,
-    maint: compile::RegsMaintenance,
-) {
-    *plan.regs.lock().expect("register memo lock") = Some(compile::BoundRegs {
-        versions: versions.to_vec(),
-        shard_versions: resolved
-            .terms
-            .iter()
-            .map(|t| t.db.shard_versions().to_vec())
-            .collect(),
-        per_program: maint.per_program,
-        count: maint.count,
-        stats,
-    });
 }
 
 /// Compiles every resolved term's predicate into its live-row bitmaps.

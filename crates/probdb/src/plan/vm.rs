@@ -29,9 +29,9 @@
 //!   inline `(term, k)` list with no op dispatch per branch.
 //! * The expected-count mass join ([`CountProgram`]) — set-at-a-time
 //!   already; it executes through the same deterministic
-//!   [`super::exact::run_mass_join_tables`] kernel as the reference's
-//!   [`super::exact::run_mass_join`], which is what makes the two paths
-//!   bit-identical by construction.
+//!   [`super::exact::run_mass_join`] kernel as the reference's
+//!   [`super::exact::expected_join_count`], which is what makes the two
+//!   paths bit-identical by construction.
 //!
 //! **Registers.** [`bind_program`] is the per-data half of compilation:
 //! it gathers each term's live rows into columnar registers — key
@@ -344,8 +344,9 @@ pub(crate) fn patch_term(
 /// first. Dictionary-encoded keys are dense small `u16`s, so counting
 /// beats a comparator sort's per-comparison column indirection; per-pass
 /// stability makes earlier levels dominate and keeps ties in the
-/// incoming order.
-fn sort_by_path(rows: &mut Vec<u32>, cols: &[&[u16]]) {
+/// incoming order. The expected-count mass tables
+/// ([`super::exact::grouped_term_mass`]) are ordered by it too.
+pub(crate) fn sort_by_path(rows: &mut Vec<u32>, cols: &[&[u16]]) {
     let mut scratch = vec![0u32; rows.len()];
     for col in cols.iter().rev() {
         let max = rows.iter().map(|&r| col[r as usize]).max().unwrap_or(0) as usize;

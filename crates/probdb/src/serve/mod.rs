@@ -38,10 +38,10 @@
 //!
 //! Requests flow through an `std::sync::mpsc` queue to the pool (the
 //! build environment is offline: no async runtime, just std threads).
-//! The pool is the only query-level parallelism: each plan fold runs
-//! sequentially on the worker that picked the query up (within a query
-//! only the bracket candidates, cold binds and mass tables fan out over
-//! the vendored rayon shim). [`ServerHandle`] is a cheap clone per client
+//! The pool is the only parallelism: each query runs start to finish on
+//! the worker that picked it up, with no fan-out inside it (bracket
+//! candidates, register binds and mass tables all run in turn on that
+//! thread). [`ServerHandle`] is a cheap clone per client
 //! thread; [`ServerStats`] exposes per-path counts, cache warmth,
 //! generation lag and queue depth for the serve bench reporter.
 //!

@@ -11,11 +11,12 @@
 
 use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
-    Alternative, Block, Catalog, CatalogEngine, EvalPath, PlanClass, PlanRoute, Predicate, ProbDb,
-    ProbDbError, Query, QueryAnswer, QueryEngineConfig, Statistic,
+    Alternative, Block, Catalog, CatalogEngine, EvalPath, PlanCache, PlanClass, PlanRoute,
+    Predicate, ProbDb, ProbDbError, Query, QueryAnswer, QueryEngineConfig, Statistic,
 };
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema, ValueId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     Alternative {
@@ -540,4 +541,59 @@ fn warm_monte_carlo_path_still_rejects_zero_samples() {
     );
     let e = engine.probability(&q);
     assert!(matches!(e, Err(ProbDbError::NoSamples)), "{e:?}");
+}
+
+/// Engines sharing one plan cache (`CatalogEngine::with_plan_cache`, no
+/// server coalescing in between): concurrent warm hits on one bounds
+/// entry wait for its register memo instead of finding it gone and
+/// binding their own, and answer bit-identically to a lone engine. Every
+/// bracket is refined (tolerance 0), so no hit takes the lock-free
+/// unchanged-data fast path.
+#[test]
+fn concurrent_hits_on_one_entry_share_its_register_memo() {
+    const HITS: usize = 200;
+    let catalog = mrsl_bench::synthetic_chain_catalog(64, 24, 42);
+    let present = |attr: u16| Predicate::eq(AttrId(attr), ValueId(1));
+    let q = Query::scan("r")
+        .filter(Predicate::range(AttrId(0), ValueId(0), ValueId(7)).and(present(1)))
+        .join_on(
+            Query::scan("s").filter(present(2)),
+            [(AttrId(0), AttrId(0))],
+        )
+        .join_on_rel(
+            "s",
+            Query::scan("t").filter(present(1)),
+            [(AttrId(1), AttrId(0))],
+        );
+    let config = QueryEngineConfig {
+        bounds_tolerance: 0.0,
+        mc_samples: 200,
+        ..QueryEngineConfig::default()
+    };
+    let stat = Statistic::ProbabilityBounds;
+    let lone = CatalogEngine::with_config(&catalog, config);
+    let expected = answer_bits(lone.evaluate(&q, stat).expect("cold").0);
+    let cache = Arc::new(PlanCache::new());
+    // The cold miss memoizes the registers every hit below reuses.
+    CatalogEngine::with_plan_cache(&catalog, config, cache.clone())
+        .evaluate(&q, stat)
+        .expect("cold");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let engine = CatalogEngine::with_plan_cache(&catalog, config, cache.clone());
+                start.wait();
+                for _ in 0..HITS {
+                    let (answer, report) = engine.evaluate(&q, stat).expect("warm");
+                    assert_eq!(report.route, PlanRoute::CacheHit);
+                    assert_eq!(report.path, EvalPath::Hybrid);
+                    assert_eq!(answer_bits(answer), expected);
+                }
+            });
+        }
+    });
+    let stats = cache.stats();
+    assert_eq!(stats.hits, 2 * HITS as u64, "{stats:?}");
+    assert_eq!((stats.reg_rebinds, stats.reg_patches), (0, 0), "{stats:?}");
 }

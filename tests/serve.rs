@@ -623,6 +623,21 @@ fn shutdown_drains_queued_work_then_rejects() {
 /// build (roughly a second), so the queue observably backs up.
 const SLOW_SAMPLES: usize = 300_000;
 
+/// Monte-Carlo samples that keep one forced evaluation of `q` busy for at
+/// least `target`, from a timed calibration run in this build: debug and
+/// release builds differ by an order of magnitude, so no fixed count
+/// outlasts a wall-clock deadline in both.
+fn samples_lasting(catalog: &Catalog, q: &Query, target: Duration) -> usize {
+    const PROBE: usize = 20_000;
+    let engine = CatalogEngine::with_config(catalog, overload_config(1, 0, PROBE).engine);
+    let start = Instant::now();
+    engine
+        .evaluate(q, Statistic::Probability)
+        .expect("calibration run");
+    let per_sample = start.elapsed().as_secs_f64() / PROBE as f64;
+    (target.as_secs_f64() / per_sample).ceil() as usize
+}
+
 /// Submits one slow request and blocks until a worker has picked it up
 /// (queue empty again), so the test knows the pool is busy.
 fn occupy_worker(handle: &ServerHandle, q: &Query) -> mrsl_repro::probdb::serve::Ticket {
@@ -692,13 +707,16 @@ fn full_queue_rejects_with_overloaded_immediately() {
 fn deadlines_bound_waits_and_expire_queued_work() {
     let catalog = chain_catalog([0.3, 0.7], [0.2, 0.5, 0.8], [0.6, 0.4]);
     let q = chain_query();
-    let server = ProbDbServer::with_config(catalog, overload_config(1, 0, SLOW_SAMPLES));
+    // The blocker must outlast both 100 ms deadlines below with a wide
+    // margin whatever the build profile: calibrate it to about a second.
+    let deadline = Duration::from_millis(100);
+    let samples = samples_lasting(&catalog, &q, Duration::from_secs(1));
+    let server = ProbDbServer::with_config(catalog, overload_config(1, 0, samples));
     let handle = server.handle();
     let blocker = occupy_worker(&handle, &q);
 
     // A request stamped with a deadline far shorter than the blocker's
     // runtime: the client-side wait gives up on time...
-    let deadline = Duration::from_millis(100);
     let expired = handle
         .submit_with_deadline(q.clone(), Statistic::Probability, deadline)
         .expect("admitted");
@@ -715,10 +733,18 @@ fn deadlines_bound_waits_and_expire_queued_work() {
     // ...and a second stamped request, left queued past its deadline
     // with its ticket alive, is dropped by the worker without being
     // evaluated and answers `DeadlineExceeded`.
+    let submitted = Instant::now();
     let doomed = handle
         .submit_with_deadline(q.clone(), Statistic::Probability, deadline)
         .expect("admitted");
-    assert_eq!(doomed.wait().unwrap_err(), ProbDbError::DeadlineExceeded);
+    let answer = doomed.wait();
+    // The precondition: the worker reached the doomed request only after
+    // its deadline, i.e. the blocker was still running then.
+    assert!(
+        submitted.elapsed() >= deadline,
+        "the blocker ({samples} samples) finished before the doomed deadline"
+    );
+    assert_eq!(answer.unwrap_err(), ProbDbError::DeadlineExceeded);
     let stats = handle.stats();
     assert_eq!(stats.expired, 1, "{stats:?}");
     // The first stamped request was abandoned by its timed-out wait, so

@@ -2,9 +2,11 @@
 //!
 //! The VM must be **bit-identical** — not epsilon-close — to the
 //! reference interpreter at every rayon pool size, cold and warm, for
-//! `Probability`, `ProbabilityBounds` and `ExpectedCount`: each plan fold
-//! runs sequentially, and the fan-outs that remain (bracket candidates,
-//! cold binds, mass tables) collect in input order. Incremental register
+//! `Probability`, `ProbabilityBounds` and `ExpectedCount`. The query
+//! engine spawns no threads and reads no pool size (every fold, bracket
+//! candidate, register bind and mass table runs on the caller's thread),
+//! so the pool sizes here guard against a fan-out creeping back in with
+//! a different evaluation order. Incremental register
 //! maintenance must patch only the key-range shards an upsert touched
 //! (the store's change-tracking [`ShardMap`] partition), leave the cache
 //! entry valid, and still produce the exact bits a fresh bind would.
