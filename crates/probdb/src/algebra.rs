@@ -413,7 +413,9 @@ impl Flattened {
     }
 
     /// Structural equality over exactly what [`Flattened::shape_hash`]
-    /// fingerprints: equal hashes are only a hint, this is the proof.
+    /// fingerprints: equal hashes are only a hint, this is the proof. The
+    /// plan cache verifies every hit with it, and request coalescing every
+    /// attach.
     pub(crate) fn same_shape(&self, other: &Flattened) -> bool {
         self.joins == other.joins
             && self.terms.len() == other.terms.len()

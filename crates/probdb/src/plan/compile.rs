@@ -22,34 +22,37 @@
 //!    loop-invariant (copied-only) subtrees and records per-term sort
 //!    paths so partition keys are sorted once at bind time instead of
 //!    hashed per recursion level.
-//! 4. **Cache** — [`PlanCache`], one striped LRU table, stores the owned
-//!    shape, the compiled program, the schemas, data-version stamps and
-//!    the data-dependent guard verdicts. A cold miss captures the entry
-//!    and runs it through the same executor as a warm hit, memoizing its
-//!    registers; a warm hit skips flatten-resolve-classify-dissociate
-//!    entirely: it re-binds the owned shape against current column data
-//!    and executes the cached program.
+//! 4. **Cache** — [`PlanCache`], one exact-LRU table under one mutex,
+//!    stores [`CachedPlan`]s: the query's [`Flattened`] shape, the
+//!    compiled program, the schemas and the data-dependent guard
+//!    verdicts. Each plan is the single owner of its data-version stamps,
+//!    bound registers and report memo, behind one lock ([`PlanMemo`]). A
+//!    cold miss captures the entry with its registers bound and runs it
+//!    through the same executor as a warm hit; a warm hit skips
+//!    flatten-resolve-classify-dissociate entirely: it re-binds the owned
+//!    shape against current column data and executes the cached program.
 //!
 //! **Invalidation.** Classification is partly data-dependent (the
 //! key-straddle and alias-live-set guards), so a cached verdict is only
 //! reused when it is provably still right: if every relation's
-//! [`crate::ProbDb::version`] stamp is unchanged the guards cannot have
-//! moved and are skipped outright; if any stamp moved, the two guards are
-//! recomputed (cheap linear scans — still no classification) and compared
-//! against the recorded verdicts. A flipped guard or a swapped schema
-//! invalidates the entry and falls back to a cold replan.
+//! [`crate::ProbDb::version`] stamp equals the plan memo's, the guards
+//! cannot have moved and are skipped outright; if any stamp moved, the two
+//! guards are recomputed (cheap linear scans — still no classification)
+//! and compared against the recorded verdicts before the memo takes the
+//! new stamps. A flipped guard or a swapped schema invalidates the entry
+//! and falls back to a cold replan.
 
 use super::classify::{
     alias_live_mismatch, components, key_straddle, Class, CompiledTerm, Resolved, Term,
 };
 use super::dissociate::{
-    alias_multiplicities, covering_root, describe_bounds, extended_class_terms,
-    intersect_candidates, DissociatedBounds, Dissociation, Mode,
+    alias_multiplicities, bracket, covering_root, extended_class_terms, DescribeMemo,
+    DissociatedBounds, Dissociation, Mode,
 };
-use super::exact;
+use super::exact::{self, MassStep};
 use super::report::{EvalPath, PlanClass, SafePlan};
 use super::vm::{self, BodyStep, CountProgram, Op, Program};
-use crate::algebra::{Flattened, ResolvedPair, Statistic};
+use crate::algebra::{Flattened, Statistic};
 use crate::column::SHARD_COUNT;
 use crate::database::ProbDb;
 use crate::predicate::Predicate;
@@ -216,26 +219,20 @@ fn peephole(mut prog: Program) -> Program {
     prog
 }
 
-/// Memo of the bounds report rendering, keyed by the winning
-/// `(upper_at, lower_at)` candidate pair. `describe_bounds` re-derives
-/// the winner's dissociated decomposition — pure shape work, identical
-/// for every evaluation that picks the same winner — so warm hits reuse
-/// it instead of re-walking the component recursion.
-pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<String>))>>;
-
 /// Executes compiled bounds candidates over bound registers and
 /// intersects the brackets — the VM counterpart of
-/// `dissociate::evaluate_bounds`, sharing its selection and
-/// report-rendering logic so both pick identical winners. `regs[i]` is
-/// candidate `i`'s one register set: its upper and lower bound are the
-/// same program run in the two modes, and a program's sort paths depend
-/// only on its dissociation, so both runs read the same registers.
+/// `dissociate::evaluate_bounds`, ending in the same [`bracket`] tail so
+/// both pick identical winners. `regs[i]` is candidate `i`'s one register
+/// set: its upper and lower bound are the same program run in the two
+/// modes, and a program's sort paths depend only on its dissociation, so
+/// both runs read the same registers. `describe` is the cached plan's
+/// report memo, borrowed under its memo lock.
 pub(crate) fn run_bounds_prebound(
     resolved: &Resolved,
     candidates: &[Dissociation],
     programs: &[Program],
     regs: &[Vec<vm::TermRegs>],
-    describe: Option<&DescribeMemo>,
+    describe: &mut DescribeMemo,
 ) -> DissociatedBounds {
     let evals: Vec<(f64, f64)> = programs
         .iter()
@@ -247,28 +244,7 @@ pub(crate) fn run_bounds_prebound(
             )
         })
         .collect();
-    let choice = intersect_candidates(&evals);
-    let key = (choice.upper_at, choice.lower_at);
-    let (plan, dissociated) = match describe {
-        Some(memo) => {
-            let mut slot = memo.lock().expect("describe memo lock");
-            match &*slot {
-                Some((k, v)) if *k == key => v.clone(),
-                _ => {
-                    let v = describe_bounds(resolved, candidates, &choice);
-                    *slot = Some((key, v.clone()));
-                    v
-                }
-            }
-        }
-        None => describe_bounds(resolved, candidates, &choice),
-    };
-    DissociatedBounds {
-        lower: choice.lower,
-        upper: choice.upper,
-        plan,
-        dissociated,
-    }
+    bracket(resolved, candidates, &evals, describe)
 }
 
 /// The executable part of a cached plan.
@@ -292,20 +268,44 @@ pub(crate) enum CompiledProgram {
     Sampled,
 }
 
-/// Bound registers memoized inside a cache entry: the gathered, pre-
-/// sorted columns of every deterministic program, valid exactly while
-/// every relation's data version matches `versions`. A warm hit whose
-/// stamps match skips predicate compilation and register binding and goes
-/// straight to the fold; any mutation makes the stamps differ and the
-/// next evaluation rebinds (and overwrites) the registers.
+impl CompiledProgram {
+    /// The programs that bind register sets (one for a boolean program,
+    /// one per candidate of a bounds ensemble) and the mass-join steps of
+    /// a count program.
+    fn parts(&self) -> (Vec<&Program>, Option<&[MassStep]>) {
+        match self {
+            Self::Boolean(p) => (vec![p], None),
+            Self::Bounds { programs, .. } => (programs.iter().collect(), None),
+            Self::Count(cp) => (Vec::new(), cp.steps.as_deref()),
+            Self::Sampled => (Vec::new(), None),
+        }
+    }
+}
+
+/// The mutable state of a cached plan, behind its one lock: the data
+/// versions its guards were last verified under, and what it memoized
+/// under them. An evaluation whose relations carry exactly these versions
+/// skips the guards, predicate compilation and register binding and goes
+/// straight to the fold; any mutation makes the stamps differ, and the
+/// next evaluation re-checks the guards and patches or rebinds what moved.
+#[derive(Debug)]
+pub(crate) struct PlanMemo {
+    /// Per-term data versions ([`ProbDb::version`]), term order.
+    pub versions: Vec<u64>,
+    /// Bound registers; `None` for sampling verdicts, which bind nothing.
+    pub regs: Option<BoundRegs>,
+    /// Bounds report-rendering memo (see [`DescribeMemo`]).
+    pub describe: DescribeMemo,
+}
+
+/// The gathered, pre-sorted columns of a deterministic program, valid
+/// while the [`PlanMemo::versions`] they sit next to are the data's.
 #[derive(Debug)]
 pub(crate) struct BoundRegs {
-    /// Data versions the registers were gathered under, term order.
-    pub versions: Vec<u64>,
     /// Per-term shard stamps ([`ProbDb::shard_versions`]) at gather
-    /// time. When only some shards moved, [`rebind_or_patch`] re-gathers
-    /// just those leading-key ranges ([`vm::patch_term`]) and splices
-    /// the untouched runs over from the memo.
+    /// time. When only some shards moved, [`BoundRegs::refresh`]
+    /// re-gathers just those leading-key ranges ([`vm::patch_term`]) and
+    /// splices the untouched runs over from the memo.
     pub shard_versions: Vec<Vec<u64>>,
     /// One register set per program: `[regs]` for a boolean program, one
     /// per candidate (in candidate order, shared by both bracket sides)
@@ -320,17 +320,91 @@ pub(crate) struct BoundRegs {
     pub stats: Vec<crate::plan::RelationStats>,
 }
 
-/// One term of the owned query shape stored in the cache.
+impl BoundRegs {
+    /// Binds every register set and mass table from scratch: the cold
+    /// miss that captures the plan. This first bind is not a rebuild and
+    /// is not counted in [`PlanCacheStats::reg_rebinds`].
+    fn bind(program: &CompiledProgram, resolved: &Resolved, compiled: &[CompiledTerm]) -> Self {
+        let (programs, steps) = program.parts();
+        BoundRegs {
+            shard_versions: shard_stamps(resolved),
+            per_program: programs
+                .iter()
+                .map(|prog| vm::bind_program(prog, compiled))
+                .collect(),
+            count: steps.map(|st| exact::mass_tables(st, compiled)),
+            stats: super::relation_stats(compiled),
+        }
+    }
+
+    /// Refreshes the registers in place against current column data, under
+    /// the caller's memo lock; `(old, new)` are the memo's data versions
+    /// and the bound catalog's. Returns `(patched, rebound)`: the term
+    /// register sets it range-patched, and the register sets or mass
+    /// tables it rebuilt. Terms whose shard stamps are all unchanged keep
+    /// their registers, terms whose data moved in only some shards are
+    /// range-patched ([`vm::patch_term`]), and everything else is
+    /// re-bound. Count programs refresh per-step mass tables the same way
+    /// (reuse per unchanged term, rebuild otherwise). Because the refresh
+    /// never empties the memo, a concurrent hit on the same entry waits
+    /// for the lock and finds the registers.
+    pub(crate) fn refresh(
+        &mut self,
+        program: &CompiledProgram,
+        resolved: &Resolved,
+        compiled: &[CompiledTerm],
+        (old, new): (&[u64], &[u64]),
+    ) -> (u64, u64) {
+        let (programs, steps) = program.parts();
+        let (mut patched, mut rebound) = (0u64, 0u64);
+        let deltas = term_deltas(resolved, &self.shard_versions);
+        for (prog, regs) in programs.iter().zip(&mut self.per_program) {
+            for (t, regs_t) in regs.iter_mut().enumerate() {
+                match &deltas[t] {
+                    TermDelta::Clean => {}
+                    TermDelta::Dirty(ranges) if patchable(resolved, &prog.paths[t], t) => {
+                        patched += 1;
+                        *regs_t = vm::patch_term(regs_t, &prog.paths[t], &compiled[t], ranges);
+                    }
+                    _ => {
+                        rebound += 1;
+                        *regs_t = vm::bind_term(&prog.paths[t], &compiled[t]);
+                    }
+                }
+            }
+        }
+        if let (Some(st), Some(tables)) = (steps, self.count.as_mut()) {
+            for (step, table) in st.iter().zip(tables) {
+                if old[step.term] != new[step.term] {
+                    rebound += 1;
+                    *table = exact::grouped_term_mass(&compiled[step.term], step);
+                }
+            }
+        }
+        self.shard_versions = shard_stamps(resolved);
+        self.stats = super::relation_stats(compiled);
+        (patched, rebound)
+    }
+}
+
+/// Every term's current per-shard stamps, term order.
+fn shard_stamps(resolved: &Resolved) -> Vec<Vec<u64>> {
+    resolved
+        .terms
+        .iter()
+        .map(|t| t.db.shard_versions().to_vec())
+        .collect()
+}
+
+/// What a warm hit re-binds of one term: its simplified predicate, the
+/// join-class attributes it contributes, and the schema it was planned
+/// against. The term's name, relation and raw predicate are the stored
+/// [`Flattened`] shape's.
 #[derive(Debug)]
 struct OwnedTerm {
-    name: String,
-    relation: String,
-    /// The raw flattened predicate, compared verbatim against incoming
-    /// queries on every hit.
-    raw_pred: Predicate,
-    /// The simplified predicate, re-bound into [`Term`]s on warm hits.
     pred: Predicate,
     class_attrs: Vec<(usize, AttrId)>,
+    schema: Arc<Schema>,
 }
 
 /// A fully planned, compiled, shape-verified cache entry: everything a
@@ -338,14 +412,14 @@ struct OwnedTerm {
 /// resolving or classifying anything.
 #[derive(Debug)]
 pub(crate) struct CachedPlan {
+    /// The query shape the plan answers, compared on every hit.
+    flat: Flattened,
     terms: Vec<OwnedTerm>,
     classes: Vec<(Vec<(usize, AttrId)>, String)>,
-    joins: Vec<ResolvedPair>,
-    schemas: Vec<Arc<Schema>>,
     /// Recorded verdict of the key-straddle guard at plan time.
-    pub straddle: bool,
+    straddle: bool,
     /// Recorded verdict of the alias-live-mismatch guard at plan time.
-    pub alias_mismatch: bool,
+    alias_mismatch: bool,
     /// The planned evaluation path (pre any hybrid upgrade, which is an
     /// evaluation-time decision re-made per answer).
     pub path: EvalPath,
@@ -354,36 +428,34 @@ pub(crate) struct CachedPlan {
     /// winning candidate's decomposition at evaluation time).
     pub decomposition: Option<SafePlan>,
     pub program: CompiledProgram,
-    /// Version-guarded register memo (see [`BoundRegs`]); `None` until
-    /// the cold execution that captured the entry binds it, and for
-    /// sampling verdicts, which bind nothing.
-    pub regs: Mutex<Option<BoundRegs>>,
-    /// Bounds report-rendering memo (see [`DescribeMemo`]).
-    pub describe: DescribeMemo,
+    /// The data stamps, registers and report memo (see [`PlanMemo`]).
+    pub memo: Mutex<PlanMemo>,
 }
 
 impl CachedPlan {
-    /// Builds the owned entry from a cold plan, recording the guard
-    /// verdicts uniformly and stamping the relations' data versions.
+    /// Builds the owned entry from a cold plan: records the guard
+    /// verdicts, stamps the relations' data versions and binds the
+    /// registers of a deterministic program.
     pub(crate) fn capture(
-        flat: &Flattened,
+        flat: Flattened,
         resolved: &Resolved,
         compiled: &[CompiledTerm],
         (path, plan_class, decomposition): (EvalPath, PlanClass, Option<SafePlan>),
         program: CompiledProgram,
-    ) -> (Self, Vec<u64>) {
-        let versions = resolved.terms.iter().map(|t| t.db.version()).collect();
-        let plan = CachedPlan {
-            terms: flat
+    ) -> Self {
+        let regs = match program {
+            CompiledProgram::Sampled => None,
+            _ => Some(BoundRegs::bind(&program, resolved, compiled)),
+        };
+        CachedPlan {
+            flat,
+            terms: resolved
                 .terms
                 .iter()
-                .zip(&resolved.terms)
-                .map(|(ft, rt)| OwnedTerm {
-                    name: rt.name.clone(),
-                    relation: rt.relation.clone(),
-                    raw_pred: ft.pred.clone(),
-                    pred: rt.pred.clone(),
-                    class_attrs: rt.class_attrs.clone(),
+                .map(|t| OwnedTerm {
+                    pred: t.pred.clone(),
+                    class_attrs: t.class_attrs.clone(),
+                    schema: t.db.schema().clone(),
                 })
                 .collect(),
             classes: resolved
@@ -391,55 +463,43 @@ impl CachedPlan {
                 .iter()
                 .map(|c| (c.members.clone(), c.label.clone()))
                 .collect(),
-            joins: flat.joins.clone(),
-            schemas: resolved
-                .terms
-                .iter()
-                .map(|t| t.db.schema().clone())
-                .collect(),
             straddle: key_straddle(resolved, compiled).is_some(),
             alias_mismatch: alias_live_mismatch(resolved, compiled).is_some(),
             path,
             plan_class,
             decomposition,
             program,
-            regs: Mutex::new(None),
-            describe: Mutex::new(None),
-        };
-        (plan, versions)
+            memo: Mutex::new(PlanMemo {
+                versions: resolved.terms.iter().map(|t| t.db.version()).collect(),
+                regs,
+                describe: None,
+            }),
+        }
     }
 
     /// Full structural shape verification on a fingerprint match.
     pub(crate) fn matches(&self, flat: &Flattened) -> bool {
-        self.terms.len() == flat.terms.len()
-            && self.joins == flat.joins
-            && self
-                .terms
-                .iter()
-                .zip(&flat.terms)
-                .all(|(a, b)| a.name == b.name && a.relation == b.relation && a.raw_pred == b.pred)
+        self.flat.same_shape(flat)
     }
 
     /// Re-binds the owned shape against current catalog data: cheap
     /// per-term lookups plus `O(shape)` clones, no resolution or
     /// classification. Returns `None` (stale — cold replan) when a
     /// relation disappeared or its schema changed.
-    pub(crate) fn bind<'a, F>(&self, lookup: &F) -> Option<(Resolved<'a>, Vec<u64>)>
+    pub(crate) fn bind<'a, F>(&self, lookup: &F) -> Option<Resolved<'a>>
     where
         F: Fn(&str) -> Option<&'a ProbDb>,
     {
         let mut terms = Vec::with_capacity(self.terms.len());
-        let mut versions = Vec::with_capacity(self.terms.len());
-        for (i, t) in self.terms.iter().enumerate() {
-            let db = lookup(&t.relation)?;
+        for (ft, t) in self.flat.terms.iter().zip(&self.terms) {
+            let db = lookup(&ft.relation)?;
             let schema = db.schema();
-            if !Arc::ptr_eq(schema, &self.schemas[i]) && **schema != *self.schemas[i] {
+            if !Arc::ptr_eq(schema, &t.schema) && **schema != *t.schema {
                 return None;
             }
-            versions.push(db.version());
             terms.push(Term {
-                name: t.name.clone(),
-                relation: t.relation.clone(),
+                name: ft.name.clone(),
+                relation: ft.relation.clone(),
                 db,
                 pred: t.pred.clone(),
                 class_attrs: t.class_attrs.clone(),
@@ -453,7 +513,15 @@ impl CachedPlan {
                 label: label.clone(),
             })
             .collect();
-        Some((Resolved { terms, classes }, versions))
+        Some(Resolved { terms, classes })
+    }
+
+    /// Whether the data-dependent guards still give their recorded
+    /// verdicts on `resolved` — the only classification inputs that can
+    /// move with the data (linear scans, no classification).
+    pub(crate) fn guards_hold(&self, resolved: &Resolved, compiled: &[CompiledTerm]) -> bool {
+        key_straddle(resolved, compiled).is_some() == self.straddle
+            && alias_live_mismatch(resolved, compiled).is_some() == self.alias_mismatch
     }
 }
 
@@ -522,86 +590,6 @@ fn patchable(resolved: &Resolved, path: &[usize], t: usize) -> bool {
     })
 }
 
-/// Refreshes a cached plan's register memo in place against current
-/// column data, under the caller's memo lock. Returns `(patched,
-/// rebound)`: the term register sets it range-patched, and the register
-/// sets or mass tables it rebuilt. Terms whose shard stamps are all
-/// unchanged keep their registers, terms whose data moved in only some
-/// shards are range-patched ([`vm::patch_term`]), and everything else is
-/// re-bound. Count programs refresh per-step mass tables the same way
-/// (reuse per unchanged term, rebuild otherwise). With no memo yet (a
-/// cold miss's first execution), every program binds fresh; only this
-/// function writes the memo, so an existing one always has the plan's
-/// layout. Because the refresh never empties the memo, a concurrent hit
-/// on the same entry waits for the lock and finds the registers.
-pub(crate) fn rebind_or_patch(
-    memo: &mut Option<BoundRegs>,
-    program: &CompiledProgram,
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-    versions: &[u64],
-    stats: Vec<crate::plan::RelationStats>,
-) -> (u64, u64) {
-    let programs: Vec<&Program> = match program {
-        CompiledProgram::Boolean(p) => vec![p],
-        CompiledProgram::Bounds { programs, .. } => programs.iter().collect(),
-        _ => Vec::new(),
-    };
-    let steps = match program {
-        CompiledProgram::Count(cp) => cp.steps.as_deref(),
-        _ => None,
-    };
-    let shard_versions = resolved
-        .terms
-        .iter()
-        .map(|t| t.db.shard_versions().to_vec())
-        .collect();
-    let (mut patched, mut rebound) = (0u64, 0u64);
-    let Some(m) = memo.as_mut() else {
-        rebound += (programs.len() * resolved.terms.len()) as u64;
-        rebound += steps.map_or(0, |st| st.len() as u64);
-        *memo = Some(BoundRegs {
-            versions: versions.to_vec(),
-            shard_versions,
-            per_program: programs
-                .iter()
-                .map(|prog| vm::bind_program(prog, compiled))
-                .collect(),
-            count: steps.map(|st| exact::mass_tables(st, compiled)),
-            stats,
-        });
-        return (patched, rebound);
-    };
-    let deltas = term_deltas(resolved, &m.shard_versions);
-    for (prog, regs) in programs.iter().zip(&mut m.per_program) {
-        for (t, regs_t) in regs.iter_mut().enumerate() {
-            match &deltas[t] {
-                TermDelta::Clean => {}
-                TermDelta::Dirty(ranges) if patchable(resolved, &prog.paths[t], t) => {
-                    patched += 1;
-                    *regs_t = vm::patch_term(regs_t, &prog.paths[t], &compiled[t], ranges);
-                }
-                _ => {
-                    rebound += 1;
-                    *regs_t = vm::bind_term(&prog.paths[t], &compiled[t]);
-                }
-            }
-        }
-    }
-    if let (Some(st), Some(tables)) = (steps, m.count.as_mut()) {
-        for (step, table) in st.iter().zip(tables) {
-            if m.versions[step.term] != versions[step.term] {
-                rebound += 1;
-                *table = exact::grouped_term_mass(&compiled[step.term], step);
-            }
-        }
-    }
-    m.versions = versions.to_vec();
-    m.shard_versions = shard_versions;
-    m.stats = stats;
-    (patched, rebound)
-}
-
 /// Cumulative cache counters plus the current size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
@@ -624,7 +612,7 @@ pub struct PlanCacheStats {
     /// bind of a cold miss is not a rebuild and is not counted.
     pub reg_rebinds: u64,
     /// Always 0: the lock-free hot tier these hits counted was removed,
-    /// and every lookup now goes through the striped table. Kept only
+    /// and every lookup now goes through the one LRU table. Kept only
     /// because the end-to-end benchmark still reads it; drop it when the
     /// benchmark does.
     pub hot_hits: u64,
@@ -639,26 +627,27 @@ struct Entry {
     tag: u8,
     hash: u64,
     plan: Arc<CachedPlan>,
-    versions: Vec<u64>,
     last_used: u64,
 }
 
-/// Upper bound on the number of independently locked stripes of a
-/// [`PlanCache`]. Small caches (capacity below `2 ×` this) collapse to
-/// one stripe so their LRU order stays globally exact.
-const CACHE_STRIPES: usize = 8;
-
-#[derive(Debug)]
-struct CacheStripe {
+/// The cache's one table: its entries and the LRU clock.
+#[derive(Debug, Default)]
+struct Table {
     entries: Vec<Entry>,
-    capacity: usize,
+    tick: u64,
 }
 
-impl CacheStripe {
-    fn find(&mut self, tag: u8, hash: u64) -> Option<&mut Entry> {
-        self.entries
+impl Table {
+    /// The entry under `(tag, hash)`, stamped most recently used.
+    fn touch(&mut self, tag: u8, hash: u64) -> Option<&mut Entry> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self
+            .entries
             .iter_mut()
-            .find(|e| e.tag == tag && e.hash == hash)
+            .find(|e| e.tag == tag && e.hash == hash)?;
+        entry.last_used = tick;
+        Some(entry)
     }
 }
 
@@ -669,30 +658,30 @@ impl CacheStripe {
 /// full structural equality before reuse, so collisions degrade to
 /// misses, never to wrong answers.
 ///
-/// **Eviction policy: least-recently-used.** Every lookup and insert
-/// stamps the entry with a monotonically increasing tick; when an insert
-/// would exceed the capacity (default 128 plans; see
+/// **Eviction policy: exact least-recently-used.** Every lookup and
+/// insert stamps the entry with a monotonically increasing tick; when an
+/// insert would exceed the capacity (default 128 plans; see
 /// [`PlanCache::with_capacity`]) the entry with the smallest tick is
-/// dropped and counted in [`PlanCacheStats::evictions`]. Entries whose
+/// dropped and counted in [`PlanCacheStats::evictions`], so the cache
+/// holds `capacity` distinct shapes before it evicts any. Entries whose
 /// guarded data properties change are removed eagerly and counted in
 /// [`PlanCacheStats::invalidations`]. An evicted, invalidated or cleared
 /// plan is released as soon as the last in-flight evaluation using it
 /// finishes: the cache keeps no other reference.
 ///
-/// **Concurrency.** The table is striped: entries hash to one of up to
-/// eight independently locked stripes, counters are atomics,
-/// and each operation locks exactly one stripe — concurrent workers
-/// probing different shapes never serialize on each other. Capacity is
-/// enforced per stripe (each stripe gets an equal share), so under
-/// striping LRU is exact within a stripe and approximate globally;
-/// caches smaller than two entries per stripe use a single stripe and
-/// keep the globally exact order. Shareable behind an [`Arc`] across
-/// engine instances — and across catalog mutations, which is the point:
-/// rebuild the borrowing engine, keep the warmth.
+/// **Concurrency.** One mutex guards the table; every operation holds it
+/// only for a scan of the entries, never while planning or evaluating,
+/// and the counters are atomics. Each plan then guards its own data
+/// stamps, registers and report memo with one lock of its own, so
+/// concurrent hits on different shapes run in parallel and concurrent
+/// hits on one shape share one register memo.
+/// Shareable behind an [`Arc`] across engine instances — and across
+/// catalog mutations, which is the point: rebuild the borrowing engine,
+/// keep the warmth.
 #[derive(Debug)]
 pub struct PlanCache {
-    stripes: Vec<Mutex<CacheStripe>>,
-    tick: AtomicU64,
+    table: Mutex<Table>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -715,23 +704,9 @@ impl PlanCache {
 
     /// A cache holding at most `capacity` plans (minimum 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let stripes = if capacity >= 2 * CACHE_STRIPES {
-            CACHE_STRIPES
-        } else {
-            1
-        };
-        let (base, extra) = (capacity / stripes, capacity % stripes);
         Self {
-            stripes: (0..stripes)
-                .map(|i| {
-                    Mutex::new(CacheStripe {
-                        entries: Vec::new(),
-                        capacity: base + usize::from(i < extra),
-                    })
-                })
-                .collect(),
-            tick: AtomicU64::new(0),
+            table: Mutex::default(),
+            capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -752,16 +727,13 @@ impl PlanCache {
             reg_rebinds: self.reg_rebinds.load(Ordering::Relaxed),
             hot_hits: 0,
             len: self.len(),
-            capacity: self.stripes.iter().map(|s| self.lock(s).capacity).sum(),
+            capacity: self.capacity,
         }
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| self.lock(s).entries.len())
-            .sum()
+        self.lock().entries.len()
     }
 
     /// True when no plans are cached.
@@ -771,35 +743,17 @@ impl PlanCache {
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            self.lock(stripe).entries.clear();
-        }
+        self.lock().entries.clear();
     }
 
-    fn lock<'a>(&self, stripe: &'a Mutex<CacheStripe>) -> std::sync::MutexGuard<'a, CacheStripe> {
-        stripe.lock().expect("plan cache stripe lock")
+    fn lock(&self) -> std::sync::MutexGuard<'_, Table> {
+        self.table.lock().expect("plan cache lock")
     }
 
-    /// The stripe `(tag, hash)` lives in: the fingerprint's high bits
-    /// folded over the low ones (the low bits alone correlate with the
-    /// shapes' shared hashing prefix), salted with the statistic tag.
-    fn stripe_of(&self, tag: u8, hash: u64) -> &Mutex<CacheStripe> {
-        let mix = hash ^ (hash >> 32) ^ u64::from(tag);
-        &self.stripes[(mix as usize) % self.stripes.len()]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The entry under `(tag, hash)`, LRU-bumped, with its recorded data
-    /// versions. Callers verify the shape and count the hit or miss.
-    pub(crate) fn probe(&self, tag: u8, hash: u64) -> Option<(Arc<CachedPlan>, Vec<u64>)> {
-        let tick = self.next_tick();
-        let mut stripe = self.lock(self.stripe_of(tag, hash));
-        let entry = stripe.find(tag, hash)?;
-        entry.last_used = tick;
-        Some((entry.plan.clone(), entry.versions.clone()))
+    /// The entry under `(tag, hash)`, LRU-bumped. Callers verify the
+    /// shape and count the hit or miss.
+    pub(crate) fn probe(&self, tag: u8, hash: u64) -> Option<Arc<CachedPlan>> {
+        self.lock().touch(tag, hash).map(|e| e.plan.clone())
     }
 
     pub(crate) fn record_hit(&self) {
@@ -823,53 +777,40 @@ impl PlanCache {
 
     /// Removes a stale entry (guards or schema changed).
     pub(crate) fn invalidate(&self, tag: u8, hash: u64) {
-        let mut stripe = self.lock(self.stripe_of(tag, hash));
-        let before = stripe.entries.len();
-        stripe.entries.retain(|e| !(e.tag == tag && e.hash == hash));
-        if stripe.entries.len() < before {
+        let mut table = self.lock();
+        let before = table.entries.len();
+        table.entries.retain(|e| !(e.tag == tag && e.hash == hash));
+        if table.entries.len() < before {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Updates the recorded data versions after the guards re-validated,
-    /// so the next unchanged-data hit skips them again.
-    pub(crate) fn refresh_versions(&self, tag: u8, hash: u64, versions: &[u64]) {
-        let mut stripe = self.lock(self.stripe_of(tag, hash));
-        if let Some(e) = stripe.find(tag, hash) {
-            e.versions.clear();
-            e.versions.extend_from_slice(versions);
-        }
-    }
-
-    /// Inserts (or replaces) an entry, evicting the stripe's least
-    /// recently used one when the stripe is full.
-    pub(crate) fn insert(&self, tag: u8, hash: u64, plan: Arc<CachedPlan>, versions: Vec<u64>) {
-        let tick = self.next_tick();
-        let mut stripe = self.lock(self.stripe_of(tag, hash));
-        if let Some(e) = stripe.find(tag, hash) {
+    /// Inserts (or replaces) an entry, evicting the least recently used
+    /// one when the table is full.
+    pub(crate) fn insert(&self, tag: u8, hash: u64, plan: Arc<CachedPlan>) {
+        let mut table = self.lock();
+        if let Some(e) = table.touch(tag, hash) {
             e.plan = plan;
-            e.versions = versions;
-            e.last_used = tick;
             return;
         }
-        if stripe.entries.len() >= stripe.capacity {
-            if let Some(oldest) = stripe
+        if table.entries.len() >= self.capacity {
+            if let Some(oldest) = table
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
             {
-                stripe.entries.swap_remove(oldest);
+                table.entries.swap_remove(oldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        stripe.entries.push(Entry {
+        let last_used = table.tick;
+        table.entries.push(Entry {
             tag,
             hash,
             plan,
-            versions,
-            last_used: tick,
+            last_used,
         });
     }
 }

@@ -184,8 +184,8 @@ pub(crate) struct DissociatedBounds {
 /// Evaluates every candidate dissociation on both bound modes and
 /// intersects the brackets (reference recursion: one [`grad::record`]ed
 /// tape per candidate and mode; the bytecode VM runs each candidate's
-/// program twice through the same [`intersect_candidates`] /
-/// [`describe_bounds`] pair, so the two paths pick identical winners).
+/// program twice and ends in the same [`bracket`] tail, so the two paths
+/// pick identical winners).
 pub(crate) fn evaluate_bounds(
     resolved: &Resolved,
     compiled: &[CompiledTerm],
@@ -202,8 +202,34 @@ pub(crate) fn evaluate_bounds(
             (side(Mode::Upper), side(Mode::Lower))
         })
         .collect();
-    let choice = intersect_candidates(&evals);
-    let (plan, dissociated) = describe_bounds(resolved, candidates, &choice);
+    bracket(resolved, candidates, &evals, &mut None)
+}
+
+/// Memo of the bounds report rendering, keyed by the winning
+/// `(upper_at, lower_at)` candidate pair. [`describe_bounds`] re-derives
+/// the winner's dissociated decomposition — pure shape work, identical
+/// for every evaluation that picks the same winner — so a cached plan
+/// keeps one and its warm hits skip the component recursion.
+pub(crate) type DescribeMemo = Option<((usize, usize), (SafePlan, Vec<String>))>;
+
+/// The tail both bounds evaluators share: intersects the per-candidate
+/// `(upper, lower)` brackets and renders the winners' report artifacts,
+/// reusing `memo` when it already holds the same winning pair.
+pub(crate) fn bracket(
+    resolved: &Resolved,
+    candidates: &[Dissociation],
+    evals: &[(f64, f64)],
+    memo: &mut DescribeMemo,
+) -> DissociatedBounds {
+    let choice = intersect_candidates(evals);
+    let key = (choice.upper_at, choice.lower_at);
+    let (plan, dissociated) = match memo {
+        Some((k, described)) if *k == key => described.clone(),
+        _ => {
+            let described = describe_bounds(resolved, candidates, &choice);
+            memo.insert((key, described)).1.clone()
+        }
+    };
     DissociatedBounds {
         lower: choice.lower,
         upper: choice.upper,
@@ -214,18 +240,18 @@ pub(crate) fn evaluate_bounds(
 
 /// The intersected bracket and which candidate won each side.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BracketChoice {
-    pub lower: f64,
-    pub upper: f64,
-    pub upper_at: usize,
-    pub lower_at: usize,
+struct BracketChoice {
+    lower: f64,
+    upper: f64,
+    upper_at: usize,
+    lower_at: usize,
 }
 
 /// Intersects per-candidate `(upper, lower)` brackets: the tightest of
 /// each side wins (strict comparisons, first winner kept), with a midpoint
 /// collapse when floating point crosses an (in exact arithmetic) ordered
 /// pair.
-pub(crate) fn intersect_candidates(evals: &[(f64, f64)]) -> BracketChoice {
+fn intersect_candidates(evals: &[(f64, f64)]) -> BracketChoice {
     debug_assert!(!evals.is_empty());
     let mut best_upper = f64::INFINITY;
     let mut best_lower = f64::NEG_INFINITY;
@@ -256,7 +282,7 @@ pub(crate) fn intersect_candidates(evals: &[(f64, f64)]) -> BracketChoice {
 /// Renders the report artifacts of an intersected bracket: the winning
 /// upper candidate's decomposition and the dissociated-variable entries of
 /// both winners.
-pub(crate) fn describe_bounds(
+fn describe_bounds(
     resolved: &Resolved,
     candidates: &[Dissociation],
     choice: &BracketChoice,
@@ -582,7 +608,7 @@ mod tests {
         let q = chain_query();
         engine.probability_bounds(&q).unwrap();
         let tag = cache_tag(Statistic::ProbabilityBounds).unwrap();
-        let (plan, _) = engine
+        let plan = engine
             .plan_cache()
             .probe(tag, q.flatten().unwrap().shape_hash())
             .expect("the bounds plan is cached");
@@ -595,8 +621,8 @@ mod tests {
         };
         assert!(candidates.len() > 1, "{candidates:?}");
         assert_eq!(programs.len(), candidates.len());
-        let memo = plan.regs.lock().unwrap();
-        let regs = memo.as_ref().expect("the cold run memoizes registers");
+        let memo = plan.memo.lock().unwrap();
+        let regs = memo.regs.as_ref().expect("the cold run memoizes registers");
         assert_eq!(regs.per_program.len(), candidates.len());
 
         let ok = |attr| crate::predicate::Predicate::eq(AttrId(attr), mrsl_relation::ValueId(1));

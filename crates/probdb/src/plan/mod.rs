@@ -74,11 +74,9 @@ use crate::montecarlo::{
 };
 use crate::query::{self, RankedTuple};
 use crate::ProbDbError;
-use classify::{
-    alias_groups, alias_live_mismatch, classify, key_straddle, resolve, CompiledTerm, Resolved,
-};
-use compile::{cache_tag, CachedPlan, CompiledProgram};
-use dissociate::{BoundsPlan, DissociatedBounds, Mode};
+use classify::{alias_groups, classify, resolve, CompiledTerm, Resolved};
+use compile::{cache_tag, BoundRegs, CachedPlan, CompiledProgram, PlanMemo};
+use dissociate::{BoundsPlan, DescribeMemo, DissociatedBounds, Mode};
 use mrsl_relation::AttrId;
 use std::sync::Arc;
 
@@ -524,84 +522,40 @@ fn evaluate_with<'a>(
         return evaluate_uncached(prepare(&lookup, &flat, stat, config)?, stat, config);
     };
     let hash = flat.shape_hash();
-    if let Some((plan, versions)) = cache.probe(tag, hash) {
-        if plan.matches(&flat) {
-            match execute_cached(&lookup, &plan, &versions, (tag, hash), stat, config, cache)? {
-                Some(result) => {
-                    cache.record_hit();
-                    return Ok(result);
-                }
-                // Stale: schema or guarded data property changed.
-                None => cache.invalidate(tag, hash),
+    if let Some(plan) = cache.probe(tag, hash).filter(|plan| plan.matches(&flat)) {
+        // Classification is skipped entirely: the entry re-binds its
+        // owned shape against current column data, and `execute`
+        // re-checks the data-dependent guards if any stamp moved.
+        let warm = match plan.bind(&lookup) {
+            Some(resolved) => execute(&plan, &resolved, None, stat, config, Some(cache))?,
+            None => None,
+        };
+        match warm {
+            Some(result) => {
+                cache.record_hit();
+                return Ok(result);
             }
+            // Stale: schema or guarded data property changed.
+            None => cache.invalidate(tag, hash),
         }
     }
     cache.record_miss();
-    evaluate_cold(&lookup, &flat, (tag, hash), stat, config, cache)
+    evaluate_cold(&lookup, flat, (tag, hash), stat, config, cache)
 }
 
-/// The warm preamble of a shape-verified cache hit: re-binds the entry
-/// against current column data and hands it to [`execute`], or reports it
-/// stale (`Ok(None)`) for invalidation and a cold replan.
-///
-/// Classification is skipped entirely. Its only data-dependent inputs are
-/// the key-straddle and alias-live-mismatch guards: when any relation's
-/// data version moved, both are recomputed (linear scans) and compared to
-/// the recorded verdicts — unchanged verdicts revalidate the entry,
-/// flipped ones condemn it.
-fn execute_cached<'a, F>(
-    lookup: &F,
-    plan: &CachedPlan,
-    recorded_versions: &[u64],
-    (tag, hash): (u8, u64),
-    stat: Statistic,
-    config: &QueryEngineConfig,
-    cache: &PlanCache,
-) -> Result<Option<(QueryAnswer, EvalReport)>, ProbDbError>
-where
-    F: Fn(&str) -> Option<&'a ProbDb>,
-{
-    let Some((resolved, versions)) = plan.bind(lookup) else {
-        return Ok(None);
-    };
-    // With every data stamp unchanged the guards still hold: leave
-    // predicate compilation to `execute`, which skips it when the
-    // memoized registers are still the data.
-    if versions.as_slice() == recorded_versions {
-        return execute(plan, &resolved, None, &versions, stat, config, Some(cache));
-    }
-    let compiled = compile_terms(&resolved);
-    let straddle = key_straddle(&resolved, &compiled).is_some();
-    let mismatch = alias_live_mismatch(&resolved, &compiled).is_some();
-    if straddle != plan.straddle || mismatch != plan.alias_mismatch {
-        return Ok(None);
-    }
-    cache.refresh_versions(tag, hash, &versions);
-    let compiled = Some(compiled.as_slice());
-    execute(
-        plan,
-        &resolved,
-        compiled,
-        &versions,
-        stat,
-        config,
-        Some(cache),
-    )
-}
-
-/// A cache miss: plan, lower the verdict to a program, capture it, and
-/// run it through the same [`execute`] a warm hit uses — so the cold
-/// answer memoizes its registers and the next hit goes straight to the
-/// fold. The entry is cached only once it has answered.
+/// A cache miss: plan, lower the verdict to a program, capture it with
+/// its registers bound, and run it through the same [`execute`] a warm
+/// hit uses — so the next hit goes straight to the fold. The entry is
+/// cached only once it has answered.
 fn evaluate_cold<'a>(
     lookup: &impl Fn(&str) -> Option<&'a ProbDb>,
-    flat: &Flattened,
+    flat: Flattened,
     (tag, hash): (u8, u64),
     stat: Statistic,
     config: &QueryEngineConfig,
     cache: &PlanCache,
 ) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
-    let p = prepare(lookup, flat, stat, config)?;
+    let p = prepare(lookup, &flat, stat, config)?;
     let (resolved, compiled) = (&p.resolved, &p.compiled);
     let program = match p.bounds_plan {
         _ if p.path == EvalPath::MonteCarlo => CompiledProgram::Sampled,
@@ -621,42 +575,36 @@ fn evaluate_cold<'a>(
     // the planner's decomposition (bounds answers re-derive the winning
     // candidate's decomposition at evaluation time).
     let verdict = (p.path, p.plan, p.decomposition);
-    let (entry, versions) = CachedPlan::capture(flat, resolved, compiled, verdict, program);
-    let entry = Arc::new(entry);
-    let result = execute(
-        &entry,
-        resolved,
-        Some(compiled),
-        &versions,
-        stat,
-        config,
-        None,
-    )?
-    .expect("a freshly lowered program answers its own statistic");
-    cache.insert(tag, hash, entry, versions);
+    let entry = Arc::new(CachedPlan::capture(
+        flat, resolved, compiled, verdict, program,
+    ));
+    let result = execute(&entry, resolved, Some(compiled), stat, config, None)?
+        .expect("a freshly lowered program answers its own statistic");
+    cache.insert(tag, hash, entry);
     Ok(result)
 }
 
-/// The one executor of cached plans, cold and warm: refreshes the
-/// register memo in place unless it is still the data (binding it from
-/// scratch on a cold miss, patching or rebinding what moved on a warm
-/// hit), runs the program over it under the memo lock, and refines wide
-/// brackets by sampling once the lock is released. `compiled` is `None`
-/// on a hit whose data stamps all match the entry's: predicate
-/// compilation then runs only if something needs the compiled terms
-/// (a stale memo, a sampler, a single-relation count, a refinement).
-/// `warm` is the cache a hit was served from ([`PlanRoute::CacheHit`]),
-/// charged with the maintenance in [`PlanCacheStats::reg_patches`] /
-/// [`PlanCacheStats::reg_rebinds`]; `None` on a cold miss
-/// ([`PlanRoute::Compiled`]), whose first bind is not a rebuild.
-/// `Ok(None)` when the program does not answer `stat` (impossible while
-/// the statistic tag is part of the cache key; the caller replans
-/// defensively instead of asserting).
+/// The one executor of cached plans, cold and warm. It compares the plan
+/// memo's data stamps with the bound catalog's; if any moved, it
+/// re-checks the key-straddle and alias-live-mismatch guards against the
+/// recorded verdicts (a flipped one reports the entry stale, `Ok(None)`,
+/// for invalidation and a cold replan) and then, under the memo lock,
+/// patches or rebinds the registers that moved and takes the new stamps.
+/// It runs the program over the registers, still under the lock, and
+/// refines wide brackets by sampling once the lock is released.
+/// `compiled` is `None` on a warm hit: predicate compilation then runs
+/// only if something needs the compiled terms (moved stamps, a sampler, a
+/// single-relation count, a refinement). `warm` is the cache a hit was
+/// served from ([`PlanRoute::CacheHit`]), charged with the maintenance in
+/// [`PlanCacheStats::reg_patches`] / [`PlanCacheStats::reg_rebinds`];
+/// `None` on a cold miss ([`PlanRoute::Compiled`]), whose capture bound
+/// the registers. `Ok(None)` also when the program does not answer
+/// `stat` (impossible while the statistic tag is part of the cache key;
+/// the caller replans defensively instead of asserting).
 fn execute<'a>(
     plan: &CachedPlan,
     resolved: &Resolved<'a>,
     compiled: Option<&[CompiledTerm<'a>]>,
-    versions: &[u64],
     stat: Statistic,
     config: &QueryEngineConfig,
     warm: Option<&PlanCache>,
@@ -670,49 +618,66 @@ fn execute<'a>(
     let classes = resolved.classes.len();
     let mut decomposition = plan.decomposition.clone();
     let mut dissociated: Vec<String> = Vec::new();
-    let (answer, relations) = if let CompiledProgram::Sampled = plan.program {
-        let answer = sample(compiled(), classes, stat, config);
-        (answer, relation_stats(compiled()))
-    } else {
-        // The memo lock is held from the refresh through the fold, so a
-        // concurrent hit on this entry waits for the registers instead of
-        // finding the memo gone and binding its own.
-        let mut memo = plan.regs.lock().expect("register memo lock");
-        if memo.as_ref().is_none_or(|m| m.versions != versions) {
-            let stats = relation_stats(compiled());
-            let (patched, rebound) = compile::rebind_or_patch(
-                &mut memo,
-                &plan.program,
-                resolved,
-                compiled(),
-                versions,
-                stats,
-            );
+    let versions: Vec<u64> = resolved.terms.iter().map(|t| t.db.version()).collect();
+    let lock = || plan.memo.lock().expect("plan memo lock");
+    let mut memo = lock();
+    if memo.versions != versions {
+        // Predicate compilation and the guard scans are linear in the
+        // data: run them unlocked, so concurrent readers of moved data do
+        // not queue behind each other's scans. Stamps name data exactly,
+        // so memo stamps equal to ours mean our guards were verified.
+        drop(memo);
+        if !plan.guards_hold(resolved, compiled()) {
+            return Ok(None);
+        }
+        memo = lock();
+    }
+    // The memo lock is held from the refresh through the fold, so a
+    // concurrent hit on this entry waits for the refreshed registers
+    // instead of refreshing them again.
+    if memo.versions != versions {
+        let PlanMemo {
+            versions: stamps,
+            regs,
+            ..
+        } = &mut *memo;
+        if let Some(regs) = regs {
+            let moved = (stamps.as_slice(), versions.as_slice());
+            let (patched, rebound) = regs.refresh(&plan.program, resolved, compiled(), moved);
             if let Some(cache) = warm {
                 cache.record_reg_maintenance(patched, rebound);
             }
         }
-        let regs = memo.as_ref().expect("refreshed register memo");
-        let relations = regs.stats.clone();
-        let regs = (regs.per_program.as_slice(), regs.count.as_deref());
-        let Some(folded) = fold(plan, resolved, stat, regs, compiled) else {
-            return Ok(None);
-        };
-        drop(memo);
-        let answer = match folded {
-            Folded::Answer(answer) => answer,
-            Folded::Bracket(eval) => {
-                decomposition = Some(eval.plan);
-                dissociated = eval.dissociated;
-                let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                let (bounds, refined) = refine(bracket, compiled(), classes, config);
-                if refined {
-                    path = EvalPath::Hybrid;
+        *stamps = versions;
+    }
+    let PlanMemo { regs, describe, .. } = &mut *memo;
+    let (answer, relations) = match regs {
+        None => {
+            drop(memo);
+            let answer = sample(compiled(), classes, stat, config);
+            (answer, relation_stats(compiled()))
+        }
+        Some(regs) => {
+            let relations = regs.stats.clone();
+            let Some(folded) = fold(plan, resolved, stat, regs, describe, compiled) else {
+                return Ok(None);
+            };
+            drop(memo);
+            let answer = match folded {
+                Folded::Answer(answer) => answer,
+                Folded::Bracket(eval) => {
+                    decomposition = Some(eval.plan);
+                    dissociated = eval.dissociated;
+                    let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
+                    let (bounds, refined) = refine(bracket, compiled(), classes, config);
+                    if refined {
+                        path = EvalPath::Hybrid;
+                    }
+                    QueryAnswer::Bounds(bounds)
                 }
-                QueryAnswer::Bounds(bounds)
-            }
-        };
-        (answer, relations)
+            };
+            (answer, relations)
+        }
     };
     let route = match warm {
         Some(_) => PlanRoute::CacheHit,
@@ -739,29 +704,29 @@ enum Folded {
     Bracket(DissociatedBounds),
 }
 
-/// Folds a deterministic cached program over bound registers: `regs` is
-/// the register sets per program and the count program's mass tables
-/// (the [`compile::BoundRegs`] layout); `compiled` yields the compiled
-/// terms a single-relation count reads. `None` for sampling verdicts and
-/// for a program that does not answer `stat`.
+/// Folds a deterministic cached program over its bound registers, under
+/// the plan's memo lock: `describe` is the memo's bounds report slot, and
+/// `compiled` yields the compiled terms a single-relation count reads.
+/// `None` for a program that does not answer `stat`.
 fn fold<'c, 'a: 'c>(
     plan: &CachedPlan,
     resolved: &Resolved,
     stat: Statistic,
-    (regs, tables): (&[Vec<vm::TermRegs>], Option<&[exact::MassTable]>),
+    regs: &BoundRegs,
+    describe: &mut DescribeMemo,
     compiled: impl FnOnce() -> &'c [CompiledTerm<'a>],
 ) -> Option<Folded> {
     let answer = match (&plan.program, stat) {
         (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
-            p: vm::run_prebound(prog, &regs[0], Mode::Upper),
+            p: vm::run_prebound(prog, &regs.per_program[0], Mode::Upper),
             std_error: None,
         },
         // Safe shapes collapse the bracket to the exact probability.
         (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => QueryAnswer::Bounds(
-            ProbabilityBounds::exact(vm::run_prebound(prog, &regs[0], Mode::Upper)),
+            ProbabilityBounds::exact(vm::run_prebound(prog, &regs.per_program[0], Mode::Upper)),
         ),
         (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
-            mean: match (&prog.steps, tables) {
+            mean: match (&prog.steps, &regs.count) {
                 (Some(steps), Some(tables)) => exact::run_mass_join(steps, tables, prog.classes),
                 _ => exact::single_expected_count(&compiled()[0]),
             },
@@ -778,8 +743,8 @@ fn fold<'c, 'a: 'c>(
                 resolved,
                 candidates,
                 programs,
-                regs,
-                Some(&plan.describe),
+                &regs.per_program,
+                describe,
             )))
         }
         _ => return None,
@@ -1515,7 +1480,7 @@ mod tests {
         assert_eq!(engine.plan_cache().stats().hits, 3);
         let tag = cache_tag(Statistic::Probability).unwrap();
         let hash = station_join().flatten().unwrap().shape_hash();
-        let (plan, _) = engine.plan_cache().probe(tag, hash).expect("cached");
+        let plan = engine.plan_cache().probe(tag, hash).expect("cached");
         retire(&engine, (tag, hash));
         assert_eq!(Arc::strong_count(&plan), 1);
     }

@@ -66,10 +66,12 @@
 //!   shape compares equal to the in-flight one; a colliding different
 //!   query evaluates on its own. The plan cache dedupes *planning*;
 //!   coalescing dedupes *execution*.
-//! * **One plan tier.** Every lookup goes through the striped plan cache,
-//!   and nothing outlives its entry: an evicted or invalidated plan (with
-//!   its memoized registers) is freed once the last in-flight evaluation
-//!   drops it, so memory stays bounded across any number of publishes.
+//! * **One plan tier.** Every lookup goes through the plan cache's one
+//!   exact-LRU table, each plan owns its data stamps and registers behind
+//!   one lock, and nothing outlives its entry: an evicted or invalidated
+//!   plan (with its memoized registers) is freed once the last in-flight
+//!   evaluation drops it, so memory stays bounded across any number of
+//!   publishes.
 //!
 //! ```
 //! use mrsl_probdb::serve::ProbDbServer;

@@ -421,6 +421,98 @@ fn cache_discriminates_shapes_and_evicts_lru() {
     assert_eq!(report.route, PlanRoute::CacheHit);
 }
 
+/// The default 128-plan cache is one exact-LRU table: 128 distinct
+/// shapes all fit without an eviction, and the 129th evicts exactly the
+/// least recently used one.
+#[test]
+fn default_cache_holds_its_capacity_in_exact_lru_order() {
+    let mut catalog = Catalog::new();
+    catalog.add("r", keyed_relation(&[(0, 0.5)], &[])).unwrap();
+    let engine = CatalogEngine::new(&catalog);
+    let shape = |i: usize| Query::scan_as("r", format!("a{i}")).filter(ok());
+    for i in 0..128 {
+        let (_, report) = engine.probability(&shape(i)).unwrap();
+        assert_eq!(report.route, PlanRoute::Compiled, "shape {i}");
+    }
+    let stats = engine.plan_cache().stats();
+    assert_eq!(
+        (stats.len, stats.capacity, stats.evictions),
+        (128, 128, 0),
+        "{stats:?}"
+    );
+    // Touch shape 0; shape 1 is now the least recently used.
+    let (_, report) = engine.probability(&shape(0)).unwrap();
+    assert_eq!(report.route, PlanRoute::CacheHit);
+    engine.probability(&shape(128)).unwrap();
+    let stats = engine.plan_cache().stats();
+    assert_eq!((stats.len, stats.evictions), (128, 1), "{stats:?}");
+    let (_, report) = engine.probability(&shape(0)).unwrap();
+    assert_eq!(report.route, PlanRoute::CacheHit);
+    let (_, report) = engine.probability(&shape(1)).unwrap();
+    assert_eq!(report.route, PlanRoute::Compiled);
+}
+
+/// One plan cache shared by engines over two catalog generations — `b`
+/// is `a` plus one pushed block — answering in turn `a, b, a, b`: every
+/// answer is bit-identical to a fresh engine on its own catalog and no
+/// entry is invalidated. The plan's one memo follows the generation it
+/// last answered, so a memo refreshed for `b` never answers for `a`.
+#[test]
+fn one_cache_answers_alternating_generations_bit_identically() {
+    let mut stations = Catalog::new();
+    stations
+        .add("sensors", keyed_relation(&[(0, 0.6), (1, 0.5)], &[2]))
+        .unwrap();
+    stations
+        .add("readings", keyed_relation(&[(1, 0.3), (2, 0.4)], &[]))
+        .unwrap();
+    let station_join = Query::scan("sensors").filter(ok()).join_on(
+        Query::scan("readings").filter(ok()),
+        [(AttrId(0), AttrId(0))],
+    );
+    let mut stations_b = stations.clone();
+    stations_b
+        .get_mut("readings")
+        .unwrap()
+        .push_block(Block::new(2, vec![alt(vec![0, 0], 0.2), alt(vec![0, 1], 0.8)]).unwrap())
+        .unwrap();
+    let chain = chain_catalog([0.6, 0.5], [0.7, 0.4, 0.5], [0.8, 0.3]);
+    let mut chain_b = chain.clone();
+    chain_b
+        .get_mut("s")
+        .unwrap()
+        .push_block(Block::new(3, vec![alt(vec![1, 1, 0], 0.1), alt(vec![1, 1, 1], 0.9)]).unwrap())
+        .unwrap();
+
+    let cache = Arc::new(PlanCache::new());
+    for (a, b, q) in [
+        (&stations, &stations_b, station_join),
+        (&chain, &chain_b, chain_query()),
+    ] {
+        for stat in STATS {
+            let fresh =
+                |catalog| eval_bits(&CatalogEngine::with_config(catalog, vm_config()), &q, stat);
+            let (a_bits, b_bits) = (fresh(a).0, fresh(b).0);
+            assert_ne!(a_bits, b_bits, "the pushed block moves {stat:?}");
+            for (turn, catalog) in [a, b, a, b].into_iter().enumerate() {
+                let engine = CatalogEngine::with_plan_cache(catalog, vm_config(), cache.clone());
+                let (bits, route, ..) = eval_bits(&engine, &q, stat);
+                let expected = if turn % 2 == 0 { &a_bits } else { &b_bits };
+                assert_eq!(&bits, expected, "turn {turn} of {stat:?}");
+                let hit = if turn == 0 {
+                    PlanRoute::Compiled
+                } else {
+                    PlanRoute::CacheHit
+                };
+                assert_eq!(route, hit, "turn {turn} of {stat:?}");
+            }
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.hits), (6, 18), "{stats:?}");
+    assert_eq!(stats.invalidations, 0, "{stats:?}");
+}
+
 #[test]
 fn forced_monte_carlo_bypasses_the_cache() {
     let mut catalog = Catalog::new();
