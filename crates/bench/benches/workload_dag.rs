@@ -3,7 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mrsl_bench::{learned_model, workload};
 use mrsl_core::{
-    infer_batch, workload_engine, GibbsConfig, TupleDag, VotingConfig, WorkloadStrategy,
+    infer_batch, GibbsConfig, GibbsSampler, InferenceEngine, TupleDag, TupleDagWorkload,
+    VotingConfig,
 };
 
 fn bench_strategies(c: &mut Criterion) {
@@ -15,24 +16,18 @@ fn bench_strategies(c: &mut Criterion) {
         samples: 500,
         voting: VotingConfig::best_averaged(),
     };
+    let engines: [(&str, &dyn InferenceEngine); 2] = [
+        ("tuple_at_a_time", &GibbsSampler::from_config(&config)),
+        ("tuple_dag", &TupleDagWorkload::from_config(&config)),
+    ];
     for &size in &[100usize, 300] {
         let tuples = workload(&bn, size, 5, 17);
         group.throughput(Throughput::Elements(size as u64));
-        for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-            let label = match strategy {
-                WorkloadStrategy::TupleAtATime => format!("tuple_at_a_time_{size}"),
-                WorkloadStrategy::TupleDag => format!("tuple_dag_{size}"),
-            };
-            let engine = workload_engine(strategy, &config);
+        for (name, engine) in engines {
+            let label = format!("{name}_{size}");
             group.bench_with_input(BenchmarkId::from_parameter(label), &tuples, |b, tuples| {
                 b.iter(|| {
-                    std::hint::black_box(infer_batch(
-                        &model,
-                        tuples,
-                        engine.as_ref(),
-                        config.voting,
-                        3,
-                    ))
+                    std::hint::black_box(infer_batch(&model, tuples, engine, config.voting, 3))
                 })
             });
         }

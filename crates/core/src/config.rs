@@ -128,8 +128,8 @@ pub struct GibbsConfig {
     pub burn_in: usize,
     /// Recorded sweeps per tuple (`N`).
     pub samples: usize,
-    /// Voting configuration used for the per-attribute CPDs inside the
-    /// sampler.
+    /// Voting configuration: Algorithm 2 on tuples missing one value, and
+    /// the per-attribute CPDs inside the sampler for the rest.
     pub voting: VotingConfig,
 }
 

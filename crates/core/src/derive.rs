@@ -2,15 +2,15 @@
 //!
 //! Ties the phases together: learn the MRSL model from `Rc`, estimate `Δt`
 //! for every incomplete tuple in `Ri` (single-attribute voting when one
-//! value is missing, workload-driven Gibbs sampling otherwise), and emit a
+//! value is missing, an inference engine otherwise), and emit a
 //! disjoint-independent probabilistic database: the complete tuples are
 //! certain, and each incomplete tuple becomes a block of mutually exclusive
 //! completions weighted by `Δt`.
 
 use crate::config::{GibbsConfig, LearnConfig, VotingConfig};
 use crate::infer::batch::infer_batch;
-use crate::infer::dag::{workload_engine, SamplingCost, WorkloadStrategy};
-use crate::infer::engine::{InferenceEngine, SingleVoting};
+use crate::infer::dag::{SamplingCost, WorkloadResult};
+use crate::infer::engine::{InferenceEngine, SingleVoting, TupleDagWorkload};
 use crate::infer::gibbs::JointEstimate;
 use crate::model::MrslModel;
 use mrsl_probdb::{Alternative, Block, ProbDb};
@@ -20,35 +20,19 @@ use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Configuration of the full derivation pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeriveConfig {
     /// Learning-phase parameters (Algorithm 1).
     pub learn: LearnConfig,
-    /// Voting used for single-attribute inference and inside Gibbs.
-    pub voting: VotingConfig,
-    /// Gibbs parameters for tuples with multiple missing values.
+    /// Chain parameters for tuples with multiple missing values, and the
+    /// voting every tuple's `Δt` is computed with.
     pub gibbs: GibbsConfig,
-    /// Workload strategy for multi-attribute tuples.
-    pub strategy: WorkloadStrategy,
-    /// Completions with estimated probability below this are dropped from
-    /// the emitted block (the rest renormalize). 0 keeps everything with
-    /// non-zero mass.
+    /// Completions with estimated probability at or below this are dropped
+    /// from the emitted block (the rest renormalize). 0 keeps everything
+    /// with non-zero mass.
     pub min_block_prob: f64,
     /// Master seed for the sampling phase.
     pub seed: u64,
-}
-
-impl Default for DeriveConfig {
-    fn default() -> Self {
-        Self {
-            learn: LearnConfig::default(),
-            voting: VotingConfig::best_averaged(),
-            gibbs: GibbsConfig::default(),
-            strategy: WorkloadStrategy::TupleDag,
-            min_block_prob: 0.0,
-            seed: 0,
-        }
-    }
 }
 
 /// Output of [`derive_probabilistic_db`].
@@ -67,23 +51,21 @@ pub struct DeriveOutput {
     pub elapsed: Duration,
 }
 
-/// Runs the full pipeline on `relation`.
-///
-/// Single-missing-value tuples use Algorithm 2 directly (their `Δt` *is*
-/// the voted CPD); tuples with two or more missing values go through the
-/// strategy's workload engine. Both partitions run on the shared rayon
-/// batch executor ([`infer_batch`]) with deterministic per-tuple seeding,
-/// so the output is identical for any worker-thread count.
+/// Runs the full pipeline on `relation`, sampling tuples with two or more
+/// missing values by Algorithm 3 ([`TupleDagWorkload`] over
+/// `config.gibbs`).
 pub fn derive_probabilistic_db(relation: &Relation, config: &DeriveConfig) -> DeriveOutput {
-    let engine = workload_engine(config.strategy, &config.gibbs);
-    derive_probabilistic_db_with_engine(relation, config, engine.as_ref())
+    derive_probabilistic_db_with_engine(
+        relation,
+        config,
+        &TupleDagWorkload::from_config(&config.gibbs),
+    )
 }
 
 /// [`derive_probabilistic_db`] with an explicit multi-attribute engine.
 ///
-/// `config.strategy` is ignored: every tuple with two or more missing
-/// values goes through `engine` instead of the strategy's workload engine
-/// (single-missing tuples still use Algorithm 2 directly). This is how a
+/// Every tuple with two or more missing values goes through `engine`;
+/// single-missing tuples still use Algorithm 2 directly. This is how a
 /// learned [`InferenceEngine`] — e.g. `mrsl_learn`'s weighted ensemble —
 /// drives the whole derivation path. The emitted database records
 /// `engine.name()` as its provenance
@@ -97,54 +79,8 @@ pub fn derive_probabilistic_db_with_engine(
     let schema = relation.schema();
     let model = MrslModel::learn(schema, relation.complete_part(), &config.learn);
 
-    // Partition Ri by number of missing values.
     let incomplete = relation.incomplete_part();
-    let mut estimates: Vec<Option<JointEstimate>> = vec![None; incomplete.len()];
-    let mut single_workload: Vec<PartialTuple> = Vec::new();
-    let mut single_slots: Vec<usize> = Vec::new();
-    let mut multi_workload: Vec<PartialTuple> = Vec::new();
-    let mut multi_slots: Vec<usize> = Vec::new();
-    for (i, t) in incomplete.iter().enumerate() {
-        if t.missing_mask().count() <= 1 {
-            single_workload.push(t.clone());
-            single_slots.push(i);
-        } else {
-            multi_workload.push(t.clone());
-            multi_slots.push(i);
-        }
-    }
-
-    if !single_workload.is_empty() {
-        let result = infer_batch(
-            &model,
-            &single_workload,
-            &SingleVoting,
-            config.voting,
-            config.seed,
-        );
-        for (slot, est) in single_slots.into_iter().zip(result.estimates) {
-            estimates[slot] = Some(est);
-        }
-    }
-
-    let mut sampling_cost = SamplingCost::default();
-    if !multi_workload.is_empty() {
-        let result = infer_batch(
-            &model,
-            &multi_workload,
-            engine,
-            config.gibbs.voting,
-            config.seed,
-        );
-        sampling_cost = result.cost;
-        for (slot, est) in multi_slots.into_iter().zip(result.estimates) {
-            estimates[slot] = Some(est);
-        }
-    }
-    let estimates: Vec<JointEstimate> = estimates
-        .into_iter()
-        .map(|e| e.expect("every incomplete tuple received an estimate"))
-        .collect();
+    let routed = estimate_routed(&model, incomplete, engine, config.gibbs.voting, config.seed);
 
     // Assemble the probabilistic database.
     let mut db = ProbDb::new(schema.clone());
@@ -153,7 +89,7 @@ pub fn derive_probabilistic_db_with_engine(
         db.push_certain(point.clone())
             .expect("schema arity verified by the relation");
     }
-    for (key, (t, est)) in incomplete.iter().zip(&estimates).enumerate() {
+    for (key, (t, est)) in incomplete.iter().zip(&routed.estimates).enumerate() {
         let block = estimate_to_block(key, t, est, config.min_block_prob);
         db.push_block(block).expect("blocks validated on build");
     }
@@ -161,9 +97,54 @@ pub fn derive_probabilistic_db_with_engine(
     DeriveOutput {
         db,
         model,
-        estimates,
-        sampling_cost,
+        estimates: routed.estimates,
+        sampling_cost: routed.cost,
         elapsed: sw.elapsed(),
+    }
+}
+
+/// Estimates `Δt` for every tuple of `tuples`: the one place that decides
+/// how a tuple's distribution is computed, for eager and lazy derivation
+/// alike.
+///
+/// Tuples with at most one missing value use Algorithm 2 directly (their
+/// `Δt` *is* the voted CPD); tuples with two or more go through `engine`.
+/// Both partitions run on the shared rayon batch executor
+/// ([`infer_batch`]) with deterministic per-tuple seeding, so the output
+/// is identical for any worker-thread count. The returned estimates align
+/// with `tuples`; the cost is the engine partition's.
+pub(crate) fn estimate_routed(
+    model: &MrslModel,
+    tuples: &[PartialTuple],
+    engine: &dyn InferenceEngine,
+    voting: VotingConfig,
+    seed: u64,
+) -> WorkloadResult {
+    let mut estimates: Vec<Option<JointEstimate>> = vec![None; tuples.len()];
+    let mut run = |engine: &dyn InferenceEngine, multi: bool| -> SamplingCost {
+        let (slots, workload): (Vec<usize>, Vec<PartialTuple>) = tuples
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| (t.missing_mask().count() > 1) == multi)
+            .map(|(i, t)| (i, t.clone()))
+            .unzip();
+        if workload.is_empty() {
+            return SamplingCost::default();
+        }
+        let result = infer_batch(model, &workload, engine, voting, seed);
+        for (slot, est) in slots.into_iter().zip(result.estimates) {
+            estimates[slot] = Some(est);
+        }
+        result.cost
+    };
+    run(&SingleVoting, false);
+    let cost = run(engine, true);
+    WorkloadResult {
+        estimates: estimates
+            .into_iter()
+            .map(|e| e.expect("every tuple received an estimate"))
+            .collect(),
+        cost,
     }
 }
 
@@ -174,45 +155,30 @@ pub(crate) fn estimate_to_block(
     est: &JointEstimate,
     min_prob: f64,
 ) -> Block {
-    let arity = t.arity();
-    let mut alternatives = Vec::new();
-    for (idx, &p) in est.probs.iter().enumerate() {
-        if p <= min_prob || p <= 0.0 {
-            continue;
-        }
-        let mut values = vec![0u16; arity];
+    let completion = |idx: usize, prob: f64| {
+        let mut values = vec![0u16; t.arity()];
         for asg in t.assignments() {
             values[asg.attr.index()] = asg.value.0;
         }
         for (attr, v) in est.indexer.decode(idx) {
             values[attr.index()] = v.0;
         }
-        alternatives.push(Alternative {
+        Alternative {
             tuple: CompleteTuple::from_values(values),
-            prob: p,
-        });
-    }
+            prob,
+        }
+    };
+    let mut alternatives: Vec<Alternative> = (est.probs.iter().enumerate())
+        .filter(|&(_, &p)| p > min_prob && p > 0.0)
+        .map(|(idx, &p)| completion(idx, p))
+        .collect();
     if alternatives.is_empty() {
         // Pruning removed everything (extreme min_prob): fall back to the
         // most probable completion with probability 1.
-        let best = est.top1();
-        let mut values = vec![0u16; arity];
-        for asg in t.assignments() {
-            values[asg.attr.index()] = asg.value.0;
-        }
-        for (attr, v) in est.indexer.decode(best) {
-            values[attr.index()] = v.0;
-        }
-        alternatives.push(Alternative {
-            tuple: CompleteTuple::from_values(values),
-            prob: 1.0,
-        });
+        alternatives.push(completion(est.top1(), 1.0));
     }
     Block::normalized(key, alternatives).expect("non-empty alternatives")
 }
-
-/// Re-export used by `estimate_to_block` tests.
-pub use crate::infer::dag::WorkloadStrategy as Strategy;
 
 #[cfg(test)]
 mod tests {
@@ -222,10 +188,6 @@ mod tests {
 
     fn quick_config() -> DeriveConfig {
         DeriveConfig {
-            learn: LearnConfig {
-                support_threshold: 0.01,
-                max_itemsets: 1000,
-            },
             gibbs: GibbsConfig {
                 burn_in: 30,
                 samples: 300,
@@ -270,6 +232,25 @@ mod tests {
             .position(|t| t.missing_mask().count() >= 2)
             .unwrap();
         assert!(out.estimates[multi_idx].sample_count > 0);
+    }
+
+    #[test]
+    fn engine_choice_reaches_only_multi_missing_tuples() {
+        let (rel, config) = (fig1_relation(), quick_config());
+        let dag = derive_probabilistic_db(&rel, &config);
+        let baseline = crate::infer::engine::GibbsSampler::from_config(&config.gibbs);
+        let gibbs = derive_probabilistic_db_with_engine(&rel, &config, &baseline);
+        assert_eq!(gibbs.db.provenance(), Some("gibbs"));
+        // One missing value is voted whatever the engine; only tuples
+        // missing several reach it (the DAG shares samples, Gibbs cannot).
+        let incomplete = rel.incomplete_part().iter();
+        for (t, (a, b)) in incomplete.zip(dag.estimates.iter().zip(&gibbs.estimates)) {
+            if t.missing_mask().count() <= 1 {
+                assert_eq!(a.probs, b.probs);
+            }
+        }
+        assert!(dag.sampling_cost.shared_samples > 0);
+        assert_eq!(gibbs.sampling_cost.shared_samples, 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The parallel batch layer: one engine, many tuples, many workers.
 //!
 //! [`infer_batch`] is the single entry point every workload in the
-//! workspace funnels through — `derive_probabilistic_db`, the lazy query
-//! path, and the evaluation harness. It delegates to the engine's
+//! workspace funnels through — eager and lazy derivation (both through
+//! one router that sends each tuple to voting or to an engine), weight
+//! fitting, and the evaluation harness. It delegates to the engine's
 //! `estimate_batch`, whose default implementation lives here:
 //!
 //! 1. **Deduplicate** the workload (duplicates share one estimate — and

@@ -37,8 +37,8 @@
 //! thread count. The engine wrapper is
 //! [`crate::infer::engine::TupleDagWorkload`].
 
-use crate::config::{GibbsConfig, VotingConfig};
-use crate::infer::engine::{GibbsSampler, InferContext, InferenceEngine, TupleDagWorkload};
+use crate::config::VotingConfig;
+use crate::infer::engine::InferContext;
 use crate::infer::gibbs::{GibbsChain, JointEstimate};
 use crate::model::MrslModel;
 use mrsl_relation::{JointIndexer, PartialTuple};
@@ -47,15 +47,6 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::Duration;
-
-/// How a workload of incomplete tuples is sampled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkloadStrategy {
-    /// One independent chain per distinct tuple (the paper's baseline).
-    TupleAtATime,
-    /// Algorithm 3: subsumption-driven sample sharing.
-    TupleDag,
-}
 
 /// Sampling-cost counters for the Fig. 11 comparison.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -471,18 +462,6 @@ fn make_estimate(indexer: JointIndexer, counts: &[u32]) -> JointEstimate {
     }
 }
 
-/// The engine implementing a [`WorkloadStrategy`] with a
-/// [`GibbsConfig`]'s chain parameters.
-pub fn workload_engine(
-    strategy: WorkloadStrategy,
-    config: &GibbsConfig,
-) -> Box<dyn InferenceEngine> {
-    match strategy {
-        WorkloadStrategy::TupleAtATime => Box::new(GibbsSampler::from_config(config)),
-        WorkloadStrategy::TupleDag => Box::new(TupleDagWorkload::from_config(config)),
-    }
-}
-
 /// The per-visit round-robin of Algorithm 3 exactly as the paper states
 /// it: one sweep per visit, every chain kept alive between visits, every
 /// point boxed and kept. The tests hold the counter scheduler to it bit
@@ -691,36 +670,32 @@ mod tests {
     use super::*;
     use crate::config::LearnConfig;
     use crate::infer::batch::infer_batch;
+    use crate::infer::engine::{GibbsSampler, InferenceEngine, TupleDagWorkload};
 
     fn model() -> MrslModel {
         let rel = fig1_relation();
-        MrslModel::learn(
-            rel.schema(),
-            rel.complete_part(),
-            &LearnConfig {
-                support_threshold: 0.01,
-                max_itemsets: 1000,
-            },
-        )
+        MrslModel::learn(rel.schema(), rel.complete_part(), &LearnConfig::default())
     }
 
     use mrsl_relation::relation::fig1_relation;
 
+    /// The paper's tuple-at-a-time baseline: one chain per distinct tuple.
+    fn baseline(burn_in: usize, samples: usize) -> GibbsSampler {
+        GibbsSampler { burn_in, samples }
+    }
+
+    /// Algorithm 3.
+    fn dag(burn_in: usize, samples: usize) -> TupleDagWorkload {
+        TupleDagWorkload { burn_in, samples }
+    }
+
     fn run(
         m: &MrslModel,
         workload: &[PartialTuple],
-        burn: usize,
-        n: usize,
-        strategy: WorkloadStrategy,
+        engine: &dyn InferenceEngine,
         seed: u64,
     ) -> WorkloadResult {
-        let config = GibbsConfig {
-            burn_in: burn,
-            samples: n,
-            voting: VotingConfig::best_averaged(),
-        };
-        let engine = workload_engine(strategy, &config);
-        infer_batch(m, workload, engine.as_ref(), config.voting, seed)
+        infer_batch(m, workload, engine, VotingConfig::best_averaged(), seed)
     }
 
     /// The Fig. 3 workload: t1, t3, t5, t8, t11, t12.
@@ -788,11 +763,12 @@ mod tests {
     fn both_strategies_yield_full_sample_counts() {
         let m = model();
         let workload = fig3_workload();
-        for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-            let res = run(&m, &workload, 20, 100, strategy, 3);
+        let engines: [&dyn InferenceEngine; 2] = [&baseline(20, 100), &dag(20, 100)];
+        for engine in engines {
+            let res = run(&m, &workload, engine, 3);
             assert_eq!(res.estimates.len(), workload.len());
             for (i, est) in res.estimates.iter().enumerate() {
-                assert_eq!(est.sample_count, 100, "tuple {i} under {strategy:?}");
+                assert_eq!(est.sample_count, 100, "tuple {i} under {}", engine.name());
                 assert!((est.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             }
         }
@@ -802,8 +778,8 @@ mod tests {
     fn dag_reduces_sampling_cost() {
         let m = model();
         let workload = fig3_workload();
-        let base = run(&m, &workload, 50, 200, WorkloadStrategy::TupleAtATime, 3);
-        let dag = run(&m, &workload, 50, 200, WorkloadStrategy::TupleDag, 3);
+        let base = run(&m, &workload, &baseline(50, 200), 3);
+        let dag = run(&m, &workload, &dag(50, 200), 3);
         assert!(
             dag.cost.total_draws < base.cost.total_draws,
             "dag {} vs baseline {}",
@@ -822,7 +798,7 @@ mod tests {
         // After sampling, estimates for t1 ⟨20,HS,?,?⟩ must only weigh
         // combinations over {inc, nw} — its indexer has 4 cells.
         let m = model();
-        let res = run(&m, &fig3_workload(), 20, 150, WorkloadStrategy::TupleDag, 9);
+        let res = run(&m, &fig3_workload(), &dag(20, 150), 9);
         assert_eq!(res.estimates[0].indexer.size(), 4);
         assert_eq!(res.estimates[2].indexer.size(), 12); // t5: edu×inc×nw
     }
@@ -831,7 +807,7 @@ mod tests {
     fn duplicate_tuples_share_one_estimate() {
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), None, Some(0), None]);
-        let res = run(&m, &[t.clone(), t], 10, 80, WorkloadStrategy::TupleDag, 1);
+        let res = run(&m, &[t.clone(), t], &dag(10, 80), 1);
         assert_eq!(res.estimates[0].probs, res.estimates[1].probs);
         // Only one chain ran.
         assert_eq!(res.cost.chains, 1);
@@ -840,7 +816,7 @@ mod tests {
     #[test]
     fn empty_workload_is_fine() {
         let m = model();
-        let res = run(&m, &[], 10, 50, WorkloadStrategy::TupleDag, 0);
+        let res = run(&m, &[], &dag(10, 50), 0);
         assert!(res.estimates.is_empty());
         assert_eq!(res.cost.total_draws, 0);
     }
@@ -849,7 +825,7 @@ mod tests {
     fn complete_tuples_get_trivial_estimates() {
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), Some(0), Some(0), Some(0)]);
-        let res = run(&m, &[t], 10, 50, WorkloadStrategy::TupleDag, 0);
+        let res = run(&m, &[t], &dag(10, 50), 0);
         assert_eq!(res.estimates[0].probs, vec![1.0]);
         assert_eq!(res.cost.chains, 0);
     }
@@ -864,8 +840,8 @@ mod tests {
             PartialTuple::from_options(&[Some(0), Some(0), None, None]),
             PartialTuple::from_options(&[Some(0), None, None, None]),
         ];
-        let a = run(&m, &workload, 100, 3000, WorkloadStrategy::TupleAtATime, 5);
-        let b = run(&m, &workload, 100, 3000, WorkloadStrategy::TupleDag, 5);
+        let a = run(&m, &workload, &baseline(100, 3000), 5);
+        let b = run(&m, &workload, &dag(100, 3000), 5);
         for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
             for (pa, pb) in ea.probs.iter().zip(&eb.probs) {
                 assert!((pa - pb).abs() < 0.06, "{pa} vs {pb}");
@@ -948,7 +924,7 @@ mod tests {
                 })
             })
             .collect();
-        let res = run(&m, &workload, 50, 200, WorkloadStrategy::TupleDag, 1);
+        let res = run(&m, &workload, &dag(50, 200), 1);
         assert!(res.cost.shared_samples > 0, "the workload shares samples");
         assert_matches_reference(&m, &workload, 50, 200, 1);
     }

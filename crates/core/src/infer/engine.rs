@@ -96,8 +96,8 @@ impl<'m> InferContext<'m> {
         self.seed
     }
 
-    /// Sets the seed for the next estimate directly (the legacy shims use
-    /// this to reproduce historic streams exactly).
+    /// Sets the seed for the next estimate directly (an ensemble uses this
+    /// to give each member its own stream for the same tuple).
     pub fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
     }

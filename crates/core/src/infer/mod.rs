@@ -1,21 +1,8 @@
-//! Inference over a learned MRSL model.
-//!
-//! The strategies of the paper's inference ensemble live behind one trait,
-//! [`engine::InferenceEngine`], each engine running against an
-//! [`engine::InferContext`] that owns scratch, the voted-CPD cache and
-//! seeding:
-//!
-//! * [`engine::SingleVoting`] — Algorithm 2: one missing attribute, voting
-//!   over matching meta-rules (core in [`single`]).
-//! * [`engine::GibbsSampler`] — §V-A: ordered Gibbs sampling for joint
-//!   distributions over multiple missing attributes (chain in [`gibbs`]).
-//! * [`engine::TupleDagWorkload`] — §V-B / Algorithm 3: the tuple-DAG
-//!   workload optimization (DAG and schedule in [`dag`]).
-//! * [`engine::IndependentBaseline`] — the independence-assuming baseline
-//!   of §V, kept for ablation studies ([`independent`]).
-//!
-//! [`batch::infer_batch`] fans any engine out over the shared rayon
-//! executor with deterministic per-tuple seeding.
+//! Inference over a learned MRSL model: the strategies of the paper's
+//! inference ensemble behind one trait ([`engine`]), the cores they run
+//! ([`single`] voting, the [`gibbs`] chain, the tuple [`dag`] schedule and
+//! the [`independent`] baseline), and the parallel [`batch`] layer that
+//! fans any engine out with deterministic per-tuple seeding.
 
 pub mod batch;
 pub mod dag;

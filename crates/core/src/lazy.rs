@@ -3,163 +3,18 @@
 //! "Our approach opens new possibilities for partial materialization of
 //! probability values, as well as for lazy, query-targeted learning and
 //! inference." Instead of materializing `Δt` for *every* incomplete tuple,
-//! [`derive_for_query`] derives blocks only for the tuples that can affect
-//! a given selection predicate. The triage runs on the predicate algebra's
-//! three-valued evaluation ([`Predicate::eval_partial`]): a tuple's block
-//! is skippable iff the predicate is **decided by the observed
-//! attributes** alone —
-//!
-//! * `Some(false)`: every completion violates the predicate — selection
-//!   probability 0, no inference spent;
-//! * `Some(true)`: every completion satisfies it — probability 1, no
-//!   inference either (e.g. an `Or` with one observed-true arm skips
-//!   inference even when other arms touch missing attributes);
-//! * `None`: the outcome depends on missing attributes — infer `Δt` and
-//!   marginalize it through the predicate.
-//!
-//! The result reports the exact per-tuple selection probabilities and the
-//! expected count, plus how much inference work was skipped.
+//! [`derive_catalog_for_query`] derives blocks only for the tuples that can
+//! affect a given query, triaged on the predicate algebra's three-valued
+//! evaluation of the observed attributes. The blocks it does derive are
+//! the ones eager derivation emits, bit for bit.
 
 use crate::config::GibbsConfig;
-use crate::derive::estimate_to_block;
-use crate::infer::batch::infer_batch;
-use crate::infer::dag::{workload_engine, SamplingCost, WorkloadStrategy};
+use crate::derive::{estimate_routed, estimate_to_block};
+use crate::infer::dag::SamplingCost;
 use crate::infer::engine::InferenceEngine;
 use crate::model::MrslModel;
-use mrsl_probdb::query::Predicate;
 use mrsl_probdb::{Catalog, ProbDb, ProbDbError, Query};
 use mrsl_relation::{CompleteTuple, PartialTuple, Relation};
-use serde::{Deserialize, Serialize};
-
-/// Why a tuple did or did not need inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LazyDisposition {
-    /// The observed portion contradicts the predicate: probability 0.
-    RuledOut,
-    /// The observed portion satisfies the predicate: probability 1.
-    Certain,
-    /// The predicate depends on missing attributes: inferred probability.
-    Inferred,
-}
-
-/// Per-incomplete-tuple result of a lazy query derivation.
-#[derive(Debug, Clone)]
-pub struct LazySelection {
-    /// How the tuple was handled.
-    pub disposition: LazyDisposition,
-    /// Probability the tuple satisfies the predicate.
-    pub prob: f64,
-}
-
-/// Output of [`derive_for_query`].
-#[derive(Debug)]
-pub struct LazyQueryOutput {
-    /// One entry per tuple of `relation.incomplete_part()`.
-    pub selections: Vec<LazySelection>,
-    /// Number of certain (complete) tuples satisfying the predicate.
-    pub certain_matches: usize,
-    /// Expected number of tuples satisfying the predicate, over the whole
-    /// relation (certain matches + block probabilities).
-    pub expected_count: f64,
-    /// Cost of the sampling actually performed.
-    pub sampling_cost: SamplingCost,
-    /// Tuples whose inference was skipped thanks to laziness.
-    pub skipped: usize,
-}
-
-/// Evaluates `P(t satisfies pred)` for every tuple of `relation`, deriving
-/// distributions **only where the predicate requires them**. Works for the
-/// whole predicate algebra (`Eq`/`In`/`Range`/`And`/`Or`/`Not`).
-pub fn derive_for_query(
-    relation: &Relation,
-    model: &MrslModel,
-    pred: &Predicate,
-    gibbs: &GibbsConfig,
-    strategy: WorkloadStrategy,
-    seed: u64,
-) -> LazyQueryOutput {
-    let engine = workload_engine(strategy, gibbs);
-    derive_for_query_with_engine(relation, model, pred, gibbs, engine.as_ref(), seed)
-}
-
-/// [`derive_for_query`] with an explicit inference engine for the
-/// undecided tuples (instead of a [`WorkloadStrategy`]'s workload engine).
-pub fn derive_for_query_with_engine(
-    relation: &Relation,
-    model: &MrslModel,
-    pred: &Predicate,
-    gibbs: &GibbsConfig,
-    engine: &dyn InferenceEngine,
-    seed: u64,
-) -> LazyQueryOutput {
-    let certain_matches = relation
-        .complete_part()
-        .iter()
-        .filter(|t| pred.eval(t))
-        .count();
-
-    // Triage incomplete tuples on the observed attributes alone.
-    let incomplete = relation.incomplete_part();
-    let mut selections: Vec<Option<LazySelection>> = vec![None; incomplete.len()];
-    let mut workload: Vec<PartialTuple> = Vec::new();
-    let mut slots: Vec<usize> = Vec::new();
-    for (i, t) in incomplete.iter().enumerate() {
-        match pred.eval_partial(t) {
-            Some(false) => {
-                selections[i] = Some(LazySelection {
-                    disposition: LazyDisposition::RuledOut,
-                    prob: 0.0,
-                });
-            }
-            Some(true) => {
-                selections[i] = Some(LazySelection {
-                    disposition: LazyDisposition::Certain,
-                    prob: 1.0,
-                });
-            }
-            None => {
-                workload.push(t.clone());
-                slots.push(i);
-            }
-        }
-    }
-    let skipped = incomplete.len() - workload.len();
-
-    // Infer Δt only for the undecided tuples, then push each joint
-    // combination through the predicate: P(pred) = Σ p(combo) over the
-    // combinations whose completion satisfies it.
-    let mut sampling_cost = SamplingCost::default();
-    if !workload.is_empty() {
-        let result = infer_batch(model, &workload, engine, gibbs.voting, seed);
-        sampling_cost = result.cost;
-        for ((slot, t), est) in slots.iter().zip(&workload).zip(&result.estimates) {
-            let mut prob = 0.0;
-            for (idx, &p) in est.probs.iter().enumerate() {
-                let combo = est.indexer.decode(idx);
-                if pred.eval(&t.complete_with_assignments(&combo)) {
-                    prob += p;
-                }
-            }
-            selections[*slot] = Some(LazySelection {
-                disposition: LazyDisposition::Inferred,
-                prob,
-            });
-        }
-    }
-
-    let selections: Vec<LazySelection> = selections
-        .into_iter()
-        .map(|s| s.expect("every tuple classified"))
-        .collect();
-    let expected_count = certain_matches as f64 + selections.iter().map(|s| s.prob).sum::<f64>();
-    LazyQueryOutput {
-        selections,
-        certain_matches,
-        expected_count,
-        sampling_cost,
-        skipped,
-    }
-}
 
 /// One source relation of a lazy catalog derivation: the raw (partially
 /// incomplete) relation plus the model learned from its complete part.
@@ -205,8 +60,8 @@ pub struct LazyCatalogOutput {
 /// scans, infers `Δt` **only** for the incomplete tuples the query
 /// actually depends on.
 ///
-/// The triage extends [`derive_for_query`] per relation with join
-/// awareness (via [`Query::scan_requirements`]):
+/// The triage runs per relation with join awareness (via
+/// [`Query::scan_requirements`]):
 ///
 /// * selection observed-false → the tuple can never satisfy its scan's
 ///   predicate; it is omitted (no inference, no block);
@@ -214,7 +69,10 @@ pub struct LazyCatalogOutput {
 ///   tuple's effect on the query is fully determined; it is pinned as a
 ///   certain tuple (missing non-query attributes default to value 0), no
 ///   inference;
-/// * otherwise → `Δt` is inferred and the tuple becomes a regular block.
+/// * otherwise → `Δt` is inferred and the tuple becomes a regular block,
+///   bit-identical to the block eager derivation emits at the same key:
+///   one missing value is voted (Algorithm 2), several go through
+///   `engine`.
 ///
 /// The resulting catalog is **valid only for this query's
 /// probability/count statistics** (`Probability`, `ExpectedCount`,
@@ -224,23 +82,11 @@ pub struct LazyCatalogOutput {
 /// pinned tuples' zero-filled missing attributes as real data; use the
 /// eager [`derive_probabilistic_db`](crate::derive_probabilistic_db) for
 /// those, as for any unrelated query (omitted tuples are missing rows
-/// there too). Sources the query does not scan are skipped.
+/// there too). Sources the query does not scan are skipped. Every derived
+/// relation records `engine.name()` as its provenance, so
+/// [`EvalReport`](mrsl_probdb::EvalReport)s over the catalog say which
+/// engine stood behind the blocks they read.
 pub fn derive_catalog_for_query(
-    sources: &[LazySource<'_>],
-    query: &Query,
-    gibbs: &GibbsConfig,
-    strategy: WorkloadStrategy,
-    seed: u64,
-) -> Result<LazyCatalogOutput, ProbDbError> {
-    let engine = workload_engine(strategy, gibbs);
-    derive_catalog_for_query_with_engine(sources, query, gibbs, engine.as_ref(), seed)
-}
-
-/// [`derive_catalog_for_query`] with an explicit inference engine for the
-/// tuples that need `Δt`. Every derived relation records `engine.name()`
-/// as its provenance, so [`EvalReport`](mrsl_probdb::EvalReport)s over the
-/// catalog say which engine stood behind the blocks they read.
-pub fn derive_catalog_for_query_with_engine(
     sources: &[LazySource<'_>],
     query: &Query,
     gibbs: &GibbsConfig,
@@ -302,13 +148,11 @@ pub fn derive_catalog_for_query_with_engine(
             }
         }
         stats.inferred = workload.len();
-        if !workload.is_empty() {
-            let result = infer_batch(source.model, &workload, engine, gibbs.voting, seed);
-            stats.sampling_cost = result.cost;
-            for ((key, t), est) in keys.iter().zip(&workload).zip(&result.estimates) {
-                db.push_block(estimate_to_block(*key, t, est, 0.0))
-                    .expect("blocks validated on build");
-            }
+        let result = estimate_routed(source.model, &workload, engine, gibbs.voting, seed);
+        stats.sampling_cost = result.cost;
+        for ((key, t), est) in keys.iter().zip(&workload).zip(&result.estimates) {
+            db.push_block(estimate_to_block(*key, t, est, 0.0))
+                .expect("blocks validated on build");
         }
         catalog.add(req.relation.clone(), db)?;
         per_relation.push(stats);
@@ -324,175 +168,286 @@ mod tests {
     use super::*;
     use crate::config::{LearnConfig, VotingConfig};
     use crate::derive::{derive_probabilistic_db, DeriveConfig};
+    use crate::infer::engine::TupleDagWorkload;
     use mrsl_probdb::query::expected_count;
+    use mrsl_probdb::{CatalogEngine, Predicate};
     use mrsl_relation::relation::fig1_relation;
     use mrsl_relation::{AttrId, ValueId};
 
+    /// The derivation parameters the fig. 1 tests share.
+    fn config() -> DeriveConfig {
+        DeriveConfig {
+            gibbs: GibbsConfig {
+                burn_in: 50,
+                samples: 600,
+                voting: VotingConfig::best_averaged(),
+            },
+            seed: 1,
+            ..DeriveConfig::default()
+        }
+    }
+
     fn setup() -> (Relation, MrslModel, GibbsConfig) {
-        let rel = fig1_relation();
-        let learn = LearnConfig {
-            support_threshold: 0.01,
-            max_itemsets: 1000,
-        };
-        let model = MrslModel::learn(rel.schema(), rel.complete_part(), &learn);
-        let gibbs = GibbsConfig {
-            burn_in: 50,
-            samples: 600,
-            voting: VotingConfig::best_averaged(),
-        };
-        (rel, model, gibbs)
+        let (rel, config) = (fig1_relation(), config());
+        let model = MrslModel::learn(rel.schema(), rel.complete_part(), &config.learn);
+        (rel, model, config.gibbs)
+    }
+
+    /// Lazily derives `σ[pred](profiles)` over fig. 1 with Algorithm 3.
+    /// Returns the triage of the one scanned relation, its derived
+    /// database, and the query's exact expected count.
+    fn derive_scan(pred: &Predicate) -> (LazyRelationStats, ProbDb, f64) {
+        let (rel, model, gibbs) = setup();
+        let query = Query::scan("profiles").filter(pred.clone());
+        let sources = [LazySource {
+            name: "profiles",
+            relation: &rel,
+            model: &model,
+        }];
+        let engine = TupleDagWorkload::from_config(&gibbs);
+        let mut out = derive_catalog_for_query(&sources, &query, &gibbs, &engine, 1).unwrap();
+        let (count, _) = CatalogEngine::new(&out.catalog)
+            .expected_count(&query)
+            .unwrap();
+        let db = out.catalog.get("profiles").unwrap().clone();
+        (out.per_relation.remove(0), db, count)
+    }
+
+    /// `P(pred)` summed over the derived blocks.
+    fn block_mass(db: &ProbDb, pred: &Predicate) -> f64 {
+        db.blocks()
+            .iter()
+            .map(|b| b.prob_satisfies(|t| pred.eval(t)))
+            .sum()
     }
 
     #[test]
     fn classifies_tuples_correctly() {
-        let (rel, model, gibbs) = setup();
         // pred: age = 30. Incomplete tuples with age observed ≠ 30 are
-        // ruled out; with age = 30 observed they're certain; with age
+        // ruled out; with age = 30 observed they're pinned; with age
         // missing they need inference.
         let pred = Predicate::any().and_eq(AttrId(0), ValueId(1));
-        let out = derive_for_query(&rel, &model, &pred, &gibbs, WorkloadStrategy::TupleDag, 1);
-        assert_eq!(out.selections.len(), 9);
+        let (stats, db, count) = derive_scan(&pred);
         // t8 = ⟨?, HS, ?, ?⟩ is the only tuple with age missing.
-        let inferred = out
-            .selections
-            .iter()
-            .filter(|s| s.disposition == LazyDisposition::Inferred)
-            .count();
-        assert_eq!(inferred, 1);
-        let certain = out
-            .selections
-            .iter()
-            .filter(|s| s.disposition == LazyDisposition::Certain)
-            .count();
-        assert_eq!(certain, 3); // t10, t11, t12 observe age = 30
-        assert_eq!(out.skipped, 8);
+        assert_eq!(stats.inferred, 1);
+        assert_eq!(stats.pinned, 3); // t10, t11, t12 observe age = 30
+        assert_eq!(stats.ruled_out, 5);
+        // 8 complete points plus the 3 pinned; one block, at t8's key.
+        assert_eq!(db.certain().len(), 11);
+        assert_eq!(db.blocks().len(), 1);
+        assert_eq!(db.blocks()[0].key(), 3);
         // Certain complete matches: age=30 points are t9 only.
-        assert_eq!(out.certain_matches, 1);
+        let certain_matches = db.certain().iter().filter(|t| pred.eval(t)).count();
+        assert_eq!(certain_matches, 1 + 3);
+        assert!((count - certain_matches as f64 - block_mass(&db, &pred)).abs() < 1e-9);
     }
 
     #[test]
     fn lazy_matches_full_materialization() {
-        let (rel, model, gibbs) = setup();
         let pred = Predicate::any().and_eq(AttrId(2), ValueId(1)); // inc=100K
-        let lazy = derive_for_query(&rel, &model, &pred, &gibbs, WorkloadStrategy::TupleDag, 1);
+        let (_, _, lazy_count) = derive_scan(&pred);
         // Fully materialize with the same parameters and compare.
-        let full = derive_probabilistic_db(
-            &rel,
-            &DeriveConfig {
-                learn: LearnConfig {
-                    support_threshold: 0.01,
-                    max_itemsets: 1000,
-                },
-                gibbs,
-                seed: 1,
-                ..DeriveConfig::default()
-            },
-        );
+        let full = derive_probabilistic_db(&fig1_relation(), &config());
         let full_expected = expected_count(&full.db, &pred);
         assert!(
-            (lazy.expected_count - full_expected).abs() < 0.6,
-            "lazy {} vs full {}",
-            lazy.expected_count,
-            full_expected
+            (lazy_count - full_expected).abs() < 0.6,
+            "lazy {lazy_count} vs full {full_expected}"
         );
     }
 
     #[test]
     fn lazy_saves_inference_work() {
-        let (rel, model, gibbs) = setup();
         // A very selective predicate on observed values skips most tuples.
         let pred = Predicate::any()
             .and_eq(AttrId(0), ValueId(1))
-            .and_eq(AttrId(1), ValueId(2)); // age=30 ∧ edu=MS: only t12 certain
-        let out = derive_for_query(&rel, &model, &pred, &gibbs, WorkloadStrategy::TupleDag, 1);
-        assert!(out.skipped >= 7, "skipped {}", out.skipped);
-        assert_eq!(out.sampling_cost.chains, 1); // only t8 needs sampling
-                                                 // t12 observes both clauses: probability exactly 1.
-        assert!(out
-            .selections
-            .iter()
-            .any(|s| s.disposition == LazyDisposition::Certain && s.prob == 1.0));
+            .and_eq(AttrId(1), ValueId(2)); // age=30 ∧ edu=MS
+        let (stats, db, count) = derive_scan(&pred);
+        assert_eq!(stats.ruled_out, 7);
+        // t12 = ⟨30, MS, ?, ?⟩ observes both clauses: probability exactly 1.
+        assert_eq!(stats.pinned, 1);
+        // Only t10 = ⟨30, ?, 100K, ?⟩ needs sampling: one chain.
+        assert_eq!(stats.inferred, 1);
+        assert_eq!(stats.sampling_cost.chains, 1);
+        assert!((count - 1.0 - block_mass(&db, &pred)).abs() < 1e-9);
+    }
+
+    /// Every incomplete tuple is pinned: nothing is inferred or sampled.
+    fn assert_pins_everything(pred: &Predicate) {
+        let rel = fig1_relation();
+        let (stats, db, count) = derive_scan(pred);
+        assert_eq!(stats.pinned, rel.incomplete_part().len());
+        assert_eq!(stats.inferred + stats.ruled_out, 0);
+        assert_eq!(stats.sampling_cost.total_draws, 0);
+        assert_eq!(db.blocks().len(), 0);
+        assert_eq!(count, rel.len() as f64);
     }
 
     #[test]
     fn empty_predicate_is_all_certain() {
-        let (rel, model, gibbs) = setup();
-        let out = derive_for_query(
-            &rel,
-            &model,
-            &Predicate::any(),
-            &gibbs,
-            WorkloadStrategy::TupleDag,
-            1,
-        );
-        assert!(out
-            .selections
-            .iter()
-            .all(|s| s.disposition == LazyDisposition::Certain));
-        assert_eq!(out.expected_count, rel.len() as f64);
-        assert_eq!(out.sampling_cost.total_draws, 0);
+        assert_pins_everything(&Predicate::any());
     }
 
     #[test]
     fn disjunction_decided_by_observed_arm_skips_inference() {
-        let (rel, model, gibbs) = setup();
         // edu=HS ∨ inc=100K: t1 = ⟨20, HS, ?, ?⟩ and t8 = ⟨?, HS, ?, ?⟩
         // observe the first arm, so no inference is needed on them even
         // though inc (and for t8 also age) is missing.
         let pred = Predicate::eq(AttrId(1), ValueId(0)).or(Predicate::eq(AttrId(2), ValueId(1)));
-        let out = derive_for_query(&rel, &model, &pred, &gibbs, WorkloadStrategy::TupleDag, 1);
+        let (stats, db, _) = derive_scan(&pred);
+        // Pinned: t1, t8, t10 (inc=100K), t11, t14, t16; inferred: t3, t5,
+        // t12, whose observed values decide neither arm.
+        assert_eq!(stats.pinned, 6);
+        assert_eq!(stats.inferred, 3);
+        assert_eq!(stats.ruled_out, 0);
         // Incomplete part order: t1, t3, t5, t8, t10, t11, t12, t14, t16.
-        for idx in [0usize, 3] {
-            let s = &out.selections[idx];
-            assert_eq!(s.disposition, LazyDisposition::Certain);
-            assert_eq!(s.prob, 1.0);
-        }
+        let keys: Vec<usize> = db.blocks().iter().map(|b| b.key()).collect();
+        assert_eq!(keys, vec![1, 2, 6]);
     }
 
     #[test]
     fn empty_conjunction_skips_all_inference() {
-        // Regression (ROADMAP open item): `And([]) ≡ Any` must be decided
-        // — `Some(true)` — on every incomplete tuple, so a query with an
-        // empty conjunction derives nothing.
-        let (rel, model, gibbs) = setup();
-        let pred = Predicate::And(vec![]);
-        let out = derive_for_query(&rel, &model, &pred, &gibbs, WorkloadStrategy::TupleDag, 1);
-        assert!(out
-            .selections
-            .iter()
-            .all(|s| s.disposition == LazyDisposition::Certain && s.prob == 1.0));
-        assert_eq!(out.skipped, rel.incomplete_part().len());
-        assert_eq!(out.sampling_cost.total_draws, 0);
-        assert_eq!(out.expected_count, rel.len() as f64);
+        // Regression: `And([]) ≡ Any` must be decided — `Some(true)` — on
+        // every incomplete tuple, so a query with an empty conjunction
+        // derives nothing.
+        assert_pins_everything(&Predicate::And(vec![]));
+    }
+
+    #[test]
+    fn negation_and_range_triage_agree_with_brute_force() {
+        let rel = fig1_relation();
+        // NOT(age ∈ {20, 30}): decided wherever age is observed.
+        let pred = Predicate::is_in(AttrId(0), [ValueId(0), ValueId(1)]).negate();
+        let (stats, db, count) = derive_scan(&pred);
+        let incomplete = rel.incomplete_part();
+        let triage = |want: Option<bool>| {
+            incomplete
+                .iter()
+                .filter(|t| pred.eval_partial(t) == want)
+                .count()
+        };
+        assert_eq!(stats.pinned, triage(Some(true)));
+        assert_eq!(stats.ruled_out, triage(Some(false)));
+        assert_eq!(stats.inferred, triage(None));
+        for block in db.blocks().iter() {
+            assert_eq!(pred.eval_partial(&incomplete[block.key()]), None);
+            let p = block.prob_satisfies(|t| pred.eval(t));
+            assert!((0.0..=1.0 + 1e-9).contains(&p));
+        }
+        // The inferred probabilities integrate Δt over the satisfying
+        // completions, so the expected count is certain matches plus the
+        // block marginals.
+        let certain_matches = db.certain().iter().filter(|t| pred.eval(t)).count();
+        assert!((count - certain_matches as f64 - block_mass(&db, &pred)).abs() < 1e-9);
+    }
+
+    /// Lazy and eager derivation route tuples the same way: on relations
+    /// whose incomplete tuples each hide one non-join attribute (the
+    /// shape `repro joins` derives), every lazily inferred block is the
+    /// voted CPD, bit for bit the eager block at the same key, and no
+    /// chain runs.
+    #[test]
+    fn lazy_blocks_are_bit_identical_to_eager_blocks() {
+        use mrsl_bayesnet::{builders::chain, sampler::sample_dataset, BayesianNetwork};
+
+        let config = DeriveConfig {
+            learn: LearnConfig {
+                support_threshold: 0.005,
+                max_itemsets: 1000,
+            },
+            gibbs: GibbsConfig {
+                burn_in: 50,
+                samples: 300,
+                voting: VotingConfig::best_averaged(),
+            },
+            seed: 0x9d1e,
+            ..DeriveConfig::default()
+        };
+        let names = ["sensors", "readings"];
+        let mut relations = Vec::new();
+        for (i, cards) in [[6usize, 3, 2], [6, 4, 2]].iter().enumerate() {
+            let bn = BayesianNetwork::instantiate(&chain(names[i], cards), 0.5, i as u64);
+            let mut rel = Relation::new(bn.schema().clone());
+            for p in sample_dataset(&bn, 500, 10 + i as u64) {
+                rel.push_complete(p).unwrap();
+            }
+            // Hide attribute 1 or 2, never the station (attribute 0).
+            for (j, p) in sample_dataset(&bn, 80, 20 + i as u64).iter().enumerate() {
+                let hide = AttrId(1 + (j % 2) as u16);
+                rel.push(p.to_partial().without_attr(hide)).unwrap();
+            }
+            relations.push(rel);
+        }
+        let models: Vec<MrslModel> = (relations.iter())
+            .map(|r| MrslModel::learn(r.schema(), r.complete_part(), &config.learn))
+            .collect();
+        let sources: Vec<LazySource<'_>> = (0..2)
+            .map(|i| LazySource {
+                name: names[i],
+                relation: &relations[i],
+                model: &models[i],
+            })
+            .collect();
+        // σ[a1=0](sensors) ⨝ σ[a1≥2](readings) on the station.
+        let readings =
+            Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3)));
+        let query = Query::scan("sensors")
+            .filter(Predicate::eq(AttrId(1), ValueId(0)))
+            .join_on(readings, [(AttrId(0), AttrId(0))]);
+        let dag = TupleDagWorkload::from_config(&config.gibbs);
+        let lazy =
+            derive_catalog_for_query(&sources, &query, &config.gibbs, &dag, config.seed).unwrap();
+
+        let bits = |b: &mrsl_probdb::Block| -> Vec<(CompleteTuple, u64)> {
+            (b.alternatives().iter())
+                .map(|a| (a.tuple.clone(), a.prob.to_bits()))
+                .collect()
+        };
+        for (stats, rel) in lazy.per_relation.iter().zip(&relations) {
+            assert!(stats.inferred > 0, "{} infers something", stats.relation);
+            assert_eq!(stats.sampling_cost.total_draws, 0, "{}", stats.relation);
+            let eager = derive_probabilistic_db(rel, &config).db;
+            let lazy_db = lazy.catalog.get(&stats.relation).unwrap();
+            assert_eq!(lazy_db.blocks().len(), stats.inferred);
+            for block in lazy_db.blocks().iter() {
+                let twin = &eager.blocks()[block.key()];
+                assert_eq!(twin.key(), block.key());
+                assert_eq!(bits(block), bits(twin), "{}", stats.relation);
+            }
+        }
+    }
+
+    /// A second relation over fig. 1's dictionaries: three complete
+    /// partners plus the given incomplete ones.
+    fn partners(incomplete: &[[Option<u16>; 4]]) -> Relation {
+        let mut rel = Relation::new(fig1_relation().schema().clone());
+        for values in [vec![0u16, 0, 1, 0], vec![1, 1, 1, 1], vec![2, 2, 0, 0]] {
+            rel.push_complete(CompleteTuple::from_values(values))
+                .unwrap();
+        }
+        for t in incomplete {
+            rel.push(PartialTuple::from_options(t)).unwrap();
+        }
+        rel
     }
 
     #[test]
     fn alias_merged_requirements_only_pin_fully_decided_tuples() {
-        let (rel, model, gibbs) = setup();
+        let (_, model, gibbs) = setup();
         // σ[age=20](r1) ⋈ σ[inc=100K](r2) on age: the merged requirement
         // is (age=20 ∨ inc=100K). A tuple with age=20 observed but inc
         // missing satisfies Kleene's OR, yet r2's selection is undecided —
         // pinning it would fabricate inc=0 (50K). It must be inferred.
-        let mut partners = Relation::new(rel.schema().clone());
-        for values in [vec![0u16, 0, 1, 0], vec![1, 1, 1, 1], vec![2, 2, 0, 0]] {
-            partners
-                .push_complete(mrsl_relation::CompleteTuple::from_values(values))
-                .unwrap();
-        }
-        // ⟨20, HS, ?, ?⟩: age observed (r1's filter true, join key known),
-        // inc missing (r2's filter undecided) → inferred, never pinned.
-        partners
-            .push(PartialTuple::from_options(&[Some(0), Some(0), None, None]))
-            .unwrap();
-        // ⟨20, ?, 100K, ?⟩: both filters decided, join key observed →
-        // pinned without inference.
-        partners
-            .push(PartialTuple::from_options(&[Some(0), None, Some(1), None]))
-            .unwrap();
-        // ⟨30, ?, 50K, ?⟩: both filters decided false → ruled out.
-        partners
-            .push(PartialTuple::from_options(&[Some(1), None, Some(0), None]))
-            .unwrap();
+        let partners = partners(&[
+            // ⟨20, HS, ?, ?⟩: age observed (r1's filter true, join key
+            // known), inc missing (r2's filter undecided) → inferred, never
+            // pinned.
+            [Some(0), Some(0), None, None],
+            // ⟨20, ?, 100K, ?⟩: both filters decided, join key observed →
+            // pinned without inference.
+            [Some(0), None, Some(1), None],
+            // ⟨30, ?, 50K, ?⟩: both filters decided false → ruled out.
+            [Some(1), None, Some(0), None],
+        ]);
         let query = Query::scan_as("partners", "r1")
             .filter(Predicate::any().and_eq(AttrId(0), ValueId(0)))
             .join_on(
@@ -505,8 +460,8 @@ mod tests {
             relation: &partners,
             model: &model,
         }];
-        let out = derive_catalog_for_query(&sources, &query, &gibbs, WorkloadStrategy::TupleDag, 1)
-            .unwrap();
+        let dag = TupleDagWorkload::from_config(&gibbs);
+        let out = derive_catalog_for_query(&sources, &query, &gibbs, &dag, 1).unwrap();
         // One requirement for the twice-scanned relation.
         assert_eq!(out.per_relation.len(), 1);
         let stats = &out.per_relation[0];
@@ -517,43 +472,22 @@ mod tests {
 
     #[test]
     fn catalog_derivation_triages_per_relation() {
-        use mrsl_probdb::{CatalogEngine, EvalPath};
-        use mrsl_relation::ValueId;
+        use mrsl_probdb::EvalPath;
 
         let (profiles, model, gibbs) = setup();
-        // A second relation over the same dictionaries: a few complete
-        // partners plus incomplete ones.
-        let mut partners = Relation::new(profiles.schema().clone());
-        for values in [vec![0u16, 0, 1, 0], vec![1, 1, 1, 1], vec![2, 2, 0, 0]] {
-            partners
-                .push_complete(mrsl_relation::CompleteTuple::from_values(values))
-                .unwrap();
-        }
-        // ⟨20, ?, 100K, ?⟩: selection (inc=100K) observed true, join key
-        // (age) observed → pinned without inference.
-        partners
-            .push(PartialTuple::from_options(&[Some(0), None, Some(1), None]))
-            .unwrap();
-        // ⟨?, HS, 100K, ?⟩: join key missing → must be inferred.
-        partners
-            .push(PartialTuple::from_options(&[None, Some(0), Some(1), None]))
-            .unwrap();
-        // ⟨30, BS, 50K, ?⟩: selection observed false → ruled out.
-        partners
-            .push(PartialTuple::from_options(&[
-                Some(1),
-                Some(1),
-                Some(0),
-                None,
-            ]))
-            .unwrap();
+        let partners = partners(&[
+            // ⟨20, ?, 100K, ?⟩: selection (inc=100K) observed true, join
+            // key (age) observed → pinned without inference.
+            [Some(0), None, Some(1), None],
+            // ⟨?, HS, 100K, ?⟩: join key missing → must be inferred.
+            [None, Some(0), Some(1), None],
+            // ⟨30, BS, 50K, ?⟩: selection observed false → ruled out.
+            [Some(1), Some(1), Some(0), None],
+        ]);
         let partner_model = MrslModel::learn(
             partners.schema(),
             partners.complete_part(),
-            &LearnConfig {
-                support_threshold: 0.01,
-                max_itemsets: 1000,
-            },
+            &LearnConfig::default(),
         );
 
         // profiles ⨝ partners on age, selecting inc=100K partners.
@@ -574,8 +508,8 @@ mod tests {
                 model: &partner_model,
             },
         ];
-        let out = derive_catalog_for_query(&sources, &query, &gibbs, WorkloadStrategy::TupleDag, 1)
-            .unwrap();
+        let dag = TupleDagWorkload::from_config(&gibbs);
+        let out = derive_catalog_for_query(&sources, &query, &gibbs, &dag, 1).unwrap();
 
         // Partner triage: exactly the shapes constructed above.
         let ps = &out.per_relation[1];
@@ -584,6 +518,7 @@ mod tests {
         assert_eq!(ps.inferred, 1);
         assert_eq!(ps.ruled_out, 1);
         let partners_db = out.catalog.get("partners").unwrap();
+        assert_eq!(partners_db.provenance(), Some("tuple-dag"));
         assert_eq!(partners_db.blocks().len(), 1); // only the inferred tuple
         assert_eq!(partners_db.certain().len(), 4); // 3 complete + 1 pinned
 
@@ -614,31 +549,7 @@ mod tests {
         assert_eq!(report.path, EvalPath::MonteCarlo);
 
         // Missing sources are a typed error.
-        let e =
-            derive_catalog_for_query(&sources[..1], &query, &gibbs, WorkloadStrategy::TupleDag, 1);
+        let e = derive_catalog_for_query(&sources[..1], &query, &gibbs, &dag, 1);
         assert!(matches!(e, Err(ProbDbError::UnknownRelation(n)) if n == "partners"));
-    }
-
-    #[test]
-    fn negation_and_range_triage_agree_with_brute_force() {
-        let (rel, model, gibbs) = setup();
-        // NOT(age ∈ {20, 30}): decided wherever age is observed.
-        let pred = Predicate::is_in(AttrId(0), [ValueId(0), ValueId(1)]).negate();
-        let out = derive_for_query(&rel, &model, &pred, &gibbs, WorkloadStrategy::TupleDag, 1);
-        for (t, s) in rel.incomplete_part().iter().zip(&out.selections) {
-            match pred.eval_partial(t) {
-                Some(true) => assert_eq!(s.prob, 1.0),
-                Some(false) => assert_eq!(s.prob, 0.0),
-                None => {
-                    assert_eq!(s.disposition, LazyDisposition::Inferred);
-                    assert!((0.0..=1.0 + 1e-9).contains(&s.prob));
-                }
-            }
-        }
-        // The inferred probabilities integrate Δt over the satisfying
-        // completions, so the expected count is consistent with certain +
-        // per-tuple probabilities by construction.
-        let total: f64 = out.selections.iter().map(|s| s.prob).sum();
-        assert!((out.expected_count - out.certain_matches as f64 - total).abs() < 1e-12);
     }
 }

@@ -14,28 +14,24 @@
 //! * [`model`] — the MRSL model (one lattice per attribute, Def. 2.9) and
 //!   the end-to-end learning pipeline.
 //!
-//! Inference (paper §IV–§V) — one [`InferenceEngine`] per strategy of the
-//! ensemble, all running against an [`InferContext`] that owns scratch,
-//! the voted-CPD cache and seeding:
-//! * [`SingleVoting`] — Algorithm 2: voting inference for one missing
-//!   attribute (`all`/`best` voters, `averaged`/`weighted` schemes).
-//! * [`GibbsSampler`] — ordered Gibbs sampling for multiple missing
-//!   attributes, with a shared CPD cache.
-//! * [`TupleDagWorkload`] — Algorithm 3: the tuple-DAG workload
-//!   optimization that shares samples between tuples related by
-//!   subsumption.
-//! * [`IndependentBaseline`] — the independence-assuming baseline the
-//!   paper argues against in §V (kept for ablation).
-//!
-//! [`infer_batch`] fans any engine over a workload on the shared rayon
-//! executor, with deterministic per-tuple seeding (results are
+//! Inference (paper §IV–§V) — [`infer`]: one [`InferenceEngine`] per
+//! strategy of the ensemble — [`SingleVoting`] (Algorithm 2),
+//! [`GibbsSampler`] (§V-A), [`TupleDagWorkload`] (Algorithm 3) and the
+//! [`IndependentBaseline`] the paper argues against in §V — all running
+//! against an [`InferContext`]. [`infer_batch`] fans any engine over a
+//! workload with deterministic per-tuple seeding (results are
 //! bit-identical for any thread count).
 //!
 //! End to end:
 //! * [`derive`](mod@derive) — learns a model and converts every incomplete
 //!   tuple's estimate `Δt` into a block of a disjoint-independent
 //!   probabilistic database ([`mrsl_probdb::ProbDb`]).
-//! * [`lazy`] — query-targeted partial derivation (§VIII future work).
+//! * [`lazy`] — query-targeted partial derivation (§VIII future work):
+//!   the same blocks, only for the tuples a query depends on.
+//!
+//! Both paths send each tuple through one router: voting when one value
+//! is missing, the caller's [`InferenceEngine`] when several are. An
+//! engine value is the only way to pick the sampler.
 
 #![forbid(unsafe_code)]
 
@@ -53,17 +49,13 @@ pub use derive::{
     derive_probabilistic_db, derive_probabilistic_db_with_engine, DeriveConfig, DeriveOutput,
 };
 pub use infer::batch::infer_batch;
-pub use infer::dag::{workload_engine, SamplingCost, TupleDag, WorkloadResult, WorkloadStrategy};
+pub use infer::dag::{SamplingCost, TupleDag, WorkloadResult};
 pub use infer::engine::{
     GibbsSampler, IndependentBaseline, InferContext, InferenceEngine, SingleVoting,
     TupleDagWorkload,
 };
 pub use infer::gibbs::JointEstimate;
 pub use lattice::{MetaRuleId, Mrsl};
-pub use lazy::{
-    derive_catalog_for_query, derive_catalog_for_query_with_engine, derive_for_query,
-    derive_for_query_with_engine, LazyCatalogOutput, LazyDisposition, LazyQueryOutput,
-    LazyRelationStats, LazySelection, LazySource,
-};
+pub use lazy::{derive_catalog_for_query, LazyCatalogOutput, LazyRelationStats, LazySource};
 pub use meta_rule::MetaRule;
 pub use model::{LearnStats, MrslModel};

@@ -6,7 +6,7 @@ use crate::experiments::{grid, mean, ExpOptions};
 use crate::report::Report;
 use crate::runner::run_parallel;
 use mrsl_bayesnet::catalog::by_name;
-use mrsl_core::{GibbsConfig, VotingConfig, WorkloadStrategy};
+use mrsl_core::{GibbsConfig, TupleDagWorkload, VotingConfig};
 use mrsl_util::table::fmt_f;
 use mrsl_util::Table;
 
@@ -60,7 +60,8 @@ pub fn run(opts: &ExpOptions) -> Report {
                         samples: n,
                         voting: VotingConfig::best_averaged(),
                     };
-                    let score = ctx.eval_multi(k, &gibbs, WorkloadStrategy::TupleDag);
+                    let engine = TupleDagWorkload::from_config(&gibbs);
+                    let score = ctx.eval_multi(k, &engine, gibbs.voting);
                     (k, n, score)
                 })
                 .collect::<Vec<_>>()
@@ -117,7 +118,8 @@ mod tests {
                 samples: n,
                 voting: VotingConfig::best_averaged(),
             };
-            ctx.eval_multi(2, &gibbs, WorkloadStrategy::TupleDag).kl
+            ctx.eval_multi(2, &TupleDagWorkload::from_config(&gibbs), gibbs.voting)
+                .kl
         };
         let few = score_at(60);
         let many = score_at(1_500);

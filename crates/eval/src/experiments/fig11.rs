@@ -6,7 +6,9 @@ use crate::experiments::{grid, ExpOptions};
 use crate::missing::inject_missing_varying;
 use crate::report::Report;
 use crate::runner::run_parallel;
-use mrsl_core::{infer_batch, workload_engine, GibbsConfig, VotingConfig, WorkloadStrategy};
+use mrsl_core::{
+    infer_batch, GibbsConfig, GibbsSampler, InferenceEngine, TupleDagWorkload, VotingConfig,
+};
 use mrsl_util::table::fmt_f;
 use mrsl_util::Table;
 
@@ -37,7 +39,7 @@ fn params(opts: &ExpOptions) -> (usize, f64, usize, usize) {
     }
 }
 
-/// Regenerates Fig. 11: per (network, workload size, strategy), the total
+/// Regenerates Fig. 11: per (network, workload size, engine), the total
 /// number of sampled points and the wall-clock time of inference.
 pub fn run(opts: &ExpOptions) -> Report {
     let (train, support, samples, burn_in) = params(opts);
@@ -78,33 +80,28 @@ pub fn run(opts: &ExpOptions) -> Report {
         let rows = run_parallel(cells, 1, |spec| {
             let ctx = spec.build();
             let max_k = ctx.bn.spec().num_attrs() - 1;
+            let engines: [(&str, &dyn InferenceEngine); 2] = [
+                ("tuple-at-a-time", &GibbsSampler::from_config(&gibbs)),
+                ("tuple-DAG", &TupleDagWorkload::from_config(&gibbs)),
+            ];
             let mut out = Vec::new();
             for &w in &workload_sizes(opts) {
                 let workload =
                     inject_missing_varying(&ctx.test_points[..w], max_k, spec.seed ^ w as u64);
-                for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-                    let engine = workload_engine(strategy, &gibbs);
-                    let result = infer_batch(
-                        &ctx.model,
-                        &workload,
-                        engine.as_ref(),
-                        gibbs.voting,
-                        spec.seed,
-                    );
-                    out.push((w, strategy, result.cost));
+                for (label, engine) in engines {
+                    let result =
+                        infer_batch(&ctx.model, &workload, engine, gibbs.voting, spec.seed);
+                    out.push((w, label, result.cost));
                 }
             }
             out
         });
         for row in rows.into_iter().flatten() {
-            let (w, strategy, cost) = row;
+            let (w, label, cost) = row;
             table.push_row([
                 name.to_string(),
                 w.to_string(),
-                match strategy {
-                    WorkloadStrategy::TupleAtATime => "tuple-at-a-time".to_string(),
-                    WorkloadStrategy::TupleDag => "tuple-DAG".to_string(),
-                },
+                label.to_string(),
                 cost.total_draws.to_string(),
                 cost.shared_samples.to_string(),
                 fmt_f(cost.elapsed.as_secs_f64(), 3),
@@ -144,14 +141,13 @@ mod tests {
         (ctx.model, workload, gibbs)
     }
 
-    fn run_strategy(
+    fn run_engine(
         model: &MrslModel,
         workload: &[PartialTuple],
         gibbs: &GibbsConfig,
-        strategy: WorkloadStrategy,
+        engine: &dyn InferenceEngine,
     ) -> WorkloadResult {
-        let engine = workload_engine(strategy, gibbs);
-        infer_batch(model, workload, engine.as_ref(), gibbs.voting, 1)
+        infer_batch(model, workload, engine, gibbs.voting, 1)
     }
 
     /// Every estimate's bits and sample count, then every cost counter
@@ -174,8 +170,18 @@ mod tests {
     #[test]
     fn dag_beats_baseline_on_sample_size() {
         let (model, workload, gibbs) = bn8_fixture();
-        let base = run_strategy(&model, &workload, &gibbs, WorkloadStrategy::TupleAtATime);
-        let dag = run_strategy(&model, &workload, &gibbs, WorkloadStrategy::TupleDag);
+        let base = run_engine(
+            &model,
+            &workload,
+            &gibbs,
+            &GibbsSampler::from_config(&gibbs),
+        );
+        let dag = run_engine(
+            &model,
+            &workload,
+            &gibbs,
+            &TupleDagWorkload::from_config(&gibbs),
+        );
         assert!(
             dag.cost.total_draws < base.cost.total_draws,
             "dag {} vs baseline {}",
@@ -192,12 +198,13 @@ mod tests {
     fn dag_estimates_match_pinned_digest_at_any_thread_count() {
         const PINNED: u64 = 14_484_859_554_181_150_682;
         let (model, workload, gibbs) = bn8_fixture();
+        let dag = TupleDagWorkload::from_config(&gibbs);
         for threads in [1, 2, 8] {
             let result = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool")
-                .install(|| run_strategy(&model, &workload, &gibbs, WorkloadStrategy::TupleDag));
+                .install(|| run_engine(&model, &workload, &gibbs, &dag));
             assert_eq!(digest(&result), PINNED, "{threads} threads");
         }
     }

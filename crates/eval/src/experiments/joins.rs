@@ -16,7 +16,7 @@ use crate::report::Report;
 use mrsl_bayesnet::{BayesianNetwork, NodeSpec, TopologySpec};
 use mrsl_core::{
     derive_catalog_for_query, GibbsConfig, LazyCatalogOutput, LearnConfig, MrslModel,
-    WorkloadStrategy,
+    TupleDagWorkload,
 };
 use mrsl_probdb::{CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_relation::{AttrId, PartialTuple, Relation, ValueId};
@@ -153,7 +153,7 @@ fn derive(opts: &ExpOptions) -> Derived {
         ],
         &query,
         &gibbs,
-        WorkloadStrategy::TupleDag,
+        &TupleDagWorkload::from_config(&gibbs),
         opts.seed,
     )
     .expect("catalog derivation succeeds");

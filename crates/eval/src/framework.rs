@@ -6,10 +6,7 @@
 //! modules assemble grids of [`CellSpec`]s and average the outcomes.
 
 use mrsl_bayesnet::{conditional, BayesianNetwork, TopologySpec};
-use mrsl_core::{
-    infer_batch, workload_engine, GibbsConfig, InferContext, LearnConfig, MrslModel, VotingConfig,
-    WorkloadStrategy,
-};
+use mrsl_core::{infer_batch, InferContext, InferenceEngine, LearnConfig, MrslModel, VotingConfig};
 use mrsl_relation::CompleteTuple;
 use mrsl_util::{derive_seed, seeded_rng, Stopwatch};
 use rand::seq::SliceRandom;
@@ -197,20 +194,24 @@ impl EvalContext {
     }
 
     /// Scores multi-attribute inference (§VI-D): hides `k` attributes per
-    /// test tuple, estimates the joint by (optimized) Gibbs sampling and
-    /// compares against the exact joint conditional.
-    pub fn eval_multi(&self, k: usize, gibbs: &GibbsConfig, strategy: WorkloadStrategy) -> Score {
+    /// test tuple, estimates the joint with `engine` (e.g. optimized Gibbs
+    /// sampling) and compares against the exact joint conditional.
+    pub fn eval_multi(
+        &self,
+        k: usize,
+        engine: &dyn InferenceEngine,
+        voting: VotingConfig,
+    ) -> Score {
         let injected = inject_missing(
             &self.test_points,
             k,
             derive_seed(self.spec.seed, &[0x3, self.spec.instance, self.spec.split]),
         );
-        let engine = workload_engine(strategy, gibbs);
         let result = infer_batch(
             &self.model,
             &injected,
-            engine.as_ref(),
-            gibbs.voting,
+            engine,
+            voting,
             derive_seed(self.spec.seed, &[0x4, k as u64]),
         );
         let mut kl_sum = 0.0;
@@ -243,6 +244,7 @@ fn finalize(kl_sum: f64, hits: usize, n: usize) -> Score {
 mod tests {
     use super::*;
     use mrsl_bayesnet::builders::{chain, crown};
+    use mrsl_core::{GibbsConfig, TupleDagWorkload};
 
     fn quick_cell() -> CellSpec {
         let mut spec = CellSpec::new(crown("test-crown", &[2, 2, 2, 2]), 2000, 200);
@@ -309,7 +311,7 @@ mod tests {
             samples: 1500,
             voting: VotingConfig::best_averaged(),
         };
-        let score = ctx.eval_multi(2, &gibbs, WorkloadStrategy::TupleDag);
+        let score = ctx.eval_multi(2, &TupleDagWorkload::from_config(&gibbs), gibbs.voting);
         assert_eq!(score.n, 60);
         assert!(score.kl < 0.5, "KL {}", score.kl);
         assert!(score.top1 > 0.4, "top-1 {}", score.top1);

@@ -11,8 +11,8 @@
 //! with the weights fit on held-out **observed** tuples: each held-out
 //! tuple has one attribute masked, every member scores the probability it
 //! assigns the true value, and [`fit_ensemble_weights`] turns that score
-//! matrix into weights by one of three [`WeightStrategy`]s (total
-//! likelihood, EM over responsibilities, k-fold stacking).
+//! matrix into weights by mixture EM over per-instance responsibilities
+//! ([`WeightStrategy::Em`]).
 //!
 //! Scoring runs through [`infer_batch`], so fitting inherits its
 //! determinism guarantee: weights are bit-identical for any worker-thread
@@ -45,13 +45,6 @@ pub enum LearnError {
     BadWeights,
     /// Weight fitting needs at least one held-out tuple.
     NoHoldout,
-    /// Stacking needs at least two folds and at least `folds` instances.
-    BadFolds {
-        /// Requested fold count.
-        folds: usize,
-        /// Available instances.
-        instances: usize,
-    },
 }
 
 impl fmt::Display for LearnError {
@@ -63,9 +56,6 @@ impl fmt::Display for LearnError {
             }
             Self::BadWeights => write!(f, "weights must be non-negative, finite and not all zero"),
             Self::NoHoldout => write!(f, "weight fitting needs at least one held-out tuple"),
-            Self::BadFolds { folds, instances } => {
-                write!(f, "cannot split {instances} instances into {folds} folds")
-            }
         }
     }
 }
@@ -76,9 +66,6 @@ impl std::error::Error for LearnError {}
 /// member weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightStrategy {
-    /// Softmax of the per-member total log-likelihood: members that
-    /// explain the held-out values better get exponentially more weight.
-    Likelihood,
     /// Mixture EM: iterate responsibilities `r_im ∝ w_m p_im` and weight
     /// updates `w_m = mean_i r_im` until the weights move less than `tol`.
     Em {
@@ -86,15 +73,6 @@ pub enum WeightStrategy {
         max_iters: usize,
         /// Convergence threshold on the max absolute weight change.
         tol: f64,
-    },
-    /// K-fold stacking: EM-fit weights on each fold's complement, average
-    /// the per-fold weights, and smooth with a pseudocount before
-    /// renormalizing — less variance than one EM fit on everything.
-    Stacking {
-        /// Number of folds (≥ 2).
-        folds: usize,
-        /// Additive smoothing applied to the averaged weights.
-        pseudocount: f64,
     },
 }
 
@@ -116,14 +94,13 @@ pub struct EnsembleFitReport {
     /// Top-1 accuracy of the uniform (unweighted voting) mixture — the
     /// baseline the learned weights must match or beat.
     pub uniform_accuracy: f64,
-    /// Held-out log-likelihood of the fitted mixture. For
-    /// [`WeightStrategy::Em`] (which starts from uniform weights and
-    /// ascends this objective monotonically) it is never below
-    /// [`EnsembleFitReport::uniform_log_likelihood`].
+    /// Held-out log-likelihood of the fitted mixture. EM starts from
+    /// uniform weights and ascends this objective monotonically, so it is
+    /// never below [`EnsembleFitReport::uniform_log_likelihood`].
     pub ensemble_log_likelihood: f64,
     /// Held-out log-likelihood of the uniform mixture.
     pub uniform_log_likelihood: f64,
-    /// EM iterations actually run (0 for [`WeightStrategy::Likelihood`]).
+    /// EM iterations actually run.
     pub em_iterations: usize,
 }
 
@@ -353,16 +330,8 @@ pub fn fit_ensemble_weights(
         .map(|s| s.iter().map(|p| p.ln()).sum())
         .collect();
 
-    let (weights, em_iterations) = match strategy {
-        WeightStrategy::Likelihood => (likelihood_weights(&log_likelihoods), 0),
-        WeightStrategy::Em { max_iters, tol } => {
-            let init = vec![1.0 / members.len() as f64; members.len()];
-            em_weights(&scores, init, max_iters, tol)
-        }
-        WeightStrategy::Stacking { folds, pseudocount } => {
-            stacking_weights(&scores, instances.len(), folds, pseudocount)?
-        }
-    };
+    let WeightStrategy::Em { max_iters, tol } = strategy;
+    let (weights, em_iterations) = em_weights(&scores, max_iters, tol);
 
     let member_accuracy: Vec<f64> = dists
         .iter()
@@ -455,28 +424,12 @@ fn argmax(probs: &[f64]) -> usize {
     best
 }
 
-/// Softmax of total log-likelihoods, shifted by the max for stability.
-fn likelihood_weights(log_likelihoods: &[f64]) -> Vec<f64> {
-    let max = log_likelihoods
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let mut w: Vec<f64> = log_likelihoods.iter().map(|ll| (ll - max).exp()).collect();
-    let sum: f64 = w.iter().sum();
-    w.iter_mut().for_each(|x| *x /= sum);
-    w
-}
-
-/// Mixture EM on the score matrix, from `weights` as the starting point.
-/// Returns the converged weights and the iterations run.
-fn em_weights(
-    scores: &[Vec<f64>],
-    mut weights: Vec<f64>,
-    max_iters: usize,
-    tol: f64,
-) -> (Vec<f64>, usize) {
+/// Mixture EM on the score matrix, from uniform weights. Returns the
+/// converged weights and the iterations run.
+fn em_weights(scores: &[Vec<f64>], max_iters: usize, tol: f64) -> (Vec<f64>, usize) {
     let members = scores.len();
     let instances = scores[0].len();
+    let mut weights = vec![1.0 / members as f64; members];
     let mut iters = 0;
     for _ in 0..max_iters {
         iters += 1;
@@ -503,48 +456,6 @@ fn em_weights(
         }
     }
     (weights, iters)
-}
-
-/// K-fold stacking: EM on each fold's complement, averaged and smoothed.
-fn stacking_weights(
-    scores: &[Vec<f64>],
-    instances: usize,
-    folds: usize,
-    pseudocount: f64,
-) -> Result<(Vec<f64>, usize), LearnError> {
-    if folds < 2 || instances < folds {
-        return Err(LearnError::BadFolds { folds, instances });
-    }
-    let members = scores.len();
-    let mut acc = vec![0.0f64; members];
-    let mut total_iters = 0;
-    for fold in 0..folds {
-        // Fold f holds out instances with index ≡ f (mod folds); EM runs
-        // on the rest.
-        let train: Vec<Vec<f64>> = scores
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % folds != fold)
-                    .map(|(_, &p)| p)
-                    .collect()
-            })
-            .collect();
-        let init = vec![1.0 / members as f64; members];
-        let (w, iters) = em_weights(&train, init, 200, 1e-10);
-        total_iters += iters;
-        for (a, x) in acc.iter_mut().zip(&w) {
-            *a += x;
-        }
-    }
-    let mut weights: Vec<f64> = acc
-        .into_iter()
-        .map(|a| a / folds as f64 + pseudocount)
-        .collect();
-    let sum: f64 = weights.iter().sum();
-    weights.iter_mut().for_each(|w| *w /= sum);
-    Ok((weights, total_iters))
 }
 
 #[cfg(test)]
@@ -661,39 +572,31 @@ mod tests {
 
     #[test]
     fn all_strategies_fit_normalized_weights() {
-        for strategy in [
-            WeightStrategy::Likelihood,
+        let (engine, report) = fit(
             WeightStrategy::Em {
                 max_iters: 100,
                 tol: 1e-9,
             },
-            WeightStrategy::Stacking {
-                folds: 4,
-                pseudocount: 0.01,
-            },
-        ] {
-            let (engine, report) = fit(strategy, 11);
-            assert_eq!(report.weights.len(), 4);
-            assert!((report.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            assert!(report.weights.iter().all(|&w| w >= 0.0));
-            assert_eq!(engine.weights(), report.weights.as_slice());
-            assert_eq!(
-                report.members,
-                vec!["single-voting", "gibbs", "independent", "tuple-dag"]
-            );
-            assert!(report.instances > 0);
-            assert!((0.0..=1.0).contains(&report.ensemble_accuracy));
-            if matches!(strategy, WeightStrategy::Em { .. }) {
-                // EM starts at uniform and ascends the held-out mixture
-                // likelihood monotonically.
-                assert!(
-                    report.ensemble_log_likelihood >= report.uniform_log_likelihood - 1e-9,
-                    "EM mixture LL {} below uniform {}",
-                    report.ensemble_log_likelihood,
-                    report.uniform_log_likelihood
-                );
-            }
-        }
+            11,
+        );
+        assert_eq!(report.weights.len(), 4);
+        assert!((report.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(report.weights.iter().all(|&w| w >= 0.0));
+        assert_eq!(engine.weights(), report.weights.as_slice());
+        assert_eq!(
+            report.members,
+            vec!["single-voting", "gibbs", "independent", "tuple-dag"]
+        );
+        assert!(report.instances > 0);
+        assert!((0.0..=1.0).contains(&report.ensemble_accuracy));
+        // EM starts at uniform and ascends the held-out mixture
+        // likelihood monotonically.
+        assert!(
+            report.ensemble_log_likelihood >= report.uniform_log_likelihood - 1e-9,
+            "EM mixture LL {} below uniform {}",
+            report.ensemble_log_likelihood,
+            report.uniform_log_likelihood
+        );
     }
 
     #[test]
@@ -717,18 +620,6 @@ mod tests {
             .collect();
         assert_eq!(runs[0], runs[1], "1 vs 2 threads");
         assert_eq!(runs[0], runs[2], "1 vs 8 threads");
-    }
-
-    #[test]
-    fn likelihood_weights_track_member_quality() {
-        let (_, report) = fit(WeightStrategy::Likelihood, 23);
-        // The best-scoring member by log-likelihood gets the largest
-        // weight — softmax is monotone in LL.
-        let best_ll = argmax(&report.log_likelihoods);
-        let best_w = argmax(&report.weights);
-        assert_eq!(best_ll, best_w);
-        // Learned weights do not lose held-out accuracy vs uniform voting.
-        assert!(report.ensemble_accuracy >= report.uniform_accuracy - 1e-9);
     }
 
     #[test]
@@ -780,7 +671,10 @@ mod tests {
             &[],
             VotingConfig::best_averaged(),
             standard_members(&quick_gibbs()),
-            WeightStrategy::Likelihood,
+            WeightStrategy::Em {
+                max_iters: 10,
+                tol: 1e-9,
+            },
             0,
         )
         .unwrap_err();
@@ -791,23 +685,13 @@ mod tests {
             rel.complete_part(),
             VotingConfig::best_averaged(),
             vec![],
-            WeightStrategy::Likelihood,
-            0,
-        )
-        .unwrap_err();
-        assert_eq!(e, LearnError::NoMembers);
-        let e = fit_ensemble_weights(
-            &m,
-            &rel.complete_part()[..1],
-            VotingConfig::best_averaged(),
-            standard_members(&quick_gibbs()),
-            WeightStrategy::Stacking {
-                folds: 100,
-                pseudocount: 0.0,
+            WeightStrategy::Em {
+                max_iters: 10,
+                tol: 1e-9,
             },
             0,
         )
         .unwrap_err();
-        assert!(matches!(e, LearnError::BadFolds { .. }));
+        assert_eq!(e, LearnError::NoMembers);
     }
 }

@@ -7,12 +7,12 @@
 //!   [`EnsembleEngine`] mixes the four existing engines (`single-voting`,
 //!   `gibbs`, `independent`, `tuple-dag`) under per-engine weights, and
 //!   [`fit_ensemble_weights`] learns those weights on held-out observed
-//!   tuples by total likelihood, EM over per-instance responsibilities, or
-//!   k-fold stacking. The fitted engine is a drop-in
-//!   [`InferenceEngine`](mrsl_core::InferenceEngine), so it drives the
-//!   whole derivation path through
+//!   tuples by mixture EM over per-instance responsibilities. The fitted
+//!   engine is a drop-in [`InferenceEngine`](mrsl_core::InferenceEngine),
+//!   so it drives the whole derivation path through
 //!   [`derive_probabilistic_db_with_engine`](mrsl_core::derive_probabilistic_db_with_engine)
-//!   and the lazy `*_with_engine` variants.
+//!   and the lazy
+//!   [`derive_catalog_for_query`](mrsl_core::derive_catalog_for_query).
 //! * [`optimize`] — **tuple-probability learning**: [`fit_block_masses`]
 //!   adjusts the block-alternative masses of a derived catalog to fit
 //!   labeled query answers, descending the exact safe-plan gradients of

@@ -14,7 +14,7 @@
 
 use mrsl_repro::bayesnet::{BayesianNetwork, NodeSpec, TopologySpec};
 use mrsl_repro::core::{
-    derive_catalog_for_query, GibbsConfig, LazySource, LearnConfig, MrslModel, WorkloadStrategy,
+    derive_catalog_for_query, GibbsConfig, LazySource, LearnConfig, MrslModel, TupleDagWorkload,
 };
 use mrsl_repro::probdb::{CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_repro::relation::{AttrId, Relation, ValueId};
@@ -130,7 +130,7 @@ fn main() {
         ],
         &query,
         &gibbs,
-        WorkloadStrategy::TupleDag,
+        &TupleDagWorkload::from_config(&gibbs),
         7,
     )
     .expect("derivation succeeds");
@@ -203,7 +203,7 @@ fn main() {
         ],
         &chain,
         &gibbs,
-        WorkloadStrategy::TupleDag,
+        &TupleDagWorkload::from_config(&gibbs),
         7,
     )
     .expect("derivation succeeds");

@@ -84,7 +84,6 @@ fn main() {
     //    to keep the block distributions soft, and take more samples.
     let config = DeriveConfig {
         learn,
-        voting: VotingConfig::all_averaged(),
         gibbs: mrsl_repro::core::GibbsConfig {
             burn_in: 200,
             samples: 4000,

@@ -10,8 +10,8 @@
 use mrsl_repro::bayesnet::catalog::by_name;
 use mrsl_repro::bayesnet::BayesianNetwork;
 use mrsl_repro::core::{
-    infer_batch, workload_engine, GibbsConfig, LearnConfig, MrslModel, TupleDag, VotingConfig,
-    WorkloadStrategy,
+    infer_batch, GibbsConfig, GibbsSampler, InferenceEngine, LearnConfig, MrslModel, TupleDag,
+    TupleDagWorkload, VotingConfig,
 };
 use mrsl_repro::relation::display::render_partial;
 use mrsl_repro::relation::{AttrId, PartialTuple};
@@ -75,7 +75,7 @@ fn main() {
         }
     }
 
-    // Race the two strategies.
+    // Race the two engines.
     let gibbs = GibbsConfig {
         burn_in: 100,
         samples: 500,
@@ -85,15 +85,15 @@ fn main() {
         "\nsampling with N = {} per tuple, burn-in {}:",
         gibbs.samples, gibbs.burn_in
     );
-    for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-        let engine = workload_engine(strategy, &gibbs);
-        let result = infer_batch(&model, &workload, engine.as_ref(), gibbs.voting, 9);
+    let engines: [(&str, &dyn InferenceEngine); 2] = [
+        ("tuple-at-a-time", &GibbsSampler::from_config(&gibbs)),
+        ("tuple-DAG", &TupleDagWorkload::from_config(&gibbs)),
+    ];
+    for (label, engine) in engines {
+        let result = infer_batch(&model, &workload, engine, gibbs.voting, 9);
         println!(
             "  {:<16} draws {:>8}  chains {:>4}  shared {:>7}  wall {:>6.2}s",
-            match strategy {
-                WorkloadStrategy::TupleAtATime => "tuple-at-a-time",
-                WorkloadStrategy::TupleDag => "tuple-DAG",
-            },
+            label,
             result.cost.total_draws,
             result.cost.chains,
             result.cost.shared_samples,

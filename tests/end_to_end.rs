@@ -117,13 +117,15 @@ fn expected_counts_are_consistent_with_block_marginals() {
 
 #[test]
 fn derivation_strategies_agree_end_to_end() {
-    use mrsl_repro::core::WorkloadStrategy;
+    use mrsl_repro::core::{derive_probabilistic_db_with_engine, GibbsSampler};
     let (_bn, rel) = synthetic_relation("BN9", 2000, 60, 19);
     let mut config = quick_derive_config();
     config.gibbs.samples = 2500;
-    config.strategy = WorkloadStrategy::TupleAtATime;
-    let base = derive_probabilistic_db(&rel, &config);
-    config.strategy = WorkloadStrategy::TupleDag;
+    let base = derive_probabilistic_db_with_engine(
+        &rel,
+        &config,
+        &GibbsSampler::from_config(&config.gibbs),
+    );
     let dag = derive_probabilistic_db(&rel, &config);
     // Same model, same block keys; estimates agree within MC noise.
     assert_eq!(base.db.blocks().len(), dag.db.blocks().len());

@@ -9,9 +9,9 @@
 //!   results regardless of the executor's thread count.
 
 use mrsl_repro::core::{
-    derive_probabilistic_db, infer_batch, workload_engine, DeriveConfig, GibbsConfig, GibbsSampler,
+    derive_probabilistic_db, infer_batch, DeriveConfig, GibbsConfig, GibbsSampler,
     IndependentBaseline, InferContext, InferenceEngine, LearnConfig, MrslModel, TupleDagWorkload,
-    VotingConfig, WorkloadStrategy,
+    VotingConfig,
 };
 use mrsl_repro::relation::relation::fig1_relation;
 use mrsl_repro::relation::{AttrId, JointIndexer, PartialTuple, ValueId};
@@ -163,26 +163,30 @@ fn infer_batch_is_bit_identical_across_thread_counts() {
     let m = model();
     let workload: Vec<PartialTuple> = fig1_relation().incomplete_part().to_vec();
     let config = gibbs_config(50, 400);
-    for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-        let engine = workload_engine(strategy, &config);
+    let engines: [&dyn InferenceEngine; 2] = [
+        &GibbsSampler::from_config(&config),
+        &TupleDagWorkload::from_config(&config),
+    ];
+    for engine in engines {
+        let name = engine.name();
         let reference = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
             .expect("pool")
-            .install(|| infer_batch(&m, &workload, engine.as_ref(), config.voting, 5));
+            .install(|| infer_batch(&m, &workload, engine, config.voting, 5));
         for threads in [2, 4, 16] {
             let run = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool")
-                .install(|| infer_batch(&m, &workload, engine.as_ref(), config.voting, 5));
+                .install(|| infer_batch(&m, &workload, engine, config.voting, 5));
             assert_eq!(reference.estimates.len(), run.estimates.len());
             for (a, b) in reference.estimates.iter().zip(&run.estimates) {
-                assert_eq!(a.probs, b.probs, "{strategy:?} with {threads} threads");
+                assert_eq!(a.probs, b.probs, "{name} with {threads} threads");
             }
             assert_eq!(
                 reference.cost.total_draws, run.cost.total_draws,
-                "{strategy:?} with {threads} threads"
+                "{name} with {threads} threads"
             );
             assert_eq!(reference.cost.shared_samples, run.cost.shared_samples);
         }
