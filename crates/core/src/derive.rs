@@ -255,13 +255,17 @@ mod tests {
 
     #[test]
     fn derived_db_answers_queries() {
-        use mrsl_probdb::query::{expected_count, Predicate};
+        use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query};
         let rel = fig1_relation();
         let out = derive_probabilistic_db(&rel, &quick_config());
         // Expected number of profiles with age=20 lies between the certain
         // matches (4) and certain + all possibly-20 blocks.
         let pred = Predicate::any().and_eq(AttrId(0), mrsl_relation::ValueId(0));
-        let e = expected_count(&out.db, &pred);
+        let mut catalog = Catalog::new();
+        catalog.add("profiles", out.db).unwrap();
+        let (e, _) = CatalogEngine::new(&catalog)
+            .expected_count(&Query::scan("profiles").filter(pred))
+            .unwrap();
         assert!((4.0..=4.0 + 9.0).contains(&e), "expected count {e}");
         // Tuples observed as age=20 contribute ~1 each: t1, t3, t5 are
         // age=20 blocks.

@@ -169,7 +169,6 @@ mod tests {
     use crate::config::{LearnConfig, VotingConfig};
     use crate::derive::{derive_probabilistic_db, DeriveConfig};
     use crate::infer::engine::TupleDagWorkload;
-    use mrsl_probdb::query::expected_count;
     use mrsl_probdb::{CatalogEngine, Predicate};
     use mrsl_relation::relation::fig1_relation;
     use mrsl_relation::{AttrId, ValueId};
@@ -248,7 +247,11 @@ mod tests {
         let (_, _, lazy_count) = derive_scan(&pred);
         // Fully materialize with the same parameters and compare.
         let full = derive_probabilistic_db(&fig1_relation(), &config());
-        let full_expected = expected_count(&full.db, &pred);
+        let mut catalog = Catalog::new();
+        catalog.add("profiles", full.db).unwrap();
+        let (full_expected, _) = CatalogEngine::new(&catalog)
+            .expected_count(&Query::scan("profiles").filter(pred))
+            .unwrap();
         assert!(
             (lazy_count - full_expected).abs() < 0.6,
             "lazy {lazy_count} vs full {full_expected}"

@@ -19,24 +19,22 @@
 //!   three-valued on incomplete tuples, and vectorized over columns.
 //! * [`world`] — possible-world semantics: enumeration (small databases)
 //!   and world sampling.
-//! * [`query`] — exact query evaluation under BID semantics: selection
-//!   marginals, expected counts, the full count distribution
-//!   (Poisson-binomial DP), value marginals and top-k by probability.
-//! * [`montecarlo`] — Monte-Carlo query evaluation over compiled
-//!   predicates, the fallback path for out-of-budget plans.
 //! * [`catalog`] — [`Catalog`]: a named collection of relations with
 //!   dictionary-compatibility checks for join attributes.
 //! * [`algebra`] — the composable query tree ([`Query`]:
 //!   scan/filter/join/project) and the [`Statistic`] to compute about it.
-//! * [`plan`] — the planner: [`CatalogEngine`] classifies each query
-//!   (hierarchical join shapes compile to exact extensional plans,
-//!   unsafe-but-dissociable shapes — non-hierarchical chains, aliased
-//!   self-joins — answer [`Statistic::ProbabilityBounds`] with
-//!   deterministic dissociation brackets, everything else samples),
-//!   routes it, and reports the choice — with the safe-plan
-//!   decomposition — in an [`EvalReport`]. Liftable plans also expose
-//!   exact mass gradients ([`CatalogEngine::probability_with_gradient`])
-//!   for tuple-probability learning.
+//! * [`plan`] — the planner and the one way to query a relation:
+//!   [`CatalogEngine`] classifies each query (single-relation
+//!   statistics — selection marginals, expected counts, the count
+//!   distribution, value marginals, top-k — and hierarchical join shapes
+//!   evaluate exactly on the columnar stores, unsafe-but-dissociable
+//!   shapes — non-hierarchical chains, aliased self-joins — answer
+//!   [`Statistic::ProbabilityBounds`] with deterministic dissociation
+//!   brackets, everything else samples joint worlds), routes it, and
+//!   reports the choice — with the safe-plan decomposition — in an
+//!   [`EvalReport`]. Liftable plans also expose exact mass gradients
+//!   ([`CatalogEngine::probability_with_gradient`]) for tuple-probability
+//!   learning.
 //! * [`serve`] — the concurrent serving layer: [`ProbDbServer`] owns
 //!   generations of immutable catalog snapshots, answers queries on a
 //!   worker pool sharing one concurrent plan cache, and lets a single
@@ -54,10 +52,8 @@ pub mod block;
 pub mod catalog;
 pub mod column;
 pub mod database;
-pub mod montecarlo;
 pub mod plan;
 pub mod predicate;
-pub mod query;
 pub mod segmented;
 pub mod serve;
 pub mod testutil;
@@ -71,7 +67,7 @@ pub use database::ProbDb;
 pub use plan::{
     dissociation_search_count, CatalogEngine, EvalPath, EvalReport, MassGradients, PlanCache,
     PlanCacheStats, PlanClass, PlanRoute, ProbabilityBounds, QueryAnswer, QueryEngineConfig,
-    RelationStats, SafePlan,
+    RankedTuple, RelationStats, SafePlan,
 };
 pub use predicate::Predicate;
 pub use segmented::Segmented;

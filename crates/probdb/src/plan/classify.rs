@@ -76,8 +76,8 @@ pub(crate) struct Resolved<'a> {
     pub classes: Vec<Class>,
 }
 
-/// Resolves the conjunctive form against a relation lookup (a catalog, or
-/// the single-table shim's one-entry view), simplifying predicates,
+/// Resolves the conjunctive form against a relation lookup (a catalog or
+/// a served snapshot), simplifying predicates,
 /// unifying join attributes into classes and checking dictionary
 /// compatibility of every join pair.
 pub(crate) fn resolve<'a>(

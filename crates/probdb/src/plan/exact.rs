@@ -2,8 +2,8 @@
 //!
 //! The boolean probability is not here: it is the empty dissociation,
 //! lowered to bytecode by [`super::compile::lower`] and recorded as the
-//! reference tape by [`super::grad::record`]. What stays are the two
-//! statistics that are exact for every shape they accept, both running
+//! reference tape by [`super::grad::record`]. What stays are the
+//! statistics that are exact for every shape they accept, all running
 //! on the columnar stores through the compiled live-row bitmaps:
 //!
 //! * [`expected_join_count`] — `E[|result|]` by linearity of expectation:
@@ -11,11 +11,12 @@
 //!   contributes the product of its row probabilities (rows of different
 //!   relations are always independent). This needs no hierarchy or key
 //!   uniqueness, so it is exact for *every* join shape.
-//! * [`value_marginal`] — the selection-weighted histogram of one
-//!   attribute over a single relation.
+//! * the single-relation statistics: [`single_expected_count`], the
+//!   count distribution ([`poisson_binomial`] over the per-block
+//!   selection marginals), [`value_marginal`] and [`top_k`].
 
 use super::classify::{CompiledTerm, Resolved};
-use super::vm;
+use super::{vm, RankedTuple};
 use mrsl_relation::AttrId;
 
 /// `E[|result|]` of any conjunctive query shape, by joining per-relation
@@ -182,9 +183,9 @@ fn merge_runs(mut rows: Vec<(Vec<u16>, f64)>) -> Vec<(Vec<u16>, f64)> {
 }
 
 /// `E[|result|]` of a single relation with no join classes: certain rows
-/// count 1, blocks contribute their selection-restricted mass. Shared by
-/// the interpreter path and the VM's count program so both are
-/// bit-identical.
+/// count 1, blocks contribute their selection-restricted mass (linearity
+/// of expectation across blocks). Shared by the interpreter path and the
+/// VM's count program so both are bit-identical.
 pub(crate) fn single_expected_count(ct: &CompiledTerm) -> f64 {
     ct.live_certain.count_ones() as f64
         + ct.db
@@ -197,7 +198,8 @@ pub(crate) fn single_expected_count(ct: &CompiledTerm) -> f64 {
 /// Selection-weighted marginal distribution of `attr` over one relation:
 /// live certain rows count 1, live alternatives their probability,
 /// normalized over the matching mass. With the always-true selection this
-/// equals [`crate::query::value_marginal`].
+/// is the expected histogram of `attr` normalized by the expected table
+/// size.
 pub(crate) fn value_marginal(ct: &CompiledTerm, attr: AttrId) -> Vec<f64> {
     let cols = ct.db.columns();
     let card = ct.db.schema().cardinality(attr);
@@ -216,6 +218,80 @@ pub(crate) fn value_marginal(ct: &CompiledTerm, attr: AttrId) -> Vec<f64> {
         hist.iter_mut().for_each(|h| *h /= total);
     }
     hist
+}
+
+/// The Poisson-binomial DP over per-block selection probabilities, shifted
+/// by `base` certain matches: `d[k] = P(COUNT(*) = k)`, since blocks are
+/// independent Bernoulli trials. Blocks with probability 0 contribute
+/// nothing and are skipped (they still occupy a slot in the distribution's
+/// support bound, keeping the output length at `base + probs.len() + 1`).
+pub(crate) fn poisson_binomial(base: usize, probs: &[f64]) -> Vec<f64> {
+    let mut dist = vec![0.0f64; probs.len() + 1];
+    dist[0] = 1.0;
+    let mut upper = 0usize;
+    for &p in probs {
+        if p == 0.0 {
+            continue;
+        }
+        upper += 1;
+        for k in (0..=upper).rev() {
+            let stay = dist[k] * (1.0 - p);
+            let come = if k > 0 { dist[k - 1] * p } else { 0.0 };
+            dist[k] = stay + come;
+        }
+    }
+    // Shift by the certain matches.
+    let mut shifted = vec![0.0f64; base + dist.len()];
+    for (k, &p) in dist.iter().enumerate() {
+        shifted[base + k] = p;
+    }
+    shifted
+}
+
+/// The `k` most probable live rows of one relation (certain rows have
+/// probability 1).
+///
+/// The order is a deterministic total order: probability descending
+/// (compared with [`f64::total_cmp`], so no panic path on any input),
+/// then certain tuples before block tuples, then block key ascending,
+/// then alternative position within the block.
+pub(crate) fn top_k(ct: &CompiledTerm, k: usize) -> Vec<RankedTuple> {
+    let (db, cols) = (ct.db, ct.db.columns());
+    let mut ranked: Vec<RankedTuple> = Vec::new();
+    for i in ct.live_certain.iter_ones() {
+        ranked.push(RankedTuple {
+            tuple: db.certain()[i].clone(),
+            prob: 1.0,
+            block: None,
+        });
+    }
+    for (b, block) in db.blocks().iter().enumerate() {
+        let range = cols.block_range(b);
+        for (a, row) in range.enumerate() {
+            if ct.live_alts.get(row) {
+                ranked.push(RankedTuple {
+                    tuple: block.alternatives()[a].tuple.clone(),
+                    prob: block.alternatives()[a].prob,
+                    block: Some(block.key()),
+                });
+            }
+        }
+    }
+    // `ranked` is built certain-first, then blocks in push order, then
+    // alternatives in block order — a stable sort on (prob desc, certain
+    // first, block key asc) therefore yields the documented total order.
+    ranked.sort_by(|x, y| {
+        y.prob
+            .total_cmp(&x.prob)
+            .then_with(|| match (x.block, y.block) {
+                (None, None) => std::cmp::Ordering::Equal,
+                (None, Some(_)) => std::cmp::Ordering::Less,
+                (Some(_), None) => std::cmp::Ordering::Greater,
+                (Some(a), Some(b)) => a.cmp(&b),
+            })
+    });
+    ranked.truncate(k);
+    ranked
 }
 
 #[cfg(test)]
@@ -244,6 +320,18 @@ mod tests {
         }
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         merge_runs(rows)
+    }
+
+    #[test]
+    fn poisson_binomial_keeps_a_slot_for_impossible_blocks() {
+        // Two certain matches, one impossible block, two coin flips.
+        let dist = poisson_binomial(2, &[0.5, 0.0, 0.25]);
+        assert_eq!(dist.len(), 2 + 3 + 1);
+        assert_eq!(&dist[..2], &[0.0, 0.0]);
+        let want = [0.5 * 0.75, 0.5 * 0.75 + 0.5 * 0.25, 0.5 * 0.25, 0.0];
+        for (k, (&got, &want)) in dist[2..].iter().zip(&want).enumerate() {
+            assert!((got - want).abs() < 1e-15, "k={k}: {got} vs {want}");
+        }
     }
 
     proptest::proptest! {

@@ -69,16 +69,17 @@ pub use report::{
 use crate::algebra::{Flattened, Query, Statistic};
 use crate::catalog::Catalog;
 use crate::database::ProbDb;
-use crate::montecarlo::{
-    mc_count_distribution_compiled, mc_expected_count_compiled, CompiledSelection,
-};
-use crate::query::{self, RankedTuple};
 use crate::ProbDbError;
 use classify::{alias_groups, classify, resolve, CompiledTerm, Resolved};
 use compile::{cache_tag, BoundRegs, CachedPlan, CompiledProgram, PlanMemo};
 use dissociate::{BoundsPlan, DescribeMemo, DissociatedBounds, Mode};
-use mrsl_relation::AttrId;
+use mrsl_relation::{AttrId, CompleteTuple};
 use std::sync::Arc;
+
+/// Largest block count for which a single relation's O(blocks²) exact
+/// count distribution stays on the exact path; larger relations sample
+/// ([`PlanClass::DpBudgetExceeded`]).
+const MAX_EXACT_DP_BLOCKS: usize = 4_096;
 
 /// Tunables of the query engines.
 ///
@@ -96,9 +97,6 @@ pub struct QueryEngineConfig {
     pub mc_samples: usize,
     /// Seed for the Monte-Carlo path.
     pub mc_seed: u64,
-    /// Largest block count for which the O(blocks²) exact count
-    /// distribution stays on the exact path.
-    pub max_exact_dp_blocks: usize,
     /// Route every estimable query through Monte Carlo regardless of
     /// liftability (ranking and value marginals have no sampling
     /// estimator and stay exact). Forced answers bypass the plan cache.
@@ -120,12 +118,23 @@ impl Default for QueryEngineConfig {
         Self {
             mc_samples: 10_000,
             mc_seed: 0x5eed,
-            max_exact_dp_blocks: 4_096,
             force_monte_carlo: false,
             bounds_tolerance: 0.05,
             plan_cache_capacity: 128,
         }
     }
+}
+
+/// A tuple with its membership probability, as ranked by
+/// [`Statistic::TopK`].
+#[derive(Debug, Clone)]
+pub struct RankedTuple {
+    /// The tuple.
+    pub tuple: CompleteTuple,
+    /// Probability that the tuple appears in a random world.
+    pub prob: f64,
+    /// Block key, or `None` for certain tuples.
+    pub block: Option<usize>,
 }
 
 /// Answer of a planned query.
@@ -480,7 +489,7 @@ fn prepare<'a>(
                 (EvalPath::MonteCarlo, plan)
             } else if forced {
                 (EvalPath::MonteCarlo, PlanClass::ForcedMonteCarlo)
-            } else if compiled[0].db.blocks().len() > config.max_exact_dp_blocks {
+            } else if compiled[0].db.blocks().len() > MAX_EXACT_DP_BLOCKS {
                 (EvalPath::MonteCarlo, PlanClass::DpBudgetExceeded)
             } else {
                 (EvalPath::ExactColumnar, PlanClass::Liftable)
@@ -797,8 +806,8 @@ fn evaluate_uncached(
         (Statistic::ProbabilityBounds, ..) => QueryAnswer::Bounds(ProbabilityBounds::exact(
             grad::record(&resolved, &compiled, &[], Mode::Upper).value(),
         )),
-        // Single relations keep the legacy arithmetic (certain matches
-        // plus per-block marginals), which the count program reproduces.
+        // Single relations sum certain matches and per-block marginals,
+        // which the count program reproduces.
         (Statistic::ExpectedCount, ..) => QueryAnswer::Count {
             mean: if classes == 0 && compiled.len() == 1 {
                 exact::single_expected_count(ct)
@@ -807,19 +816,14 @@ fn evaluate_uncached(
             },
             std_error: None,
         },
-        (Statistic::CountDistribution, ..) => QueryAnswer::Distribution(query::poisson_binomial(
+        (Statistic::CountDistribution, ..) => QueryAnswer::Distribution(exact::poisson_binomial(
             ct.live_certain.count_ones(),
             &ct.db.columns().block_probs(&ct.live_alts),
         )),
         (Statistic::Marginals, ..) => {
             QueryAnswer::Marginals(ct.db.columns().block_probs(&ct.live_alts))
         }
-        (Statistic::TopK(k), ..) => QueryAnswer::Ranked(query::top_k_from_bitmaps(
-            ct.db,
-            k,
-            &ct.live_certain,
-            &ct.live_alts,
-        )),
+        (Statistic::TopK(k), ..) => QueryAnswer::Ranked(exact::top_k(ct, k)),
         (Statistic::ValueMarginal(attr), ..) => {
             QueryAnswer::Distribution(exact::value_marginal(ct, attr))
         }
@@ -854,9 +858,8 @@ pub(crate) fn evaluate_interpreted(
 }
 
 /// The Monte-Carlo answer to `stat`: joint-world sampling over the
-/// compiled terms. Single relations use the per-table samplers for
-/// counts, so answers stay bit-identical with the historical single-table
-/// path.
+/// compiled terms. Every count statistic derives from the per-world
+/// counts of [`mc::sample_join_counts`].
 fn sample(
     compiled: &[CompiledTerm],
     classes: usize,
@@ -864,11 +867,6 @@ fn sample(
     config: &QueryEngineConfig,
 ) -> QueryAnswer {
     let (samples, seed) = (config.mc_samples, config.mc_seed);
-    let single = (classes == 0 && compiled.len() == 1).then(|| &compiled[0]);
-    let selection = |ct: &CompiledTerm| CompiledSelection {
-        certain_count: ct.live_certain.count_ones(),
-        alt_matches: ct.live_alts.clone(),
-    };
     let join_counts = || mc::sample_join_counts(compiled, classes, samples, seed);
     match stat {
         Statistic::Probability => {
@@ -890,19 +888,21 @@ fn sample(
             })
         }
         Statistic::ExpectedCount => {
-            let (mean, se) = match single {
-                Some(ct) => mc_expected_count_compiled(ct.db, &selection(ct), samples, seed),
-                None => mc::count_estimate(&join_counts()),
-            };
+            let (mean, se) = mc::count_estimate(&join_counts());
             QueryAnswer::Count {
                 mean,
                 std_error: Some(se),
             }
         }
-        Statistic::CountDistribution => QueryAnswer::Distribution(match single {
-            Some(ct) => mc_count_distribution_compiled(ct.db, &selection(ct), samples, seed),
-            None => mc::count_histogram(&join_counts()),
-        }),
+        // A single scan's histogram spans the exact DP's support: its
+        // live certain rows plus one slot per block.
+        Statistic::CountDistribution => {
+            let support = match compiled {
+                [ct] if classes == 0 => ct.live_certain.count_ones() + ct.db.blocks().len() + 1,
+                _ => 0,
+            };
+            QueryAnswer::Distribution(mc::count_histogram(&join_counts(), support))
+        }
         Statistic::Marginals => {
             QueryAnswer::Marginals(mc::mc_selection_marginals(&compiled[0], samples, seed))
         }
@@ -969,7 +969,9 @@ mod tests {
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
     use crate::predicate::Predicate;
-    use crate::testutil::{oracle, oracle_probability};
+    use crate::testutil::{
+        oracle, oracle_count_distribution, oracle_expected_count, oracle_probability,
+    };
     use mrsl_relation::schema::fig1_schema;
     use mrsl_relation::{CompleteTuple, Schema, ValueId};
     use std::sync::Arc;
@@ -1044,46 +1046,88 @@ mod tests {
         assert!(report.decomposition.is_none());
     }
 
+    /// A forced-Monte-Carlo engine over `catalog` with `samples` worlds.
+    fn forced(catalog: &Catalog, samples: usize) -> CatalogEngine<'_> {
+        CatalogEngine::with_config(
+            catalog,
+            QueryEngineConfig {
+                force_monte_carlo: true,
+                mc_samples: samples,
+                ..QueryEngineConfig::default()
+            },
+        )
+    }
+
+    /// Asserts `got` and `want` agree within `tol` over the longer of the
+    /// two supports (missing entries are 0).
+    fn assert_close(got: &[f64], want: &[f64], tol: f64) {
+        for k in 0..got.len().max(want.len()) {
+            let (a, b) = (got.get(k).unwrap_or(&0.0), want.get(k).unwrap_or(&0.0));
+            assert!((a - b).abs() < tol, "k={k}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn dp_budget_routes_count_distribution_to_monte_carlo() {
-        let catalog = single_catalog();
+        // One block past the DP budget samples instead.
+        let mut big = ProbDb::new(fig1_schema());
+        for key in 0..=MAX_EXACT_DP_BLOCKS {
+            let alts = vec![alt(vec![0, 0, 0, 0], 0.5), alt(vec![0, 0, 1, 0], 0.5)];
+            big.push_block(Block::new(key, alts).unwrap()).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.add("db", big).unwrap();
         let engine = CatalogEngine::with_config(
             &catalog,
             QueryEngineConfig {
-                max_exact_dp_blocks: 2,
-                mc_samples: 30_000,
+                mc_samples: 8,
                 ..QueryEngineConfig::default()
             },
         );
-        let pred = Predicate::eq(AttrId(2), ValueId(1));
-        let q = Query::scan("db").filter(pred.clone());
+        let q = Query::scan("db").filter(Predicate::eq(AttrId(2), ValueId(1)));
         let (answer, report) = engine.evaluate(&q, Statistic::CountDistribution).unwrap();
         assert_eq!(report.path, EvalPath::MonteCarlo);
         assert_eq!(report.plan, PlanClass::DpBudgetExceeded);
-        assert_eq!(report.mc_samples, 30_000);
-        let QueryAnswer::Distribution(mc_dist) = answer else {
+        assert_eq!(report.mc_samples, 8);
+        let QueryAnswer::Distribution(dist) = answer else {
             panic!("distribution expected");
         };
-        let exact = query::count_distribution(catalog.get("db").unwrap(), &pred);
-        for (k, &e) in exact.iter().enumerate() {
-            assert!((mc_dist[k] - e).abs() < 0.02, "k={k}");
-        }
+        assert_eq!(dist.len(), MAX_EXACT_DP_BLOCKS + 2);
         // Expected count stays exact: its cost is linear.
         let (_, report) = engine.expected_count(&q).unwrap();
         assert_eq!(report.path, EvalPath::ExactColumnar);
     }
 
+    /// The sampled count distribution's accuracy, on a fixture small
+    /// enough for the oracle to enumerate.
+    #[test]
+    fn forced_count_distribution_agrees_with_oracle() {
+        let catalog = single_catalog();
+        let q = Query::scan("db").filter(Predicate::eq(AttrId(2), ValueId(1)));
+        let (mc, report) = forced(&catalog, 30_000).count_distribution(&q).unwrap();
+        assert_eq!(report.path, EvalPath::MonteCarlo);
+        assert_close(&mc, &oracle_count_distribution(&catalog, &q).unwrap(), 0.02);
+    }
+
+    #[test]
+    fn sampled_count_distribution_has_the_exact_support() {
+        // The selection rejects the certain row, so the support is the
+        // blocks alone: a histogram sized by every certain row would be
+        // one entry longer than the exact DP.
+        let catalog = single_catalog();
+        let q = Query::scan("db").filter(Predicate::eq(AttrId(2), ValueId(0)));
+        let (exact, report) = CatalogEngine::new(&catalog).count_distribution(&q).unwrap();
+        assert_eq!(report.path, EvalPath::ExactColumnar);
+        let (mc, report) = forced(&catalog, 2_000).count_distribution(&q).unwrap();
+        assert_eq!(report.path, EvalPath::MonteCarlo);
+        assert_eq!(exact.len(), 4);
+        assert_eq!(mc.len(), exact.len());
+    }
+
     #[test]
     fn forced_monte_carlo_reports_standard_error() {
         let catalog = single_catalog();
-        let engine = CatalogEngine::with_config(
-            &catalog,
-            QueryEngineConfig {
-                force_monte_carlo: true,
-                mc_samples: 20_000,
-                ..QueryEngineConfig::default()
-            },
-        );
+        let engine = forced(&catalog, 20_000);
         let pred = Predicate::eq(AttrId(2), ValueId(1)).negate();
         let q = Query::scan("db").filter(pred.clone());
         let (answer, report) = engine.evaluate(&q, Statistic::ExpectedCount).unwrap();
@@ -1092,7 +1136,7 @@ mod tests {
             panic!("count answer expected");
         };
         let se = std_error.expect("MC path reports a standard error");
-        let exact = query::expected_count(catalog.get("db").unwrap(), &pred);
+        let exact = oracle_expected_count(&catalog, &q).unwrap();
         assert!((mean - exact).abs() < 4.0 * se + 0.02);
         // Ranking has no sampling estimator: stays exact even when forced.
         let (_, report) = engine.evaluate(&q, Statistic::TopK(3)).unwrap();
@@ -1102,14 +1146,7 @@ mod tests {
     #[test]
     fn zero_sample_budget_is_an_error() {
         let catalog = single_catalog();
-        let engine = CatalogEngine::with_config(
-            &catalog,
-            QueryEngineConfig {
-                force_monte_carlo: true,
-                mc_samples: 0,
-                ..QueryEngineConfig::default()
-            },
-        );
+        let engine = forced(&catalog, 0);
         let q = Query::scan("db").filter(Predicate::any());
         let e = engine.expected_count(&q);
         assert!(matches!(e, Err(ProbDbError::NoSamples)));
@@ -1123,24 +1160,162 @@ mod tests {
     #[test]
     fn mc_selection_marginals_agree_with_exact() {
         let catalog = single_catalog();
-        let engine = CatalogEngine::with_config(
-            &catalog,
-            QueryEngineConfig {
-                force_monte_carlo: true,
-                mc_samples: 30_000,
-                ..QueryEngineConfig::default()
-            },
-        );
-        let pred = Predicate::is_in(AttrId(3), [ValueId(1)]);
-        let q = Query::scan("db").filter(pred.clone());
-        let (answer, report) = engine.evaluate(&q, Statistic::Marginals).unwrap();
+        let q = Query::scan("db").filter(Predicate::is_in(AttrId(3), [ValueId(1)]));
+        let (mc, report) = forced(&catalog, 30_000).marginals(&q).unwrap();
         assert_eq!(report.path, EvalPath::MonteCarlo);
-        let QueryAnswer::Marginals(mc) = answer else {
-            panic!("marginals expected");
-        };
-        let exact = query::block_selection_probs(catalog.get("db").unwrap(), &pred);
+        let (exact, report) = CatalogEngine::new(&catalog).marginals(&q).unwrap();
+        assert_eq!(report.path, EvalPath::ExactColumnar);
         for (b, (&m, &e)) in mc.iter().zip(&exact).enumerate() {
             assert!((m - e).abs() < 0.02, "block {b}: {m} vs {e}");
+        }
+    }
+
+    #[test]
+    fn expected_count_matches_oracle() {
+        let catalog = single_catalog();
+        let q = Query::scan("db").filter(Predicate::eq(AttrId(2), ValueId(1)));
+        let (exact, _) = CatalogEngine::new(&catalog).expected_count(&q).unwrap();
+        let brute = oracle_expected_count(&catalog, &q).unwrap();
+        assert!((exact - brute).abs() < 1e-12, "{exact} vs {brute}");
+        // 1 (certain) + 0.7 + 0.6.
+        assert!((exact - 2.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn count_distribution_matches_oracle() {
+        let catalog = single_catalog();
+        let engine = CatalogEngine::new(&catalog);
+        let q = Query::scan("db").filter(Predicate::eq(AttrId(2), ValueId(1)));
+        let (dist, _) = engine.count_distribution(&q).unwrap();
+        assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert_close(
+            &dist,
+            &oracle_count_distribution(&catalog, &q).unwrap(),
+            1e-12,
+        );
+        // Mean of the distribution equals the expected count.
+        let mean: f64 = dist.iter().enumerate().map(|(k, &p)| k as f64 * p).sum();
+        assert!((mean - engine.expected_count(&q).unwrap().0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn impossible_selection_counts_zero_with_certainty() {
+        let catalog = single_catalog();
+        let q = Query::scan("db").filter(Predicate::eq(AttrId(1), ValueId(2))); // edu=MS
+        let (dist, _) = CatalogEngine::new(&catalog).count_distribution(&q).unwrap();
+        assert!((dist[0] - 1.0).abs() < 1e-12);
+        assert!(dist[1..].iter().all(|&p| p.abs() < 1e-12));
+    }
+
+    #[test]
+    fn value_marginal_is_normalized_and_weighted() {
+        let catalog = single_catalog();
+        let (m, _) = CatalogEngine::new(&catalog)
+            .value_marginal(&Query::scan("db"), AttrId(2))
+            .unwrap();
+        assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        // inc=100K mass: certain 1 + 0.7 + 0.6 of 4 expected tuples.
+        assert!((m[1] - 2.3 / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn top_k_ranks_by_probability() {
+        let catalog = single_catalog();
+        let engine = CatalogEngine::new(&catalog);
+        let (all, _) = engine.top_k(&Query::scan("db"), 10).unwrap();
+        assert_eq!(all.len(), 7);
+        assert_eq!(all[0].prob, 1.0);
+        assert!(all[0].block.is_none());
+        assert!(all.windows(2).all(|w| w[0].prob >= w[1].prob));
+        let (top2, _) = engine.top_k(&Query::scan("db"), 2).unwrap();
+        assert_eq!(top2.len(), 2);
+        assert!((top2[1].prob - 0.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn top_k_tie_break_is_deterministic() {
+        // Three sources of probability ties: a certain tuple (prob 1), a
+        // block whose alternative also has prob 1, and two blocks with
+        // identical 0.5/0.5 splits.
+        let mut db = ProbDb::new(fig1_schema());
+        db.push_certain(CompleteTuple::from_values(vec![0, 0, 0, 0]))
+            .unwrap();
+        db.push_block(Block::new(7, vec![alt(vec![1, 0, 0, 0], 1.0)]).unwrap())
+            .unwrap();
+        db.push_block(
+            Block::new(
+                3,
+                vec![alt(vec![2, 0, 0, 0], 0.5), alt(vec![2, 1, 0, 0], 0.5)],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.push_block(
+            Block::new(
+                1,
+                vec![alt(vec![0, 2, 0, 0], 0.5), alt(vec![0, 2, 1, 0], 0.5)],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let mut catalog = Catalog::new();
+        catalog.add("db", db).unwrap();
+        let engine = CatalogEngine::new(&catalog);
+        let (ranked, _) = engine.top_k(&Query::scan("db"), 10).unwrap();
+        // Prob 1 first, certain before block 7; then 0.5 ties ordered by
+        // block key (1 before 3), alternatives in block order.
+        assert_eq!(ranked.len(), 6);
+        assert_eq!(ranked[0].block, None);
+        assert_eq!(ranked[1].block, Some(7));
+        assert_eq!(ranked[2].block, Some(1));
+        assert_eq!(ranked[2].tuple.raw(), &[0, 2, 0, 0]);
+        assert_eq!(ranked[3].block, Some(1));
+        assert_eq!(ranked[3].tuple.raw(), &[0, 2, 1, 0]);
+        assert_eq!(ranked[4].block, Some(3));
+        assert_eq!(ranked[5].block, Some(3));
+        // Repeated evaluation is identical.
+        let (again, _) = engine.top_k(&Query::scan("db"), 10).unwrap();
+        for (a, b) in ranked.iter().zip(&again) {
+            assert_eq!(a.tuple, b.tuple);
+            assert_eq!(a.block, b.block);
+        }
+    }
+
+    #[test]
+    fn single_scan_statistics_match_a_per_tuple_reference() {
+        let catalog = single_catalog();
+        let db = catalog.get("db").unwrap();
+        let engine = CatalogEngine::new(&catalog);
+        let preds = vec![
+            Predicate::any(),
+            Predicate::eq(AttrId(2), ValueId(1)).negate(),
+            Predicate::is_in(AttrId(0), [ValueId(0), ValueId(1)]),
+            Predicate::range(AttrId(3), ValueId(0), ValueId(0))
+                .or(Predicate::eq(AttrId(2), ValueId(0))),
+            Predicate::eq(AttrId(0), ValueId(1)).and(Predicate::eq(AttrId(3), ValueId(1))),
+        ];
+        for pred in preds {
+            // Tuple at a time: per-block selection mass, plus the
+            // certain rows the predicate accepts.
+            let marginals: Vec<f64> = db
+                .blocks()
+                .iter()
+                .map(|b| b.prob_satisfies(|t| pred.eval(t)))
+                .collect();
+            let certain = db.certain().iter().filter(|t| pred.eval(t)).count() as f64;
+            let count = certain + marginals.iter().sum::<f64>();
+            let q = Query::scan("db").filter(pred.clone());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (got, _) = engine.marginals(&q).unwrap();
+            assert_eq!(bits(&got), bits(&marginals), "{pred:?}");
+            let (got, _) = engine.expected_count(&q).unwrap();
+            assert_eq!(got.to_bits(), count.to_bits(), "{pred:?}");
+            let (dist, _) = engine.count_distribution(&q).unwrap();
+            assert_close(
+                &dist,
+                &oracle_count_distribution(&catalog, &q).unwrap(),
+                1e-12,
+            );
         }
     }
 

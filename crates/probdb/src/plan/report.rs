@@ -51,7 +51,8 @@ pub enum PlanClass {
     /// blocks do not straddle join keys) and the statistic is extensional:
     /// exact evaluation.
     Liftable,
-    /// Liftable, but the exact DP cost exceeds the configured budget.
+    /// Liftable, but the relation has too many blocks for the exact
+    /// O(blocks²) count-distribution DP.
     DpBudgetExceeded,
     /// Monte Carlo was forced by configuration.
     ForcedMonteCarlo,

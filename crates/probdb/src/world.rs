@@ -56,7 +56,7 @@ pub fn enumerate_worlds(db: &ProbDb, limit: u128) -> Vec<PossibleWorld> {
 /// underflow of the running remainder.
 ///
 /// This is the one sampling primitive shared by [`sample_world`] and the
-/// compiled Monte-Carlo estimators in [`crate::montecarlo`], so both draw
+/// planner's Monte-Carlo path ([`crate::CatalogEngine`]), so both draw
 /// identical choices from identical RNG states.
 pub fn choose_weighted<R, I>(probs: I, rng: &mut R) -> usize
 where

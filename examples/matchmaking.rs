@@ -16,8 +16,9 @@
 
 use mrsl_repro::bayesnet::{BayesianNetwork, NodeSpec, TopologySpec};
 use mrsl_repro::core::{derive_probabilistic_db, DeriveConfig, GibbsConfig, LearnConfig};
-use mrsl_repro::probdb::query::{count_distribution, expected_count, top_k, Predicate};
-use mrsl_repro::probdb::{Catalog, CatalogEngine, EvalPath, Query, QueryEngineConfig, Statistic};
+use mrsl_repro::probdb::{
+    Catalog, CatalogEngine, EvalPath, Predicate, Query, QueryEngineConfig, Statistic,
+};
 use mrsl_repro::relation::{AttrId, Relation, ValueId};
 use mrsl_repro::util::seeded_rng;
 use rand::seq::SliceRandom;
@@ -108,13 +109,22 @@ fn main() {
         out.sampling_cost.shared_samples,
     );
 
+    // The derived database moves into a named catalog; every question is
+    // an algebra tree answered by the planned engine.
+    let mut catalog = Catalog::new();
+    catalog.add("profiles", out.db).expect("fresh catalog");
+    let db = catalog.get("profiles").expect("added above");
+    let engine = CatalogEngine::new(&catalog);
+    let profiles = |pred: &Predicate| Query::scan("profiles").filter(pred.clone());
+
     // Query 1: expected number of 100K+ earners.
     let inc = schema.attr_id("inc").expect("inc");
     let nw = schema.attr_id("nw").expect("nw");
     let rich = Predicate::any().and_eq(inc, ValueId(1));
-    let expected = expected_count(&out.db, &rich);
-    let certain = out
-        .db
+    let (expected, _) = engine
+        .expected_count(&profiles(&rich))
+        .expect("planned query");
+    let certain = db
         .certain()
         .iter()
         .filter(|t| t.value(inc) == ValueId(1))
@@ -129,7 +139,9 @@ fn main() {
     let prime = Predicate::any()
         .and_eq(inc, ValueId(1))
         .and_eq(nw, ValueId(1));
-    let dist = count_distribution(&out.db, &prime);
+    let (dist, _) = engine
+        .count_distribution(&profiles(&prime))
+        .expect("planned query");
     let mean: f64 = dist.iter().enumerate().map(|(k, &p)| k as f64 * p).sum();
     let mode = dist
         .iter()
@@ -146,12 +158,11 @@ fn main() {
     // Certain matches rank first (probability 1), so ask for enough rows
     // to reach the block tuples behind them.
     println!("\ntop-5 probable ⟨inc=100K, nw=500K⟩ candidates from incomplete profiles:");
-    let deep = out.db.certain().len() + 50;
-    for ranked in top_k(&out.db, &prime, deep)
-        .into_iter()
-        .filter(|r| r.block.is_some())
-        .take(5)
-    {
+    let deep = db.certain().len() + 50;
+    let (ranked, _) = engine
+        .top_k(&profiles(&prime), deep)
+        .expect("planned query");
+    for ranked in ranked.into_iter().filter(|r| r.block.is_some()).take(5) {
         let cells: Vec<String> = schema
             .iter()
             .map(|(aid, attr)| attr.value_label(ranked.tuple.value(aid)).to_string())
@@ -164,19 +175,15 @@ fn main() {
         );
     }
 
-    // Query 4: the planned engine on a compound predicate — prime matches
-    // *or* young-and-educated long shots, excluding the lowest bracket:
-    // (inc=100K ∧ nw=500K) ∨ (age=20 ∧ ¬(edu=HS)). The derived database
-    // moves into a named catalog and queries become algebra trees.
+    // Query 4: a compound predicate — prime matches *or*
+    // young-and-educated long shots, excluding the lowest bracket:
+    // (inc=100K ∧ nw=500K) ∨ (age=20 ∧ ¬(edu=HS)).
     let age = schema.attr_id("age").expect("age");
     let edu = schema.attr_id("edu").expect("edu");
     let compound = prime
         .clone()
         .or(Predicate::eq(age, ValueId(0)).and(Predicate::eq(edu, ValueId(0)).negate()));
-    let mut catalog = Catalog::new();
-    catalog.add("profiles", out.db).expect("fresh catalog");
-    let engine = CatalogEngine::new(&catalog);
-    let compound_query = Query::scan("profiles").filter(compound);
+    let compound_query = profiles(&compound);
     let (count, report) = engine
         .expected_count(&compound_query)
         .expect("planned query");
@@ -188,14 +195,14 @@ fn main() {
     println!("P(at least one such profile exists) = {p_any:.4}");
 
     // The same count distribution through both physical paths: exact DP,
-    // then the Monte-Carlo fallback a tiny DP budget forces.
+    // then forced Monte Carlo.
     let (exact_dist, exact_report) = engine
         .count_distribution(&compound_query)
         .expect("exact path");
     let mc_engine = CatalogEngine::with_config(
         &catalog,
         QueryEngineConfig {
-            max_exact_dp_blocks: 0,
+            force_monte_carlo: true,
             mc_samples: 20_000,
             ..QueryEngineConfig::default()
         },
@@ -231,10 +238,9 @@ fn main() {
     }
 
     // Sanity: compare the derived marginal of `inc` against the network's.
-    let derived = mrsl_repro::probdb::query::value_marginal(
-        catalog.get("profiles").expect("added above"),
-        inc,
-    );
+    let (derived, _) = engine
+        .value_marginal(&Query::scan("profiles"), inc)
+        .expect("planned query");
     let true_marginal = bn.marginal(inc);
     println!(
         "\nmarginal of inc: derived [{}], true BN [{}]",

@@ -6,7 +6,7 @@ use mrsl_repro::core::{
     derive_probabilistic_db, DeriveConfig, GibbsConfig, LearnConfig, VotingConfig,
 };
 use mrsl_repro::eval::kl_divergence;
-use mrsl_repro::probdb::query::{expected_count, Predicate};
+use mrsl_repro::probdb::{Catalog, CatalogEngine, Predicate, Query};
 use mrsl_repro::relation::{AttrId, Relation, ValueId};
 use mrsl_repro::util::seeded_rng;
 use rand::seq::SliceRandom;
@@ -107,11 +107,15 @@ fn expected_counts_are_consistent_with_block_marginals() {
     // Sum of expected counts over all values of one attribute equals the
     // total number of tuples (every tuple has exactly one value).
     let card = rel.schema().cardinality(attr);
+    let db_tuples = (out.db.certain().len() + out.db.blocks().len()) as f64;
+    let mut catalog = Catalog::new();
+    catalog.add("derived", out.db).expect("fresh catalog");
+    let engine = CatalogEngine::new(&catalog);
     let mut total = 0.0;
     for v in 0..card as u16 {
-        total += expected_count(&out.db, &Predicate::any().and_eq(attr, ValueId(v)));
+        let query = Query::scan("derived").filter(Predicate::any().and_eq(attr, ValueId(v)));
+        total += engine.expected_count(&query).expect("exact").0;
     }
-    let db_tuples = (out.db.certain().len() + out.db.blocks().len()) as f64;
     assert!((total - db_tuples).abs() < 1e-6, "{total} vs {db_tuples}");
 }
 

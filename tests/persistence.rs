@@ -6,8 +6,7 @@ use mrsl_repro::core::{
     derive_probabilistic_db, DeriveConfig, GibbsConfig, InferContext, LearnConfig, MrslModel,
     VotingConfig,
 };
-use mrsl_repro::probdb::query::{expected_count, Predicate};
-use mrsl_repro::probdb::ProbDb;
+use mrsl_repro::probdb::{Catalog, CatalogEngine, Predicate, ProbDb, Query};
 use mrsl_repro::relation::relation::fig1_relation;
 use mrsl_repro::relation::{AttrId, PartialTuple, ValueId};
 
@@ -77,9 +76,14 @@ fn derived_database_roundtrips_through_json() {
     assert_eq!(restored.blocks().len(), out.db.blocks().len());
     assert_eq!(restored.certain().len(), out.db.certain().len());
     // Queries over the restored database agree exactly.
+    let mut catalog = Catalog::new();
+    catalog.add("original", out.db).expect("fresh catalog");
+    catalog.add("restored", restored).expect("fresh catalog");
+    let engine = CatalogEngine::new(&catalog);
     let pred = Predicate::any().and_eq(AttrId(0), ValueId(0));
-    assert_eq!(
-        expected_count(&restored, &pred),
-        expected_count(&out.db, &pred)
-    );
+    let count = |name: &str| {
+        let query = Query::scan(name).filter(pred.clone());
+        engine.expected_count(&query).expect("exact").0
+    };
+    assert_eq!(count("restored"), count("original"));
 }

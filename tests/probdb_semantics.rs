@@ -2,13 +2,15 @@
 //! must agree with both world enumeration and Monte-Carlo estimation.
 
 use mrsl_repro::core::{derive_probabilistic_db, DeriveConfig, GibbsConfig, LearnConfig};
-use mrsl_repro::probdb::montecarlo::{mc_count_distribution, mc_expected_count};
-use mrsl_repro::probdb::query::{count_distribution, expected_count, top_k, Predicate};
+use mrsl_repro::probdb::testutil::oracle;
 use mrsl_repro::probdb::world::enumerate_worlds;
+use mrsl_repro::probdb::{
+    Catalog, CatalogEngine, Predicate, ProbDb, Query, QueryAnswer, QueryEngineConfig, Statistic,
+};
 use mrsl_repro::relation::relation::fig1_relation;
 use mrsl_repro::relation::{AttrId, ValueId};
 
-fn derived() -> mrsl_repro::probdb::ProbDb {
+fn derived() -> ProbDb {
     let rel = fig1_relation();
     let config = DeriveConfig {
         learn: LearnConfig {
@@ -25,12 +27,32 @@ fn derived() -> mrsl_repro::probdb::ProbDb {
     derive_probabilistic_db(&rel, &config).db
 }
 
+/// `db` as the one relation `db` of a fresh catalog.
+fn single(db: ProbDb) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.add("db", db).unwrap();
+    catalog
+}
+
+/// A forced-Monte-Carlo engine: 30,000 worlds drawn from `seed`.
+fn forced(catalog: &Catalog, seed: u64) -> CatalogEngine<'_> {
+    CatalogEngine::with_config(
+        catalog,
+        QueryEngineConfig {
+            force_monte_carlo: true,
+            mc_samples: 30_000,
+            mc_seed: seed,
+            ..QueryEngineConfig::default()
+        },
+    )
+}
+
 #[test]
 fn world_probabilities_of_derived_db_sum_to_one() {
     let db = derived();
     // Fig. 1 derives 9 blocks; enumerate a capped sub-database to keep the
     // world count tractable: take the first 5 blocks only.
-    let mut small = mrsl_repro::probdb::ProbDb::new(db.schema().clone());
+    let mut small = ProbDb::new(db.schema().clone());
     for t in db.certain() {
         small.push_certain(t.clone()).unwrap();
     }
@@ -45,18 +67,19 @@ fn world_probabilities_of_derived_db_sum_to_one() {
 #[test]
 fn exact_count_distribution_matches_enumeration_on_derived_db() {
     let db = derived();
-    let mut small = mrsl_repro::probdb::ProbDb::new(db.schema().clone());
+    let mut small = ProbDb::new(db.schema().clone());
     for b in db.blocks().iter().take(6) {
         small.push_block(b.clone()).unwrap();
     }
     let pred = Predicate::any().and_eq(AttrId(2), ValueId(0)); // inc = 50K
-    let exact = count_distribution(&small, &pred);
-    // The shared joint-world oracle is the ground truth here too: wrap
-    // the capped database in a one-relation catalog and compare.
-    let mut catalog = mrsl_repro::probdb::Catalog::new();
-    catalog.add("db", small).unwrap();
-    let query = mrsl_repro::probdb::Query::scan("db").filter(pred);
-    let brute = mrsl_repro::probdb::testutil::oracle(&catalog, &query, 5_000_000)
+                                                               // The shared joint-world oracle is the ground truth: wrap the capped
+                                                               // database in a one-relation catalog and compare.
+    let catalog = single(small);
+    let query = Query::scan("db").filter(pred);
+    let (exact, _) = CatalogEngine::new(&catalog)
+        .count_distribution(&query)
+        .unwrap();
+    let brute = oracle(&catalog, &query, 5_000_000)
         .unwrap()
         .count_distribution;
     // Compare over the longer support so mass beyond either vector's
@@ -70,16 +93,28 @@ fn exact_count_distribution_matches_enumeration_on_derived_db() {
 
 #[test]
 fn monte_carlo_agrees_with_exact_on_derived_db() {
-    let db = derived();
-    let pred = Predicate::any().and_eq(AttrId(0), ValueId(0)); // age = 20
-    let exact = expected_count(&db, &pred);
-    let (mc, se) = mc_expected_count(&db, &pred, 30_000, 3).expect("n > 0");
+    let catalog = single(derived());
+    let query = Query::scan("db").filter(Predicate::any().and_eq(AttrId(0), ValueId(0))); // age = 20
+    let engine = CatalogEngine::new(&catalog);
+    let (exact, _) = engine.expected_count(&query).unwrap();
+    let (answer, _) = forced(&catalog, 3)
+        .evaluate(&query, Statistic::ExpectedCount)
+        .unwrap();
+    let QueryAnswer::Count {
+        mean: mc,
+        std_error,
+    } = answer
+    else {
+        panic!("count expected");
+    };
+    let se = std_error.expect("MC std error");
     assert!(
         (mc - exact).abs() < 4.0 * se + 0.05,
         "mc {mc} vs exact {exact} (se {se})"
     );
-    let exact_dist = count_distribution(&db, &pred);
-    let mc_dist = mc_count_distribution(&db, &pred, 30_000, 4).expect("n > 0");
+    let (exact_dist, _) = engine.count_distribution(&query).unwrap();
+    let (mc_dist, _) = forced(&catalog, 4).count_distribution(&query).unwrap();
+    assert_eq!(mc_dist.len(), exact_dist.len());
     for (k, &e) in exact_dist.iter().enumerate() {
         assert!(
             (mc_dist[k] - e).abs() < 0.02,
@@ -91,8 +126,11 @@ fn monte_carlo_agrees_with_exact_on_derived_db() {
 
 #[test]
 fn top_k_is_consistent_with_block_contents() {
-    let db = derived();
-    let ranked = top_k(&db, &Predicate::any(), 1000);
+    let catalog = single(derived());
+    let db = catalog.get("db").unwrap();
+    let (ranked, _) = CatalogEngine::new(&catalog)
+        .top_k(&Query::scan("db"), 1000)
+        .unwrap();
     // Certain tuples rank first with probability 1.
     assert!(ranked[..db.certain().len()].iter().all(|r| r.prob == 1.0));
     // Every ranked block tuple exists in its block with that probability.

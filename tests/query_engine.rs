@@ -1,10 +1,13 @@
 //! Property tests of the query subsystem: on randomized databases, the
-//! exact columnar evaluators, the tuple-at-a-time reference evaluators and
-//! the Monte-Carlo estimators must all tell the same story for every
-//! predicate constructor (`Eq`, `In`, `Range`, `Or`, `Not`, `And`).
+//! engine's exact columnar path, a tuple-at-a-time reference, the
+//! brute-force oracle and the Monte-Carlo path must all tell the same
+//! story for every predicate constructor (`Eq`, `In`, `Range`, `Or`,
+//! `Not`, `And`).
 
-use mrsl_repro::probdb::query::{self, rowwise};
-use mrsl_repro::probdb::{Alternative, Block, Predicate, ProbDb};
+use mrsl_repro::probdb::testutil::oracle_count_distribution;
+use mrsl_repro::probdb::{
+    Alternative, Block, Catalog, CatalogEngine, Predicate, ProbDb, Query, QueryEngineConfig,
+};
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema, SchemaBuilder, ValueId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -86,6 +89,26 @@ fn arb_db() -> BoxedStrategy<ProbDb> {
         .boxed()
 }
 
+/// `db` as the one relation `db` of a fresh catalog.
+fn single(db: ProbDb) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.add("db", db).expect("fresh catalog");
+    catalog
+}
+
+/// A forced-Monte-Carlo engine: `samples` worlds drawn from `seed`.
+fn forced(catalog: &Catalog, samples: usize, seed: u64) -> CatalogEngine<'_> {
+    CatalogEngine::with_config(
+        catalog,
+        QueryEngineConfig {
+            force_monte_carlo: true,
+            mc_samples: samples,
+            mc_seed: seed,
+            ..QueryEngineConfig::default()
+        },
+    )
+}
+
 /// One random predicate per constructor under test, sized to the schema.
 fn predicates_for(schema: &Schema, salt: u16) -> Vec<(&'static str, Predicate)> {
     let arity = schema.attr_count() as u16;
@@ -120,8 +143,12 @@ proptest! {
     fn columnar_eval_is_bit_identical_to_per_tuple(
         (db, salt) in (arb_db(), 0u16..64)
     ) {
+        let preds = predicates_for(db.schema(), salt);
+        let catalog = single(db);
+        let db = catalog.get("db").expect("added above");
+        let engine = CatalogEngine::new(&catalog);
         let cols = db.columns();
-        for (name, pred) in predicates_for(db.schema(), salt) {
+        for (name, pred) in preds {
             let certain = pred.eval_columns(cols.certain());
             for (i, t) in db.certain().iter().enumerate() {
                 prop_assert_eq!(certain.get(i), pred.eval(t), "{}: certain row {}", name, i);
@@ -134,22 +161,29 @@ proptest! {
                     row += 1;
                 }
             }
-            // And therefore the aggregate evaluators agree exactly.
-            prop_assert_eq!(
-                query::expected_count(&db, &pred),
-                rowwise::expected_count(&db, &pred),
-                "{}", name
-            );
-            prop_assert_eq!(
-                query::block_selection_probs(&db, &pred),
-                rowwise::block_selection_probs(&db, &pred),
-                "{}", name
-            );
-            prop_assert_eq!(
-                query::count_distribution(&db, &pred),
-                rowwise::count_distribution(&db, &pred),
-                "{}", name
-            );
+            // And therefore the engine's aggregates equal a tuple-at-a-time
+            // evaluation bit for bit: per-block selection mass, plus the
+            // certain rows the predicate accepts.
+            let marginals: Vec<f64> = db
+                .blocks()
+                .iter()
+                .map(|b| b.prob_satisfies(|t| pred.eval(t)))
+                .collect();
+            let certain = db.certain().iter().filter(|t| pred.eval(t)).count() as f64;
+            let count = certain + marginals.iter().sum::<f64>();
+            let query = Query::scan("db").filter(pred.clone());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (got, _) = engine.marginals(&query).expect("exact");
+            prop_assert_eq!(bits(&got), bits(&marginals), "{}", name);
+            let (got, _) = engine.expected_count(&query).expect("exact");
+            prop_assert_eq!(got.to_bits(), count.to_bits(), "{}", name);
+            // The count distribution matches world enumeration.
+            let (dist, _) = engine.count_distribution(&query).expect("exact");
+            let brute = oracle_count_distribution(&catalog, &query).expect("oracle");
+            for k in 0..dist.len().max(brute.len()) {
+                let (a, b) = (dist.get(k).unwrap_or(&0.0), brute.get(k).unwrap_or(&0.0));
+                prop_assert!((a - b).abs() < 1e-12, "{}: k={} engine {} oracle {}", name, k, a, b);
+            }
         }
     }
 
@@ -159,12 +193,18 @@ proptest! {
     fn exact_and_monte_carlo_distributions_agree(
         (db, salt) in (arb_db(), 0u16..64)
     ) {
-        for (name, pred) in predicates_for(db.schema(), salt) {
-            let exact = query::count_distribution(&db, &pred);
-            let n = 6_000;
-            let mc = mrsl_repro::probdb::montecarlo::mc_count_distribution(
-                &db, &pred, n, 0xc0de ^ salt as u64,
-            ).expect("n > 0");
+        let preds = predicates_for(db.schema(), salt);
+        let catalog = single(db);
+        let engine = CatalogEngine::new(&catalog);
+        let n = 6_000;
+        let mc_dist = forced(&catalog, n, 0xc0de ^ salt as u64);
+        let mc_mean = forced(&catalog, n, 0xfeed ^ salt as u64);
+        for (name, pred) in preds {
+            let query = Query::scan("db").filter(pred);
+            let (exact, _) = engine.count_distribution(&query).expect("exact");
+            let (mc, _) = mc_dist.count_distribution(&query).expect("mc");
+            // Both paths share the support: live certain rows plus blocks.
+            prop_assert_eq!(mc.len(), exact.len(), "{}", name);
             // Each bin is a Bernoulli frequency: 4σ + slack covers it.
             for (k, &e) in exact.iter().enumerate() {
                 let sigma = (e * (1.0 - e) / n as f64).sqrt();
@@ -174,10 +214,14 @@ proptest! {
                 );
             }
             // Means line up with the exact expected count too.
-            let (mean, se) = mrsl_repro::probdb::montecarlo::mc_expected_count(
-                &db, &pred, n, 0xfeed ^ salt as u64,
-            ).expect("n > 0");
-            let exact_mean = query::expected_count(&db, &pred);
+            let (answer, _) = mc_mean
+                .evaluate(&query, mrsl_repro::probdb::Statistic::ExpectedCount)
+                .expect("mc");
+            let mrsl_repro::probdb::QueryAnswer::Count { mean, std_error } = answer else {
+                panic!("count expected");
+            };
+            let se = std_error.expect("MC std error");
+            let (exact_mean, _) = engine.expected_count(&query).expect("exact");
             prop_assert!(
                 (mean - exact_mean).abs() < 4.0 * se + 0.05,
                 "{}: mean {} vs {}", name, mean, exact_mean
@@ -185,25 +229,55 @@ proptest! {
         }
     }
 
+    /// The forced sampler draws the worlds `world::sample_world` draws from
+    /// the same seed: its count histogram and selection marginals are
+    /// exactly the frequencies of a tuple-at-a-time evaluation of those
+    /// worlds, for every predicate constructor.
+    #[test]
+    fn forced_scan_sampler_replays_sample_world(
+        (db, salt) in (arb_db(), 0u16..64)
+    ) {
+        use mrsl_repro::probdb::world::sample_world;
+        let preds = predicates_for(db.schema(), salt);
+        let catalog = single(db);
+        let db = catalog.get("db").expect("added above");
+        let (n, seed) = (300, 0x5a ^ salt as u64);
+        let engine = forced(&catalog, n, seed);
+        for (name, pred) in preds {
+            let query = Query::scan("db").filter(pred.clone());
+            let (hist, _) = engine.count_distribution(&query).expect("mc");
+            let (marginals, _) = engine.marginals(&query).expect("mc");
+            let mut counts = vec![0usize; hist.len()];
+            let mut hits = vec![0usize; db.blocks().len()];
+            let mut rng = mrsl_repro::util::seeded_rng(seed);
+            for _ in 0..n {
+                let world = sample_world(db, &mut rng);
+                counts[world.tuples.iter().filter(|t| pred.eval(t)).count()] += 1;
+                // Certain rows come first, then one tuple per block.
+                let drawn = &world.tuples[db.certain().len()..];
+                for (hit, t) in hits.iter_mut().zip(drawn) {
+                    *hit += usize::from(pred.eval(t));
+                }
+            }
+            let freqs = |v: &[usize]| v.iter().map(|&c| c as f64 / n as f64).collect::<Vec<_>>();
+            prop_assert_eq!(hist, freqs(&counts), "{}", name);
+            prop_assert_eq!(marginals, freqs(&hits), "{}", name);
+        }
+    }
+
     /// The planner's two physical paths answer the same question: routing
-    /// the count distribution through Monte Carlo (tiny DP budget) stays
-    /// within sampling error of the exact path.
+    /// the count distribution through Monte Carlo (forced) stays within
+    /// sampling error of the exact path.
     #[test]
     fn planner_paths_agree_on_count_distribution(
         (db, salt) in (arb_db(), 0u16..64)
     ) {
-        use mrsl_repro::probdb::{Catalog, CatalogEngine, EvalPath, Query, QueryEngineConfig};
+        use mrsl_repro::probdb::EvalPath;
         let (_, pred) = predicates_for(db.schema(), salt).pop().expect("non-empty");
-        let mut catalog = Catalog::new();
-        catalog.add("db", db).expect("fresh catalog");
+        let catalog = single(db);
         let query = Query::scan("db").filter(pred);
         let exact_engine = CatalogEngine::new(&catalog);
-        let mc_engine = CatalogEngine::with_config(&catalog, QueryEngineConfig {
-            max_exact_dp_blocks: 0,
-            mc_samples: 6_000,
-            mc_seed: 0xab ^ salt as u64,
-            ..QueryEngineConfig::default()
-        });
+        let mc_engine = forced(&catalog, 6_000, 0xab ^ salt as u64);
         let (exact, exact_report) = exact_engine.count_distribution(&query).expect("exact");
         let (mc, mc_report) = mc_engine.count_distribution(&query).expect("mc");
         prop_assert_eq!(exact_report.path, EvalPath::ExactColumnar);
@@ -252,10 +326,7 @@ proptest! {
     fn hierarchical_join_exact_agrees_with_monte_carlo(
         (left, right, salt) in (arb_keyed_db(0), arb_keyed_db(1), 0u16..64)
     ) {
-        use mrsl_repro::probdb::{
-            Catalog, CatalogEngine, EvalPath, PlanClass, Predicate, Query, QueryAnswer,
-            QueryEngineConfig, Statistic,
-        };
+        use mrsl_repro::probdb::{EvalPath, PlanClass, QueryAnswer, Statistic};
         let vl = ValueId(salt % 3);
         let vr = ValueId((salt / 3) % 3);
         let query = Query::scan("left")
