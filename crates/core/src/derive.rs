@@ -155,13 +155,18 @@ pub(crate) fn estimate_to_block(
     est: &JointEstimate,
     min_prob: f64,
 ) -> Block {
+    let mut base = vec![0u16; t.arity()];
+    for asg in t.assignments() {
+        base[asg.attr.index()] = asg.value.0;
+    }
+    let indexer = &est.indexer;
     let completion = |idx: usize, prob: f64| {
-        let mut values = vec![0u16; t.arity()];
-        for asg in t.assignments() {
-            values[asg.attr.index()] = asg.value.0;
-        }
-        for (attr, v) in est.indexer.decode(idx) {
-            values[attr.index()] = v.0;
+        // Mixed-radix digits of `idx`, last attribute least significant.
+        let mut values = base.clone();
+        let mut rest = idx;
+        for (attr, &card) in indexer.attrs().iter().zip(indexer.cards()).rev() {
+            values[attr.index()] = (rest % card) as u16;
+            rest /= card;
         }
         Alternative {
             tuple: CompleteTuple::from_values(values),
@@ -293,6 +298,30 @@ mod tests {
         let b = derive_probabilistic_db(&rel, &quick_config());
         for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
             assert_eq!(ea.probs, eb.probs);
+        }
+    }
+
+    #[test]
+    fn block_completions_follow_the_indexer() {
+        use mrsl_relation::{JointIndexer, ValueId};
+        let rel = fig1_relation();
+        let t = PartialTuple::from_options(&[None, Some(2), None, None]);
+        let indexer = JointIndexer::new(rel.schema(), t.missing_mask());
+        let n = indexer.size();
+        let est = JointEstimate {
+            indexer: indexer.clone(),
+            probs: vec![1.0 / n as f64; n],
+            sample_count: 0,
+        };
+        let block = estimate_to_block(0, &t, &est, 0.0);
+        assert_eq!(block.len(), n);
+        for (idx, alt) in block.alternatives().iter().enumerate() {
+            let mut expected = vec![0u16; t.arity()];
+            expected[1] = 2;
+            for (attr, ValueId(v)) in indexer.decode(idx) {
+                expected[attr.index()] = v;
+            }
+            assert_eq!(alt.tuple.raw(), expected.as_slice(), "index {idx}");
         }
     }
 

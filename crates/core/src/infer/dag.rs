@@ -18,8 +18,9 @@
 //!
 //! * each chain has its own RNG, so when its sweeps run does not change
 //!   them;
-//! * voted CPDs are pure functions of (attribute, evidence), so the shared
-//!   CPD cache only decides *when* a value is computed, never what it is;
+//! * voted CPDs are pure functions of (attribute, evidence), so the
+//!   context's shared CPD cache and each chain's local CPD table only
+//!   decide *when* a value is computed, never what it is;
 //! * an active node completes only through its own draws: a root has no
 //!   parents, and a promoted node is promoted after its last parent has
 //!   shared, so no share can arrive while it owes draws.
@@ -229,8 +230,10 @@ struct NodeState {
 }
 
 impl NodeState {
-    fn record(&mut self, point: &[u16]) {
-        self.counts[self.indexer.index_of_state(point)] += 1;
+    /// Records `point`, whose joint index over this node's missing
+    /// attributes is `index`.
+    fn record(&mut self, index: usize, point: &[u16]) {
+        self.counts[index] += 1;
         self.samples += 1;
         if self.keeps_points {
             self.points.extend_from_slice(point);
@@ -353,17 +356,21 @@ pub(crate) fn sample_component(
         }
         // Lines 6–9 for every visit at once: burn-in, then the owed draws.
         let node = nodes[r];
+        let owed = std::mem::take(&mut state.owed);
         let mut chain = GibbsChain::new(
             ctx.model(),
             &dag.nodes()[node],
             derive_seed(ctx.seed(), &[node as u64]),
-        );
+        )
+        .with_sweeps(burn_in + owed);
         for _ in 0..burn_in {
             chain.sweep(ctx);
         }
-        let owed = std::mem::take(&mut state.owed);
+        // The chain's joint index is over this node's missing attributes,
+        // so an own draw is recorded without re-indexing the state.
         for _ in 0..owed {
-            state.record(chain.sweep(ctx));
+            chain.sweep(ctx);
+            state.record(chain.joint_index(), chain.state());
         }
         cost.chains += 1;
         cost.burn_in_draws += burn_in;
@@ -430,7 +437,7 @@ fn propagate_completions(
                 .filter(|p| further.iter().all(|&(a, v)| p[a] == v))
                 .take(needed)
             {
-                state.record(point);
+                state.record(state.indexer.index_of_state(point), point);
                 cost.shared_samples += 1;
             }
             state.pending_parents = state.pending_parents.saturating_sub(1);

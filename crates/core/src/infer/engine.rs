@@ -109,9 +109,16 @@ impl<'m> InferContext<'m> {
         self.seed = derive_seed(self.base_seed, &[index as u64]);
     }
 
-    /// Cache hit/miss counters (diagnostics).
+    /// Cache hit/miss counters (diagnostics). A read a Gibbs chain serves
+    /// from its local CPD table counts as a hit, so the counters do not
+    /// depend on whether a chain keeps one.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits, self.cache.misses)
+    }
+
+    /// Counts a voted CPD a chain read from its local table.
+    pub(crate) fn count_local_hit(&mut self) {
+        self.cache.hits += 1;
     }
 
     /// The voted CPD of `attr` given the evidence `state` restricted to
@@ -271,13 +278,15 @@ impl InferenceEngine for GibbsSampler {
         if indexer.size() == 1 {
             return trivial_estimate(indexer);
         }
-        let mut chain = GibbsChain::new(ctx.model(), t, ctx.seed());
+        let mut chain =
+            GibbsChain::new(ctx.model(), t, ctx.seed()).with_sweeps(self.burn_in + self.samples);
         for _ in 0..self.burn_in {
             chain.sweep(ctx);
         }
         let mut counts = vec![0u32; indexer.size()];
         for _ in 0..self.samples {
-            counts[indexer.index_of_state(chain.sweep(ctx))] += 1;
+            chain.sweep(ctx);
+            counts[chain.joint_index()] += 1;
         }
         let probs = if self.samples == 0 {
             // Degenerate configuration: no recorded sweeps. Fall back to
@@ -412,12 +421,14 @@ pub(crate) fn trivial_estimate(indexer: JointIndexer) -> JointEstimate {
     }
 }
 
-/// Memoizes voted CPDs per (attribute, evidence state).
+/// Memoizes voted CPDs per (attribute, evidence state): the context-wide
+/// level of the CPD cache, behind each Gibbs chain's local table.
 ///
 /// The key packs the full state in mixed radix (with the target attribute's
 /// slot zeroed) plus the attribute index. Packing requires the product of
-/// domain sizes × attribute count to fit in `u64`; wider schemas disable
-/// the cache (correctness is unaffected).
+/// domain sizes × attribute count to fit in `u64`; on wider schemas this
+/// level votes on every lookup and memoizes nothing (correctness is
+/// unaffected, and chain-local tables still memoize within each chain).
 struct CpdCache {
     entries: FxHashMap<u64, Rc<[f64]>>,
     strides: Option<Vec<u64>>,
@@ -459,6 +470,7 @@ impl CpdCache {
     ) -> Rc<[f64]> {
         let Some(strides) = &self.strides else {
             // Unpackable schema: compute directly.
+            self.misses += 1;
             vote(model.mrsl(attr), state, evidence_mask, voting, scratch, buf);
             return Rc::from(buf.as_slice());
         };

@@ -10,18 +10,22 @@
 //! stationary joint.
 //!
 //! The voted-CPD cache — "caching of the results of partial computations"
-//! in the paper's words — lives in the
-//! [`InferContext`] the chain sweeps
-//! against, so it is shared across every chain (and tuple) the context
-//! serves. The engine wrapper for this module is
+//! in the paper's words — has two levels. The shared level lives in the
+//! [`InferContext`] the chain sweeps against, keyed by (attribute,
+//! evidence state), so it serves every chain (and tuple) of that context.
+//! In front of it each chain keeps a local table indexed by its joint
+//! index over the missing attributes (see [`GibbsChain`]): after the first
+//! read of a slot, every step is one array index instead of a key pack, a
+//! hash probe and an `Rc` clone. The engine wrapper for this module is
 //! [`crate::infer::engine::GibbsSampler`].
 
 use crate::infer::engine::InferContext;
 use crate::model::MrslModel;
-use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple};
+use mrsl_relation::{AttrMask, JointIndexer, PartialTuple};
 use mrsl_util::{derive_seed, seeded_rng};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::rc::Rc;
 
 /// An estimated joint distribution `Δt` over a tuple's missing attributes.
 #[derive(Debug, Clone)]
@@ -56,24 +60,48 @@ impl JointEstimate {
     }
 }
 
-/// One Gibbs chain for a single incomplete tuple. The chain owns only its
-/// Markov state and RNG; voting scratch and the CPD cache come from the
-/// [`InferContext`] passed to [`GibbsChain::sweep`], so many chains (the
-/// tuple-DAG scheduler interleaves dozens) share one cache.
+/// One Gibbs chain for a single incomplete tuple. The chain owns its
+/// Markov state, its RNG and a table of the CPDs it has read; voting
+/// scratch and the shared CPD cache come from the [`InferContext`] passed
+/// to [`GibbsChain::sweep`], so many chains (the tuple-DAG scheduler
+/// interleaves dozens) share one cache.
+///
+/// **Chain-local CPD table.** The chain tracks `j`, the joint index of its
+/// missing attributes' current values in [`JointIndexer`] order. Resampling
+/// the k-th missing attribute reads the CPD conditioned on everything else,
+/// which is `j` with digit k zeroed (`j − stride_k · value_k`); slot
+/// `k · |joint| + that` of the table holds it. The first read of a slot
+/// fills it from the context's shared cache; later reads are one array
+/// index, counted as cache hits so [`InferContext::cache_stats`] reads the
+/// same as without the table. CPDs are pure functions of (attribute,
+/// evidence), so the table changes when a CPD is fetched, never which one:
+/// draws are bit-identical to reading the shared cache on every step.
+///
+/// The table has `m · |joint|` slots for `m` missing attributes, and pays
+/// only when the chain reads at least that many CPDs. A chain run for `s`
+/// sweeps reads `s · m`, so [`GibbsChain::with_sweeps`] allocates the table
+/// only when `|joint| ≤ s`; a chain without a table reads the shared cache
+/// on every step.
 pub(crate) struct GibbsChain {
     /// Current full assignment; observed attributes never change.
     state: Vec<u16>,
-    /// The missing attributes, ascending.
-    missing: Vec<AttrId>,
+    /// The missing attributes, ascending, with their joint-index strides.
+    indexer: JointIndexer,
     /// Evidence mask per missing attribute: everything except itself.
     evidence_masks: Vec<AttrMask>,
+    /// Joint index of the missing attributes' values in `state`.
+    joint: usize,
+    /// Chain-local CPD table (`m · |joint|` slots); empty when the chain
+    /// reads the shared cache on every step.
+    table: Vec<Option<Rc<[f64]>>>,
     rng: StdRng,
 }
 
 impl GibbsChain {
     /// Starts a chain for `tuple` "with a valid random assignment" of the
     /// missing attributes (uniform init, as any positive initialization is
-    /// valid given smoothed CPDs).
+    /// valid given smoothed CPDs). The chain has no local CPD table until
+    /// [`GibbsChain::with_sweeps`] sizes one.
     pub fn new(model: &MrslModel, tuple: &PartialTuple, seed: u64) -> Self {
         let schema = model.schema();
         let n = schema.attr_count();
@@ -83,29 +111,72 @@ impl GibbsChain {
         for asg in tuple.assignments() {
             state[asg.attr.index()] = asg.value.0;
         }
-        let missing: Vec<AttrId> = tuple.missing_mask().iter().collect();
-        for &a in &missing {
+        let indexer = JointIndexer::new(schema, tuple.missing_mask());
+        for &a in indexer.attrs() {
             state[a.index()] = rng.gen_range(0..schema.cardinality(a)) as u16;
         }
         let full = AttrMask::full(n);
-        let evidence_masks = missing.iter().map(|&a| full.without(a)).collect();
+        let evidence_masks = indexer.attrs().iter().map(|&a| full.without(a)).collect();
+        let joint = indexer.index_of_state(&state);
         Self {
             state,
-            missing,
+            indexer,
             evidence_masks,
+            joint,
+            table: Vec::new(),
             rng,
         }
+    }
+
+    /// Allocates the chain-local CPD table when the chain, run for
+    /// `sweeps` sweeps, reads at least as many CPDs as the table has
+    /// slots: `m · |joint| ≤ sweeps · m`.
+    pub fn with_sweeps(mut self, sweeps: usize) -> Self {
+        let size = self.indexer.size();
+        if size <= sweeps {
+            self.table.resize(self.indexer.attrs().len() * size, None);
+        }
+        self
     }
 
     /// Performs one ordered sweep (resamples every missing attribute once)
     /// and returns the updated full state.
     pub fn sweep(&mut self, ctx: &mut InferContext<'_>) -> &[u16] {
-        for (k, &attr) in self.missing.iter().enumerate() {
+        let size = self.indexer.size();
+        let attrs = self.indexer.attrs().iter();
+        for (k, (&attr, &stride)) in attrs.zip(self.indexer.strides()).enumerate() {
             let mask = self.evidence_masks[k];
-            let cpd = ctx.voted_cpd(attr, &self.state, mask);
-            self.state[attr.index()] = sample_categorical(&cpd, &mut self.rng);
+            // The joint index with attribute k's digit zeroed: the rest of
+            // the missing values, i.e. the evidence k is resampled under.
+            let rest = self.joint - stride * self.state[attr.index()] as usize;
+            let value = if self.table.is_empty() {
+                let cpd = ctx.voted_cpd(attr, &self.state, mask);
+                sample_categorical(&cpd, &mut self.rng)
+            } else {
+                let slot = &mut self.table[k * size + rest];
+                if slot.is_some() {
+                    ctx.count_local_hit();
+                } else {
+                    *slot = Some(ctx.voted_cpd(attr, &self.state, mask));
+                }
+                let cpd = slot.as_deref().expect("slot filled above");
+                sample_categorical(cpd, &mut self.rng)
+            };
+            self.state[attr.index()] = value;
+            self.joint = rest + stride * value as usize;
         }
         &self.state
+    }
+
+    /// The current full state.
+    pub fn state(&self) -> &[u16] {
+        &self.state
+    }
+
+    /// The current joint index over the missing attributes, in
+    /// [`JointIndexer`] order: where the last sweep's draw is recorded.
+    pub fn joint_index(&self) -> usize {
+        self.joint
     }
 }
 
@@ -132,7 +203,7 @@ mod tests {
     use crate::config::{LearnConfig, VotingConfig};
     use crate::infer::engine::{GibbsSampler, InferenceEngine};
     use mrsl_relation::relation::fig1_relation;
-    use mrsl_relation::ValueId;
+    use mrsl_relation::{AttrId, ValueId};
 
     fn model() -> MrslModel {
         let rel = fig1_relation();
@@ -245,6 +316,164 @@ mod tests {
         // cache must be hitting after 200 sweeps.
         let (hits, misses) = c.cache_stats();
         assert!(hits > misses, "hits {hits} vs misses {misses}");
+    }
+
+    /// The sweep without a local table or a joint index: one shared-cache
+    /// lookup per step, as every step read before chains kept tables.
+    fn reference_sweep(chain: &mut GibbsChain, ctx: &mut InferContext<'_>) {
+        for (k, &attr) in chain.indexer.attrs().iter().enumerate() {
+            let cpd = ctx.voted_cpd(attr, &chain.state, chain.evidence_masks[k]);
+            chain.state[attr.index()] = sample_categorical(&cpd, &mut chain.rng);
+        }
+    }
+
+    /// Runs a chain sized for `planned` sweeps next to the reference sweep
+    /// for `sweeps` sweeps, each on a fresh context. Asserts equal states
+    /// after every sweep, the tracked joint index against a re-indexed
+    /// state, and equal cache counters. Returns whether the chain kept a
+    /// local table.
+    fn assert_matches_reference(
+        m: &MrslModel,
+        t: &PartialTuple,
+        planned: usize,
+        sweeps: usize,
+        seed: u64,
+    ) -> bool {
+        let mut chain = GibbsChain::new(m, t, seed).with_sweeps(planned);
+        let mut reference = GibbsChain::new(m, t, seed);
+        let (mut a, mut b) = (ctx(m, seed), ctx(m, seed));
+        let indexer = JointIndexer::new(m.schema(), t.missing_mask());
+        for step in 0..sweeps {
+            chain.sweep(&mut a);
+            reference_sweep(&mut reference, &mut b);
+            assert_eq!(chain.state(), reference.state(), "sweep {step}");
+            assert_eq!(
+                chain.joint_index(),
+                indexer.index_of_state(reference.state()),
+                "sweep {step}"
+            );
+        }
+        assert_eq!(a.cache_stats(), b.cache_stats(), "cache counters");
+        !chain.table.is_empty()
+    }
+
+    #[test]
+    fn table_is_sized_by_the_sweep_count() {
+        let m = model();
+        // ⟨20, ?, ?, ?⟩: |joint| = 3 · 2 · 2 = 12.
+        let t = PartialTuple::from_options(&[Some(0), None, None, None]);
+        assert!(assert_matches_reference(&m, &t, 12, 40, 4), "at the bound");
+        assert!(!assert_matches_reference(&m, &t, 11, 40, 4), "over it");
+        assert!(!assert_matches_reference(&m, &t, 0, 40, 4), "unplanned");
+        let chain = GibbsChain::new(&m, &t, 4).with_sweeps(12);
+        assert_eq!(chain.table.len(), 3 * 12);
+    }
+
+    #[test]
+    fn table_reads_count_as_cache_hits() {
+        // 200 sweeps × 3 attributes read 600 CPDs; with a table, all but
+        // the first read of each slot come from it, and still count.
+        let m = model();
+        let t = PartialTuple::from_options(&[Some(0), None, None, None]);
+        let mut c = ctx(&m, 9);
+        let mut chain = GibbsChain::new(&m, &t, 9).with_sweeps(200);
+        for _ in 0..200 {
+            chain.sweep(&mut c);
+        }
+        let (hits, misses) = c.cache_stats();
+        assert_eq!(hits + misses, 600);
+        assert!(misses <= 3 * 12, "misses {misses}");
+    }
+
+    /// A BN18 tuple with six hidden binary attributes (|joint| = 64), at
+    /// the size bound, over it, and at a derivation's B + N.
+    #[test]
+    fn bn18_six_missing_matches_reference() {
+        use mrsl_bayesnet::{catalog, sampler, BayesianNetwork};
+
+        let topology = catalog::by_name("BN18").expect("BN18").topology;
+        let bn = BayesianNetwork::instantiate(&topology, 0.5, 18);
+        let train = sampler::sample_dataset(&bn, 3_000, 1);
+        let m = MrslModel::learn(
+            bn.schema(),
+            &train,
+            &LearnConfig {
+                support_threshold: 0.005,
+                max_itemsets: 1000,
+            },
+        );
+        let point = &sampler::sample_dataset(&bn, 1, 2)[0];
+        let t = [1u16, 2, 4, 5, 7, 9]
+            .iter()
+            .fold(point.to_partial(), |t, &a| t.without_attr(AttrId(a)));
+        assert_eq!(t.missing_mask().count(), 6);
+        assert!(assert_matches_reference(&m, &t, 64, 80, 3), "at the bound");
+        assert!(!assert_matches_reference(&m, &t, 63, 80, 3), "over it");
+        assert!(assert_matches_reference(&m, &t, 2_100, 300, 5));
+    }
+
+    mod properties {
+        use super::*;
+        use mrsl_relation::{CompleteTuple, Schema, SchemaBuilder};
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        /// A random schema (2–5 attributes of cardinality 2–4), 10–30
+        /// complete points to learn from, and one partial tuple over it.
+        fn arb_case() -> impl Strategy<Value = (Arc<Schema>, Vec<CompleteTuple>, Vec<Option<u16>>)>
+        {
+            prop::collection::vec(2u16..=4, 2..=5).prop_flat_map(|cards| {
+                let mut b = SchemaBuilder::default();
+                for (i, &card) in cards.iter().enumerate() {
+                    b = b.attribute(format!("a{i}"), (0..card).map(|v| format!("v{v}")));
+                }
+                let schema = b.build().expect("valid schema");
+                let point = cards.iter().map(|&c| 0..c).collect::<Vec<_>>();
+                let partial = cards
+                    .iter()
+                    .map(|&c| prop::option::of(0..c))
+                    .collect::<Vec<_>>();
+                (
+                    Just(schema),
+                    prop::collection::vec(point.prop_map(CompleteTuple::from_values), 10..30),
+                    partial,
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The table chain reproduces the per-step shared-cache sweep
+            /// draw for draw: with one missing attribute, at the size
+            /// bound, and over it (the fallback).
+            #[test]
+            fn table_chain_matches_reference_sweep(
+                (schema, points, slots) in arb_case(),
+                sweeps in 1usize..60,
+                seed in 0u64..1_000,
+            ) {
+                prop_assume!(slots.iter().any(Option::is_none));
+                let m = MrslModel::learn(
+                    &schema,
+                    &points,
+                    &LearnConfig { support_threshold: 0.05, max_itemsets: 200 },
+                );
+                let t = PartialTuple::from_options(&slots);
+                let size = JointIndexer::new(&schema, t.missing_mask()).size();
+                prop_assert!(assert_matches_reference(&m, &t, size, sweeps, seed));
+                prop_assert!(!assert_matches_reference(&m, &t, size - 1, sweeps, seed));
+                // Keep only the first missing attribute missing.
+                let first = slots.iter().position(Option::is_none).expect("assumed");
+                let one: Vec<Option<u16>> = slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| if i == first { None } else { Some(v.unwrap_or(0)) })
+                    .collect();
+                let t = PartialTuple::from_options(&one);
+                assert_matches_reference(&m, &t, sweeps, sweeps, seed);
+            }
+        }
     }
 
     #[test]

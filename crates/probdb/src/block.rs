@@ -97,14 +97,26 @@ impl Block {
         if (sum - 1.0).abs() > Self::NORM_TOL {
             return Err(BlockError::NotNormalized(sum));
         }
-        for i in 0..alternatives.len() {
-            for j in (i + 1)..alternatives.len() {
-                if alternatives[i].tuple == alternatives[j].tuple {
-                    return Err(BlockError::DuplicateAlternative);
-                }
-            }
+        if Self::has_duplicate(&alternatives) {
+            return Err(BlockError::DuplicateAlternative);
         }
         Ok(Self { key, alternatives })
+    }
+
+    /// Do two alternatives carry the same tuple? Small blocks compare every
+    /// pair without allocating; larger ones sort the rows so equal tuples
+    /// are neighbours, O(k log k).
+    fn has_duplicate(alternatives: &[Alternative]) -> bool {
+        const PAIRWISE_MAX: usize = 16;
+        if alternatives.len() <= PAIRWISE_MAX {
+            return alternatives
+                .iter()
+                .enumerate()
+                .any(|(i, a)| alternatives[i + 1..].iter().any(|b| a.tuple == b.tuple));
+        }
+        let mut rows: Vec<&[u16]> = alternatives.iter().map(|a| a.tuple.raw()).collect();
+        rows.sort_unstable();
+        rows.windows(2).any(|w| w[0] == w[1])
     }
 
     /// Builds a block, dropping zero-probability alternatives and
@@ -195,6 +207,7 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn alt(values: Vec<u16>, prob: f64) -> Alternative {
         Alternative {
@@ -234,6 +247,42 @@ mod tests {
     fn rejects_duplicates() {
         let e = Block::new(0, vec![alt(vec![0], 0.5), alt(vec![0], 0.5)]).unwrap_err();
         assert_eq!(e, BlockError::DuplicateAlternative);
+    }
+
+    /// The pairwise duplicate check, for blocks of any size.
+    fn has_duplicate_pairwise(alternatives: &[Alternative]) -> bool {
+        (0..alternatives.len()).any(|i| {
+            ((i + 1)..alternatives.len()).any(|j| alternatives[i].tuple == alternatives[j].tuple)
+        })
+    }
+
+    proptest::proptest! {
+        /// Random rows (arity 1–4, values 0–2, so natural repeats are
+        /// common) on both sides of the pairwise/sorted cut-over, plus an
+        /// optionally planted copy of one row over another.
+        #[test]
+        fn duplicate_check_matches_pairwise_reference(
+            rows in (1usize..=4).prop_flat_map(|arity| {
+                prop::collection::vec(prop::collection::vec(0u16..3, arity), 1..40)
+            }),
+            plant in prop::option::of((0usize..40, 0usize..40)),
+        ) {
+            let mut rows = rows;
+            if let Some((from, to)) = plant {
+                let n = rows.len();
+                rows[to % n] = rows[from % n].clone();
+            }
+            let p = 1.0 / rows.len() as f64;
+            let alternatives: Vec<Alternative> = rows.into_iter().map(|r| alt(r, p)).collect();
+            let expected = has_duplicate_pairwise(&alternatives);
+            match Block::new(0, alternatives) {
+                Ok(_) => prop_assert!(!expected),
+                Err(e) => {
+                    prop_assert_eq!(e, BlockError::DuplicateAlternative);
+                    prop_assert!(expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,13 @@ impl JointIndexer {
         &self.cards
     }
 
+    /// Row-major strides aligned with [`JointIndexer::attrs`]: the index
+    /// moves by `strides()[i]` when attribute `attrs()[i]` moves by one
+    /// value (the last attribute has stride 1).
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
     /// Total number of combinations (product of cardinalities; 1 if empty).
     pub fn size(&self) -> usize {
         self.size

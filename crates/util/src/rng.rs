@@ -11,9 +11,11 @@ use rand::SeedableRng;
 
 /// Builds a [`StdRng`] from a 64-bit seed.
 ///
-/// `StdRng` (ChaCha12) is used instead of `SmallRng` because its stream is
-/// stable across platforms and `rand` point releases, which matters for the
-/// reproducibility guarantees in EXPERIMENTS.md.
+/// The workspace's `StdRng` is the vendored `rand` shim's xoshiro256**,
+/// seeded through SplitMix64 (not upstream's ChaCha12, and not
+/// stream-compatible with it). Its stream is stable across platforms and
+/// releases of this workspace, which the reproducibility guarantees rely
+/// on.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
