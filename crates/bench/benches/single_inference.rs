@@ -19,7 +19,7 @@ fn bench_vs_model_size(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{name}_size_{}", model.size())),
             &tuples,
             |b, tuples| {
-                let mut ctx = InferContext::new(&model, VotingConfig::best_averaged(), 0);
+                let mut ctx = InferContext::new(&model, VotingConfig::best_averaged());
                 b.iter(|| {
                     for t in tuples {
                         let attr = t.missing_mask().iter().next().expect("one missing");
@@ -42,7 +42,7 @@ fn bench_voting_methods(c: &mut Criterion) {
             BenchmarkId::from_parameter(voting.label().replace(' ', "_")),
             &voting,
             |b, voting| {
-                let mut ctx = InferContext::new(&model, *voting, 0);
+                let mut ctx = InferContext::new(&model, *voting);
                 b.iter(|| {
                     for t in &tuples {
                         let attr = t.missing_mask().iter().next().expect("one missing");

@@ -8,8 +8,7 @@
 //! completions weighted by `Δt`.
 
 use crate::config::{GibbsConfig, LearnConfig, VotingConfig};
-use crate::infer::batch::infer_batch;
-use crate::infer::dag::{SamplingCost, WorkloadResult};
+use crate::infer::batch::{infer_batch, SamplingCost, WorkloadResult};
 use crate::infer::engine::{InferenceEngine, SingleVoting, TupleDagWorkload};
 use crate::infer::gibbs::JointEstimate;
 use crate::model::MrslModel;

@@ -1,29 +1,84 @@
-//! The parallel batch layer: one engine, many tuples, many workers.
+//! The batch layer: one engine, many tuples, many workers.
 //!
 //! [`infer_batch`] is the single entry point every workload in the
 //! workspace funnels through — eager and lazy derivation (both through
 //! one router that sends each tuple to voting or to an engine), weight
 //! fitting, and the evaluation harness. It delegates to the engine's
-//! `estimate_batch`, whose default implementation lives here:
+//! `estimate_batch`, and every engine's batch ends in the one executor
+//! here:
 //!
-//! 1. **Deduplicate** the workload (duplicates share one estimate — and
-//!    one chain — exactly like the tuple-DAG path).
-//! 2. **Fan out** the distinct tuples in contiguous chunks over the shared
-//!    rayon executor. Each worker owns one [`InferContext`], so the match
-//!    scratch and voted-CPD cache amortize across its whole chunk.
-//! 3. **Seed deterministically**: tuple `i` (distinct order) always uses
-//!    `derive_seed(seed, [i])`, so the result is bit-identical no matter
-//!    how many threads ran — caching and chunking only change *when* a CPD
-//!    is computed, never its value.
+//! 1. **Deduplicate** the workload in first-appearance order (`dedup`;
+//!    the tuple DAG builds its nodes with it too), so duplicates share one
+//!    estimate and one chain.
+//! 2. **Split** the distinct tuples into independent units: contiguous
+//!    chunks for engines that estimate each tuple on its own, connected
+//!    DAG components for Algorithm 3.
+//! 3. **Fan out** the units over the shared rayon executor (`fan_out`).
+//!    Each unit runs on its own [`InferContext`], so the match scratch and
+//!    voted-CPD cache amortize across the unit, and every chain counts its
+//!    own draws into that context's [`SamplingCost`]. The batch cost is the
+//!    sum over the contexts.
+//! 4. **Seed by position**: a tuple estimated on its own uses
+//!    `derive_seed(seed, [distinct index])`, a DAG chain
+//!    `derive_seed(seed, [node])`. Seeds are arguments, never context
+//!    state, so the result is bit-identical no matter how many threads ran
+//!    — caching and splitting only change *when* a CPD is computed, never
+//!    its value.
 
 use crate::config::VotingConfig;
-use crate::infer::dag::{SamplingCost, WorkloadResult};
 use crate::infer::engine::{InferContext, InferenceEngine};
 use crate::infer::gibbs::JointEstimate;
 use crate::model::MrslModel;
 use mrsl_relation::PartialTuple;
-use mrsl_util::{FxHashMap, Stopwatch};
+use mrsl_util::{derive_seed, FxHashMap, Stopwatch};
 use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
+use std::time::Duration;
+
+/// Sampling-cost counters for the Fig. 11 comparison.
+///
+/// Every counter is added by the chain that drew it (or, for shared
+/// samples, by the DAG step that shared it) to the [`InferContext`] it ran
+/// on, and a batch sums its contexts. The cost of an engine that runs
+/// other engines — an ensemble — therefore includes every chain its
+/// members ran. Exact engines add nothing.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct SamplingCost {
+    /// Gibbs sweeps the chains performed, including burn-in — the paper's
+    /// "sample size: the total number of sampled points".
+    pub total_draws: usize,
+    /// Sweeps the chains spent on burn-in.
+    pub burn_in_draws: usize,
+    /// Samples obtained for free by sharing along DAG edges.
+    pub shared_samples: usize,
+    /// Number of chains run.
+    pub chains: usize,
+    /// Wall-clock time of the batch (zero on a context's own counters).
+    pub elapsed: Duration,
+}
+
+impl SamplingCost {
+    /// Adds `other`'s counters into `self` (elapsed times add too; the
+    /// batch layer overwrites `elapsed` with the wall-clock afterwards).
+    pub fn absorb(&mut self, other: &SamplingCost) {
+        self.total_draws += other.total_draws;
+        self.burn_in_draws += other.burn_in_draws;
+        self.shared_samples += other.shared_samples;
+        self.chains += other.chains;
+        self.elapsed += other.elapsed;
+    }
+}
+
+/// Result of estimating a workload: one estimate per workload entry plus
+/// aggregate sampling cost. This is the output type of every batch path
+/// (`infer_batch` and the engines' `estimate_batch`).
+#[derive(Debug, Clone)]
+pub struct WorkloadResult {
+    /// One estimate per workload entry (duplicates share the estimate).
+    pub estimates: Vec<JointEstimate>,
+    /// Cost counters.
+    pub cost: SamplingCost,
+}
 
 /// Estimates `Δt` for every tuple of `tuples` with `engine`, in parallel.
 ///
@@ -40,76 +95,94 @@ pub fn infer_batch<E: InferenceEngine + ?Sized>(
     engine.estimate_batch(model, voting, tuples, seed)
 }
 
-/// The default `estimate_batch`: dedup → chunked parallel map → scatter.
-pub(crate) fn data_parallel_batch<E: InferenceEngine + ?Sized>(
+/// Deduplicates `workload` in first-appearance order: the distinct tuples,
+/// and the index among them of every entry. The order fixes each distinct
+/// tuple's seed, so it must not depend on scheduling.
+pub(crate) fn dedup(workload: &[PartialTuple]) -> (Vec<&PartialTuple>, Vec<usize>) {
+    let mut node_of: FxHashMap<&PartialTuple, usize> = FxHashMap::default();
+    let mut distinct: Vec<&PartialTuple> = Vec::new();
+    let entry_nodes = workload
+        .iter()
+        .map(|t| {
+            *node_of.entry(t).or_insert_with(|| {
+                distinct.push(t);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, entry_nodes)
+}
+
+/// The default `estimate_batch`: every distinct tuple `i` is estimated on
+/// its own with seed `derive_seed(seed, [i])`, in contiguous chunks.
+pub(crate) fn tuple_at_a_time<E: InferenceEngine + ?Sized>(
     engine: &E,
     model: &MrslModel,
     voting: VotingConfig,
     tuples: &[PartialTuple],
     seed: u64,
 ) -> WorkloadResult {
-    let sw = Stopwatch::start();
-    if tuples.is_empty() {
-        return WorkloadResult {
-            estimates: Vec::new(),
-            cost: SamplingCost::default(),
-        };
-    }
-
-    // Deduplicate in first-appearance order (the order fixes each distinct
-    // tuple's seed, so it must not depend on scheduling).
-    let mut node_of: FxHashMap<&PartialTuple, usize> = FxHashMap::default();
-    let mut distinct: Vec<&PartialTuple> = Vec::new();
-    let mut entry_nodes: Vec<usize> = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        let idx = *node_of.entry(t).or_insert_with(|| {
-            distinct.push(t);
-            distinct.len() - 1
-        });
-        entry_nodes.push(idx);
-    }
-
-    // Contiguous chunks, one context per chunk. Oversplit (4× threads) so
-    // a slow chunk cannot straggle the whole batch; chunk boundaries do
-    // not affect results, only cache locality.
+    let started = Stopwatch::start();
+    let (distinct, entry_nodes) = dedup(tuples);
+    // Oversplit (4× threads) so a slow chunk cannot straggle the whole
+    // batch; chunk boundaries do not affect results, only cache locality.
     let threads = rayon::current_num_threads().max(1);
     let chunk_len = distinct.len().div_ceil(threads * 4).max(1);
-    let chunks: Vec<(usize, Vec<&PartialTuple>)> = distinct
-        .chunks(chunk_len)
-        .enumerate()
-        .map(|(k, chunk)| (k * chunk_len, chunk.to_vec()))
+    let units = (0..distinct.len())
+        .step_by(chunk_len)
+        .map(|start| (start..distinct.len().min(start + chunk_len)).collect())
         .collect();
+    fan_out(started, model, voting, units, &entry_nodes, |ctx, nodes| {
+        nodes
+            .iter()
+            .map(|&i| engine.estimate(ctx, distinct[i], derive_seed(seed, &[i as u64])))
+            .collect()
+    })
+}
 
-    let per_chunk: Vec<Vec<(JointEstimate, SamplingCost)>> = chunks
+/// The batch executor: runs each unit (a list of distinct-tuple indices)
+/// on its own fresh [`InferContext`] over the shared rayon executor,
+/// scatters the estimates `run` returns (aligned with the unit) to the
+/// workload entries `entry_nodes` maps to them, and sums the contexts'
+/// sampling costs. `elapsed` is the wall-clock since `started`.
+///
+/// Every distinct index must lie in exactly one unit.
+pub(crate) fn fan_out(
+    started: Stopwatch,
+    model: &MrslModel,
+    voting: VotingConfig,
+    units: Vec<Vec<usize>>,
+    entry_nodes: &[usize],
+    run: impl Fn(&mut InferContext<'_>, &[usize]) -> Vec<JointEstimate> + Sync,
+) -> WorkloadResult {
+    let per_unit: Vec<(Vec<usize>, Vec<JointEstimate>, SamplingCost)> = units
         .into_par_iter()
-        .map(|(offset, items)| {
-            let mut ctx = InferContext::new(model, voting, seed);
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(j, t)| {
-                    ctx.reseed_for_index(offset + j);
-                    let est = engine.estimate(&mut ctx, t);
-                    let cost = engine.tuple_cost(&est);
-                    (est, cost)
-                })
-                .collect()
+        .map(|nodes| {
+            let mut ctx = InferContext::new(model, voting);
+            let estimates = run(&mut ctx, &nodes);
+            (nodes, estimates, ctx.cost())
         })
         .collect();
 
-    let mut node_estimates: Vec<JointEstimate> = Vec::with_capacity(distinct.len());
+    let distinct = per_unit.iter().map(|(nodes, _, _)| nodes.len()).sum();
+    let mut node_estimates: Vec<Option<JointEstimate>> = vec![None; distinct];
     let mut cost = SamplingCost::default();
-    for chunk in per_chunk {
-        for (est, tuple_cost) in chunk {
-            cost.absorb(&tuple_cost);
-            node_estimates.push(est);
+    for (nodes, estimates, unit_cost) in per_unit {
+        cost.absorb(&unit_cost);
+        debug_assert_eq!(nodes.len(), estimates.len());
+        for (node, est) in nodes.into_iter().zip(estimates) {
+            node_estimates[node] = Some(est);
         }
     }
     let estimates = entry_nodes
         .iter()
-        .map(|&node| node_estimates[node].clone())
+        .map(|&node| {
+            node_estimates[node]
+                .clone()
+                .expect("every distinct tuple belongs to exactly one unit")
+        })
         .collect();
-    cost.elapsed = sw.elapsed();
+    cost.elapsed = started.elapsed();
     WorkloadResult { estimates, cost }
 }
 
@@ -226,9 +299,8 @@ mod tests {
                 seen.push(t);
                 seen.len() - 1
             });
-            let mut ctx = crate::infer::engine::InferContext::new(&m, Default::default(), 0);
-            ctx.set_seed(mrsl_util::derive_seed(31, &[node as u64]));
-            let direct = gibbs.estimate(&mut ctx, t);
+            let mut ctx = crate::infer::engine::InferContext::new(&m, Default::default());
+            let direct = gibbs.estimate(&mut ctx, t, mrsl_util::derive_seed(31, &[node as u64]));
             assert_eq!(batch.estimates[entry].probs, direct.probs, "entry {entry}");
         }
     }

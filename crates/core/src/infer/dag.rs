@@ -31,62 +31,20 @@
 //! been served: a node completes once and shares in that one pass.
 //!
 //! Sample sharing only ever crosses cover edges, so the *connected
-//! components* of the DAG are independent sampling problems. The workload
-//! runner exploits that: components fan out over the shared rayon executor
-//! while the schedule inside each component stays sequential. Chain seeds
-//! derive from global node indices, making results bit-identical for any
-//! thread count. The engine wrapper is
-//! [`crate::infer::engine::TupleDagWorkload`].
+//! components* of the DAG are independent sampling problems. They are the
+//! units [`crate::infer::engine::TupleDagWorkload`] hands the batch
+//! executor ([`crate::infer::batch`]), one context each, while the
+//! schedule inside each component stays sequential. Chains run through
+//! `gibbs::run_chain` and count their own draws; shares are counted on
+//! the same context. Chain seeds derive from global node indices, making
+//! results bit-identical for any thread count.
 
-use crate::config::VotingConfig;
+use crate::infer::batch::{dedup, SamplingCost};
 use crate::infer::engine::InferContext;
-use crate::infer::gibbs::{GibbsChain, JointEstimate};
-use crate::model::MrslModel;
+use crate::infer::gibbs::{run_chain, JointEstimate};
 use mrsl_relation::{JointIndexer, PartialTuple};
-use mrsl_util::{derive_seed, FxHashMap, Stopwatch};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use mrsl_util::derive_seed;
 use std::collections::VecDeque;
-use std::time::Duration;
-
-/// Sampling-cost counters for the Fig. 11 comparison.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SamplingCost {
-    /// Gibbs sweeps performed, including burn-in — the paper's
-    /// "sample size: the total number of sampled points".
-    pub total_draws: usize,
-    /// Sweeps spent on burn-in.
-    pub burn_in_draws: usize,
-    /// Samples obtained for free by sharing along DAG edges.
-    pub shared_samples: usize,
-    /// Number of chains started.
-    pub chains: usize,
-    /// Wall-clock time of the sampling phase.
-    pub elapsed: Duration,
-}
-
-impl SamplingCost {
-    /// Adds `other`'s counters into `self` (elapsed times add too; the
-    /// batch layer overwrites `elapsed` with the wall-clock afterwards).
-    pub fn absorb(&mut self, other: &SamplingCost) {
-        self.total_draws += other.total_draws;
-        self.burn_in_draws += other.burn_in_draws;
-        self.shared_samples += other.shared_samples;
-        self.chains += other.chains;
-        self.elapsed += other.elapsed;
-    }
-}
-
-/// Result of estimating a workload: one estimate per workload entry plus
-/// aggregate sampling cost. This is the output type of every batch path
-/// (`infer_batch` and the engines' `estimate_batch`).
-#[derive(Debug, Clone)]
-pub struct WorkloadResult {
-    /// One estimate per workload entry (duplicates share the estimate).
-    pub estimates: Vec<JointEstimate>,
-    /// Cost counters.
-    pub cost: SamplingCost,
-}
 
 /// The tuple DAG over a deduplicated workload.
 #[derive(Debug, Clone)]
@@ -103,16 +61,8 @@ impl TupleDag {
     /// Builds the DAG: deduplicates the workload, computes subsumption and
     /// keeps only cover edges (a parent is a maximal subsumer).
     pub fn build(workload: &[PartialTuple]) -> Self {
-        let mut node_of: FxHashMap<&PartialTuple, usize> = FxHashMap::default();
-        let mut nodes: Vec<PartialTuple> = Vec::new();
-        let mut workload_nodes = Vec::with_capacity(workload.len());
-        for t in workload {
-            let idx = *node_of.entry(t).or_insert_with(|| {
-                nodes.push(t.clone());
-                nodes.len() - 1
-            });
-            workload_nodes.push(idx);
-        }
+        let (distinct, workload_nodes) = dedup(workload);
+        let nodes: Vec<PartialTuple> = distinct.into_iter().cloned().collect();
 
         let n = nodes.len();
         let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -241,58 +191,11 @@ impl NodeState {
     }
 }
 
-/// Runs Algorithm 3 over a workload: builds the tuple DAG once, then
-/// samples its connected components in parallel on the shared executor,
-/// one [`InferContext`] per component.
-///
-/// Deterministic for a given `seed` regardless of thread count: chain
-/// seeds derive from global node indices and components are independent.
-pub(crate) fn run_workload_dag(
-    model: &MrslModel,
-    voting: VotingConfig,
-    burn_in: usize,
-    samples: usize,
-    workload: &[PartialTuple],
-    seed: u64,
-) -> WorkloadResult {
-    let sw = Stopwatch::start();
-    let dag = TupleDag::build(workload);
-    let components = dag.components();
-
-    let per_component: Vec<(Vec<(usize, JointEstimate)>, SamplingCost)> = components
-        .into_par_iter()
-        .map(|nodes| {
-            let mut ctx = InferContext::new(model, voting, seed);
-            sample_component(&mut ctx, burn_in, samples, &dag, &nodes)
-        })
-        .collect();
-
-    let mut node_estimates: Vec<Option<JointEstimate>> = vec![None; dag.len()];
-    let mut cost = SamplingCost::default();
-    for (estimates, component_cost) in per_component {
-        cost.absorb(&component_cost);
-        for (node, est) in estimates {
-            node_estimates[node] = Some(est);
-        }
-    }
-    let estimates = dag
-        .workload_nodes()
-        .iter()
-        .map(|&node| {
-            node_estimates[node]
-                .clone()
-                .expect("every node belongs to exactly one component")
-        })
-        .collect();
-    cost.elapsed = sw.elapsed();
-    WorkloadResult { estimates, cost }
-}
-
 /// The round-robin root schedule of Algorithm 3, restricted to one
 /// connected component (`nodes`, ascending), on `ctx`'s model, voting and
-/// warm CPD cache. Chain seeds derive from `ctx.seed()` and each node's
-/// global index. Returns the estimates of the component's nodes and the
-/// component's sampling cost.
+/// warm CPD cache. Chain seeds derive from `seed` and each node's global
+/// index. Returns the estimates of the component's nodes, in `nodes`
+/// order; the chains and shares are counted on `ctx`.
 ///
 /// The round-robin runs on counters: a visit owes the node one draw. When
 /// a node's samples plus owed draws reach `N`, its chain is created,
@@ -305,9 +208,9 @@ pub(crate) fn sample_component(
     samples: usize,
     dag: &TupleDag,
     nodes: &[usize],
-) -> (Vec<(usize, JointEstimate)>, SamplingCost) {
+    seed: u64,
+) -> Vec<JointEstimate> {
     let schema = ctx.model().schema();
-    let mut cost = SamplingCost::default();
     let mut states: Vec<NodeState> = nodes
         .iter()
         .map(|&i| {
@@ -337,7 +240,7 @@ pub(crate) fn sample_component(
         nodes,
         &mut states,
         samples,
-        &mut cost,
+        ctx.cost_mut(),
         &mut active,
         &mut done_queue,
     );
@@ -357,24 +260,12 @@ pub(crate) fn sample_component(
         // Lines 6–9 for every visit at once: burn-in, then the owed draws.
         let node = nodes[r];
         let owed = std::mem::take(&mut state.owed);
-        let mut chain = GibbsChain::new(
-            ctx.model(),
-            &dag.nodes()[node],
-            derive_seed(ctx.seed(), &[node as u64]),
-        )
-        .with_sweeps(burn_in + owed);
-        for _ in 0..burn_in {
-            chain.sweep(ctx);
-        }
         // The chain's joint index is over this node's missing attributes,
         // so an own draw is recorded without re-indexing the state.
-        for _ in 0..owed {
-            chain.sweep(ctx);
-            state.record(chain.joint_index(), chain.state());
-        }
-        cost.chains += 1;
-        cost.burn_in_draws += burn_in;
-        cost.total_draws += burn_in + owed;
+        let (tuple, seed) = (&dag.nodes()[node], derive_seed(seed, &[node as u64]));
+        run_chain(ctx, tuple, seed, burn_in, owed, |joint, point| {
+            state.record(joint, point)
+        });
         // Lines 10–21: completion and sample sharing.
         state.completed = true;
         done_queue.push(r);
@@ -383,18 +274,16 @@ pub(crate) fn sample_component(
             nodes,
             &mut states,
             samples,
-            &mut cost,
+            ctx.cost_mut(),
             &mut active,
             &mut done_queue,
         );
     }
 
-    let estimates = nodes
-        .iter()
-        .zip(states)
-        .map(|(&i, state)| (i, make_estimate(state.indexer, &state.counts)))
-        .collect();
-    (estimates, cost)
+    states
+        .into_iter()
+        .map(|state| JointEstimate::from_counts(state.indexer, &state.counts))
+        .collect()
 }
 
 /// `ShareSamples` + root promotion: drains the completion worklist,
@@ -452,23 +341,6 @@ fn propagate_completions(
     }
 }
 
-fn make_estimate(indexer: JointIndexer, counts: &[u32]) -> JointEstimate {
-    let n: u32 = counts.iter().sum();
-    let probs = if indexer.size() == 1 {
-        vec![1.0]
-    } else if n == 0 {
-        // Unreachable through the public API; keep a sane fallback.
-        vec![1.0 / counts.len() as f64; counts.len()]
-    } else {
-        counts.iter().map(|&c| c as f64 / n as f64).collect()
-    };
-    JointEstimate {
-        indexer,
-        probs,
-        sample_count: n as usize,
-    }
-}
-
 /// The per-visit round-robin of Algorithm 3 exactly as the paper states
 /// it: one sweep per visit, every chain kept alive between visits, every
 /// point boxed and kept. The tests hold the counter scheduler to it bit
@@ -476,6 +348,11 @@ fn make_estimate(indexer: JointIndexer, counts: &[u32]) -> JointEstimate {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::config::VotingConfig;
+    use crate::infer::batch::WorkloadResult;
+    use crate::infer::gibbs::GibbsChain;
+    use crate::model::MrslModel;
+    use mrsl_util::FxHashMap;
 
     struct NodeState {
         indexer: JointIndexer,
@@ -545,7 +422,7 @@ pub(crate) mod reference {
         nodes: &[usize],
         seed: u64,
     ) -> (Vec<(usize, JointEstimate)>, SamplingCost) {
-        let mut ctx = InferContext::new(model, voting, seed);
+        let mut ctx = InferContext::new(model, voting);
         let mut cost = SamplingCost::default();
         let mut states: FxHashMap<usize, NodeState> = nodes
             .iter()
@@ -623,7 +500,7 @@ pub(crate) mod reference {
             .map(|&i| {
                 (
                     i,
-                    make_estimate(states[&i].indexer.clone(), &states[&i].counts),
+                    JointEstimate::from_counts(states[&i].indexer.clone(), &states[&i].counts),
                 )
             })
             .collect();
@@ -675,9 +552,10 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LearnConfig;
-    use crate::infer::batch::infer_batch;
+    use crate::config::{LearnConfig, VotingConfig};
+    use crate::infer::batch::{infer_batch, WorkloadResult};
     use crate::infer::engine::{GibbsSampler, InferenceEngine, TupleDagWorkload};
+    use crate::model::MrslModel;
 
     fn model() -> MrslModel {
         let rel = fig1_relation();
@@ -894,7 +772,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool")
-                .install(|| run_workload_dag(m, voting, burn, n, workload, seed));
+                .install(|| dag(burn, n).estimate_batch(m, voting, workload, seed));
             assert_eq!(fingerprint(&got), expected, "{threads} threads");
         }
     }

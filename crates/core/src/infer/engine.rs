@@ -14,27 +14,28 @@
 //!   sharing across a workload of tuples.
 //!
 //! All engines run against an [`InferContext`], which owns everything an
-//! estimate needs besides the tuple itself: the model reference, the
+//! estimate needs besides the tuple and its seed: the model reference, the
 //! [`VotingConfig`], reusable match scratch, the voted-CPD cache, and the
-//! seed used for sampling engines. Contexts make scratch/cache reuse the
-//! engine layer's problem instead of each caller's, and they are the unit
-//! of thread ownership in [`crate::infer::batch::infer_batch`]: one
-//! context per worker, never shared.
+//! [`SamplingCost`] the chains run on it add up. Contexts make scratch and
+//! cache reuse the engine layer's problem instead of each caller's, and
+//! they are the unit of thread ownership in the batch executor
+//! ([`crate::infer::batch`]): one context per unit of work, never shared.
+//! The seed is an argument of [`InferenceEngine::estimate`], so an engine
+//! that runs other engines (an ensemble) hands each its own seed.
 
 use crate::config::{GibbsConfig, VotingConfig};
-use crate::infer::batch;
-use crate::infer::dag::{
-    run_workload_dag, sample_component, SamplingCost, TupleDag, WorkloadResult,
-};
-use crate::infer::gibbs::{GibbsChain, JointEstimate};
+use crate::infer::batch::{self, SamplingCost, WorkloadResult};
+use crate::infer::dag::{sample_component, TupleDag};
+use crate::infer::gibbs::{run_chain, JointEstimate};
 use crate::infer::single::vote;
 use crate::model::MrslModel;
 use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple};
-use mrsl_util::{derive_seed, FxHashMap};
+use mrsl_util::{FxHashMap, Stopwatch};
 use std::rc::Rc;
 
-/// Everything inference needs besides the tuple: model, voting policy,
-/// scratch buffers, the voted-CPD cache and the sampling seed.
+/// Everything inference needs besides the tuple and its seed: model,
+/// voting policy, scratch buffers, the voted-CPD cache and the sampling
+/// cost of the estimates run on it.
 ///
 /// A context is cheap to create (allocation happens lazily as buffers
 /// grow) and is **not** thread-safe by design: parallel callers create one
@@ -45,13 +46,10 @@ use std::rc::Rc;
 pub struct InferContext<'m> {
     model: &'m MrslModel,
     voting: VotingConfig,
-    /// Seed configured at construction; the reference point for
-    /// [`InferContext::reseed_for_index`].
-    base_seed: u64,
-    /// Seed the next estimate will use.
-    seed: u64,
     cache: CpdCache,
     scratch: mrsl_core_scratch::Scratch,
+    /// Chains, draws and shared samples of every estimate run so far.
+    cost: SamplingCost,
 }
 
 /// Private scratch bundle (kept in a nested module so field additions stay
@@ -68,16 +66,14 @@ mod mrsl_core_scratch {
 }
 
 impl<'m> InferContext<'m> {
-    /// Creates a context over `model` with the given voting policy and
-    /// master seed.
-    pub fn new(model: &'m MrslModel, voting: VotingConfig, seed: u64) -> Self {
+    /// Creates a context over `model` with the given voting policy.
+    pub fn new(model: &'m MrslModel, voting: VotingConfig) -> Self {
         Self {
             model,
             voting,
-            base_seed: seed,
-            seed,
             cache: CpdCache::new(model),
             scratch: Default::default(),
+            cost: SamplingCost::default(),
         }
     }
 
@@ -91,22 +87,16 @@ impl<'m> InferContext<'m> {
         self.voting
     }
 
-    /// The seed the next estimate will use.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// The sampling cost of every estimate run on this context so far:
+    /// each chain adds its own draws, each DAG share its sample. `elapsed`
+    /// stays zero; batches time themselves.
+    pub fn cost(&self) -> SamplingCost {
+        self.cost
     }
 
-    /// Sets the seed for the next estimate directly (an ensemble uses this
-    /// to give each member its own stream for the same tuple).
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
-    /// Derives the per-tuple seed for workload position `index` from the
-    /// context's base seed. Deterministic and schedule-independent: batch
-    /// executors call this so results do not depend on thread count.
-    pub fn reseed_for_index(&mut self, index: usize) {
-        self.seed = derive_seed(self.base_seed, &[index as u64]);
+    /// The counters chains and DAG shares add to.
+    pub(crate) fn cost_mut(&mut self) -> &mut SamplingCost {
+        &mut self.cost
     }
 
     /// Cache hit/miss counters (diagnostics). A read a Gibbs chain serves
@@ -180,24 +170,19 @@ pub trait InferenceEngine: Sync {
     fn name(&self) -> &'static str;
 
     /// Estimates `Δt` for one tuple. Sampling engines draw their
-    /// randomness from `ctx.seed()`; deterministic engines ignore it.
-    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate;
-
-    /// Sampling-cost bookkeeping for one completed estimate, aggregated by
-    /// the batch layer. Exact engines cost nothing.
-    fn tuple_cost(&self, est: &JointEstimate) -> SamplingCost {
-        let _ = est;
-        SamplingCost::default()
-    }
+    /// randomness from `seed` and add the chains they run to `ctx`'s
+    /// [`InferContext::cost`]; deterministic engines ignore the seed and
+    /// add nothing.
+    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple, seed: u64) -> JointEstimate;
 
     /// Estimates `Δt` for every tuple of a workload.
     ///
-    /// The default implementation deduplicates the workload and fans the
-    /// distinct tuples out over the shared rayon executor with
-    /// deterministic per-tuple seeds (`derive_seed(seed, [distinct
-    /// index])`), so results are bit-identical regardless of thread count.
-    /// Engines that share work *between* tuples (the tuple DAG) override
-    /// this.
+    /// The default implementation deduplicates the workload and estimates
+    /// each distinct tuple `i` on its own with seed `derive_seed(seed,
+    /// [i])`, in chunks over the batch executor, so results are
+    /// bit-identical regardless of thread count. Engines that share work
+    /// *between* tuples (the tuple DAG) override this with their own units
+    /// on the same executor.
     fn estimate_batch(
         &self,
         model: &MrslModel,
@@ -205,7 +190,7 @@ pub trait InferenceEngine: Sync {
         tuples: &[PartialTuple],
         seed: u64,
     ) -> WorkloadResult {
-        batch::data_parallel_batch(self, model, voting, tuples, seed)
+        batch::tuple_at_a_time(self, model, voting, tuples, seed)
     }
 }
 
@@ -223,7 +208,7 @@ impl InferenceEngine for SingleVoting {
     /// Panics when `t` has two or more missing attributes — single-
     /// attribute voting cannot represent their correlations; use
     /// [`GibbsSampler`] or [`TupleDagWorkload`] instead.
-    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
+    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple, _seed: u64) -> JointEstimate {
         let indexer = JointIndexer::new(ctx.model().schema(), t.missing_mask());
         if indexer.size() == 1 {
             return trivial_estimate(indexer);
@@ -273,51 +258,16 @@ impl InferenceEngine for GibbsSampler {
         "gibbs"
     }
 
-    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
+    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple, seed: u64) -> JointEstimate {
         let indexer = JointIndexer::new(ctx.model().schema(), t.missing_mask());
         if indexer.size() == 1 {
             return trivial_estimate(indexer);
         }
-        let mut chain =
-            GibbsChain::new(ctx.model(), t, ctx.seed()).with_sweeps(self.burn_in + self.samples);
-        for _ in 0..self.burn_in {
-            chain.sweep(ctx);
-        }
         let mut counts = vec![0u32; indexer.size()];
-        for _ in 0..self.samples {
-            chain.sweep(ctx);
-            counts[chain.joint_index()] += 1;
-        }
-        let probs = if self.samples == 0 {
-            // Degenerate configuration: no recorded sweeps. Fall back to
-            // uniform (matching the workload sampler) instead of an
-            // all-zero non-distribution.
-            vec![1.0 / indexer.size() as f64; indexer.size()]
-        } else {
-            let n = self.samples as f64;
-            counts.into_iter().map(|c| c as f64 / n).collect()
-        };
-        JointEstimate {
-            indexer,
-            probs,
-            sample_count: self.samples,
-        }
-    }
-
-    fn tuple_cost(&self, est: &JointEstimate) -> SamplingCost {
-        // Trivial estimates (nothing missing) never started a chain.
-        // `sample_count == 0` is NOT the right discriminator here: a
-        // `samples: 0` configuration still burns a chain in.
-        if est.indexer.size() <= 1 {
-            return SamplingCost::default();
-        }
-        SamplingCost {
-            total_draws: self.burn_in + self.samples,
-            burn_in_draws: self.burn_in,
-            shared_samples: 0,
-            chains: 1,
-            elapsed: Default::default(),
-        }
+        run_chain(ctx, t, seed, self.burn_in, self.samples, |joint, _| {
+            counts[joint] += 1;
+        });
+        JointEstimate::from_counts(indexer, &counts)
     }
 }
 
@@ -332,7 +282,7 @@ impl InferenceEngine for IndependentBaseline {
         "independent"
     }
 
-    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
+    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple, _seed: u64) -> JointEstimate {
         let indexer = JointIndexer::new(ctx.model().schema(), t.missing_mask());
         if indexer.size() == 1 {
             return trivial_estimate(indexer);
@@ -387,20 +337,18 @@ impl InferenceEngine for TupleDagWorkload {
 
     /// A single tuple is a singleton workload: one chain, no sharing, run
     /// on the caller's context and its warm CPD cache.
-    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
+    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple, seed: u64) -> JointEstimate {
         let dag = TupleDag::build(std::slice::from_ref(t));
-        let (mut estimates, _) = sample_component(ctx, self.burn_in, self.samples, &dag, &[0]);
-        estimates
+        sample_component(ctx, self.burn_in, self.samples, &dag, &[0], seed)
             .pop()
             .expect("singleton workload yields one estimate")
-            .1
     }
 
-    /// Algorithm 3 proper. Independent DAG components run in parallel on
-    /// the shared executor; within a component the paper's round-robin
-    /// root schedule runs sequentially (sharing is inherently ordered).
-    /// Chain seeds derive from global node indices, so results are
-    /// bit-identical regardless of thread count.
+    /// Algorithm 3 proper: the DAG is built once, and its connected
+    /// components are the batch executor's units. Within a component the
+    /// paper's round-robin root schedule runs sequentially (sharing is
+    /// inherently ordered). Chain seeds derive from global node indices,
+    /// so results are bit-identical regardless of thread count.
     fn estimate_batch(
         &self,
         model: &MrslModel,
@@ -408,7 +356,17 @@ impl InferenceEngine for TupleDagWorkload {
         tuples: &[PartialTuple],
         seed: u64,
     ) -> WorkloadResult {
-        run_workload_dag(model, voting, self.burn_in, self.samples, tuples, seed)
+        let started = Stopwatch::start();
+        let dag = TupleDag::build(tuples);
+        let units = dag.components();
+        batch::fan_out(
+            started,
+            model,
+            voting,
+            units,
+            dag.workload_nodes(),
+            |ctx, nodes| sample_component(ctx, self.burn_in, self.samples, &dag, nodes, seed),
+        )
     }
 }
 
@@ -519,9 +477,9 @@ mod tests {
     #[test]
     fn single_voting_matches_direct_vote() {
         let m = model();
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 0);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
         let t = PartialTuple::from_options(&[None, Some(0), Some(0), Some(1)]);
-        let est = SingleVoting.estimate(&mut ctx, &t);
+        let est = SingleVoting.estimate(&mut ctx, &t, 0);
         assert_eq!(est.probs.len(), 3);
         assert!((est.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert_eq!(est.sample_count, 0);
@@ -533,15 +491,15 @@ mod tests {
     #[should_panic(expected = "at most one missing attribute")]
     fn single_voting_rejects_multi_missing() {
         let m = model();
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 0);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
         let t = PartialTuple::from_options(&[None, None, Some(0), Some(1)]);
-        SingleVoting.estimate(&mut ctx, &t);
+        SingleVoting.estimate(&mut ctx, &t, 0);
     }
 
     #[test]
     fn engines_agree_on_complete_tuples() {
         let m = model();
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 3);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
         let t = PartialTuple::from_options(&[Some(0), Some(0), Some(0), Some(0)]);
         let gibbs = GibbsSampler {
             burn_in: 10,
@@ -552,10 +510,10 @@ mod tests {
             samples: 50,
         };
         for est in [
-            SingleVoting.estimate(&mut ctx, &t),
-            gibbs.estimate(&mut ctx, &t),
-            IndependentBaseline.estimate(&mut ctx, &t),
-            dag.estimate(&mut ctx, &t),
+            SingleVoting.estimate(&mut ctx, &t, 0),
+            gibbs.estimate(&mut ctx, &t, 3),
+            IndependentBaseline.estimate(&mut ctx, &t, 3),
+            dag.estimate(&mut ctx, &t, 3),
         ] {
             assert_eq!(est.probs, vec![1.0]);
             assert_eq!(est.sample_count, 0);
@@ -565,16 +523,16 @@ mod tests {
     #[test]
     fn context_cache_is_reused_across_tuples() {
         let m = model();
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 7);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
         let gibbs = GibbsSampler {
             burn_in: 20,
             samples: 100,
         };
         let a = PartialTuple::from_options(&[Some(0), None, None, None]);
         let b = PartialTuple::from_options(&[Some(0), None, None, None]);
-        gibbs.estimate(&mut ctx, &a);
+        gibbs.estimate(&mut ctx, &a, 7);
         let (hits_before, _) = ctx.cache_stats();
-        gibbs.estimate(&mut ctx, &b);
+        gibbs.estimate(&mut ctx, &b, 7);
         let (hits_after, _) = ctx.cache_stats();
         assert!(
             hits_after > hits_before,
@@ -590,11 +548,10 @@ mod tests {
             samples: 200,
         };
         let t = PartialTuple::from_options(&[Some(0), None, None, None]);
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 7);
-        let a = gibbs.estimate(&mut ctx, &t);
-        let b = gibbs.estimate(&mut ctx, &t);
-        ctx.set_seed(8);
-        let c = gibbs.estimate(&mut ctx, &t);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+        let a = gibbs.estimate(&mut ctx, &t, 7);
+        let b = gibbs.estimate(&mut ctx, &t, 7);
+        let c = gibbs.estimate(&mut ctx, &t, 8);
         assert_eq!(a.probs, b.probs);
         assert_ne!(a.probs, c.probs);
     }
@@ -622,16 +579,31 @@ mod tests {
     }
 
     #[test]
-    fn reseed_for_index_is_stable_and_index_sensitive() {
+    fn chains_count_their_draws_on_the_context() {
         let m = model();
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 42);
-        ctx.reseed_for_index(3);
-        let s3 = ctx.seed();
-        ctx.reseed_for_index(4);
-        let s4 = ctx.seed();
-        ctx.reseed_for_index(3);
-        assert_eq!(ctx.seed(), s3);
-        assert_ne!(s3, s4);
-        assert_eq!(s3, derive_seed(42, &[3]));
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+        let t = PartialTuple::from_options(&[Some(0), None, None, None]);
+        let complete = PartialTuple::from_options(&[Some(0), Some(0), Some(0), Some(0)]);
+        GibbsSampler {
+            burn_in: 20,
+            samples: 100,
+        }
+        .estimate(&mut ctx, &t, 1);
+        TupleDagWorkload {
+            burn_in: 10,
+            samples: 50,
+        }
+        .estimate(&mut ctx, &t, 1);
+        IndependentBaseline.estimate(&mut ctx, &t, 1);
+        GibbsSampler {
+            burn_in: 20,
+            samples: 100,
+        }
+        .estimate(&mut ctx, &complete, 1);
+        let cost = ctx.cost();
+        assert_eq!(cost.chains, 2);
+        assert_eq!(cost.burn_in_draws, 20 + 10);
+        assert_eq!(cost.total_draws, 120 + 60);
+        assert_eq!(cost.shared_samples, 0);
     }
 }

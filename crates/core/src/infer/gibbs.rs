@@ -14,10 +14,16 @@
 //! [`InferContext`] the chain sweeps against, keyed by (attribute,
 //! evidence state), so it serves every chain (and tuple) of that context.
 //! In front of it each chain keeps a local table indexed by its joint
-//! index over the missing attributes (see [`GibbsChain`]): after the first
+//! index over the missing attributes (see `GibbsChain`): after the first
 //! read of a slot, every step is one array index instead of a key pack, a
-//! hash probe and an `Rc` clone. The engine wrapper for this module is
-//! [`crate::infer::engine::GibbsSampler`].
+//! hash probe and an `Rc` clone.
+//!
+//! `run_chain` is the one way a chain is run: the per-tuple engine
+//! ([`crate::infer::engine::GibbsSampler`]) and the tuple DAG
+//! ([`crate::infer::dag`]) both call it, and it adds the chain and its
+//! sweeps to the context's [`crate::infer::batch::SamplingCost`]. Both
+//! turn their recorded counts into an estimate with
+//! `JointEstimate::from_counts`.
 
 use crate::infer::engine::InferContext;
 use crate::model::MrslModel;
@@ -58,6 +64,49 @@ impl JointEstimate {
         let denom = 1.0 + epsilon * k;
         self.probs.iter().map(|&p| (p + epsilon) / denom).collect()
     }
+
+    /// The empirical distribution of recorded `counts` over `indexer`'s
+    /// joint. With nothing recorded (a `samples: 0` configuration) it is
+    /// uniform instead of an all-zero non-distribution.
+    pub(crate) fn from_counts(indexer: JointIndexer, counts: &[u32]) -> Self {
+        let n: u32 = counts.iter().sum();
+        let probs = if n == 0 {
+            vec![1.0 / counts.len() as f64; counts.len()]
+        } else {
+            counts.iter().map(|&c| c as f64 / n as f64).collect()
+        };
+        Self {
+            indexer,
+            probs,
+            sample_count: n as usize,
+        }
+    }
+}
+
+/// Runs one chain for `tuple` from `seed`: `burn_in` sweeps, then `draws`
+/// sweeps, each passed to `record` with the chain's joint index over the
+/// missing attributes and its full state. Adds the chain, its sweeps and
+/// its burn-in to `ctx`'s sampling cost.
+pub(crate) fn run_chain(
+    ctx: &mut InferContext<'_>,
+    tuple: &PartialTuple,
+    seed: u64,
+    burn_in: usize,
+    draws: usize,
+    mut record: impl FnMut(usize, &[u16]),
+) {
+    let mut chain = GibbsChain::new(ctx.model(), tuple, seed).with_sweeps(burn_in + draws);
+    for _ in 0..burn_in {
+        chain.sweep(ctx);
+    }
+    for _ in 0..draws {
+        chain.sweep(ctx);
+        record(chain.joint_index(), chain.state());
+    }
+    let cost = ctx.cost_mut();
+    cost.chains += 1;
+    cost.burn_in_draws += burn_in;
+    cost.total_draws += burn_in + draws;
 }
 
 /// One Gibbs chain for a single incomplete tuple. The chain owns its
@@ -224,8 +273,8 @@ mod tests {
         }
     }
 
-    fn ctx(m: &MrslModel, seed: u64) -> InferContext<'_> {
-        InferContext::new(m, VotingConfig::best_averaged(), seed)
+    fn ctx(m: &MrslModel) -> InferContext<'_> {
+        InferContext::new(m, VotingConfig::best_averaged())
     }
 
     #[test]
@@ -233,7 +282,7 @@ mod tests {
         let m = model();
         // t12 = ⟨30, MS, ?, ?⟩ from Fig. 1.
         let t = PartialTuple::from_options(&[Some(1), Some(2), None, None]);
-        let est = sampler(50, 500).estimate(&mut ctx(&m, 1), &t);
+        let est = sampler(50, 500).estimate(&mut ctx(&m), &t, 1);
         assert_eq!(est.indexer.size(), 4); // inc × nw = 2 × 2
         assert!((est.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(est.probs.iter().all(|&p| p >= 0.0));
@@ -244,9 +293,9 @@ mod tests {
     fn deterministic_per_seed() {
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), None, None, None]);
-        let a = sampler(20, 200).estimate(&mut ctx(&m, 7), &t);
-        let b = sampler(20, 200).estimate(&mut ctx(&m, 7), &t);
-        let c = sampler(20, 200).estimate(&mut ctx(&m, 8), &t);
+        let a = sampler(20, 200).estimate(&mut ctx(&m), &t, 7);
+        let b = sampler(20, 200).estimate(&mut ctx(&m), &t, 7);
+        let c = sampler(20, 200).estimate(&mut ctx(&m), &t, 8);
         assert_eq!(a.probs, b.probs);
         assert_ne!(a.probs, c.probs);
     }
@@ -255,7 +304,7 @@ mod tests {
     fn complete_tuple_is_trivial() {
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), Some(0), Some(0), Some(0)]);
-        let est = sampler(10, 100).estimate(&mut ctx(&m, 0), &t);
+        let est = sampler(10, 100).estimate(&mut ctx(&m), &t, 0);
         assert_eq!(est.probs, vec![1.0]);
         assert_eq!(est.sample_count, 0);
     }
@@ -266,8 +315,8 @@ mod tests {
         // voted CPD, so the histogram converges to the voted estimate.
         let m = model();
         let t = PartialTuple::from_options(&[None, Some(0), Some(0), Some(1)]);
-        let mut c = ctx(&m, 3);
-        let est = sampler(10, 30_000).estimate(&mut c, &t);
+        let mut c = ctx(&m);
+        let est = sampler(10, 30_000).estimate(&mut c, &t, 3);
         let direct = c.vote_single(&t, AttrId(0));
         for (g, d) in est.probs.iter().zip(&direct) {
             assert!((g - d).abs() < 0.02, "{g} vs {d}");
@@ -278,7 +327,7 @@ mod tests {
     fn clamped_evidence_never_changes() {
         let m = model();
         let t = PartialTuple::from_options(&[Some(1), Some(2), None, None]);
-        let mut c = ctx(&m, 5);
+        let mut c = ctx(&m);
         let mut chain = GibbsChain::new(&m, &t, 5);
         for _ in 0..50 {
             let state = chain.sweep(&mut c);
@@ -304,10 +353,27 @@ mod tests {
     }
 
     #[test]
+    fn from_counts_is_the_empirical_distribution() {
+        let indexer = || {
+            JointIndexer::new(
+                &fig1_relation().schema().clone(),
+                AttrMask::single(AttrId(2)),
+            )
+        };
+        let est = JointEstimate::from_counts(indexer(), &[1, 3]);
+        assert_eq!(est.probs, vec![0.25, 0.75]);
+        assert_eq!(est.sample_count, 4);
+        // Nothing recorded: uniform, not all-zero.
+        let est = JointEstimate::from_counts(indexer(), &[0, 0]);
+        assert_eq!(est.probs, vec![0.5, 0.5]);
+        assert_eq!(est.sample_count, 0);
+    }
+
+    #[test]
     fn cache_hits_accumulate() {
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), None, None, None]);
-        let mut c = ctx(&m, 9);
+        let mut c = ctx(&m);
         let mut chain = GibbsChain::new(&m, &t, 9);
         for _ in 0..200 {
             chain.sweep(&mut c);
@@ -341,7 +407,7 @@ mod tests {
     ) -> bool {
         let mut chain = GibbsChain::new(m, t, seed).with_sweeps(planned);
         let mut reference = GibbsChain::new(m, t, seed);
-        let (mut a, mut b) = (ctx(m, seed), ctx(m, seed));
+        let (mut a, mut b) = (ctx(m), ctx(m));
         let indexer = JointIndexer::new(m.schema(), t.missing_mask());
         for step in 0..sweeps {
             chain.sweep(&mut a);
@@ -375,7 +441,7 @@ mod tests {
         // the first read of each slot come from it, and still count.
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), None, None, None]);
-        let mut c = ctx(&m, 9);
+        let mut c = ctx(&m);
         let mut chain = GibbsChain::new(&m, &t, 9).with_sweeps(200);
         for _ in 0..200 {
             chain.sweep(&mut c);
@@ -483,7 +549,7 @@ mod tests {
         // estimate over (inc, nw) must put more mass on inc=50K.
         let m = model();
         let t = PartialTuple::from_options(&[Some(0), Some(0), None, None]);
-        let est = sampler(200, 6000).estimate(&mut ctx(&m, 11), &t);
+        let est = sampler(200, 6000).estimate(&mut ctx(&m), &t, 11);
         let ix = &est.indexer;
         let p_inc50: f64 = (0..ix.size())
             .filter(|&i| ix.decode(i)[0].1 == ValueId(0))

@@ -25,8 +25,9 @@ mod tests {
 
     fn independent(m: &MrslModel, t: &PartialTuple) -> JointEstimate {
         IndependentBaseline.estimate(
-            &mut InferContext::new(m, VotingConfig::best_averaged(), 0),
+            &mut InferContext::new(m, VotingConfig::best_averaged()),
             t,
+            0,
         )
     }
 
@@ -36,7 +37,7 @@ mod tests {
         let m = model();
         let t = PartialTuple::from_options(&[Some(1), Some(2), None, None]);
         let est = independent(&m, &t);
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 0);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
         let inc = ctx.vote_single(&t, AttrId(2));
         let nw = ctx.vote_single(&t, AttrId(3));
         // Cell (inc=i, nw=j) = inc[i] * nw[j].
@@ -60,7 +61,7 @@ mod tests {
         // Marginal over age (attr 0) from the joint must equal the direct
         // single-attribute estimate.
         let direct =
-            InferContext::new(&m, VotingConfig::best_averaged(), 0).vote_single(&t, AttrId(0));
+            InferContext::new(&m, VotingConfig::best_averaged()).vote_single(&t, AttrId(0));
         let ix = &est.indexer;
         let mut marginal = [0.0f64; 3];
         for idx in 0..ix.size() {

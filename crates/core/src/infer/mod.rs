@@ -1,8 +1,8 @@
 //! Inference over a learned MRSL model: the strategies of the paper's
 //! inference ensemble behind one trait ([`engine`]), the cores they run
 //! ([`single`] voting, the [`gibbs`] chain, the tuple [`dag`] schedule and
-//! the [`independent`] baseline), and the parallel [`batch`] layer that
-//! fans any engine out with deterministic per-tuple seeding.
+//! the [`independent`] baseline), and the [`batch`] executor every
+//! engine's workload runs through, seeded by workload position.
 
 pub mod batch;
 pub mod dag;

@@ -76,7 +76,7 @@ mod tests {
     }
 
     fn single(m: &MrslModel, t: &PartialTuple, attr: AttrId, voting: VotingConfig) -> Vec<f64> {
-        InferContext::new(m, voting, 0).vote_single(t, attr)
+        InferContext::new(m, voting).vote_single(t, attr)
     }
 
     #[test]

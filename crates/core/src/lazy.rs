@@ -10,7 +10,7 @@
 
 use crate::config::GibbsConfig;
 use crate::derive::{estimate_routed, estimate_to_block};
-use crate::infer::dag::SamplingCost;
+use crate::infer::batch::SamplingCost;
 use crate::infer::engine::InferenceEngine;
 use crate::model::MrslModel;
 use mrsl_probdb::{Catalog, ProbDb, ProbDbError, Query};

@@ -18,9 +18,13 @@
 //! strategy of the ensemble — [`SingleVoting`] (Algorithm 2),
 //! [`GibbsSampler`] (§V-A), [`TupleDagWorkload`] (Algorithm 3) and the
 //! [`IndependentBaseline`] the paper argues against in §V — all running
-//! against an [`InferContext`]. [`infer_batch`] fans any engine over a
-//! workload with deterministic per-tuple seeding (results are
-//! bit-identical for any thread count).
+//! against an [`InferContext`] and taking their seed as an argument.
+//! [`infer_batch`] runs any engine's workload through one executor: each
+//! unit of distinct tuples (a chunk, or a tuple-DAG component) on its own
+//! context, with seeds derived from tuple or node positions, so results
+//! are bit-identical for any thread count. Every chain counts its own
+//! draws into its context, and a batch's [`SamplingCost`] is the sum over
+//! its contexts, an ensemble's members included.
 //!
 //! End to end:
 //! * [`derive`](mod@derive) — learns a model and converts every incomplete
@@ -48,8 +52,8 @@ pub use config::{GibbsConfig, LearnConfig, VoterChoice, VotingConfig, VotingSche
 pub use derive::{
     derive_probabilistic_db, derive_probabilistic_db_with_engine, DeriveConfig, DeriveOutput,
 };
-pub use infer::batch::infer_batch;
-pub use infer::dag::{SamplingCost, TupleDag, WorkloadResult};
+pub use infer::batch::{infer_batch, SamplingCost, WorkloadResult};
+pub use infer::dag::TupleDag;
 pub use infer::engine::{
     GibbsSampler, IndependentBaseline, InferContext, InferenceEngine, SingleVoting,
     TupleDagWorkload,

@@ -62,7 +62,7 @@ pub fn run(opts: &ExpOptions) -> Report {
                 gibbs.voting,
                 spec.seed,
             );
-            let mut infer_ctx = InferContext::new(&ctx.model, gibbs.voting, 0);
+            let mut infer_ctx = InferContext::new(&ctx.model, gibbs.voting);
             let mut g_kl = 0.0;
             let mut i_kl = 0.0;
             let mut g_hit = 0usize;
@@ -72,7 +72,7 @@ pub fn run(opts: &ExpOptions) -> Report {
                 let Some(truth) = conditional(&ctx.bn, t.missing_mask(), t) else {
                     continue;
                 };
-                let i_est = IndependentBaseline.estimate(&mut infer_ctx, t);
+                let i_est = IndependentBaseline.estimate(&mut infer_ctx, t, 0);
                 g_kl += kl_divergence(&truth, &g_est.probs);
                 i_kl += kl_divergence(&truth, &i_est.probs);
                 g_hit += top1_match(&truth, &g_est.probs) as usize;
@@ -124,7 +124,7 @@ mod tests {
             gibbs.voting,
             3,
         );
-        let mut infer_ctx = InferContext::new(&ctx.model, gibbs.voting, 0);
+        let mut infer_ctx = InferContext::new(&ctx.model, gibbs.voting);
         let mut g_kl = 0.0;
         let mut i_kl = 0.0;
         let mut n = 0;
@@ -132,7 +132,7 @@ mod tests {
             let Some(truth) = conditional(&ctx.bn, t.missing_mask(), t) else {
                 continue;
             };
-            let i_est = IndependentBaseline.estimate(&mut infer_ctx, t);
+            let i_est = IndependentBaseline.estimate(&mut infer_ctx, t, 0);
             g_kl += kl_divergence(&truth, &g_est.probs);
             i_kl += kl_divergence(&truth, &i_est.probs);
             n += 1;

@@ -159,7 +159,7 @@ impl EvalContext {
             1,
             derive_seed(self.spec.seed, &[0x1, self.spec.instance, self.spec.split]),
         );
-        let mut ctx = InferContext::new(&self.model, *voting, 0);
+        let mut ctx = InferContext::new(&self.model, *voting);
         let mut kl_sum = 0.0;
         let mut hits = 0usize;
         let mut n = 0usize;
@@ -184,7 +184,7 @@ impl EvalContext {
             1,
             derive_seed(self.spec.seed, &[0x2, self.spec.instance]),
         );
-        let mut ctx = InferContext::new(&self.model, *voting, 0);
+        let mut ctx = InferContext::new(&self.model, *voting);
         let sw = Stopwatch::start();
         for t in &injected {
             let attr = t.missing_mask().iter().next().expect("one attr hidden");

@@ -106,12 +106,13 @@ pub struct EnsembleFitReport {
 
 /// A weighted mixture of [`InferenceEngine`]s, itself an engine.
 ///
-/// `estimate` runs every positively-weighted member with a distinct seed
-/// derived from the context's per-tuple seed and returns the weighted sum
-/// of the members' distributions. [`SingleVoting`] members are skipped on
-/// tuples with two or more missing attributes (single-attribute voting
-/// cannot represent their correlations); the remaining weights renormalize
-/// for that tuple.
+/// `estimate` runs every positively-weighted member `i` with seed
+/// `derive_seed(seed, [i])` on the caller's context, so the context's
+/// sampling cost counts every chain the members run, and returns the
+/// weighted sum of the members' distributions. [`SingleVoting`] members
+/// are skipped on tuples with two or more missing attributes
+/// (single-attribute voting cannot represent their correlations); the
+/// remaining weights renormalize for that tuple.
 pub struct EnsembleEngine {
     members: Vec<Box<dyn InferenceEngine>>,
     weights: Vec<f64>,
@@ -212,7 +213,7 @@ impl InferenceEngine for EnsembleEngine {
         "ensemble"
     }
 
-    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
+    fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple, seed: u64) -> JointEstimate {
         let indexer = JointIndexer::new(ctx.model().schema(), t.missing_mask());
         if indexer.size() == 1 {
             return JointEstimate {
@@ -221,7 +222,6 @@ impl InferenceEngine for EnsembleEngine {
                 sample_count: 0,
             };
         }
-        let base = ctx.seed();
         let multi = t.missing_mask().count() > 1;
         let mut probs = vec![0.0f64; indexer.size()];
         let mut sample_count = 0;
@@ -233,15 +233,13 @@ impl InferenceEngine for EnsembleEngine {
             // Distinct per-member seeds keep sampling members' chains
             // independent of each other while staying a pure function of
             // the per-tuple seed the batch layer assigned.
-            ctx.set_seed(derive_seed(base, &[i as u64]));
-            let est = member.estimate(ctx, t);
+            let est = member.estimate(ctx, t, derive_seed(seed, &[i as u64]));
             for (acc, &p) in probs.iter_mut().zip(&est.probs) {
                 *acc += w * p;
             }
             sample_count += est.sample_count;
             used += w;
         }
-        ctx.set_seed(base);
         if used == 0.0 {
             // Every member was skipped (e.g. a single-voting-only ensemble
             // on a multi-missing tuple): fall back to uniform.
@@ -502,13 +500,12 @@ mod tests {
     fn ensemble_estimate_is_a_normalized_mixture() {
         let m = model();
         let ensemble = EnsembleEngine::standard(&quick_gibbs());
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 5);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
         for t in [
             PartialTuple::from_options(&[None, Some(0), Some(0), Some(1)]),
             PartialTuple::from_options(&[None, None, Some(0), Some(1)]),
         ] {
-            ctx.set_seed(5);
-            let est = ensemble.estimate(&mut ctx, &t);
+            let est = ensemble.estimate(&mut ctx, &t, 5);
             assert!((est.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(est.probs.iter().all(|&p| p >= 0.0));
         }
@@ -524,10 +521,10 @@ mod tests {
         )
         .unwrap();
         let t = PartialTuple::from_options(&[None, None, Some(0), Some(1)]);
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 3);
-        let mixed = ensemble.estimate(&mut ctx, &t);
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 3);
-        let alone = IndependentBaseline.estimate(&mut ctx, &t);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+        let mixed = ensemble.estimate(&mut ctx, &t, 3);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+        let alone = IndependentBaseline.estimate(&mut ctx, &t, 3);
         for (a, b) in mixed.probs.iter().zip(&alone.probs) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -544,13 +541,12 @@ mod tests {
         )
         .unwrap();
         let t = PartialTuple::from_options(&[None, None, Some(0), Some(1)]);
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 3);
-        let est = ensemble.estimate(&mut ctx, &t);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+        let est = ensemble.estimate(&mut ctx, &t, 3);
         assert!((est.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Only the baseline contributed, so the mixture equals it.
-        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 3);
-        ctx.set_seed(derive_seed(3, &[1]));
-        let alone = IndependentBaseline.estimate(&mut ctx, &t);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+        let alone = IndependentBaseline.estimate(&mut ctx, &t, derive_seed(3, &[1]));
         for (a, b) in est.probs.iter().zip(&alone.probs) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -644,7 +640,7 @@ mod tests {
 
     #[test]
     fn ensemble_drives_the_full_derivation_path() {
-        use mrsl_core::{derive_probabilistic_db_with_engine, DeriveConfig};
+        use mrsl_core::{derive_probabilistic_db_with_engine, DeriveConfig, SamplingCost};
 
         let rel = fig1_relation();
         let config = DeriveConfig {
@@ -661,6 +657,22 @@ mod tests {
             let sum: f64 = b.alternatives().iter().map(|a| a.prob).sum();
             assert!((sum - 1.0).abs() < 1e-6);
         }
+        // Each multi-missing tuple runs one unshared chain per sampling
+        // member (`gibbs` and the singleton `tuple-dag`): the ensemble's
+        // cost is exactly twice a Gibbs derivation's.
+        let gibbs = derive_probabilistic_db_with_engine(
+            &rel,
+            &config,
+            &GibbsSampler::from_config(&config.gibbs),
+        );
+        let counters =
+            |c: &SamplingCost| [c.chains, c.burn_in_draws, c.total_draws, c.shared_samples];
+        let [chains, burn_in, total, shared] = counters(&gibbs.sampling_cost);
+        assert!(chains > 0);
+        assert_eq!(
+            counters(&out.sampling_cost),
+            [2 * chains, 2 * burn_in, 2 * total, shared]
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn main() {
         render_partial(relation.schema(), &t1)
     );
     for voting in VotingConfig::table2_order() {
-        let cpd = InferContext::new(&model, voting, 0).vote_single(&t1, age);
+        let cpd = InferContext::new(&model, voting).vote_single(&t1, age);
         let pretty: Vec<String> = cpd.iter().map(|p| format!("{p:.2}")).collect();
         println!(
             "  {:<14} → P(age) = [{}]",

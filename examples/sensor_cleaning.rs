@@ -126,7 +126,7 @@ fn main() {
     );
 
     // Score all three estimators against the true BN conditionals.
-    let mut infer_ctx = InferContext::new(&model, gibbs.voting, 0);
+    let mut infer_ctx = InferContext::new(&model, gibbs.voting);
     let (mut kl_g, mut kl_i, mut kl_u) = (0.0f64, 0.0f64, 0.0f64);
     let (mut t1_g, mut t1_i, mut t1_u) = (0usize, 0usize, 0usize);
     let mut n = 0usize;
@@ -134,7 +134,7 @@ fn main() {
         let Some(truth) = conditional(&bn, t.missing_mask(), t) else {
             continue;
         };
-        let independent = IndependentBaseline.estimate(&mut infer_ctx, t);
+        let independent = IndependentBaseline.estimate(&mut infer_ctx, t, 0);
         let uniform = vec![1.0 / truth.len() as f64; truth.len()];
         kl_g += kl_divergence(&truth, &est.probs);
         kl_i += kl_divergence(&truth, &independent.probs);

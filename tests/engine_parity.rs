@@ -6,13 +6,15 @@
 //! * the `IndependentBaseline` measurably diverges from Gibbs on a
 //!   correlated two-attribute tuple (the paper's §V ablation claim);
 //! * `infer_batch` and `derive_probabilistic_db` yield bit-identical
-//!   results regardless of the executor's thread count.
+//!   results and sampling costs regardless of the executor's thread count,
+//!   for the per-tuple, tuple-DAG and ensemble batch paths alike.
 
 use mrsl_repro::core::{
     derive_probabilistic_db, infer_batch, DeriveConfig, GibbsConfig, GibbsSampler,
-    IndependentBaseline, InferContext, InferenceEngine, LearnConfig, MrslModel, TupleDagWorkload,
-    VotingConfig,
+    IndependentBaseline, InferContext, InferenceEngine, LearnConfig, MrslModel, SamplingCost,
+    TupleDagWorkload, VotingConfig,
 };
+use mrsl_repro::learn::EnsembleEngine;
 use mrsl_repro::relation::relation::fig1_relation;
 use mrsl_repro::relation::{AttrId, JointIndexer, PartialTuple, ValueId};
 use mrsl_repro::util::{derive_seed, seeded_rng};
@@ -62,7 +64,7 @@ fn reference_infer_joint(
     for &a in &missing {
         state[a.index()] = rng.gen_range(0..schema.cardinality(a)) as u16;
     }
-    let mut ctx = InferContext::new(m, voting, 0);
+    let mut ctx = InferContext::new(m, voting);
     let mut sweep = |state: &mut Vec<u16>, rng: &mut rand::rngs::StdRng| {
         for &attr in &missing {
             // Voting evidence: every attribute except the one resampled,
@@ -119,8 +121,8 @@ fn gibbs_engine_reproduces_legacy_sampler_exactly() {
         for seed in [0u64, 7, 0xdead_beef] {
             let reference =
                 reference_infer_joint(&m, t, config.burn_in, config.samples, config.voting, seed);
-            let mut ctx = InferContext::new(&m, config.voting, seed);
-            let engine = GibbsSampler::from_config(&config).estimate(&mut ctx, t);
+            let mut ctx = InferContext::new(&m, config.voting);
+            let engine = GibbsSampler::from_config(&config).estimate(&mut ctx, t, seed);
             assert_eq!(reference, engine.probs, "tuple {i}, seed {seed}");
             assert_eq!(engine.sample_count, config.samples);
         }
@@ -134,13 +136,13 @@ fn independent_baseline_diverges_from_gibbs_on_correlated_tuple() {
     // baseline cannot. Total variation between the two must be visible.
     let m = model();
     let t = PartialTuple::from_options(&[Some(0), Some(0), None, None]);
-    let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 11);
+    let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
     let gibbs = GibbsSampler {
         burn_in: 300,
         samples: 20_000,
     }
-    .estimate(&mut ctx, &t);
-    let independent = IndependentBaseline.estimate(&mut ctx, &t);
+    .estimate(&mut ctx, &t, 11);
+    let independent = IndependentBaseline.estimate(&mut ctx, &t, 11);
     assert_eq!(gibbs.probs.len(), independent.probs.len());
     let total_variation: f64 = gibbs
         .probs
@@ -163,10 +165,13 @@ fn infer_batch_is_bit_identical_across_thread_counts() {
     let m = model();
     let workload: Vec<PartialTuple> = fig1_relation().incomplete_part().to_vec();
     let config = gibbs_config(50, 400);
-    let engines: [&dyn InferenceEngine; 2] = [
+    let engines: [&dyn InferenceEngine; 3] = [
         &GibbsSampler::from_config(&config),
         &TupleDagWorkload::from_config(&config),
+        &EnsembleEngine::standard(&config),
     ];
+    // Every cost counter except the wall-clock time.
+    let counters = |c: &SamplingCost| [c.total_draws, c.burn_in_draws, c.shared_samples, c.chains];
     for engine in engines {
         let name = engine.name();
         let reference = rayon::ThreadPoolBuilder::new()
@@ -185,11 +190,12 @@ fn infer_batch_is_bit_identical_across_thread_counts() {
                 assert_eq!(a.probs, b.probs, "{name} with {threads} threads");
             }
             assert_eq!(
-                reference.cost.total_draws, run.cost.total_draws,
+                counters(&reference.cost),
+                counters(&run.cost),
                 "{name} with {threads} threads"
             );
-            assert_eq!(reference.cost.shared_samples, run.cost.shared_samples);
         }
+        assert!(reference.cost.chains > 0, "{name} runs chains");
     }
 }
 
@@ -236,8 +242,8 @@ fn singleton_dag_engine_matches_its_batch_path() {
         burn_in: 25,
         samples: 250,
     };
-    let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 9);
-    let single = engine.estimate(&mut ctx, &t);
+    let mut ctx = InferContext::new(&m, VotingConfig::best_averaged());
+    let single = engine.estimate(&mut ctx, &t, 9);
     let batch = infer_batch(
         &m,
         std::slice::from_ref(&t),

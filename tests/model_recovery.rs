@@ -48,8 +48,8 @@ fn conditional_estimates_converge_on_chain() {
             let Some(truth) = conditional(&bn, AttrMask::single(AttrId(1)), &t) else {
                 continue;
             };
-            let est = InferContext::new(&model, VotingConfig::best_averaged(), 0)
-                .vote_single(&t, AttrId(1));
+            let est =
+                InferContext::new(&model, VotingConfig::best_averaged()).vote_single(&t, AttrId(1));
             worst = worst.max(kl_divergence(&truth, &est));
         }
     }
@@ -67,8 +67,8 @@ fn independent_network_estimates_ignore_irrelevant_evidence() {
     for e1 in 0..2u16 {
         for e2 in 0..2u16 {
             let t = PartialTuple::from_options(&[None, Some(e1), Some(e2)]);
-            let est = InferContext::new(&model, VotingConfig::best_averaged(), 0)
-                .vote_single(&t, AttrId(0));
+            let est =
+                InferContext::new(&model, VotingConfig::best_averaged()).vote_single(&t, AttrId(0));
             let kl = kl_divergence(&truth, &est);
             assert!(kl < 0.05, "evidence ({e1},{e2}): KL {kl}");
         }
@@ -93,11 +93,11 @@ fn best_voting_beats_all_voting_at_scale() {
         };
         kl_best += kl_divergence(
             &truth,
-            &InferContext::new(&model, VotingConfig::best_averaged(), 0).vote_single(&t, AttrId(2)),
+            &InferContext::new(&model, VotingConfig::best_averaged()).vote_single(&t, AttrId(2)),
         );
         kl_all += kl_divergence(
             &truth,
-            &InferContext::new(&model, VotingConfig::all_averaged(), 0).vote_single(&t, AttrId(2)),
+            &InferContext::new(&model, VotingConfig::all_averaged()).vote_single(&t, AttrId(2)),
         );
         n += 1;
     }
@@ -135,7 +135,7 @@ fn truncated_mining_still_yields_usable_model() {
     assert!(truncated.stats().mining.truncated);
     let t = PartialTuple::from_options(&[None, Some(0), Some(1), None, None, Some(2)]);
     let cpd =
-        InferContext::new(&truncated, VotingConfig::best_averaged(), 0).vote_single(&t, AttrId(0));
+        InferContext::new(&truncated, VotingConfig::best_averaged()).vote_single(&t, AttrId(0));
     assert!((cpd.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     assert!(cpd.iter().all(|&p| p > 0.0));
 }

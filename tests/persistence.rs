@@ -35,8 +35,8 @@ fn model_roundtrips_through_json() {
     // but inference only uses positional ids — exercise it fully.
     let t = PartialTuple::from_options(&[None, Some(0), Some(0), Some(1)]);
     for voting in VotingConfig::table2_order() {
-        let a = InferContext::new(&model, voting, 0).vote_single(&t, AttrId(0));
-        let b = InferContext::new(&restored, voting, 0).vote_single(&t, AttrId(0));
+        let a = InferContext::new(&model, voting).vote_single(&t, AttrId(0));
+        let b = InferContext::new(&restored, voting).vote_single(&t, AttrId(0));
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12, "voting {voting:?}: {x} vs {y}");
         }

@@ -157,7 +157,7 @@ proptest! {
                 continue;
             }
             for voting in VotingConfig::table2_order() {
-                let cpd = InferContext::new(&model, voting, 0).vote_single(&t, attr);
+                let cpd = InferContext::new(&model, voting).vote_single(&t, attr);
                 prop_assert_eq!(cpd.len(), schema.cardinality(attr));
                 let sum: f64 = cpd.iter().sum();
                 prop_assert!((sum - 1.0).abs() < 1e-9);
