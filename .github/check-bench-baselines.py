@@ -58,6 +58,16 @@ def main():
         baselines["expected_count_speedup_min"],
     )
 
+    # A warm hit after a one-block upsert re-scans one storage segment
+    # and patches one key range: it must stay a small fraction of a cold
+    # bind measured in the same run.
+    check(
+        "incremental.patched_over_cold",
+        shard["incremental"]["patched_over_cold"],
+        baselines["incremental_patched_over_cold_max"],
+        at_least=False,
+    )
+
     # Serving throughput with a live writer publishing generations: every
     # client-thread rung must stay above the floor.
     for key, row in sorted(serve["read_while_ingest"].items()):

@@ -228,9 +228,12 @@ fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow]) {
 /// repo root. The vendored criterion shim has no programmatic timing
 /// hooks, so this measures with [`Instant`] directly: per-statistic cold
 /// (plan + compile + bind + fold) vs warm-hit nanoseconds, and the cache
-/// hit/miss counters of the engines that ran them.
+/// hit/miss counters of the engines that ran them. `host_cores` records
+/// the machine the report came from.
 fn emit_plan_report(_c: &mut Criterion) {
     let mut out = String::from("{\n");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let _ = writeln!(out, "  \"host_cores\": {cores},");
 
     // Join fixture at ≥2k uncertain blocks: hierarchical, exact path.
     let join_catalog = synthetic_join_catalog(256, 10_000, 5_000, 3, 42);

@@ -10,6 +10,22 @@
 //!
 //! The store is append-only and kept in sync by the `ProbDb` push paths;
 //! it is never serialized (it is rebuilt when a database is deserialized).
+//! Its values never change once pushed; only
+//! [`ProbDb::set_block_masses`](crate::ProbDb::set_block_masses) writes in
+//! place, and it writes `alt_probs` alone. That split is what the two
+//! stamp families of [`ProbDb`](crate::ProbDb) follow:
+//!
+//! - **value stamps**, one per row-store segment, move only when a push
+//!   lands a row in the segment. A bitmap over the values (a predicate's
+//!   live rows, a block's key agreement) stays valid for a segment while
+//!   its stamp does, so the plan cache keeps such bitmaps and verdicts per
+//!   segment and, after a publish, re-evaluates only the segments whose
+//!   stamps moved (`append`, `truncate` and `same_in` below are its
+//!   splicing kernels);
+//! - **shard stamps**, one per [`ShardMap`] value range of the leading
+//!   attribute, move with every push *and* every mass update that touches
+//!   the range. Registers and mass tables, which carry masses, are
+//!   patched or rebuilt under them.
 
 use crate::block::Block;
 use mrsl_relation::AttrId;
@@ -65,7 +81,7 @@ impl ShardMap {
 }
 
 /// A dense bitset with one bit per row of a [`ColumnSet`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitmap {
     len: usize,
     words: Vec<u64>,
@@ -202,6 +218,54 @@ impl Bitmap {
             return true;
         }
         self.words[words.end - 1] & tail != 0
+    }
+
+    /// Do `self` and `other` agree on every bit in `range`? Compares whole
+    /// words, masked at the edges like [`Bitmap::count_ones_in`].
+    pub(crate) fn same_in(&self, other: &Bitmap, range: Range<usize>) -> bool {
+        debug_assert!(range.end <= self.len.min(other.len));
+        if range.start >= range.end {
+            return true;
+        }
+        let (words, head, tail) = Self::word_span(&range);
+        let last = words.end - 1;
+        words.clone().all(|w| {
+            let mut mask = u64::MAX;
+            if w == words.start {
+                mask &= head;
+            }
+            if w == last {
+                mask &= tail;
+            }
+            (self.words[w] ^ other.words[w]) & mask == 0
+        })
+    }
+
+    /// Drops every bit from `len` on (no-op when `len >= self.len()`).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.len = len;
+            self.words.truncate(Self::word_count(len));
+            self.mask_tail();
+        }
+    }
+
+    /// Appends `other`'s bits after the last bit of `self`, at any bit
+    /// offset.
+    pub(crate) fn append(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            // Bits past `len` are always clear, so the low part of each
+            // incoming word ORs into the current last word.
+            for &w in &other.words {
+                *self.words.last_mut().expect("a partial word exists") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(Self::word_count(self.len));
     }
 
     /// `self &= other`.
@@ -367,6 +431,41 @@ impl ColumnStore {
         self.block_offsets[b]..self.block_offsets[b + 1]
     }
 
+    /// First alternative row of block `b`; `block_offset(block_count())`
+    /// is the number of alternative rows.
+    #[inline]
+    pub(crate) fn block_offset(&self, b: usize) -> usize {
+        self.block_offsets[b]
+    }
+
+    /// Splits `rows` — alternative rows in ascending order — into the runs
+    /// that share a block, yielding each run's span of positions in
+    /// `rows`. Block ids come from the offsets as the walk goes (one step
+    /// to the next block, or a search of the blocks ahead), so no
+    /// per-row block column is needed.
+    pub(crate) fn block_runs<'s>(
+        &'s self,
+        rows: &'s [u32],
+    ) -> impl Iterator<Item = Range<usize>> + 's {
+        let offsets = &self.block_offsets;
+        let (mut i, mut b) = (0usize, 0usize);
+        std::iter::from_fn(move || {
+            let r = *rows.get(i)? as usize;
+            if offsets[b + 1] <= r {
+                b = if offsets.get(b + 2).is_some_and(|&end| r < end) {
+                    b + 1
+                } else {
+                    b + offsets[b..].partition_point(|&o| o <= r) - 1
+                };
+            }
+            let (start, end) = (i, offsets[b + 1]);
+            while rows.get(i).is_some_and(|&x| (x as usize) < end) {
+                i += 1;
+            }
+            Some(start..i)
+        })
+    }
+
     /// Per-block probability that the block's true tuple lands on a set
     /// bit of `matches` (a bitmap over the alternative rows).
     pub fn block_probs(&self, matches: &Bitmap) -> Vec<f64> {
@@ -509,6 +608,78 @@ mod tests {
                 assert_eq!(got.len(), bm.count_ones(), "len {len}");
             }
         }
+    }
+
+    #[test]
+    fn splicing_kernels_match_a_bitmap_built_in_one_go() {
+        let pattern = |i: usize| i.is_multiple_of(3) || i % 64 == 63;
+        let whole = |len: usize| {
+            let mut bm = Bitmap::zeros(len);
+            (0..len).filter(|&i| pattern(i)).for_each(|i| bm.set(i));
+            bm
+        };
+        for len in [0usize, 1, 63, 64, 65, 130, 200] {
+            for cut in [0usize, 1, 5, 63, 64, 65, 128, 199] {
+                if cut > len {
+                    continue;
+                }
+                // Truncate a longer bitmap, then append the rest at any
+                // bit offset.
+                let mut spliced = whole(len + 17);
+                spliced.truncate(cut);
+                assert_eq!(spliced.len(), cut);
+                let mut rest = Bitmap::zeros(len - cut);
+                (cut..len)
+                    .filter(|&i| pattern(i))
+                    .for_each(|i| rest.set(i - cut));
+                spliced.append(&rest);
+                assert_eq!(spliced, whole(len), "len {len}, cut {cut}");
+            }
+        }
+        let (a, mut b) = (whole(200), whole(200));
+        assert!(a.same_in(&b, 0..200));
+        b.set(100);
+        assert!(!a.same_in(&b, 0..200) && !a.same_in(&b, 100..101));
+        assert!(a.same_in(&b, 0..100) && a.same_in(&b, 101..200));
+        assert!(a.same_in(&b, 64..64));
+    }
+
+    #[test]
+    fn block_runs_split_ascending_rows_by_block() {
+        let mut store = ColumnStore::new(1);
+        for len in [3usize, 1, 2, 4, 1, 1, 3] {
+            let alts = (0..len)
+                .map(|v| (vec![v as u16], 1.0 / len as f64))
+                .collect::<Vec<_>>();
+            let refs: Vec<(&[u16], f64)> = alts.iter().map(|(v, p)| (v.as_slice(), *p)).collect();
+            store.push_block(&block(0, &refs));
+        }
+        let block_of = |r: u32| {
+            (0..store.block_count())
+                .find(|&b| store.block_range(b).contains(&(r as usize)))
+                .unwrap()
+        };
+        let rows = [0u32, 2, 3, 4, 6, 9, 10, 11, 12, 14];
+        let runs: Vec<Range<usize>> = store.block_runs(&rows).collect();
+        let spans: Vec<Vec<u32>> = runs.iter().map(|r| rows[r.clone()].to_vec()).collect();
+        assert_eq!(
+            spans,
+            vec![
+                vec![0, 2],
+                vec![3],
+                vec![4],
+                vec![6, 9],
+                vec![10],
+                vec![11],
+                vec![12, 14]
+            ]
+        );
+        for run in runs {
+            let b = block_of(rows[run.start]);
+            assert!(rows[run].iter().all(|&r| block_of(r) == b));
+        }
+        assert_eq!(store.block_runs(&[]).count(), 0);
+        assert_eq!(store.block_offset(store.block_count()), 15);
     }
 
     #[test]

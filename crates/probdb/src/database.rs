@@ -2,7 +2,7 @@
 
 use crate::block::{Block, BlockError};
 use crate::column::{ColumnStore, ShardMap, SHARD_COUNT};
-use crate::segmented::Segmented;
+use crate::segmented::{Segmented, SEGMENT_LEN};
 use mrsl_relation::{CompleteTuple, RelationError, Schema};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -26,6 +26,13 @@ fn next_stamp() -> u64 {
 /// Next to them the database maintains a columnar mirror
 /// ([`ProbDb::columns`]), kept in sync by the push paths and rebuilt on
 /// deserialization; the exact query evaluators run on it.
+///
+/// Three kinds of stamp name what the data holds, all drawn from one
+/// process-wide counter: [`ProbDb::version`] moves on every write;
+/// the shard stamps ([`ProbDb::shard_versions`]) move with every write
+/// that lands a row, or a mass, in a leading-key value range; and the
+/// value stamps (one per row-store segment) move only when a push adds
+/// a row to their segment.
 #[derive(Debug, Clone, Serialize)]
 pub struct ProbDb {
     schema: Arc<Schema>,
@@ -44,6 +51,21 @@ pub struct ProbDb {
     /// registers.
     #[serde(skip)]
     shard_versions: Vec<u64>,
+    /// Value stamps of the certain rows: `certain_stamps[s]` is the stamp
+    /// of the last push that landed a row in segment `s` of
+    /// [`ProbDb::certain`] (one stamp per [`SEGMENT_LEN`] rows). Rows are
+    /// append-only, so equal stamps at one position mean identical rows in
+    /// that segment and in every segment before it, across clones too;
+    /// the plan cache keeps its predicate bitmaps and guard verdicts per
+    /// segment under these stamps.
+    #[serde(skip)]
+    certain_stamps: Vec<u64>,
+    /// Value stamps of the blocks, one per [`SEGMENT_LEN`] blocks, with
+    /// the same meaning. [`ProbDb::set_block_masses`] leaves them alone:
+    /// it rewrites masses, never values, and nothing memoized under a
+    /// value stamp reads a mass.
+    #[serde(skip)]
+    block_stamps: Vec<u64>,
     /// How this database was derived: the deriving engine's name, or an
     /// ensemble weights digest. Metadata only — not part of the wire
     /// format, and reset by deserialization.
@@ -63,6 +85,8 @@ impl ProbDb {
             columns: ColumnStore::new(arity),
             version,
             shard_versions: vec![version; SHARD_COUNT],
+            certain_stamps: Vec::new(),
+            block_stamps: Vec::new(),
             provenance: None,
         }
     }
@@ -99,9 +123,30 @@ impl ProbDb {
         &self.shard_versions
     }
 
+    /// Value stamps of the certain-row segments (see the field docs).
+    pub(crate) fn certain_stamps(&self) -> &[u64] {
+        &self.certain_stamps
+    }
+
+    /// Value stamps of the block segments (see the field docs).
+    pub(crate) fn block_stamps(&self) -> &[u64] {
+        &self.block_stamps
+    }
+
     /// Stamps shard `s` with the database's current version.
     fn touch_shard(&mut self, s: usize) {
         self.shard_versions[s] = self.version;
+    }
+
+    /// Stamps the segment that row `row` (just pushed) lands in with the
+    /// database's current version, opening a new stamp for a new segment.
+    fn touch_segment(stamps: &mut Vec<u64>, row: usize, version: u64) {
+        let s = row / SEGMENT_LEN;
+        if s == stamps.len() {
+            stamps.push(version);
+        } else {
+            stamps[s] = version;
+        }
     }
 
     /// Adds a certain tuple.
@@ -119,6 +164,11 @@ impl ProbDb {
         self.certain.push(t);
         self.version = next_stamp();
         self.touch_shard(shard);
+        Self::touch_segment(
+            &mut self.certain_stamps,
+            self.certain.len() - 1,
+            self.version,
+        );
         Ok(())
     }
 
@@ -144,6 +194,7 @@ impl ProbDb {
         self.columns.push_block(&b);
         self.blocks.push(b);
         self.version = next_stamp();
+        Self::touch_segment(&mut self.block_stamps, self.blocks.len() - 1, self.version);
         for (s, hit) in touched.into_iter().enumerate() {
             if hit {
                 self.touch_shard(s);
@@ -163,7 +214,9 @@ impl ProbDb {
     /// update bumps [`ProbDb::version`] and restamps exactly the shards
     /// the block's alternatives live in, so warm plan-cache registers
     /// patch the touched key ranges instead of re-binding — mass updates
-    /// ride the same incremental maintenance as tuple upserts.
+    /// ride the same incremental maintenance as tuple upserts. The value
+    /// stamps stay: a warm plan re-evaluates no predicate after a mass
+    /// update.
     ///
     /// # Panics
     /// Panics when `block >= self.blocks().len()`.
@@ -440,6 +493,41 @@ mod tests {
         assert!(matches!(e, Err(BlockError::BadProbability(_))));
         assert_eq!(db.version(), v1);
         assert!((db.columns().alt_probs()[2] - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn value_stamps_follow_pushes_per_segment_and_ignore_mass_updates() {
+        let mut db = ProbDb::new(fig1_schema());
+        let block = |key| {
+            Block::new(
+                key,
+                vec![alt(vec![0, 0, 0, 0], 0.5), alt(vec![1, 0, 0, 0], 0.5)],
+            )
+            .unwrap()
+        };
+        for key in 0..SEGMENT_LEN + 1 {
+            db.push_block(block(key)).unwrap();
+        }
+        db.push_certain(CompleteTuple::from_values(vec![0, 0, 0, 0]))
+            .unwrap();
+        assert_eq!(db.block_stamps().len(), 2);
+        assert_eq!(db.certain_stamps(), &[db.version()]);
+        let stamps = db.block_stamps().to_vec();
+        // Mass updates move the version, not the value stamps.
+        let v = db.version();
+        db.set_block_masses(3, &[0.25, 0.75]).unwrap();
+        assert!(db.version() > v);
+        assert_eq!(db.block_stamps(), stamps.as_slice());
+        // Two clones diverging at equal lengths restamp their tail
+        // segment differently and share the full one.
+        let (mut a, mut b) = (db.clone(), db.clone());
+        a.push_block(block(900)).unwrap();
+        b.push_block(block(901)).unwrap();
+        assert_eq!(a.block_stamps()[0], stamps[0]);
+        assert_eq!(b.block_stamps()[0], stamps[0]);
+        assert_ne!(a.block_stamps()[1], b.block_stamps()[1]);
+        assert_ne!(a.block_stamps()[1], stamps[1]);
+        assert_eq!(a.certain_stamps(), db.certain_stamps());
     }
 
     #[test]

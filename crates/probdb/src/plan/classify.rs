@@ -24,14 +24,22 @@
 //!
 //! Queries passing both checks are [`PlanClass::Liftable`]; the
 //! decomposition that certifies it is recorded as a [`SafePlan`].
+//!
+//! The data-dependent inputs — each term's live rows, the key check and
+//! the alias live-set check — come from a [`TermScan`] per term, kept per
+//! storage segment so that a cached plan refreshes them in O(delta)
+//! ([`refresh_scans`]); a cold plan scans every segment through the same
+//! refresh.
 
 use super::report::{PlanClass, SafePlan};
 use crate::algebra::{Flattened, ResolvedPair};
-use crate::column::Bitmap;
+use crate::column::{Bitmap, ColumnSet, ColumnStore};
 use crate::database::ProbDb;
 use crate::predicate::Predicate;
+use crate::segmented::SEGMENT_LEN;
 use crate::ProbDbError;
 use mrsl_relation::AttrId;
+use std::ops::Range;
 
 /// One scan bound to its relation, with the combined selection.
 #[derive(Debug)]
@@ -199,12 +207,206 @@ pub(crate) fn resolve<'a>(
     Ok(Resolved { terms, classes })
 }
 
-/// A term compiled against its relation's columnar store: live-row bitmaps
-/// (selection ∧ intra-class attribute equality), per-alternative block
-/// ids, and per-class key columns.
+/// The value-only scan state of one term, kept per storage segment: what
+/// a warm plan memoizes so that, after a publish, it re-evaluates only
+/// the segments whose value stamps moved.
+///
+/// A certain segment is [`SEGMENT_LEN`] certain rows, a block segment
+/// [`SEGMENT_LEN`] blocks with all their alternative rows, matching the
+/// value stamps of [`ProbDb`]. Rows are append-only, so the segments
+/// whose stamps still match form a prefix; [`TermScan::refresh`] keeps
+/// that prefix and re-scans the rest. A cold plan is the case where no
+/// prefix matches. Nothing here reads a mass, which is why mass updates
+/// (which move no value stamp) leave the scan valid. Per row it holds
+/// only the two live-row bitmaps.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TermScan {
+    /// Value stamps of the certain segments this scan covers.
+    certain_stamps: Vec<u64>,
+    /// Value stamps of the block segments this scan covers.
+    block_stamps: Vec<u64>,
+    /// One bit per certain row: does it survive selection and intra-class
+    /// equality?
+    live_certain: Bitmap,
+    /// One bit per alternative row, same condition.
+    live_alts: Bitmap,
+    /// Per block segment: its blocks with no live alternative.
+    pruned: Vec<u32>,
+    /// Per block segment: the least `(key position, block)` whose live
+    /// alternatives straddle that join key (key positions in
+    /// `class_attrs` order), if any.
+    straddle: Vec<Option<(u32, u32)>>,
+    /// Per certain segment: do this scan's live rows differ there from
+    /// those of the first scan of its relation in the query? Always
+    /// `false` outside self-join alias groups.
+    alias_certain: Vec<bool>,
+    /// Per block segment, the same for the alternative rows.
+    alias_blocks: Vec<bool>,
+}
+
+/// Brings every term's scan up to date with its relation, re-evaluating
+/// only segments whose value stamps moved (`scans` may start empty: the
+/// cold case). Returns the number of certain plus alternative rows whose
+/// predicate was evaluated.
+pub(crate) fn refresh_scans(resolved: &Resolved, scans: &mut Vec<TermScan>) -> usize {
+    scans.resize_with(resolved.terms.len(), TermScan::default);
+    let mut rows = 0;
+    let mut from = Vec::with_capacity(scans.len());
+    for (i, (term, scan)) in resolved.terms.iter().zip(scans.iter_mut()).enumerate() {
+        let (evaluated, segments) = scan.refresh(i, term, &resolved.classes);
+        rows += evaluated;
+        from.push(segments);
+    }
+    // Aliases scan one relation, so their scans share stamps and were
+    // re-scanned from the same segments on.
+    for group in alias_groups(resolved) {
+        let first = group[0];
+        for &t in &group[1..] {
+            let (head, tail) = scans.split_at_mut(t);
+            tail[0].compare_alias(&head[first], resolved.terms[t].db, from[t]);
+        }
+    }
+    rows
+}
+
+/// The first segment whose stamp differs (or is missing) in `old`.
+fn first_moved(old: &[u64], new: &[u64]) -> usize {
+    old.iter().zip(new).take_while(|(a, b)| a == b).count()
+}
+
+impl TermScan {
+    /// Keeps the leading segments whose value stamps still match and
+    /// re-scans the rest. Returns the rows evaluated and the first
+    /// re-scanned `(certain, block)` segments.
+    fn refresh(&mut self, idx: usize, term: &Term, classes: &[Class]) -> (usize, (usize, usize)) {
+        let db = term.db;
+        let cols = db.columns();
+        let c0 = first_moved(&self.certain_stamps, db.certain_stamps());
+        let b0 = first_moved(&self.block_stamps, db.block_stamps());
+        let (rows_c, blocks) = (cols.certain().rows(), cols.block_count());
+        let cstart = (c0 * SEGMENT_LEN).min(rows_c);
+        let bstart = (b0 * SEGMENT_LEN).min(blocks);
+        let (astart, rows_a) = (cols.block_offset(bstart), cols.alternatives().rows());
+        self.live_certain.truncate(cstart);
+        self.live_certain.append(&live_rows(
+            idx,
+            term,
+            classes,
+            cols.certain(),
+            cstart..rows_c,
+        ));
+        self.live_alts.truncate(astart);
+        self.live_alts.append(&live_rows(
+            idx,
+            term,
+            classes,
+            cols.alternatives(),
+            astart..rows_a,
+        ));
+        self.certain_stamps = db.certain_stamps().to_vec();
+        self.block_stamps = db.block_stamps().to_vec();
+        // Alias verdicts start clean; `compare_alias` fills them in for
+        // the second and later scans of a relation.
+        self.alias_certain.truncate(c0);
+        self.alias_certain.resize(self.certain_stamps.len(), false);
+        self.alias_blocks.truncate(b0);
+        self.alias_blocks.resize(self.block_stamps.len(), false);
+        self.pruned.truncate(b0);
+        self.straddle.truncate(b0);
+        let keys: Vec<&[u16]> = term
+            .class_attrs
+            .iter()
+            .map(|&(_, a)| cols.alternatives().col(a))
+            .collect();
+        for s in b0..self.block_stamps.len() {
+            let segment = s * SEGMENT_LEN..((s + 1) * SEGMENT_LEN).min(blocks);
+            let (pruned, straddle) = self.scan_blocks(cols, &keys, segment);
+            self.pruned.push(pruned);
+            self.straddle.push(straddle);
+        }
+        ((rows_c - cstart) + (rows_a - astart), (c0, b0))
+    }
+
+    /// Pruned blocks and the least straddling `(key position, block)` of
+    /// one block segment.
+    fn scan_blocks(
+        &self,
+        cols: &ColumnStore,
+        keys: &[&[u16]],
+        blocks: Range<usize>,
+    ) -> (u32, Option<(u32, u32)>) {
+        let live = &self.live_alts;
+        let (mut pruned, mut straddle) = (0u32, None::<(u32, u32)>);
+        for b in blocks {
+            let rows = cols.block_range(b);
+            let Some(first) = rows.clone().find(|&r| live.get(r)) else {
+                pruned += 1;
+                continue;
+            };
+            let found = straddle.map_or(keys.len(), |(pos, _)| pos as usize);
+            if let Some(pos) = keys[..found]
+                .iter()
+                .position(|key| (first + 1..rows.end).any(|r| live.get(r) && key[r] != key[first]))
+            {
+                straddle = Some((pos as u32, b as u32));
+            }
+        }
+        (pruned, straddle)
+    }
+
+    /// Fills in the alias verdicts of this scan against `first`, the first
+    /// scan of the same relation, from the `(certain, block)` segments in
+    /// `start` on.
+    fn compare_alias(&mut self, first: &TermScan, db: &ProbDb, (c0, b0): (usize, usize)) {
+        let cols = db.columns();
+        let rows_c = cols.certain().rows();
+        for s in c0..self.alias_certain.len() {
+            let rows = s * SEGMENT_LEN..((s + 1) * SEGMENT_LEN).min(rows_c);
+            self.alias_certain[s] = !self.live_certain.same_in(&first.live_certain, rows);
+        }
+        let blocks = cols.block_count();
+        for s in b0..self.alias_blocks.len() {
+            let rows = cols.block_offset(s * SEGMENT_LEN)
+                ..cols.block_offset(((s + 1) * SEGMENT_LEN).min(blocks));
+            self.alias_blocks[s] = !self.live_alts.same_in(&first.live_alts, rows);
+        }
+    }
+
+    /// Blocks with no live alternative (prunable).
+    pub(crate) fn pruned_blocks(&self) -> usize {
+        self.pruned.iter().map(|&p| p as usize).sum()
+    }
+}
+
+/// One bit per row of `rows` in `set`: the term's selection and the
+/// implicit equality of its attributes that bind one join class. They
+/// all bind the same join variable, so a row where they differ can never
+/// join.
+fn live_rows(
+    idx: usize,
+    term: &Term,
+    classes: &[Class],
+    set: &ColumnSet,
+    rows: Range<usize>,
+) -> Bitmap {
+    let mut live = term.pred.eval_rows(set, rows.clone());
+    for &(ci, rep) in &term.class_attrs {
+        for &(ti, attr) in &classes[ci].members {
+            if ti == idx && attr != rep {
+                live.and_assign(&equal_columns(
+                    &set.col(rep)[rows.clone()],
+                    &set.col(attr)[rows.clone()],
+                ));
+            }
+        }
+    }
+    live
+}
+
+/// A term bound to its relation's columnar store: the live-row bitmaps
+/// of its [`TermScan`] and its per-class key columns — what the register
+/// gather, the reference tape, the mass tables and the samplers read.
 pub(crate) struct CompiledTerm<'a> {
-    /// Addressing name of the scan (alias or relation name).
-    pub name: String,
     /// Catalog relation the scan reads; aliased scans of one relation
     /// share this (and their block choices — they are *not* independent).
     pub relation: String,
@@ -214,64 +416,26 @@ pub(crate) struct CompiledTerm<'a> {
     pub live_certain: Bitmap,
     /// One bit per alternative row, same condition.
     pub live_alts: Bitmap,
-    /// Block index of each alternative row.
-    pub alt_block: Vec<u32>,
     /// `(class index, certain key column, alternative key column)` for
     /// every class this term participates in.
     pub keys: Vec<(usize, &'a [u16], &'a [u16])>,
 }
 
 impl<'a> CompiledTerm<'a> {
-    pub(crate) fn compile(term_idx: usize, term: &Term<'a>, classes: &[Class]) -> Self {
+    fn new(term: &Term<'a>, scan: &TermScan) -> Self {
         let cols = term.db.columns();
-        let mut live_certain = term.pred.eval_columns(cols.certain());
-        let mut live_alts = term.pred.eval_columns(cols.alternatives());
-        // A term with several attributes in one class carries the implicit
-        // selection that they are equal: they all bind the same join
-        // variable, so a row where they differ can never join.
-        for &(ci, rep) in &term.class_attrs {
-            for &(ti, attr) in &classes[ci].members {
-                if ti != term_idx || attr == rep {
-                    continue;
-                }
-                live_certain.and_assign(&equal_columns(
-                    cols.certain().col(rep),
-                    cols.certain().col(attr),
-                ));
-                live_alts.and_assign(&equal_columns(
-                    cols.alternatives().col(rep),
-                    cols.alternatives().col(attr),
-                ));
-            }
-        }
-        let mut alt_block = vec![0u32; cols.alternatives().rows()];
-        for b in 0..cols.block_count() {
-            for r in cols.block_range(b) {
-                alt_block[r] = b as u32;
-            }
-        }
         let keys = term
             .class_attrs
             .iter()
             .map(|&(ci, a)| (ci, cols.certain().col(a), cols.alternatives().col(a)))
             .collect();
         Self {
-            name: term.name.clone(),
             relation: term.relation.clone(),
             db: term.db,
-            live_certain,
-            live_alts,
-            alt_block,
+            live_certain: scan.live_certain.clone(),
+            live_alts: scan.live_alts.clone(),
             keys,
         }
-    }
-
-    /// Blocks with no live alternative (prunable).
-    pub(crate) fn pruned_blocks(&self) -> usize {
-        let cols = self.db.columns();
-        (0..cols.block_count())
-            .filter(|&b| !self.live_alts.any_in(cols.block_range(b)))
-            .count()
     }
 
     /// The key columns of `class`, if this term participates in it.
@@ -281,6 +445,30 @@ impl<'a> CompiledTerm<'a> {
             .find(|&&(ci, _, _)| ci == class)
             .map(|&(_, c, a)| (c, a))
     }
+}
+
+/// Binds every resolved term to its (up-to-date) scan.
+pub(crate) fn compile_terms<'a>(
+    resolved: &Resolved<'a>,
+    scans: &[TermScan],
+) -> Vec<CompiledTerm<'a>> {
+    resolved
+        .terms
+        .iter()
+        .zip(scans)
+        .map(|(t, scan)| CompiledTerm::new(t, scan))
+        .collect()
+}
+
+/// Scans every term from scratch and binds it: the cold path, for
+/// callers that keep no scans.
+pub(crate) fn scan_and_compile<'a>(
+    resolved: &Resolved<'a>,
+) -> (Vec<TermScan>, Vec<CompiledTerm<'a>>) {
+    let mut scans = Vec::new();
+    refresh_scans(resolved, &mut scans);
+    let compiled = compile_terms(resolved, &scans);
+    (scans, compiled)
 }
 
 /// One bit per row: are the two columns equal there?
@@ -327,38 +515,24 @@ pub(crate) fn shape_violation(
 
 /// The key criterion: within every block, live alternatives agree on each
 /// join key the term participates in. Returns a human-readable reason for
-/// the first straddling block, if any. Restrictions at deeper recursion
+/// the first straddling block, if any (first by term, then key, then
+/// block). Restrictions at deeper recursion
 /// levels only shrink the live sets, so this top-level check covers all
 /// levels — of the safe plan *and* of the dissociation recursion, which
 /// additionally relies on it to reduce each block to a single Bernoulli
-/// event shared by every branch the block is copied into.
-pub(crate) fn key_straddle(resolved: &Resolved, compiled: &[CompiledTerm]) -> Option<String> {
-    for (ti, ct) in compiled.iter().enumerate() {
-        let cols = ct.db.columns();
-        for &(ci, _, alt_key) in &ct.keys {
-            for b in 0..cols.block_count() {
-                let mut seen: Option<u16> = None;
-                for r in cols.block_range(b) {
-                    if !ct.live_alts.get(r) {
-                        continue;
-                    }
-                    match seen {
-                        None => seen = Some(alt_key[r]),
-                        Some(v) if v != alt_key[r] => {
-                            return Some(format!(
-                                "key-correlated: block {} of `{}` straddles values of [{}]",
-                                ct.db.blocks()[b].key(),
-                                resolved.terms[ti].name,
-                                resolved.classes[ci].label
-                            ));
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-    }
-    None
+/// event shared by every branch the block is copied into. Reads the
+/// scans' per-segment verdicts; no data.
+pub(crate) fn key_straddle(resolved: &Resolved, scans: &[TermScan]) -> Option<String> {
+    resolved.terms.iter().zip(scans).find_map(|(term, scan)| {
+        let &(pos, block) = scan.straddle.iter().flatten().min()?;
+        let ci = term.class_attrs[pos as usize].0;
+        Some(format!(
+            "key-correlated: block {} of `{}` straddles values of [{}]",
+            term.db.blocks()[block as usize].key(),
+            term.name,
+            resolved.classes[ci].label
+        ))
+    })
 }
 
 /// Groups of term indices scanning the same catalog relation more than
@@ -383,15 +557,16 @@ pub(crate) fn alias_groups(resolved: &Resolved) -> Vec<Vec<usize>> {
 /// Bernoulli event; aliases with *different* live sets would make copies
 /// of different, mutually correlated events, which neither bound
 /// direction survives. Returns a reason naming the first offending group.
-pub(crate) fn alias_live_mismatch(
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-) -> Option<String> {
+/// Reads the scans' per-segment verdicts; no data.
+pub(crate) fn alias_live_mismatch(resolved: &Resolved, scans: &[TermScan]) -> Option<String> {
     for group in alias_groups(resolved) {
-        let first = &compiled[group[0]];
         for &t in &group[1..] {
-            if compiled[t].live_alts != first.live_alts
-                || compiled[t].live_certain != first.live_certain
+            let scan = &scans[t];
+            if scan
+                .alias_certain
+                .iter()
+                .chain(&scan.alias_blocks)
+                .any(|&m| m)
             {
                 return Some(format!(
                     "alias-correlated: scans `{}` and `{}` of `{}` select different \
@@ -406,9 +581,9 @@ pub(crate) fn alias_live_mismatch(
     None
 }
 
-/// Classifies a resolved, compiled multi-relation query for extensional
-/// evaluation of the boolean statistic.
-pub(crate) fn classify(resolved: &Resolved, compiled: &[CompiledTerm]) -> Classification {
+/// Classifies a resolved multi-relation query for extensional
+/// evaluation of the boolean statistic, from its terms' scans.
+pub(crate) fn classify(resolved: &Resolved, scans: &[TermScan]) -> Classification {
     debug_assert!(resolved.terms.len() > 1);
     // 1. Shape: subgoal sets of every two classes nested or disjoint.
     if let Some((a, b)) = shape_violation(resolved, &[]) {
@@ -420,7 +595,7 @@ pub(crate) fn classify(resolved: &Resolved, compiled: &[CompiledTerm]) -> Classi
     }
     // 2. Keys: within every block, live alternatives agree on each join
     // key.
-    if let Some(reason) = key_straddle(resolved, compiled) {
+    if let Some(reason) = key_straddle(resolved, scans) {
         return Classification {
             class: PlanClass::KeyCorrelated,
             decomposition: SafePlan::Unsafe { reason },

@@ -26,24 +26,39 @@
 //!    stores [`CachedPlan`]s: the query's [`Flattened`] shape, the
 //!    compiled program, the schemas and the data-dependent guard
 //!    verdicts. Each plan is the single owner of its data-version stamps,
-//!    bound registers and report memo, behind one lock ([`PlanMemo`]). A
-//!    cold miss captures the entry with its registers bound and runs it
-//!    through the same executor as a warm hit; a warm hit skips
-//!    flatten-resolve-classify-dissociate entirely: it re-binds the owned
-//!    shape against current column data and executes the cached program.
+//!    term scans, bound registers and report memo, behind one lock
+//!    ([`PlanMemo`]). A cold miss captures the entry with its scans and
+//!    registers and runs it through the same executor as a warm hit; a
+//!    warm hit skips flatten-resolve-classify-dissociate entirely: it
+//!    re-binds the owned shape against current column data and executes
+//!    the cached program.
+//!
+//! **Incremental refresh.** The memo keeps two kinds of data-derived
+//! state, each under the stamps that name its inputs:
+//!
+//! - the **term scans** ([`TermScan`]): live-row bitmaps, per-segment
+//!   key-straddle and alias verdicts and pruned-block counts. They read
+//!   values only, so they sit under the *value stamps* of
+//!   [`crate::ProbDb`], one per row-store segment. After a publish the
+//!   executor re-scans only the segments whose value stamps moved; a
+//!   mass update moves none and re-scans nothing. A cold capture is the
+//!   same refresh with no segment kept.
+//! - the **registers and mass tables** ([`BoundRegs`]): they carry
+//!   masses, so they sit under the *shard stamps* and are range-patched
+//!   or rebuilt as before.
 //!
 //! **Invalidation.** Classification is partly data-dependent (the
 //! key-straddle and alias-live-set guards), so a cached verdict is only
 //! reused when it is provably still right: if every relation's
-//! [`crate::ProbDb::version`] stamp equals the plan memo's, the guards
-//! cannot have moved and are skipped outright; if any stamp moved, the two
-//! guards are recomputed (cheap linear scans — still no classification)
-//! and compared against the recorded verdicts before the memo takes the
-//! new stamps. A flipped guard or a swapped schema invalidates the entry
-//! and falls back to a cold replan.
+//! [`crate::ProbDb::version`] stamp equals the plan memo's, nothing is
+//! refreshed; if any stamp moved, the scans are refreshed and the two
+//! guards are re-read from their per-segment verdicts (still no
+//! classification) and compared against the recorded verdicts before
+//! the memo takes the new stamps. A flipped guard or a swapped schema
+//! invalidates the entry and falls back to a cold replan.
 
 use super::classify::{
-    alias_live_mismatch, components, key_straddle, Class, CompiledTerm, Resolved, Term,
+    alias_live_mismatch, components, key_straddle, Class, CompiledTerm, Resolved, Term, TermScan,
 };
 use super::dissociate::{
     alias_multiplicities, bracket, covering_root, extended_class_terms, DescribeMemo,
@@ -285,13 +300,19 @@ impl CompiledProgram {
 /// The mutable state of a cached plan, behind its one lock: the data
 /// versions its guards were last verified under, and what it memoized
 /// under them. An evaluation whose relations carry exactly these versions
-/// skips the guards, predicate compilation and register binding and goes
+/// skips the guards, predicate evaluation and register binding and goes
 /// straight to the fold; any mutation makes the stamps differ, and the
-/// next evaluation re-checks the guards and patches or rebinds what moved.
+/// next evaluation refreshes the scans' moved segments, re-checks the
+/// guards and patches or rebinds what moved.
 #[derive(Debug)]
 pub(crate) struct PlanMemo {
     /// Per-term data versions ([`ProbDb::version`]), term order.
     pub versions: Vec<u64>,
+    /// Per-term scans, each valid for the value stamps it carries (see
+    /// [`TermScan`]); sampling verdicts keep them too. Behind an [`Arc`]
+    /// so a reader takes them in O(1) under the lock and refreshes or
+    /// reads them after releasing it.
+    pub scans: Arc<Vec<TermScan>>,
     /// Bound registers; `None` for sampling verdicts, which bind nothing.
     pub regs: Option<BoundRegs>,
     /// Bounds report-rendering memo (see [`DescribeMemo`]).
@@ -300,6 +321,8 @@ pub(crate) struct PlanMemo {
 
 /// The gathered, pre-sorted columns of a deterministic program, valid
 /// while the [`PlanMemo::versions`] they sit next to are the data's.
+/// Unlike the scans they carry masses, so they follow the shard stamps,
+/// which mass updates move too.
 #[derive(Debug)]
 pub(crate) struct BoundRegs {
     /// Per-term shard stamps ([`ProbDb::shard_versions`]) at gather
@@ -315,9 +338,6 @@ pub(crate) struct BoundRegs {
     /// Memoized grouped mass tables of an expected-count program, step
     /// order; reused per step while that step's term data is unchanged.
     pub count: Option<Vec<exact::MassTable>>,
-    /// The scan statistics the report would recompute from the compiled
-    /// terms.
-    pub stats: Vec<crate::plan::RelationStats>,
 }
 
 impl BoundRegs {
@@ -333,7 +353,6 @@ impl BoundRegs {
                 .map(|prog| vm::bind_program(prog, compiled))
                 .collect(),
             count: steps.map(|st| exact::mass_tables(st, compiled)),
-            stats: super::relation_stats(compiled),
         }
     }
 
@@ -382,7 +401,6 @@ impl BoundRegs {
             }
         }
         self.shard_versions = shard_stamps(resolved);
-        self.stats = super::relation_stats(compiled);
         (patched, rebound)
     }
 }
@@ -434,12 +452,12 @@ pub(crate) struct CachedPlan {
 
 impl CachedPlan {
     /// Builds the owned entry from a cold plan: records the guard
-    /// verdicts, stamps the relations' data versions and binds the
-    /// registers of a deterministic program.
+    /// verdicts, stamps the relations' data versions, keeps the terms'
+    /// scans and binds the registers of a deterministic program.
     pub(crate) fn capture(
         flat: Flattened,
         resolved: &Resolved,
-        compiled: &[CompiledTerm],
+        (scans, compiled): (Vec<TermScan>, &[CompiledTerm]),
         (path, plan_class, decomposition): (EvalPath, PlanClass, Option<SafePlan>),
         program: CompiledProgram,
     ) -> Self {
@@ -463,14 +481,15 @@ impl CachedPlan {
                 .iter()
                 .map(|c| (c.members.clone(), c.label.clone()))
                 .collect(),
-            straddle: key_straddle(resolved, compiled).is_some(),
-            alias_mismatch: alias_live_mismatch(resolved, compiled).is_some(),
+            straddle: key_straddle(resolved, &scans).is_some(),
+            alias_mismatch: alias_live_mismatch(resolved, &scans).is_some(),
             path,
             plan_class,
             decomposition,
             program,
             memo: Mutex::new(PlanMemo {
                 versions: resolved.terms.iter().map(|t| t.db.version()).collect(),
+                scans: Arc::new(scans),
                 regs,
                 describe: None,
             }),
@@ -517,11 +536,12 @@ impl CachedPlan {
     }
 
     /// Whether the data-dependent guards still give their recorded
-    /// verdicts on `resolved` — the only classification inputs that can
-    /// move with the data (linear scans, no classification).
-    pub(crate) fn guards_hold(&self, resolved: &Resolved, compiled: &[CompiledTerm]) -> bool {
-        key_straddle(resolved, compiled).is_some() == self.straddle
-            && alias_live_mismatch(resolved, compiled).is_some() == self.alias_mismatch
+    /// verdicts on `resolved`'s refreshed scans — the only classification
+    /// inputs that can move with the data (per-segment verdicts, no
+    /// classification).
+    pub(crate) fn guards_hold(&self, resolved: &Resolved, scans: &[TermScan]) -> bool {
+        key_straddle(resolved, scans).is_some() == self.straddle
+            && alias_live_mismatch(resolved, scans).is_some() == self.alias_mismatch
     }
 }
 

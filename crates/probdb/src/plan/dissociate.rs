@@ -39,7 +39,7 @@
 
 use super::classify::{
     alias_groups, alias_live_mismatch, components, key_straddle, shape_violation, CompiledTerm,
-    Resolved,
+    Resolved, TermScan,
 };
 use super::grad;
 use super::report::SafePlan;
@@ -66,27 +66,27 @@ pub(crate) enum BoundsPlan {
     Sample(String),
 }
 
-/// Decides how to bound the boolean probability of a resolved, compiled
+/// Decides how to bound the boolean probability of a resolved, scanned
 /// multi-relation query, given the classifier's verdict.
 pub(crate) fn plan_bounds(
     resolved: &Resolved,
-    compiled: &[CompiledTerm],
+    scans: &[TermScan],
     class: super::report::PlanClass,
 ) -> BoundsPlan {
     use super::report::PlanClass;
     match class {
         PlanClass::Liftable => BoundsPlan::Exact,
         PlanClass::KeyCorrelated => BoundsPlan::Sample(
-            key_straddle(resolved, compiled).unwrap_or_else(|| "key-correlated".into()),
+            key_straddle(resolved, scans).unwrap_or_else(|| "key-correlated".into()),
         ),
         PlanClass::Dissociable | PlanClass::NonHierarchical => {
             // The classifier checks keys only after the shape, so a
             // non-hierarchical verdict may still hide straddling blocks —
             // and the bounds need key uniqueness everywhere.
-            if let Some(reason) = key_straddle(resolved, compiled) {
+            if let Some(reason) = key_straddle(resolved, scans) {
                 return BoundsPlan::Sample(reason);
             }
-            if let Some(reason) = alias_live_mismatch(resolved, compiled) {
+            if let Some(reason) = alias_live_mismatch(resolved, scans) {
                 return BoundsPlan::Sample(reason);
             }
             if shape_violation(resolved, &[]).is_none() {
@@ -477,7 +477,7 @@ mod tests {
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
     use crate::database::ProbDb;
-    use crate::plan::classify::{classify, resolve};
+    use crate::plan::classify::{classify, resolve, scan_and_compile};
     use crate::plan::report::PlanClass;
     use mrsl_relation::{AttrId, CompleteTuple, Schema};
 
@@ -565,15 +565,10 @@ mod tests {
         let brute = crate::testutil::oracle_probability(&catalog, &q).unwrap();
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
-        let classification = classify(&resolved, &compiled);
+        let (scans, compiled) = scan_and_compile(&resolved);
+        let classification = classify(&resolved, &scans);
         assert_eq!(classification.class, PlanClass::NonHierarchical);
-        let BoundsPlan::Dissociate(cands) = plan_bounds(&resolved, &compiled, classification.class)
+        let BoundsPlan::Dissociate(cands) = plan_bounds(&resolved, &scans, classification.class)
         else {
             panic!("chain query must dissociate");
         };
@@ -631,12 +626,7 @@ mod tests {
             .join_on(Query::scan("s").filter(ok(2)), [(AttrId(0), AttrId(0))]);
         let flat = join.flatten().unwrap();
         let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
+        let (_, compiled) = scan_and_compile(&resolved);
         let program = lower(&resolved, &[]);
         let regs = vm::bind_program(&program, &compiled);
         let upper = vm::run_prebound(&program, &regs, Mode::Upper);
@@ -655,16 +645,11 @@ mod tests {
         let q = Query::scan("r").join_on("s", [(AttrId(0), AttrId(0))]);
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
-        let classification = classify(&resolved, &compiled);
+        let (scans, _) = scan_and_compile(&resolved);
+        let classification = classify(&resolved, &scans);
         assert_eq!(classification.class, PlanClass::Liftable);
         assert!(matches!(
-            plan_bounds(&resolved, &compiled, classification.class),
+            plan_bounds(&resolved, &scans, classification.class),
             BoundsPlan::Exact
         ));
     }

@@ -374,12 +374,10 @@ mod tests {
             };
             let (cert, alt) = (db.columns().certain(), db.columns().alternatives());
             let ct = CompiledTerm {
-                name: "r".into(),
                 relation: "r".into(),
                 db: &db,
                 live_certain: live(&mut rng, cert.rows()),
                 live_alts: live(&mut rng, alt.rows()),
-                alt_block: Vec::new(),
                 keys: (0..3u16).map(|a| (a as usize, cert.col(AttrId(a)), alt.col(AttrId(a)))).collect(),
             };
             let mut bound: Vec<(usize, usize)> = (0..3).map(|p| (p, p)).collect();

@@ -326,25 +326,25 @@ impl Recorder<'_, '_> {
         if !rows.certain.is_empty() {
             return self.tape.push(TapeNode::One);
         }
-        let ct = &self.compiled[t];
-        let probs = ct.db.columns().alt_probs();
+        let cols = self.compiled[t].db.columns();
+        let probs = cols.alt_probs();
         let (k, d) = (self.alias_k[t], self.repl[t]);
-        let mut blocks = Vec::new();
-        let mut i = 0;
-        while i < rows.alts.len() {
-            let block = ct.alt_block[rows.alts[i] as usize];
-            let start = i;
-            let mut mass = 0.0;
-            while i < rows.alts.len() && ct.alt_block[rows.alts[i] as usize] == block {
-                mass += probs[rows.alts[i] as usize];
-                i += 1;
-            }
-            blocks.push(LeafBlock {
-                mass,
-                p: self.mode.mass(mass.min(1.0), k, d),
-                rows: rows.alts[start..i].to_vec(),
-            });
-        }
+        // Partitioning keeps the live rows' ascending order.
+        let blocks = cols
+            .block_runs(&rows.alts)
+            .map(|run| {
+                let rows = &rows.alts[run];
+                let mut mass = 0.0;
+                for &r in rows {
+                    mass += probs[r as usize];
+                }
+                LeafBlock {
+                    mass,
+                    p: self.mode.mass(mass.min(1.0), k, d),
+                    rows: rows.to_vec(),
+                }
+            })
+            .collect();
         self.tape.push(TapeNode::Leaf { term: t, blocks })
     }
 }
@@ -354,7 +354,7 @@ impl Recorder<'_, '_> {
 // coordinate in both the probe and the failure message.
 #[allow(clippy::needless_range_loop)]
 mod tests {
-    use super::super::classify::{classify, resolve, CompiledTerm};
+    use super::super::classify::{classify, resolve, scan_and_compile};
     use super::super::{CatalogEngine, PlanClass, QueryAnswer, QueryEngineConfig};
     use super::*;
     use crate::algebra::Query;
@@ -414,14 +414,9 @@ mod tests {
     fn gradient_of(catalog: &Catalog, q: &Query) -> (f64, Vec<Vec<f64>>) {
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |name| catalog.get(name)).unwrap();
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
+        let (scans, compiled) = scan_and_compile(&resolved);
         if resolved.terms.len() > 1 {
-            assert_eq!(classify(&resolved, &compiled).class, PlanClass::Liftable);
+            assert_eq!(classify(&resolved, &scans).class, PlanClass::Liftable);
         }
         let tape = record(&resolved, &compiled, &[], Mode::Upper);
         (tape.value(), tape.gradient(&compiled))

@@ -210,7 +210,7 @@ mod tests {
     use crate::algebra::Query;
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
-    use crate::plan::classify::resolve;
+    use crate::plan::classify::{resolve, scan_and_compile};
     use crate::plan::{CatalogEngine, QueryEngineConfig};
     use crate::predicate::Predicate;
     use crate::world::sample_world;
@@ -258,8 +258,8 @@ mod tests {
         let db = catalog.get("db").unwrap();
         let flat = Query::scan("db").filter(pred()).flatten().unwrap();
         let resolved = resolve(&flat, |name| catalog.get(name)).unwrap();
-        let ct = CompiledTerm::compile(0, &resolved.terms[0], &resolved.classes);
-        let fast = sample_join_counts(&[ct], 0, 200, 42);
+        let (_, compiled) = scan_and_compile(&resolved);
+        let fast = sample_join_counts(&compiled, 0, 200, 42);
         let mut rng = seeded_rng(42);
         for (i, &count) in fast.iter().enumerate() {
             let w = sample_world(db, &mut rng);

@@ -70,7 +70,10 @@ use crate::algebra::{Flattened, Query, Statistic};
 use crate::catalog::Catalog;
 use crate::database::ProbDb;
 use crate::ProbDbError;
-use classify::{alias_groups, classify, resolve, CompiledTerm, Resolved};
+use classify::{
+    alias_groups, classify, compile_terms, refresh_scans, resolve, scan_and_compile, CompiledTerm,
+    Resolved, TermScan,
+};
 use compile::{cache_tag, BoundRegs, CachedPlan, CompiledProgram, PlanMemo};
 use dissociate::{BoundsPlan, DescribeMemo, DissociatedBounds, Mode};
 use mrsl_relation::{AttrId, CompleteTuple};
@@ -373,9 +376,9 @@ impl<'a> CatalogEngine<'a> {
     ) -> Result<(f64, MassGradients), ProbDbError> {
         let flat = q.flatten()?;
         let resolved = resolve(&flat, |name| self.catalog.get(name))?;
-        let compiled = compile_terms(&resolved);
+        let (scans, compiled) = scan_and_compile(&resolved);
         if resolved.terms.len() > 1 {
-            let c = classify(&resolved, &compiled);
+            let c = classify(&resolved, &scans);
             if c.class != PlanClass::Liftable {
                 let reason = match c.decomposition {
                     SafePlan::Unsafe { reason } => reason,
@@ -399,6 +402,10 @@ impl<'a> CatalogEngine<'a> {
 /// `evaluate` need.
 struct Prepared<'a> {
     resolved: Resolved<'a>,
+    /// The terms' scans, from scratch.
+    scans: Vec<TermScan>,
+    /// Certain plus alternative rows the scans evaluated.
+    rows_evaluated: usize,
     compiled: Vec<CompiledTerm<'a>>,
     path: EvalPath,
     plan: PlanClass,
@@ -426,8 +433,10 @@ fn prepare<'a>(
             statistic: stat.name(),
         });
     }
-    let compiled = compile_terms(&resolved);
-    let classification = (!single).then(|| classify(&resolved, &compiled));
+    let mut scans = Vec::new();
+    let rows_evaluated = refresh_scans(&resolved, &mut scans);
+    let compiled = compile_terms(&resolved, &scans);
+    let classification = (!single).then(|| classify(&resolved, &scans));
     let mut decomposition = classification.as_ref().map(|c| c.decomposition.clone());
     let forced = config.force_monte_carlo;
     // Aliased scans of one relation share their block choices: no
@@ -445,7 +454,7 @@ fn prepare<'a>(
             _ if forced => (EvalPath::MonteCarlo, PlanClass::ForcedMonteCarlo),
             None => (EvalPath::ExactColumnar, PlanClass::Liftable),
             Some(c) => {
-                let plan = dissociate::plan_bounds(&resolved, &compiled, c.class);
+                let plan = dissociate::plan_bounds(&resolved, &scans, c.class);
                 let route = match &plan {
                     BoundsPlan::Exact => (EvalPath::ExactColumnar, PlanClass::Liftable),
                     // Refinement may upgrade the path to Hybrid at
@@ -509,6 +518,8 @@ fn prepare<'a>(
     };
     Ok(Prepared {
         resolved,
+        scans,
+        rows_evaluated,
         compiled,
         path,
         plan,
@@ -585,26 +596,34 @@ fn evaluate_cold<'a>(
     // candidate's decomposition at evaluation time).
     let verdict = (p.path, p.plan, p.decomposition);
     let entry = Arc::new(CachedPlan::capture(
-        flat, resolved, compiled, verdict, program,
+        flat,
+        resolved,
+        (p.scans, compiled),
+        verdict,
+        program,
     ));
-    let result = execute(&entry, resolved, Some(compiled), stat, config, None)?
+    let (answer, mut report) = execute(&entry, resolved, Some(compiled), stat, config, None)?
         .expect("a freshly lowered program answers its own statistic");
+    // The capture's scans evaluated every row; `execute` found them fresh.
+    report.rows_evaluated = p.rows_evaluated;
     cache.insert(tag, hash, entry);
-    Ok(result)
+    Ok((answer, report))
 }
 
 /// The one executor of cached plans, cold and warm. It compares the plan
 /// memo's data stamps with the bound catalog's; if any moved, it
-/// re-checks the key-straddle and alias-live-mismatch guards against the
-/// recorded verdicts (a flipped one reports the entry stale, `Ok(None)`,
-/// for invalidation and a cold replan) and then, under the memo lock,
-/// patches or rebinds the registers that moved and takes the new stamps.
-/// It runs the program over the registers, still under the lock, and
-/// refines wide brackets by sampling once the lock is released.
-/// `compiled` is `None` on a warm hit: predicate compilation then runs
-/// only if something needs the compiled terms (moved stamps, a sampler, a
-/// single-relation count, a refinement). `warm` is the cache a hit was
-/// served from ([`PlanRoute::CacheHit`]), charged with the maintenance in
+/// refreshes the memo's term scans — re-evaluating only the storage
+/// segments whose value stamps moved — and re-reads the key-straddle and
+/// alias-live-mismatch guards from them against the recorded verdicts (a
+/// flipped one reports the entry stale, `Ok(None)`, for invalidation and
+/// a cold replan). Then, under the memo lock, it patches or rebinds the
+/// registers that moved and takes the new stamps and scans. It runs the
+/// program over the registers, still under the lock, and refines wide
+/// brackets by sampling once the lock is released. `compiled` is `None`
+/// on a warm hit: the compiled terms are then bound from the scans only
+/// if something needs them (moved stamps, a sampler, a single-relation
+/// count, a refinement). `warm` is the cache a hit was served from
+/// ([`PlanRoute::CacheHit`]), charged with the maintenance in
 /// [`PlanCacheStats::reg_patches`] / [`PlanCacheStats::reg_rebinds`];
 /// `None` on a cold miss ([`PlanRoute::Compiled`]), whose capture bound
 /// the registers. `Ok(None)` also when the program does not answer
@@ -622,31 +641,41 @@ fn execute<'a>(
     if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
-    let lazy = std::cell::OnceCell::new();
-    let compiled = || compiled.unwrap_or_else(|| lazy.get_or_init(|| compile_terms(resolved)));
     let classes = resolved.classes.len();
     let mut decomposition = plan.decomposition.clone();
     let mut dissociated: Vec<String> = Vec::new();
     let versions: Vec<u64> = resolved.terms.iter().map(|t| t.db.version()).collect();
     let lock = || plan.memo.lock().expect("plan memo lock");
     let mut memo = lock();
+    let mut scans = Arc::clone(&memo.scans);
+    let mut rows_evaluated = 0;
+    let lazy = std::cell::OnceCell::new();
     if memo.versions != versions {
-        // Predicate compilation and the guard scans are linear in the
-        // data: run them unlocked, so concurrent readers of moved data do
-        // not queue behind each other's scans. Stamps name data exactly,
-        // so memo stamps equal to ours mean our guards were verified.
+        // The scan refresh, the guards and binding the compiled terms are
+        // linear in the delta or the bitmaps: run them unlocked, so
+        // concurrent readers of moved data do not queue behind each
+        // other's scans. Stamps name data exactly, so memo stamps equal
+        // to ours mean our guards were verified.
         drop(memo);
-        if !plan.guards_hold(resolved, compiled()) {
+        let mut fresh = Vec::clone(&scans);
+        rows_evaluated = refresh_scans(resolved, &mut fresh);
+        if !plan.guards_hold(resolved, &fresh) {
             return Ok(None);
         }
+        scans = Arc::new(fresh);
+        // The register refresh or the sampler reads the compiled terms.
+        lazy.get_or_init(|| compile_terms(resolved, &scans));
         memo = lock();
     }
+    let compiled =
+        || compiled.unwrap_or_else(|| lazy.get_or_init(|| compile_terms(resolved, &scans)));
     // The memo lock is held from the refresh through the fold, so a
     // concurrent hit on this entry waits for the refreshed registers
     // instead of refreshing them again.
     if memo.versions != versions {
         let PlanMemo {
             versions: stamps,
+            scans: kept,
             regs,
             ..
         } = &mut *memo;
@@ -657,22 +686,21 @@ fn execute<'a>(
                 cache.record_reg_maintenance(patched, rebound);
             }
         }
+        *kept = Arc::clone(&scans);
         *stamps = versions;
     }
     let PlanMemo { regs, describe, .. } = &mut *memo;
-    let (answer, relations) = match regs {
+    let answer = match regs {
         None => {
             drop(memo);
-            let answer = sample(compiled(), classes, stat, config);
-            (answer, relation_stats(compiled()))
+            sample(compiled(), classes, stat, config)
         }
         Some(regs) => {
-            let relations = regs.stats.clone();
             let Some(folded) = fold(plan, resolved, stat, regs, describe, compiled) else {
                 return Ok(None);
             };
             drop(memo);
-            let answer = match folded {
+            match folded {
                 Folded::Answer(answer) => answer,
                 Folded::Bracket(eval) => {
                     decomposition = Some(eval.plan);
@@ -684,23 +712,25 @@ fn execute<'a>(
                     }
                     QueryAnswer::Bounds(bounds)
                 }
-            };
-            (answer, relations)
+            }
         }
     };
     let route = match warm {
         Some(_) => PlanRoute::CacheHit,
         None => PlanRoute::Compiled,
     };
-    let report = EvalReport::new(
+    // Scan statistics come from the scans' per-segment counts, and
+    // provenance from the bound relation, on every answer.
+    let mut report = EvalReport::new(
         path,
         route,
         plan.plan_class,
-        relations,
+        relation_stats(resolved, &scans),
         config.mc_samples,
         decomposition,
         dissociated,
     );
+    report.rows_evaluated = rows_evaluated;
     Ok(Some((answer, report)))
 }
 
@@ -774,6 +804,8 @@ fn evaluate_uncached(
 ) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
     let Prepared {
         resolved,
+        scans,
+        rows_evaluated,
         compiled,
         mut path,
         plan,
@@ -828,15 +860,16 @@ fn evaluate_uncached(
             QueryAnswer::Distribution(exact::value_marginal(ct, attr))
         }
     };
-    let report = EvalReport::new(
+    let mut report = EvalReport::new(
         path,
         PlanRoute::Uncached,
         plan,
-        relation_stats(&compiled),
+        relation_stats(&resolved, &scans),
         config.mc_samples,
         decomposition,
         dissociated,
     );
+    report.rows_evaluated = rows_evaluated;
     Ok((answer, report))
 }
 
@@ -934,30 +967,24 @@ fn refine(
     (bounds, true)
 }
 
-/// Compiles every resolved term's predicate into its live-row bitmaps.
-fn compile_terms<'a>(resolved: &Resolved<'a>) -> Vec<CompiledTerm<'a>> {
+/// Per-relation scan statistics: pruned blocks from the scans'
+/// per-segment counts, sizes and provenance from the bound relations.
+fn relation_stats(resolved: &Resolved, scans: &[TermScan]) -> Vec<RelationStats> {
     resolved
         .terms
         .iter()
-        .enumerate()
-        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-        .collect()
-}
-
-fn relation_stats(compiled: &[CompiledTerm]) -> Vec<RelationStats> {
-    compiled
-        .iter()
-        .map(|ct| {
-            let cols = ct.db.columns();
-            let pruned = ct.pruned_blocks();
+        .zip(scans)
+        .map(|(t, scan)| {
+            let cols = t.db.columns();
+            let pruned = scan.pruned_blocks();
             RelationStats {
-                relation: ct.name.clone(),
+                relation: t.name.clone(),
                 blocks_total: cols.block_count(),
                 blocks_pruned: pruned,
                 blocks_touched: cols.block_count() - pruned,
                 certain_rows: cols.certain().rows(),
                 alt_rows: cols.alternatives().rows(),
-                provenance: ct.db.provenance().map(String::from),
+                provenance: t.db.provenance().map(String::from),
             }
         })
         .collect()

@@ -283,6 +283,12 @@ pub struct EvalReport {
     /// a branch-replicated scan, or `` `r1`, `r2` ≡ `r` `` for aliased
     /// scans treated as independent copies. Empty otherwise.
     pub dissociated: Vec<String>,
+    /// Certain plus alternative rows whose predicate this answer
+    /// evaluated, summed over the scans: every row on a cold plan or an
+    /// uncached statistic, 0 on a plan-cache hit whose data did not
+    /// change (or changed only in block masses), and only the rows of
+    /// the storage segments a write touched on a hit after one.
+    pub rows_evaluated: usize,
 }
 
 impl EvalReport {
@@ -314,6 +320,7 @@ impl EvalReport {
             relations,
             decomposition,
             dissociated,
+            rows_evaluated: 0,
         }
     }
 }

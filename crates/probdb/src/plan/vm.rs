@@ -202,37 +202,50 @@ fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]
         }
     };
     let mut cert = live(&ct.live_certain, &ccols);
-    let mut alts = live(&ct.live_alts, &acols);
     // LSD radix over the path levels: each pass is a stable counting sort,
     // so the final order is lexicographic by root-to-leaf key with the
     // initial ascending row order breaking ties. That tie-break is what
-    // keeps blocks contiguous inside the deepest windows and the row
-    // visit order identical to the tape's partition iteration.
+    // keeps the row visit order identical to the tape's partition
+    // iteration.
     sort_by_path(&mut cert, &ccols);
-    sort_by_path(&mut alts, &acols);
-    let probs = ct.db.columns().alt_probs();
-    // Collapse alternative rows to block runs: one key tuple and one
-    // accumulated mass per block, visited in sorted-row order (identical
-    // to the grouping the leaf op would otherwise do per execution).
+    // Collapse the live alternatives (ascending rows) to block runs: one
+    // head row and one mass per block, summed in ascending row order. The
+    // key guard lets no block's live rows straddle a path key, so every
+    // row of a run shares its head's keys, and sorting the heads orders
+    // the blocks exactly as sorting their rows would (a block's rows are
+    // contiguous, so ties in key fall back to block order either way).
+    let cols = ct.db.columns();
+    let probs = cols.alt_probs();
+    let alts = live(&ct.live_alts, &acols);
     let mut heads: Vec<u32> = Vec::new();
-    let mut amass: Vec<f64> = Vec::new();
-    let mut i = 0;
-    while i < alts.len() {
-        let block = ct.alt_block[alts[i] as usize];
-        heads.push(alts[i]);
+    let mut masses: Vec<f64> = Vec::new();
+    for run in cols.block_runs(&alts) {
+        let rows = &alts[run];
+        debug_assert!(rows.iter().all(|&r| acols
+            .iter()
+            .all(|col| col[r as usize] == col[rows[0] as usize])));
+        heads.push(rows[0]);
         let mut mass = 0.0;
-        while i < alts.len() && ct.alt_block[alts[i] as usize] == block {
-            mass += probs[alts[i] as usize];
-            i += 1;
+        for &r in rows {
+            mass += probs[r as usize];
         }
-        amass.push(mass);
+        masses.push(mass);
     }
+    let head_keys: Vec<Vec<u16>> = acols
+        .iter()
+        .map(|col| heads.iter().map(|&h| col[h as usize]).collect())
+        .collect();
+    let mut order: Vec<u32> = (0..heads.len() as u32).collect();
+    sort_by_path(
+        &mut order,
+        &head_keys.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+    );
     Gathered {
         ccols,
         acols,
         cert,
-        heads,
-        amass,
+        heads: order.iter().map(|&i| heads[i as usize]).collect(),
+        amass: order.iter().map(|&i| masses[i as usize]).collect(),
     }
 }
 

@@ -17,6 +17,7 @@ use crate::column::{Bitmap, ColumnSet};
 use mrsl_relation::{AttrId, AttrMask, CompleteTuple, PartialTuple, ValueId};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
+use std::ops::Range;
 
 /// A composable selection predicate over one relation's tuples.
 ///
@@ -310,38 +311,45 @@ impl Predicate {
     /// Vectorized evaluation: one bit per row of `set`, bit-identical to
     /// [`Predicate::eval`] on the corresponding tuples.
     pub fn eval_columns(&self, set: &ColumnSet) -> Bitmap {
+        self.eval_rows(set, 0..set.rows())
+    }
+
+    /// [`Predicate::eval_columns`] over the rows `rows` of `set` only: bit
+    /// `i` of the result is row `rows.start + i`.
+    pub(crate) fn eval_rows(&self, set: &ColumnSet, rows: Range<usize>) -> Bitmap {
+        let col = |a: &AttrId| &set.col(*a)[rows.clone()];
         match self {
-            Self::Any => Bitmap::ones(set.rows()),
-            Self::Never => Bitmap::zeros(set.rows()),
-            Self::Eq(a, v) => Bitmap::from_test(set.col(*a), |x| x == v.0),
+            Self::Any => Bitmap::ones(rows.len()),
+            Self::Never => Bitmap::zeros(rows.len()),
+            Self::Eq(a, v) => Bitmap::from_test(col(a), |x| x == v.0),
             Self::In(a, vs) => {
                 let len = vs.iter().map(|v| v.0 as usize + 1).max().unwrap_or(0);
                 let mut lut = vec![false; len];
                 for v in vs {
                     lut[v.0 as usize] = true;
                 }
-                Bitmap::from_test(set.col(*a), |x| (x as usize) < len && lut[x as usize])
+                Bitmap::from_test(col(a), |x| (x as usize) < len && lut[x as usize])
             }
             Self::Range(a, lo, hi) => {
                 let (lo, hi) = (lo.0, hi.0);
-                Bitmap::from_test(set.col(*a), |x| lo <= x && x <= hi)
+                Bitmap::from_test(col(a), |x| lo <= x && x <= hi)
             }
             Self::And(ps) => {
-                let mut acc = Bitmap::ones(set.rows());
+                let mut acc = Bitmap::ones(rows.len());
                 for p in ps {
-                    acc.and_assign(&p.eval_columns(set));
+                    acc.and_assign(&p.eval_rows(set, rows.clone()));
                 }
                 acc
             }
             Self::Or(ps) => {
-                let mut acc = Bitmap::zeros(set.rows());
+                let mut acc = Bitmap::zeros(rows.len());
                 for p in ps {
-                    acc.or_assign(&p.eval_columns(set));
+                    acc.or_assign(&p.eval_rows(set, rows.clone()));
                 }
                 acc
             }
             Self::Not(p) => {
-                let mut acc = p.eval_columns(set);
+                let mut acc = p.eval_rows(set, rows);
                 acc.not_assign();
                 acc
             }
