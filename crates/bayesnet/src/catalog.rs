@@ -7,8 +7,8 @@
 //! count and domain size, and on depth under the node-count convention (see
 //! `TopologySpec::depth`). Cardinality vectors for the irregular networks
 //! are chosen to hit the published domain sizes exactly; the resulting
-//! average cardinality deviates by ≤ 0.25 for BN1/BN2 (documented in
-//! DESIGN.md §4).
+//! average cardinality deviates by ≤ 0.25 for BN1/BN2 (`repro table1`
+//! reports the deviation).
 
 use crate::builders::{chain, crown, independent, layered};
 use crate::topology::TopologySpec;

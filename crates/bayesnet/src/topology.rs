@@ -132,7 +132,7 @@ impl TopologySpec {
     ///
     /// This is the only convention consistent with Table I, where
     /// "line-shaped" 6-node chains have depth 6, two-layer crowns have depth
-    /// 2, and fully independent attributes have depth 0 (see DESIGN.md §4).
+    /// 2, and fully independent attributes have depth 0.
     pub fn depth(&self) -> usize {
         if self.num_edges() == 0 {
             return 0;

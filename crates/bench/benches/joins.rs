@@ -19,9 +19,13 @@
 //! The `cold_*` rows clear the plan cache before every call, so each one
 //! plans, compiles and binds from scratch; their warm counterparts reuse
 //! the cached program and its memoized registers.
+//!
+//! The self-timed cold-versus-warm report is written to `BENCH_plan.json`
+//! on full runs only. Under `--test` (CI smoke) its fixtures shrink to a
+//! fraction of a second and the committed JSON is left untouched.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrsl_bench::{synthetic_chain_catalog, synthetic_join_catalog};
+use mrsl_bench::{smoke_mode, synthetic_chain_catalog, synthetic_join_catalog};
 use mrsl_probdb::{CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_relation::{AttrId, ValueId};
 use std::fmt::Write as _;
@@ -231,34 +235,50 @@ fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow]) {
 /// hit/miss counters of the engines that ran them. `host_cores` records
 /// the machine the report came from.
 fn emit_plan_report(_c: &mut Criterion) {
+    let smoke = smoke_mode();
+    let (stations, certain, blocks) = if smoke {
+        (16, 500, 300)
+    } else {
+        (256, 10_000, 5_000)
+    };
+    let (chain_keys, chain_blocks) = if smoke { (16, 200) } else { (64, 2_500) };
+    let iters = if smoke { 1 } else { 12 };
+
     let mut out = String::from("{\n");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
 
     // Join fixture at ≥2k uncertain blocks: hierarchical, exact path.
-    let join_catalog = synthetic_join_catalog(256, 10_000, 5_000, 3, 42);
+    let join_catalog = synthetic_join_catalog(stations, certain, blocks, 3, 42);
     let join = join_query();
     let engine = CatalogEngine::new(&join_catalog);
     let rows = [
-        plan_row(&engine, &join, Statistic::Probability, 12),
-        plan_row(&engine, &join, Statistic::ExpectedCount, 12),
+        plan_row(&engine, &join, Statistic::Probability, iters),
+        plan_row(&engine, &join, Statistic::ExpectedCount, iters),
     ];
     // Warm hits reuse memoized mass tables; falling behind a cold call
     // here is a regression, not noise.
-    assert!(
-        rows[1].warm_ns < rows[1].cold_ns,
-        "warm expected_count regressed vs cold: {:.0}ns vs {:.0}ns",
-        rows[1].warm_ns,
-        rows[1].cold_ns
-    );
+    if !smoke {
+        assert!(
+            rows[1].warm_ns < rows[1].cold_ns,
+            "warm expected_count regressed vs cold: {:.0}ns vs {:.0}ns",
+            rows[1].warm_ns,
+            rows[1].cold_ns
+        );
+    }
     write_rows(&mut out, "join_2k_blocks", &rows);
     let stats = engine.plan_cache().stats();
 
     // Dissociable chain: both bounds are compiled programs.
-    let chain_catalog = synthetic_chain_catalog(64, 2_500, 42);
+    let chain_catalog = synthetic_chain_catalog(chain_keys, chain_blocks, 42);
     let chain = chain_query();
     let engine = CatalogEngine::with_config(&chain_catalog, vm_config());
-    let rows = [plan_row(&engine, &chain, Statistic::ProbabilityBounds, 12)];
+    let rows = [plan_row(
+        &engine,
+        &chain,
+        Statistic::ProbabilityBounds,
+        iters,
+    )];
     write_rows(&mut out, "chain_2500_blocks", &rows);
     let chain_stats = engine.plan_cache().stats();
 
@@ -269,6 +289,11 @@ fn emit_plan_report(_c: &mut Criterion) {
         stats.misses + chain_stats.misses
     );
 
+    if smoke {
+        println!("joins bench smoke mode: BENCH_plan.json left untouched");
+        print!("{out}");
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_plan.json");
     if let Err(err) = std::fs::write(path, &out) {
         eprintln!("BENCH_plan.json not written: {err}");

@@ -18,7 +18,7 @@
 //! the JSON is not rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{learned_model, synthetic_join_catalog};
+use mrsl_bench::{learned_model, smoke_mode, synthetic_join_catalog};
 use mrsl_core::{GibbsConfig, VotingConfig};
 use mrsl_learn::{
     fit_block_masses, fit_ensemble_weights, standard_members, LabeledQuery, MassFitConfig,
@@ -29,10 +29,6 @@ use mrsl_relation::{AttrId, ValueId};
 use mrsl_util::derive_seed;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test" || a == "--list")
-}
 
 /// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
 /// warm-up call).

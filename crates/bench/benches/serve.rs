@@ -26,7 +26,7 @@
 //! JSON is not rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::synthetic_join_catalog;
+use mrsl_bench::{smoke_mode, synthetic_join_catalog};
 use mrsl_probdb::serve::{ProbDbServer, ServeConfig};
 use mrsl_probdb::{
     Alternative, Block, Predicate, ProbDbError, Query, QueryEngineConfig, ServerHandle,
@@ -39,10 +39,6 @@ use std::time::{Duration, Instant};
 
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
 const WORKERS: usize = 4;
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test" || a == "--list")
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {

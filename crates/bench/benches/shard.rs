@@ -26,15 +26,11 @@
 //! rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{synthetic_chain_catalog, synthetic_join_catalog};
+use mrsl_bench::{smoke_mode, synthetic_chain_catalog, synthetic_join_catalog};
 use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_relation::{AttrId, ValueId};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test" || a == "--list")
-}
 
 /// The default engine config with brackets never refined.
 fn vm_config() -> QueryEngineConfig {

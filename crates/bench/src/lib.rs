@@ -1,8 +1,9 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
 //! Each bench regenerates one timing-oriented table/figure of the paper
-//! (see DESIGN.md §3); these helpers build the datasets and models they
-//! share so the benches measure only the operation under test.
+//! (see the README's "Reproducing the paper's experiments"); these
+//! helpers build the datasets and models they share so the benches
+//! measure only the operation under test.
 
 #![forbid(unsafe_code)]
 
@@ -13,6 +14,14 @@ use mrsl_relation::{AttrId, CompleteTuple, PartialTuple};
 use mrsl_util::{derive_seed, seeded_rng};
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// Is this bench run a smoke run? `cargo bench -- --test` (CI) and
+/// `--list` ask for one: the self-timed reporters then shrink their
+/// fixtures to seconds of work and leave the committed `BENCH_*.json`
+/// reports untouched.
+pub fn smoke_mode() -> bool {
+    std::env::args().any(|a| a == "--test" || a == "--list")
+}
 
 /// Instantiates a catalog network deterministically.
 pub fn network(name: &str, seed: u64) -> BayesianNetwork {

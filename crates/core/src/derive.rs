@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(out.estimates.len(), 9);
         // Every block's alternatives agree with its source tuple's
         // observed values.
-        for (block, t) in out.db.blocks().iter().zip(rel.incomplete_part()) {
+        for (block, t) in out.db.blocks().zip(rel.incomplete_part()) {
             for alt in block.alternatives() {
                 assert!(t.matches_point(&alt.tuple));
             }

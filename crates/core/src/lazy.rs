@@ -215,7 +215,6 @@ mod tests {
     /// `P(pred)` summed over the derived blocks.
     fn block_mass(db: &ProbDb, pred: &Predicate) -> f64 {
         db.blocks()
-            .iter()
             .map(|b| b.prob_satisfies(|t| pred.eval(t)))
             .sum()
     }
@@ -234,9 +233,9 @@ mod tests {
         // 8 complete points plus the 3 pinned; one block, at t8's key.
         assert_eq!(db.certain().len(), 11);
         assert_eq!(db.blocks().len(), 1);
-        assert_eq!(db.blocks()[0].key(), 3);
+        assert_eq!(db.block(0).key(), 3);
         // Certain complete matches: age=30 points are t9 only.
-        let certain_matches = db.certain().iter().filter(|t| pred.eval(t)).count();
+        let certain_matches = db.certain().filter(|t| pred.eval(t)).count();
         assert_eq!(certain_matches, 1 + 3);
         assert!((count - certain_matches as f64 - block_mass(&db, &pred)).abs() < 1e-9);
     }
@@ -303,7 +302,7 @@ mod tests {
         assert_eq!(stats.inferred, 3);
         assert_eq!(stats.ruled_out, 0);
         // Incomplete part order: t1, t3, t5, t8, t10, t11, t12, t14, t16.
-        let keys: Vec<usize> = db.blocks().iter().map(|b| b.key()).collect();
+        let keys: Vec<usize> = db.blocks().map(|b| b.key()).collect();
         assert_eq!(keys, vec![1, 2, 6]);
     }
 
@@ -331,7 +330,7 @@ mod tests {
         assert_eq!(stats.pinned, triage(Some(true)));
         assert_eq!(stats.ruled_out, triage(Some(false)));
         assert_eq!(stats.inferred, triage(None));
-        for block in db.blocks().iter() {
+        for block in db.blocks() {
             assert_eq!(pred.eval_partial(&incomplete[block.key()]), None);
             let p = block.prob_satisfies(|t| pred.eval(t));
             assert!((0.0..=1.0 + 1e-9).contains(&p));
@@ -339,7 +338,7 @@ mod tests {
         // The inferred probabilities integrate Δt over the satisfying
         // completions, so the expected count is certain matches plus the
         // block marginals.
-        let certain_matches = db.certain().iter().filter(|t| pred.eval(t)).count();
+        let certain_matches = db.certain().filter(|t| pred.eval(t)).count();
         assert!((count - certain_matches as f64 - block_mass(&db, &pred)).abs() < 1e-9);
     }
 
@@ -411,10 +410,10 @@ mod tests {
             let eager = derive_probabilistic_db(rel, &config).db;
             let lazy_db = lazy.catalog.get(&stats.relation).unwrap();
             assert_eq!(lazy_db.blocks().len(), stats.inferred);
-            for block in lazy_db.blocks().iter() {
-                let twin = &eager.blocks()[block.key()];
+            for block in lazy_db.blocks() {
+                let twin = eager.block(block.key());
                 assert_eq!(twin.key(), block.key());
-                assert_eq!(bits(block), bits(twin), "{}", stats.relation);
+                assert_eq!(bits(&block), bits(&twin), "{}", stats.relation);
             }
         }
     }

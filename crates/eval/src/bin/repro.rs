@@ -8,8 +8,8 @@
 //!
 //! Defaults run scaled-down parameters (minutes); `--full` restores the
 //! paper-scale settings (CPU-hours). `--json` emits machine-readable
-//! output for EXPERIMENTS.md tooling; each report records the host's core
-//! count and the command line that produced it.
+//! output; each report records the host's core count and the command
+//! line that produced it.
 
 #![forbid(unsafe_code)]
 

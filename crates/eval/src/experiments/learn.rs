@@ -94,7 +94,8 @@ fn gold_catalog(derived: &ProbDb, rel: &Relation, bn: &BayesianNetwork) -> Catal
     for (b, t) in rel.incomplete_part().iter().enumerate() {
         let truth = conditional(bn, t.missing_mask(), t).expect("network covers every evidence");
         let indexer = JointIndexer::new(bn.schema(), t.missing_mask());
-        let mut probs: Vec<f64> = db.blocks()[b]
+        let mut probs: Vec<f64> = db
+            .block(b)
             .alternatives()
             .iter()
             .map(|a| {
@@ -173,9 +174,7 @@ fn fit(opts: &ExpOptions) -> Fitted {
     let mut uncertain = ProbDb::new(out.db.schema().clone());
     uncertain.set_provenance(out.db.provenance().unwrap_or("ensemble"));
     for b in out.db.blocks() {
-        uncertain
-            .push_block(b.clone())
-            .expect("derived blocks stay valid");
+        uncertain.push_block(b).expect("derived blocks stay valid");
     }
 
     // Label selection queries with the oracle and fit the masses.

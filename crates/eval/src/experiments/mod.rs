@@ -1,11 +1,12 @@
-//! One module per reproduced table / figure (see DESIGN.md §3).
+//! One module per reproduced table / figure (see the README's
+//! "Reproducing the paper's experiments").
 //!
 //! Every experiment takes [`ExpOptions`] and returns a [`crate::Report`].
 //! By default parameters are scaled down so the whole suite finishes in
 //! minutes on a laptop; `full = true` restores the paper-scale parameters
 //! (100k training tuples, support 0.001, 3 instances × 3 splits), which
-//! take CPU-hours. EXPERIMENTS.md records which scale produced the numbers
-//! it reports.
+//! take CPU-hours. `repro --json` records the command line, and so the
+//! scale, that produced each report.
 
 pub mod ablation;
 pub mod fig10;

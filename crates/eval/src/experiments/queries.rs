@@ -158,7 +158,7 @@ mod tests {
         };
         let mut catalog = Catalog::new();
         catalog.add("derived", derive_db(&opts)).unwrap();
-        assert!(!catalog.get("derived").unwrap().blocks().is_empty());
+        assert_ne!(catalog.get("derived").unwrap().blocks().len(), 0);
         let exact_engine = CatalogEngine::new(&catalog);
         let mc_engine = CatalogEngine::with_config(
             &catalog,

@@ -3,7 +3,7 @@
 //! Regenerates the table from the reconstructed topologies and flags any
 //! deviation from the published figures (domain size and depth must match
 //! exactly; average cardinality may deviate ≤ 0.25 for BN1/BN2, see
-//! DESIGN.md §4).
+//! [`mrsl_bayesnet::catalog`]).
 
 use crate::experiments::ExpOptions;
 use crate::report::Report;

@@ -48,7 +48,7 @@ impl Report {
         out
     }
 
-    /// Machine-readable form (consumed by EXPERIMENTS.md tooling).
+    /// Machine-readable form (what `repro --json` prints).
     pub fn to_json(&self) -> Value {
         json!({
             "id": self.id,

@@ -652,7 +652,7 @@ mod tests {
         let out = derive_probabilistic_db_with_engine(&rel, &config, &ensemble);
         assert_eq!(out.db.provenance(), Some("ensemble"));
         assert_eq!(out.db.certain().len(), rel.complete_part().len());
-        assert!(!out.db.blocks().is_empty());
+        assert_ne!(out.db.blocks().len(), 0);
         for b in out.db.blocks() {
             let sum: f64 = b.alternatives().iter().map(|a| a.prob).sum();
             assert!((sum - 1.0).abs() < 1e-6);

@@ -194,12 +194,11 @@ pub fn fit_block_masses(
             // constraint, and Adam's per-coordinate rescaling would
             // otherwise amplify it into identical steps the final
             // renormalization cancels.
-            let mut offset = 0;
-            for b in db.blocks() {
-                let slice = &mut grad[offset..offset + b.len()];
-                let mean = slice.iter().sum::<f64>() / b.len() as f64;
+            let cols = db.columns();
+            for b in 0..cols.block_count() {
+                let slice = &mut grad[cols.block_range(b)];
+                let mean = slice.iter().sum::<f64>() / slice.len() as f64;
                 slice.iter_mut().for_each(|g| *g -= mean);
-                offset += b.len();
             }
             let state = adam.entry(rel.clone()).or_insert_with(|| AdamState {
                 m1: vec![0.0; grad.len()],
@@ -207,11 +206,7 @@ pub fn fit_block_masses(
             });
             // Current masses in the same flattened block order the
             // gradient uses.
-            let mut masses: Vec<f64> = db
-                .blocks()
-                .iter()
-                .flat_map(|b| b.alternatives().iter().map(|a| a.prob))
-                .collect();
+            let mut masses = cols.alt_probs().to_vec();
             debug_assert_eq!(masses.len(), grad.len());
             let c1 = 1.0 - config.beta1.powi(t);
             let c2 = 1.0 - config.beta2.powi(t);
@@ -227,10 +222,10 @@ pub fn fit_block_masses(
             // excess above the floor to spend the remaining budget — so
             // every mass ends exactly `≥ min_mass` and the block sums
             // to 1.
-            let mut offset = 0;
-            for b in 0..db.blocks().len() {
-                let len = db.blocks()[b].len();
-                let slice = &mut masses[offset..offset + len];
+            for b in 0..db.columns().block_count() {
+                let rows = db.columns().block_range(b);
+                let len = rows.len();
+                let slice = &mut masses[rows.clone()];
                 let budget = 1.0 - config.min_mass * len as f64;
                 let excess: f64 = slice.iter().map(|m| (m - config.min_mass).max(0.0)).sum();
                 for m in slice.iter_mut() {
@@ -241,9 +236,8 @@ pub fn fit_block_masses(
                         1.0 / len as f64
                     };
                 }
-                db.set_block_masses(b, &masses[offset..offset + len])
+                db.set_block_masses(b, &masses[rows])
                     .expect("projected masses form a valid distribution");
-                offset += len;
             }
             touched.insert(rel, true);
         }
@@ -361,7 +355,7 @@ mod tests {
         let fitted = catalog.get("r").unwrap();
         for (b, want) in planted.iter().enumerate() {
             for (j, &m) in want.iter().enumerate() {
-                let got = fitted.blocks()[b].alternatives()[j].prob;
+                let got = fitted.block(b).alternatives()[j].prob;
                 assert!(
                     (got - m).abs() < 0.02,
                     "block {b} alt {j}: fitted {got}, planted {m}"

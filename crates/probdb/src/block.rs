@@ -27,7 +27,7 @@ pub enum BlockError {
     /// An alternative's arity does not match the database schema.
     ///
     /// Reported by [`ProbDb::push_block`](crate::ProbDb::push_block): the
-    /// columnar mirror requires every row to have exactly one value per
+    /// column store requires every row to have exactly one value per
     /// schema attribute, so mismatches are a hard error rather than a
     /// debug assertion.
     ArityMismatch {
@@ -134,14 +134,20 @@ impl Block {
         Self::new(key, kept)
     }
 
-    /// Checks that `probs` may replace this block's alternative
-    /// probabilities: validates like [`Block::new`] — every probability
-    /// positive and finite, the sum within tolerance of 1 — and requires
-    /// exactly one probability per alternative.
-    pub(crate) fn check_probs(&self, probs: &[f64]) -> Result<(), BlockError> {
-        if probs.len() != self.alternatives.len() {
+    /// A block from parts that passed [`Block::new`] before: a pushed
+    /// block read back from its relation's columns.
+    pub(crate) fn from_parts(key: usize, alternatives: Vec<Alternative>) -> Self {
+        Self { key, alternatives }
+    }
+
+    /// Checks that `probs` may replace the alternative probabilities of a
+    /// block of `len` alternatives: validates like [`Block::new`] — every
+    /// probability positive and finite, the sum within tolerance of 1 —
+    /// and requires exactly one probability per alternative.
+    pub(crate) fn check_probs(len: usize, probs: &[f64]) -> Result<(), BlockError> {
+        if probs.len() != len {
             return Err(BlockError::AlternativeCountMismatch {
-                expected: self.alternatives.len(),
+                expected: len,
                 got: probs.len(),
             });
         }
@@ -156,14 +162,6 @@ impl Block {
             return Err(BlockError::NotNormalized(sum));
         }
         Ok(())
-    }
-
-    /// Overwrites the alternative probabilities in place, keeping the
-    /// tuples; no validation (see [`Block::check_probs`]).
-    pub(crate) fn overwrite_probs(&mut self, probs: &[f64]) {
-        for (a, &p) in self.alternatives.iter_mut().zip(probs) {
-            a.prob = p;
-        }
     }
 
     /// The source incomplete-tuple key.

@@ -1,33 +1,37 @@
 //! Columnar block storage: dictionary-encoded columns plus row bitmaps.
 //!
-//! [`ProbDb`](crate::ProbDb) keeps, next to its row-oriented tuples, a
-//! [`ColumnStore`]: one `u16` column per attribute for the certain tuples
-//! and one per attribute for the flattened block alternatives, with the
-//! alternative probabilities and block boundaries alongside. Predicate
-//! evaluation then runs as tight loops over contiguous `u16` slices into a
-//! [`Bitmap`] (one bit per row) instead of per-tuple pointer chasing —
-//! the vectorized path behind the exact query evaluators.
+//! A [`ColumnStore`] is the one copy of a relation's data: one `u16`
+//! column per attribute for the certain tuples and one per attribute for
+//! the flattened block alternatives, with the alternative probabilities,
+//! block boundaries and block keys alongside. [`ProbDb`](crate::ProbDb)
+//! owns it and rebuilds rows from it on demand
+//! ([`ProbDb::certain`](crate::ProbDb::certain),
+//! [`ProbDb::blocks`](crate::ProbDb::blocks)). Predicate evaluation runs
+//! as tight loops over contiguous `u16` slices into a [`Bitmap`] (one bit
+//! per row) instead of per-tuple pointer chasing — the vectorized path
+//! behind every query evaluator.
 //!
-//! The store is append-only and kept in sync by the `ProbDb` push paths;
-//! it is never serialized (it is rebuilt when a database is deserialized).
-//! Its values never change once pushed; only
+//! The store is append-only and filled by the `ProbDb` push paths; it is
+//! serialized as rows and rebuilt by replaying them. Its values never
+//! change once pushed; only
 //! [`ProbDb::set_block_masses`](crate::ProbDb::set_block_masses) writes in
 //! place, and it writes `alt_probs` alone. That split is what the two
 //! stamp families of [`ProbDb`](crate::ProbDb) follow:
 //!
-//! - **value stamps**, one per row-store segment, move only when a push
-//!   lands a row in the segment. A bitmap over the values (a predicate's
-//!   live rows, a block's key agreement) stays valid for a segment while
-//!   its stamp does, so the plan cache keeps such bitmaps and verdicts per
-//!   segment and, after a publish, re-evaluates only the segments whose
-//!   stamps moved (`append`, `truncate` and `same_in` below are its
-//!   splicing kernels);
+//! - **value stamps**, one per [`SEGMENT_LEN`] certain rows or blocks,
+//!   move only when a push lands a row in the segment. A bitmap over the
+//!   values (a predicate's live rows, a block's key agreement) stays valid
+//!   for a segment while its stamp does, so the plan cache keeps such
+//!   bitmaps and verdicts per segment and, after a publish, re-evaluates
+//!   only the segments whose stamps moved (`append`, `truncate` and
+//!   `same_in` below are its splicing kernels);
 //! - **shard stamps**, one per [`ShardMap`] value range of the leading
 //!   attribute, move with every push *and* every mass update that touches
 //!   the range. Registers and mass tables, which carry masses, are
 //!   patched or rebuilt under them.
 
 use crate::block::Block;
+use crate::database::SEGMENT_LEN;
 use mrsl_relation::AttrId;
 use std::ops::Range;
 
@@ -312,8 +316,18 @@ impl Bitmap {
     }
 }
 
+/// A copy of `v` with room for [`SEGMENT_LEN`] more values. Stores are
+/// cloned to be written to — a publish copies a relation, then pushes
+/// into it — and a push into an exactly-sized copy would reallocate, and
+/// so copy, every column a second time.
+fn with_headroom<T: Copy>(v: &[T]) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.len() + SEGMENT_LEN);
+    copy.extend_from_slice(v);
+    copy
+}
+
 /// A column-major table: one dictionary-encoded `u16` column per attribute.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ColumnSet {
     rows: usize,
     cols: Vec<Vec<u16>>,
@@ -350,6 +364,17 @@ impl ColumnSet {
         self.cols.len()
     }
 
+    /// The values of row `r`, one per attribute.
+    pub(crate) fn row(&self, r: usize) -> Vec<u16> {
+        self.cols.iter().map(|col| col[r]).collect()
+    }
+
+    /// The leading attribute's value in row `r` (0 for a zero-arity
+    /// schema): the key shard stamps are kept under.
+    pub(crate) fn lead(&self, r: usize) -> u16 {
+        self.cols.first().map_or(0, |col| col[r])
+    }
+
     /// The column of attribute `a`.
     #[inline]
     pub fn col(&self, a: AttrId) -> &[u16] {
@@ -357,10 +382,10 @@ impl ColumnSet {
     }
 }
 
-/// The columnar mirror of a [`ProbDb`](crate::ProbDb): certain-tuple
-/// columns, flattened alternative columns with probabilities, and block
-/// boundaries.
-#[derive(Debug, Clone)]
+/// The storage of a [`ProbDb`](crate::ProbDb): certain-tuple columns,
+/// flattened alternative columns with probabilities, block boundaries and
+/// block keys.
+#[derive(Debug)]
 pub struct ColumnStore {
     certain: ColumnSet,
     alternatives: ColumnSet,
@@ -368,6 +393,32 @@ pub struct ColumnStore {
     /// `block_offsets[b]..block_offsets[b + 1]` are block `b`'s rows in
     /// the alternative columns; always starts with 0.
     block_offsets: Vec<usize>,
+    /// The block keys ([`Block::key`]) as runs of consecutive keys: one
+    /// `(first block, its key)` entry per block whose key does not follow
+    /// its predecessor's. A derivation keys its blocks 0, 1, 2, …, so
+    /// its keys are one run and cost a publish nothing to copy.
+    key_runs: Vec<(usize, usize)>,
+}
+
+impl Clone for ColumnSet {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols.iter().map(|col| with_headroom(col)).collect(),
+        }
+    }
+}
+
+impl Clone for ColumnStore {
+    fn clone(&self) -> Self {
+        Self {
+            certain: self.certain.clone(),
+            alternatives: self.alternatives.clone(),
+            alt_probs: with_headroom(&self.alt_probs),
+            block_offsets: with_headroom(&self.block_offsets),
+            key_runs: self.key_runs.clone(),
+        }
+    }
 }
 
 impl ColumnStore {
@@ -378,19 +429,25 @@ impl ColumnStore {
             alternatives: ColumnSet::new(arity),
             alt_probs: Vec::new(),
             block_offsets: vec![0],
+            key_runs: Vec::new(),
         }
     }
 
-    /// Mirrors a certain-tuple push.
+    /// Appends a certain tuple's values.
     pub(crate) fn push_certain(&mut self, values: &[u16]) {
         self.certain.push_row(values);
     }
 
-    /// Mirrors a block push.
+    /// Appends a block: its alternatives' values and probabilities, its
+    /// boundary and its key.
     pub(crate) fn push_block(&mut self, block: &Block) {
         for a in block.alternatives() {
             self.alternatives.push_row(a.tuple.raw());
             self.alt_probs.push(a.prob);
+        }
+        let b = self.block_count();
+        if b == 0 || self.block_key(b - 1).checked_add(1) != Some(block.key()) {
+            self.key_runs.push((b, block.key()));
         }
         self.block_offsets.push(self.alternatives.rows());
     }
@@ -429,6 +486,17 @@ impl ColumnStore {
     #[inline]
     pub fn block_range(&self, b: usize) -> Range<usize> {
         self.block_offsets[b]..self.block_offsets[b + 1]
+    }
+
+    /// Source incomplete-tuple key of block `b` (by position).
+    ///
+    /// # Panics
+    /// Panics when `b >= self.block_count()`.
+    pub fn block_key(&self, b: usize) -> usize {
+        assert!(b < self.block_count(), "block {b} out of range");
+        let run = self.key_runs.partition_point(|&(first, _)| first <= b) - 1;
+        let (first, key) = self.key_runs[run];
+        key + (b - first)
     }
 
     /// First alternative row of block `b`; `block_offset(block_count())`
@@ -683,6 +751,33 @@ mod tests {
     }
 
     #[test]
+    fn pushes_into_a_clone_do_not_reallocate_its_columns() {
+        let mut store = ColumnStore::new(2);
+        for key in 0..1_000 {
+            store.push_certain(&[1, 2]);
+            store.push_block(&block(key, &[(&[0, 0], 0.25), (&[0, 1], 0.75)]));
+        }
+        let mut copy = store.clone();
+        let before = (
+            copy.alternatives().col(AttrId(0)).as_ptr(),
+            copy.certain().col(AttrId(1)).as_ptr(),
+            copy.alt_probs().as_ptr(),
+        );
+        for key in 1_000..1_000 + SEGMENT_LEN / 2 {
+            copy.push_certain(&[3, 4]);
+            copy.push_block(&block(key, &[(&[1, 0], 0.5), (&[1, 1], 0.5)]));
+        }
+        let after = (
+            copy.alternatives().col(AttrId(0)).as_ptr(),
+            copy.certain().col(AttrId(1)).as_ptr(),
+            copy.alt_probs().as_ptr(),
+        );
+        assert_eq!(before, after, "the clone's columns were copied again");
+        assert_eq!(copy.block_count(), 1_000 + SEGMENT_LEN / 2);
+        assert_eq!(store.block_count(), 1_000);
+    }
+
+    #[test]
     fn shard_map_ranges_and_membership_agree() {
         for card in [1usize, 2, 5, 16, 17, 100, 65_536] {
             let map = ShardMap::new(card);
@@ -710,14 +805,18 @@ mod tests {
     }
 
     #[test]
-    fn column_store_mirrors_pushes() {
+    fn column_store_holds_pushed_rows_and_keys() {
         let mut store = ColumnStore::new(2);
         store.push_certain(&[1, 2]);
         store.push_certain(&[3, 4]);
-        store.push_block(&block(0, &[(&[0, 0], 0.25), (&[0, 1], 0.75)]));
-        store.push_block(&block(1, &[(&[1, 1], 1.0)]));
+        store.push_block(&block(7, &[(&[0, 0], 0.25), (&[0, 1], 0.75)]));
+        store.push_block(&block(3, &[(&[1, 1], 1.0)]));
         assert_eq!(store.certain().rows(), 2);
         assert_eq!(store.certain().col(AttrId(1)), &[2, 4]);
+        assert_eq!(store.certain().row(1), vec![3, 4]);
+        assert_eq!(store.certain().lead(1), 3);
+        assert_eq!(store.alternatives().row(1), vec![0, 1]);
+        assert_eq!((store.block_key(0), store.block_key(1)), (7, 3));
         assert_eq!(store.alternatives().rows(), 3);
         assert_eq!(store.alternatives().col(AttrId(0)), &[0, 0, 1]);
         assert_eq!(store.block_count(), 2);
@@ -730,5 +829,16 @@ mod tests {
         assert_eq!(probs.len(), 2);
         assert!((probs[0] - 0.75).abs() < 1e-12);
         assert!((probs[1] - 1.0).abs() < 1e-12);
+
+        // Consecutive keys share a run; any other key opens one.
+        for key in [4, 5, 9, 10, 10, 0, usize::MAX - 1, usize::MAX, 0] {
+            store.push_block(&block(key, &[(&[2, 2], 1.0)]));
+        }
+        let keys: Vec<usize> = (0..store.block_count())
+            .map(|b| store.block_key(b))
+            .collect();
+        let want = [7, 3, 4, 5, 9, 10, 10, 0, usize::MAX - 1, usize::MAX, 0];
+        assert_eq!(keys, want);
+        assert_eq!(store.key_runs.len(), 7);
     }
 }

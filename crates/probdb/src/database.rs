@@ -1,13 +1,25 @@
 //! The probabilistic database container.
+//!
+//! A [`ProbDb`] stores its relation once, in columns: a [`ColumnStore`]
+//! holds every value, mass and block key, and the row views
+//! ([`ProbDb::certain`], [`ProbDb::blocks`], [`ProbDb::block`]) rebuild
+//! owned tuples and blocks from it on demand. A clone copies the columns
+//! whole; the serving layer clones only the relations a publish touches.
 
-use crate::block::{Block, BlockError};
-use crate::column::{ColumnStore, ShardMap, SHARD_COUNT};
-use crate::segmented::{Segmented, SEGMENT_LEN};
+use crate::block::{Alternative, Block, BlockError};
+use crate::column::{ColumnSet, ColumnStore, ShardMap, SHARD_COUNT};
 use mrsl_relation::{CompleteTuple, RelationError, Schema};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Certain rows, or blocks, per value stamp: the granularity at which the
+/// plan cache keeps predicate bitmaps and guard verdicts. A compile-time
+/// constant, not a knob: 512 keeps both the per-stamp re-scan after a
+/// push and the number of stamps small at 100k rows.
+pub const SEGMENT_LEN: usize = 512;
 
 /// Process-wide monotonic data-stamp source backing [`ProbDb::version`].
 static DATA_STAMP: AtomicU64 = AtomicU64::new(1);
@@ -20,27 +32,20 @@ fn next_stamp() -> u64 {
 /// (probability 1) plus independent blocks of mutually exclusive
 /// alternatives.
 ///
-/// The row-oriented tuples live in [`Segmented`] stores, so a clone shares
-/// every row segment and a write after a clone copies only the segment it
-/// lands in.
-/// Next to them the database maintains a columnar mirror
-/// ([`ProbDb::columns`]), kept in sync by the push paths and rebuilt on
-/// deserialization; the exact query evaluators run on it.
+/// The tuples live only in the [`ColumnStore`] ([`ProbDb::columns`]),
+/// which the push paths append to and deserialization rebuilds; the
+/// query evaluators run on it, and the row views rebuild tuples from it.
 ///
 /// Three kinds of stamp name what the data holds, all drawn from one
 /// process-wide counter: [`ProbDb::version`] moves on every write;
 /// the shard stamps ([`ProbDb::shard_versions`]) move with every write
 /// that lands a row, or a mass, in a leading-key value range; and the
-/// value stamps (one per row-store segment) move only when a push adds
-/// a row to their segment.
-#[derive(Debug, Clone, Serialize)]
+/// value stamps (one per [`SEGMENT_LEN`] certain rows or blocks) move
+/// only when a push adds a row to their segment.
+#[derive(Debug, Clone)]
 pub struct ProbDb {
     schema: Arc<Schema>,
-    certain: Segmented<CompleteTuple>,
-    blocks: Segmented<Block>,
-    #[serde(skip)]
     columns: ColumnStore,
-    #[serde(skip)]
     version: u64,
     /// Per-shard version stamps over the leading attribute's value ranges
     /// (see [`ShardMap`]); `shard_versions[s]` is the stamp of the last
@@ -49,27 +54,23 @@ pub struct ProbDb {
     /// therefore identical shard contents — which is what lets the plan
     /// cache patch only the touched value ranges of its memoized
     /// registers.
-    #[serde(skip)]
     shard_versions: Vec<u64>,
     /// Value stamps of the certain rows: `certain_stamps[s]` is the stamp
-    /// of the last push that landed a row in segment `s` of
-    /// [`ProbDb::certain`] (one stamp per [`SEGMENT_LEN`] rows). Rows are
-    /// append-only, so equal stamps at one position mean identical rows in
-    /// that segment and in every segment before it, across clones too;
-    /// the plan cache keeps its predicate bitmaps and guard verdicts per
-    /// segment under these stamps.
-    #[serde(skip)]
+    /// of the last push that landed a row in segment `s` of the certain
+    /// rows (one stamp per [`SEGMENT_LEN`] rows). Rows are append-only, so
+    /// equal stamps at one position mean identical rows in that segment
+    /// and in every segment before it, across clones too; the plan cache
+    /// keeps its predicate bitmaps and guard verdicts per segment under
+    /// these stamps.
     certain_stamps: Vec<u64>,
     /// Value stamps of the blocks, one per [`SEGMENT_LEN`] blocks, with
     /// the same meaning. [`ProbDb::set_block_masses`] leaves them alone:
     /// it rewrites masses, never values, and nothing memoized under a
     /// value stamp reads a mass.
-    #[serde(skip)]
     block_stamps: Vec<u64>,
     /// How this database was derived: the deriving engine's name, or an
     /// ensemble weights digest. Metadata only — not part of the wire
     /// format, and reset by deserialization.
-    #[serde(skip)]
     provenance: Option<String>,
 }
 
@@ -80,8 +81,6 @@ impl ProbDb {
         let version = next_stamp();
         Self {
             schema,
-            certain: Segmented::new(),
-            blocks: Segmented::new(),
             columns: ColumnStore::new(arity),
             version,
             shard_versions: vec![version; SHARD_COUNT],
@@ -133,9 +132,24 @@ impl ProbDb {
         &self.block_stamps
     }
 
-    /// Stamps shard `s` with the database's current version.
-    fn touch_shard(&mut self, s: usize) {
-        self.shard_versions[s] = self.version;
+    /// The shards holding the leading value of one of `rows` in `set`.
+    fn shards_of(&self, set: &ColumnSet, rows: Range<usize>) -> [bool; SHARD_COUNT] {
+        let map = self.shard_map();
+        let mut touched = [false; SHARD_COUNT];
+        for r in rows {
+            touched[map.shard_of(set.lead(r))] = true;
+        }
+        touched
+    }
+
+    /// Moves the version and stamps it on the `touched` shards.
+    fn restamp(&mut self, touched: [bool; SHARD_COUNT]) {
+        self.version = next_stamp();
+        for (stamp, hit) in self.shard_versions.iter_mut().zip(touched) {
+            if hit {
+                *stamp = self.version;
+            }
+        }
     }
 
     /// Stamps the segment that row `row` (just pushed) lands in with the
@@ -157,23 +171,15 @@ impl ProbDb {
                 got: t.arity(),
             });
         }
-        let shard = self
-            .shard_map()
-            .shard_of(t.raw().first().copied().unwrap_or(0));
         self.columns.push_certain(t.raw());
-        self.certain.push(t);
-        self.version = next_stamp();
-        self.touch_shard(shard);
-        Self::touch_segment(
-            &mut self.certain_stamps,
-            self.certain.len() - 1,
-            self.version,
-        );
+        let row = self.columns.certain().rows() - 1;
+        self.restamp(self.shards_of(self.columns.certain(), row..row + 1));
+        Self::touch_segment(&mut self.certain_stamps, row, self.version);
         Ok(())
     }
 
     /// Adds a block, rejecting alternatives whose arity does not match the
-    /// schema (the columnar mirror requires aligned rows).
+    /// schema (the column store requires aligned rows).
     pub fn push_block(&mut self, b: Block) -> Result<(), BlockError> {
         let expected = self.schema.attr_count();
         if let Some(a) = b
@@ -186,20 +192,11 @@ impl ProbDb {
                 got: a.tuple.arity(),
             });
         }
-        let map = self.shard_map();
-        let mut touched = [false; SHARD_COUNT];
-        for a in b.alternatives() {
-            touched[map.shard_of(a.tuple.raw().first().copied().unwrap_or(0))] = true;
-        }
         self.columns.push_block(&b);
-        self.blocks.push(b);
-        self.version = next_stamp();
-        Self::touch_segment(&mut self.block_stamps, self.blocks.len() - 1, self.version);
-        for (s, hit) in touched.into_iter().enumerate() {
-            if hit {
-                self.touch_shard(s);
-            }
-        }
+        let block = self.columns.block_count() - 1;
+        let rows = self.columns.block_range(block);
+        self.restamp(self.shards_of(self.columns.alternatives(), rows));
+        Self::touch_segment(&mut self.block_stamps, block, self.version);
         Ok(())
     }
 
@@ -221,25 +218,10 @@ impl ProbDb {
     /// # Panics
     /// Panics when `block >= self.blocks().len()`.
     pub fn set_block_masses(&mut self, block: usize, probs: &[f64]) -> Result<(), BlockError> {
-        let map = self.shard_map();
-        let mut touched = [false; SHARD_COUNT];
-        for a in self.blocks[block].alternatives() {
-            touched[map.shard_of(a.tuple.raw().first().copied().unwrap_or(0))] = true;
-        }
-        // Validate before `get_mut`: a rejected update must not copy the
-        // block's segment away from the clones that share it.
-        self.blocks[block].check_probs(probs)?;
-        self.blocks
-            .get_mut(block)
-            .expect("block index checked above")
-            .overwrite_probs(probs);
+        let rows = self.columns.block_range(block);
+        Block::check_probs(rows.len(), probs)?;
         self.columns.set_block_probs(block, probs);
-        self.version = next_stamp();
-        for (s, hit) in touched.into_iter().enumerate() {
-            if hit {
-                self.touch_shard(s);
-            }
-        }
+        self.restamp(self.shards_of(self.columns.alternatives(), rows));
         Ok(())
     }
 
@@ -249,10 +231,6 @@ impl ProbDb {
     /// public API rightly rejects.
     #[cfg(test)]
     pub(crate) fn set_block_masses_unchecked(&mut self, block: usize, probs: &[f64]) {
-        self.blocks
-            .get_mut(block)
-            .expect("block index in range")
-            .overwrite_probs(probs);
         self.columns.set_block_probs(block, probs);
     }
 
@@ -267,35 +245,71 @@ impl ProbDb {
         self.provenance = Some(provenance.into());
     }
 
-    /// The certain tuples.
-    pub fn certain(&self) -> &Segmented<CompleteTuple> {
-        &self.certain
+    /// The certain tuples in push order, rebuilt from the columns.
+    pub fn certain(&self) -> impl ExactSizeIterator<Item = CompleteTuple> + '_ {
+        let rows = self.columns.certain();
+        (0..rows.rows()).map(move |r| CompleteTuple::from_values(rows.row(r)))
     }
 
-    /// The blocks.
-    pub fn blocks(&self) -> &Segmented<Block> {
-        &self.blocks
+    /// The blocks in push order, rebuilt from the columns.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block> + '_ {
+        (0..self.columns.block_count()).map(move |b| self.block(b))
     }
 
-    /// The columnar mirror of the database.
+    /// Block `b` (by position, not key), rebuilt from the columns.
+    ///
+    /// # Panics
+    /// Panics when `b >= self.blocks().len()`.
+    pub fn block(&self, b: usize) -> Block {
+        let cols = &self.columns;
+        let alternatives = cols
+            .block_range(b)
+            .map(|r| Alternative {
+                tuple: CompleteTuple::from_values(cols.alternatives().row(r)),
+                prob: cols.alt_probs()[r],
+            })
+            .collect();
+        Block::from_parts(cols.block_key(b), alternatives)
+    }
+
+    /// The column store holding the database.
     pub fn columns(&self) -> &ColumnStore {
         &self.columns
     }
 
     /// Number of possible worlds: the product of block sizes.
     pub fn world_count(&self) -> u128 {
-        self.blocks.iter().map(|b| b.len() as u128).product()
+        (0..self.columns.block_count())
+            .map(|b| self.columns.block_range(b).len() as u128)
+            .product()
     }
 
     /// Total number of alternatives stored (a size measure of the derived
     /// model, comparable to the paper's block example in Fig. 1).
     pub fn alternative_count(&self) -> usize {
-        self.blocks.iter().map(Block::len).sum()
+        self.columns.alternatives().rows()
     }
 }
 
-// Manual impl: the columnar mirror is skipped during serialization and
-// rebuilt here by replaying the tuples through the push paths.
+/// The wire format lists rows: the schema, the certain tuples and the
+/// blocks, each a plain sequence in push order.
+impl Serialize for ProbDb {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("schema".into(), self.schema.to_value()),
+            (
+                "certain".into(),
+                Value::Array(self.certain().map(|t| t.to_value()).collect()),
+            ),
+            (
+                "blocks".into(),
+                Value::Array(self.blocks().map(|b| b.to_value()).collect()),
+            ),
+        ])
+    }
+}
+
+// Rebuilds the columns by replaying the rows through the push paths.
 impl Deserialize for ProbDb {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let schema: Arc<Schema> = Deserialize::from_value(v.field("schema")?)?;
@@ -319,6 +333,7 @@ mod tests {
     use crate::block::Alternative;
     use mrsl_relation::schema::fig1_schema;
     use mrsl_relation::AttrId;
+    use proptest::prelude::*;
 
     fn alt(values: Vec<u16>, prob: f64) -> Alternative {
         Alternative {
@@ -392,32 +407,58 @@ mod tests {
         ));
     }
 
+    /// Bit-level view of a block: key, then each alternative's values and
+    /// probability bits.
+    type BlockBits = (usize, Vec<(Vec<u16>, u64)>);
+
+    fn bits_of(key: usize, alts: &[(&[u16], f64)]) -> BlockBits {
+        let alts = alts.iter().map(|(v, p)| (v.to_vec(), p.to_bits()));
+        (key, alts.collect())
+    }
+
+    fn block_bits(b: &Block) -> BlockBits {
+        let alts = b.alternatives().iter();
+        let alts = alts.map(|a| (a.tuple.raw().to_vec(), a.prob.to_bits()));
+        (b.key(), alts.collect())
+    }
+
     #[test]
-    fn columns_stay_in_sync_with_pushes() {
+    fn rows_round_trip_through_the_columns() {
         let db = two_block_db();
+        let certain: Vec<CompleteTuple> = db.certain().collect();
+        assert_eq!(certain, vec![CompleteTuple::from_values(vec![0, 1, 0, 0])]);
+        let want = [
+            bits_of(0, &[(&[0, 0, 0, 0], 0.5), (&[0, 0, 1, 0], 0.5)]),
+            bits_of(
+                1,
+                &[
+                    (&[1, 2, 0, 0], 0.30),
+                    (&[1, 2, 0, 1], 0.45),
+                    (&[1, 2, 1, 0], 0.10),
+                    (&[1, 2, 1, 1], 0.15),
+                ],
+            ),
+        ];
+        let got: Vec<_> = db.blocks().map(|b| block_bits(&b)).collect();
+        assert_eq!(got, want);
+        for (b, want) in want.iter().enumerate() {
+            assert_eq!(&block_bits(&db.block(b)), want);
+        }
+        // The columns the rows come from: alternatives flattened in block
+        // order, with their masses and block boundaries.
         let cols = db.columns();
         assert_eq!(cols.certain().rows(), 1);
         assert_eq!(cols.alternatives().rows(), 6);
         assert_eq!(cols.block_count(), 2);
         assert_eq!(cols.block_range(1), 2..6);
-        // Column contents agree with the row store, attribute by attribute.
-        for a in 0..4u16 {
-            let attr = AttrId(a);
-            let col = cols.certain().col(attr);
-            for (i, t) in db.certain().iter().enumerate() {
-                assert_eq!(col[i], t.raw()[attr.index()]);
-            }
-            let alt_col = cols.alternatives().col(attr);
-            let mut row = 0;
-            for b in db.blocks() {
-                for alternative in b.alternatives() {
-                    assert_eq!(alt_col[row], alternative.tuple.raw()[attr.index()]);
-                    row += 1;
-                }
-            }
-        }
-        // Probabilities flattened in the same order.
-        assert!((cols.alt_probs()[3] - 0.45).abs() < 1e-12);
+        assert_eq!(cols.alternatives().col(AttrId(3)), &[0, 0, 0, 1, 0, 1]);
+        assert_eq!(cols.alt_probs()[3], 0.45);
+    }
+
+    #[test]
+    #[should_panic]
+    fn reading_a_block_past_the_end_panics() {
+        two_block_db().block(2);
     }
 
     #[test]
@@ -459,12 +500,8 @@ mod tests {
         let before = db.shard_versions().to_vec();
         let v0 = db.version();
         db.set_block_masses(1, &[0.1, 0.2, 0.3, 0.4]).unwrap();
-        // Row store and columnar mirror agree on the new masses.
-        let probs: Vec<f64> = db.blocks()[1]
-            .alternatives()
-            .iter()
-            .map(|a| a.prob)
-            .collect();
+        // The rebuilt block and the columns agree on the new masses.
+        let probs: Vec<f64> = db.block(1).alternatives().iter().map(|a| a.prob).collect();
         assert_eq!(probs, vec![0.1, 0.2, 0.3, 0.4]);
         assert_eq!(&db.columns().alt_probs()[2..6], &[0.1, 0.2, 0.3, 0.4]);
         // Version bumped; only the shards holding key value 1 restamped.
@@ -530,6 +567,64 @@ mod tests {
         assert_eq!(a.certain_stamps(), db.certain_stamps());
     }
 
+    /// The value stamps a flat reference predicts: each segment carries
+    /// the version of the last push into it, which is the push of its
+    /// last row (rows are append-only).
+    fn expected_stamps(pushed_at: &[u64]) -> Vec<u64> {
+        pushed_at
+            .chunks(SEGMENT_LEN)
+            .map(|c| c[c.len() - 1])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random pushes, mass updates and clones across segment
+        /// boundaries: value stamps follow the pushes and only the pushes,
+        /// in the database written to and never in a clone of it.
+        #[test]
+        fn value_stamps_match_a_flat_reference(
+            size in 0usize..3,
+            ops in prop::collection::vec((0u8..4, 0usize..10_000), 1..30),
+        ) {
+            let coin = |key| Block::new(key, vec![
+                alt(vec![(key % 2) as u16, 0, 0, 0], 0.5),
+                alt(vec![(key % 2) as u16, 1, 0, 0], 0.5),
+            ]).unwrap();
+            let rows = [SEGMENT_LEN - 1, SEGMENT_LEN, 2 * SEGMENT_LEN + 3][size];
+            let mut db = ProbDb::new(fig1_schema());
+            let (mut certain_at, mut blocks_at) = (Vec::new(), Vec::new());
+            for key in 0..rows {
+                db.push_block(coin(key)).unwrap();
+                blocks_at.push(db.version());
+                db.push_certain(CompleteTuple::from_values(vec![1, 0, 0, 0])).unwrap();
+                certain_at.push(db.version());
+            }
+            let mut clones = Vec::new();
+            for (kind, pick) in ops {
+                match kind {
+                    0 => {
+                        db.push_block(coin(blocks_at.len())).unwrap();
+                        blocks_at.push(db.version());
+                    }
+                    1 => {
+                        db.push_certain(CompleteTuple::from_values(vec![0, 2, 1, 0])).unwrap();
+                        certain_at.push(db.version());
+                    }
+                    2 => db.set_block_masses(pick % blocks_at.len(), &[0.25, 0.75]).unwrap(),
+                    _ => clones.push((db.clone(), certain_at.clone(), blocks_at.clone())),
+                }
+                prop_assert_eq!(db.certain_stamps(), &expected_stamps(&certain_at)[..]);
+                prop_assert_eq!(db.block_stamps(), &expected_stamps(&blocks_at)[..]);
+            }
+            for (copy, certain_at, blocks_at) in &clones {
+                prop_assert_eq!(copy.certain_stamps(), &expected_stamps(certain_at)[..]);
+                prop_assert_eq!(copy.block_stamps(), &expected_stamps(blocks_at)[..]);
+            }
+        }
+    }
+
     #[test]
     fn provenance_is_metadata_not_wire_format() {
         let mut db = two_block_db();
@@ -546,7 +641,7 @@ mod tests {
     fn deserialization_rebuilds_columns() {
         let db = two_block_db();
         let text = serde_json::to_string(&db).unwrap();
-        // The columnar mirror is not part of the wire format.
+        // The wire format lists rows, not columns.
         assert!(!text.contains("columns"));
         let back: ProbDb = serde_json::from_str(&text).unwrap();
         assert_eq!(back.columns().certain().rows(), 1);

@@ -9,11 +9,10 @@
 //!
 //! * [`block`] — blocks of mutually exclusive alternatives.
 //! * [`database`] — [`ProbDb`]: certain tuples + blocks over one schema,
-//!   with a columnar mirror kept in sync by the push paths.
-//! * [`segmented`] — [`Segmented`]: the copy-on-write segmented row store
-//!   behind [`ProbDb`], so a clone shares every row segment.
+//!   stored once, in columns, and read back as rows on demand.
 //! * [`mod@column`] — the columnar storage layer: dictionary-encoded `u16`
-//!   columns and row bitmaps for vectorized predicate evaluation.
+//!   columns, masses and block keys, and row bitmaps for vectorized
+//!   predicate evaluation.
 //! * [`predicate`] — the composable predicate algebra ([`Predicate`]:
 //!   `Eq`/`In`/`Range`/`And`/`Or`/`Not`/`Any`), evaluable per tuple,
 //!   three-valued on incomplete tuples, and vectorized over columns.
@@ -54,7 +53,6 @@ pub mod column;
 pub mod database;
 pub mod plan;
 pub mod predicate;
-pub mod segmented;
 pub mod serve;
 pub mod testutil;
 pub mod world;
@@ -63,14 +61,13 @@ pub use algebra::{Query, QueryNode, ScanRequirement, Statistic};
 pub use block::{Alternative, Block, BlockError};
 pub use catalog::Catalog;
 pub use column::{Bitmap, ColumnSet, ColumnStore, ShardMap, SHARD_COUNT};
-pub use database::ProbDb;
+pub use database::{ProbDb, SEGMENT_LEN};
 pub use plan::{
     dissociation_search_count, CatalogEngine, EvalPath, EvalReport, MassGradients, PlanCache,
     PlanCacheStats, PlanClass, PlanRoute, ProbabilityBounds, QueryAnswer, QueryEngineConfig,
     RankedTuple, RelationStats, SafePlan,
 };
 pub use predicate::Predicate;
-pub use segmented::Segmented;
 pub use serve::{ProbDbServer, ServeConfig, Served, ServerHandle, ServerStats, Snapshot, Ticket};
 pub use world::PossibleWorld;
 

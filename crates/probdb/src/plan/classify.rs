@@ -35,8 +35,8 @@ use super::report::{PlanClass, SafePlan};
 use crate::algebra::{Flattened, ResolvedPair};
 use crate::column::{Bitmap, ColumnSet, ColumnStore};
 use crate::database::ProbDb;
+use crate::database::SEGMENT_LEN;
 use crate::predicate::Predicate;
-use crate::segmented::SEGMENT_LEN;
 use crate::ProbDbError;
 use mrsl_relation::AttrId;
 use std::ops::Range;
@@ -528,7 +528,7 @@ pub(crate) fn key_straddle(resolved: &Resolved, scans: &[TermScan]) -> Option<St
         let ci = term.class_attrs[pos as usize].0;
         Some(format!(
             "key-correlated: block {} of `{}` straddles values of [{}]",
-            term.db.blocks()[block as usize].key(),
+            term.db.columns().block_key(block as usize),
             term.name,
             resolved.classes[ci].label
         ))

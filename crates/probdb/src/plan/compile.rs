@@ -39,10 +39,10 @@
 //! - the **term scans** ([`TermScan`]): live-row bitmaps, per-segment
 //!   key-straddle and alias verdicts and pruned-block counts. They read
 //!   values only, so they sit under the *value stamps* of
-//!   [`crate::ProbDb`], one per row-store segment. After a publish the
-//!   executor re-scans only the segments whose value stamps moved; a
-//!   mass update moves none and re-scans nothing. A cold capture is the
-//!   same refresh with no segment kept.
+//!   [`crate::ProbDb`], one per [`crate::SEGMENT_LEN`] rows. After a
+//!   publish the executor re-scans only the segments whose value stamps
+//!   moved; a mass update moves none and re-scans nothing. A cold capture
+//!   is the same refresh with no segment kept.
 //! - the **registers and mass tables** ([`BoundRegs`]): they carry
 //!   masses, so they sit under the *shard stamps* and are range-patched
 //!   or rebuilt as before.

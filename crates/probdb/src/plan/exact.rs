@@ -17,7 +17,7 @@
 
 use super::classify::{CompiledTerm, Resolved};
 use super::{vm, RankedTuple};
-use mrsl_relation::AttrId;
+use mrsl_relation::{AttrId, CompleteTuple};
 
 /// `E[|result|]` of any conjunctive query shape, by joining per-relation
 /// expected-mass tables over the join-class assignments.
@@ -256,25 +256,22 @@ pub(crate) fn poisson_binomial(base: usize, probs: &[f64]) -> Vec<f64> {
 /// then certain tuples before block tuples, then block key ascending,
 /// then alternative position within the block.
 pub(crate) fn top_k(ct: &CompiledTerm, k: usize) -> Vec<RankedTuple> {
-    let (db, cols) = (ct.db, ct.db.columns());
+    let cols = ct.db.columns();
     let mut ranked: Vec<RankedTuple> = Vec::new();
     for i in ct.live_certain.iter_ones() {
         ranked.push(RankedTuple {
-            tuple: db.certain()[i].clone(),
+            tuple: CompleteTuple::from_values(cols.certain().row(i)),
             prob: 1.0,
             block: None,
         });
     }
-    for (b, block) in db.blocks().iter().enumerate() {
-        let range = cols.block_range(b);
-        for (a, row) in range.enumerate() {
-            if ct.live_alts.get(row) {
-                ranked.push(RankedTuple {
-                    tuple: block.alternatives()[a].tuple.clone(),
-                    prob: block.alternatives()[a].prob,
-                    block: Some(block.key()),
-                });
-            }
+    for b in 0..cols.block_count() {
+        for row in cols.block_range(b).filter(|&row| ct.live_alts.get(row)) {
+            ranked.push(RankedTuple {
+                tuple: CompleteTuple::from_values(cols.alternatives().row(row)),
+                prob: cols.alt_probs()[row],
+                block: Some(cols.block_key(b)),
+            });
         }
     }
     // `ranked` is built certain-first, then blocks in push order, then
@@ -300,7 +297,7 @@ mod tests {
     use crate::block::{Alternative, Block};
     use crate::column::Bitmap;
     use crate::database::ProbDb;
-    use mrsl_relation::{CompleteTuple, Schema};
+    use mrsl_relation::Schema;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::Rng;

@@ -442,8 +442,8 @@ mod tests {
         let perturbed = |delta: f64| {
             let mut cat = catalog.clone();
             let db = cat.get_mut(relation).unwrap();
-            // Reach past Block validation: perturb through the column
-            // mirror only, which is all the evaluator reads.
+            // Reach past Block validation: perturb the stored masses
+            // directly, off the simplex.
             let mut probs = db.columns().alt_probs().to_vec();
             probs[row] += delta;
             let b = (0..db.columns().block_count())

@@ -498,7 +498,7 @@ fn prepare<'a>(
                 (EvalPath::MonteCarlo, plan)
             } else if forced {
                 (EvalPath::MonteCarlo, PlanClass::ForcedMonteCarlo)
-            } else if compiled[0].db.blocks().len() > MAX_EXACT_DP_BLOCKS {
+            } else if compiled[0].db.columns().block_count() > MAX_EXACT_DP_BLOCKS {
                 (EvalPath::MonteCarlo, PlanClass::DpBudgetExceeded)
             } else {
                 (EvalPath::ExactColumnar, PlanClass::Liftable)
@@ -931,7 +931,9 @@ fn sample(
         // live certain rows plus one slot per block.
         Statistic::CountDistribution => {
             let support = match compiled {
-                [ct] if classes == 0 => ct.live_certain.count_ones() + ct.db.blocks().len() + 1,
+                [ct] if classes == 0 => {
+                    ct.live_certain.count_ones() + ct.db.columns().block_count() + 1
+                }
                 _ => 0,
             };
             QueryAnswer::Distribution(mc::count_histogram(&join_counts(), support))
@@ -1326,10 +1328,9 @@ mod tests {
             // certain rows the predicate accepts.
             let marginals: Vec<f64> = db
                 .blocks()
-                .iter()
                 .map(|b| b.prob_satisfies(|t| pred.eval(t)))
                 .collect();
-            let certain = db.certain().iter().filter(|t| pred.eval(t)).count() as f64;
+            let certain = db.certain().filter(|t| pred.eval(t)).count() as f64;
             let count = certain + marginals.iter().sum::<f64>();
             let q = Query::scan("db").filter(pred.clone());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

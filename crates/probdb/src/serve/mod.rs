@@ -19,10 +19,8 @@
 //! * **Copy-on-write ingestion.** A single writer builds the next
 //!   generation from the current one: [`Catalog`] clones share every
 //!   relation behind an `Arc`, and only relations the writer actually
-//!   touches are copied ([`Catalog::get_mut`]) — at segment granularity:
-//!   the copy shares every row segment ([`crate::Segmented`]) with the
-//!   published one, and a push then copies only the tail segment it lands
-//!   in (the contiguous columnar mirror is still copied whole). Publishing
+//!   touches are copied ([`Catalog::get_mut`]), each one's columns whole
+//!   ([`crate::ColumnStore`] is a relation's only store). Publishing
 //!   swaps the snapshot pointer and bumps the epoch — atomic, and
 //!   invisible to in-flight readers until their next request. A writer
 //!   that dies mid-build ([`GenerationBuilder`] dropped, or the closure
@@ -980,7 +978,7 @@ mod tests {
         let coins = |blocks: usize, p: f64| {
             let mut db = one_block_catalog(p).get("r").unwrap().clone();
             for key in 1..blocks {
-                let block = db.blocks()[0].clone();
+                let block = db.block(0);
                 db.push_block(Block::new(key, block.alternatives().to_vec()).unwrap())
                     .unwrap();
             }

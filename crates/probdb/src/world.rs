@@ -31,7 +31,7 @@ pub fn enumerate_worlds(db: &ProbDb, limit: u128) -> Vec<PossibleWorld> {
         "database has {count} worlds, exceeding the limit {limit}"
     );
     let mut worlds = vec![PossibleWorld {
-        tuples: db.certain().iter().cloned().collect(),
+        tuples: db.certain().collect(),
         prob: 1.0,
     }];
     for block in db.blocks() {
@@ -77,7 +77,7 @@ where
 
 /// Samples one possible world.
 pub fn sample_world<R: Rng + ?Sized>(db: &ProbDb, rng: &mut R) -> PossibleWorld {
-    let mut tuples: Vec<_> = db.certain().iter().cloned().collect();
+    let mut tuples: Vec<_> = db.certain().collect();
     let mut prob = 1.0;
     for block in db.blocks() {
         let chosen = choose_weighted(block.alternatives().iter().map(|a| a.prob), rng);
@@ -168,6 +168,21 @@ mod tests {
         }
         let f = hits as f64 / n as f64;
         assert!((f - 0.3).abs() < 0.02, "f = {f}");
+    }
+
+    #[test]
+    fn sampled_worlds_are_enumerated_worlds() {
+        let db = small_db();
+        let worlds = enumerate_worlds(&db, 1000);
+        let mut rng = seeded_rng(11);
+        for _ in 0..50 {
+            let w = sample_world(&db, &mut rng);
+            let twin = worlds
+                .iter()
+                .find(|e| e.tuples == w.tuples)
+                .expect("a sampled world is a possible world");
+            assert_eq!(w.prob.to_bits(), twin.prob.to_bits());
+        }
     }
 
     #[test]

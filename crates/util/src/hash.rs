@@ -4,7 +4,8 @@
 //! tuple encodings) inside hot loops — Apriori candidate lookup and the
 //! Gibbs CPD cache. SipHash's per-hash setup cost dominates for such keys;
 //! FxHash is a single multiply-xor round per word. Hand-rolling the ~40
-//! lines keeps the dependency set to the approved list (see DESIGN.md §7).
+//! lines keeps the build offline with no external crate (see the README's
+//! "Offline, vendored dependencies").
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

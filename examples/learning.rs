@@ -79,7 +79,8 @@ fn gold_catalog(derived: &ProbDb, rel: &Relation, bn: &BayesianNetwork) -> Catal
     for (b, t) in rel.incomplete_part().iter().enumerate() {
         let truth = conditional(bn, t.missing_mask(), t).expect("network covers every evidence");
         let indexer = JointIndexer::new(bn.schema(), t.missing_mask());
-        let mut probs: Vec<f64> = db.blocks()[b]
+        let mut probs: Vec<f64> = db
+            .block(b)
             .alternatives()
             .iter()
             .map(|a| {

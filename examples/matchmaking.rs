@@ -124,11 +124,7 @@ fn main() {
     let (expected, _) = engine
         .expected_count(&profiles(&rich))
         .expect("planned query");
-    let certain = db
-        .certain()
-        .iter()
-        .filter(|t| t.value(inc) == ValueId(1))
-        .count();
+    let certain = db.certain().filter(|t| t.value(inc) == ValueId(1)).count();
     println!(
         "\nE[#profiles with inc=100K] = {expected:.1} ({certain} certain + {:.1} expected from blocks)",
         expected - certain as f64

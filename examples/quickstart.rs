@@ -102,7 +102,7 @@ fn main() {
 
     // 6. The Δt12 block (Fig. 1's call-out): t12 = ⟨30, MS, ?, ?⟩ is the
     //    12th tuple of R and the 7th incomplete one (index 6).
-    let t12_block = &output.db.blocks()[6];
+    let t12_block = output.db.block(6);
     println!("\nΔt12 (t12 = ⟨30, MS, ?, ?⟩), cf. Fig. 1 call-out:");
     let schema = relation.schema();
     for (i, alt) in t12_block.alternatives().iter().enumerate() {

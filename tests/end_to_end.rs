@@ -63,7 +63,7 @@ fn derived_blocks_are_valid_distributions_matching_observations() {
     let (_bn, rel) = synthetic_relation("BN9", 4000, 150, 7);
     let out = derive_probabilistic_db(&rel, &quick_derive_config());
     assert_eq!(out.db.blocks().len(), 150);
-    for (block, t) in out.db.blocks().iter().zip(rel.incomplete_part()) {
+    for (block, t) in out.db.blocks().zip(rel.incomplete_part()) {
         let total: f64 = block.alternatives().iter().map(|a| a.prob).sum();
         assert!((total - 1.0).abs() < 1e-9);
         for alt in block.alternatives() {

@@ -350,7 +350,7 @@ fn rows_evaluated_counts_only_rescanned_segments() {
     let blocks = sensors.blocks().len();
     let tail_start = blocks / SEGMENT * SEGMENT;
     let tail_rows: usize = (tail_start..blocks)
-        .map(|b| sensors.blocks()[b].len())
+        .map(|b| sensors.columns().block_range(b).len())
         .sum();
     sensors
         .push_block(

@@ -54,10 +54,10 @@ fn world_probabilities_of_derived_db_sum_to_one() {
     // world count tractable: take the first 5 blocks only.
     let mut small = ProbDb::new(db.schema().clone());
     for t in db.certain() {
-        small.push_certain(t.clone()).unwrap();
+        small.push_certain(t).unwrap();
     }
-    for b in db.blocks().iter().take(5) {
-        small.push_block(b.clone()).unwrap();
+    for b in db.blocks().take(5) {
+        small.push_block(b).unwrap();
     }
     let worlds = enumerate_worlds(&small, 2_000_000);
     let total: f64 = worlds.iter().map(|w| w.prob).sum();
@@ -68,8 +68,8 @@ fn world_probabilities_of_derived_db_sum_to_one() {
 fn exact_count_distribution_matches_enumeration_on_derived_db() {
     let db = derived();
     let mut small = ProbDb::new(db.schema().clone());
-    for b in db.blocks().iter().take(6) {
-        small.push_block(b.clone()).unwrap();
+    for b in db.blocks().take(6) {
+        small.push_block(b).unwrap();
     }
     let pred = Predicate::any().and_eq(AttrId(2), ValueId(0)); // inc = 50K
                                                                // The shared joint-world oracle is the ground truth: wrap the capped
@@ -137,7 +137,6 @@ fn top_k_is_consistent_with_block_contents() {
     for r in ranked.iter().filter(|r| r.block.is_some()) {
         let block = db
             .blocks()
-            .iter()
             .find(|b| b.key() == r.block.unwrap())
             .expect("block exists");
         assert!(block

@@ -150,8 +150,8 @@ proptest! {
         let cols = db.columns();
         for (name, pred) in preds {
             let certain = pred.eval_columns(cols.certain());
-            for (i, t) in db.certain().iter().enumerate() {
-                prop_assert_eq!(certain.get(i), pred.eval(t), "{}: certain row {}", name, i);
+            for (i, t) in db.certain().enumerate() {
+                prop_assert_eq!(certain.get(i), pred.eval(&t), "{}: certain row {}", name, i);
             }
             let alts = pred.eval_columns(cols.alternatives());
             let mut row = 0;
@@ -166,10 +166,9 @@ proptest! {
             // certain rows the predicate accepts.
             let marginals: Vec<f64> = db
                 .blocks()
-                .iter()
                 .map(|b| b.prob_satisfies(|t| pred.eval(t)))
                 .collect();
-            let certain = db.certain().iter().filter(|t| pred.eval(t)).count() as f64;
+            let certain = db.certain().filter(|t| pred.eval(t)).count() as f64;
             let count = certain + marginals.iter().sum::<f64>();
             let query = Query::scan("db").filter(pred.clone());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -10,12 +10,11 @@
 //! generation swap answer exactly like a cold bind, and a writer that
 //! dies mid-build changes nothing.
 
-use mrsl_repro::probdb::segmented::SEGMENT_LEN;
 use mrsl_repro::probdb::serve::{ProbDbServer, ServeConfig, ServerHandle};
 use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, PlanRoute, Predicate, ProbDb, ProbDbError, Query,
-    QueryAnswer, QueryEngineConfig, Statistic,
+    QueryAnswer, QueryEngineConfig, Statistic, SEGMENT_LEN,
 };
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema, ValueId};
 use proptest::prelude::*;
@@ -415,12 +414,12 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
     server.shutdown();
 }
 
-/// A one-block publish costs O(delta) storage: generation g + 1's copy of
-/// the touched relation shares every row segment with generation g except
-/// the tail the block was appended to (pointer-equal `Arc`s, counted, so
-/// this holds on any host), and generation g still answers bit-identically.
+/// A one-block publish copies only the relation it touches: generation
+/// g + 1 holds the very same untouched relation object as generation g,
+/// the touched one gains exactly the pushed block, and generation g still
+/// answers bit-identically.
 #[test]
-fn one_block_publish_copies_only_the_tail_segment() {
+fn one_block_publish_copies_only_the_touched_relation() {
     let rows = 3 * SEGMENT_LEN + 7;
     let blocks: Vec<(u16, f64)> = (0..rows)
         .map(|i| ((i % 3) as u16, 0.1 + 0.8 * (i % 7) as f64 / 7.0))
@@ -450,13 +449,12 @@ fn one_block_publish_copies_only_the_tail_segment() {
 
     let g = server.snapshot();
     let g_answers = answers(g.catalog());
+    let pushed = Block::new(rows, vec![alt(vec![2, 0], 0.45), alt(vec![2, 1], 0.55)]).unwrap();
     let (next, ()) = server.update(|catalog| {
         catalog
             .get_mut("sensors")
             .unwrap()
-            .push_block(
-                Block::new(rows, vec![alt(vec![2, 0], 0.45), alt(vec![2, 1], 0.55)]).unwrap(),
-            )
+            .push_block(pushed.clone())
             .unwrap();
     });
     let g1 = server.snapshot();
@@ -468,17 +466,17 @@ fn one_block_publish_copies_only_the_tail_segment() {
         g1.catalog().get("sensors").unwrap(),
     );
     assert_eq!(new.blocks().len(), old.blocks().len() + 1);
-    assert_eq!(old.blocks().segment_count(), 4);
-    assert_eq!(new.blocks().segment_count(), 4);
-    assert_eq!(
-        new.blocks().shared_segment_count(old.blocks()),
-        3,
-        "only the tail block segment may be copied"
+    let last = new.block(rows);
+    assert_eq!(last.key(), pushed.key());
+    assert_eq!(last.len(), pushed.len());
+    assert!(
+        new.certain().eq(old.certain()),
+        "certain tuples were not touched"
     );
     assert_eq!(
-        new.certain().shared_segment_count(old.certain()),
-        old.certain().segment_count(),
-        "certain tuples were not touched"
+        old.blocks().len(),
+        rows,
+        "the published relation kept its rows"
     );
     // The untouched relation is the very same object.
     assert!(Arc::ptr_eq(

@@ -1,15 +1,13 @@
-//! Segmented copy-on-write row storage, against a flat `Vec` reference.
+//! The column store round-trips rows, against a flat `Vec` reference.
 //!
-//! `ProbDb` keeps its certain tuples and blocks in fixed-size segments
-//! behind `Arc`, so a clone shares every segment and a later write copies
-//! only the segment it lands in. None of that may be observable: random
-//! interleavings of pushes, mass updates and clones across segment
-//! boundaries must index, iterate, mirror into columns, stamp shards and
-//! serialize exactly like the flat vectors the store replaced, and a write
-//! to one copy must never reach another.
+//! `ProbDb` keeps its certain tuples and blocks only in columns and
+//! rebuilds rows from them on demand. None of that may be observable:
+//! random interleavings of pushes, mass updates and clones across
+//! `SEGMENT_LEN` boundaries must read back, stamp shards and serialize
+//! exactly like the flat vectors of rows they replace, and a write to one
+//! copy must never reach another.
 
-use mrsl_repro::probdb::segmented::SEGMENT_LEN;
-use mrsl_repro::probdb::{Alternative, Block, ProbDb, SHARD_COUNT};
+use mrsl_repro::probdb::{Alternative, Block, ProbDb, SEGMENT_LEN, SHARD_COUNT};
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -19,6 +17,14 @@ use std::sync::Arc;
 const KEYS: u16 = 40;
 const LEVELS: u16 = 3;
 
+/// Row counts on both sides of one and of several segment boundaries.
+const SIZES: [usize; 4] = [
+    SEGMENT_LEN - 1,
+    SEGMENT_LEN,
+    SEGMENT_LEN + 1,
+    3 * SEGMENT_LEN + 7,
+];
+
 fn schema() -> Arc<Schema> {
     Schema::builder()
         .attribute("key", (0..KEYS).map(|v| format!("k{v}")))
@@ -27,7 +33,7 @@ fn schema() -> Arc<Schema> {
         .unwrap()
 }
 
-/// The flat reference: what the row store held before segmentation.
+/// The flat reference: the rows a database holds, as plain vectors.
 #[derive(Debug, Clone, Default)]
 struct Flat {
     certain: Vec<CompleteTuple>,
@@ -77,8 +83,21 @@ fn filled(rows: usize) -> (ProbDb, Flat) {
     (db, flat)
 }
 
-fn probs(b: &Block) -> Vec<f64> {
-    b.alternatives().iter().map(|a| a.prob).collect()
+/// Sets block `i`'s masses to `p : 1 - p` in both the database and the
+/// reference.
+fn set_masses(db: &mut ProbDb, flat: &mut Flat, i: usize, p: f64) {
+    db.set_block_masses(i, &[p, 1.0 - p]).unwrap();
+    let b = &flat.blocks[i];
+    let alts = b
+        .alternatives()
+        .iter()
+        .zip([p, 1.0 - p])
+        .map(|(a, prob)| Alternative {
+            tuple: a.tuple.clone(),
+            prob,
+        })
+        .collect();
+    flat.blocks[i] = Block::new(b.key(), alts).unwrap();
 }
 
 fn same_block(a: &Block, b: &Block) -> bool {
@@ -90,24 +109,21 @@ fn same_block(a: &Block, b: &Block) -> bool {
             .all(|(x, y)| x.tuple == y.tuple && x.prob.to_bits() == y.prob.to_bits())
 }
 
-/// Row store, columnar mirror and segment layout all agree with `flat`.
+/// Row views, block reads and columns all agree with `flat`, down to keys
+/// and probability bits.
 fn check_against(db: &ProbDb, flat: &Flat) {
     let (certain, blocks) = (db.certain(), db.blocks());
     prop_assert_eq!(certain.len(), flat.certain.len());
     prop_assert_eq!(blocks.len(), flat.blocks.len());
-    prop_assert_eq!(
-        blocks.segment_count(),
-        flat.blocks.len().div_ceil(SEGMENT_LEN)
-    );
-    prop_assert!(certain.iter().eq(&flat.certain));
-    prop_assert!(blocks
-        .iter()
-        .zip(&flat.blocks)
-        .all(|(a, b)| same_block(a, b)));
+    prop_assert!(certain.eq(flat.certain.iter().cloned()));
+    prop_assert!(blocks.zip(&flat.blocks).all(|(a, b)| same_block(&a, b)));
     for (i, b) in flat.blocks.iter().enumerate() {
-        prop_assert!(same_block(&blocks[i], b), "block {}", i);
+        prop_assert!(same_block(&db.block(i), b), "block {}", i);
     }
-    prop_assert!(blocks.get(flat.blocks.len()).is_none());
+    prop_assert_eq!(
+        db.alternative_count(),
+        flat.blocks.iter().map(Block::len).sum::<usize>()
+    );
 
     let cols = db.columns();
     for a in 0..2u16 {
@@ -125,8 +141,13 @@ fn check_against(db: &ProbDb, flat: &Flat) {
             .collect();
         prop_assert_eq!(cols.alternatives().col(attr), &want[..]);
     }
-    let want: Vec<f64> = flat.blocks.iter().flat_map(probs).collect();
-    prop_assert_eq!(cols.alt_probs(), &want[..]);
+    let want: Vec<u64> = flat
+        .blocks
+        .iter()
+        .flat_map(|b| b.alternatives().iter().map(|a| a.prob.to_bits()))
+        .collect();
+    let got: Vec<u64> = cols.alt_probs().iter().map(|p| p.to_bits()).collect();
+    prop_assert_eq!(got, want);
     prop_assert_eq!(cols.block_count(), flat.blocks.len());
 }
 
@@ -152,18 +173,29 @@ fn check_stamps(before: (u64, &[u64]), db: &ProbDb, touched: [bool; SHARD_COUNT]
     }
 }
 
+/// The flat wire format: `schema`, `certain`, `blocks` as plain
+/// sequences of rows.
+fn flat_json(db: &ProbDb, flat: &Flat) -> String {
+    let legacy = serde_json::Value::Object(vec![
+        ("schema".into(), serde_json::to_value(db.schema())),
+        ("certain".into(), serde_json::to_value(&flat.certain)),
+        ("blocks".into(), serde_json::to_value(&flat.blocks)),
+    ]);
+    serde_json::to_string(&legacy).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleavings across segment boundaries behave like flat
-    /// vectors; every clone keeps exactly the contents it was cloned with.
+    /// Random interleavings across segment boundaries read back like flat
+    /// vectors and stamp exactly the shards they touch; every clone keeps
+    /// exactly the contents it was cloned with.
     #[test]
-    fn segmented_rows_behave_like_flat_vectors(
+    fn store_rows_behave_like_flat_vectors(
         size in 0usize..4,
         ops in prop::collection::vec(arb_op(), 1..40),
     ) {
-        let rows = [SEGMENT_LEN - 1, SEGMENT_LEN, SEGMENT_LEN + 1, 3 * SEGMENT_LEN + 7][size];
-        let (mut db, mut flat) = filled(rows);
+        let (mut db, mut flat) = filled(SIZES[size]);
         check_against(&db, &flat);
         let mut clones: Vec<(ProbDb, Flat)> = Vec::new();
         for op in ops {
@@ -178,35 +210,24 @@ proptest! {
                     check_stamps(before, &db, shards_of(&db, [k]));
                 }
                 Op::Block(k, l, w) => {
-                    let b = block(flat.blocks.len(), k, l, w);
+                    // Mostly the next key in sequence, sometimes a jump.
+                    let key = if w % 3 == 0 { usize::from(w) } else { flat.blocks.len() };
+                    let b = block(key, k, l, w);
                     db.push_block(b.clone()).unwrap();
                     flat.blocks.push(b);
                     check_stamps(before, &db, shards_of(&db, [k]));
                 }
                 Op::Masses(pick, w) => {
                     let i = usize::from(pick) % flat.blocks.len();
-                    let p = f64::from(w) / 100.0;
-                    db.set_block_masses(i, &[p, 1.0 - p]).unwrap();
                     let keys = flat.blocks[i].alternatives().iter().map(|a| a.tuple.raw()[0]);
                     let touched = shards_of(&db, keys);
-                    let b = &flat.blocks[i];
-                    let alts = b
-                        .alternatives()
-                        .iter()
-                        .zip([p, 1.0 - p])
-                        .map(|(a, prob)| Alternative { tuple: a.tuple.clone(), prob })
-                        .collect();
-                    flat.blocks[i] = Block::new(b.key(), alts).unwrap();
+                    set_masses(&mut db, &mut flat, i, f64::from(w) / 100.0);
                     check_stamps(before, &db, touched);
                 }
                 Op::Clone => {
                     let copy = db.clone();
                     prop_assert_eq!(copy.version(), db.version());
                     prop_assert_eq!(copy.shard_versions(), db.shard_versions());
-                    prop_assert_eq!(
-                        copy.blocks().shared_segment_count(db.blocks()),
-                        db.blocks().segment_count()
-                    );
                     clones.push((copy, flat.clone()));
                 }
             }
@@ -218,47 +239,49 @@ proptest! {
         }
     }
 
-    /// A write after a clone copies only the segment it lands in.
+    /// Pushes and mass updates on a clone leave the original's rows,
+    /// version and shard stamps as they were; a rejected update leaves
+    /// the clone as it was.
     #[test]
-    fn writes_after_a_clone_copy_one_segment(size in 0usize..4, pick in 0usize..10_000) {
-        let rows = [SEGMENT_LEN - 1, SEGMENT_LEN, SEGMENT_LEN + 1, 3 * SEGMENT_LEN + 7][size];
-        let (original, _) = filled(rows);
-        let segments = original.blocks().segment_count();
-        let partial_tail = usize::from(!rows.is_multiple_of(SEGMENT_LEN));
+    fn writes_to_a_clone_never_reach_the_original(size in 0usize..4, pick in 0usize..10_000) {
+        let rows = SIZES[size];
+        let (original, flat) = filled(rows);
+        let (version, shards) = (original.version(), original.shard_versions().to_vec());
 
-        let mut pushed = original.clone();
-        pushed.push_block(block(rows, 0, 0, 50)).unwrap();
-        prop_assert_eq!(
-            pushed.blocks().shared_segment_count(original.blocks()),
-            segments - partial_tail
-        );
-        prop_assert_eq!(pushed.certain().shared_segment_count(original.certain()), segments);
+        let (mut copy, mut copy_flat) = (original.clone(), flat.clone());
+        copy.push_block(block(rows, 0, 0, 50)).unwrap();
+        copy_flat.blocks.push(block(rows, 0, 0, 50));
+        let t = CompleteTuple::from_values(vec![KEYS - 1, 1]);
+        copy.push_certain(t.clone()).unwrap();
+        copy_flat.certain.push(t);
+        set_masses(&mut copy, &mut copy_flat, pick % rows, 0.25);
+        check_against(&copy, &copy_flat);
 
-        let mut updated = original.clone();
-        updated.set_block_masses(pick % rows, &[0.25, 0.75]).unwrap();
-        prop_assert_eq!(
-            updated.blocks().shared_segment_count(original.blocks()),
-            segments - 1
-        );
-        // A rejected update copies nothing.
-        let mut rejected = original.clone();
-        prop_assert!(rejected.set_block_masses(pick % rows, &[0.5, 0.6]).is_err());
-        prop_assert_eq!(rejected.blocks().shared_segment_count(original.blocks()), segments);
+        let copy_version = copy.version();
+        prop_assert!(copy.set_block_masses(pick % rows, &[0.5, 0.6]).is_err());
+        prop_assert_eq!(copy.version(), copy_version);
+        check_against(&copy, &copy_flat);
+
+        check_against(&original, &flat);
+        prop_assert_eq!(original.version(), version);
+        prop_assert_eq!(original.shard_versions(), &shards[..]);
     }
 
     /// The wire format is the flat encoding: `schema`, `certain`, `blocks`
-    /// as plain sequences, byte for byte, and it round-trips.
+    /// as plain sequences, byte for byte, after mass updates too, and it
+    /// round-trips.
     #[test]
-    fn serialization_is_byte_identical_to_the_flat_encoding(size in 0usize..4) {
-        let rows = [SEGMENT_LEN - 1, SEGMENT_LEN, SEGMENT_LEN + 1, 3 * SEGMENT_LEN + 7][size];
-        let (db, flat) = filled(rows);
-        let legacy = serde_json::Value::Object(vec![
-            ("schema".into(), serde_json::to_value(db.schema())),
-            ("certain".into(), serde_json::to_value(&flat.certain)),
-            ("blocks".into(), serde_json::to_value(&flat.blocks)),
-        ]);
+    fn serialization_is_byte_identical_to_the_flat_encoding(
+        size in 0usize..4,
+        updates in prop::collection::vec((0usize..10_000, 1u16..100), 0..8),
+    ) {
+        let (mut db, mut flat) = filled(SIZES[size]);
+        for (pick, w) in updates {
+            let i = pick % flat.blocks.len();
+            set_masses(&mut db, &mut flat, i, f64::from(w) / 100.0);
+        }
         let text = serde_json::to_string(&db).unwrap();
-        prop_assert_eq!(&text, &serde_json::to_string(&legacy).unwrap());
+        prop_assert_eq!(&text, &flat_json(&db, &flat));
         let back: ProbDb = serde_json::from_str(&text).unwrap();
         check_against(&back, &flat);
     }
