@@ -20,35 +20,20 @@
 //! plans, compiles and binds from scratch; their warm counterparts reuse
 //! the cached program and its memoized registers.
 //!
-//! The self-timed cold-versus-warm report is written to `BENCH_plan.json`
-//! on full runs only. Under `--test` (CI smoke) its fixtures shrink to a
-//! fraction of a second and the committed JSON is left untouched.
+//! The self-timed cold-versus-warm report (`joins/plan_report`) is
+//! written to `BENCH_plan.json` on full runs only. Under `--test` (CI
+//! smoke) its fixtures shrink to a fraction of a second and the committed
+//! JSON is left untouched; a positional filter that `joins/plan_report`
+//! does not contain skips it (`-- plan_report` runs the report alone).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrsl_bench::{smoke_mode, synthetic_chain_catalog, synthetic_join_catalog};
-use mrsl_probdb::{CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
-use mrsl_relation::{AttrId, ValueId};
+use mrsl_bench::{
+    chain_query, join_query, reporter_selected, smoke_mode, synthetic_chain_catalog,
+    synthetic_join_catalog, vm_config,
+};
+use mrsl_probdb::{CatalogEngine, Query, QueryEngineConfig, Statistic};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// VM configuration: compiled plans on (the default), brackets never
-/// refined so the bounds rows measure the pure deterministic path.
-fn vm_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
-    }
-}
-
-/// σ[kind ∈ {0,1}](sensors) ⨝ σ[level ≥ 2](readings) on the station.
-fn join_query() -> Query {
-    Query::scan("sensors")
-        .filter(Predicate::is_in(AttrId(1), [ValueId(0), ValueId(1)]))
-        .join_on(
-            Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3))),
-            [(AttrId(0), AttrId(0))],
-        )
-}
 
 fn bench_joins(c: &mut Criterion) {
     let mut group = c.benchmark_group("joins");
@@ -107,16 +92,6 @@ fn bench_joins(c: &mut Criterion) {
         );
     }
     group.finish();
-}
-
-/// `σ[ok] R(x) ⨝ σ[ok] S(x,y) ⨝ σ[ok] T(y)` — unsafe, dissociable.
-fn chain_query() -> Query {
-    let ok2 = Predicate::eq(AttrId(1), ValueId(1));
-    let ok3 = Predicate::eq(AttrId(2), ValueId(1));
-    Query::scan("r")
-        .filter(ok2.clone())
-        .join_on(Query::scan("s").filter(ok3), [(AttrId(0), AttrId(0))])
-        .join_on_rel("s", Query::scan("t").filter(ok2), [(AttrId(1), AttrId(0))])
 }
 
 fn bench_dissociation(c: &mut Criterion) {
@@ -235,6 +210,9 @@ fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow]) {
 /// hit/miss counters of the engines that ran them. `host_cores` records
 /// the machine the report came from.
 fn emit_plan_report(_c: &mut Criterion) {
+    if !reporter_selected("joins/plan_report") {
+        return;
+    }
     let smoke = smoke_mode();
     let (stations, certain, blocks) = if smoke {
         (16, 500, 300)
@@ -248,7 +226,7 @@ fn emit_plan_report(_c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
 
-    // Join fixture at ≥2k uncertain blocks: hierarchical, exact path.
+    // Join fixture: hierarchical, exact path.
     let join_catalog = synthetic_join_catalog(stations, certain, blocks, 3, 42);
     let join = join_query();
     let engine = CatalogEngine::new(&join_catalog);
@@ -266,7 +244,7 @@ fn emit_plan_report(_c: &mut Criterion) {
             rows[1].cold_ns
         );
     }
-    write_rows(&mut out, "join_2k_blocks", &rows);
+    write_rows(&mut out, &format!("join_{blocks}_blocks"), &rows);
     let stats = engine.plan_cache().stats();
 
     // Dissociable chain: both bounds are compiled programs.
@@ -279,7 +257,7 @@ fn emit_plan_report(_c: &mut Criterion) {
         Statistic::ProbabilityBounds,
         iters,
     )];
-    write_rows(&mut out, "chain_2500_blocks", &rows);
+    write_rows(&mut out, &format!("chain_{chain_blocks}_blocks"), &rows);
     let chain_stats = engine.plan_cache().stats();
 
     let _ = writeln!(

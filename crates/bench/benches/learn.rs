@@ -15,10 +15,14 @@
 //!   labeled training set.
 //!
 //! Under `--test` (CI smoke) the fixtures shrink to seconds of work and
-//! the JSON is not rewritten.
+//! the JSON is not rewritten; a positional filter that `learn_report`
+//! does not contain skips the report.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{learned_model, smoke_mode, synthetic_join_catalog};
+use mrsl_bench::{
+    join_query, learned_model, percentile, reporter_selected, sample_ns, smoke_mode,
+    synthetic_join_catalog,
+};
 use mrsl_core::{GibbsConfig, VotingConfig};
 use mrsl_learn::{
     fit_block_masses, fit_ensemble_weights, standard_members, LabeledQuery, MassFitConfig,
@@ -28,38 +32,6 @@ use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query};
 use mrsl_relation::{AttrId, ValueId};
 use mrsl_util::derive_seed;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
-/// warm-up call).
-fn sample_ns<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
-    f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-/// σ[kind ∈ {0,1}](sensors) ⨝ σ[level ≥ 2](readings) — liftable, so the
-/// gradient pass covers the lifted multi-term product too.
-fn join_query() -> Query {
-    Query::scan("sensors")
-        .filter(Predicate::is_in(AttrId(1), [ValueId(0), ValueId(1)]))
-        .join_on(
-            Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3))),
-            [(AttrId(0), AttrId(0))],
-        )
-}
 
 /// Forward-vs-gradient latencies on a fresh engine per call (the gradient
 /// path plans from scratch; so must its baseline for an honest ratio).
@@ -90,6 +62,9 @@ fn gradient_section(
 }
 
 fn emit_learn_report(_c: &mut Criterion) {
+    if !reporter_selected("learn_report") {
+        return;
+    }
     let smoke = smoke_mode();
     let (train_n, holdout_n, fit_iters) = if smoke { (300, 6, 1) } else { (4_000, 60, 5) };
     let (stations, certain, blocks, grad_iters) = if smoke {

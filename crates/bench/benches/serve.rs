@@ -23,16 +23,18 @@
 //! `host_cores` records the machine's parallelism: client counts above it
 //! time contention honestly rather than projecting speedups. Under
 //! `--test` (CI smoke) the fixtures shrink to seconds of work and the
-//! JSON is not rewritten.
+//! JSON is not rewritten; a positional filter that `serve_report` does
+//! not contain skips the report.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{smoke_mode, synthetic_join_catalog};
+use mrsl_bench::{
+    join_query, percentile, reporter_selected, smoke_mode, synthetic_join_catalog, vm_config,
+};
 use mrsl_probdb::serve::{ProbDbServer, ServeConfig};
 use mrsl_probdb::{
-    Alternative, Block, Predicate, ProbDbError, Query, QueryEngineConfig, ServerHandle,
-    ServerStats, Statistic,
+    Alternative, Block, ProbDbError, Query, QueryEngineConfig, ServerHandle, ServerStats, Statistic,
 };
-use mrsl_relation::{AttrId, CompleteTuple, ValueId};
+use mrsl_relation::CompleteTuple;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -43,28 +45,9 @@ const WORKERS: usize = 4;
 fn serve_config() -> ServeConfig {
     ServeConfig {
         workers: WORKERS,
-        engine: QueryEngineConfig {
-            bounds_tolerance: 1.0,
-            ..QueryEngineConfig::default()
-        },
+        engine: vm_config(),
         ..ServeConfig::default()
     }
-}
-
-/// σ[kind ∈ {0,1}](sensors) ⨝ σ[level ≥ 2](readings) on the station —
-/// the same hierarchical join the shard bench times engine-direct.
-fn join_query() -> Query {
-    Query::scan("sensors")
-        .filter(Predicate::is_in(AttrId(1), [ValueId(0), ValueId(1)]))
-        .join_on(
-            Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3))),
-            [(AttrId(0), AttrId(0))],
-        )
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One client thread: `iters` blocking round-trips through the pool,
@@ -178,10 +161,8 @@ fn overload_section(out: &mut String, smoke: bool) {
             engine: QueryEngineConfig {
                 force_monte_carlo: true,
                 mc_samples,
-                bounds_tolerance: 1.0,
-                ..QueryEngineConfig::default()
+                ..vm_config()
             },
-            ..ServeConfig::default()
         },
     );
 
@@ -337,6 +318,9 @@ fn overload_section(out: &mut String, smoke: bool) {
 }
 
 fn emit_serve_report(_c: &mut Criterion) {
+    if !reporter_selected("serve_report") {
+        return;
+    }
     let smoke = smoke_mode();
     let (stations, certain, blocks) = if smoke {
         (16, 200, 200)

@@ -23,62 +23,16 @@
 //!
 //! `host_cores` records the machine the report came from. Under `--test`
 //! (CI smoke) the fixtures shrink to seconds of work and the JSON is not
-//! rewritten.
+//! rewritten; a positional filter that `shard_report` does not contain
+//! skips the report.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{smoke_mode, synthetic_chain_catalog, synthetic_join_catalog};
-use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
-use mrsl_relation::{AttrId, ValueId};
+use mrsl_bench::{
+    chain_query, join_query, percentile, reporter_selected, sample_ns, smoke_mode,
+    synthetic_chain_catalog, synthetic_join_catalog, vm_config,
+};
+use mrsl_probdb::{Catalog, CatalogEngine, Query, Statistic};
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// The default engine config with brackets never refined.
-fn vm_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
-    }
-}
-
-/// σ[kind ∈ {0,1}](sensors) ⨝ σ[level ≥ 2](readings) on the station.
-fn join_query() -> Query {
-    Query::scan("sensors")
-        .filter(Predicate::is_in(AttrId(1), [ValueId(0), ValueId(1)]))
-        .join_on(
-            Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3))),
-            [(AttrId(0), AttrId(0))],
-        )
-}
-
-/// `σ[ok] R(x) ⨝ σ[ok] S(x,y) ⨝ σ[ok] T(y)` — unsafe, dissociable.
-fn chain_query() -> Query {
-    let ok2 = Predicate::eq(AttrId(1), ValueId(1));
-    let ok3 = Predicate::eq(AttrId(2), ValueId(1));
-    Query::scan("r")
-        .filter(ok2.clone())
-        .join_on(Query::scan("s").filter(ok3), [(AttrId(0), AttrId(0))])
-        .join_on_rel("s", Query::scan("t").filter(ok2), [(AttrId(1), AttrId(0))])
-}
-
-/// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
-/// warm-up call).
-fn sample_ns<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
-    f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
 
 /// Times one (catalog, query, statistic) fixture — cold = fresh engine
 /// per call (plan + bind + fold), warm = shared engine cache hits — and
@@ -111,6 +65,9 @@ fn latency_section(
 }
 
 fn emit_shard_report(_c: &mut Criterion) {
+    if !reporter_selected("shard_report") {
+        return;
+    }
     let smoke = smoke_mode();
     // 100k uncertain blocks (3 alternatives each) plus certain rows in
     // the join catalog; the chain splits 100k blocks over r/s/t.

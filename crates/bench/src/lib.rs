@@ -10,10 +10,12 @@
 use mrsl_bayesnet::catalog::by_name;
 use mrsl_bayesnet::BayesianNetwork;
 use mrsl_core::{LearnConfig, MrslModel};
-use mrsl_relation::{AttrId, CompleteTuple, PartialTuple};
+use mrsl_probdb::{Predicate, Query, QueryEngineConfig};
+use mrsl_relation::{AttrId, CompleteTuple, PartialTuple, ValueId};
 use mrsl_util::{derive_seed, seeded_rng};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::time::Instant;
 
 /// Is this bench run a smoke run? `cargo bench -- --test` (CI) and
 /// `--list` ask for one: the self-timed reporters then shrink their
@@ -21,6 +23,88 @@ use rand::Rng;
 /// reports untouched.
 pub fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--list")
+}
+
+/// Does this run select the self-timed reporter `name`? Like a timed
+/// bench, a reporter runs only when the run's positional filter (parsed
+/// as the vendored criterion parses it) is absent or a substring of its
+/// name, so `cargo bench --bench joins -- probability/3000` times the
+/// matching benches and leaves `BENCH_plan.json` alone.
+pub fn reporter_selected(name: &str) -> bool {
+    let mut filter = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--profile-time"
+            | "--save-baseline"
+            | "--baseline"
+            | "--load-baseline"
+            | "--measurement-time"
+            | "--warm-up-time"
+            | "--sample-size"
+            | "--significance-level"
+            | "--output-format"
+            | "--format"
+            | "--color" => {
+                let _ = args.next();
+            }
+            flag if flag.starts_with("--") => {}
+            positional => filter = Some(positional.to_owned()),
+        }
+    }
+    filter.is_none_or(|f| name.contains(&f))
+}
+
+/// The default engine config with brackets never refined, so bounds
+/// timings measure the pure deterministic path.
+pub fn vm_config() -> QueryEngineConfig {
+    QueryEngineConfig {
+        bounds_tolerance: 1.0,
+        ..QueryEngineConfig::default()
+    }
+}
+
+/// `σ[kind ∈ {0,1}](sensors) ⨝ σ[level ≥ 2](readings)` on the station,
+/// over [`synthetic_join_catalog`] — liftable.
+pub fn join_query() -> Query {
+    Query::scan("sensors")
+        .filter(Predicate::is_in(AttrId(1), [ValueId(0), ValueId(1)]))
+        .join_on(
+            Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3))),
+            [(AttrId(0), AttrId(0))],
+        )
+}
+
+/// `σ[ok] R(x) ⨝ σ[ok] S(x,y) ⨝ σ[ok] T(y)` over
+/// [`synthetic_chain_catalog`] — unsafe, dissociable.
+pub fn chain_query() -> Query {
+    let ok2 = Predicate::eq(AttrId(1), ValueId(1));
+    let ok3 = Predicate::eq(AttrId(2), ValueId(1));
+    Query::scan("r")
+        .filter(ok2.clone())
+        .join_on(Query::scan("s").filter(ok3), [(AttrId(0), AttrId(0))])
+        .join_on_rel("s", Query::scan("t").filter(ok2), [(AttrId(1), AttrId(0))])
+}
+
+/// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
+/// warm-up call).
+pub fn sample_ns<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
+    f();
+    let mut samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples
+}
+
+/// The `p`-quantile (`0.0..=1.0`, nearest rank) of sorted samples.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
 }
 
 /// Instantiates a catalog network deterministically.
@@ -309,15 +393,9 @@ mod tests {
 
     #[test]
     fn chain_catalog_is_dissociable() {
-        use mrsl_probdb::{CatalogEngine, PlanClass, Predicate, Query, Statistic};
-        use mrsl_relation::{AttrId, ValueId};
+        use mrsl_probdb::{CatalogEngine, PlanClass, Statistic};
         let catalog = synthetic_chain_catalog(8, 40, 11);
-        let ok2 = Predicate::eq(AttrId(1), ValueId(1));
-        let ok3 = Predicate::eq(AttrId(2), ValueId(1));
-        let q = Query::scan("r")
-            .filter(ok2.clone())
-            .join_on(Query::scan("s").filter(ok3), [(AttrId(0), AttrId(0))])
-            .join_on_rel("s", Query::scan("t").filter(ok2), [(AttrId(1), AttrId(0))]);
+        let q = chain_query();
         let engine = CatalogEngine::new(&catalog);
         let (_, plan) = engine.plan(&q, Statistic::Probability).expect("plan");
         assert_eq!(plan, PlanClass::NonHierarchical);

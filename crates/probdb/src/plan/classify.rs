@@ -406,23 +406,24 @@ fn live_rows(
 /// A term bound to its relation's columnar store: the live-row bitmaps
 /// of its [`TermScan`] and its per-class key columns — what the register
 /// gather, the reference tape, the mass tables and the samplers read.
+/// It borrows everything, so binding one is O(classes).
 pub(crate) struct CompiledTerm<'a> {
     /// Catalog relation the scan reads; aliased scans of one relation
     /// share this (and their block choices — they are *not* independent).
-    pub relation: String,
+    pub relation: &'a str,
     pub db: &'a ProbDb,
     /// One bit per certain row: does it survive selection and intra-class
     /// equality?
-    pub live_certain: Bitmap,
+    pub live_certain: &'a Bitmap,
     /// One bit per alternative row, same condition.
-    pub live_alts: Bitmap,
+    pub live_alts: &'a Bitmap,
     /// `(class index, certain key column, alternative key column)` for
     /// every class this term participates in.
     pub keys: Vec<(usize, &'a [u16], &'a [u16])>,
 }
 
 impl<'a> CompiledTerm<'a> {
-    fn new(term: &Term<'a>, scan: &TermScan) -> Self {
+    fn new(term: &'a Term, scan: &'a TermScan) -> Self {
         let cols = term.db.columns();
         let keys = term
             .class_attrs
@@ -430,10 +431,10 @@ impl<'a> CompiledTerm<'a> {
             .map(|&(ci, a)| (ci, cols.certain().col(a), cols.alternatives().col(a)))
             .collect();
         Self {
-            relation: term.relation.clone(),
+            relation: &term.relation,
             db: term.db,
-            live_certain: scan.live_certain.clone(),
-            live_alts: scan.live_alts.clone(),
+            live_certain: &scan.live_certain,
+            live_alts: &scan.live_alts,
             keys,
         }
     }
@@ -449,8 +450,8 @@ impl<'a> CompiledTerm<'a> {
 
 /// Binds every resolved term to its (up-to-date) scan.
 pub(crate) fn compile_terms<'a>(
-    resolved: &Resolved<'a>,
-    scans: &[TermScan],
+    resolved: &'a Resolved,
+    scans: &'a [TermScan],
 ) -> Vec<CompiledTerm<'a>> {
     resolved
         .terms
@@ -460,15 +461,12 @@ pub(crate) fn compile_terms<'a>(
         .collect()
 }
 
-/// Scans every term from scratch and binds it: the cold path, for
-/// callers that keep no scans.
-pub(crate) fn scan_and_compile<'a>(
-    resolved: &Resolved<'a>,
-) -> (Vec<TermScan>, Vec<CompiledTerm<'a>>) {
+/// Scans every term from scratch: the cold path, for callers that keep
+/// no scans.
+pub(crate) fn scan_terms(resolved: &Resolved) -> Vec<TermScan> {
     let mut scans = Vec::new();
     refresh_scans(resolved, &mut scans);
-    let compiled = compile_terms(resolved, &scans);
-    (scans, compiled)
+    scans
 }
 
 /// One bit per row: are the two columns equal there?
@@ -603,8 +601,8 @@ pub(crate) fn classify(resolved: &Resolved, scans: &[TermScan]) -> Classificatio
     }
     // A hierarchical shape is its own empty dissociation: every
     // connected component has a covering root class.
-    let decomposition =
-        super::dissociate::decompose(resolved, &[]).expect("hierarchical shapes decompose");
+    let program = super::compile::lower(resolved, &[]).expect("hierarchical shapes lower");
+    let decomposition = super::compile::render(&program, resolved, &[]);
     // 3. Aliases: scanning one relation twice shares its block choices
     // across the scans, so the independent-product safe plan is a
     // *dissociation* of the query, not its exact value.

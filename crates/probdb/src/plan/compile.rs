@@ -9,14 +9,16 @@
 //!    tag joins it in the cache key, and every hit re-verifies full
 //!    structural equality ([`CachedPlan::matches`]) so fingerprint
 //!    collisions cannot reuse a wrong plan.
-//! 2. **Lowering** — [`lower`] walks the same component/covering-root
-//!    recursion as the reference tape (`grad::record`, reachable only
-//!    through [`crate::testutil::interpreted`] and the gradient) but
-//!    emits flat [`vm::Op`]s instead of recursing over row maps. It
-//!    lowers one dissociation: the empty one is the exact safe plan, and
-//!    a bounds candidate is one program that [`vm::run_prebound`] runs
-//!    once per bracket side. [`compile_count`] captures the
-//!    deterministic mass-join schedule.
+//! 2. **Lowering** — [`lower`] walks the component/covering-root
+//!    recursion, which lives only here and in the reference tape
+//!    (`grad::record`, reachable only through
+//!    [`crate::testutil::interpreted`] and the gradient), but emits flat
+//!    [`vm::Op`]s instead of recursing over row maps. It lowers one
+//!    dissociation: the empty one is the exact safe plan, and a bounds
+//!    candidate is one program that [`vm::run_prebound`] runs once per
+//!    bracket side. [`render`] reads a program back as the [`SafePlan`]
+//!    reports show. [`compile_count`] captures the deterministic
+//!    mass-join schedule.
 //! 3. **Peephole** — [`peephole`] fuses all-leaf partition bodies into
 //!    inline leaf lists; the lowering itself already hoists
 //!    loop-invariant (copied-only) subtrees and records per-term sort
@@ -26,12 +28,11 @@
 //!    stores [`CachedPlan`]s: the query's [`Flattened`] shape, the
 //!    compiled program, the schemas and the data-dependent guard
 //!    verdicts. Each plan is the single owner of its data-version stamps,
-//!    term scans, bound registers and report memo, behind one lock
-//!    ([`PlanMemo`]). A cold miss captures the entry with its scans and
-//!    registers and runs it through the same executor as a warm hit; a
-//!    warm hit skips flatten-resolve-classify-dissociate entirely: it
-//!    re-binds the owned shape against current column data and executes
-//!    the cached program.
+//!    term scans and bound registers, behind one lock ([`PlanMemo`]). A
+//!    cold miss captures the entry with its scans and registers and runs
+//!    it through the same executor as a warm hit; a warm hit skips
+//!    flatten-resolve-classify-dissociate entirely: it re-binds the owned
+//!    shape against current column data and executes the cached program.
 //!
 //! **Incremental refresh.** The memo keeps two kinds of data-derived
 //! state, each under the stamps that name its inputs:
@@ -58,11 +59,12 @@
 //! invalidates the entry and falls back to a cold replan.
 
 use super::classify::{
-    alias_live_mismatch, components, key_straddle, Class, CompiledTerm, Resolved, Term, TermScan,
+    alias_live_mismatch, compile_terms, components, key_straddle, Class, CompiledTerm, Resolved,
+    Term, TermScan,
 };
 use super::dissociate::{
-    alias_multiplicities, bracket, covering_root, extended_class_terms, DescribeMemo,
-    DissociatedBounds, Dissociation, Mode,
+    alias_multiplicities, bracket, covering_root, extended_class_terms, DissociatedBounds,
+    Dissociation, Mode,
 };
 use super::exact::{self, MassStep};
 use super::report::{EvalPath, PlanClass, SafePlan};
@@ -94,8 +96,9 @@ pub(crate) fn cache_tag(stat: Statistic) -> Option<u8> {
 /// dissociated copies replicated with their replication registers
 /// accumulating the branch count, and every leaf carrying its alias
 /// multiplicity for the run's [`Mode`]. `lower(resolved, &[])` is the
-/// exact safe plan of a liftable shape.
-pub(crate) fn lower(resolved: &Resolved, ext: &[(usize, usize)]) -> Program {
+/// exact safe plan of a liftable shape. `None` when some component has
+/// no covering root class: such extension sets are not admissible.
+pub(crate) fn lower(resolved: &Resolved, ext: &[(usize, usize)]) -> Option<Program> {
     let mut lowering = Lowering {
         resolved,
         class_terms: extended_class_terms(resolved, ext),
@@ -108,12 +111,12 @@ pub(crate) fn lower(resolved: &Resolved, ext: &[(usize, usize)]) -> Program {
     let roots = components(&lowering.class_terms, &all, &active)
         .iter()
         .map(|comp| lowering.component(comp, &active))
-        .collect();
-    peephole(Program {
+        .collect::<Option<_>>()?;
+    Some(peephole(Program {
         ops: lowering.ops,
         roots,
         paths: lowering.paths,
-    })
+    }))
 }
 
 /// The lowering's shape context and the program it emits.
@@ -126,16 +129,15 @@ struct Lowering<'a, 'b> {
 }
 
 impl Lowering<'_, '_> {
-    fn component(&mut self, comp: &[usize], active: &[usize]) -> u32 {
+    fn component(&mut self, comp: &[usize], active: &[usize]) -> Option<u32> {
         if comp.len() == 1 {
             let t = comp[0];
-            return self.emit(Op::Leaf {
+            return Some(self.emit(Op::Leaf {
                 term: t as u32,
                 k: self.alias_k[t],
-            });
+            }));
         }
-        let root = covering_root(self.resolved, &self.class_terms, comp, active)
-            .expect("admissible dissociations decompose");
+        let root = covering_root(self.resolved, &self.class_terms, comp, active)?;
         let root_terms = self.resolved.classes[root].terms();
         let (binding, copied): (Vec<usize>, Vec<usize>) =
             comp.iter().partition(|t| root_terms.contains(t));
@@ -150,28 +152,85 @@ impl Lowering<'_, '_> {
         let body = components(&self.class_terms, comp, &remaining)
             .iter()
             .map(|sub| {
-                let op = self.component(sub, &remaining);
+                let op = self.component(sub, &remaining)?;
                 // Copied-only subtrees see the same windows and
                 // replication registers in every branch — loop-invariant,
                 // hoist.
-                if sub.iter().all(|t| copied.contains(t)) {
+                Some(if sub.iter().all(|t| copied.contains(t)) {
                     BodyStep::Hoisted(op)
                 } else {
                     BodyStep::Eval(op)
-                }
+                })
             })
-            .collect();
-        self.emit(Op::Partition {
+            .collect::<Option<_>>()?;
+        Some(self.emit(Op::Partition {
             binding,
             copied: copied.iter().map(|&t| t as u32).collect(),
             body,
             fused: None,
-        })
+        }))
     }
 
     fn emit(&mut self, op: Op) -> u32 {
         self.ops.push(op);
         (self.ops.len() - 1) as u32
+    }
+}
+
+/// Renders a lowered dissociation — the query with the `ext` class
+/// memberships added — as the [`SafePlan`] reports show: a partition is
+/// keyed by its root class (the class its binding terms sit on at that
+/// level of their sort paths), its body in order; a leaf is a
+/// [`SafePlan::Scan`], or a [`SafePlan::Copy`] on the classes `ext`
+/// dissociates its term on; several top-level components are a `⊤`
+/// partition.
+pub(crate) fn render(program: &Program, resolved: &Resolved, ext: &[(usize, usize)]) -> SafePlan {
+    let mut roots: Vec<SafePlan> = program
+        .roots
+        .iter()
+        .map(|&op| render_op(program, resolved, ext, op))
+        .collect();
+    if roots.len() == 1 {
+        return roots.pop().expect("one root");
+    }
+    SafePlan::KeyPartition {
+        key: "⊤".into(),
+        inputs: roots,
+    }
+}
+
+fn render_op(program: &Program, resolved: &Resolved, ext: &[(usize, usize)], op: u32) -> SafePlan {
+    match &program.ops[op as usize] {
+        Op::Leaf { term, .. } => {
+            let t = *term as usize;
+            let relation = resolved.terms[t].name.clone();
+            let keys: Vec<&str> = ext
+                .iter()
+                .filter(|&&(_, et)| et == t)
+                .map(|&(c, _)| resolved.classes[c].label.as_str())
+                .collect();
+            if keys.is_empty() {
+                SafePlan::Scan { relation }
+            } else {
+                SafePlan::Copy {
+                    relation,
+                    key: keys.join(" ∥ "),
+                }
+            }
+        }
+        Op::Partition { binding, body, .. } => {
+            let (t, level) = binding[0];
+            let root = program.paths[t as usize][level as usize];
+            SafePlan::KeyPartition {
+                key: resolved.classes[root].label.clone(),
+                inputs: body
+                    .iter()
+                    .map(|(BodyStep::Eval(op) | BodyStep::Hoisted(op))| {
+                        render_op(program, resolved, ext, *op)
+                    })
+                    .collect(),
+            }
+        }
     }
 }
 
@@ -240,26 +299,23 @@ fn peephole(mut prog: Program) -> Program {
 /// both pick identical winners. `regs[i]` is candidate `i`'s one register
 /// set: its upper and lower bound are the same program run in the two
 /// modes, and a program's sort paths depend only on its dissociation, so
-/// both runs read the same registers. `describe` is the cached plan's
-/// report memo, borrowed under its memo lock.
+/// both runs read the same registers.
 pub(crate) fn run_bounds_prebound(
     resolved: &Resolved,
     candidates: &[Dissociation],
-    programs: &[Program],
     regs: &[Vec<vm::TermRegs>],
-    describe: &mut DescribeMemo,
 ) -> DissociatedBounds {
-    let evals: Vec<(f64, f64)> = programs
+    let evals: Vec<(f64, f64)> = candidates
         .iter()
         .zip(regs)
-        .map(|(prog, regs)| {
+        .map(|(cand, regs)| {
             (
-                vm::run_prebound(prog, regs, Mode::Upper).clamp(0.0, 1.0),
-                vm::run_prebound(prog, regs, Mode::Lower).clamp(0.0, 1.0),
+                vm::run_prebound(&cand.program, regs, Mode::Upper).clamp(0.0, 1.0),
+                vm::run_prebound(&cand.program, regs, Mode::Lower).clamp(0.0, 1.0),
             )
         })
         .collect();
-    bracket(resolved, candidates, &evals, describe)
+    bracket(resolved, candidates, &evals)
 }
 
 /// The executable part of a cached plan.
@@ -270,11 +326,8 @@ pub(crate) enum CompiledProgram {
     /// in [`Mode::Upper`].
     Boolean(Program),
     /// Dissociation ensemble: one program per candidate, run once per
-    /// bracket side.
-    Bounds {
-        candidates: Vec<Dissociation>,
-        programs: Vec<Program>,
-    },
+    /// bracket side, stored beside the plan it renders as.
+    Bounds(Vec<Dissociation>),
     /// Expected count.
     Count(CountProgram),
     /// The verdict was Monte Carlo — no bytecode, but caching it still
@@ -290,7 +343,7 @@ impl CompiledProgram {
     fn parts(&self) -> (Vec<&Program>, Option<&[MassStep]>) {
         match self {
             Self::Boolean(p) => (vec![p], None),
-            Self::Bounds { programs, .. } => (programs.iter().collect(), None),
+            Self::Bounds(candidates) => (candidates.iter().map(|c| &c.program).collect(), None),
             Self::Count(cp) => (Vec::new(), cp.steps.as_deref()),
             Self::Sampled => (Vec::new(), None),
         }
@@ -315,8 +368,6 @@ pub(crate) struct PlanMemo {
     pub scans: Arc<Vec<TermScan>>,
     /// Bound registers; `None` for sampling verdicts, which bind nothing.
     pub regs: Option<BoundRegs>,
-    /// Bounds report-rendering memo (see [`DescribeMemo`]).
-    pub describe: DescribeMemo,
 }
 
 /// The gathered, pre-sorted columns of a deterministic program, valid
@@ -442,11 +493,11 @@ pub(crate) struct CachedPlan {
     /// evaluation-time decision re-made per answer).
     pub path: EvalPath,
     pub plan_class: PlanClass,
-    /// The classifier's decomposition (bounds answers re-derive their
-    /// winning candidate's decomposition at evaluation time).
+    /// The classifier's decomposition (bounds answers report their
+    /// winning candidate's plan instead).
     pub decomposition: Option<SafePlan>,
     pub program: CompiledProgram,
-    /// The data stamps, registers and report memo (see [`PlanMemo`]).
+    /// The data stamps, scans and registers (see [`PlanMemo`]).
     pub memo: Mutex<PlanMemo>,
 }
 
@@ -457,13 +508,17 @@ impl CachedPlan {
     pub(crate) fn capture(
         flat: Flattened,
         resolved: &Resolved,
-        (scans, compiled): (Vec<TermScan>, &[CompiledTerm]),
+        scans: Vec<TermScan>,
         (path, plan_class, decomposition): (EvalPath, PlanClass, Option<SafePlan>),
         program: CompiledProgram,
     ) -> Self {
         let regs = match program {
             CompiledProgram::Sampled => None,
-            _ => Some(BoundRegs::bind(&program, resolved, compiled)),
+            _ => Some(BoundRegs::bind(
+                &program,
+                resolved,
+                &compile_terms(resolved, &scans),
+            )),
         };
         CachedPlan {
             flat,
@@ -491,7 +546,6 @@ impl CachedPlan {
                 versions: resolved.terms.iter().map(|t| t.db.version()).collect(),
                 scans: Arc::new(scans),
                 regs,
-                describe: None,
             }),
         }
     }
@@ -692,7 +746,7 @@ impl Table {
 /// **Concurrency.** One mutex guards the table; every operation holds it
 /// only for a scan of the entries, never while planning or evaluating,
 /// and the counters are atomics. Each plan then guards its own data
-/// stamps, registers and report memo with one lock of its own, so
+/// stamps, scans and registers with one lock of its own, so
 /// concurrent hits on different shapes run in parallel and concurrent
 /// hits on one shape share one register memo.
 /// Shareable behind an [`Arc`] across engine instances — and across
@@ -832,5 +886,79 @@ impl PlanCache {
             plan,
             last_used,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algebra::Query;
+    use crate::catalog::Catalog;
+    use crate::plan::classify::resolve;
+
+    /// Pins [`render`] to strings recorded from the recursive
+    /// decomposition reports used before they rendered programs, on the
+    /// path `r(x) ⋈ s(x,y) ⋈ t(y,z) ⋈ u(z)`: nested partitions, copies
+    /// on one and on two classes, and — with the `z` class dropped so
+    /// that `u` stands alone — a `⊤` partition over two components.
+    /// Shapes without a covering root neither lower nor render.
+    #[test]
+    fn rendered_programs_match_the_recorded_decompositions() {
+        let schema = |attrs: &[&str]| {
+            let mut b = Schema::builder();
+            for a in attrs {
+                b = b.attribute(*a, ["v0", "v1"]);
+            }
+            b.build().unwrap()
+        };
+        let mut catalog = Catalog::new();
+        for (name, attrs) in [("r", &["x"][..]), ("s", &["x", "y"]), ("t", &["y", "z"])] {
+            catalog.add(name, ProbDb::new(schema(attrs))).unwrap();
+        }
+        catalog.add("u", ProbDb::new(schema(&["z"]))).unwrap();
+        let path = Query::scan("r")
+            .join_on("s", [(AttrId(0), AttrId(0))])
+            .join_on_rel("s", "t", [(AttrId(1), AttrId(0))])
+            .join_on_rel("t", "u", [(AttrId(1), AttrId(0))])
+            .flatten()
+            .unwrap();
+        let mut resolved = resolve(&path, |n| catalog.get(n)).unwrap();
+        let rendered = |resolved: &Resolved, ext: &[(usize, usize)]| {
+            lower(resolved, ext).map(|program| render(&program, resolved, ext).render())
+        };
+        let labels: Vec<&str> = resolved.classes.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["r.x = s.x", "s.y = t.y", "t.z = u.z"]);
+        assert_eq!(rendered(&resolved, &[]), None);
+        assert_eq!(
+            rendered(&resolved, &[(0, 2), (0, 3), (1, 3)]).as_deref(),
+            Some(
+                "⨅[r.x = s.x](scan r, ⨅[s.y = t.y](scan s, ⨅[t.z = u.z](copy t∥[r.x = s.x], \
+                 copy u∥[r.x = s.x ∥ s.y = t.y])))"
+            )
+        );
+        assert_eq!(
+            rendered(&resolved, &[(1, 0), (2, 0), (2, 1)]).as_deref(),
+            Some(
+                "⨅[t.z = u.z](⨅[s.y = t.y](⨅[r.x = s.x](copy r∥[s.y = t.y ∥ t.z = u.z], \
+                 copy s∥[t.z = u.z]), scan t), scan u)"
+            )
+        );
+        resolved.classes.truncate(2);
+        assert_eq!(rendered(&resolved, &[]), None);
+        assert_eq!(
+            rendered(&resolved, &[(0, 2)]).as_deref(),
+            Some("⨅[⊤](⨅[r.x = s.x](scan r, ⨅[s.y = t.y](scan s, copy t∥[r.x = s.x])), scan u)")
+        );
+        assert_eq!(
+            rendered(&resolved, &[(1, 0)]).as_deref(),
+            Some("⨅[⊤](⨅[s.y = t.y](⨅[r.x = s.x](copy r∥[s.y = t.y], scan s), scan t), scan u)")
+        );
+        assert_eq!(
+            rendered(&resolved, &[(0, 2), (1, 0)]).as_deref(),
+            Some(
+                "⨅[⊤](⨅[r.x = s.x](⨅[s.y = t.y](copy r∥[s.y = t.y], scan s, \
+                 copy t∥[r.x = s.x])), scan u)"
+            )
+        );
     }
 }

@@ -38,19 +38,42 @@
 //! evaluation).
 
 use super::classify::{
-    alias_groups, alias_live_mismatch, components, key_straddle, shape_violation, CompiledTerm,
-    Resolved, TermScan,
+    alias_groups, alias_live_mismatch, key_straddle, shape_violation, CompiledTerm, Resolved,
+    TermScan,
 };
+use super::compile::{lower, render};
 use super::grad;
 use super::report::SafePlan;
+use super::vm::Program;
 
 /// One way to make the query hierarchical: class memberships to add
-/// (dissociating the member term on that class's variable).
+/// (dissociating the member term on that class's variable), with the
+/// program it lowers to and the plan that program renders as.
 #[derive(Debug, Clone)]
 pub(crate) struct Dissociation {
     /// `(class, term)` memberships added; empty for pure alias
     /// dissociations (the shape was already hierarchical).
     pub extensions: Vec<(usize, usize)>,
+    /// The lowered dissociation, run once per bracket side.
+    pub program: Program,
+    /// What a report shows when this candidate wins the upper side.
+    pub plan: SafePlan,
+}
+
+impl Dissociation {
+    /// The dissociation adding `ext`, if it is admissible: the extended
+    /// shape is hierarchical and every component has a covering root.
+    fn admit(resolved: &Resolved, ext: &[(usize, usize)]) -> Option<Self> {
+        if shape_violation(resolved, ext).is_some() {
+            return None;
+        }
+        let program = lower(resolved, ext)?;
+        Some(Self {
+            plan: render(&program, resolved, ext),
+            extensions: ext.to_vec(),
+            program,
+        })
+    }
 }
 
 /// How [`crate::Statistic::ProbabilityBounds`] should be answered.
@@ -89,11 +112,9 @@ pub(crate) fn plan_bounds(
             if let Some(reason) = alias_live_mismatch(resolved, scans) {
                 return BoundsPlan::Sample(reason);
             }
-            if shape_violation(resolved, &[]).is_none() {
+            if let Some(aliases_only) = Dissociation::admit(resolved, &[]) {
                 // Hierarchical already: only the aliases dissociate.
-                return BoundsPlan::Dissociate(vec![Dissociation {
-                    extensions: Vec::new(),
-                }]);
+                return BoundsPlan::Dissociate(vec![aliases_only]);
             }
             let candidates = minimal_dissociations(resolved);
             if candidates.is_empty() {
@@ -135,15 +156,9 @@ fn minimal_dissociations(resolved: &Resolved) -> Vec<Dissociation> {
                 .map(move |t| (c, t))
         })
         .collect();
-    let admissible = |ext: &[(usize, usize)]| {
-        shape_violation(resolved, ext).is_none() && decompose(resolved, ext).is_some()
-    };
     let singles: Vec<Dissociation> = pairs
         .iter()
-        .filter(|&&p| admissible(&[p]))
-        .map(|&p| Dissociation {
-            extensions: vec![p],
-        })
+        .filter_map(|&p| Dissociation::admit(resolved, &[p]))
         .collect();
     if !singles.is_empty() {
         return singles;
@@ -151,22 +166,13 @@ fn minimal_dissociations(resolved: &Resolved) -> Vec<Dissociation> {
     let mut doubles = Vec::new();
     for i in 0..pairs.len() {
         for j in i + 1..pairs.len() {
-            let ext = [pairs[i], pairs[j]];
-            if admissible(&ext) {
-                doubles.push(Dissociation {
-                    extensions: ext.to_vec(),
-                });
-            }
+            doubles.extend(Dissociation::admit(resolved, &[pairs[i], pairs[j]]));
         }
     }
     if !doubles.is_empty() {
         return doubles;
     }
-    if admissible(&pairs) {
-        vec![Dissociation { extensions: pairs }]
-    } else {
-        Vec::new()
-    }
+    Dissociation::admit(resolved, &pairs).into_iter().collect()
 }
 
 /// The evaluated ensemble: the intersected bracket, the decomposition of
@@ -202,39 +208,22 @@ pub(crate) fn evaluate_bounds(
             (side(Mode::Upper), side(Mode::Lower))
         })
         .collect();
-    bracket(resolved, candidates, &evals, &mut None)
+    bracket(resolved, candidates, &evals)
 }
 
-/// Memo of the bounds report rendering, keyed by the winning
-/// `(upper_at, lower_at)` candidate pair. [`describe_bounds`] re-derives
-/// the winner's dissociated decomposition — pure shape work, identical
-/// for every evaluation that picks the same winner — so a cached plan
-/// keeps one and its warm hits skip the component recursion.
-pub(crate) type DescribeMemo = Option<((usize, usize), (SafePlan, Vec<String>))>;
-
 /// The tail both bounds evaluators share: intersects the per-candidate
-/// `(upper, lower)` brackets and renders the winners' report artifacts,
-/// reusing `memo` when it already holds the same winning pair.
+/// `(upper, lower)` brackets and describes the winners.
 pub(crate) fn bracket(
     resolved: &Resolved,
     candidates: &[Dissociation],
     evals: &[(f64, f64)],
-    memo: &mut DescribeMemo,
 ) -> DissociatedBounds {
     let choice = intersect_candidates(evals);
-    let key = (choice.upper_at, choice.lower_at);
-    let (plan, dissociated) = match memo {
-        Some((k, described)) if *k == key => described.clone(),
-        _ => {
-            let described = describe_bounds(resolved, candidates, &choice);
-            memo.insert((key, described)).1.clone()
-        }
-    };
     DissociatedBounds {
         lower: choice.lower,
         upper: choice.upper,
-        plan,
-        dissociated,
+        plan: candidates[choice.upper_at].plan.clone(),
+        dissociated: dissociated_entries(resolved, candidates, &choice),
     }
 }
 
@@ -279,16 +268,13 @@ fn intersect_candidates(evals: &[(f64, f64)]) -> BracketChoice {
     }
 }
 
-/// Renders the report artifacts of an intersected bracket: the winning
-/// upper candidate's decomposition and the dissociated-variable entries of
-/// both winners.
-fn describe_bounds(
+/// The dissociated-variable entries of an intersected bracket: the alias
+/// groups, then the extensions of both winners.
+fn dissociated_entries(
     resolved: &Resolved,
     candidates: &[Dissociation],
     choice: &BracketChoice,
-) -> (SafePlan, Vec<String>) {
-    let plan = decompose(resolved, &candidates[choice.upper_at].extensions)
-        .expect("candidate admissibility includes decomposability");
+) -> Vec<String> {
     let mut dissociated = Vec::new();
     for group in alias_groups(resolved) {
         let names: Vec<String> = group
@@ -312,7 +298,7 @@ fn describe_bounds(
             }
         }
     }
-    (plan, dissociated)
+    dissociated
 }
 
 /// Which side of the bracket a recursion computes. Exact evaluation is
@@ -396,80 +382,6 @@ pub(crate) fn alias_multiplicities(resolved: &Resolved) -> Vec<f64> {
         .collect()
 }
 
-/// The dissociated decomposition: the root class only needs to cover
-/// the component under the *extended* memberships, and terms it does not
-/// bind render as [`SafePlan::Copy`]. With no extensions this is the safe
-/// plan itself, which the classifier reports. Returns `None` when some
-/// component has no admissible root — such extension sets are rejected
-/// during the candidate search.
-pub(crate) fn decompose(resolved: &Resolved, ext: &[(usize, usize)]) -> Option<SafePlan> {
-    let class_terms = extended_class_terms(resolved, ext);
-    let all: Vec<usize> = (0..resolved.terms.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let copied_on: Vec<Vec<usize>> = (0..resolved.terms.len())
-        .map(|t| {
-            ext.iter()
-                .filter(|&&(_, et)| et == t)
-                .map(|&(c, _)| c)
-                .collect()
-        })
-        .collect();
-    let comps = components(&class_terms, &all, &active);
-    let mut inputs = Vec::with_capacity(comps.len());
-    for comp in comps {
-        inputs.push(decompose_component(
-            resolved,
-            &class_terms,
-            &copied_on,
-            &comp,
-            &active,
-        )?);
-    }
-    Some(if inputs.len() == 1 {
-        inputs.pop().expect("one input")
-    } else {
-        SafePlan::KeyPartition {
-            key: "⊤".into(),
-            inputs,
-        }
-    })
-}
-
-fn decompose_component(
-    resolved: &Resolved,
-    class_terms: &[Vec<usize>],
-    copied_on: &[Vec<usize>],
-    comp: &[usize],
-    active: &[usize],
-) -> Option<SafePlan> {
-    if comp.len() == 1 {
-        let t = comp[0];
-        let name = resolved.terms[t].name.clone();
-        return Some(if copied_on[t].is_empty() {
-            SafePlan::Scan { relation: name }
-        } else {
-            let keys: Vec<String> = copied_on[t]
-                .iter()
-                .map(|&c| resolved.classes[c].label.clone())
-                .collect();
-            SafePlan::Copy {
-                relation: name,
-                key: keys.join(" ∥ "),
-            }
-        });
-    }
-    let root = covering_root(resolved, class_terms, comp, active)?;
-    let remaining: Vec<usize> = active.iter().copied().filter(|&c| c != root).collect();
-    let inputs = components(class_terms, comp, &remaining)
-        .into_iter()
-        .map(|sub| decompose_component(resolved, class_terms, copied_on, &sub, &remaining))
-        .collect::<Option<Vec<_>>>()?;
-    Some(SafePlan::KeyPartition {
-        key: resolved.classes[root].label.clone(),
-        inputs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,7 +389,7 @@ mod tests {
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
     use crate::database::ProbDb;
-    use crate::plan::classify::{classify, resolve, scan_and_compile};
+    use crate::plan::classify::{classify, compile_terms, resolve, scan_terms};
     use crate::plan::report::PlanClass;
     use mrsl_relation::{AttrId, CompleteTuple, Schema};
 
@@ -565,7 +477,8 @@ mod tests {
         let brute = crate::testutil::oracle_probability(&catalog, &q).unwrap();
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
-        let (scans, compiled) = scan_and_compile(&resolved);
+        let scans = scan_terms(&resolved);
+        let compiled = compile_terms(&resolved, &scans);
         let classification = classify(&resolved, &scans);
         assert_eq!(classification.class, PlanClass::NonHierarchical);
         let BoundsPlan::Dissociate(cands) = plan_bounds(&resolved, &scans, classification.class)
@@ -595,7 +508,7 @@ mod tests {
     #[test]
     fn bounds_candidates_bind_one_register_set_each() {
         use crate::algebra::Statistic;
-        use crate::plan::compile::{cache_tag, lower, CompiledProgram};
+        use crate::plan::compile::{cache_tag, CompiledProgram};
         use crate::plan::{vm, CatalogEngine};
 
         let catalog = chain_catalog();
@@ -607,15 +520,10 @@ mod tests {
             .plan_cache()
             .probe(tag, q.flatten().unwrap().shape_hash())
             .expect("the bounds plan is cached");
-        let CompiledProgram::Bounds {
-            candidates,
-            programs,
-        } = &plan.program
-        else {
+        let CompiledProgram::Bounds(candidates) = &plan.program else {
             panic!("the chain compiles to a bounds ensemble");
         };
         assert!(candidates.len() > 1, "{candidates:?}");
-        assert_eq!(programs.len(), candidates.len());
         let memo = plan.memo.lock().unwrap();
         let regs = memo.regs.as_ref().expect("the cold run memoizes registers");
         assert_eq!(regs.per_program.len(), candidates.len());
@@ -626,8 +534,9 @@ mod tests {
             .join_on(Query::scan("s").filter(ok(2)), [(AttrId(0), AttrId(0))]);
         let flat = join.flatten().unwrap();
         let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
-        let (_, compiled) = scan_and_compile(&resolved);
-        let program = lower(&resolved, &[]);
+        let scans = scan_terms(&resolved);
+        let compiled = compile_terms(&resolved, &scans);
+        let program = lower(&resolved, &[]).expect("a liftable join lowers");
         let regs = vm::bind_program(&program, &compiled);
         let upper = vm::run_prebound(&program, &regs, Mode::Upper);
         let lower_side = vm::run_prebound(&program, &regs, Mode::Lower);
@@ -645,7 +554,7 @@ mod tests {
         let q = Query::scan("r").join_on("s", [(AttrId(0), AttrId(0))]);
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |n| catalog.get(n)).unwrap();
-        let (scans, _) = scan_and_compile(&resolved);
+        let scans = scan_terms(&resolved);
         let classification = classify(&resolved, &scans);
         assert_eq!(classification.class, PlanClass::Liftable);
         assert!(matches!(

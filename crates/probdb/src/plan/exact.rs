@@ -190,7 +190,7 @@ pub(crate) fn single_expected_count(ct: &CompiledTerm) -> f64 {
     ct.live_certain.count_ones() as f64
         + ct.db
             .columns()
-            .block_probs(&ct.live_alts)
+            .block_probs(ct.live_alts)
             .iter()
             .sum::<f64>()
 }
@@ -370,11 +370,12 @@ mod tests {
                 bits
             };
             let (cert, alt) = (db.columns().certain(), db.columns().alternatives());
+            let (live_certain, live_alts) = (live(&mut rng, cert.rows()), live(&mut rng, alt.rows()));
             let ct = CompiledTerm {
-                relation: "r".into(),
+                relation: "r",
                 db: &db,
-                live_certain: live(&mut rng, cert.rows()),
-                live_alts: live(&mut rng, alt.rows()),
+                live_certain: &live_certain,
+                live_alts: &live_alts,
                 keys: (0..3u16).map(|a| (a as usize, cert.col(AttrId(a)), alt.col(AttrId(a)))).collect(),
             };
             let mut bound: Vec<(usize, usize)> = (0..3).map(|p| (p, p)).collect();

@@ -354,7 +354,7 @@ impl Recorder<'_, '_> {
 // coordinate in both the probe and the failure message.
 #[allow(clippy::needless_range_loop)]
 mod tests {
-    use super::super::classify::{classify, resolve, scan_and_compile};
+    use super::super::classify::{classify, compile_terms, resolve, scan_terms};
     use super::super::{CatalogEngine, PlanClass, QueryAnswer, QueryEngineConfig};
     use super::*;
     use crate::algebra::Query;
@@ -414,10 +414,11 @@ mod tests {
     fn gradient_of(catalog: &Catalog, q: &Query) -> (f64, Vec<Vec<f64>>) {
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |name| catalog.get(name)).unwrap();
-        let (scans, compiled) = scan_and_compile(&resolved);
+        let scans = scan_terms(&resolved);
         if resolved.terms.len() > 1 {
             assert_eq!(classify(&resolved, &scans).class, PlanClass::Liftable);
         }
+        let compiled = compile_terms(&resolved, &scans);
         let tape = record(&resolved, &compiled, &[], Mode::Upper);
         (tape.value(), tape.gradient(&compiled))
     }

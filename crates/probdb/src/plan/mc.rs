@@ -210,7 +210,7 @@ mod tests {
     use crate::algebra::Query;
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
-    use crate::plan::classify::{resolve, scan_and_compile};
+    use crate::plan::classify::{compile_terms, resolve, scan_terms};
     use crate::plan::{CatalogEngine, QueryEngineConfig};
     use crate::predicate::Predicate;
     use crate::world::sample_world;
@@ -258,7 +258,8 @@ mod tests {
         let db = catalog.get("db").unwrap();
         let flat = Query::scan("db").filter(pred()).flatten().unwrap();
         let resolved = resolve(&flat, |name| catalog.get(name)).unwrap();
-        let (_, compiled) = scan_and_compile(&resolved);
+        let scans = scan_terms(&resolved);
+        let compiled = compile_terms(&resolved, &scans);
         let fast = sample_join_counts(&compiled, 0, 200, 42);
         let mut rng = seeded_rng(42);
         for (i, &count) in fast.iter().enumerate() {

@@ -34,13 +34,13 @@
 //! decomposition that justified (or failed) the exact route.
 //!
 //! Exact evaluation is the dissociation with no copies, so the
-//! covering-root recursion lives in three places only: the
-//! decomposition (`dissociate::decompose`, which the classifier reports
-//! with no extensions), the lowering to bytecode (`compile::lower`, one
-//! program per dissociation, run in either bracket mode by the VM), and
-//! the reference tape (`grad::record`). The tape is what
-//! [`crate::testutil::interpreted`] evaluates, and the VM reproduces its
-//! values bit for bit.
+//! covering-root recursion lives in two places only: the lowering to
+//! bytecode (`compile::lower`, one program per dissociation, run in
+//! either bracket mode by the VM) and the reference tape
+//! (`grad::record`). The tape is what [`crate::testutil::interpreted`]
+//! evaluates, and the VM reproduces its values bit for bit. The
+//! [`SafePlan`] a report shows is rendered from the lowered program
+//! (`compile::render`), so reports describe exactly what ran.
 //!
 //! Liftable plans are additionally *differentiable*: the safe plan is a
 //! pure product/complement tree over the block-alternative masses, and
@@ -71,11 +71,11 @@ use crate::catalog::Catalog;
 use crate::database::ProbDb;
 use crate::ProbDbError;
 use classify::{
-    alias_groups, classify, compile_terms, refresh_scans, resolve, scan_and_compile, CompiledTerm,
+    alias_groups, classify, compile_terms, refresh_scans, resolve, scan_terms, CompiledTerm,
     Resolved, TermScan,
 };
 use compile::{cache_tag, BoundRegs, CachedPlan, CompiledProgram, PlanMemo};
-use dissociate::{BoundsPlan, DescribeMemo, DissociatedBounds, Mode};
+use dissociate::{BoundsPlan, DissociatedBounds, Mode};
 use mrsl_relation::{AttrId, CompleteTuple};
 use std::sync::Arc;
 
@@ -110,10 +110,6 @@ pub struct QueryEngineConfig {
     /// ([`EvalPath::Hybrid`]); set it to `1.0` to never sample, `0.0` to
     /// always refine non-collapsed brackets.
     pub bounds_tolerance: f64,
-    /// Capacity (in plans) of the [`PlanCache`] new engines construct;
-    /// ignored by [`CatalogEngine::with_plan_cache`], which brings its
-    /// own.
-    pub plan_cache_capacity: usize,
 }
 
 impl Default for QueryEngineConfig {
@@ -123,7 +119,6 @@ impl Default for QueryEngineConfig {
             mc_seed: 0x5eed,
             force_monte_carlo: false,
             bounds_tolerance: 0.05,
-            plan_cache_capacity: 128,
         }
     }
 }
@@ -205,10 +200,10 @@ impl<'a> CatalogEngine<'a> {
     }
 
     /// An engine with explicit configuration and a fresh plan cache of
-    /// [`QueryEngineConfig::plan_cache_capacity`] plans.
+    /// the default capacity; [`CatalogEngine::with_plan_cache`] takes a
+    /// cache of any other capacity ([`PlanCache::with_capacity`]).
     pub fn with_config(catalog: &'a Catalog, config: QueryEngineConfig) -> Self {
-        let cache = Arc::new(PlanCache::with_capacity(config.plan_cache_capacity));
-        Self::with_plan_cache(catalog, config, cache)
+        Self::with_plan_cache(catalog, config, Arc::new(PlanCache::new()))
     }
 
     /// An engine sharing an existing plan cache.
@@ -376,7 +371,7 @@ impl<'a> CatalogEngine<'a> {
     ) -> Result<(f64, MassGradients), ProbDbError> {
         let flat = q.flatten()?;
         let resolved = resolve(&flat, |name| self.catalog.get(name))?;
-        let (scans, compiled) = scan_and_compile(&resolved);
+        let scans = scan_terms(&resolved);
         if resolved.terms.len() > 1 {
             let c = classify(&resolved, &scans);
             if c.class != PlanClass::Liftable {
@@ -387,6 +382,7 @@ impl<'a> CatalogEngine<'a> {
                 return Err(ProbDbError::NotDifferentiable { reason });
             }
         }
+        let compiled = compile_terms(&resolved, &scans);
         let tape = grad::record(&resolved, &compiled, &[], Mode::Upper);
         let relations = resolved
             .terms
@@ -406,7 +402,6 @@ struct Prepared<'a> {
     scans: Vec<TermScan>,
     /// Certain plus alternative rows the scans evaluated.
     rows_evaluated: usize,
-    compiled: Vec<CompiledTerm<'a>>,
     path: EvalPath,
     plan: PlanClass,
     decomposition: Option<SafePlan>,
@@ -435,7 +430,6 @@ fn prepare<'a>(
     }
     let mut scans = Vec::new();
     let rows_evaluated = refresh_scans(&resolved, &mut scans);
-    let compiled = compile_terms(&resolved, &scans);
     let classification = (!single).then(|| classify(&resolved, &scans));
     let mut decomposition = classification.as_ref().map(|c| c.decomposition.clone());
     let forced = config.force_monte_carlo;
@@ -498,7 +492,7 @@ fn prepare<'a>(
                 (EvalPath::MonteCarlo, plan)
             } else if forced {
                 (EvalPath::MonteCarlo, PlanClass::ForcedMonteCarlo)
-            } else if compiled[0].db.columns().block_count() > MAX_EXACT_DP_BLOCKS {
+            } else if resolved.terms[0].db.columns().block_count() > MAX_EXACT_DP_BLOCKS {
                 (EvalPath::MonteCarlo, PlanClass::DpBudgetExceeded)
             } else {
                 (EvalPath::ExactColumnar, PlanClass::Liftable)
@@ -520,7 +514,6 @@ fn prepare<'a>(
         resolved,
         scans,
         rows_evaluated,
-        compiled,
         path,
         plan,
         decomposition,
@@ -547,7 +540,7 @@ fn evaluate_with<'a>(
         // owned shape against current column data, and `execute`
         // re-checks the data-dependent guards if any stamp moved.
         let warm = match plan.bind(&lookup) {
-            Some(resolved) => execute(&plan, &resolved, None, stat, config, Some(cache))?,
+            Some(resolved) => execute(&plan, &resolved, stat, config, Some(cache))?,
             None => None,
         };
         match warm {
@@ -576,33 +569,25 @@ fn evaluate_cold<'a>(
     cache: &PlanCache,
 ) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
     let p = prepare(lookup, &flat, stat, config)?;
-    let (resolved, compiled) = (&p.resolved, &p.compiled);
+    let resolved = &p.resolved;
     let program = match p.bounds_plan {
         _ if p.path == EvalPath::MonteCarlo => CompiledProgram::Sampled,
-        Some(BoundsPlan::Dissociate(candidates)) => CompiledProgram::Bounds {
-            programs: candidates
-                .iter()
-                .map(|cand| compile::lower(resolved, &cand.extensions))
-                .collect(),
-            candidates,
-        },
+        Some(BoundsPlan::Dissociate(candidates)) => CompiledProgram::Bounds(candidates),
         _ if stat == Statistic::ExpectedCount => {
             CompiledProgram::Count(compile::compile_count(resolved))
         }
-        _ => CompiledProgram::Boolean(compile::lower(resolved, &[])),
+        _ => CompiledProgram::Boolean(
+            compile::lower(resolved, &[]).expect("exact plans are hierarchical"),
+        ),
     };
     // The entry stores the planning-time verdicts: the pre-hybrid path and
-    // the planner's decomposition (bounds answers re-derive the winning
-    // candidate's decomposition at evaluation time).
+    // the planner's decomposition (bounds answers report the winning
+    // candidate's plan instead).
     let verdict = (p.path, p.plan, p.decomposition);
     let entry = Arc::new(CachedPlan::capture(
-        flat,
-        resolved,
-        (p.scans, compiled),
-        verdict,
-        program,
+        flat, resolved, p.scans, verdict, program,
     ));
-    let (answer, mut report) = execute(&entry, resolved, Some(compiled), stat, config, None)?
+    let (answer, mut report) = execute(&entry, resolved, stat, config, None)?
         .expect("a freshly lowered program answers its own statistic");
     // The capture's scans evaluated every row; `execute` found them fresh.
     report.rows_evaluated = p.rows_evaluated;
@@ -619,20 +604,18 @@ fn evaluate_cold<'a>(
 /// a cold replan). Then, under the memo lock, it patches or rebinds the
 /// registers that moved and takes the new stamps and scans. It runs the
 /// program over the registers, still under the lock, and refines wide
-/// brackets by sampling once the lock is released. `compiled` is `None`
-/// on a warm hit: the compiled terms are then bound from the scans only
-/// if something needs them (moved stamps, a sampler, a single-relation
-/// count, a refinement). `warm` is the cache a hit was served from
-/// ([`PlanRoute::CacheHit`]), charged with the maintenance in
-/// [`PlanCacheStats::reg_patches`] / [`PlanCacheStats::reg_rebinds`];
-/// `None` on a cold miss ([`PlanRoute::Compiled`]), whose capture bound
+/// brackets by sampling once the lock is released. The compiled terms
+/// borrow the scans, so each step that reads them binds them, in
+/// O(terms), and a clean warm hit binds none. `warm` is the cache
+/// a hit was served from ([`PlanRoute::CacheHit`]), charged with the
+/// maintenance in [`PlanCacheStats::reg_patches`] /
+/// [`PlanCacheStats::reg_rebinds`]; `None` on a cold miss ([`PlanRoute::Compiled`]), whose capture bound
 /// the registers. `Ok(None)` also when the program does not answer
 /// `stat` (impossible while the statistic tag is part of the cache key;
 /// the caller replans defensively instead of asserting).
-fn execute<'a>(
+fn execute(
     plan: &CachedPlan,
-    resolved: &Resolved<'a>,
-    compiled: Option<&[CompiledTerm<'a>]>,
+    resolved: &Resolved,
     stat: Statistic,
     config: &QueryEngineConfig,
     warm: Option<&PlanCache>,
@@ -649,13 +632,11 @@ fn execute<'a>(
     let mut memo = lock();
     let mut scans = Arc::clone(&memo.scans);
     let mut rows_evaluated = 0;
-    let lazy = std::cell::OnceCell::new();
     if memo.versions != versions {
-        // The scan refresh, the guards and binding the compiled terms are
-        // linear in the delta or the bitmaps: run them unlocked, so
-        // concurrent readers of moved data do not queue behind each
-        // other's scans. Stamps name data exactly, so memo stamps equal
-        // to ours mean our guards were verified.
+        // The scan refresh and the guards are linear in the delta: run
+        // them unlocked, so concurrent readers of moved data do not queue
+        // behind each other's scans. Stamps name data exactly, so memo
+        // stamps equal to ours mean our guards were verified.
         drop(memo);
         let mut fresh = Vec::clone(&scans);
         rows_evaluated = refresh_scans(resolved, &mut fresh);
@@ -663,12 +644,8 @@ fn execute<'a>(
             return Ok(None);
         }
         scans = Arc::new(fresh);
-        // The register refresh or the sampler reads the compiled terms.
-        lazy.get_or_init(|| compile_terms(resolved, &scans));
         memo = lock();
     }
-    let compiled =
-        || compiled.unwrap_or_else(|| lazy.get_or_init(|| compile_terms(resolved, &scans)));
     // The memo lock is held from the refresh through the fold, so a
     // concurrent hit on this entry waits for the refreshed registers
     // instead of refreshing them again.
@@ -681,7 +658,8 @@ fn execute<'a>(
         } = &mut *memo;
         if let Some(regs) = regs {
             let moved = (stamps.as_slice(), versions.as_slice());
-            let (patched, rebound) = regs.refresh(&plan.program, resolved, compiled(), moved);
+            let compiled = compile_terms(resolved, &scans);
+            let (patched, rebound) = regs.refresh(&plan.program, resolved, &compiled, moved);
             if let Some(cache) = warm {
                 cache.record_reg_maintenance(patched, rebound);
             }
@@ -689,14 +667,13 @@ fn execute<'a>(
         *kept = Arc::clone(&scans);
         *stamps = versions;
     }
-    let PlanMemo { regs, describe, .. } = &mut *memo;
-    let answer = match regs {
+    let answer = match &memo.regs {
         None => {
             drop(memo);
-            sample(compiled(), classes, stat, config)
+            sample(&compile_terms(resolved, &scans), classes, stat, config)
         }
         Some(regs) => {
-            let Some(folded) = fold(plan, resolved, stat, regs, describe, compiled) else {
+            let Some(folded) = fold(plan, resolved, stat, regs, &scans) else {
                 return Ok(None);
             };
             drop(memo);
@@ -706,7 +683,8 @@ fn execute<'a>(
                     decomposition = Some(eval.plan);
                     dissociated = eval.dissociated;
                     let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                    let (bounds, refined) = refine(bracket, compiled(), classes, config);
+                    let compiled = compile_terms(resolved, &scans);
+                    let (bounds, refined) = refine(bracket, &compiled, classes, config);
                     if refined {
                         path = EvalPath::Hybrid;
                     }
@@ -744,16 +722,14 @@ enum Folded {
 }
 
 /// Folds a deterministic cached program over its bound registers, under
-/// the plan's memo lock: `describe` is the memo's bounds report slot, and
-/// `compiled` yields the compiled terms a single-relation count reads.
+/// the plan's memo lock; a single-relation count reads its term's scan.
 /// `None` for a program that does not answer `stat`.
-fn fold<'c, 'a: 'c>(
+fn fold(
     plan: &CachedPlan,
     resolved: &Resolved,
     stat: Statistic,
     regs: &BoundRegs,
-    describe: &mut DescribeMemo,
-    compiled: impl FnOnce() -> &'c [CompiledTerm<'a>],
+    scans: &[TermScan],
 ) -> Option<Folded> {
     let answer = match (&plan.program, stat) {
         (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
@@ -767,23 +743,15 @@ fn fold<'c, 'a: 'c>(
         (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
             mean: match (&prog.steps, &regs.count) {
                 (Some(steps), Some(tables)) => exact::run_mass_join(steps, tables, prog.classes),
-                _ => exact::single_expected_count(&compiled()[0]),
+                _ => exact::single_expected_count(&compile_terms(resolved, scans)[0]),
             },
             std_error: None,
         },
-        (
-            CompiledProgram::Bounds {
-                candidates,
-                programs,
-            },
-            Statistic::ProbabilityBounds,
-        ) => {
+        (CompiledProgram::Bounds(candidates), Statistic::ProbabilityBounds) => {
             return Some(Folded::Bracket(compile::run_bounds_prebound(
                 resolved,
                 candidates,
-                programs,
                 &regs.per_program,
-                describe,
             )))
         }
         _ => return None,
@@ -806,12 +774,12 @@ fn evaluate_uncached(
         resolved,
         scans,
         rows_evaluated,
-        compiled,
         mut path,
         plan,
         mut decomposition,
         bounds_plan,
     } = prepared;
+    let compiled = compile_terms(&resolved, &scans);
     if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
@@ -850,10 +818,10 @@ fn evaluate_uncached(
         },
         (Statistic::CountDistribution, ..) => QueryAnswer::Distribution(exact::poisson_binomial(
             ct.live_certain.count_ones(),
-            &ct.db.columns().block_probs(&ct.live_alts),
+            &ct.db.columns().block_probs(ct.live_alts),
         )),
         (Statistic::Marginals, ..) => {
-            QueryAnswer::Marginals(ct.db.columns().block_probs(&ct.live_alts))
+            QueryAnswer::Marginals(ct.db.columns().block_probs(ct.live_alts))
         }
         (Statistic::TopK(k), ..) => QueryAnswer::Ranked(exact::top_k(ct, k)),
         (Statistic::ValueMarginal(attr), ..) => {
@@ -1672,11 +1640,8 @@ mod tests {
         retire: impl FnOnce(&CatalogEngine, (u8, u64)),
     ) {
         let catalog = sensors_catalog();
-        let config = QueryEngineConfig {
-            plan_cache_capacity: capacity,
-            ..QueryEngineConfig::default()
-        };
-        let engine = CatalogEngine::with_config(&catalog, config);
+        let cache = Arc::new(PlanCache::with_capacity(capacity));
+        let engine = CatalogEngine::with_plan_cache(&catalog, QueryEngineConfig::default(), cache);
         for _ in 0..4 {
             engine.probability(&station_join()).unwrap();
         }

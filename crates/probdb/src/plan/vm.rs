@@ -201,7 +201,7 @@ fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]
                 .collect(),
         }
     };
-    let mut cert = live(&ct.live_certain, &ccols);
+    let mut cert = live(ct.live_certain, &ccols);
     // LSD radix over the path levels: each pass is a stable counting sort,
     // so the final order is lexicographic by root-to-leaf key with the
     // initial ascending row order breaking ties. That tie-break is what
@@ -216,7 +216,7 @@ fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]
     // contiguous, so ties in key fall back to block order either way).
     let cols = ct.db.columns();
     let probs = cols.alt_probs();
-    let alts = live(&ct.live_alts, &acols);
+    let alts = live(ct.live_alts, &acols);
     let mut heads: Vec<u32> = Vec::new();
     let mut masses: Vec<f64> = Vec::new();
     for run in cols.block_runs(&alts) {

@@ -150,7 +150,7 @@ impl Snapshot {
 
 /// Server configuration: pool size, overload policy, and the engine
 /// configuration every worker evaluates with.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
     /// Worker threads in the pool; `0` (the default) starts one per host
     /// core, but never fewer than two — one worker can always make
@@ -162,26 +162,8 @@ pub struct ServeConfig {
     /// fast with [`ProbDbError::Overloaded`] instead of growing the
     /// backlog. `0` (the default) leaves the queue unbounded.
     pub max_queue_depth: usize,
-    /// When `true` (the default), identical concurrent requests — same
-    /// query shape, statistic and catalog generation — share one
-    /// evaluation, and the answer fans out to every waiter
-    /// ([`ServerStats::coalesced`]).
-    pub coalesce_requests: bool,
     /// Engine configuration shared by all workers.
-    /// [`QueryEngineConfig::plan_cache_capacity`] sizes the one
-    /// concurrent plan cache the pool shares.
     pub engine: QueryEngineConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            max_queue_depth: 0,
-            coalesce_requests: true,
-            engine: QueryEngineConfig::default(),
-        }
-    }
 }
 
 /// One served answer, stamped with the generation it was computed
@@ -319,8 +301,6 @@ struct Shared {
     counters: ServerCounters,
     /// [`ServeConfig::max_queue_depth`]; `0` means unbounded.
     max_queue_depth: u64,
-    /// [`ServeConfig::coalesce_requests`].
-    coalesce: bool,
     /// In-flight evaluations, keyed by `(statistic tag, shape hash,
     /// generation)`. The evaluating worker owns the entry; workers that
     /// pick up a request with an equal flattened shape while it exists
@@ -437,7 +417,7 @@ impl Shared {
         }
         let snap = self.pin(local);
         let key = match shape {
-            Some(CoalesceShape { tag, hash, flat }) if self.coalesce => {
+            Some(CoalesceShape { tag, hash, flat }) => {
                 let key = (tag, hash, snap.generation);
                 match self.lock_inflight().entry(key) {
                     Entry::Occupied(mut entry) if entry.get().flat.same_shape(&flat) => {
@@ -459,7 +439,7 @@ impl Shared {
                     }
                 }
             }
-            _ => None,
+            None => None,
         };
         // Evaluate outside any lock; an owned entry fans the answer out.
         let outcome = self.evaluate_on(&snap, &query, stat);
@@ -745,11 +725,10 @@ impl ProbDbServer {
                 generation: 0,
                 catalog: Arc::new(catalog),
             })),
-            cache: Arc::new(PlanCache::with_capacity(config.engine.plan_cache_capacity)),
+            cache: Arc::new(PlanCache::new()),
             config: config.engine,
             counters: ServerCounters::default(),
             max_queue_depth: config.max_queue_depth as u64,
-            coalesce: config.coalesce_requests,
             inflight: Mutex::new(HashMap::new()),
         });
         let (tx, rx) = mpsc::channel();

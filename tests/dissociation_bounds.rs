@@ -197,6 +197,104 @@ fn aliased_chain_bounds_bracket_oracle() {
     );
 }
 
+/// Reports show the same plans and dissociation entries as before plans
+/// were rendered from their lowered programs (strings recorded from the
+/// earlier decomposition walk). The aliased path `r1(x) ⋈ s(x,y) ⋈
+/// t(y,z) ⋈ r2(z)` brackets with a root partition over two nested
+/// partitions, each with a dissociated copy; a hierarchical join reports
+/// its nested safe plan and no dissociation. Cold and warm answers agree.
+#[test]
+fn reports_render_the_recorded_plans() {
+    let relation = |keys: &[&str], blocks: &[(&[u16], f64)]| {
+        let mut db = ProbDb::new(gated_schema(keys, 3));
+        for (i, &(values, p)) in blocks.iter().enumerate() {
+            db.push_block(gated_block(i, values, p)).unwrap();
+        }
+        db
+    };
+    let mut catalog = Catalog::new();
+    let r = relation(&["x"], &[(&[0], 0.6), (&[1], 0.5), (&[2], 0.9)]);
+    catalog.add("r", r).unwrap();
+    let s = [
+        (&[0, 1], 0.7),
+        (&[1, 0], 0.4),
+        (&[2, 2], 0.8),
+        (&[0, 0], 0.3),
+    ];
+    catalog
+        .add("s", relation(&["x", "y"], &s.map(|(v, p)| (&v[..], p))))
+        .unwrap();
+    let t = [
+        (&[0, 2], 0.35),
+        (&[1, 1], 0.65),
+        (&[2, 0], 0.55),
+        (&[1, 2], 0.25),
+    ];
+    catalog
+        .add("t", relation(&["y", "z"], &t.map(|(v, p)| (&v[..], p))))
+        .unwrap();
+    let engine = CatalogEngine::with_config(
+        &catalog,
+        QueryEngineConfig {
+            bounds_tolerance: 1.0,
+            ..QueryEngineConfig::default()
+        },
+    );
+    let aliased = Query::scan_as("r", "r1")
+        .filter(ok_pred(2))
+        .join_on(
+            Query::scan("s").filter(ok_pred(3)),
+            [(AttrId(0), AttrId(0))],
+        )
+        .join_on_rel(
+            "s",
+            Query::scan("t").filter(ok_pred(3)),
+            [(AttrId(1), AttrId(0))],
+        )
+        .join_on_rel(
+            "t",
+            Query::scan_as("r", "r2").filter(ok_pred(2)),
+            [(AttrId(1), AttrId(0))],
+        );
+    for _ in 0..2 {
+        let (_, report) = engine.probability_bounds(&aliased).unwrap();
+        assert_eq!(report.plan, PlanClass::Dissociable);
+        assert_eq!(
+            report.decomposition.expect("bounds plan").render(),
+            "⨅[s.y = t.y](⨅[r1.x = s.x](copy r1∥[s.y = t.y], scan s), \
+             ⨅[t.z = r2.x](scan t, copy r2∥[s.y = t.y]))"
+        );
+        assert_eq!(
+            report.dissociated,
+            [
+                "`r1`, `r2` ≡ independent copies of `r`",
+                "`r1` ⇢ [s.y = t.y]",
+                "`r2` ⇢ [s.y = t.y]"
+            ]
+        );
+    }
+    let nested = Query::scan("r")
+        .filter(ok_pred(2))
+        .join_on(
+            Query::scan("s").filter(ok_pred(3)),
+            [(AttrId(0), AttrId(0))],
+        )
+        .join_on_rel(
+            "s",
+            Query::scan("t").filter(ok_pred(3)),
+            [(AttrId(1), AttrId(0)), (AttrId(0), AttrId(1))],
+        );
+    for _ in 0..2 {
+        let (_, report) = engine.probability(&nested).unwrap();
+        assert_eq!(report.plan, PlanClass::Liftable);
+        assert_eq!(
+            report.decomposition.expect("safe plan").render(),
+            "⨅[r.x = s.x = t.z](scan r, ⨅[s.y = t.y](scan s, scan t))"
+        );
+        assert!(report.dissociated.is_empty());
+    }
+}
+
 /// Bracket-gated refinement: with a zero tolerance the same query samples
 /// and reports the hybrid path, with the estimate clamped into the
 /// bracket.

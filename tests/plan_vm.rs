@@ -387,12 +387,10 @@ fn cache_discriminates_shapes_and_evicts_lru() {
     catalog
         .add("r", keyed_relation(&[(0, 0.5), (1, 0.7)], &[2]))
         .unwrap();
-    let engine = CatalogEngine::with_config(
+    let engine = CatalogEngine::with_plan_cache(
         &catalog,
-        QueryEngineConfig {
-            plan_cache_capacity: 2,
-            ..vm_config()
-        },
+        vm_config(),
+        Arc::new(PlanCache::with_capacity(2)),
     );
     let q_ok = Query::scan("r").filter(ok());
     let q_no = Query::scan("r").filter(Predicate::eq(AttrId(1), ValueId(0)));

@@ -58,7 +58,6 @@ fn overload_config(workers: usize, max_queue_depth: usize, mc_samples: usize) ->
             bounds_tolerance: 1.0,
             ..QueryEngineConfig::default()
         },
-        ..ServeConfig::default()
     }
 }
 
@@ -836,27 +835,6 @@ fn identical_shape_storm_coalesces_to_shared_evaluations() {
     );
     server.shutdown();
     assert_eq!(handle.stats().queue_depth, 0);
-}
-
-/// Coalescing can be opted out of; identical requests then each pay for
-/// their own evaluation.
-#[test]
-fn coalescing_can_be_disabled() {
-    let catalog = join_catalog(&[(0, 0.3), (1, 0.6)], &[(0, 0.5)]);
-    let q = join_query();
-    let config = ServeConfig {
-        coalesce_requests: false,
-        ..serve_config(2)
-    };
-    let server = ProbDbServer::with_config(catalog, config);
-    let handle = server.handle();
-    for _ in 0..8 {
-        handle.evaluate(&q, Statistic::Probability).unwrap();
-    }
-    let stats = handle.stats();
-    assert_eq!(stats.coalesced, 0);
-    assert_eq!(stats.queries, 8);
-    server.shutdown();
 }
 
 /// `workers: 0` never degrades to a single worker, even on a 1-core
