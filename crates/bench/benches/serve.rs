@@ -10,7 +10,7 @@
 //!   cache cleared between samples);
 //! - read-while-ingest: the same client ladder while a writer thread
 //!   publishes one-block upserts copy-on-write — the snapshot swap plus
-//!   the register *patch* (not rebuild) every post-publish request pays;
+//!   the register *append* (not rebuild) every post-publish request pays;
 //! - overload: an identical-shape storm from 8 clients against a small
 //!   pool with a bounded queue (every evaluation forced onto the slow
 //!   Monte Carlo path), measuring the coalesced share and storm p99,

@@ -65,7 +65,7 @@ pub(crate) fn same_dictionary(left: &Attribute, right: &Attribute) -> bool {
 /// ([`crate::serve`]) leans on this to build the next catalog generation
 /// behind live readers without copying untouched relations — and
 /// because an unmodified shared relation keeps
-/// its [`ProbDb::version`] and shard stamps, plan-cache register memos
+/// its [`ProbDb::version`] and value stamps, plan-cache register memos
 /// bound against one generation stay warm across the next.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {

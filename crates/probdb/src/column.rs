@@ -15,8 +15,8 @@
 //! serialized as rows and rebuilt by replaying them. Its values never
 //! change once pushed; only
 //! [`ProbDb::set_block_masses`](crate::ProbDb::set_block_masses) writes in
-//! place, and it writes `alt_probs` alone. That split is what the two
-//! stamp families of [`ProbDb`](crate::ProbDb) follow:
+//! place, and it writes `alt_probs` alone. That split is what the stamps
+//! of [`ProbDb`](crate::ProbDb) follow:
 //!
 //! - **value stamps**, one per [`SEGMENT_LEN`] certain rows or blocks,
 //!   move only when a push lands a row in the segment. A bitmap over the
@@ -25,64 +25,15 @@
 //!   bitmaps and verdicts per segment and, after a publish, re-evaluates
 //!   only the segments whose stamps moved (`append`, `truncate` and
 //!   `same_in` below are its splicing kernels);
-//! - **shard stamps**, one per [`ShardMap`] value range of the leading
-//!   attribute, move with every push *and* every mass update that touches
-//!   the range. Registers and mass tables, which carry masses, are
-//!   patched or rebuilt under them.
+//! - the **mass stamp** moves with every mass update. Registers and mass
+//!   tables, which carry masses, keep their rows before the last segment
+//!   while it and the value stamps before that segment hold, and fold in
+//!   the rest.
 
 use crate::block::Block;
 use crate::database::SEGMENT_LEN;
 use mrsl_relation::AttrId;
 use std::ops::Range;
-
-/// Number of value-range shards every relation's shard index partitions
-/// its leading attribute's dictionary into. Fixed (rather than derived
-/// from the thread count) so shard membership — and therefore the
-/// per-shard version stamps of [`crate::ProbDb`] — never depends on the
-/// execution environment.
-pub const SHARD_COUNT: usize = 16;
-
-/// A fixed partition of a dictionary-encoded key domain into
-/// [`SHARD_COUNT`] contiguous value ranges.
-///
-/// The map is pure arithmetic over the dictionary cardinality: shard `s`
-/// covers the values `v` with `s·card ≤ v·SHARD_COUNT < (s+1)·card`, so
-/// [`ShardMap::shard_of`] and [`ShardMap::value_range`] are exact
-/// inverses and need no stored boundaries. Small domains simply leave
-/// trailing shards empty. [`crate::ProbDb`] keeps one version stamp per
-/// shard of its leading attribute (`AttrId(0)`), bumped by every push
-/// that lands a row in the shard — the incremental-maintenance index
-/// behind the plan cache's register patching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMap {
-    card: u32,
-}
-
-impl ShardMap {
-    /// A map over a dictionary of `card` values (clamped to at least 1).
-    pub fn new(card: usize) -> Self {
-        Self {
-            card: (card.max(1) as u32).min(u16::MAX as u32 + 1),
-        }
-    }
-
-    /// The shard holding dictionary value `v`.
-    #[inline]
-    pub fn shard_of(&self, v: u16) -> usize {
-        ((v as usize * SHARD_COUNT) / self.card as usize).min(SHARD_COUNT - 1)
-    }
-
-    /// The half-open dictionary value range `[lo, hi)` shard `s` covers
-    /// (`u32` bounds: `hi` may be one past the largest `u16`).
-    #[inline]
-    pub fn value_range(&self, s: usize) -> Range<u32> {
-        debug_assert!(s < SHARD_COUNT);
-        let card = self.card as usize;
-        let lo = (s * card).div_ceil(SHARD_COUNT) as u32;
-        let hi = ((s + 1) * card).div_ceil(SHARD_COUNT) as u32;
-        lo..hi
-    }
-}
 
 /// A dense bitset with one bit per row of a [`ColumnSet`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -303,8 +254,18 @@ impl Bitmap {
     /// 64 (bits past `len` are always clear, so no tail masking is
     /// needed).
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
+        self.iter_ones_from(0)
+    }
+
+    /// Iterates the indices of set bits from `start` on, in increasing
+    /// order, skipping the words before `start` without reading them.
+    pub(crate) fn iter_ones_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = start / 64;
+        let head = u64::MAX << (start % 64);
+        let words = self.words.get(first..).unwrap_or(&[]);
+        words.iter().enumerate().flat_map(move |(i, &word)| {
+            let w = first + i;
+            let mut rest = if i == 0 { word & head } else { word };
             std::iter::from_fn(move || {
                 (rest != 0).then(|| {
                     let bit = rest.trailing_zeros() as usize;
@@ -367,12 +328,6 @@ impl ColumnSet {
     /// The values of row `r`, one per attribute.
     pub(crate) fn row(&self, r: usize) -> Vec<u16> {
         self.cols.iter().map(|col| col[r]).collect()
-    }
-
-    /// The leading attribute's value in row `r` (0 for a zero-arity
-    /// schema): the key shard stamps are kept under.
-    pub(crate) fn lead(&self, r: usize) -> u16 {
-        self.cols.first().map_or(0, |col| col[r])
     }
 
     /// The column of attribute `a`.
@@ -508,9 +463,10 @@ impl ColumnStore {
 
     /// Splits `rows` — alternative rows in ascending order — into the runs
     /// that share a block, yielding each run's span of positions in
-    /// `rows`. Block ids come from the offsets as the walk goes (one step
-    /// to the next block, or a search of the blocks ahead), so no
-    /// per-row block column is needed.
+    /// `rows`. Block ids come from the offsets as the walk goes, galloping
+    /// forward from the current block (1, 2, 4, … blocks ahead, then a
+    /// binary search of the last stride), so a walk costs the log of each
+    /// gap and no per-row block column is needed.
     pub(crate) fn block_runs<'s>(
         &'s self,
         rows: &'s [u32],
@@ -520,11 +476,15 @@ impl ColumnStore {
         std::iter::from_fn(move || {
             let r = *rows.get(i)? as usize;
             if offsets[b + 1] <= r {
-                b = if offsets.get(b + 2).is_some_and(|&end| r < end) {
-                    b + 1
-                } else {
-                    b + offsets[b..].partition_point(|&o| o <= r) - 1
-                };
+                // `offsets[lo] <= r < offsets[lo + step]` once the gallop
+                // stops; the block starts at the last offset `<= r`.
+                let (mut lo, mut step) = (b + 1, 1);
+                while offsets.get(lo + step).is_some_and(|&o| o <= r) {
+                    lo += step;
+                    step *= 2;
+                }
+                let hi = (lo + step).min(offsets.len());
+                b = lo + offsets[lo..hi].partition_point(|&o| o <= r) - 1;
             }
             let (start, end) = (i, offsets[b + 1]);
             while rows.get(i).is_some_and(|&x| (x as usize) < end) {
@@ -748,6 +708,35 @@ mod tests {
         }
         assert_eq!(store.block_runs(&[]).count(), 0);
         assert_eq!(store.block_offset(store.block_count()), 15);
+        // Runs of rows within blocks, then the rows k²/3, whose gaps keep
+        // growing: every gallop stride length, and targets anywhere in
+        // the last stride.
+        for _ in 0..300 {
+            store.push_block(&block(0, &[(&[0], 0.5), (&[1], 0.5)]));
+        }
+        let block_of = |r: u32| {
+            (0..store.block_count())
+                .find(|&b| store.block_range(b).contains(&(r as usize)))
+                .unwrap()
+        };
+        let n = store.alternatives().rows() as u32;
+        let mut rows: Vec<u32> = (0..40)
+            .chain((0..n).map(|k| k * k / 3).take_while(|&r| r < n))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let spans: Vec<Vec<u32>> = store
+            .block_runs(&rows)
+            .map(|run| rows[run].to_vec())
+            .collect();
+        let mut naive: Vec<Vec<u32>> = Vec::new();
+        for &r in &rows {
+            match naive.last_mut() {
+                Some(run) if block_of(run[0]) == block_of(r) => run.push(r),
+                _ => naive.push(vec![r]),
+            }
+        }
+        assert_eq!(spans, naive);
     }
 
     #[test]
@@ -778,33 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_ranges_and_membership_agree() {
-        for card in [1usize, 2, 5, 16, 17, 100, 65_536] {
-            let map = ShardMap::new(card);
-            // Ranges tile the domain exactly, in order.
-            let mut next = 0u32;
-            for s in 0..SHARD_COUNT {
-                let r = map.value_range(s);
-                assert_eq!(r.start, next, "card {card} shard {s}");
-                assert!(r.end >= r.start);
-                next = r.end;
-            }
-            assert_eq!(next as usize, card, "card {card}");
-            // Membership is the inverse of the ranges.
-            let probe = (0..card.min(4096))
-                .chain(card.saturating_sub(8)..card)
-                .map(|v| v as u16);
-            for v in probe {
-                let s = map.shard_of(v);
-                assert!(
-                    map.value_range(s).contains(&(v as u32)),
-                    "card {card} value {v} shard {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn column_store_holds_pushed_rows_and_keys() {
         let mut store = ColumnStore::new(2);
         store.push_certain(&[1, 2]);
@@ -814,7 +776,6 @@ mod tests {
         assert_eq!(store.certain().rows(), 2);
         assert_eq!(store.certain().col(AttrId(1)), &[2, 4]);
         assert_eq!(store.certain().row(1), vec![3, 4]);
-        assert_eq!(store.certain().lead(1), 3);
         assert_eq!(store.alternatives().row(1), vec![0, 1]);
         assert_eq!((store.block_key(0), store.block_key(1)), (7, 3));
         assert_eq!(store.alternatives().rows(), 3);

@@ -7,11 +7,10 @@
 //! whole; the serving layer clones only the relations a publish touches.
 
 use crate::block::{Alternative, Block, BlockError};
-use crate::column::{ColumnSet, ColumnStore, ShardMap, SHARD_COUNT};
+use crate::column::ColumnStore;
 use mrsl_relation::{CompleteTuple, RelationError, Schema};
 use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,24 +36,18 @@ fn next_stamp() -> u64 {
 /// query evaluators run on it, and the row views rebuild tuples from it.
 ///
 /// Three kinds of stamp name what the data holds, all drawn from one
-/// process-wide counter: [`ProbDb::version`] moves on every write;
-/// the shard stamps ([`ProbDb::shard_versions`]) move with every write
-/// that lands a row, or a mass, in a leading-key value range; and the
+/// process-wide counter: [`ProbDb::version`] moves on every write; the
 /// value stamps (one per [`SEGMENT_LEN`] certain rows or blocks) move
-/// only when a push adds a row to their segment.
+/// only when a push adds a row to their segment; and the mass stamp moves
+/// only when [`ProbDb::set_block_masses`] rewrites a block's masses.
+/// Rows are append-only, so a warm plan whose value stamps still match
+/// before the last segment, and whose mass stamp matches, only has to
+/// fold in the rows from that segment on.
 #[derive(Debug, Clone)]
 pub struct ProbDb {
     schema: Arc<Schema>,
     columns: ColumnStore,
     version: u64,
-    /// Per-shard version stamps over the leading attribute's value ranges
-    /// (see [`ShardMap`]); `shard_versions[s]` is the stamp of the last
-    /// push that landed a row in shard `s`. Stamps are process-unique, so
-    /// equal stamps for a shard imply the identical push sequence — and
-    /// therefore identical shard contents — which is what lets the plan
-    /// cache patch only the touched value ranges of its memoized
-    /// registers.
-    shard_versions: Vec<u64>,
     /// Value stamps of the certain rows: `certain_stamps[s]` is the stamp
     /// of the last push that landed a row in segment `s` of the certain
     /// rows (one stamp per [`SEGMENT_LEN`] rows). Rows are append-only, so
@@ -68,6 +61,12 @@ pub struct ProbDb {
     /// it rewrites masses, never values, and nothing memoized under a
     /// value stamp reads a mass.
     block_stamps: Vec<u64>,
+    /// The stamp of the last mass update ([`ProbDb::set_block_masses`]),
+    /// or of the database's creation. Equal mass stamps mean the same
+    /// mass history, across clones too: registers and mass tables, which
+    /// carry masses, keep their rows before the last segment only while
+    /// it holds.
+    mass_stamp: u64,
     /// How this database was derived: the deriving engine's name, or an
     /// ensemble weights digest. Metadata only — not part of the wire
     /// format, and reset by deserialization.
@@ -83,9 +82,9 @@ impl ProbDb {
             schema,
             columns: ColumnStore::new(arity),
             version,
-            shard_versions: vec![version; SHARD_COUNT],
             certain_stamps: Vec::new(),
             block_stamps: Vec::new(),
+            mass_stamp: version,
             provenance: None,
         }
     }
@@ -105,23 +104,6 @@ impl ProbDb {
         self.version
     }
 
-    /// The shard map partitioning the leading attribute's dictionary (the
-    /// key column the plan cache's register patching shards on).
-    pub fn shard_map(&self) -> ShardMap {
-        let card = if self.schema.attr_count() > 0 {
-            self.schema.cardinality(mrsl_relation::AttrId(0))
-        } else {
-            1
-        };
-        ShardMap::new(card)
-    }
-
-    /// Per-shard version stamps (see the field docs): equal stamps imply
-    /// identical shard contents, across clones and snapshots.
-    pub fn shard_versions(&self) -> &[u64] {
-        &self.shard_versions
-    }
-
     /// Value stamps of the certain-row segments (see the field docs).
     pub(crate) fn certain_stamps(&self) -> &[u64] {
         &self.certain_stamps
@@ -132,24 +114,9 @@ impl ProbDb {
         &self.block_stamps
     }
 
-    /// The shards holding the leading value of one of `rows` in `set`.
-    fn shards_of(&self, set: &ColumnSet, rows: Range<usize>) -> [bool; SHARD_COUNT] {
-        let map = self.shard_map();
-        let mut touched = [false; SHARD_COUNT];
-        for r in rows {
-            touched[map.shard_of(set.lead(r))] = true;
-        }
-        touched
-    }
-
-    /// Moves the version and stamps it on the `touched` shards.
-    fn restamp(&mut self, touched: [bool; SHARD_COUNT]) {
-        self.version = next_stamp();
-        for (stamp, hit) in self.shard_versions.iter_mut().zip(touched) {
-            if hit {
-                *stamp = self.version;
-            }
-        }
+    /// The mass stamp (see the field docs).
+    pub(crate) fn mass_stamp(&self) -> u64 {
+        self.mass_stamp
     }
 
     /// Stamps the segment that row `row` (just pushed) lands in with the
@@ -173,7 +140,7 @@ impl ProbDb {
         }
         self.columns.push_certain(t.raw());
         let row = self.columns.certain().rows() - 1;
-        self.restamp(self.shards_of(self.columns.certain(), row..row + 1));
+        self.version = next_stamp();
         Self::touch_segment(&mut self.certain_stamps, row, self.version);
         Ok(())
     }
@@ -194,8 +161,7 @@ impl ProbDb {
         }
         self.columns.push_block(&b);
         let block = self.columns.block_count() - 1;
-        let rows = self.columns.block_range(block);
-        self.restamp(self.shards_of(self.columns.alternatives(), rows));
+        self.version = next_stamp();
         Self::touch_segment(&mut self.block_stamps, block, self.version);
         Ok(())
     }
@@ -208,12 +174,9 @@ impl ProbDb {
     /// `probs` must satisfy the same simplex constraint [`Block::new`]
     /// enforces (positive, finite, summing to 1 within tolerance, one per
     /// alternative); the database is untouched on error. A successful
-    /// update bumps [`ProbDb::version`] and restamps exactly the shards
-    /// the block's alternatives live in, so warm plan-cache registers
-    /// patch the touched key ranges instead of re-binding — mass updates
-    /// ride the same incremental maintenance as tuple upserts. The value
-    /// stamps stay: a warm plan re-evaluates no predicate after a mass
-    /// update.
+    /// update bumps [`ProbDb::version`] and moves the mass stamp, so warm
+    /// plans rebuild their registers and mass tables. The value stamps
+    /// stay: a warm plan re-evaluates no predicate after a mass update.
     ///
     /// # Panics
     /// Panics when `block >= self.blocks().len()`.
@@ -221,7 +184,8 @@ impl ProbDb {
         let rows = self.columns.block_range(block);
         Block::check_probs(rows.len(), probs)?;
         self.columns.set_block_probs(block, probs);
-        self.restamp(self.shards_of(self.columns.alternatives(), rows));
+        self.version = next_stamp();
+        self.mass_stamp = self.version;
         Ok(())
     }
 
@@ -462,58 +426,42 @@ mod tests {
     }
 
     #[test]
-    fn pushes_stamp_only_the_touched_shards() {
+    fn mass_stamp_moves_only_with_mass_updates() {
         let mut db = two_block_db();
-        let map = db.shard_map();
-        let before = db.shard_versions().to_vec();
-        let v0 = db.version();
-        // Keys 0 and 1 land in fixed shards of the 2-value dictionary.
+        let (v0, m0) = (db.version(), db.mass_stamp());
         db.push_block(Block::new(2, vec![alt(vec![1, 0, 0, 0], 1.0)]).unwrap())
             .unwrap();
-        assert!(db.version() > v0);
-        let touched = map.shard_of(1);
-        for (s, (&old, &new)) in before.iter().zip(db.shard_versions()).enumerate() {
-            if s == touched {
-                assert_eq!(new, db.version(), "touched shard restamped");
-            } else {
-                assert_eq!(new, old, "untouched shard {s} kept its stamp");
-            }
-        }
-        // A clone shares stamps until it diverges.
-        let mut clone = db.clone();
-        assert_eq!(clone.shard_versions(), db.shard_versions());
-        clone
-            .push_certain(CompleteTuple::from_values(vec![0, 0, 0, 0]))
+        db.push_certain(CompleteTuple::from_values(vec![0, 0, 0, 0]))
             .unwrap();
-        let s0 = map.shard_of(0);
-        assert_ne!(clone.shard_versions()[s0], db.shard_versions()[s0]);
-        assert_eq!(
-            clone.shard_versions()[touched],
-            db.shard_versions()[touched]
-        );
+        assert!(db.version() > v0);
+        assert_eq!(db.mass_stamp(), m0, "pushes leave the mass stamp");
+        // A clone shares the stamp until one side updates a mass.
+        let mut clone = db.clone();
+        assert_eq!(clone.mass_stamp(), m0);
+        clone.set_block_masses(0, &[0.25, 0.75]).unwrap();
+        assert_eq!(clone.mass_stamp(), clone.version());
+        assert_eq!(db.mass_stamp(), m0);
+        // Separately created databases never share one.
+        assert_ne!(two_block_db().mass_stamp(), m0);
     }
 
     #[test]
-    fn mass_updates_patch_columns_and_restamp_touched_shards() {
+    fn mass_updates_rewrite_columns_and_move_the_mass_stamp() {
         let mut db = two_block_db();
-        let map = db.shard_map();
-        let before = db.shard_versions().to_vec();
+        let stamps = (db.certain_stamps().to_vec(), db.block_stamps().to_vec());
         let v0 = db.version();
         db.set_block_masses(1, &[0.1, 0.2, 0.3, 0.4]).unwrap();
         // The rebuilt block and the columns agree on the new masses.
         let probs: Vec<f64> = db.block(1).alternatives().iter().map(|a| a.prob).collect();
         assert_eq!(probs, vec![0.1, 0.2, 0.3, 0.4]);
         assert_eq!(&db.columns().alt_probs()[2..6], &[0.1, 0.2, 0.3, 0.4]);
-        // Version bumped; only the shards holding key value 1 restamped.
+        // Version and mass stamp moved together; the value stamps stayed.
         assert!(db.version() > v0);
-        let touched = map.shard_of(1);
-        for (s, (&old, &new)) in before.iter().zip(db.shard_versions()).enumerate() {
-            if s == touched {
-                assert_eq!(new, db.version());
-            } else {
-                assert_eq!(new, old, "untouched shard {s}");
-            }
-        }
+        assert_eq!(db.mass_stamp(), db.version());
+        assert_eq!(
+            (db.certain_stamps().to_vec(), db.block_stamps().to_vec()),
+            stamps
+        );
         // Invalid updates leave the database untouched.
         let v1 = db.version();
         let e = db.set_block_masses(1, &[0.5, 0.5]);
@@ -528,7 +476,7 @@ mod tests {
         assert!(matches!(e, Err(BlockError::NotNormalized(_))));
         let e = db.set_block_masses(1, &[0.0, 0.3, 0.3, 0.4]);
         assert!(matches!(e, Err(BlockError::BadProbability(_))));
-        assert_eq!(db.version(), v1);
+        assert_eq!((db.version(), db.mass_stamp()), (v1, v1));
         assert!((db.columns().alt_probs()[2] - 0.1).abs() < 1e-12);
     }
 

@@ -60,7 +60,7 @@ pub mod world;
 pub use algebra::{Query, QueryNode, ScanRequirement, Statistic};
 pub use block::{Alternative, Block, BlockError};
 pub use catalog::Catalog;
-pub use column::{Bitmap, ColumnSet, ColumnStore, ShardMap, SHARD_COUNT};
+pub use column::{Bitmap, ColumnSet, ColumnStore};
 pub use database::{ProbDb, SEGMENT_LEN};
 pub use plan::{
     dissociation_search_count, CatalogEngine, EvalPath, EvalReport, MassGradients, PlanCache,

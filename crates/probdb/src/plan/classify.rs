@@ -320,38 +320,11 @@ impl TermScan {
             .collect();
         for s in b0..self.block_stamps.len() {
             let segment = s * SEGMENT_LEN..((s + 1) * SEGMENT_LEN).min(blocks);
-            let (pruned, straddle) = self.scan_blocks(cols, &keys, segment);
+            let (pruned, straddle) = scan_blocks(&self.live_alts, cols, &keys, segment);
             self.pruned.push(pruned);
             self.straddle.push(straddle);
         }
         ((rows_c - cstart) + (rows_a - astart), (c0, b0))
-    }
-
-    /// Pruned blocks and the least straddling `(key position, block)` of
-    /// one block segment.
-    fn scan_blocks(
-        &self,
-        cols: &ColumnStore,
-        keys: &[&[u16]],
-        blocks: Range<usize>,
-    ) -> (u32, Option<(u32, u32)>) {
-        let live = &self.live_alts;
-        let (mut pruned, mut straddle) = (0u32, None::<(u32, u32)>);
-        for b in blocks {
-            let rows = cols.block_range(b);
-            let Some(first) = rows.clone().find(|&r| live.get(r)) else {
-                pruned += 1;
-                continue;
-            };
-            let found = straddle.map_or(keys.len(), |(pos, _)| pos as usize);
-            if let Some(pos) = keys[..found]
-                .iter()
-                .position(|key| (first + 1..rows.end).any(|r| live.get(r) && key[r] != key[first]))
-            {
-                straddle = Some((pos as u32, b as u32));
-            }
-        }
-        (pruned, straddle)
     }
 
     /// Fills in the alias verdicts of this scan against `first`, the first
@@ -376,6 +349,50 @@ impl TermScan {
     pub(crate) fn pruned_blocks(&self) -> usize {
         self.pruned.iter().map(|&p| p as usize).sum()
     }
+}
+
+/// Pruned blocks (no live alternative) and the least straddling `(key
+/// position, block)` — a block whose live alternatives disagree on that
+/// key — of one block segment, under the live-row bitmap `live`. Per
+/// block, the first live row and each key's straddle flag come from
+/// loops over the block's rows with no data-dependent branch: a live
+/// bit selects by mask, and flags accumulate with a non-short-circuit
+/// `|`.
+fn scan_blocks(
+    live: &Bitmap,
+    cols: &ColumnStore,
+    keys: &[&[u16]],
+    blocks: Range<usize>,
+) -> (u32, Option<(u32, u32)>) {
+    let (mut pruned, mut straddle) = (0u32, None::<(u32, u32)>);
+    for b in blocks {
+        let rows = cols.block_range(b);
+        // Back to front, so the first live row is the last one kept.
+        let mut first = rows.end;
+        for r in rows.clone().rev() {
+            let keep = (live.get(r) as usize).wrapping_neg();
+            first = (r & keep) | (first & !keep);
+        }
+        if first == rows.end {
+            pruned += 1;
+            continue;
+        }
+        // Only a lesser key position can improve on the straddle found in
+        // an earlier block.
+        let found = straddle.map_or(keys.len(), |(pos, _)| pos as usize);
+        for (pos, key) in keys[..found].iter().enumerate() {
+            let lead = key[first];
+            let mut differs = false;
+            for r in rows.clone() {
+                differs |= live.get(r) & (key[r] != lead);
+            }
+            if differs {
+                straddle = Some((pos as u32, b as u32));
+                break;
+            }
+        }
+    }
+    (pruned, straddle)
 }
 
 /// One bit per row of `rows` in `set`: the term's selection and the
@@ -643,4 +660,84 @@ pub(crate) fn components(
     }
     comps.sort_by_key(|c| c[0]);
     comps
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{Alternative, Block};
+    use mrsl_relation::CompleteTuple;
+    use rand::Rng;
+
+    /// The per-row scan [`scan_blocks`] replaced: the first live row by a
+    /// search, then each key's disagreement by a short-circuit test.
+    fn reference_scan_blocks(
+        live: &Bitmap,
+        cols: &ColumnStore,
+        keys: &[&[u16]],
+        blocks: Range<usize>,
+    ) -> (u32, Option<(u32, u32)>) {
+        let (mut pruned, mut straddle) = (0u32, None::<(u32, u32)>);
+        for b in blocks {
+            let rows = cols.block_range(b);
+            let Some(first) = rows.clone().find(|&r| live.get(r)) else {
+                pruned += 1;
+                continue;
+            };
+            let found = straddle.map_or(keys.len(), |(pos, _)| pos as usize);
+            if let Some(pos) = keys[..found]
+                .iter()
+                .position(|key| (first + 1..rows.end).any(|r| live.get(r) && key[r] != key[first]))
+            {
+                straddle = Some((pos as u32, b as u32));
+            }
+        }
+        (pruned, straddle)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Block verdicts equal the per-row reference on blocks of 1, 2
+        /// and 3 alternatives and blocks wider than a bitmap word, over
+        /// 1–3 keys, sparse to full live sets, and any block range.
+        #[test]
+        fn block_verdicts_match_the_per_row_scan(
+            seed in 0u64..100_000,
+            blocks in 1usize..40,
+            live_pct in 0u32..=100,
+            (nkeys, card) in (1usize..=3, 1u16..4),
+            range in (0usize..40, 0usize..40),
+        ) {
+            let mut rng = mrsl_util::seeded_rng(seed);
+            let mut cols = ColumnStore::new(3);
+            for key in 0..blocks {
+                let len = [1, 2, 3, rng.gen_range(65..140)][rng.gen_range(0..4usize)];
+                // Mostly agreeing keys, so straddles are rare enough to
+                // leave later key positions to decide.
+                let base: Vec<u16> = (0..3).map(|_| rng.gen_range(0..card)).collect();
+                let alts = (0..len)
+                    .map(|_| {
+                        let values = base
+                            .iter()
+                            .map(|&v| if rng.gen_range(0..20) == 0 { rng.gen_range(0..card) } else { v })
+                            .collect();
+                        Alternative { tuple: CompleteTuple::from_values(values), prob: 1.0 / len as f64 }
+                    })
+                    .collect();
+                cols.push_block(&Block::from_parts(key, alts));
+            }
+            let mut live = Bitmap::zeros(cols.alternatives().rows());
+            for r in 0..live.len() {
+                if rng.gen_range(0..100u32) < live_pct {
+                    live.set(r);
+                }
+            }
+            let keys: Vec<&[u16]> = (0..nkeys as u16).map(|a| cols.alternatives().col(AttrId(a))).collect();
+            let (lo, hi) = (range.0.min(range.1).min(blocks), range.0.max(range.1).min(blocks));
+            proptest::prop_assert_eq!(
+                scan_blocks(&live, &cols, &keys, lo..hi),
+                reference_scan_blocks(&live, &cols, &keys, lo..hi)
+            );
+        }
+    }
 }

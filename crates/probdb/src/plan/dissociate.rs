@@ -537,7 +537,8 @@ mod tests {
         let scans = scan_terms(&resolved);
         let compiled = compile_terms(&resolved, &scans);
         let program = lower(&resolved, &[]).expect("a liftable join lowers");
-        let regs = vm::bind_program(&program, &compiled);
+        let cuts = vec![vm::Cut::default(); compiled.len()];
+        let regs = vm::bind_program(&program, &compiled, &cuts);
         let upper = vm::run_prebound(&program, &regs, Mode::Upper);
         let lower_side = vm::run_prebound(&program, &regs, Mode::Lower);
         assert_eq!(upper.to_bits(), lower_side.to_bits());

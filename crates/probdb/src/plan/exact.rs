@@ -16,8 +16,10 @@
 //!   selection marginals), [`value_marginal`] and [`top_k`].
 
 use super::classify::{CompiledTerm, Resolved};
-use super::{vm, RankedTuple};
+use super::RankedTuple;
+use crate::column::Bitmap;
 use mrsl_relation::{AttrId, CompleteTuple};
+use std::ops::Range;
 
 /// `E[|result|]` of any conjunctive query shape, by joining per-relation
 /// expected-mass tables over the join-class assignments.
@@ -75,7 +77,7 @@ pub(crate) fn count_steps(resolved: &Resolved) -> Vec<MassStep> {
 /// One step's grouped expected-mass table: `(key, mass)` sorted
 /// lexicographically by key (see [`grouped_term_mass`]). Tables depend
 /// only on the step shape and the term's live rows, so the plan cache
-/// memoizes them next to the boolean registers.
+/// memoizes them next to the boolean registers ([`StepMass`]).
 pub(crate) type MassTable = Vec<(Vec<u16>, f64)>;
 
 /// Builds every step's grouped mass table, in step order.
@@ -87,15 +89,19 @@ pub(crate) fn mass_tables(steps: &[MassStep], compiled: &[CompiledTerm]) -> Vec<
 }
 
 /// Deterministic expected-count fold over prebuilt (possibly memoized)
-/// mass tables: each step joins the accumulated class assignments
-/// against its term's grouped mass table, probing only the keys
-/// compatible with the already-bound classes (binary search on the
+/// mass tables, one per step: each step joins the accumulated class
+/// assignments against its term's grouped mass table, probing only the
+/// keys compatible with the already-bound classes (binary search on the
 /// bound-key prefix) instead of the old `assign × key` cross product.
 /// Assignments and mass tables are kept sorted with equal keys merge-
 /// summed, so the result is independent of hash iteration order; the
 /// interpreter and the bytecode VM both call this kernel, which makes
 /// their expected counts bit-identical by construction.
-pub(crate) fn run_mass_join(steps: &[MassStep], tables: &[MassTable], classes: usize) -> f64 {
+pub(crate) fn run_mass_join<'t>(
+    steps: &[MassStep],
+    tables: impl IntoIterator<Item = &'t MassTable>,
+    classes: usize,
+) -> f64 {
     // Seed: the empty assignment (one per class, u16::MAX = unbound).
     let mut acc: Vec<(Vec<u16>, f64)> = vec![(vec![u16::MAX; classes], 1.0)];
     for (step, grouped) in steps.iter().zip(tables) {
@@ -128,45 +134,146 @@ pub(crate) fn run_mass_join(steps: &[MassStep], tables: &[MassTable], classes: u
 /// Expected mass of one step's term keyed by `bound ++ fresh` positions
 /// (certain rows weigh 1, alternatives their probability), sorted
 /// lexicographically with equal keys summed in row order — so the probe
-/// side is a binary search on the bound prefix. The key positions are
-/// gathered into dense columns (live certain rows, then live
-/// alternatives, each in row order) and ordered by [`vm::sort_by_path`],
-/// the stable radix sort the register binder uses, so tied rows keep
-/// that certain-then-alternative order and every sum its addition
-/// sequence.
+/// side is a binary search on the bound prefix. It is a fold in row
+/// order, live certain rows then live alternatives, into one sum per key
+/// ([`StepRows::fold`]): each key's additions keep their order, which is
+/// what makes it equal, bit for bit, to sorting the rows stably by key
+/// and summing the runs.
 pub(crate) fn grouped_term_mass(ct: &CompiledTerm, step: &MassStep) -> MassTable {
-    let probs = ct.db.columns().alt_probs();
-    let cert: Vec<usize> = ct.live_certain.iter_ones().collect();
-    let alts: Vec<usize> = ct.live_alts.iter_ones().collect();
-    let cols: Vec<Vec<u16>> = step
-        .bound
-        .iter()
-        .chain(&step.fresh)
-        .map(|&(pos, _)| {
-            let (_, ccol, acol) = ct.keys[pos];
-            let cert_keys = cert.iter().map(|&r| ccol[r]);
-            cert_keys.chain(alts.iter().map(|&r| acol[r])).collect()
-        })
-        .collect();
-    let weight = |i: usize| match i.checked_sub(cert.len()) {
-        None => 1.0,
-        Some(a) => probs[alts[a]],
-    };
-    let mut order: Vec<u32> = (0..(cert.len() + alts.len()) as u32).collect();
-    vm::sort_by_path(
-        &mut order,
-        &cols.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-    );
-    let mut table: MassTable = Vec::new();
-    for i in order.into_iter().map(|i| i as usize) {
-        match table.last_mut() {
-            Some((key, acc)) if key.iter().zip(&cols).all(|(&k, col)| k == col[i]) => {
-                *acc += weight(i)
-            }
-            _ => table.push((cols.iter().map(|col| col[i]).collect(), weight(i))),
+    StepRows::new(ct, step, true, 0..ct.live_alts.len()).fold()
+}
+
+/// One step's mass tables as the plan memo keeps them: the fold state at
+/// the block cut and the whole table. Appended blocks land after the
+/// cut, so the table after a push is the kept state with the
+/// alternatives from the cut on folded in ([`StepMass::append`]).
+#[derive(Debug)]
+pub(crate) struct StepMass {
+    /// The fold of every live certain row, then the live alternatives
+    /// before the cut (an alternative row, at a block boundary).
+    prefix: MassTable,
+    /// The fold of every live row: what [`run_mass_join`] reads.
+    pub(crate) table: MassTable,
+}
+
+impl StepMass {
+    /// Folds the step's live rows, keeping the state at the alternative
+    /// row `cut`.
+    pub(crate) fn build(ct: &CompiledTerm, step: &MassStep, cut: usize) -> Self {
+        let prefix = StepRows::new(ct, step, true, 0..cut).fold();
+        let table = StepRows::new(ct, step, false, cut..ct.live_alts.len()).fold_onto(&prefix);
+        StepMass { prefix, table }
+    }
+
+    /// Brings the tables up to date after appends, when the live rows and
+    /// masses before the old cut `from` are those of the last fold (the
+    /// certain rows included, which come first in the fold): folds the
+    /// live alternatives in `from..cut` into the kept state, which moves
+    /// to the new cut, and those from `cut` on onto it.
+    pub(crate) fn append(&mut self, ct: &CompiledTerm, step: &MassStep, from: usize, cut: usize) {
+        if cut > from {
+            self.prefix = StepRows::new(ct, step, false, from..cut).fold_onto(&self.prefix);
+        }
+        self.table =
+            StepRows::new(ct, step, false, cut..ct.live_alts.len()).fold_onto(&self.prefix);
+    }
+}
+
+/// Largest key domain (the product of the key columns' value ranges)
+/// [`StepRows::fold`] sums into a dense array; wider domains sort.
+const DENSE_KEYS: usize = 1 << 18;
+
+/// The live rows one fold of a step's mass visits, in fold order: the
+/// live certain rows (when included), then the live alternatives of a
+/// row range, each ascending.
+struct StepRows<'a> {
+    /// `(certain column, alternative column)` per key position, bound
+    /// positions first.
+    cols: Vec<(&'a [u16], &'a [u16])>,
+    probs: &'a [f64],
+    cert: Vec<u32>,
+    alts: Vec<u32>,
+}
+
+impl<'a> StepRows<'a> {
+    fn new(ct: &CompiledTerm<'a>, step: &MassStep, certain: bool, alts: Range<usize>) -> Self {
+        let ones = |bits: &Bitmap, rows: Range<usize>| -> Vec<u32> {
+            let end = rows.end;
+            bits.iter_ones_from(rows.start)
+                .take_while(|&r| r < end)
+                .map(|r| r as u32)
+                .collect()
+        };
+        let certain = if certain { ct.live_certain.len() } else { 0 };
+        StepRows {
+            cols: (step.bound.iter().chain(&step.fresh))
+                .map(|&(pos, _)| (ct.keys[pos].1, ct.keys[pos].2))
+                .collect(),
+            probs: ct.db.columns().alt_probs(),
+            cert: ones(ct.live_certain, 0..certain),
+            alts: ones(ct.live_alts, alts),
         }
     }
-    table
+
+    /// Each row's key column values, in key position order, with its
+    /// weight, in fold order.
+    fn weighted(&self) -> impl Iterator<Item = (impl Iterator<Item = u16> + '_, f64)> + '_ {
+        let key = move |r: u32, alt: bool| {
+            (self.cols.iter()).map(move |&(c, a)| if alt { a } else { c }[r as usize])
+        };
+        let cert = self.cert.iter().map(move |&r| (key(r, false), 1.0));
+        cert.chain(
+            self.alts
+                .iter()
+                .map(move |&r| (key(r, true), self.probs[r as usize])),
+        )
+    }
+
+    /// Folds these rows, in order, into one sum per key: into an array
+    /// indexed by the key's mixed-radix code (first position most
+    /// significant, so ascending codes are ascending keys) when the key
+    /// domain — each column's largest value plus one, multiplied — is
+    /// small, by sorting otherwise. A dense sum starts at `+0.0`, and
+    /// `+0.0 + w` is `w` bit for bit for every weight but `-0.0`, which no
+    /// row weighs.
+    fn fold(&self) -> MassTable {
+        let radix: Vec<usize> = (self.cols.iter())
+            .map(|(c, a)| 1 + c.iter().chain(*a).max().map_or(0, |&v| v as usize))
+            .collect();
+        let size = radix.iter().try_fold(1usize, |n, &r| n.checked_mul(r));
+        let Some(size) = size.filter(|&n| n <= DENSE_KEYS) else {
+            return self.fold_onto(&[]);
+        };
+        let mut sums = vec![0.0f64; size];
+        let mut seen = Bitmap::zeros(size);
+        for (key, w) in self.weighted() {
+            let code = key.zip(&radix).fold(0, |c, (k, &n)| c * n + k as usize);
+            sums[code] += w;
+            seen.set(code);
+        }
+        seen.iter_ones()
+            .map(|code| {
+                let mut key = vec![0u16; radix.len()];
+                let mut rest = code;
+                for (k, &n) in key.iter_mut().zip(&radix).rev() {
+                    *k = (rest % n) as u16;
+                    rest /= n;
+                }
+                (key, sums[code])
+            })
+            .collect()
+    }
+
+    /// Folds these rows, in order, onto `base` (the table of the rows
+    /// before them): a stable sort by key of the `base` entries followed
+    /// by the rows, whose runs sum from the `base` entry, or from the first
+    /// row's weight, through the later rows' weights one by one.
+    fn fold_onto(&self, base: &[(Vec<u16>, f64)]) -> MassTable {
+        let mut rows = base.to_vec();
+        rows.extend(self.weighted().map(|(key, w)| (key.collect(), w)));
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        merge_runs(rows)
+    }
 }
 
 /// Sums runs of equal keys in an already-sorted `(key, weight)` list,
@@ -333,63 +440,99 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        /// The radix-sorted mass table equals the comparator-sorted one
-        /// bit for bit: random certain rows and blocks (whose
-        /// alternatives straddle key groups), random live sets (empty
-        /// ones included), and random bound/fresh splits of the keys.
+        /// The row-order fold equals the comparator-sorted table bit for
+        /// bit: 0- to 3-column keys in random bound/fresh splits (a chain
+        /// `s(x, y)` step keys on two), key domains with gaps, keys only
+        /// certain rows hold, blocks whose alternatives straddle key
+        /// groups, live sets from empty to full, and domains too wide for
+        /// the dense array. The fold state at any block cut is the table
+        /// of the rows before it, and appending from one cut to a later
+        /// one gives what a fold at the later cut gives.
         #[test]
         fn grouped_term_mass_matches_comparator_sort(
             seed in 0u64..100_000,
             (certain, blocks) in (0usize..12, 0usize..10),
-            live_pct in 0u32..=100,
+            (cert_live, alt_live) in (0usize..4, 0usize..4),
             (nk, nbound) in (0usize..=3, 0usize..=3),
+            (wide, cuts) in (0u8..2, (0usize..12, 0usize..12)),
         ) {
             let mut rng = mrsl_util::seeded_rng(seed);
-            let v = ["v0", "v1", "v2"];
-            let schema = Schema::builder().attribute("a", v).attribute("b", v).attribute("c", v);
+            let v: Vec<String> = (0..128).map(|i| format!("v{i}")).collect();
+            let schema = Schema::builder()
+                .attribute("a", v.clone())
+                .attribute("b", v.clone())
+                .attribute("c", v);
             let mut db = ProbDb::new(schema.build().unwrap());
-            let draw = |rng: &mut StdRng| {
-                CompleteTuple::from_values((0..3).map(|_| rng.gen_range(0..3u16)).collect())
+            // Alternatives take the values 0, 2, 3 and 7 (gaps between
+            // them); certain rows also take 9, which no alternative has.
+            let draw = |rng: &mut StdRng, values: &[u16]| {
+                CompleteTuple::from_values(
+                    (0..3).map(|_| values[rng.gen_range(0..values.len())]).collect(),
+                )
             };
             for _ in 0..certain {
-                db.push_certain(draw(&mut rng)).unwrap();
+                db.push_certain(draw(&mut rng, &[0, 3, 7, 9])).unwrap();
+            }
+            if wide == 1 {
+                // One value near the top of every column: a key domain past
+                // the dense array's size.
+                db.push_certain(CompleteTuple::from_values(vec![120; 3])).unwrap();
             }
             for key in 0..blocks {
                 let mut alts: Vec<Alternative> = Vec::new();
                 for _ in 0..rng.gen_range(1..5usize) {
-                    let (tuple, prob) = (draw(&mut rng), rng.gen_range(1..100u32) as f64);
+                    let tuple = draw(&mut rng, &[0, 2, 3, 7]);
+                    let prob = rng.gen_range(1..100u32) as f64;
                     if alts.iter().all(|a| a.tuple != tuple) {
                         alts.push(Alternative { tuple, prob });
                     }
                 }
                 db.push_block(Block::normalized(key, alts).unwrap()).unwrap();
             }
-            let live = |rng: &mut StdRng, len: usize| {
+            let live = |rng: &mut StdRng, len: usize, pct: u32| {
                 let mut bits = Bitmap::zeros(len);
-                (0..len).filter(|_| rng.gen_range(0..100u32) < live_pct).for_each(|i| bits.set(i));
+                (0..len).filter(|_| rng.gen_range(0..100u32) < pct).for_each(|i| bits.set(i));
                 bits
             };
-            let (cert, alt) = (db.columns().certain(), db.columns().alternatives());
-            let (live_certain, live_alts) = (live(&mut rng, cert.rows()), live(&mut rng, alt.rows()));
-            let ct = CompiledTerm {
+            let pcts = [0, 35, 70, 100];
+            let cols = db.columns();
+            let (cert, alt) = (cols.certain(), cols.alternatives());
+            let live_certain = live(&mut rng, cert.rows(), pcts[cert_live]);
+            let live_alts = live(&mut rng, alt.rows(), pcts[alt_live]);
+            let term = |live_alts| CompiledTerm {
                 relation: "r",
                 db: &db,
                 live_certain: &live_certain,
-                live_alts: &live_alts,
+                live_alts,
                 keys: (0..3u16).map(|a| (a as usize, cert.col(AttrId(a)), alt.col(AttrId(a)))).collect(),
             };
+            let ct = term(&live_alts);
             let mut bound: Vec<(usize, usize)> = (0..3).map(|p| (p, p)).collect();
             bound.shuffle(&mut rng);
             bound.truncate(nk);
             let fresh = bound.split_off(nbound.min(nk));
             let step = MassStep { term: 0, bound, fresh };
-            let bits = |table: MassTable| -> Vec<(Vec<u16>, u64)> {
-                table.into_iter().map(|(k, m)| (k, m.to_bits())).collect()
+            let bits = |table: &[(Vec<u16>, f64)]| -> Vec<(Vec<u16>, u64)> {
+                table.iter().map(|(k, m)| (k.clone(), m.to_bits())).collect()
             };
+            let want = bits(&reference_term_mass(&ct, &step));
+            proptest::prop_assert_eq!(bits(&grouped_term_mass(&ct, &step)), want.clone());
+            // Fold states at two block cuts, and the append between them.
+            let (c0, c1) = (cuts.0.min(cuts.1).min(blocks), cuts.0.max(cuts.1).min(blocks));
+            let (r0, r1) = (cols.block_offset(c0), cols.block_offset(c1));
+            let mut before_cut = live_alts.clone();
+            before_cut.truncate(r1);
+            before_cut.append(&Bitmap::zeros(alt.rows() - r1));
+            let at_c1 = StepMass::build(&ct, &step, r1);
+            proptest::prop_assert_eq!(bits(&at_c1.table), want.clone());
             proptest::prop_assert_eq!(
-                bits(grouped_term_mass(&ct, &step)),
-                bits(reference_term_mass(&ct, &step))
+                bits(&at_c1.prefix),
+                bits(&reference_term_mass(&term(&before_cut), &step))
             );
+            let mut appended = StepMass::build(&ct, &step, r0);
+            appended.append(&ct, &step, r0, r1);
+            proptest::prop_assert_eq!(bits(&appended.table), want);
+            proptest::prop_assert_eq!(bits(&appended.prefix), bits(&at_c1.prefix));
         }
     }
 }

@@ -6,8 +6,8 @@
 //! [`record`] walks the component/covering-root recursion over row maps
 //! for an extension set and a bracket [`Mode`] — `(&[], Mode::Upper)` is
 //! the exact plan — and [`Tape::value`] is the answer the bytecode VM
-//! must reproduce bit for bit. Each connected component multiplies in;
-//! each key partition computes `1 - Π_v (1 - p_v)` over its candidate key
+//! must reproduce bit for bit. A query is one connected component; each
+//! key partition computes `1 - Π_v (1 - p_v)` over its candidate key
 //! values, replicating terms it does not bind into every branch (their
 //! replication count `d` grows by the branch count); each branch
 //! multiplies its subcomponents; and each leaf computes
@@ -230,11 +230,9 @@ pub(crate) fn record(
     let rows: Vec<&Rows> = live.iter().collect();
     let all: Vec<usize> = (0..compiled.len()).collect();
     let active: Vec<usize> = (0..resolved.classes.len()).collect();
-    let children = components(&rec.class_terms, &all, &active)
-        .iter()
-        .map(|comp| rec.component(comp, &active, &rows))
-        .collect();
-    rec.tape.push(TapeNode::Product { children });
+    // A flattened query is one connected component: its root is the
+    // tape's last node.
+    rec.component(&all, &active, &rows);
     rec.tape
 }
 

@@ -556,6 +556,18 @@ fn evaluate_with<'a>(
     evaluate_cold(&lookup, flat, (tag, hash), stat, config, cache)
 }
 
+/// The registers and mass tables `cache` memoizes for `q`'s `stat` plan,
+/// as raw bits ([`BoundRegs::bits`]); `None` without such a plan, or for
+/// a sampling verdict.
+pub(crate) fn memo_bits(cache: &PlanCache, q: &Query, stat: Statistic) -> Option<Vec<u64>> {
+    let flat = q.flatten().ok()?;
+    let plan = cache
+        .probe(cache_tag(stat)?, flat.shape_hash())
+        .filter(|plan| plan.matches(&flat))?;
+    let memo = plan.memo.lock().expect("plan memo lock");
+    memo.regs.as_ref().map(BoundRegs::bits)
+}
+
 /// A cache miss: plan, lower the verdict to a program, capture it with
 /// its registers bound, and run it through the same [`execute`] a warm
 /// hit uses — so the next hit goes straight to the fold. The entry is
@@ -601,9 +613,10 @@ fn evaluate_cold<'a>(
 /// segments whose value stamps moved — and re-reads the key-straddle and
 /// alias-live-mismatch guards from them against the recorded verdicts (a
 /// flipped one reports the entry stale, `Ok(None)`, for invalidation and
-/// a cold replan). Then, under the memo lock, it patches or rebinds the
-/// registers that moved and takes the new stamps and scans. It runs the
-/// program over the registers, still under the lock, and refines wide
+/// a cold replan). Then, under the memo lock, it merges appended rows
+/// into the registers that moved, or rebinds them, and takes the new
+/// stamps and scans. It runs the program over the registers, still under
+/// the lock, and refines wide
 /// brackets by sampling once the lock is released. The compiled terms
 /// borrow the scans, so each step that reads them binds them, in
 /// O(terms), and a clean warm hit binds none. `warm` is the cache
@@ -659,9 +672,9 @@ fn execute(
         if let Some(regs) = regs {
             let moved = (stamps.as_slice(), versions.as_slice());
             let compiled = compile_terms(resolved, &scans);
-            let (patched, rebound) = regs.refresh(&plan.program, resolved, &compiled, moved);
+            let (appended, rebound) = regs.refresh(&plan.program, resolved, &compiled, moved);
             if let Some(cache) = warm {
-                cache.record_reg_maintenance(patched, rebound);
+                cache.record_reg_maintenance(appended, rebound);
             }
         }
         *kept = Arc::clone(&scans);
@@ -742,7 +755,9 @@ fn fold(
         ),
         (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
             mean: match (&prog.steps, &regs.count) {
-                (Some(steps), Some(tables)) => exact::run_mass_join(steps, tables, prog.classes),
+                (Some(steps), Some(tables)) => {
+                    exact::run_mass_join(steps, tables.iter().map(|m| &m.table), prog.classes)
+                }
                 _ => exact::single_expected_count(&compile_terms(resolved, scans)[0]),
             },
             std_error: None,

@@ -53,22 +53,25 @@
 //! data-addressed, so the plan cache memoizes them next to version
 //! stamps — an unchanged-data warm hit skips the gather entirely.
 //!
-//! **Incremental maintenance.** [`patch_term`] rebuilds only the dirty
-//! key ranges of a memoized register set after an upsert: the store's
-//! per-shard version stamps ([`crate::ProbDb::shard_versions`]) prove
-//! which leading-key ranges changed, the stale runs are re-gathered and
-//! re-sorted by the same [`gather`] that [`bind_term`] runs over every
-//! live row, and the clean runs are spliced over from the old registers
-//! unchanged. Because the level-0 key is the pre-sort's primary key and
-//! equal stamps imply identical shard contents, the splice reproduces a
-//! fresh [`bind_program`] bit for bit.
+//! **Incremental maintenance.** Rows are append-only and a push lands
+//! in the last storage segment, so each register set remembers which of
+//! its entries came from rows at or after a [`Cut`]: the start of its
+//! term's last certain segment and of its last block segment when it was
+//! gathered. [`append_term`] drops those entries, gathers the live rows
+//! from the cut on through the same [`gather`] that [`bind_term`] runs
+//! over every live row, and merges them into the register vectors in
+//! place, in sort-path order with the kept entries first among equal
+//! keys. The kept entries are the stably sorted live rows before the
+//! cut, and every gathered row comes after all of them, so the merge is
+//! the stable sort of all live rows — a fresh [`bind_program`] — bit for
+//! bit, provided the rows and masses before the cut are unchanged, which
+//! the caller proves with the relation's value and mass stamps.
 
 use super::classify::CompiledTerm;
 use super::dissociate::Mode;
 use super::exact::MassStep;
-use crate::column::Bitmap;
+use crate::database::SEGMENT_LEN;
 use mrsl_util::FxHashMap;
-use std::ops::Range;
 
 /// One factor of a partition body, in subcomponent order. The order is
 /// load-bearing: the reference tape multiplies subcomponents left to
@@ -122,9 +125,9 @@ pub(crate) enum Op {
 pub(crate) struct Program {
     /// Flat op pool; ops reference each other by index.
     pub ops: Vec<Op>,
-    /// Top-level connected components, multiplied without early exit
-    /// (matching the tape's root product).
-    pub roots: Vec<u32>,
+    /// The op the program's value is: a flattened query is one connected
+    /// component, so one covering root (or one leaf) spans every term.
+    pub root: u32,
     /// Per-term sort path: the partition classes that narrow this term,
     /// root to leaf. Drives the bind-time pre-sort.
     pub paths: Vec<Vec<usize>>,
@@ -163,6 +166,37 @@ pub(crate) struct TermRegs {
     clen: u32,
     /// Number of blocks with live alternatives.
     alen: u32,
+    /// Ascending positions of the certain entries gathered from rows at
+    /// or after the register set's [`Cut`]: what [`append_term`] drops
+    /// and gathers again. At most one segment's worth.
+    ctail: Vec<u32>,
+    /// The same for the block entries (a block counts by its first row).
+    atail: Vec<u32>,
+}
+
+impl TermRegs {
+    /// Appends the registers' contents to `out` as raw bits, each column
+    /// after its length: equal bits mean equal registers.
+    pub(crate) fn push_bits(&self, out: &mut Vec<u64>) {
+        for col in self.ckeys.iter().chain(&self.akeys) {
+            out.push(col.len() as u64);
+            out.extend(col.iter().map(|&k| u64::from(k)));
+        }
+        out.extend([self.clen, self.alen].map(u64::from));
+        out.extend(self.amass.iter().map(|m| m.to_bits()));
+    }
+}
+
+/// Where a register set's tail starts: the first certain row and the
+/// first alternative row of the term's last storage segments when the
+/// registers were gathered. Rows from here on may still change by
+/// appends; rows before it are only kept or dropped whole.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Cut {
+    /// First certain row of the tail.
+    pub certain: usize,
+    /// First alternative row of the tail (a block boundary).
+    pub alts: usize,
 }
 
 /// Live rows of one term gathered for its sort path: the path's key
@@ -176,11 +210,12 @@ struct Gathered<'a> {
     amass: Vec<f64>,
 }
 
-/// Gathers a term's live rows — only those whose level-0 key falls in
-/// `dirty`, when given — sorts them by the sort path and collapses the
-/// alternatives to block runs. [`bind_term`] and [`patch_term`] share it,
-/// so a patched range is gathered exactly as a fresh bind gathers it.
-fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]>) -> Gathered<'a> {
+/// Gathers a term's live rows from `from` on, sorts them by the sort
+/// path and collapses the alternatives to block runs. [`bind_term`] and
+/// [`append_term`] share it, so an appended tail is gathered exactly as a
+/// fresh bind gathers it; its cost is proportional to the rows from
+/// `from` on.
+fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, from: Cut) -> Gathered<'a> {
     let ccols: Vec<&[u16]> = path
         .iter()
         .map(|&c| ct.class_key(c).expect("sort path classes key the term").0)
@@ -189,19 +224,11 @@ fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]
         .iter()
         .map(|&c| ct.class_key(c).expect("sort path classes key the term").1)
         .collect();
-    let live = |bits: &Bitmap, cols: &[&[u16]]| -> Vec<u32> {
-        let rows = bits.iter_ones().map(|i| i as u32);
-        match dirty {
-            None => rows.collect(),
-            Some(dirty) => rows
-                .filter(|&r| {
-                    let v = cols[0][r as usize] as u32;
-                    dirty.iter().any(|range| range.contains(&v))
-                })
-                .collect(),
-        }
-    };
-    let mut cert = live(ct.live_certain, &ccols);
+    let mut cert: Vec<u32> = ct
+        .live_certain
+        .iter_ones_from(from.certain)
+        .map(|i| i as u32)
+        .collect();
     // LSD radix over the path levels: each pass is a stable counting sort,
     // so the final order is lexicographic by root-to-leaf key with the
     // initial ascending row order breaking ties. That tie-break is what
@@ -216,7 +243,11 @@ fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]
     // contiguous, so ties in key fall back to block order either way).
     let cols = ct.db.columns();
     let probs = cols.alt_probs();
-    let alts = live(ct.live_alts, &acols);
+    let alts: Vec<u32> = ct
+        .live_alts
+        .iter_ones_from(from.alts)
+        .map(|i| i as u32)
+        .collect();
     let mut heads: Vec<u32> = Vec::new();
     let mut masses: Vec<f64> = Vec::new();
     for run in cols.block_runs(&alts) {
@@ -249,11 +280,18 @@ fn gather<'a>(path: &[usize], ct: &CompiledTerm<'a>, dirty: Option<&[Range<u32>]
     }
 }
 
-/// Gathers and pre-sorts every term's live rows into columnar registers
-/// (the per-execution half of compilation — the program itself is
-/// data-free and cacheable).
-pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm) -> TermRegs {
-    let g = gather(path, ct, None);
+/// Positions in `rows` (gathered, sorted) of the rows at or after `cut`.
+fn tail_of(rows: &[u32], cut: usize) -> Vec<u32> {
+    (0..rows.len() as u32)
+        .filter(|&i| rows[i as usize] as usize >= cut)
+        .collect()
+}
+
+/// Gathers and pre-sorts one term's live rows into columnar registers
+/// (the per-data half of compilation — the program itself is data-free
+/// and cacheable), remembering which entries lie at or after `cut`.
+pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm, cut: Cut) -> TermRegs {
+    let g = gather(path, ct, Cut::default());
     TermRegs {
         ckeys: g
             .ccols
@@ -268,97 +306,171 @@ pub(crate) fn bind_term(path: &[usize], ct: &CompiledTerm) -> TermRegs {
         alen: g.amass.len() as u32,
         amass: g.amass,
         clen: g.cert.len() as u32,
+        ctail: tail_of(&g.cert, cut.certain),
+        atail: tail_of(&g.heads, cut.alts),
     }
 }
 
-/// Incrementally re-binds a term's registers after an upsert that only
-/// touched the level-0 key ranges in `dirty` (sorted, disjoint,
-/// ascending): the dirty rows are re-gathered and re-sorted exactly as
-/// [`bind_term`] would, and the clean runs are spliced over from `old`
-/// unchanged.
+/// Brings a term's registers up to date after appends: drops the entries
+/// gathered from rows at or after `from` (the registers' old cut),
+/// gathers the live rows from `from` on, and merges them in, in place;
+/// the entries at or after `cut` (the new cut, never before `from`)
+/// become the new tail.
 ///
-/// Bit-identity to a fresh [`bind_term`]: the level-0 key is the LSD
-/// pre-sort's *primary* key, so a fresh bind's output is partitioned
-/// into contiguous segments by level-0 key range, each segment being the
-/// stable sort of exactly the rows in that range. Segments over clean
-/// ranges are unchanged from `old` (equal shard stamps imply the
-/// identical push sequence there), and segments over dirty ranges equal
-/// the stable sort of the re-gathered rows — which is what this splice
-/// assembles, range by ascending range.
-pub(crate) fn patch_term(
-    old: &TermRegs,
+/// Bit-identity to a fresh [`bind_term`] holds when every row before
+/// `from`, its live bit and its block's masses are what they were at the
+/// last gather (the caller checks the value and mass stamps): the kept
+/// entries are then the stable sort of the live rows before `from`, and
+/// every gathered row follows all of them in row order, so merging with
+/// kept entries first among equal keys is the stable sort of all live
+/// rows.
+pub(crate) fn append_term(
+    regs: &mut TermRegs,
     path: &[usize],
     ct: &CompiledTerm,
-    dirty: &[Range<u32>],
-) -> TermRegs {
-    let Gathered {
-        ccols,
-        acols,
-        cert,
-        heads,
-        amass: hmass,
-    } = gather(path, ct, Some(dirty));
-    // Splice: for each dirty range, copy the preceding clean segment
-    // from the old registers, then append the re-gathered runs of the
-    // range; finish with the clean tail.
-    let levels = path.len();
-    let mut ckeys: Vec<Vec<u16>> = vec![Vec::new(); levels];
-    let mut akeys: Vec<Vec<u16>> = vec![Vec::new(); levels];
-    let mut amass: Vec<f64> = Vec::new();
-    let (mut oc, mut oa) = (0u32, 0u32); // old-register cursors
-    let (mut nc, mut na) = (0usize, 0usize); // re-gathered cursors
-    let old_ck0 = &old.ckeys[0];
-    let old_ak0 = &old.akeys[0];
-    for range in dirty {
-        let cs = seek(old_ck0, range.start).max(oc);
-        let as_ = seek(old_ak0, range.start).max(oa);
-        for lvl in 0..levels {
-            ckeys[lvl].extend_from_slice(&old.ckeys[lvl][oc as usize..cs as usize]);
-            akeys[lvl].extend_from_slice(&old.akeys[lvl][oa as usize..as_ as usize]);
-        }
-        amass.extend_from_slice(&old.amass[oa as usize..as_ as usize]);
-        oc = seek(old_ck0, range.end).max(cs);
-        oa = seek(old_ak0, range.end).max(as_);
-        while nc < cert.len() && (ccols[0][cert[nc] as usize] as u32) < range.end {
-            for lvl in 0..levels {
-                ckeys[lvl].push(ccols[lvl][cert[nc] as usize]);
-            }
-            nc += 1;
-        }
-        while na < heads.len() && (acols[0][heads[na] as usize] as u32) < range.end {
-            for lvl in 0..levels {
-                akeys[lvl].push(acols[lvl][heads[na] as usize]);
-            }
-            amass.push(hmass[na]);
-            na += 1;
-        }
-    }
-    for lvl in 0..levels {
-        ckeys[lvl].extend_from_slice(&old.ckeys[lvl][oc as usize..]);
-        akeys[lvl].extend_from_slice(&old.akeys[lvl][oa as usize..]);
-    }
-    amass.extend_from_slice(&old.amass[oa as usize..]);
-    debug_assert_eq!(
-        ckeys[0].len(),
-        ct.live_certain.count_ones(),
-        "patched certain registers cover every live row"
+    from: Cut,
+    cut: Cut,
+) {
+    debug_assert!(cut.certain >= from.certain && cut.alts >= from.alts);
+    let g = gather(path, ct, from);
+    regs.clen = merge_side(
+        (&mut regs.ckeys, None, &mut regs.ctail),
+        regs.clen,
+        &g.ccols,
+        &g.cert,
+        cut.certain,
     );
-    debug_assert_eq!((nc, na), (cert.len(), heads.len()));
-    TermRegs {
-        clen: ckeys[0].len() as u32,
-        alen: amass.len() as u32,
-        ckeys,
-        akeys,
-        amass,
+    regs.alen = merge_side(
+        (
+            &mut regs.akeys,
+            Some((&mut regs.amass, &g.amass)),
+            &mut regs.atail,
+        ),
+        regs.alen,
+        &g.acols,
+        &g.heads,
+        cut.alts,
+    );
+    debug_assert_eq!(
+        regs.clen as usize,
+        ct.live_certain.count_ones(),
+        "appended certain registers cover every live row"
+    );
+}
+
+/// One side of a register set, certain rows or blocks: its key column
+/// per level, its masses (blocks only) paired with the gathered rows'
+/// masses, and its tail positions.
+type Side<'r> = (
+    &'r mut [Vec<u16>],
+    Option<(&'r mut Vec<f64>, &'r [f64])>,
+    &'r mut Vec<u32>,
+);
+
+/// Merges one side of a register set of `len` entries: drops its tail
+/// entries, inserts the gathered `rows` (sorted by the path keys `cols`)
+/// after every kept entry whose key is not greater, and records the
+/// positions of the rows at or after `cut` as the new tail. Returns the
+/// new length. In place: the columns grow at most once, and only the
+/// entries after the first change move.
+fn merge_side(
+    (keys, mass, tail): Side,
+    len: u32,
+    cols: &[&[u16]],
+    rows: &[u32],
+    cut: usize,
+) -> u32 {
+    for col in keys.iter_mut() {
+        remove_positions(col, tail);
     }
+    let kept = len as usize - tail.len();
+    let mut at: Vec<u32> = Vec::with_capacity(rows.len());
+    let mut key = vec![0u16; cols.len()];
+    let mut lo = 0;
+    for &r in rows {
+        for (k, col) in key.iter_mut().zip(cols) {
+            *k = col[r as usize];
+        }
+        lo = upper_bound(keys, lo, kept, &key);
+        at.push(lo as u32);
+    }
+    for (col, src) in keys.iter_mut().zip(cols) {
+        insert_at(col, &at, |j| src[rows[j] as usize]);
+    }
+    if let Some((mass, new)) = mass {
+        remove_positions(mass, tail);
+        insert_at(mass, &at, |j| new[j]);
+    }
+    tail.clear();
+    tail.extend(
+        (0..rows.len())
+            .filter(|&j| rows[j] as usize >= cut)
+            .map(|j| at[j] + j as u32),
+    );
+    (kept + rows.len()) as u32
+}
+
+/// Removes the entries at `drop` (ascending positions) from `col`,
+/// shifting the survivors down in place.
+fn remove_positions<T: Copy>(col: &mut Vec<T>, drop: &[u32]) {
+    let Some(&first) = drop.first() else {
+        return;
+    };
+    let mut w = first as usize;
+    for (i, &d) in drop.iter().enumerate() {
+        let next = drop.get(i + 1).map_or(col.len(), |&n| n as usize);
+        col.copy_within(d as usize + 1..next, w);
+        w += next - d as usize - 1;
+    }
+    col.truncate(w);
+}
+
+/// Inserts `value(j)` before the entry at `at[j]` (nondecreasing
+/// positions into `col` as it is) for every `j`, equal positions in `j`
+/// order, moving each surviving run once, back to front. A full column
+/// grows by one segment's worth, not by doubling: registers grow by
+/// appends, a few rows at a time.
+fn insert_at<T: Copy + Default>(col: &mut Vec<T>, at: &[u32], value: impl Fn(usize) -> T) {
+    let mut end = col.len();
+    if col.capacity() < end + at.len() {
+        col.reserve_exact(at.len().max(SEGMENT_LEN));
+    }
+    col.resize(end + at.len(), T::default());
+    for j in (0..at.len()).rev() {
+        let a = at[j] as usize;
+        col.copy_within(a..end, a + j + 1);
+        col[a + j] = value(j);
+        end = a;
+    }
+}
+
+/// First position in `[lo, len)` of the sorted key columns whose key
+/// (lexicographic over the levels) is greater than `key`; `len` when
+/// there is none. With no levels every key is equal: `len`.
+fn upper_bound(keys: &[Vec<u16>], mut lo: usize, len: usize, key: &[u16]) -> usize {
+    let mut hi = len;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let greater = keys
+            .iter()
+            .zip(key)
+            .map(|(col, k)| col[mid].cmp(k))
+            .find(|o| o.is_ne())
+            .is_some_and(|o| o.is_gt());
+        if greater {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// Stable LSD counting sort of `rows` by the key columns, last level
 /// first. Dictionary-encoded keys are dense small `u16`s, so counting
 /// beats a comparator sort's per-comparison column indirection; per-pass
 /// stability makes earlier levels dominate and keeps ties in the
-/// incoming order. The expected-count mass tables
-/// ([`super::exact::grouped_term_mass`]) are ordered by it too.
+/// incoming order.
 pub(crate) fn sort_by_path(rows: &mut Vec<u32>, cols: &[&[u16]]) {
     let mut scratch = vec![0u32; rows.len()];
     for col in cols.iter().rev() {
@@ -381,13 +493,19 @@ pub(crate) fn sort_by_path(rows: &mut Vec<u32>, cols: &[&[u16]]) {
 
 /// Gathers and pre-sorts every term's registers for one program — the
 /// per-data half of compilation, reusable across executions while the
-/// underlying data versions are unchanged.
-pub(crate) fn bind_program(program: &Program, compiled: &[CompiledTerm]) -> Vec<TermRegs> {
+/// underlying data versions are unchanged. `cuts[t]` is term `t`'s
+/// [`Cut`].
+pub(crate) fn bind_program(
+    program: &Program,
+    compiled: &[CompiledTerm],
+    cuts: &[Cut],
+) -> Vec<TermRegs> {
     program
         .paths
         .iter()
         .zip(compiled)
-        .map(|(path, ct)| bind_term(path, ct))
+        .zip(cuts)
+        .map(|((path, ct), &cut)| bind_term(path, ct, cut))
         .collect()
 }
 
@@ -395,18 +513,7 @@ pub(crate) fn bind_program(program: &Program, compiled: &[CompiledTerm]) -> Vec<
 /// earlier (and still valid for the current data). Both sides of a
 /// candidate read the same registers.
 pub(crate) fn run_prebound(program: &Program, regs: &[TermRegs], mode: Mode) -> f64 {
-    let mut ex = Exec::new(program, regs, mode);
-    let mut p = 1.0;
-    for &root in &program.roots {
-        p *= ex.eval(root);
-    }
-    p
-}
-
-/// First position in the sorted key register whose key is `>= bound`
-/// (`bound` ranges over `0..=65536`, one past the `u16` domain).
-fn seek(keys: &[u16], bound: u32) -> u32 {
-    keys.partition_point(|&k| (k as u32) < bound) as u32
+    Exec::new(program, regs, mode).eval(program.root)
 }
 
 /// First position in `[cur, end)` whose key is `>= v` (keys are sorted).

@@ -28,11 +28,11 @@
 //!   snapshot untouched.
 //! * **Warm plans across generations.** All workers share one concurrent
 //!   [`PlanCache`]. Untouched relations keep their
-//!   [`crate::ProbDb::version`] and per-shard stamps through a publish
-//!   (the `Arc` is the same object), so memoized registers stay valid; for touched relations the
-//!   stamps prove exactly which leading-key ranges moved and the memo is
-//!   *patched*, not rebuilt — the PR 7 incremental machinery, carried
-//!   across generations.
+//!   [`crate::ProbDb::version`] and stamps through a publish (the `Arc`
+//!   is the same object), so memoized registers stay valid; for touched
+//!   relations the value and mass stamps prove that only the last storage
+//!   segment moved, and the memo merges in that segment's rows instead of
+//!   rebuilding.
 //!
 //! Requests flow through an `std::sync::mpsc` queue to the pool (the
 //! build environment is offline: no async runtime, just std threads).

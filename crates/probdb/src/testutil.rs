@@ -35,7 +35,7 @@
 use crate::algebra::{Query, Statistic};
 use crate::catalog::Catalog;
 use crate::plan::classify::{resolve, Resolved};
-use crate::plan::{EvalReport, QueryAnswer, QueryEngineConfig};
+use crate::plan::{EvalReport, PlanCache, QueryAnswer, QueryEngineConfig};
 use crate::world::{enumerate_worlds, PossibleWorld};
 use crate::ProbDbError;
 use mrsl_relation::CompleteTuple;
@@ -99,6 +99,15 @@ pub fn interpreted(
     config: &QueryEngineConfig,
 ) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
     crate::plan::evaluate_interpreted(catalog, query, stat, config)
+}
+
+/// The registers and mass tables `cache` memoizes for `query`'s `stat`
+/// plan, as raw bits; `None` when the cache holds no such plan or the
+/// plan samples. A memo brought up to date after writes must equal, bit
+/// for bit, the memo a fresh cache binds over the same data. Probing
+/// counts as a use of the entry for the cache's LRU order.
+pub fn memo_bits(cache: &PlanCache, query: &Query, stat: Statistic) -> Option<Vec<u64>> {
+    crate::plan::memo_bits(cache, query, stat)
 }
 
 /// The full oracle: enumerates every joint world of the relations `query`

@@ -8,8 +8,14 @@
 //! warm answer to a fresh engine and to the reference interpreter, bit
 //! for bit; they also pin the work counter (`EvalReport::rows_evaluated`)
 //! and that a warm report reads provenance from the current relation.
+//!
+//! Registers and mass tables carry masses, so they are kept under the
+//! value stamps before each term's last segment and the relation's mass
+//! stamp: after an append the memo merges in the rows from that segment
+//! on. The generation proptest below holds those memos, not only the
+//! answers, to a fresh bind.
 
-use mrsl_repro::probdb::testutil::interpreted;
+use mrsl_repro::probdb::testutil::{interpreted, memo_bits};
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, EvalPath, PlanCache, PlanClass, PlanRoute,
     Predicate, ProbDb, Query, QueryAnswer, QueryEngineConfig, Statistic,
@@ -262,6 +268,134 @@ proptest! {
             check_reads(&catalogs[target], &cache);
             let other = if step % 2 == 0 { 3 - target } else { 0 };
             check_reads(&catalogs[other], &cache);
+        }
+    }
+}
+
+/// One step of a generation history.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The newest generation with one more key-unique block: a one-block
+    /// publish.
+    Block { rel: usize, k: u16, p: f64 },
+    /// The newest generation with one more certain row.
+    Certain { rel: usize, k: u16, ok: u16 },
+    /// The newest generation with new masses for one block.
+    Masses { rel: usize, block: usize, p: f64 },
+    /// A sibling of the newest generation: its parent with a different
+    /// block pushed, landing in the same tail segment.
+    Diverge { k: u16, p: f64 },
+    /// Read a generation `back` steps before the newest again.
+    Old { back: usize },
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    ((0u8..10, 0usize..2), (0u16..KEYS, 1u32..=19, 0usize..4_000)).prop_map(
+        |((kind, rel), (k, w, pick))| {
+            let p = w as f64 / 20.0;
+            match kind {
+                0..=3 => Step::Block { rel, k, p },
+                4 => Step::Certain {
+                    rel,
+                    k,
+                    ok: (w % 2) as u16,
+                },
+                5 => Step::Masses {
+                    rel,
+                    block: pick,
+                    p,
+                },
+                6 | 7 => Step::Diverge { k, p },
+                _ => Step::Old { back: pick },
+            }
+        },
+    )
+}
+
+/// The shapes a generation read asks for: the join's probability and
+/// expected count, and the aliased self-join's dissociation bounds.
+fn memo_shapes() -> [(Query, Statistic); 3] {
+    [
+        (join(), Statistic::Probability),
+        (join(), Statistic::ExpectedCount),
+        (aliased(), Statistic::ProbabilityBounds),
+    ]
+}
+
+/// Reads every shape of `catalog` through the shared cache and checks
+/// the answer and the memoized registers and mass tables against a
+/// fresh cache's.
+fn check_memos(catalog: &Catalog, cache: &Arc<PlanCache>) {
+    let warm = CatalogEngine::with_plan_cache(catalog, config(), cache.clone());
+    let fresh_cache = Arc::new(PlanCache::new());
+    let fresh = CatalogEngine::with_plan_cache(catalog, config(), fresh_cache.clone());
+    for (q, stat) in memo_shapes() {
+        let (wa, wr) = warm.evaluate(&q, stat).unwrap();
+        let (fa, _) = fresh.evaluate(&q, stat).unwrap();
+        prop_assert_eq!(wr.route, PlanRoute::CacheHit, "{:?}", stat);
+        prop_assert_eq!(answer_bits(wa), answer_bits(fa), "answer of {:?}", stat);
+        let (wm, fm) = (
+            memo_bits(cache, &q, stat),
+            memo_bits(&fresh_cache, &q, stat),
+        );
+        prop_assert!(wm.is_some(), "{:?} memoizes registers", stat);
+        prop_assert_eq!(wm, fm, "memo of {:?}", stat);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A generation history of block pushes, certain pushes, mass updates
+    /// and diverging siblings, read in turn, with older generations read
+    /// again, all through one plan cache: every memo's registers and mass
+    /// tables and every answer equal a fresh bind's, bit for bit, and a
+    /// one-block publish read after its parent rebinds nothing.
+    #[test]
+    fn appended_memos_match_fresh_binds_across_generations(
+        steps in prop::collection::vec(arb_step(), 1..12)
+    ) {
+        let cache = Arc::new(PlanCache::new());
+        // `left` spans two segments of certain rows and of blocks, so
+        // most of its rows lie before the cut, and the writes below cross
+        // into a third.
+        let mut base = base_catalog();
+        *base.get_mut("left").unwrap() = relation(2 * SEGMENT - 2, 2 * SEGMENT - 3, 1);
+        let mut generations = vec![base];
+        let cold = CatalogEngine::with_plan_cache(&generations[0], config(), cache.clone());
+        for (q, stat) in memo_shapes() {
+            cold.evaluate(&q, stat).unwrap();
+        }
+        check_memos(&generations[0], &cache);
+        let mut last_read = 0;
+        for step in steps {
+            let newest = generations.len() - 1;
+            let (parent, write) = match step {
+                Step::Old { back } => {
+                    last_read = newest - back % generations.len();
+                    check_memos(&generations[last_read], &cache);
+                    continue;
+                }
+                Step::Diverge { k, p } => (newest.saturating_sub(1), Write::Block { k, p }),
+                Step::Block { k, p, .. } => (newest, Write::Block { k, p }),
+                Step::Certain { k, ok, .. } => (newest, Write::Certain { k, ok }),
+                Step::Masses { block, p, .. } => (newest, Write::Masses { block, p }),
+            };
+            let rel = match step {
+                Step::Block { rel, .. } | Step::Certain { rel, .. } | Step::Masses { rel, .. } => rel,
+                _ => 0,
+            };
+            let mut catalogs = [generations[parent].clone(), Catalog::new(), Catalog::new()];
+            apply(write, &mut catalogs, 0, ["left", "right"][rel]);
+            let [next, _, _] = catalogs;
+            let before = cache.stats();
+            check_memos(&next, &cache);
+            if matches!(step, Step::Block { .. }) && last_read == parent {
+                let rebinds = cache.stats().reg_rebinds - before.reg_rebinds;
+                prop_assert_eq!(rebinds, 0, "a one-block publish rebinds nothing");
+            }
+            generations.push(next);
+            last_read = generations.len() - 1;
         }
     }
 }

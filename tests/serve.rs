@@ -347,8 +347,9 @@ fn concurrent_readers_never_see_a_torn_catalog() {
 
 /// Warm register memos survive a generation swap: the publish leaves
 /// untouched relations shared (same `Arc`, same stamps), the touched
-/// relation's memo is *patched* rather than rebuilt, and the warm served
-/// answer is bit-identical to a cold bind over the new generation.
+/// relation's memo has the appended rows merged in rather than being
+/// rebuilt, and the warm served answer is bit-identical to a cold bind
+/// over the new generation.
 #[test]
 fn warm_memos_patched_across_generations_match_cold_bind() {
     let catalog = join_catalog(
@@ -387,7 +388,8 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
     ));
 
     // The warm serve over generation 1 still hits the cached plan, and
-    // patches (not rebuilds) the memoized registers.
+    // merges the appended block into (not rebuilds) the memoized
+    // registers.
     let (warm, route) = served_bits(&handle, &q, Statistic::Probability);
     assert_eq!(route, PlanRoute::CacheHit);
     let stats_after = server.stats().plan_cache;

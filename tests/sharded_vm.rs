@@ -7,11 +7,10 @@
 //! candidate, register bind and mass table runs on the caller's thread),
 //! so the pool sizes here guard against a fan-out creeping back in with
 //! a different evaluation order. Incremental register
-//! maintenance must patch only the key-range shards an upsert touched
-//! (the store's change-tracking [`ShardMap`] partition), leave the cache
-//! entry valid, and still produce the exact bits a fresh bind would.
-//!
-//! [`ShardMap`]: mrsl_repro::probdb::ShardMap
+//! maintenance must merge in only the rows an append wrote, whatever key
+//! they carry and whichever attribute the join reads, rebind after a mass
+//! update, leave the cache entry valid, and still produce the exact bits
+//! a fresh bind would.
 
 use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
@@ -301,12 +300,14 @@ fn large_default_config_joins_are_bit_identical() {
     assert_matches_interpreter(&catalog, &q, QueryEngineConfig::default());
 }
 
-/// An upsert into one key range patches that shard's register columns in
-/// place: the cache entry survives (no invalidation), untouched terms and
-/// shards are reused verbatim, and the patched registers produce exactly
-/// the bits a fresh bind over the mutated catalog produces.
+/// A one-block append merges the new block into the written term's
+/// registers and mass tables: the cache entry survives (no
+/// invalidation), the untouched term is reused verbatim, nothing
+/// rebinds, and the merged registers produce exactly the bits a fresh
+/// bind over the mutated catalog produces — for the probability and the
+/// expected count, joined on the leading attribute or on a later one.
 #[test]
-fn upserts_patch_only_the_touched_shard() {
+fn upserts_append_only_the_written_term() {
     let mut catalog = Catalog::new();
     catalog
         .add(
@@ -317,46 +318,56 @@ fn upserts_patch_only_the_touched_shard() {
     catalog
         .add("right", keyed_relation(&[(0, 0.5), (2, 0.7)], &[0]))
         .unwrap();
-    let q = Query::scan("left")
+    let on_key = Query::scan("left")
         .filter(ok())
         .join_on(Query::scan("right").filter(ok()), [(AttrId(0), AttrId(0))]);
+    // `ok` is attribute 1: every live row has `ok = yes`, so this join on
+    // a non-leading attribute keeps the key guard and stays exact.
+    let on_ok = Query::scan("left")
+        .filter(ok())
+        .join_on(Query::scan("right").filter(ok()), [(AttrId(1), AttrId(1))]);
+    let shapes = [
+        (&on_key, Statistic::Probability),
+        (&on_key, Statistic::ExpectedCount),
+        (&on_ok, Statistic::Probability),
+        (&on_ok, Statistic::ExpectedCount),
+    ];
     let cache = {
         let engine = CatalogEngine::with_config(&catalog, vm_config());
-        let (_, route) = eval_bits(&engine, &q, Statistic::Probability);
-        assert_eq!(route, PlanRoute::Compiled);
-        // The cold miss memoized the registers the upsert below patches;
-        // the hit confirms the entry is warm.
-        let (_, route) = eval_bits(&engine, &q, Statistic::Probability);
-        assert_eq!(route, PlanRoute::CacheHit);
+        for (q, stat) in shapes {
+            // The cold miss memoizes the registers the append below
+            // extends; the hit confirms the entry is warm.
+            assert_eq!(eval_bits(&engine, q, stat).1, PlanRoute::Compiled);
+            assert_eq!(eval_bits(&engine, q, stat).1, PlanRoute::CacheHit);
+        }
         engine.plan_cache().clone()
     };
     let base = cache.stats();
-    // Upsert one block at key 2: only that key's shard moves in `left`;
-    // `right` is untouched.
+    // Append one block at key 2 to `left`; `right` is untouched.
     catalog
         .get_mut("left")
         .unwrap()
         .push_block(Block::new(4, vec![alt(vec![2, 0], 0.45), alt(vec![2, 1], 0.55)]).unwrap())
         .unwrap();
     let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(), cache.clone());
-    let (wbits, wroute) = eval_bits(&warm, &q, Statistic::Probability);
-    assert_eq!(wroute, PlanRoute::CacheHit);
-    // Fresh bind over the mutated catalog — the patched registers must
-    // reproduce it bit-for-bit.
     let fresh = CatalogEngine::with_config(&catalog, vm_config());
-    let (fbits, _) = eval_bits(&fresh, &q, Statistic::Probability);
-    assert_eq!(wbits, fbits, "patched registers diverge from a fresh bind");
-    let ibits = interp_bits(&catalog, &q, Statistic::Probability, &vm_config());
-    assert_eq!(
-        wbits, ibits,
-        "patched registers diverge from the interpreter"
-    );
+    for (q, stat) in shapes {
+        let (wbits, wroute) = eval_bits(&warm, q, stat);
+        assert_eq!(wroute, PlanRoute::CacheHit, "{stat:?}");
+        let (fbits, _) = eval_bits(&fresh, q, stat);
+        assert_eq!(wbits, fbits, "merged registers diverge from a fresh bind");
+        let ibits = interp_bits(&catalog, q, stat, &vm_config());
+        assert_eq!(
+            wbits, ibits,
+            "merged registers diverge from the interpreter"
+        );
+    }
     let stats = cache.stats();
     assert_eq!(stats.invalidations, 0, "{stats:?}");
     assert_eq!(
         stats.reg_patches - base.reg_patches,
-        1,
-        "only `left` should be patched: {stats:?}"
+        4,
+        "only `left` should be appended to, once per shape: {stats:?}"
     );
     assert_eq!(
         stats.reg_rebinds, base.reg_rebinds,
@@ -364,11 +375,11 @@ fn upserts_patch_only_the_touched_shard() {
     );
 }
 
-/// A mutation that dirties every populated shard of a term (or reshapes
-/// the whole key domain) falls back to a full rebind — still without
+/// Appends touching every key still merge in; a mass update, which may
+/// move any entry's mass, falls back to a full rebind — still without
 /// invalidating the entry — and stays bit-identical.
 #[test]
-fn whole_domain_mutations_fall_back_to_rebind() {
+fn mass_updates_fall_back_to_rebind() {
     let mut catalog = Catalog::new();
     catalog
         .add("left", keyed_relation(&[(0, 0.3), (1, 0.6), (2, 0.8)], &[]))
@@ -384,23 +395,42 @@ fn whole_domain_mutations_fall_back_to_rebind() {
         .join_on(Query::scan("right").filter(ok()), [(AttrId(0), AttrId(0))]);
     let cache = {
         let engine = CatalogEngine::with_config(&catalog, vm_config());
-        eval_bits(&engine, &q, Statistic::Probability);
-        eval_bits(&engine, &q, Statistic::Probability);
+        for stat in [Statistic::Probability, Statistic::ExpectedCount] {
+            eval_bits(&engine, &q, stat);
+            eval_bits(&engine, &q, stat);
+        }
         engine.plan_cache().clone()
     };
+    let check = |catalog: &Catalog| {
+        let warm = CatalogEngine::with_plan_cache(catalog, vm_config(), cache.clone());
+        for stat in [Statistic::Probability, Statistic::ExpectedCount] {
+            let (wbits, wroute) = eval_bits(&warm, &q, stat);
+            assert_eq!(wroute, PlanRoute::CacheHit);
+            assert_eq!(wbits, interp_bits(catalog, &q, stat, &vm_config()));
+        }
+    };
+    // Touch every key once: the whole key domain moves, and it is still
+    // an append.
     let base = cache.stats();
-    // Touch every key once: all populated shards move.
     let left = catalog.get_mut("left").unwrap();
     for (i, k) in [(3usize, 0u16), (4, 1), (5, 2)] {
         left.push_block(Block::new(i, vec![alt(vec![k, 0], 0.5), alt(vec![k, 1], 0.5)]).unwrap())
             .unwrap();
     }
-    let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(), cache.clone());
-    let (wbits, wroute) = eval_bits(&warm, &q, Statistic::Probability);
-    assert_eq!(wroute, PlanRoute::CacheHit);
-    let ibits = interp_bits(&catalog, &q, Statistic::Probability, &vm_config());
-    assert_eq!(wbits, ibits);
+    check(&catalog);
+    let stats = cache.stats();
+    assert_eq!(stats.reg_patches - base.reg_patches, 2, "{stats:?}");
+    assert_eq!(stats.reg_rebinds, base.reg_rebinds, "{stats:?}");
+    // New masses for the first block: both shapes rebind `left`.
+    let base = stats;
+    catalog
+        .get_mut("left")
+        .unwrap()
+        .set_block_masses(0, &[0.9, 0.1])
+        .unwrap();
+    check(&catalog);
     let stats = cache.stats();
     assert_eq!(stats.invalidations, 0, "{stats:?}");
-    assert!(stats.reg_rebinds > base.reg_rebinds, "{stats:?}");
+    assert_eq!(stats.reg_patches, base.reg_patches, "{stats:?}");
+    assert_eq!(stats.reg_rebinds - base.reg_rebinds, 2, "{stats:?}");
 }

@@ -3,17 +3,16 @@
 //! `ProbDb` keeps its certain tuples and blocks only in columns and
 //! rebuilds rows from them on demand. None of that may be observable:
 //! random interleavings of pushes, mass updates and clones across
-//! `SEGMENT_LEN` boundaries must read back, stamp shards and serialize
-//! exactly like the flat vectors of rows they replace, and a write to one
-//! copy must never reach another.
+//! `SEGMENT_LEN` boundaries must read back, move the data version and
+//! serialize exactly like the flat vectors of rows they replace, and a
+//! write to one copy must never reach another.
 
-use mrsl_repro::probdb::{Alternative, Block, ProbDb, SEGMENT_LEN, SHARD_COUNT};
+use mrsl_repro::probdb::{Alternative, Block, ProbDb, SEGMENT_LEN};
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Leading-attribute cardinality: wide enough that pushes land in
-/// different shards.
+/// Leading-attribute cardinality.
 const KEYS: u16 = 40;
 const LEVELS: u16 = 3;
 
@@ -151,28 +150,6 @@ fn check_against(db: &ProbDb, flat: &Flat) {
     prop_assert_eq!(cols.block_count(), flat.blocks.len());
 }
 
-/// The shards rows with leading values `keys` land in.
-fn shards_of(db: &ProbDb, keys: impl IntoIterator<Item = u16>) -> [bool; SHARD_COUNT] {
-    let mut hit = [false; SHARD_COUNT];
-    for k in keys {
-        hit[db.shard_map().shard_of(k)] = true;
-    }
-    hit
-}
-
-/// A mutation bumped the version and restamped exactly the touched shards.
-fn check_stamps(before: (u64, &[u64]), db: &ProbDb, touched: [bool; SHARD_COUNT]) {
-    prop_assert!(db.version() > before.0);
-    for (s, (&old, &new)) in before.1.iter().zip(db.shard_versions()).enumerate() {
-        prop_assert_eq!(
-            new,
-            if touched[s] { db.version() } else { old },
-            "shard {}",
-            s
-        );
-    }
-}
-
 /// The flat wire format: `schema`, `certain`, `blocks` as plain
 /// sequences of rows.
 fn flat_json(db: &ProbDb, flat: &Flat) -> String {
@@ -188,8 +165,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random interleavings across segment boundaries read back like flat
-    /// vectors and stamp exactly the shards they touch; every clone keeps
-    /// exactly the contents it was cloned with.
+    /// vectors and move the data version on every write; every clone keeps
+    /// exactly the contents and version it was cloned with.
     #[test]
     fn store_rows_behave_like_flat_vectors(
         size in 0usize..4,
@@ -199,15 +176,13 @@ proptest! {
         check_against(&db, &flat);
         let mut clones: Vec<(ProbDb, Flat)> = Vec::new();
         for op in ops {
-            let version = db.version();
-            let stamps = db.shard_versions().to_vec();
-            let before = (version, &stamps[..]);
+            let before = db.version();
             match op {
                 Op::Certain(k, l) => {
                     let t = CompleteTuple::from_values(vec![k, l]);
                     db.push_certain(t.clone()).unwrap();
                     flat.certain.push(t);
-                    check_stamps(before, &db, shards_of(&db, [k]));
+                    prop_assert!(db.version() > before);
                 }
                 Op::Block(k, l, w) => {
                     // Mostly the next key in sequence, sometimes a jump.
@@ -215,19 +190,16 @@ proptest! {
                     let b = block(key, k, l, w);
                     db.push_block(b.clone()).unwrap();
                     flat.blocks.push(b);
-                    check_stamps(before, &db, shards_of(&db, [k]));
+                    prop_assert!(db.version() > before);
                 }
                 Op::Masses(pick, w) => {
                     let i = usize::from(pick) % flat.blocks.len();
-                    let keys = flat.blocks[i].alternatives().iter().map(|a| a.tuple.raw()[0]);
-                    let touched = shards_of(&db, keys);
                     set_masses(&mut db, &mut flat, i, f64::from(w) / 100.0);
-                    check_stamps(before, &db, touched);
+                    prop_assert!(db.version() > before);
                 }
                 Op::Clone => {
                     let copy = db.clone();
                     prop_assert_eq!(copy.version(), db.version());
-                    prop_assert_eq!(copy.shard_versions(), db.shard_versions());
                     clones.push((copy, flat.clone()));
                 }
             }
@@ -239,14 +211,14 @@ proptest! {
         }
     }
 
-    /// Pushes and mass updates on a clone leave the original's rows,
-    /// version and shard stamps as they were; a rejected update leaves
-    /// the clone as it was.
+    /// Pushes and mass updates on a clone leave the original's rows and
+    /// version as they were; a rejected update leaves the clone as it
+    /// was.
     #[test]
     fn writes_to_a_clone_never_reach_the_original(size in 0usize..4, pick in 0usize..10_000) {
         let rows = SIZES[size];
         let (original, flat) = filled(rows);
-        let (version, shards) = (original.version(), original.shard_versions().to_vec());
+        let version = original.version();
 
         let (mut copy, mut copy_flat) = (original.clone(), flat.clone());
         copy.push_block(block(rows, 0, 0, 50)).unwrap();
@@ -264,7 +236,6 @@ proptest! {
 
         check_against(&original, &flat);
         prop_assert_eq!(original.version(), version);
-        prop_assert_eq!(original.shard_versions(), &shards[..]);
     }
 
     /// The wire format is the flat encoding: `schema`, `certain`, `blocks`
