@@ -38,23 +38,27 @@ use crate::database::ProbDb;
 use crate::database::SEGMENT_LEN;
 use crate::predicate::Predicate;
 use crate::ProbDbError;
-use mrsl_relation::AttrId;
+use mrsl_relation::{AttrId, Schema};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// One scan bound to its relation, with the combined selection.
+/// One scan of a resolved query, with its combined selection. It holds no
+/// data: the relation it reads is bound per evaluation ([`Resolved`]).
 #[derive(Debug)]
-pub(crate) struct Term<'a> {
+pub(crate) struct Term {
     /// Name the scan is addressed by: its alias, or the relation name.
     pub name: String,
     /// Catalog relation the scan reads (shared across aliased scans).
     pub relation: String,
-    pub db: &'a ProbDb,
     pub pred: Predicate,
     /// `(class index, representative attribute)` for every class this term
     /// participates in, in ascending class order. When the term has several
     /// attributes in one class, the representative is the first; the others
     /// are equality-constrained into the live bitmaps.
     pub class_attrs: Vec<(usize, AttrId)>,
+    /// The relation's schema at resolution; a cached plan binds only
+    /// relations that still have it.
+    pub schema: Arc<Schema>,
 }
 
 /// One join-variable class: the `relation.attribute` pairs unified by the
@@ -77,11 +81,21 @@ impl Class {
     }
 }
 
-/// A query resolved against relations: terms plus join classes.
+/// A query's resolved shape: its terms and join classes. It holds no
+/// data, so a cached plan keeps it once, behind an [`Arc`], and binds it
+/// to each evaluation's relations.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    pub terms: Vec<Term>,
+    pub classes: Vec<Class>,
+}
+
+/// A resolved shape bound to relations: `dbs[t]` is the relation term `t`
+/// reads.
 #[derive(Debug)]
 pub(crate) struct Resolved<'a> {
-    pub terms: Vec<Term<'a>>,
-    pub classes: Vec<Class>,
+    pub shape: Arc<Shape>,
+    pub dbs: Vec<&'a ProbDb>,
 }
 
 /// Resolves the conjunctive form against a relation lookup (a catalog or
@@ -92,7 +106,8 @@ pub(crate) fn resolve<'a>(
     flat: &Flattened,
     lookup: impl Fn(&str) -> Option<&'a ProbDb>,
 ) -> Result<Resolved<'a>, ProbDbError> {
-    let mut terms: Vec<Term<'a>> = Vec::with_capacity(flat.terms.len());
+    let mut terms: Vec<Term> = Vec::with_capacity(flat.terms.len());
+    let mut dbs = Vec::with_capacity(flat.terms.len());
     for t in &flat.terms {
         let db =
             lookup(&t.relation).ok_or_else(|| ProbDbError::UnknownRelation(t.relation.clone()))?;
@@ -108,10 +123,11 @@ pub(crate) fn resolve<'a>(
         terms.push(Term {
             name: t.name.clone(),
             relation: t.relation.clone(),
-            db,
             pred,
             class_attrs: Vec::new(),
+            schema: db.schema().clone(),
         });
+        dbs.push(db);
     }
 
     // Union-find over (term, attr) pairs to build the join classes.
@@ -143,7 +159,7 @@ pub(crate) fn resolve<'a>(
     } in &flat.joins
     {
         for &(term, attr) in &[(left_term, left_attr), (right_term, right_attr)] {
-            if attr.index() >= terms[term].db.schema().attr_count() {
+            if attr.index() >= terms[term].schema.attr_count() {
                 return Err(ProbDbError::UnknownRelation(format!(
                     "{}.#{} (join attribute out of range)",
                     terms[term].name,
@@ -151,7 +167,7 @@ pub(crate) fn resolve<'a>(
                 )));
             }
         }
-        let (ls, rs) = (terms[left_term].db.schema(), terms[right_term].db.schema());
+        let (ls, rs) = (&terms[left_term].schema, &terms[right_term].schema);
         if !crate::catalog::same_dictionary(ls.attr(left_attr), rs.attr(right_attr)) {
             return Err(ProbDbError::IncompatibleJoinDomains {
                 left: format!("{}.{}", terms[left_term].name, ls.attr(left_attr).name()),
@@ -186,7 +202,7 @@ pub(crate) fn resolve<'a>(
         let label: Vec<String> = class
             .members
             .iter()
-            .map(|&(t, a)| format!("{}.{}", terms[t].name, terms[t].db.schema().attr(a).name()))
+            .map(|&(t, a)| format!("{}.{}", terms[t].name, terms[t].schema.attr(a).name()))
             .collect();
         class.label = label.join(" = ");
     }
@@ -204,7 +220,10 @@ pub(crate) fn resolve<'a>(
             terms[t].class_attrs.push((ci, rep));
         }
     }
-    Ok(Resolved { terms, classes })
+    Ok(Resolved {
+        shape: Arc::new(Shape { terms, classes }),
+        dbs,
+    })
 }
 
 /// The value-only scan state of one term, kept per storage segment: what
@@ -244,18 +263,28 @@ pub(crate) struct TermScan {
     alias_blocks: Vec<bool>,
 }
 
+/// Where a scan refresh found its relation's value stamps moved: the
+/// first certain and the first block segment whose stamp changed,
+/// appeared or went, or `None` for a side where none did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Moved {
+    pub certain: Option<usize>,
+    pub blocks: Option<usize>,
+}
+
 /// Brings every term's scan up to date with its relation, re-evaluating
 /// only segments whose value stamps moved (`scans` may start empty: the
 /// cold case). Returns the number of certain plus alternative rows whose
-/// predicate was evaluated.
-pub(crate) fn refresh_scans(resolved: &Resolved, scans: &mut Vec<TermScan>) -> usize {
-    scans.resize_with(resolved.terms.len(), TermScan::default);
+/// predicate was evaluated, and per term where its stamps moved.
+pub(crate) fn refresh_scans(resolved: &Resolved, scans: &mut Vec<TermScan>) -> (usize, Vec<Moved>) {
+    let shape = &*resolved.shape;
+    scans.resize_with(shape.terms.len(), TermScan::default);
     let mut rows = 0;
-    let mut from = Vec::with_capacity(scans.len());
-    for (i, (term, scan)) in resolved.terms.iter().zip(scans.iter_mut()).enumerate() {
-        let (evaluated, segments) = scan.refresh(i, term, &resolved.classes);
+    let mut moved = Vec::with_capacity(scans.len());
+    for (i, scan) in scans.iter_mut().enumerate() {
+        let (evaluated, m) = scan.refresh(i, shape, resolved.dbs[i]);
         rows += evaluated;
-        from.push(segments);
+        moved.push(m);
     }
     // Aliases scan one relation, so their scans share stamps and were
     // re-scanned from the same segments on.
@@ -263,46 +292,42 @@ pub(crate) fn refresh_scans(resolved: &Resolved, scans: &mut Vec<TermScan>) -> u
         let first = group[0];
         for &t in &group[1..] {
             let (head, tail) = scans.split_at_mut(t);
-            tail[0].compare_alias(&head[first], resolved.terms[t].db, from[t]);
+            tail[0].compare_alias(&head[first], resolved.dbs[t], moved[t]);
         }
     }
-    rows
+    (rows, moved)
 }
 
-/// The first segment whose stamp differs (or is missing) in `old`.
-fn first_moved(old: &[u64], new: &[u64]) -> usize {
-    old.iter().zip(new).take_while(|(a, b)| a == b).count()
+/// The first segment whose stamp differs between `old` and `new`, or is
+/// missing from one of them; `None` when the two are equal.
+fn first_moved(old: &[u64], new: &[u64]) -> Option<usize> {
+    let kept = old.iter().zip(new).take_while(|(a, b)| a == b).count();
+    (kept < old.len().max(new.len())).then_some(kept)
 }
 
 impl TermScan {
     /// Keeps the leading segments whose value stamps still match and
-    /// re-scans the rest. Returns the rows evaluated and the first
-    /// re-scanned `(certain, block)` segments.
-    fn refresh(&mut self, idx: usize, term: &Term, classes: &[Class]) -> (usize, (usize, usize)) {
-        let db = term.db;
+    /// re-scans the rest. Returns the rows evaluated and where the stamps
+    /// moved.
+    fn refresh(&mut self, idx: usize, shape: &Shape, db: &ProbDb) -> (usize, Moved) {
+        let term = &shape.terms[idx];
         let cols = db.columns();
-        let c0 = first_moved(&self.certain_stamps, db.certain_stamps());
-        let b0 = first_moved(&self.block_stamps, db.block_stamps());
+        let moved = Moved {
+            certain: first_moved(&self.certain_stamps, db.certain_stamps()),
+            blocks: first_moved(&self.block_stamps, db.block_stamps()),
+        };
+        let c0 = moved.certain.unwrap_or(self.certain_stamps.len());
+        let b0 = moved.blocks.unwrap_or(self.block_stamps.len());
         let (rows_c, blocks) = (cols.certain().rows(), cols.block_count());
         let cstart = (c0 * SEGMENT_LEN).min(rows_c);
         let bstart = (b0 * SEGMENT_LEN).min(blocks);
         let (astart, rows_a) = (cols.block_offset(bstart), cols.alternatives().rows());
         self.live_certain.truncate(cstart);
-        self.live_certain.append(&live_rows(
-            idx,
-            term,
-            classes,
-            cols.certain(),
-            cstart..rows_c,
-        ));
+        self.live_certain
+            .append(&live_rows(idx, shape, cols.certain(), cstart..rows_c));
         self.live_alts.truncate(astart);
-        self.live_alts.append(&live_rows(
-            idx,
-            term,
-            classes,
-            cols.alternatives(),
-            astart..rows_a,
-        ));
+        self.live_alts
+            .append(&live_rows(idx, shape, cols.alternatives(), astart..rows_a));
         self.certain_stamps = db.certain_stamps().to_vec();
         self.block_stamps = db.block_stamps().to_vec();
         // Alias verdicts start clean; `compare_alias` fills them in for
@@ -324,14 +349,15 @@ impl TermScan {
             self.pruned.push(pruned);
             self.straddle.push(straddle);
         }
-        ((rows_c - cstart) + (rows_a - astart), (c0, b0))
+        ((rows_c - cstart) + (rows_a - astart), moved)
     }
 
     /// Fills in the alias verdicts of this scan against `first`, the first
-    /// scan of the same relation, from the `(certain, block)` segments in
-    /// `start` on.
-    fn compare_alias(&mut self, first: &TermScan, db: &ProbDb, (c0, b0): (usize, usize)) {
+    /// scan of the same relation, from the segments that `moved` on.
+    fn compare_alias(&mut self, first: &TermScan, db: &ProbDb, moved: Moved) {
         let cols = db.columns();
+        let c0 = moved.certain.unwrap_or(self.alias_certain.len());
+        let b0 = moved.blocks.unwrap_or(self.alias_blocks.len());
         let rows_c = cols.certain().rows();
         for s in c0..self.alias_certain.len() {
             let rows = s * SEGMENT_LEN..((s + 1) * SEGMENT_LEN).min(rows_c);
@@ -399,16 +425,11 @@ fn scan_blocks(
 /// implicit equality of its attributes that bind one join class. They
 /// all bind the same join variable, so a row where they differ can never
 /// join.
-fn live_rows(
-    idx: usize,
-    term: &Term,
-    classes: &[Class],
-    set: &ColumnSet,
-    rows: Range<usize>,
-) -> Bitmap {
+fn live_rows(idx: usize, shape: &Shape, set: &ColumnSet, rows: Range<usize>) -> Bitmap {
+    let term = &shape.terms[idx];
     let mut live = term.pred.eval_rows(set, rows.clone());
     for &(ci, rep) in &term.class_attrs {
-        for &(ti, attr) in &classes[ci].members {
+        for &(ti, attr) in &shape.classes[ci].members {
             if ti == idx && attr != rep {
                 live.and_assign(&equal_columns(
                     &set.col(rep)[rows.clone()],
@@ -440,8 +461,8 @@ pub(crate) struct CompiledTerm<'a> {
 }
 
 impl<'a> CompiledTerm<'a> {
-    fn new(term: &'a Term, scan: &'a TermScan) -> Self {
-        let cols = term.db.columns();
+    fn new(term: &'a Term, db: &'a ProbDb, scan: &'a TermScan) -> Self {
+        let cols = db.columns();
         let keys = term
             .class_attrs
             .iter()
@@ -449,7 +470,7 @@ impl<'a> CompiledTerm<'a> {
             .collect();
         Self {
             relation: &term.relation,
-            db: term.db,
+            db,
             live_certain: &scan.live_certain,
             live_alts: &scan.live_alts,
             keys,
@@ -470,11 +491,8 @@ pub(crate) fn compile_terms<'a>(
     resolved: &'a Resolved,
     scans: &'a [TermScan],
 ) -> Vec<CompiledTerm<'a>> {
-    resolved
-        .terms
-        .iter()
-        .zip(scans)
-        .map(|(t, scan)| CompiledTerm::new(t, scan))
+    (resolved.shape.terms.iter().zip(&resolved.dbs).zip(scans))
+        .map(|((t, db), scan)| CompiledTerm::new(t, db, scan))
         .collect()
 }
 
@@ -519,8 +537,8 @@ pub(crate) fn shape_violation(
             let nested = inter == sgs[i].len() || inter == sgs[j].len();
             if inter > 0 && !nested {
                 return Some((
-                    resolved.classes[i].label.clone(),
-                    resolved.classes[j].label.clone(),
+                    resolved.shape.classes[i].label.clone(),
+                    resolved.shape.classes[j].label.clone(),
                 ));
             }
         }
@@ -538,14 +556,15 @@ pub(crate) fn shape_violation(
 /// event shared by every branch the block is copied into. Reads the
 /// scans' per-segment verdicts; no data.
 pub(crate) fn key_straddle(resolved: &Resolved, scans: &[TermScan]) -> Option<String> {
-    resolved.terms.iter().zip(scans).find_map(|(term, scan)| {
+    let shape = &*resolved.shape;
+    (shape.terms.iter().zip(&resolved.dbs).zip(scans)).find_map(|((term, db), scan)| {
         let &(pos, block) = scan.straddle.iter().flatten().min()?;
         let ci = term.class_attrs[pos as usize].0;
         Some(format!(
             "key-correlated: block {} of `{}` straddles values of [{}]",
-            term.db.columns().block_key(block as usize),
+            db.columns().block_key(block as usize),
             term.name,
-            resolved.classes[ci].label
+            shape.classes[ci].label
         ))
     })
 }
@@ -554,7 +573,7 @@ pub(crate) fn key_straddle(resolved: &Resolved, scans: &[TermScan]) -> Option<St
 /// once (self-join alias groups), in first-scan order.
 pub(crate) fn alias_groups(resolved: &Resolved) -> Vec<Vec<usize>> {
     let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
-    for (i, t) in resolved.terms.iter().enumerate() {
+    for (i, t) in resolved.shape.terms.iter().enumerate() {
         match groups.iter_mut().find(|(r, _)| *r == t.relation) {
             Some((_, g)) => g.push(i),
             None => groups.push((&t.relation, vec![i])),
@@ -586,9 +605,9 @@ pub(crate) fn alias_live_mismatch(resolved: &Resolved, scans: &[TermScan]) -> Op
                 return Some(format!(
                     "alias-correlated: scans `{}` and `{}` of `{}` select different \
                      live rows, so their shared blocks cannot dissociate",
-                    resolved.terms[group[0]].name,
-                    resolved.terms[t].name,
-                    resolved.terms[t].relation,
+                    resolved.shape.terms[group[0]].name,
+                    resolved.shape.terms[t].name,
+                    resolved.shape.terms[t].relation,
                 ));
             }
         }
@@ -599,7 +618,7 @@ pub(crate) fn alias_live_mismatch(resolved: &Resolved, scans: &[TermScan]) -> Op
 /// Classifies a resolved multi-relation query for extensional
 /// evaluation of the boolean statistic, from its terms' scans.
 pub(crate) fn classify(resolved: &Resolved, scans: &[TermScan]) -> Classification {
-    debug_assert!(resolved.terms.len() > 1);
+    debug_assert!(resolved.shape.terms.len() > 1);
     // 1. Shape: subgoal sets of every two classes nested or disjoint.
     if let Some((a, b)) = shape_violation(resolved, &[]) {
         let reason = format!("non-hierarchical: classes [{a}] and [{b}] overlap without nesting");

@@ -25,45 +25,46 @@
 //!    paths so partition keys are sorted once at bind time instead of
 //!    hashed per recursion level.
 //! 4. **Cache** — [`PlanCache`], one exact-LRU table under one mutex,
-//!    stores [`CachedPlan`]s: the query's [`Flattened`] shape, the
-//!    compiled program, the schemas and the data-dependent guard
-//!    verdicts. Each plan is the single owner of its data-version stamps,
-//!    term scans and bound registers, behind one lock ([`PlanMemo`]). A
-//!    cold miss captures the entry with its scans and registers and runs
-//!    it through the same executor as a warm hit; a warm hit skips
-//!    flatten-resolve-classify-dissociate entirely: it re-binds the owned
-//!    shape against current column data and executes the cached program.
+//!    stores [`CachedPlan`]s: the query's [`Flattened`] shape, its
+//!    resolved [`Shape`] (kept once, behind an [`Arc`]), the compiled
+//!    program and the data-dependent guard verdicts. Each plan is the
+//!    single owner of its term scans, term records and bound registers,
+//!    behind one lock ([`PlanMemo`]). A cold miss captures the entry with
+//!    its scans and registers and runs it through the same executor as a
+//!    warm hit; a warm hit skips flatten-resolve-classify-dissociate
+//!    entirely: it binds the kept shape to current column data (one
+//!    lookup and schema check per term) and executes the cached program.
 //!
-//! **Incremental refresh.** The memo keeps two kinds of data-derived
-//! state, each under the stamps that name its inputs:
+//! **Incremental refresh.** The memo keeps, beside each term's scan, one
+//! [`TermRecord`] of what changed since the plan last answered: the
+//! relation's version, its mass stamp and the register cut. Its
+//! data-derived state comes in two kinds:
 //!
 //! - the **term scans** ([`TermScan`]): live-row bitmaps, per-segment
 //!   key-straddle and alias verdicts and pruned-block counts. They read
 //!   values only, so they sit under the *value stamps* of
-//!   [`crate::ProbDb`], one per [`crate::SEGMENT_LEN`] rows. After a
-//!   publish the executor re-scans only the segments whose value stamps
-//!   moved; a mass update moves none and re-scans nothing. A cold capture
-//!   is the same refresh with no segment kept.
+//!   [`crate::ProbDb`], one per [`crate::SEGMENT_LEN`] rows, which each
+//!   scan carries as the plan's only copy. A refresh re-scans only the
+//!   segments whose value stamps moved; a mass update moves none. A cold
+//!   capture is the same refresh with no segment kept.
 //! - the **registers and mass tables** ([`BoundRegs`]): they carry
-//!   masses, so they sit under the value stamps before each term's last
-//!   segments *and* its relation's mass stamp. While both hold, a write
-//!   can only have appended rows from the last segments on, and the memo
-//!   merges those rows in ([`vm::append_term`], [`exact::StepMass`]);
+//!   masses, so while the mass stamp holds and no segment before the cut
+//!   moved, a write can only have appended rows from the cut on, and the
+//!   memo merges those rows in ([`vm::append_term`], [`exact::StepMass`]);
 //!   otherwise (a mass update, another generation's rows) it rebinds.
 //!
 //! **Invalidation.** Classification is partly data-dependent (the
 //! key-straddle and alias-live-set guards), so a cached verdict is only
-//! reused when it is provably still right: if every relation's
-//! [`crate::ProbDb::version`] stamp equals the plan memo's, nothing is
-//! refreshed; if any stamp moved, the scans are refreshed and the two
-//! guards are re-read from their per-segment verdicts (still no
-//! classification) and compared against the recorded verdicts before
-//! the memo takes the new stamps. A flipped guard or a swapped schema
-//! invalidates the entry and falls back to a cold replan.
+//! reused when it is provably still right. A refresh ([`CachedPlan::refresh`],
+//! in place, under the memo lock) re-reads both guards from the scans'
+//! per-segment verdicts. A flipped guard marks the memo *dead*, since its
+//! scans now describe data its registers do not: the plan never answers
+//! again, and its entry is invalidated and replanned cold, as it is when a
+//! relation's schema changed.
 
 use super::classify::{
-    alias_live_mismatch, compile_terms, components, key_straddle, Class, CompiledTerm, Resolved,
-    Term, TermScan,
+    alias_live_mismatch, compile_terms, components, key_straddle, refresh_scans, CompiledTerm,
+    Moved, Resolved, Shape, TermScan,
 };
 use super::dissociate::{
     alias_multiplicities, bracket, covering_root, extended_class_terms, DissociatedBounds,
@@ -74,8 +75,6 @@ use super::report::{EvalPath, PlanClass, SafePlan};
 use super::vm::{self, BodyStep, CountProgram, Op, Program};
 use crate::algebra::{Flattened, Statistic};
 use crate::database::{ProbDb, SEGMENT_LEN};
-use crate::predicate::Predicate;
-use mrsl_relation::{AttrId, Schema};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -104,13 +103,13 @@ pub(crate) fn lower(resolved: &Resolved, ext: &[(usize, usize)]) -> Option<Progr
         resolved,
         class_terms: extended_class_terms(resolved, ext),
         alias_k: alias_multiplicities(resolved),
-        paths: vec![Vec::new(); resolved.terms.len()],
+        paths: vec![Vec::new(); resolved.shape.terms.len()],
         ops: Vec::new(),
     };
     // A flattened query is one connected component: every join links a
     // term of its left side to one of its right side.
-    let all: Vec<usize> = (0..resolved.terms.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
+    let all: Vec<usize> = (0..resolved.shape.terms.len()).collect();
+    let active: Vec<usize> = (0..resolved.shape.classes.len()).collect();
     let root = lowering.component(&all, &active)?;
     Some(peephole(Program {
         ops: lowering.ops,
@@ -138,7 +137,7 @@ impl Lowering<'_, '_> {
             }));
         }
         let root = covering_root(self.resolved, &self.class_terms, comp, active)?;
-        let root_terms = self.resolved.classes[root].terms();
+        let root_terms = self.resolved.shape.classes[root].terms();
         let (binding, copied): (Vec<usize>, Vec<usize>) =
             comp.iter().partition(|t| root_terms.contains(t));
         let binding = binding
@@ -191,11 +190,11 @@ fn render_op(program: &Program, resolved: &Resolved, ext: &[(usize, usize)], op:
     match &program.ops[op as usize] {
         Op::Leaf { term, .. } => {
             let t = *term as usize;
-            let relation = resolved.terms[t].name.clone();
+            let relation = resolved.shape.terms[t].name.clone();
             let keys: Vec<&str> = ext
                 .iter()
                 .filter(|&&(_, et)| et == t)
-                .map(|&(c, _)| resolved.classes[c].label.as_str())
+                .map(|&(c, _)| resolved.shape.classes[c].label.as_str())
                 .collect();
             if keys.is_empty() {
                 SafePlan::Scan { relation }
@@ -210,7 +209,7 @@ fn render_op(program: &Program, resolved: &Resolved, ext: &[(usize, usize)], op:
             let (t, level) = binding[0];
             let root = program.paths[t as usize][level as usize];
             SafePlan::KeyPartition {
-                key: resolved.classes[root].label.clone(),
+                key: resolved.shape.classes[root].label.clone(),
                 inputs: body
                     .iter()
                     .map(|(BodyStep::Eval(op) | BodyStep::Hoisted(op))| {
@@ -225,7 +224,7 @@ fn render_op(program: &Program, resolved: &Resolved, ext: &[(usize, usize)], op:
 /// Lowers the expected-count statistic: the single-relation closed form
 /// when there are no join classes, the mass-join schedule otherwise.
 pub(crate) fn compile_count(resolved: &Resolved) -> CountProgram {
-    if resolved.classes.is_empty() && resolved.terms.len() == 1 {
+    if resolved.shape.classes.is_empty() && resolved.shape.terms.len() == 1 {
         CountProgram {
             steps: None,
             classes: 0,
@@ -233,7 +232,7 @@ pub(crate) fn compile_count(resolved: &Resolved) -> CountProgram {
     } else {
         CountProgram {
             steps: Some(exact::count_steps(resolved)),
-            classes: resolved.classes.len(),
+            classes: resolved.shape.classes.len(),
         }
     }
 }
@@ -338,37 +337,37 @@ impl CompiledProgram {
     }
 }
 
-/// The mutable state of a cached plan, behind its one lock: the data
-/// versions its guards were last verified under, and what it memoized
-/// under them. An evaluation whose relations carry exactly these versions
-/// skips the guards, predicate evaluation and register binding and goes
-/// straight to the fold; any mutation makes the stamps differ, and the
-/// next evaluation refreshes the scans' moved segments, re-checks the
-/// guards and merges appended rows into the registers, or rebinds them.
+/// The mutable state of a cached plan, behind its one lock: per term, its
+/// scan and the record of what changed since the plan last answered, and
+/// the registers bound under them. An evaluation whose relations carry
+/// exactly the recorded versions skips the guards, predicate evaluation
+/// and register binding and goes straight to the fold; any mutation moves
+/// a version, and [`CachedPlan::refresh`] brings the memo up to date in
+/// place.
 #[derive(Debug)]
 pub(crate) struct PlanMemo {
-    /// Per-term data versions ([`ProbDb::version`]), term order.
-    pub versions: Vec<u64>,
     /// Per-term scans, each valid for the value stamps it carries (see
     /// [`TermScan`]); sampling verdicts keep them too. Behind an [`Arc`]
-    /// so a reader takes them in O(1) under the lock and refreshes or
-    /// reads them after releasing it.
+    /// so a sampler or refiner reads them after the lock is released; a
+    /// refresh copies them only while such a reader still holds them.
     pub scans: Arc<Vec<TermScan>>,
-    /// Bound registers; `None` for sampling verdicts, which bind nothing.
-    pub regs: Option<BoundRegs>,
+    /// Per term, beside its scan: what its relation looked like when the
+    /// plan last answered.
+    pub records: Vec<TermRecord>,
+    /// Bound registers; empty for sampling verdicts, which bind nothing.
+    pub regs: BoundRegs,
+    /// Set when a refresh found a guard flipped. The scans then describe
+    /// data the registers do not, so the plan never answers again.
+    pub dead: bool,
 }
 
-/// The gathered, pre-sorted columns of a deterministic program, valid
-/// while the [`PlanMemo::versions`] they sit next to are the data's.
-/// Unlike the scans they carry masses, so they hold under the value
-/// stamps before each term's cut and its relation's mass stamp
-/// ([`TermStamps`]): while those hold, [`BoundRegs::refresh`] merges in
-/// the rows from the cut on; otherwise it rebinds.
+/// The gathered, pre-sorted columns of a deterministic program, describing
+/// the data its memo's records name. Unlike the scans they carry masses,
+/// so a refresh keeps them only under the conditions of
+/// [`TermRecord::appends`]: then it merges in the rows from each term's
+/// cut on; otherwise it rebinds.
 #[derive(Debug)]
 pub(crate) struct BoundRegs {
-    /// Per term: the stamps the registers and mass tables were last
-    /// brought up to date under, and their cut.
-    pub stamps: Vec<TermStamps>,
     /// One register set per program: `[regs]` for a boolean program, one
     /// per candidate (in candidate order, shared by both bracket sides)
     /// for a bounds ensemble, empty for a count program (whose memo is
@@ -379,26 +378,25 @@ pub(crate) struct BoundRegs {
     pub count: Option<Vec<StepMass>>,
 }
 
-/// What one term's registers and mass tables were gathered under: its
-/// relation's value stamps and mass stamp, and the cut — the first
-/// certain segment and the first block segment whose entries may still
-/// change by appends. Every segment before the cut is full.
-#[derive(Debug)]
-pub(crate) struct TermStamps {
-    certain: Vec<u64>,
-    blocks: Vec<u64>,
+/// One term's record: its relation's version and mass stamp when the plan
+/// last answered, and the register cut — the first certain and the first
+/// block segment whose register entries may still change by appends.
+/// Every segment before the cut is full. The term's value stamps are its
+/// scan's, the only copy the plan keeps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TermRecord {
+    version: u64,
     mass: u64,
     cut: (usize, usize),
 }
 
-impl TermStamps {
-    /// `db`'s stamps now, cut at its last segments, or at `at_least`
-    /// where that lies further on.
+impl TermRecord {
+    /// `db` now, cut at its last segments, or at `at_least` where that lies
+    /// further on.
     fn of(db: &ProbDb, at_least: (usize, usize)) -> Self {
         let last = |stamps: &[u64]| stamps.len().saturating_sub(1);
-        TermStamps {
-            certain: db.certain_stamps().to_vec(),
-            blocks: db.block_stamps().to_vec(),
+        TermRecord {
+            version: db.version(),
             mass: db.mass_stamp(),
             cut: (
                 last(db.certain_stamps()).max(at_least.0),
@@ -407,15 +405,15 @@ impl TermStamps {
         }
     }
 
-    /// Do the rows before the cut and every mass of `db` read as they did?
-    /// Stamps are process-unique, so equal stamps name the same writes,
-    /// across clones and generations too; then only rows from the cut on
-    /// can differ.
-    fn prefix_holds(&self, db: &ProbDb) -> bool {
-        let (c, b) = self.cut;
+    /// Can the registers merge in `db`'s rows from the cut on? Only when
+    /// no mass moved and no value stamp before the cut did (`moved`, from
+    /// the scan refresh). Stamps are process-unique, so equal stamps name
+    /// the same writes, across clones and generations too; then only rows
+    /// from the cut on can differ.
+    fn appends(&self, db: &ProbDb, moved: Moved) -> bool {
         db.mass_stamp() == self.mass
-            && db.certain_stamps().get(..c) == Some(&self.certain[..c])
-            && db.block_stamps().get(..b) == Some(&self.blocks[..b])
+            && moved.certain.is_none_or(|c| c >= self.cut.0)
+            && moved.blocks.is_none_or(|b| b >= self.cut.1)
     }
 
     /// The cut as rows of `db`, whose segments before the cut are full.
@@ -430,20 +428,19 @@ impl TermStamps {
 }
 
 impl BoundRegs {
-    /// Binds every register set and mass table from scratch: the cold
-    /// miss that captures the plan. This first bind is not a rebuild and
-    /// is not counted in [`PlanCacheStats::reg_rebinds`].
-    fn bind(program: &CompiledProgram, resolved: &Resolved, compiled: &[CompiledTerm]) -> Self {
+    /// Binds every register set and mass table from scratch at the
+    /// records' cuts: the cold miss that captures the plan. This first
+    /// bind is not a rebuild and is not counted in
+    /// [`PlanCacheStats::reg_rebinds`].
+    fn bind(
+        program: &CompiledProgram,
+        resolved: &Resolved,
+        compiled: &[CompiledTerm],
+        records: &[TermRecord],
+    ) -> Self {
         let (programs, steps) = program.parts();
-        let stamps: Vec<TermStamps> = resolved
-            .terms
-            .iter()
-            .map(|t| TermStamps::of(t.db, (0, 0)))
-            .collect();
-        let cuts: Vec<vm::Cut> = stamps
-            .iter()
-            .zip(&resolved.terms)
-            .map(|(s, t)| s.rows(t.db))
+        let cuts: Vec<vm::Cut> = (records.iter().zip(&resolved.dbs))
+            .map(|(r, db)| r.rows(db))
             .collect();
         BoundRegs {
             per_program: programs
@@ -455,7 +452,6 @@ impl BoundRegs {
                     .map(|step| StepMass::build(&compiled[step.term], step, cuts[step.term].alts))
                     .collect()
             }),
-            stamps,
         }
     }
 
@@ -475,75 +471,6 @@ impl BoundRegs {
         }
         out
     }
-
-    /// Refreshes the registers in place against current column data, under
-    /// the caller's memo lock; `(old, new)` are the memo's data versions
-    /// and the bound catalog's. Returns `(appended, rebound)`: the register
-    /// sets and mass tables it brought up to date by merging in the rows
-    /// from their cut on, and those it rebuilt. A term whose version is
-    /// unchanged keeps everything. A term whose rows before the cut and
-    /// masses still hold ([`TermStamps::prefix_holds`]) merges in the
-    /// rest ([`vm::append_term`], [`StepMass::append`]), except that a
-    /// mass table refolds when the certain rows moved, since they come
-    /// first in its fold; everything else is rebound. Because the refresh
-    /// never empties the memo, a concurrent hit on the same entry waits
-    /// for the lock and finds the registers.
-    pub(crate) fn refresh(
-        &mut self,
-        program: &CompiledProgram,
-        resolved: &Resolved,
-        compiled: &[CompiledTerm],
-        (old, new): (&[u64], &[u64]),
-    ) -> (u64, u64) {
-        let (programs, steps) = program.parts();
-        let (mut appended, mut rebound) = (0u64, 0u64);
-        for (t, term) in resolved.terms.iter().enumerate() {
-            if old[t] == new[t] {
-                continue;
-            }
-            let was = &self.stamps[t];
-            let holds = was.prefix_holds(term.db);
-            let now = TermStamps::of(term.db, if holds { was.cut } else { (0, 0) });
-            let (from, cut) = (was.rows(term.db), now.rows(term.db));
-            for (prog, regs) in programs.iter().zip(&mut self.per_program) {
-                if holds {
-                    vm::append_term(&mut regs[t], &prog.paths[t], &compiled[t], from, cut);
-                    appended += 1;
-                } else {
-                    regs[t] = vm::bind_term(&prog.paths[t], &compiled[t], cut);
-                    rebound += 1;
-                }
-            }
-            let certain_held = was.certain == now.certain;
-            for (step, mass) in steps
-                .into_iter()
-                .flatten()
-                .zip(self.count.iter_mut().flatten())
-                .filter(|(step, _)| step.term == t)
-            {
-                if holds && certain_held {
-                    mass.append(&compiled[t], step, from.alts, cut.alts);
-                    appended += 1;
-                } else {
-                    *mass = StepMass::build(&compiled[t], step, cut.alts);
-                    rebound += 1;
-                }
-            }
-            self.stamps[t] = now;
-        }
-        (appended, rebound)
-    }
-}
-
-/// What a warm hit re-binds of one term: its simplified predicate, the
-/// join-class attributes it contributes, and the schema it was planned
-/// against. The term's name, relation and raw predicate are the stored
-/// [`Flattened`] shape's.
-#[derive(Debug)]
-struct OwnedTerm {
-    pred: Predicate,
-    class_attrs: Vec<(usize, AttrId)>,
-    schema: Arc<Schema>,
 }
 
 /// A fully planned, compiled, shape-verified cache entry: everything a
@@ -553,8 +480,9 @@ struct OwnedTerm {
 pub(crate) struct CachedPlan {
     /// The query shape the plan answers, compared on every hit.
     flat: Flattened,
-    terms: Vec<OwnedTerm>,
-    classes: Vec<(Vec<(usize, AttrId)>, String)>,
+    /// The resolved shape, kept once; a warm bind only looks up its
+    /// relations and checks their schemas.
+    shape: Arc<Shape>,
     /// Recorded verdict of the key-straddle guard at plan time.
     straddle: bool,
     /// Recorded verdict of the alias-live-mismatch guard at plan time.
@@ -567,14 +495,14 @@ pub(crate) struct CachedPlan {
     /// winning candidate's plan instead).
     pub decomposition: Option<SafePlan>,
     pub program: CompiledProgram,
-    /// The data stamps, scans and registers (see [`PlanMemo`]).
+    /// The scans, records and registers (see [`PlanMemo`]).
     pub memo: Mutex<PlanMemo>,
 }
 
 impl CachedPlan {
     /// Builds the owned entry from a cold plan: records the guard
-    /// verdicts, stamps the relations' data versions, keeps the terms'
-    /// scans and binds the registers of a deterministic program.
+    /// verdicts and each term's relation, keeps the shape and the terms'
+    /// scans, and binds the registers of a deterministic program.
     pub(crate) fn capture(
         flat: Flattened,
         resolved: &Resolved,
@@ -582,30 +510,14 @@ impl CachedPlan {
         (path, plan_class, decomposition): (EvalPath, PlanClass, Option<SafePlan>),
         program: CompiledProgram,
     ) -> Self {
-        let regs = match program {
-            CompiledProgram::Sampled => None,
-            _ => Some(BoundRegs::bind(
-                &program,
-                resolved,
-                &compile_terms(resolved, &scans),
-            )),
-        };
+        let records: Vec<TermRecord> = (resolved.dbs.iter())
+            .map(|db| TermRecord::of(db, (0, 0)))
+            .collect();
+        let compiled = compile_terms(resolved, &scans);
+        let regs = BoundRegs::bind(&program, resolved, &compiled, &records);
         CachedPlan {
             flat,
-            terms: resolved
-                .terms
-                .iter()
-                .map(|t| OwnedTerm {
-                    pred: t.pred.clone(),
-                    class_attrs: t.class_attrs.clone(),
-                    schema: t.db.schema().clone(),
-                })
-                .collect(),
-            classes: resolved
-                .classes
-                .iter()
-                .map(|c| (c.members.clone(), c.label.clone()))
-                .collect(),
+            shape: Arc::clone(&resolved.shape),
             straddle: key_straddle(resolved, &scans).is_some(),
             alias_mismatch: alias_live_mismatch(resolved, &scans).is_some(),
             path,
@@ -613,9 +525,10 @@ impl CachedPlan {
             decomposition,
             program,
             memo: Mutex::new(PlanMemo {
-                versions: resolved.terms.iter().map(|t| t.db.version()).collect(),
                 scans: Arc::new(scans),
+                records,
                 regs,
+                dead: false,
             }),
         }
     }
@@ -625,47 +538,97 @@ impl CachedPlan {
         self.flat.same_shape(flat)
     }
 
-    /// Re-binds the owned shape against current catalog data: cheap
-    /// per-term lookups plus `O(shape)` clones, no resolution or
-    /// classification. Returns `None` (stale — cold replan) when a
-    /// relation disappeared or its schema changed.
+    /// Binds the kept shape to current catalog data: one lookup and one
+    /// schema check per term, no resolution or classification. Returns
+    /// `None` (stale — cold replan) when a relation disappeared or its
+    /// schema changed.
     pub(crate) fn bind<'a, F>(&self, lookup: &F) -> Option<Resolved<'a>>
     where
         F: Fn(&str) -> Option<&'a ProbDb>,
     {
-        let mut terms = Vec::with_capacity(self.terms.len());
-        for (ft, t) in self.flat.terms.iter().zip(&self.terms) {
-            let db = lookup(&ft.relation)?;
-            let schema = db.schema();
-            if !Arc::ptr_eq(schema, &t.schema) && **schema != *t.schema {
-                return None;
-            }
-            terms.push(Term {
-                name: ft.name.clone(),
-                relation: ft.relation.clone(),
-                db,
-                pred: t.pred.clone(),
-                class_attrs: t.class_attrs.clone(),
-            });
-        }
-        let classes = self
-            .classes
-            .iter()
-            .map(|(members, label)| Class {
-                members: members.clone(),
-                label: label.clone(),
+        let dbs = (self.shape.terms.iter())
+            .map(|t| {
+                let db = lookup(&t.relation)?;
+                let schema = db.schema();
+                (Arc::ptr_eq(schema, &t.schema) || **schema == *t.schema).then_some(db)
             })
-            .collect();
-        Some(Resolved { terms, classes })
+            .collect::<Option<_>>()?;
+        Some(Resolved {
+            shape: Arc::clone(&self.shape),
+            dbs,
+        })
     }
 
-    /// Whether the data-dependent guards still give their recorded
-    /// verdicts on `resolved`'s refreshed scans — the only classification
-    /// inputs that can move with the data (per-segment verdicts, no
-    /// classification).
-    pub(crate) fn guards_hold(&self, resolved: &Resolved, scans: &[TermScan]) -> bool {
-        key_straddle(resolved, scans).is_some() == self.straddle
-            && alias_live_mismatch(resolved, scans).is_some() == self.alias_mismatch
+    /// Brings `memo` up to `resolved`'s data in place, under the caller's
+    /// memo lock, for the terms whose relation's version moved since the
+    /// memo's records: re-scans the segments whose value stamps moved,
+    /// re-reads the two data-dependent guards from the scans' per-segment
+    /// verdicts (no classification), and brings each moved term's register
+    /// sets and mass tables up to date. They merge in the rows from the
+    /// old cut on ([`vm::append_term`], [`StepMass::append`]) when
+    /// [`TermRecord::appends`] allows, except that a mass table refolds
+    /// when a certain segment moved, since certain rows come first in its
+    /// fold; otherwise they are rebound. Returns the rows the scans
+    /// evaluated and the sets appended to and rebound; `None` when a guard
+    /// flipped: the memo is then dead, and the plan stale.
+    pub(crate) fn refresh(
+        &self,
+        memo: &mut PlanMemo,
+        resolved: &Resolved,
+    ) -> Option<(usize, u64, u64)> {
+        let stale: Vec<usize> = (0..resolved.dbs.len())
+            .filter(|&t| memo.records[t].version != resolved.dbs[t].version())
+            .collect();
+        if stale.is_empty() {
+            return Some((0, 0, 0));
+        }
+        let PlanMemo {
+            scans,
+            records,
+            regs,
+            dead,
+        } = memo;
+        let (rows, moved) = refresh_scans(resolved, Arc::make_mut(scans));
+        if key_straddle(resolved, scans).is_some() != self.straddle
+            || alias_live_mismatch(resolved, scans).is_some() != self.alias_mismatch
+        {
+            *dead = true;
+            return None;
+        }
+        let compiled = compile_terms(resolved, scans);
+        let (programs, steps) = self.program.parts();
+        let (mut appended, mut rebound) = (0u64, 0u64);
+        for t in stale {
+            let (db, was) = (resolved.dbs[t], records[t]);
+            let appends = was.appends(db, moved[t]);
+            let now = TermRecord::of(db, if appends { was.cut } else { (0, 0) });
+            let (from, cut) = (was.rows(db), now.rows(db));
+            for (prog, regs) in programs.iter().zip(&mut regs.per_program) {
+                if appends {
+                    vm::append_term(&mut regs[t], &prog.paths[t], &compiled[t], from, cut);
+                    appended += 1;
+                } else {
+                    regs[t] = vm::bind_term(&prog.paths[t], &compiled[t], cut);
+                    rebound += 1;
+                }
+            }
+            for (step, mass) in steps
+                .into_iter()
+                .flatten()
+                .zip(regs.count.iter_mut().flatten())
+                .filter(|(step, _)| step.term == t)
+            {
+                if appends && moved[t].certain.is_none() {
+                    mass.append(&compiled[t], step, from.alts, cut.alts);
+                    appended += 1;
+                } else {
+                    *mass = StepMass::build(&compiled[t], step, cut.alts);
+                    rebound += 1;
+                }
+            }
+            records[t] = now;
+        }
+        Some((rows, appended, rebound))
     }
 }
 
@@ -752,8 +715,8 @@ impl Table {
 ///
 /// **Concurrency.** One mutex guards the table; every operation holds it
 /// only for a scan of the entries, never while planning or evaluating,
-/// and the counters are atomics. Each plan then guards its own data
-/// stamps, scans and registers with one lock of its own, so
+/// and the counters are atomics. Each plan then guards its own term
+/// scans, term records and registers with one lock of its own, so
 /// concurrent hits on different shapes run in parallel and concurrent
 /// hits on one shape share one register memo.
 /// Shareable behind an [`Arc`] across engine instances — and across
@@ -856,11 +819,13 @@ impl PlanCache {
         }
     }
 
-    /// Removes a stale entry (guards or schema changed).
-    pub(crate) fn invalidate(&self, tag: u8, hash: u64) {
+    /// Removes the entry holding `stale`, a plan found stale (guards or
+    /// schema changed). An entry another thread has meanwhile replaced
+    /// under the same key stays, and counts no invalidation.
+    pub(crate) fn invalidate(&self, stale: &Arc<CachedPlan>) {
         let mut table = self.lock();
         let before = table.entries.len();
-        table.entries.retain(|e| !(e.tag == tag && e.hash == hash));
+        table.entries.retain(|e| !Arc::ptr_eq(&e.plan, stale));
         if table.entries.len() < before {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
@@ -902,6 +867,41 @@ mod tests {
     use crate::algebra::Query;
     use crate::catalog::Catalog;
     use crate::plan::classify::resolve;
+    use crate::plan::{CatalogEngine, QueryEngineConfig};
+    use mrsl_relation::{AttrId, Schema};
+
+    /// A stale hit invalidates only the plan it found stale: a replacement
+    /// that another thread inserted under the same key meanwhile stays,
+    /// and counts no invalidation.
+    #[test]
+    fn invalidating_a_replaced_plan_keeps_the_replacement() {
+        let schema = Schema::builder()
+            .attribute("x", ["v0", "v1"])
+            .build()
+            .unwrap();
+        let mut catalog = Catalog::new();
+        catalog.add("r", ProbDb::new(schema)).unwrap();
+        let q = Query::scan("r");
+        let tag = cache_tag(Statistic::Probability).unwrap();
+        let hash = q.flatten().unwrap().shape_hash();
+        let captured = |cache: &Arc<PlanCache>| {
+            CatalogEngine::with_plan_cache(&catalog, QueryEngineConfig::default(), cache.clone())
+                .probability(&q)
+                .unwrap();
+            cache.probe(tag, hash).expect("cached")
+        };
+        let cache = Arc::new(PlanCache::new());
+        let stale = captured(&cache);
+        let replacement = captured(&Arc::new(PlanCache::new()));
+        cache.insert(tag, hash, replacement.clone());
+        cache.invalidate(&stale);
+        let kept = cache.probe(tag, hash).expect("the replacement stays");
+        assert!(Arc::ptr_eq(&kept, &replacement));
+        assert_eq!(cache.stats().invalidations, 0);
+        cache.invalidate(&replacement);
+        assert!(cache.probe(tag, hash).is_none());
+        assert_eq!(cache.stats().invalidations, 1);
+    }
 
     /// Pins [`render`] to strings recorded from the recursive
     /// decomposition reports used before they rendered programs, on the
@@ -933,7 +933,12 @@ mod tests {
         let rendered = |resolved: &Resolved, ext: &[(usize, usize)]| {
             lower(resolved, ext).map(|program| render(&program, resolved, ext).render())
         };
-        let labels: Vec<&str> = resolved.classes.iter().map(|c| c.label.as_str()).collect();
+        let labels: Vec<&str> = resolved
+            .shape
+            .classes
+            .iter()
+            .map(|c| c.label.as_str())
+            .collect();
         assert_eq!(labels, ["r.x = s.x", "s.y = t.y", "t.z = u.z"]);
         assert_eq!(rendered(&resolved, &[]), None);
         assert_eq!(
@@ -950,7 +955,10 @@ mod tests {
                  copy s∥[t.z = u.z]), scan t), scan u)"
             )
         );
-        resolved.classes.truncate(2);
+        Arc::get_mut(&mut resolved.shape)
+            .expect("one holder")
+            .classes
+            .truncate(2);
         assert_eq!(rendered(&resolved, &[]), None);
         assert_eq!(rendered(&resolved, &[(0, 2)]), None);
     }

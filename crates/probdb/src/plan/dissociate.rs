@@ -148,10 +148,10 @@ pub fn dissociation_search_count() -> u64 {
 /// full dissociation (every term in every class).
 fn minimal_dissociations(resolved: &Resolved) -> Vec<Dissociation> {
     DISSOCIATION_SEARCHES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let pairs: Vec<(usize, usize)> = (0..resolved.classes.len())
+    let pairs: Vec<(usize, usize)> = (0..resolved.shape.classes.len())
         .flat_map(|c| {
-            let members = resolved.classes[c].terms();
-            (0..resolved.terms.len())
+            let members = resolved.shape.classes[c].terms();
+            (0..resolved.shape.terms.len())
                 .filter(move |t| !members.contains(t))
                 .map(move |t| (c, t))
         })
@@ -279,19 +279,19 @@ fn dissociated_entries(
     for group in alias_groups(resolved) {
         let names: Vec<String> = group
             .iter()
-            .map(|&t| format!("`{}`", resolved.terms[t].name))
+            .map(|&t| format!("`{}`", resolved.shape.terms[t].name))
             .collect();
         dissociated.push(format!(
             "{} ≡ independent copies of `{}`",
             names.join(", "),
-            resolved.terms[group[0]].relation
+            resolved.shape.terms[group[0]].relation
         ));
     }
     for &i in &[choice.upper_at, choice.lower_at] {
         for &(c, t) in &candidates[i].extensions {
             let entry = format!(
                 "`{}` ⇢ [{}]",
-                resolved.terms[t].name, resolved.classes[c].label
+                resolved.shape.terms[t].name, resolved.shape.classes[c].label
             );
             if !dissociated.contains(&entry) {
                 dissociated.push(entry);
@@ -339,6 +339,7 @@ impl Mode {
 /// copies.
 pub(crate) fn extended_class_terms(resolved: &Resolved, ext: &[(usize, usize)]) -> Vec<Vec<usize>> {
     resolved
+        .shape
         .classes
         .iter()
         .enumerate()
@@ -363,17 +364,21 @@ pub(crate) fn covering_root(
 ) -> Option<usize> {
     active.iter().copied().find(|&c| {
         comp.iter().all(|t| class_terms[c].contains(t))
-            && comp.iter().any(|t| resolved.classes[c].terms().contains(t))
+            && comp
+                .iter()
+                .any(|t| resolved.shape.classes[c].terms().contains(t))
     })
 }
 
 /// Alias multiplicity per term: how many scans share its relation.
 pub(crate) fn alias_multiplicities(resolved: &Resolved) -> Vec<f64> {
     resolved
+        .shape
         .terms
         .iter()
         .map(|t| {
             resolved
+                .shape
                 .terms
                 .iter()
                 .filter(|o| o.relation == t.relation)
@@ -525,8 +530,7 @@ mod tests {
         };
         assert!(candidates.len() > 1, "{candidates:?}");
         let memo = plan.memo.lock().unwrap();
-        let regs = memo.regs.as_ref().expect("the cold run memoizes registers");
-        assert_eq!(regs.per_program.len(), candidates.len());
+        assert_eq!(memo.regs.per_program.len(), candidates.len());
 
         let ok = |attr| crate::predicate::Predicate::eq(AttrId(attr), mrsl_relation::ValueId(1));
         let join = Query::scan("r")

@@ -28,7 +28,7 @@ pub(crate) fn expected_join_count(resolved: &Resolved, compiled: &[CompiledTerm]
     run_mass_join(
         &steps,
         &mass_tables(&steps, compiled),
-        resolved.classes.len(),
+        resolved.shape.classes.len(),
     )
 }
 
@@ -49,8 +49,9 @@ pub(crate) struct MassStep {
 /// resolved shape (term order and per-term class keys) — it contains no
 /// data, so the plan cache can store it.
 pub(crate) fn count_steps(resolved: &Resolved) -> Vec<MassStep> {
-    let mut bound_classes = vec![false; resolved.classes.len()];
+    let mut bound_classes = vec![false; resolved.shape.classes.len()];
     resolved
+        .shape
         .terms
         .iter()
         .enumerate()

@@ -229,7 +229,7 @@ pub(crate) fn record(
         .collect();
     let rows: Vec<&Rows> = live.iter().collect();
     let all: Vec<usize> = (0..compiled.len()).collect();
-    let active: Vec<usize> = (0..resolved.classes.len()).collect();
+    let active: Vec<usize> = (0..resolved.shape.classes.len()).collect();
     // A flattened query is one connected component: its root is the
     // tape's last node.
     rec.component(&all, &active, &rows);
@@ -257,7 +257,7 @@ impl Recorder<'_, '_> {
         }
         let root = covering_root(self.resolved, &self.class_terms, comp, active)
             .expect("admissible dissociations decompose");
-        let root_terms = self.resolved.classes[root].terms();
+        let root_terms = self.resolved.shape.classes[root].terms();
         let (binding, copied): (Vec<usize>, Vec<usize>) =
             comp.iter().partition(|t| root_terms.contains(t));
 
@@ -413,7 +413,7 @@ mod tests {
         let flat = q.flatten().unwrap();
         let resolved = resolve(&flat, |name| catalog.get(name)).unwrap();
         let scans = scan_terms(&resolved);
-        if resolved.terms.len() > 1 {
+        if resolved.shape.terms.len() > 1 {
             assert_eq!(classify(&resolved, &scans).class, PlanClass::Liftable);
         }
         let compiled = compile_terms(&resolved, &scans);

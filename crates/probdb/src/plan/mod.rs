@@ -74,7 +74,7 @@ use classify::{
     alias_groups, classify, compile_terms, refresh_scans, resolve, scan_terms, CompiledTerm,
     Resolved, TermScan,
 };
-use compile::{cache_tag, BoundRegs, CachedPlan, CompiledProgram, PlanMemo};
+use compile::{cache_tag, BoundRegs, CachedPlan, CompiledProgram};
 use dissociate::{BoundsPlan, DissociatedBounds, Mode};
 use mrsl_relation::{AttrId, CompleteTuple};
 use std::sync::Arc;
@@ -372,7 +372,7 @@ impl<'a> CatalogEngine<'a> {
         let flat = q.flatten()?;
         let resolved = resolve(&flat, |name| self.catalog.get(name))?;
         let scans = scan_terms(&resolved);
-        if resolved.terms.len() > 1 {
+        if resolved.shape.terms.len() > 1 {
             let c = classify(&resolved, &scans);
             if c.class != PlanClass::Liftable {
                 let reason = match c.decomposition {
@@ -385,6 +385,7 @@ impl<'a> CatalogEngine<'a> {
         let compiled = compile_terms(&resolved, &scans);
         let tape = grad::record(&resolved, &compiled, &[], Mode::Upper);
         let relations = resolved
+            .shape
             .terms
             .iter()
             .zip(tape.gradient(&compiled))
@@ -417,7 +418,7 @@ fn prepare<'a>(
     config: &QueryEngineConfig,
 ) -> Result<Prepared<'a>, ProbDbError> {
     let resolved = resolve(flat, lookup)?;
-    let single = resolved.terms.len() == 1;
+    let single = resolved.shape.terms.len() == 1;
     if !single
         && matches!(
             stat,
@@ -429,7 +430,7 @@ fn prepare<'a>(
         });
     }
     let mut scans = Vec::new();
-    let rows_evaluated = refresh_scans(&resolved, &mut scans);
+    let (rows_evaluated, _) = refresh_scans(&resolved, &mut scans);
     let classification = (!single).then(|| classify(&resolved, &scans));
     let mut decomposition = classification.as_ref().map(|c| c.decomposition.clone());
     let forced = config.force_monte_carlo;
@@ -492,7 +493,7 @@ fn prepare<'a>(
                 (EvalPath::MonteCarlo, plan)
             } else if forced {
                 (EvalPath::MonteCarlo, PlanClass::ForcedMonteCarlo)
-            } else if resolved.terms[0].db.columns().block_count() > MAX_EXACT_DP_BLOCKS {
+            } else if resolved.dbs[0].columns().block_count() > MAX_EXACT_DP_BLOCKS {
                 (EvalPath::MonteCarlo, PlanClass::DpBudgetExceeded)
             } else {
                 (EvalPath::ExactColumnar, PlanClass::Liftable)
@@ -536,9 +537,9 @@ fn evaluate_with<'a>(
     };
     let hash = flat.shape_hash();
     if let Some(plan) = cache.probe(tag, hash).filter(|plan| plan.matches(&flat)) {
-        // Classification is skipped entirely: the entry re-binds its
-        // owned shape against current column data, and `execute`
-        // re-checks the data-dependent guards if any stamp moved.
+        // Classification is skipped entirely: the entry binds its kept
+        // shape to current column data, and `execute` re-checks the
+        // data-dependent guards if any relation moved.
         let warm = match plan.bind(&lookup) {
             Some(resolved) => execute(&plan, &resolved, stat, config, Some(cache))?,
             None => None,
@@ -549,7 +550,7 @@ fn evaluate_with<'a>(
                 return Ok(result);
             }
             // Stale: schema or guarded data property changed.
-            None => cache.invalidate(tag, hash),
+            None => cache.invalidate(&plan),
         }
     }
     cache.record_miss();
@@ -564,8 +565,8 @@ pub(crate) fn memo_bits(cache: &PlanCache, q: &Query, stat: Statistic) -> Option
     let plan = cache
         .probe(cache_tag(stat)?, flat.shape_hash())
         .filter(|plan| plan.matches(&flat))?;
-    let memo = plan.memo.lock().expect("plan memo lock");
-    memo.regs.as_ref().map(BoundRegs::bits)
+    let bits = plan.memo.lock().expect("plan memo lock").regs.bits();
+    (!matches!(plan.program, CompiledProgram::Sampled)).then_some(bits)
 }
 
 /// A cache miss: plan, lower the verdict to a program, capture it with
@@ -607,25 +608,18 @@ fn evaluate_cold<'a>(
     Ok((answer, report))
 }
 
-/// The one executor of cached plans, cold and warm. It compares the plan
-/// memo's data stamps with the bound catalog's; if any moved, it
-/// refreshes the memo's term scans — re-evaluating only the storage
-/// segments whose value stamps moved — and re-reads the key-straddle and
-/// alias-live-mismatch guards from them against the recorded verdicts (a
-/// flipped one reports the entry stale, `Ok(None)`, for invalidation and
-/// a cold replan). Then, under the memo lock, it merges appended rows
-/// into the registers that moved, or rebinds them, and takes the new
-/// stamps and scans. It runs the program over the registers, still under
-/// the lock, and refines wide
-/// brackets by sampling once the lock is released. The compiled terms
-/// borrow the scans, so each step that reads them binds them, in
-/// O(terms), and a clean warm hit binds none. `warm` is the cache
-/// a hit was served from ([`PlanRoute::CacheHit`]), charged with the
+/// The one executor of cached plans, cold and warm. Under the plan's memo
+/// lock it refreshes the memo in place ([`CachedPlan::refresh`]) and runs
+/// the program over the registers; it samples, or refines a wide bracket,
+/// once the lock is released, from the scans it took in O(1). A dead memo
+/// (a guard flipped) reports the entry stale, `Ok(None)`, for invalidation
+/// and a cold replan; so does a program that does not answer `stat`
+/// (impossible while the statistic tag is part of the cache key; the
+/// caller replans defensively instead of asserting). `warm` is the cache a
+/// hit was served from ([`PlanRoute::CacheHit`]), charged with the
 /// maintenance in [`PlanCacheStats::reg_patches`] /
-/// [`PlanCacheStats::reg_rebinds`]; `None` on a cold miss ([`PlanRoute::Compiled`]), whose capture bound
-/// the registers. `Ok(None)` also when the program does not answer
-/// `stat` (impossible while the statistic tag is part of the cache key;
-/// the caller replans defensively instead of asserting).
+/// [`PlanCacheStats::reg_rebinds`]; `None` on a cold miss
+/// ([`PlanRoute::Compiled`]), whose capture bound the registers.
 fn execute(
     plan: &CachedPlan,
     resolved: &Resolved,
@@ -637,86 +631,61 @@ fn execute(
     if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
-    let classes = resolved.classes.len();
+    let classes = resolved.shape.classes.len();
     let mut decomposition = plan.decomposition.clone();
     let mut dissociated: Vec<String> = Vec::new();
-    let versions: Vec<u64> = resolved.terms.iter().map(|t| t.db.version()).collect();
-    let lock = || plan.memo.lock().expect("plan memo lock");
-    let mut memo = lock();
-    let mut scans = Arc::clone(&memo.scans);
-    let mut rows_evaluated = 0;
-    if memo.versions != versions {
-        // The scan refresh and the guards are linear in the delta: run
-        // them unlocked, so concurrent readers of moved data do not queue
-        // behind each other's scans. Stamps name data exactly, so memo
-        // stamps equal to ours mean our guards were verified.
-        drop(memo);
-        let mut fresh = Vec::clone(&scans);
-        rows_evaluated = refresh_scans(resolved, &mut fresh);
-        if !plan.guards_hold(resolved, &fresh) {
-            return Ok(None);
-        }
-        scans = Arc::new(fresh);
-        memo = lock();
-    }
     // The memo lock is held from the refresh through the fold, so a
     // concurrent hit on this entry waits for the refreshed registers
     // instead of refreshing them again.
-    if memo.versions != versions {
-        let PlanMemo {
-            versions: stamps,
-            scans: kept,
-            regs,
-            ..
-        } = &mut *memo;
-        if let Some(regs) = regs {
-            let moved = (stamps.as_slice(), versions.as_slice());
-            let compiled = compile_terms(resolved, &scans);
-            let (appended, rebound) = regs.refresh(&plan.program, resolved, &compiled, moved);
-            if let Some(cache) = warm {
-                cache.record_reg_maintenance(appended, rebound);
-            }
-        }
-        *kept = Arc::clone(&scans);
-        *stamps = versions;
+    let mut memo = plan.memo.lock().expect("plan memo lock");
+    if memo.dead {
+        return Ok(None);
     }
-    let answer = match &memo.regs {
-        None => {
+    let Some((rows_evaluated, appended, rebound)) = plan.refresh(&mut memo, resolved) else {
+        return Ok(None);
+    };
+    if let Some(cache) = warm {
+        cache.record_reg_maintenance(appended, rebound);
+    }
+    // Scan statistics come from the scans' per-segment counts, and
+    // provenance from the bound relation, on every answer.
+    let relations = relation_stats(resolved, &memo.scans);
+    let answer = match &plan.program {
+        CompiledProgram::Sampled => {
+            let scans = Arc::clone(&memo.scans);
             drop(memo);
             sample(&compile_terms(resolved, &scans), classes, stat, config)
         }
-        Some(regs) => {
-            let Some(folded) = fold(plan, resolved, stat, regs, &scans) else {
-                return Ok(None);
-            };
-            drop(memo);
-            match folded {
-                Folded::Answer(answer) => answer,
-                Folded::Bracket(eval) => {
-                    decomposition = Some(eval.plan);
-                    dissociated = eval.dissociated;
-                    let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                    let compiled = compile_terms(resolved, &scans);
-                    let (bounds, refined) = refine(bracket, &compiled, classes, config);
-                    if refined {
-                        path = EvalPath::Hybrid;
-                    }
-                    QueryAnswer::Bounds(bounds)
-                }
+        _ => match fold(plan, resolved, stat, &memo.regs, &memo.scans) {
+            None => return Ok(None),
+            Some(Folded::Answer(answer)) => {
+                drop(memo);
+                answer
             }
-        }
+            Some(Folded::Bracket(eval)) => {
+                let scans = Arc::clone(&memo.scans);
+                drop(memo);
+                decomposition = Some(eval.plan);
+                dissociated = eval.dissociated;
+                let bracket = ProbabilityBounds::bracket(eval.lower, eval.upper);
+                let compiled = compile_terms(resolved, &scans);
+                let (bounds, refined) = refine(bracket, &compiled, classes, config);
+                if refined {
+                    path = EvalPath::Hybrid;
+                }
+                QueryAnswer::Bounds(bounds)
+            }
+        },
     };
     let route = match warm {
         Some(_) => PlanRoute::CacheHit,
         None => PlanRoute::Compiled,
     };
-    // Scan statistics come from the scans' per-segment counts, and
-    // provenance from the bound relation, on every answer.
     let mut report = EvalReport::new(
         path,
         route,
         plan.plan_class,
-        relation_stats(resolved, &scans),
+        relations,
         config.mc_samples,
         decomposition,
         dissociated,
@@ -798,7 +767,7 @@ fn evaluate_uncached(
     if path == EvalPath::MonteCarlo && config.mc_samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
-    let classes = resolved.classes.len();
+    let classes = resolved.shape.classes.len();
     let mut dissociated: Vec<String> = Vec::new();
     let ct = &compiled[0];
     let answer = match (stat, path, bounds_plan) {
@@ -955,12 +924,9 @@ fn refine(
 /// Per-relation scan statistics: pruned blocks from the scans'
 /// per-segment counts, sizes and provenance from the bound relations.
 fn relation_stats(resolved: &Resolved, scans: &[TermScan]) -> Vec<RelationStats> {
-    resolved
-        .terms
-        .iter()
-        .zip(scans)
-        .map(|(t, scan)| {
-            let cols = t.db.columns();
+    (resolved.shape.terms.iter().zip(&resolved.dbs).zip(scans))
+        .map(|((t, db), scan)| {
+            let cols = db.columns();
             let pruned = scan.pruned_blocks();
             RelationStats {
                 relation: t.name.clone(),
@@ -969,7 +935,7 @@ fn relation_stats(resolved: &Resolved, scans: &[TermScan]) -> Vec<RelationStats>
                 blocks_touched: cols.block_count() - pruned,
                 certain_rows: cols.certain().rows(),
                 alt_rows: cols.alternatives().rows(),
-                provenance: t.db.provenance().map(String::from),
+                provenance: db.provenance().map(String::from),
             }
         })
         .collect()
@@ -1652,7 +1618,7 @@ mod tests {
     /// last reference: no second tier or graveyard pins retired plans.
     fn assert_retired_plan_is_released(
         capacity: usize,
-        retire: impl FnOnce(&CatalogEngine, (u8, u64)),
+        retire: impl FnOnce(&CatalogEngine, &Arc<CachedPlan>),
     ) {
         let catalog = sensors_catalog();
         let cache = Arc::new(PlanCache::with_capacity(capacity));
@@ -1664,14 +1630,14 @@ mod tests {
         let tag = cache_tag(Statistic::Probability).unwrap();
         let hash = station_join().flatten().unwrap().shape_hash();
         let plan = engine.plan_cache().probe(tag, hash).expect("cached");
-        retire(&engine, (tag, hash));
+        retire(&engine, &plan);
         assert_eq!(Arc::strong_count(&plan), 1);
     }
 
     #[test]
     fn invalidated_plans_are_released() {
-        assert_retired_plan_is_released(128, |engine, (tag, hash)| {
-            engine.plan_cache().invalidate(tag, hash);
+        assert_retired_plan_is_released(128, |engine, plan| {
+            engine.plan_cache().invalidate(plan);
         });
     }
 
@@ -1686,6 +1652,88 @@ mod tests {
             engine.expected_count(&station_join()).unwrap();
             assert_eq!(engine.plan_cache().stats().evictions, 1);
         });
+    }
+
+    /// The join's probability plan, warmed on `catalog` in `cache`.
+    fn warm_join_plan(catalog: &Catalog, cache: &Arc<PlanCache>) -> Arc<CachedPlan> {
+        let engine =
+            CatalogEngine::with_plan_cache(catalog, QueryEngineConfig::default(), cache.clone());
+        engine.probability(&station_join()).unwrap();
+        let tag = cache_tag(Statistic::Probability).unwrap();
+        let hash = station_join().flatten().unwrap().shape_hash();
+        cache.probe(tag, hash).expect("cached")
+    }
+
+    /// `catalog` with one more key-unique `sensors` block at station s2, or
+    /// a block straddling stations s0 and s2.
+    fn pushed(catalog: &Catalog, straddling: bool) -> Catalog {
+        let mut next = catalog.clone();
+        let first = if straddling { 0 } else { 2 };
+        let alts = vec![alt(vec![first, 0], 0.4), alt(vec![2, 1], 0.6)];
+        let sensors = next.get_mut("sensors").unwrap();
+        let key = sensors.blocks().len() + 10;
+        sensors.push_block(Block::new(key, alts).unwrap()).unwrap();
+        next
+    }
+
+    /// A refresh updates the memo's scans in place: after a one-block
+    /// push they stay in their allocation while no reader holds them, and
+    /// are copied, leaving the reader's copy as it was, while one does.
+    #[test]
+    fn refreshes_scans_in_place_unless_a_reader_holds_them() {
+        let cache = Arc::new(PlanCache::new());
+        let base = sensors_catalog();
+        let plan = warm_join_plan(&base, &cache);
+        let scans = || Arc::clone(&plan.memo.lock().unwrap().scans);
+        let before = Arc::as_ptr(&scans());
+        let one = pushed(&base, false);
+        let engine =
+            CatalogEngine::with_plan_cache(&one, QueryEngineConfig::default(), cache.clone());
+        let (_, report) = engine.probability(&station_join()).unwrap();
+        assert_eq!(report.route, PlanRoute::CacheHit);
+        assert_eq!(
+            report.rows_evaluated, 4,
+            "the one block segment of `sensors`"
+        );
+        assert_eq!(Arc::as_ptr(&scans()), before, "refreshed in place");
+        let held = scans();
+        let two = pushed(&one, false);
+        let engine =
+            CatalogEngine::with_plan_cache(&two, QueryEngineConfig::default(), cache.clone());
+        assert_eq!(
+            engine.probability(&station_join()).unwrap().1.route,
+            PlanRoute::CacheHit
+        );
+        assert!(!Arc::ptr_eq(&scans(), &held), "copied for the reader");
+        assert_eq!(Arc::strong_count(&held), 1);
+        let resolved = plan.bind(&|name| two.get(name)).unwrap();
+        let alt_rows = |scans: &[TermScan]| compile_terms(&resolved, scans)[0].live_alts.len();
+        assert_eq!(
+            alt_rows(&held) + 2,
+            alt_rows(&scans()),
+            "the reader's copy is one push behind"
+        );
+    }
+
+    /// A refresh that flips a guard kills the memo: the plan answers
+    /// nothing again, not even for the data its registers were bound
+    /// under, and only the dead entry is invalidated.
+    #[test]
+    fn a_flipped_guard_kills_the_memo_for_good() {
+        let cache = Arc::new(PlanCache::new());
+        let base = sensors_catalog();
+        let plan = warm_join_plan(&base, &cache);
+        let straddling = pushed(&base, true);
+        let replanned = warm_join_plan(&straddling, &cache);
+        assert!(plan.memo.lock().unwrap().dead);
+        assert!(!Arc::ptr_eq(&plan, &replanned));
+        assert_eq!(cache.stats().invalidations, 1);
+        let resolved = plan.bind(&|name| base.get(name)).expect("same schemas");
+        let config = QueryEngineConfig::default();
+        let answer = execute(&plan, &resolved, Statistic::Probability, &config, None).unwrap();
+        assert!(answer.is_none(), "a dead memo never answers");
+        cache.invalidate(&plan);
+        assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn oracle(
 
     // One world set per *distinct relation*; aliased scans share it.
     let mut relations: Vec<&str> = Vec::new();
-    for t in &resolved.terms {
+    for t in &resolved.shape.terms {
         if !relations.iter().any(|r| *r == t.relation) {
             relations.push(&t.relation);
         }
@@ -148,6 +148,7 @@ pub fn oracle(
         .map(|r| enumerate_worlds(catalog.resolve(r).expect("resolved above"), max_worlds))
         .collect();
     let world_of_term: Vec<usize> = resolved
+        .shape
         .terms
         .iter()
         .map(|t| {
@@ -170,6 +171,7 @@ pub fn oracle(
         // Rows of each term: its relation-world's tuples passing the
         // term's selection.
         let term_rows: Vec<Vec<&CompleteTuple>> = resolved
+            .shape
             .terms
             .iter()
             .enumerate()
@@ -181,7 +183,7 @@ pub fn oracle(
                     .collect()
             })
             .collect();
-        let mut bound = vec![None; resolved.classes.len()];
+        let mut bound = vec![None; resolved.shape.classes.len()];
         let count = count_assignments(&resolved, &term_rows, 0, &mut bound);
         if count > 0 {
             probability += weight;
@@ -227,7 +229,7 @@ fn count_assignments(
     let mut total = 0;
     'tuples: for tuple in &term_rows[t] {
         let mut newly_bound: Vec<usize> = Vec::new();
-        for (ci, class) in resolved.classes.iter().enumerate() {
+        for (ci, class) in resolved.shape.classes.iter().enumerate() {
             for &(ti, attr) in &class.members {
                 if ti != t {
                     continue;

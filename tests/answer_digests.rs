@@ -123,7 +123,7 @@ fn check(lines: &[Line], want: &[u64]) {
             "answer digest of {} differs: {:#018x}, committed {:?}\ncomputed table:\n{}",
             lines[i].label,
             lines[i].digest,
-            want.get(i),
+            want.get(i).map(|w| format!("{w:#018x}")),
             table.join("\n")
         ),
         None => panic!(

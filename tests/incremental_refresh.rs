@@ -287,10 +287,13 @@ enum Step {
     Diverge { k: u16, p: f64 },
     /// Read a generation `back` steps before the newest again.
     Old { back: usize },
+    /// The newest generation with a `left` block straddling the join key:
+    /// every shape's key guard flips.
+    Straddle { k: u16 },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    ((0u8..10, 0usize..2), (0u16..KEYS, 1u32..=19, 0usize..4_000)).prop_map(
+    ((0u8..12, 0usize..2), (0u16..KEYS, 1u32..=19, 0usize..4_000)).prop_map(
         |((kind, rel), (k, w, pick))| {
             let p = w as f64 / 20.0;
             match kind {
@@ -306,7 +309,8 @@ fn arb_step() -> impl Strategy<Value = Step> {
                     p,
                 },
                 6 | 7 => Step::Diverge { k, p },
-                _ => Step::Old { back: pick },
+                8..=10 => Step::Old { back: pick },
+                _ => Step::Straddle { k },
             }
         },
     )
@@ -324,21 +328,32 @@ fn memo_shapes() -> [(Query, Statistic); 3] {
 
 /// Reads every shape of `catalog` through the shared cache and checks
 /// the answer and the memoized registers and mass tables against a
-/// fresh cache's.
-fn check_memos(catalog: &Catalog, cache: &Arc<PlanCache>) {
+/// fresh cache's. Every read is a warm hit unless `flipped`: a guard then
+/// flipped since the last read, which kills each shape's memo and
+/// replans it. A `straddled` catalog samples the join's probability and
+/// the bounds, which memoize no registers.
+fn check_memos(catalog: &Catalog, cache: &Arc<PlanCache>, flipped: bool, straddled: bool) {
     let warm = CatalogEngine::with_plan_cache(catalog, config(), cache.clone());
     let fresh_cache = Arc::new(PlanCache::new());
     let fresh = CatalogEngine::with_plan_cache(catalog, config(), fresh_cache.clone());
     for (q, stat) in memo_shapes() {
         let (wa, wr) = warm.evaluate(&q, stat).unwrap();
-        let (fa, _) = fresh.evaluate(&q, stat).unwrap();
-        prop_assert_eq!(wr.route, PlanRoute::CacheHit, "{:?}", stat);
+        let (fa, fr) = fresh.evaluate(&q, stat).unwrap();
+        let route = if flipped {
+            PlanRoute::Compiled
+        } else {
+            PlanRoute::CacheHit
+        };
+        prop_assert_eq!(wr.route, route, "{:?}", stat);
         prop_assert_eq!(answer_bits(wa), answer_bits(fa), "answer of {:?}", stat);
+        prop_assert_eq!((wr.path, wr.plan), (fr.path, fr.plan), "{:?}", stat);
         let (wm, fm) = (
             memo_bits(cache, &q, stat),
             memo_bits(&fresh_cache, &q, stat),
         );
-        prop_assert!(wm.is_some(), "{:?} memoizes registers", stat);
+        if !straddled {
+            prop_assert!(wm.is_some(), "{:?} memoizes registers", stat);
+        }
         prop_assert_eq!(wm, fm, "memo of {:?}", stat);
     }
 }
@@ -346,11 +361,13 @@ fn check_memos(catalog: &Catalog, cache: &Arc<PlanCache>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A generation history of block pushes, certain pushes, mass updates
-    /// and diverging siblings, read in turn, with older generations read
-    /// again, all through one plan cache: every memo's registers and mass
-    /// tables and every answer equal a fresh bind's, bit for bit, and a
-    /// one-block publish read after its parent rebinds nothing.
+    /// A generation history of block pushes, certain pushes, mass updates,
+    /// diverging siblings and key-straddling pushes, read in turn, with
+    /// older generations read again, all through one plan cache: every
+    /// memo's registers and mass tables and every answer equal a fresh
+    /// bind's, bit for bit, a one-block publish read after its parent
+    /// rebinds nothing, and a read across a straddling push (either way)
+    /// kills the memos it reaches and replans like a fresh engine.
     #[test]
     fn appended_memos_match_fresh_binds_across_generations(
         steps in prop::collection::vec(arb_step(), 1..12)
@@ -362,24 +379,29 @@ proptest! {
         let mut base = base_catalog();
         *base.get_mut("left").unwrap() = relation(2 * SEGMENT - 2, 2 * SEGMENT - 3, 1);
         let mut generations = vec![base];
+        // Per generation: does `left` hold a straddling block?
+        let mut straddled = vec![false];
         let cold = CatalogEngine::with_plan_cache(&generations[0], config(), cache.clone());
         for (q, stat) in memo_shapes() {
             cold.evaluate(&q, stat).unwrap();
         }
-        check_memos(&generations[0], &cache);
+        check_memos(&generations[0], &cache, false, false);
         let mut last_read = 0;
         for step in steps {
             let newest = generations.len() - 1;
             let (parent, write) = match step {
                 Step::Old { back } => {
-                    last_read = newest - back % generations.len();
-                    check_memos(&generations[last_read], &cache);
+                    let read = newest - back % generations.len();
+                    let flipped = straddled[read] != straddled[last_read];
+                    check_memos(&generations[read], &cache, flipped, straddled[read]);
+                    last_read = read;
                     continue;
                 }
                 Step::Diverge { k, p } => (newest.saturating_sub(1), Write::Block { k, p }),
                 Step::Block { k, p, .. } => (newest, Write::Block { k, p }),
                 Step::Certain { k, ok, .. } => (newest, Write::Certain { k, ok }),
                 Step::Masses { block, p, .. } => (newest, Write::Masses { block, p }),
+                Step::Straddle { k } => (newest, Write::Straddle { k }),
             };
             let rel = match step {
                 Step::Block { rel, .. } | Step::Certain { rel, .. } | Step::Masses { rel, .. } => rel,
@@ -389,12 +411,14 @@ proptest! {
             apply(write, &mut catalogs, 0, ["left", "right"][rel]);
             let [next, _, _] = catalogs;
             let before = cache.stats();
-            check_memos(&next, &cache);
+            let straddles = straddled[parent] || matches!(step, Step::Straddle { .. });
+            check_memos(&next, &cache, straddles != straddled[last_read], straddles);
             if matches!(step, Step::Block { .. }) && last_read == parent {
                 let rebinds = cache.stats().reg_rebinds - before.reg_rebinds;
                 prop_assert_eq!(rebinds, 0, "a one-block publish rebinds nothing");
             }
             generations.push(next);
+            straddled.push(straddles);
             last_read = generations.len() - 1;
         }
     }
@@ -446,6 +470,50 @@ fn straddling_push_invalidates_and_replans_like_a_fresh_engine() {
         (PlanRoute::Compiled, PlanClass::Liftable)
     );
     assert_eq!(cache.stats().invalidations, 2);
+}
+
+/// Certain rows come first in a mass table's fold, and registers keep
+/// their entries only before the cut: a live certain push into the last
+/// segment appends the registers and refolds the count's tables, and a
+/// read back across a certain or a block segment boundary (each alone)
+/// rebinds both. Every memo stays equal to a fresh bind's.
+#[test]
+fn reads_back_across_segment_boundaries_rebind() {
+    let push = |catalog: &Catalog, certain: u16, blocks: u16| {
+        let mut next = catalog.clone();
+        let left = next.get_mut("left").unwrap();
+        for k in 0..certain {
+            let row = CompleteTuple::from_values(vec![k, 1, 1]);
+            left.push_certain(row).unwrap();
+        }
+        for k in 0..blocks {
+            let key = left.blocks().len() + 1_000;
+            left.push_block(keyed_block(key, k, 0.5)).unwrap();
+        }
+        next
+    };
+    // `left` holds two certain rows and three blocks short of a segment.
+    let base = base_catalog();
+    let one = push(&base, 1, 1);
+    let certain_crossed = push(&one, 3, 0);
+    let blocks_crossed = push(&one, 0, 4);
+    let cache = Arc::new(PlanCache::new());
+    let cold = CatalogEngine::with_plan_cache(&base, config(), cache.clone());
+    for (q, stat) in memo_shapes() {
+        cold.evaluate(&q, stat).unwrap();
+    }
+    for catalog in [
+        &one,
+        &certain_crossed,
+        &base,
+        &blocks_crossed,
+        &base,
+        &certain_crossed,
+        &blocks_crossed,
+        &one,
+    ] {
+        check_memos(catalog, &cache, false, false);
+    }
 }
 
 /// The work counter: every row on a cold miss, none on a clean hit or
